@@ -1,0 +1,110 @@
+"""Golden diagnostics: short runs must reproduce committed results exactly.
+
+Every run takes the Heun startup, at least ten multistep steps and a final
+clamped Heun step, and records every step.  All diagnostics columns except
+``wall_ms`` are compared as 17-significant-digit strings, which round-trip
+float64 exactly, so any change in floating-point results fails here.
+
+Regenerate the files (only for an intended change of results) with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import csv
+from pathlib import Path
+
+import pytest
+
+from lrvlasov.config import from_preset
+from lrvlasov.driver import convergence_table, run
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# file stem -> (preset, config overrides)
+RUNS = {
+    "weak_landau_1d_plain": ("weak_landau_1d", {"method": "plain", "t_end": 0.15}),
+    "weak_landau_1d_conservative": ("weak_landau_1d",
+                                    {"method": "conservative", "t_end": 0.15}),
+    "weak_landau_1d_macro": ("weak_landau_1d", {"method": "macro", "t_end": 0.15}),
+    # kinetic forcing and macro sources; the CFL ratchet re-primes with Heun
+    "forced_macro": ("forced", {"method": "macro", "t_end": 0.08}),
+    "strong_landau_1d_plain": ("strong_landau_1d", {"method": "plain", "t_end": 0.1}),
+    "weak_landau_2d2v_plain": ("weak_landau_2d2v", {"method": "plain", "t_end": 0.25}),
+    "weak_landau_2d2v_conservative": ("weak_landau_2d2v",
+                                      {"method": "conservative", "t_end": 0.25}),
+    "weak_landau_2d2v_macro": ("weak_landau_2d2v", {"method": "macro", "t_end": 0.25}),
+    "two_stream_2d2v_macro": ("two_stream_2d2v", {"method": "macro", "t_end": 0.5}),
+}
+RESUMED = "strong_landau_1d_plain"
+SNAPSHOT_EVERY = 10
+CONVERGENCE_SIZES = [16, 32]
+
+
+def _g(x: float) -> str:
+    return format(x, ".17g")
+
+
+def _header(row) -> list[str]:
+    ranks = (["rank"] if len(row.ranks) == 1
+             else ["rank_x", "rank_vv", "rank_v1", "rank_v2"])
+    moms = [f"mom{i + 1}" for i in range(len(row.momentum))]
+    return ["t", *ranks, "mass", *moms, "energy", "efield_energy"]
+
+
+def _cells(row) -> list[str]:
+    return [_g(row.t), *(str(r) for r in row.ranks), _g(row.mass),
+            *(_g(m) for m in row.momentum), _g(row.energy), _g(row.efield_energy)]
+
+
+def _table(series) -> list[list[str]]:
+    return [_header(series[0])] + [_cells(r) for r in series]
+
+
+def _convergence_table() -> list[list[str]]:
+    keys = ["n", "linf", "order_linf", "l2", "order_l2"]
+    rows = convergence_table(CONVERGENCE_SIZES)
+    return [keys] + [[str(r["n"])] + [_g(r[k]) for k in keys[1:]] for r in rows]
+
+
+def _run(stem: str, snapshot_dir=None):
+    preset, overrides = RUNS[stem]
+    cfg = from_preset(preset, output_every=1, **overrides)
+    if snapshot_dir is None:
+        return run(cfg)
+    return run(cfg, snapshot_every=SNAPSHOT_EVERY, snapshot_dir=str(snapshot_dir))
+
+
+def _read(stem: str) -> list[list[str]]:
+    with (GOLDEN / f"{stem}.csv").open(newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def _write(stem: str, table) -> None:
+    with (GOLDEN / f"{stem}.csv").open("w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(table)
+
+
+@pytest.mark.parametrize("stem", sorted(set(RUNS) - {RESUMED}))
+def test_golden_run(stem):
+    assert _table(_run(stem)) == _read(stem)
+
+
+def test_golden_snapshot_and_resume(tmp_path):
+    full = _run(RESUMED, snapshot_dir=tmp_path)
+    assert _table(full) == _read(RESUMED)
+    preset, overrides = RUNS[RESUMED]
+    cfg = from_preset(preset, output_every=1, **overrides)
+    resumed = run(cfg, resume=str(tmp_path / f"snapshot_{SNAPSHOT_EVERY:06d}.bin"))
+    # the resumed run records from the snapshot's step on, bit for bit
+    assert [_cells(r) for r in resumed] == [_cells(r) for r in full[SNAPSHOT_EVERY:]]
+
+
+def test_golden_convergence_table():
+    assert _convergence_table() == _read("convergence")
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for name in RUNS:
+        _write(name, _table(_run(name)))
+    _write("convergence", _convergence_table())
