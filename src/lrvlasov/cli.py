@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 from .config import load_config
-from .errors import ConfigError, SnapshotError
+from .errors import ConfigError, RankOverflowError, SnapshotError
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -93,31 +93,19 @@ def _cmd_compare(args) -> int:
     from dataclasses import replace
 
     from .driver import run
+    from .io import csv_header, csv_row
 
     cfg = _resolve_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "compare.csv"
     with csv_path.open("w") as fh:
-        wrote_header = False
-        for method in ("plain", "conservative", "macro"):
+        for i, method in enumerate(("plain", "conservative", "macro")):
             series = run(replace(cfg, method=method))
-            if not wrote_header:
-                n_mom = len(series[0].momentum)
-                moms = ",".join(f"mom{i + 1}" for i in range(n_mom))
-                ranks = ("rank" if len(series[0].ranks) == 1
-                         else "rank_x,rank_vv,rank_v1,rank_v2")
-                fh.write(f"method,t,{ranks},mass,{moms},energy,efield_energy,wall_ms\n")
-                wrote_header = True
+            if i == 0:
+                fh.write(f"method,{csv_header(series[0])}\n")
             for row in series:
-                cells = ([method, format(row.t, ".17g")]
-                         + [str(r) for r in row.ranks]
-                         + [format(row.mass, ".17g")]
-                         + [format(m, ".17g") for m in row.momentum]
-                         + [format(row.energy, ".17g"),
-                            format(row.efield_energy, ".17g"),
-                            format(row.wall_ms, ".17g")])
-                fh.write(",".join(cells) + "\n")
+                fh.write(f"{method},{csv_row(row)}\n")
             print(f"{method}: {len(series)} rows")
     print(f"wrote {csv_path}")
     return 0
@@ -126,37 +114,25 @@ def _cmd_compare(args) -> int:
 def _cmd_inspect(args) -> int:
     import numpy as np
 
-    from .io import _MAGIC, _read_array, _read_floats, _read_ints
+    from .htucker import HtTensor
+    from .io import SNAPSHOT_VERSION, snapshot_load
 
     path = Path(args.snapshot)
-    with path.open("rb") as fh:
-        if fh.read(len(_MAGIC)) != _MAGIC:
-            raise SnapshotError(f"{path}: not a snapshot file")
-        version, dim, step, n_levels, n_dts = _read_ints(fh, 5)
-        t, dt_work, *dts = _read_floats(fh, 2 + n_dts)
-        sig = _read_floats(fh, 9)
-        print(f"snapshot {path}")
-        print(f"  version {version}, {'1D1V' if dim == 1 else '2D2V'}, "
-              f"step {step}, t = {t:.9g}")
-        print(f"  dt_work = {dt_work:.6g}, recent steps = {[f'{d:.6g}' for d in dts]}")
-        print(f"  grid: nx={int(sig[0])}x{int(sig[1])} nv={int(sig[2])}x{int(sig[3])} "
-              f"x=[{sig[4]:.6g},{sig[5]:.6g}) v_max={sig[6]:.6g} beta={sig[7]:.6g} "
-              f"eps={sig[8]:.3g}")
-        for level in range(n_levels):
-            (kind,) = _read_ints(fh, 1)
-            if kind == 1:
-                c, ux, uv = (_read_array(fh) for _ in range(3))
-                print(f"  level {level}: rank {c.size}, |C| max "
-                      f"{np.max(np.abs(c), initial=0.0):.6g}")
-            else:
-                n1, n2 = _read_ints(fh, 2)
-                ux, b, bvv, uv1, uv2 = (_read_array(fh) for _ in range(5))
-                print(f"  level {level}: ranks (x={ux.shape[1]}, vv={b.shape[1]}, "
-                      f"v1={uv1.shape[1]}, v2={uv2.shape[1]})")
-            (mkind,) = _read_ints(fh, 1)
-            n_arrays = {0: 0, 1: 3, 2: 4}[mkind]
-            for _ in range(n_arrays):
-                _read_array(fh)
+    dim, sig, hist = snapshot_load(path)
+    print(f"snapshot {path}")
+    print(f"  version {SNAPSHOT_VERSION}, {'1D1V' if dim == 1 else '2D2V'}, "
+          f"step {hist.step}, t = {hist.t:.9g}")
+    print(f"  dt_work = {hist.dt_work:.6g}, recent steps = {[f'{d:.6g}' for d in hist.dts]}")
+    print(f"  grid: nx={int(sig[0])}x{int(sig[1])} nv={int(sig[2])}x{int(sig[3])} "
+          f"x=[{sig[4]:.6g},{sig[5]:.6g}) v_max={sig[6]:.6g} beta={sig[7]:.6g} "
+          f"eps={sig[8]:.3g}")
+    for level, f in enumerate(hist.fs):
+        if isinstance(f, HtTensor):
+            rx, rv, r1, r2 = f.ranks
+            print(f"  level {level}: ranks (x={rx}, vv={rv}, v1={r1}, v2={r2})")
+        else:
+            print(f"  level {level}: rank {f.C.size}, |C| max "
+                  f"{np.max(np.abs(f.C), initial=0.0):.6g}")
     return 0
 
 
@@ -170,7 +146,7 @@ def main(argv=None) -> int:
         if args.command == "compare":
             return _cmd_compare(args)
         return _cmd_inspect(args)
-    except (ConfigError, SnapshotError, OSError) as exc:
+    except (ConfigError, RankOverflowError, SnapshotError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

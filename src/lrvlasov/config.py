@@ -50,6 +50,9 @@ class SolverConfig:
             raise ConfigError(f"eps must be >= 0, got {self.eps}")
         if self.t_end < 0:
             raise ConfigError(f"t_end must be >= 0, got {self.t_end}")
+        if self.eps_relative and (self.method, self.dim) != ("plain", "1d1v"):
+            raise ConfigError("eps_relative is only supported with method=plain in 1d1v, "
+                              f"got method={self.method!r} in {self.dim}")
         if self.output_every < 1:
             raise ConfigError(f"output_every must be >= 1, got {self.output_every}")
         if self.nx2 == 0:

@@ -1,4 +1,4 @@
-"""Time-stepping orchestration: startup, step variants and the run loop.
+"""Time stepping: one stepper for both formats, and the run loop.
 
 One step advances the kinetic solution with the second-order multistep rule
 
@@ -19,49 +19,46 @@ within a run); whenever the current step size differs from the last two
 recorded ones (startup, a ratchet tightening, or the final clamped step) the
 step runs a two-stage Heun update with the same spatial operator and the same
 per-step correction instead, which re-primes the lineage.
+
+Both rules are stage tables (``MULTISTEP``, ``HEUN``) that ``step`` runs the
+same way in either format: each stage sums weighted earlier levels and a
+multiple of dt * RHS of one level as a list of factored blocks, and the
+macroscopic state is combined with the same weights (``macro.combine``).
+Everything format-specific goes through the problem's class in ``formats``
+(``Problem1D`` or ``Problem2D``), so nothing here branches on the dimension.
+``History`` keeps the moments and field of its newest level, so the CFL
+bound, the step and the diagnostics share one field solve per level.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, fields
+from typing import NamedTuple
 
 import numpy as np
 
-from . import htucker as ht
+from . import htucker as ht  # noqa: F401  (kept bound as driver.ht for callers)
+from . import io as _io
+from . import macro
 from .config import SolverConfig
 from .errors import RankOverflowError
-from .grids import (GaussianWeight, SpatialGrid, VelocityGrid, make_velocity_grid,
-                    spatial_grid_1d, spatial_grid_2d)
+from .formats import FORMATS, Problem
 from .io import DiagnosticsRow
-from .lowrank import LowRankMatrix, add, scale, truncate
-from .macro import (MacroState1D, MacroState2D, euler_macro_1d,
-                    euler_macro_2d, kfvs_fluxes_1d, kfvs_fluxes_2d, macro_step_1d,
-                    macro_step_2d, recover_kinetic_energy)
+from .macro import recover_kinetic_energy
 from .poisson import ElectricField, field_energy, solve_poisson
-from .presets import Preset, get_preset
-from .projection import (MomentBasis, Moments1D, moments, truncate_conservative,
-                         truncate_to_moments)
-from .upwind import upwind_derivative
+from .presets import get_preset
 
 _DT_MATCH = 1e-12  # relative tolerance for "same step size" lineage checks
 
 
-@dataclass
-class Problem:
-    """Resolved grids, bases and preset hooks for one run."""
+def _values(obj) -> list:
+    """Field values of a state or moments dataclass, in declaration order."""
+    return [getattr(obj, f.name) for f in fields(obj)]
 
-    cfg: SolverConfig
-    preset: Preset
-    sgrid: SpatialGrid
-    vgrid: VelocityGrid | None = None                 # 1D1V
-    vgrids: tuple[VelocityGrid, VelocityGrid] | None = None  # 2D2V
-    basis: MomentBasis | None = None
-    basis2: ht.MomentBasis2D | None = None
 
-    @property
-    def dim(self) -> str:
-        return self.cfg.dim
+def _field_of(problem: Problem, rho: np.ndarray) -> ElectricField:
+    return solve_poisson(rho, problem.sgrid, problem.cfg.poisson_sign)
 
 
 def _contig_state(f):
@@ -72,17 +69,10 @@ def _contig_state(f):
     resumed from a snapshot (whose arrays are freshly contiguous) reproduce an
     uninterrupted one exactly.
     """
-    c = np.ascontiguousarray
     if f is None:
         return None
-    if isinstance(f, LowRankMatrix):
-        return LowRankMatrix(c(f.C), c(f.Ux), c(f.Uv), f.canonical)
-    if isinstance(f, ht.HtTensor):
-        return ht.HtTensor(c(f.Ux), c(f.B), c(f.Bvv), c(f.Uv1), c(f.Uv2),
-                           f.nx, f.canonical)
-    if isinstance(f, MacroState1D):
-        return MacroState1D(c(f.rho), c(f.J), c(f.e))
-    return MacroState2D(c(f.rho), c(f.J1), c(f.J2), c(f.e))
+    return type(f)(*(np.ascontiguousarray(v) if isinstance(v, np.ndarray) else v
+                     for v in _values(f)))
 
 
 @dataclass
@@ -95,6 +85,8 @@ class History:
     step: int = 0
     dts: list = dataclass_field(default_factory=list)  # last two step sizes
     dt_work: float = 0.0
+    # (level, moments, field) of fs[-1], filled on first use
+    cache: tuple = dataclass_field(default=(), repr=False, compare=False)
 
     def push(self, f, u, dt: float) -> None:
         self.fs.append(_contig_state(f))
@@ -114,326 +106,173 @@ class History:
         ref = max(abs(dt), 1e-300)
         return all(abs(d - dt) <= _DT_MATCH * ref for d in self.dts[-2:])
 
+    def newest(self, problem: Problem):
+        """Moments and field of the newest stored level, solved once per level."""
+        f = self.fs[-1]
+        if not self.cache or self.cache[0] is not f:
+            m = problem.moments(f)
+            self.cache = (f, m, _field_of(problem, m.rho))
+        return self.cache[1], self.cache[2]
+
 
 def setup(cfg: SolverConfig) -> Problem:
-    preset = get_preset(cfg.preset)
-    weight = GaussianWeight(cfg.beta)
-    if cfg.dim == "1d1v":
-        sgrid = spatial_grid_1d(cfg.nx, cfg.x_min, cfg.x_max)
-        vgrid = make_velocity_grid(cfg.nv, cfg.v_max, weight)
-        return Problem(cfg=cfg, preset=preset, sgrid=sgrid, vgrid=vgrid,
-                       basis=MomentBasis.build(vgrid))
-    sgrid = spatial_grid_2d(cfg.nx, cfg.nx2, cfg.x_min, cfg.x_max)
-    v1 = make_velocity_grid(cfg.nv, cfg.v_max, weight)
-    v2 = make_velocity_grid(cfg.nv2, cfg.v_max, weight)
-    return Problem(cfg=cfg, preset=preset, sgrid=sgrid, vgrids=(v1, v2),
-                   basis2=ht.MomentBasis2D.build(v1, v2))
+    return FORMATS[cfg.dim].build(cfg, get_preset(cfg.preset))
 
 
 def initialize(cfg: SolverConfig) -> tuple[Problem, History]:
     """Initial factored state and macroscopic state, history primed at t=0."""
     problem = setup(cfg)
-    hist = History()
-    if cfg.dim == "1d1v":
-        f0 = problem.preset.init_1d(problem.sgrid, problem.vgrid)
-        m0 = moments(f0, problem.vgrid)
-        field0 = solve_poisson(m0.rho, problem.sgrid, cfg.poisson_sign)
-        u0 = MacroState1D(m0.rho, m0.J, m0.kappa + 0.5 * field0.magnitude_squared())
-    else:
-        f0 = problem.preset.init_2d(problem.sgrid, problem.vgrids)
-        m0 = ht.ht_moments(f0, problem.vgrids)
-        field0 = solve_poisson(m0.rho, problem.sgrid, cfg.poisson_sign)
-        u0 = MacroState2D(m0.rho, m0.J1, m0.J2,
-                          m0.kappa + 0.5 * field0.magnitude_squared())
-    hist.fs = [_contig_state(f0)]
-    hist.us = [_contig_state(u0)]
-    return problem, hist
+    f0 = problem.initial()
+    m0 = problem.moments(f0)
+    field0 = _field_of(problem, m0.rho)
+    u0 = problem.State(*_values(m0)[:-1], m0.kappa + 0.5 * field0.magnitude_squared())
+    return problem, History(fs=[_contig_state(f0)], us=[_contig_state(u0)])
 
 
 def select_dt(problem: Problem, field: ElectricField, cfl: float) -> float:
     """CFL bound cfl / (sum_d v_max/h_x,d + sum_d max|E_d|/h_v,d)."""
-    cfg = problem.cfg
-    if cfg.dim == "1d1v":
-        (hx,) = problem.sgrid.h
-        speed = cfg.v_max / hx + float(np.max(np.abs(field.E[0]))) / problem.vgrid.h
-    else:
-        h1, h2 = problem.sgrid.h
-        speed = cfg.v_max / h1 + cfg.v_max / h2
-        speed += float(np.max(np.abs(field.E[0]))) / problem.vgrids[0].h
-        speed += float(np.max(np.abs(field.E[1]))) / problem.vgrids[1].h
+    speed = sum(problem.cfg.v_max / h for h in problem.sgrid.h)
+    for e, vgrid in zip(field.E, problem.vgrids):
+        speed += float(np.max(np.abs(e))) / vgrid.h
     return cfl / speed
 
 
 # ---------------------------------------------------------------------------
-# 1D1V stepping
+# stage tables and the one stepper
 
-def transport_rhs_1d(f: LowRankMatrix, field: ElectricField, problem: Problem,
-                     t: float) -> LowRankMatrix:
-    """-(v d/dx + E d/dv) f in factored form, plus any manufactured forcing."""
-    (hx,) = problem.sgrid.h
-    vgrid = problem.vgrid
-    v = vgrid.v
-    (e,) = field.E
-    terms = [
-        LowRankMatrix(-f.C, upwind_derivative(f.Ux, "plus", hx, "periodic", axis=0),
-                      np.maximum(v, 0.0)[:, None] * f.Uv),
-        LowRankMatrix(-f.C, upwind_derivative(f.Ux, "minus", hx, "periodic", axis=0),
-                      np.minimum(v, 0.0)[:, None] * f.Uv),
-        LowRankMatrix(-f.C, np.maximum(e, 0.0)[:, None] * f.Ux,
-                      upwind_derivative(f.Uv, "plus", vgrid.h, "zero", axis=0)),
-        LowRankMatrix(-f.C, np.minimum(e, 0.0)[:, None] * f.Ux,
-                      upwind_derivative(f.Uv, "minus", vgrid.h, "zero", axis=0)),
-    ]
-    rhs = add(*terms)
-    if problem.preset.kinetic_forcing is not None:
-        rhs = add(rhs, problem.preset.kinetic_forcing(t, problem.sgrid, vgrid))
-    return rhs
+class Stage(NamedTuple):
+    """sum_k w_k L_k + c dt RHS(L_rhs), with the RHS taken at t + t_rhs dt.
+
+    Levels are counted back from the newest (-1) over the stored history
+    followed by the stages already taken.  A stage that does not ``truncate``
+    stays a block sum, and its macroscopic state a plain update.
+    """
+
+    weights: tuple[tuple[int, float], ...]
+    rhs: int | None = None
+    c: float = 0.0
+    t_rhs: float = 0.0
+    truncate: bool = True
 
 
-def _field_of(problem: Problem, rho: np.ndarray) -> ElectricField:
-    return solve_poisson(rho, problem.sgrid, problem.cfg.poisson_sign)
+MULTISTEP = (Stage(((-3, 0.25), (-1, 0.75)), rhs=-1, c=1.5),)
+# Heun as two forward-Euler stages and the average with f^n.  The second
+# stage stays a block sum, so the macroscopic average is 0.5 u^n + 0.5 u_b,
+# the same bits as 0.5 (u^n + u_b).
+HEUN = (
+    Stage(((-1, 1.0),), rhs=-1, c=1.0),                             # f_a
+    Stage(((-1, 1.0),), rhs=-1, c=1.0, t_rhs=1.0, truncate=False),  # f_b = f_a + dt L(f_a)
+    Stage(((-3, 0.5), (-1, 0.5))),                                  # (f^n + f_b) / 2
+)
 
 
-def _macro_targets_1d(problem: Problem, u_new: MacroState1D) -> Moments1D:
+def _truncate(problem: Problem, blocks: list, u_new):
+    """The method policy: plain truncation, or truncation pinned to moments."""
+    method = problem.cfg.method
+    if method == "plain":
+        return problem.truncate(blocks)
+    if method == "conservative":
+        return problem.pin(blocks, problem.block_moments(blocks))
     field_new = _field_of(problem, u_new.rho)
     kappa = recover_kinetic_energy(u_new, field_new)
-    return Moments1D(u_new.rho, u_new.J, kappa)
+    return problem.pin(blocks, problem.Moments(*_values(u_new)[:-1], kappa))
 
 
-def _apply_method_1d(problem: Problem, fstar: LowRankMatrix,
-                     u_new: MacroState1D | None) -> LowRankMatrix:
-    cfg = problem.cfg
-    if cfg.method == "plain":
-        return truncate(fstar, cfg.eps, relative=cfg.eps_relative)
-    if cfg.method == "conservative":
-        return truncate_conservative(fstar, problem.basis, cfg.eps)
-    return truncate_to_moments(fstar, _macro_targets_1d(problem, u_new),
-                               problem.basis, cfg.eps)
+def step(problem: Problem, hist: History, dt: float):
+    """One multistep or Heun step; returns the new kinetic and macro states."""
+    table = MULTISTEP if hist.multistep_ready(dt) else HEUN
+    with_macro = problem.cfg.method == "macro"
+    levels = [[f] for f in hist.fs]   # each level as a list of blocks
+    us = list(hist.us)
+    for stage in table:
+        blocks = [problem.scale(b, w) for k, w in stage.weights for b in levels[k]]
+        rate = None
+        if stage.rhs is not None:
+            j = len(levels) + stage.rhs
+            f_j = levels[j][0]
+            field = (hist.newest(problem)[1] if j == len(hist.fs) - 1
+                     else _field_of(problem, problem.moments(f_j).rho))
+            t_j = hist.t + stage.t_rhs * dt
+            blocks += [problem.scale(b, stage.c * dt)
+                       for b in problem.transport(f_j, field, t_j)]
+            if with_macro:
+                rate = problem.rate(us[j], f_j, field, t_j)
+        u = None
+        if with_macro:
+            u = macro.combine([us[k] for k, _ in stage.weights],
+                              [w for _, w in stage.weights], rate, stage.c * dt)
+        levels.append([_truncate(problem, blocks, u)] if stage.truncate else blocks)
+        us.append(u)
+    return levels[-1][0], us[-1]
 
 
-def step_multistep_1d(problem: Problem, hist: History, dt: float):
-    cfg = problem.cfg
-    f_n, f_nm2 = hist.fs[-1], hist.fs[-3]
-    field_n = _field_of(problem, moments(f_n, problem.vgrid).rho)
-    rhs = transport_rhs_1d(f_n, field_n, problem, hist.t)
-    fstar = add(scale(f_nm2, 0.25), scale(f_n, 0.75), scale(rhs, 1.5 * dt))
-    u_new = None
-    if cfg.method == "macro":
-        flux = kfvs_fluxes_1d(f_n, problem.vgrid)
-        u_new = macro_step_1d(hist.us[-1], hist.us[-3], flux, field_n, dt,
-                              problem.sgrid, problem.preset.macro_sources, hist.t)
-    return _apply_method_1d(problem, fstar, u_new), u_new
-
-
-def step_rk2_1d(problem: Problem, hist: History, dt: float):
-    """Two-stage Heun step with the per-stage correction; self-starting."""
-    cfg = problem.cfg
-    f_n, u_n = hist.fs[-1], hist.us[-1]
-    t = hist.t
-
-    field_n = _field_of(problem, moments(f_n, problem.vgrid).rho)
-    fa_star = add(f_n, scale(transport_rhs_1d(f_n, field_n, problem, t), dt))
-    if cfg.method == "macro":
-        u_a = euler_macro_1d(u_n, kfvs_fluxes_1d(f_n, problem.vgrid), field_n, dt,
-                             problem.sgrid, problem.preset.macro_sources, t)
-        f_a = truncate_to_moments(fa_star, _macro_targets_1d(problem, u_a),
-                                  problem.basis, cfg.eps)
-    else:
-        u_a = None
-        f_a = _apply_method_1d(problem, fa_star, None)
-
-    field_a = _field_of(problem, moments(f_a, problem.vgrid).rho)
-    fb_star = add(f_a, scale(transport_rhs_1d(f_a, field_a, problem, t + dt), dt))
-    fnew_star = add(scale(f_n, 0.5), scale(fb_star, 0.5))
-    u_new = None
-    if cfg.method == "macro":
-        u_b = euler_macro_1d(u_a, kfvs_fluxes_1d(f_a, problem.vgrid), field_a, dt,
-                             problem.sgrid, problem.preset.macro_sources, t + dt)
-        u_new = MacroState1D(0.5 * (u_n.rho + u_b.rho), 0.5 * (u_n.J + u_b.J),
-                             0.5 * (u_n.e + u_b.e))
-    return _apply_method_1d(problem, fnew_star, u_new), u_new
-
-
-# ---------------------------------------------------------------------------
-# 2D2V stepping
-
-def _macro_targets_2d(problem: Problem, u_new: MacroState2D) -> ht.Moments2D:
-    field_new = _field_of(problem, u_new.rho)
-    kappa = recover_kinetic_energy(u_new, field_new)
-    return ht.Moments2D(u_new.rho, u_new.J1, u_new.J2, kappa)
-
-
-def _moments_of_blocks(problem: Problem, blocks) -> ht.Moments2D:
-    """Moments are linear, so the sum's moments are summed blockwise."""
-    parts = [ht.ht_moments(b, problem.vgrids) for b in blocks]
-    return ht.Moments2D(sum(p.rho for p in parts), sum(p.J1 for p in parts),
-                        sum(p.J2 for p in parts), sum(p.kappa for p in parts))
-
-
-def _conservative_update_2d(problem: Problem, blocks: list,
-                            m_target: ht.Moments2D) -> ht.HtTensor:
-    cfg = problem.cfg
-    basis2 = problem.basis2
-    wp = basis2.grid.w_points
-    nx = blocks[0].nx
-    own = _moments_of_blocks(problem, blocks)
-    remainder = blocks + [ht.ht_scale(ht.ht_lift_moments(own, basis2, nx), -1.0)]
-    trunc = ht.ht_truncate_weighted_sum(remainder, wp, wp, cfg.eps)
-    trunc = ht.ht_remove_moments(trunc, basis2, problem.vgrids)
-    carrier = ht.ht_lift_moments(m_target, basis2, nx)
-    return ht.ht_add(carrier, trunc)
-
-
-def _apply_method_2d(problem: Problem, blocks: list,
-                     u_new: MacroState2D | None) -> ht.HtTensor:
-    cfg = problem.cfg
-    if cfg.method == "plain":
-        return ht.ht_truncate_sum(blocks, cfg.eps)
-    if cfg.method == "conservative":
-        return _conservative_update_2d(problem, blocks, _moments_of_blocks(problem, blocks))
-    return _conservative_update_2d(problem, blocks, _macro_targets_2d(problem, u_new))
-
-
-def step_multistep_2d(problem: Problem, hist: History, dt: float):
-    cfg = problem.cfg
-    f_n, f_nm2 = hist.fs[-1], hist.fs[-3]
-    field_n = _field_of(problem, ht.ht_moments(f_n, problem.vgrids).rho)
-    rhs = ht.ht_transport_blocks(f_n, field_n, problem.sgrid.h, problem.vgrids)
-    blocks = ([ht.ht_scale(f_nm2, 0.25), ht.ht_scale(f_n, 0.75)]
-              + [ht.ht_scale(b, 1.5 * dt) for b in rhs])
-    u_new = None
-    if cfg.method == "macro":
-        flux = kfvs_fluxes_2d(f_n, problem.vgrids)
-        u_new = macro_step_2d(hist.us[-1], hist.us[-3], flux, field_n, dt, problem.sgrid)
-    return _apply_method_2d(problem, blocks, u_new), u_new
-
-
-def step_rk2_2d(problem: Problem, hist: History, dt: float):
-    cfg = problem.cfg
-    f_n, u_n = hist.fs[-1], hist.us[-1]
-
-    field_n = _field_of(problem, ht.ht_moments(f_n, problem.vgrids).rho)
-    rhs0 = ht.ht_transport_blocks(f_n, field_n, problem.sgrid.h, problem.vgrids)
-    blocks_a = [f_n] + [ht.ht_scale(b, dt) for b in rhs0]
-    if cfg.method == "macro":
-        u_a = euler_macro_2d(u_n, kfvs_fluxes_2d(f_n, problem.vgrids), field_n, dt,
-                             problem.sgrid)
-        f_a = _conservative_update_2d(problem, blocks_a, _macro_targets_2d(problem, u_a))
-    else:
-        u_a = None
-        f_a = _apply_method_2d(problem, blocks_a, None)
-
-    field_a = _field_of(problem, ht.ht_moments(f_a, problem.vgrids).rho)
-    rhs1 = ht.ht_transport_blocks(f_a, field_a, problem.sgrid.h, problem.vgrids)
-    blocks_new = ([ht.ht_scale(f_n, 0.5), ht.ht_scale(f_a, 0.5)]
-                  + [ht.ht_scale(b, 0.5 * dt) for b in rhs1])
-    u_new = None
-    if cfg.method == "macro":
-        u_b = euler_macro_2d(u_a, kfvs_fluxes_2d(f_a, problem.vgrids), field_a, dt,
-                             problem.sgrid)
-        u_new = MacroState2D(0.5 * (u_n.rho + u_b.rho), 0.5 * (u_n.J1 + u_b.J1),
-                             0.5 * (u_n.J2 + u_b.J2), 0.5 * (u_n.e + u_b.e))
-    return _apply_method_2d(problem, blocks_new, u_new), u_new
+def advance(problem: Problem, hist: History, dt: float) -> None:
+    """One step of the configured scheme, checked against the rank cap."""
+    f_new, u_new = step(problem, hist, dt)
+    ranks, cap = problem.ranks(f_new), problem.cfg.rank_cap
+    if max(ranks) > cap:
+        raise RankOverflowError(
+            f"rank {ranks} exceeds cap {cap} at t={hist.t:.6g} (step {hist.step}); "
+            f"use a larger eps (a coarser truncation keeps fewer ranks) or raise rank_cap")
+    hist.push(f_new, u_new, dt)
 
 
 # ---------------------------------------------------------------------------
 # diagnostics and the run loop
 
-def _ranks_of(f) -> tuple[int, ...]:
-    return (f.rank,) if isinstance(f, LowRankMatrix) else f.ranks
-
-
-def diagnostics_row(problem: Problem, f, t: float, wall_ms: float) -> DiagnosticsRow:
-    cfg = problem.cfg
+def diagnostics_row(problem: Problem, hist: History, wall_ms: float) -> DiagnosticsRow:
+    m, field = hist.newest(problem)
     vol = problem.sgrid.cell_volume
-    if cfg.dim == "1d1v":
-        m = moments(f, problem.vgrid)
-        field = _field_of(problem, m.rho)
-        momentum = (vol * float(np.sum(m.J)),)
-    else:
-        m = ht.ht_moments(f, problem.vgrids)
-        field = _field_of(problem, m.rho)
-        momentum = (vol * float(np.sum(m.J1)), vol * float(np.sum(m.J2)))
     efield = field_energy(field, problem.sgrid)
     return DiagnosticsRow(
-        t=t,
-        ranks=_ranks_of(f),
+        t=hist.t,
+        ranks=problem.ranks(hist.fs[-1]),
         mass=vol * float(np.sum(m.rho)),
-        momentum=momentum,
+        momentum=tuple(vol * float(np.sum(j)) for j in _values(m)[1:-1]),
         energy=vol * float(np.sum(m.kappa)) + efield,
         efield_energy=efield,
         wall_ms=wall_ms,
     )
 
 
-def _current_field(problem: Problem, f) -> ElectricField:
-    if problem.cfg.dim == "1d1v":
-        return _field_of(problem, moments(f, problem.vgrid).rho)
-    return _field_of(problem, ht.ht_moments(f, problem.vgrids).rho)
+def _tiny(cfg: SolverConfig) -> float:
+    return 1e-12 * max(cfg.t_end, 1.0)
 
 
-def startup_steps(problem: Problem, hist: History, dt: float, steps: int = 2) -> History:
-    """Prime the multistep lineage with Heun steps at a fixed step size.
-
-    After two steps the history holds three equally spaced levels and the
-    multistep formula takes over; the same per-step correction/truncation is
-    applied here as in the main loop.
-    """
-    for _ in range(steps):
-        advance(problem, hist, dt)
-    return hist
-
-
-def advance(problem: Problem, hist: History, dt: float) -> None:
-    """One step of the configured scheme; picks multistep or Heun re-priming."""
-    if problem.cfg.dim == "1d1v":
-        stepper = step_multistep_1d if hist.multistep_ready(dt) else step_rk2_1d
-    else:
-        stepper = step_multistep_2d if hist.multistep_ready(dt) else step_rk2_2d
-    f_new, u_new = stepper(problem, hist, dt)
-    cap = problem.cfg.rank_cap
-    if max(_ranks_of(f_new)) > cap:
-        raise RankOverflowError(
-            f"rank {_ranks_of(f_new)} exceeds cap {cap} at t={hist.t:.6g} "
-            f"(step {hist.step}); tighten eps or raise rank_cap")
-    hist.push(f_new, u_new, dt)
+def _march(problem: Problem, hist: History):
+    """Advance to t_end under the ratcheted CFL step, yielding after each step."""
+    cfg = problem.cfg
+    if hist.dt_work == 0.0:
+        hist.dt_work = select_dt(problem, hist.newest(problem)[1], cfg.cfl)
+    while hist.t < cfg.t_end - _tiny(cfg):
+        dt_cfl = select_dt(problem, hist.newest(problem)[1], cfg.cfl)
+        hist.dt_work = min(hist.dt_work, dt_cfl)
+        advance(problem, hist, min(hist.dt_work, cfg.t_end - hist.t))
+        yield
 
 
 def run(cfg: SolverConfig, snapshot_every: int = 0, snapshot_dir=None,
         resume=None) -> list[DiagnosticsRow]:
     """Advance to t_end, returning diagnostics at the configured cadence."""
-    from . import io as _io  # deferred: io imports driver types for snapshots
-
     problem, hist = initialize(cfg)
     if resume is not None:
         hist = _io.snapshot_read(resume, problem)
     series: list[DiagnosticsRow] = []
     clock0 = time.perf_counter()
 
-    def wall_ms() -> float:
-        return 1000.0 * (time.perf_counter() - clock0)
+    def record() -> None:
+        wall_ms = 1000.0 * (time.perf_counter() - clock0)
+        series.append(diagnostics_row(problem, hist, wall_ms))
 
-    def maybe_record() -> None:
+    if hist.step % cfg.output_every == 0:
+        record()
+    for _ in _march(problem, hist):
         if hist.step % cfg.output_every == 0:
-            series.append(diagnostics_row(problem, hist.fs[-1], hist.t, wall_ms()))
-
-    def maybe_snapshot() -> None:
+            record()
         if snapshot_every and hist.step % snapshot_every == 0 and snapshot_dir is not None:
             _io.snapshot_write(hist, problem, f"{snapshot_dir}/snapshot_{hist.step:06d}.bin")
-
-    maybe_record()
-    if hist.dt_work == 0.0:
-        hist.dt_work = select_dt(problem, _current_field(problem, hist.fs[-1]), cfg.cfl)
-    tiny = 1e-12 * max(cfg.t_end, 1.0)
-    while hist.t < cfg.t_end - tiny:
-        dt_cfl = select_dt(problem, _current_field(problem, hist.fs[-1]), cfg.cfl)
-        hist.dt_work = min(hist.dt_work, dt_cfl)
-        dt = min(hist.dt_work, cfg.t_end - hist.t)
-        advance(problem, hist, dt)
-        maybe_record()
-        maybe_snapshot()
-    if not series or series[-1].t < hist.t - tiny:
-        series.append(diagnostics_row(problem, hist.fs[-1], hist.t, wall_ms()))
+    if not series or series[-1].t < hist.t - _tiny(cfg):
+        record()
     return series
 
 
@@ -443,14 +282,8 @@ def run(cfg: SolverConfig, snapshot_every: int = 0, snapshot_dir=None,
 def forced_errors(cfg: SolverConfig) -> tuple[float, float]:
     """(Linf, L2) error of a forced-preset run at t_end against the exact f."""
     problem, hist = initialize(cfg)
-    if hist.dt_work == 0.0:
-        hist.dt_work = select_dt(problem, _current_field(problem, hist.fs[-1]), cfg.cfl)
-    tiny = 1e-12 * max(cfg.t_end, 1.0)
-    while hist.t < cfg.t_end - tiny:
-        dt_cfl = select_dt(problem, _current_field(problem, hist.fs[-1]), cfg.cfl)
-        hist.dt_work = min(hist.dt_work, dt_cfl)
-        dt = min(hist.dt_work, cfg.t_end - hist.t)
-        advance(problem, hist, dt)
+    for _ in _march(problem, hist):
+        pass
     exact = problem.preset.exact_f(hist.t, problem.sgrid.nodes(0), problem.vgrid.v)
     err = hist.fs[-1].dense() - exact
     linf = float(np.max(np.abs(err)))
@@ -468,18 +301,13 @@ def convergence_table(sizes, base_overrides=None) -> list[dict]:
     from .config import from_preset
 
     rows: list[dict] = []
-    prev = None
     for n in sizes:
-        overrides = {"cfl": 0.2}
-        overrides.update(base_overrides or {})
-        overrides.update(nx=n, nv=2 * n)
-        cfg = from_preset("forced", **overrides)
-        linf, l2 = forced_errors(cfg)
+        overrides = {"cfl": 0.2, **(base_overrides or {}), "nx": n, "nv": 2 * n}
+        linf, l2 = forced_errors(from_preset("forced", **overrides))
         row = {"n": n, "linf": linf, "l2": l2, "order_linf": float("nan"),
                "order_l2": float("nan")}
-        if prev is not None:
-            row["order_linf"] = float(np.log2(prev["linf"] / linf))
-            row["order_l2"] = float(np.log2(prev["l2"] / l2))
+        if rows:
+            row["order_linf"] = float(np.log2(rows[-1]["linf"] / linf))
+            row["order_l2"] = float(np.log2(rows[-1]["l2"] / l2))
         rows.append(row)
-        prev = row
     return rows

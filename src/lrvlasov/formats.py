@@ -1,0 +1,146 @@
+"""Per-format problem classes: the only code that knows the dimension.
+
+The subclass of ``Problem`` for the configured dimension supplies what the
+stepper needs, with one meaning in both formats: moments, scaling, transport
+blocks, the macroscopic rate, plain and moment-pinned truncation of a list
+of blocks, and ranks.  Layer functions are looked up on their modules at
+call time, so wrappers installed there (tracing, test doubles) see each call.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from . import htucker as ht
+from . import lowrank, macro, projection, upwind
+from .config import SolverConfig
+from .grids import (GaussianWeight, SpatialGrid, VelocityGrid, make_velocity_grid,
+                    spatial_grid_1d, spatial_grid_2d)
+from .presets import Preset
+
+
+@dataclass
+class Problem:
+    """Resolved grids, bases and preset hooks for one run."""
+
+    cfg: SolverConfig
+    preset: Preset
+    sgrid: SpatialGrid
+    vgrids: tuple[VelocityGrid, ...]                  # one per velocity dimension
+    vgrid: VelocityGrid | None = None                 # 1D1V
+    basis: projection.MomentBasis | None = None       # 1D1V
+    basis2: ht.MomentBasis2D | None = None            # 2D2V
+
+
+class Problem1D(Problem):
+    """1D1V: the two-factor ``LowRankMatrix``."""
+
+    Moments, State = projection.Moments1D, macro.MacroState1D
+
+    @classmethod
+    def build(cls, cfg: SolverConfig, preset: Preset) -> "Problem1D":
+        vgrid = make_velocity_grid(cfg.nv, cfg.v_max, GaussianWeight(cfg.beta))
+        return cls(cfg, preset, spatial_grid_1d(cfg.nx, cfg.x_min, cfg.x_max), (vgrid,),
+                   vgrid=vgrid, basis=projection.MomentBasis.build(vgrid))
+
+    def initial(self):
+        return self.preset.init_1d(self.sgrid, self.vgrid)
+
+    def moments(self, f):
+        return projection.moments(f, self.vgrid)
+
+    def block_moments(self, blocks):
+        return projection.moments(lowrank.add(*blocks), self.vgrid)
+
+    def scale(self, f, a: float):
+        return lowrank.scale(f, a)
+
+    def transport(self, f, field, t: float) -> list:
+        """-(v d/dx + E d/dv) f as four blocks, plus any manufactured forcing."""
+        (hx,) = self.sgrid.h
+        v, hv = self.vgrid.v, self.vgrid.h
+        (e,) = field.E
+        diff, block = upwind.upwind_derivative, lowrank.LowRankMatrix
+        blocks = [
+            block(-f.C, diff(f.Ux, "plus", hx, "periodic", axis=0),
+                  np.maximum(v, 0.0)[:, None] * f.Uv),
+            block(-f.C, diff(f.Ux, "minus", hx, "periodic", axis=0),
+                  np.minimum(v, 0.0)[:, None] * f.Uv),
+            block(-f.C, np.maximum(e, 0.0)[:, None] * f.Ux,
+                  diff(f.Uv, "plus", hv, "zero", axis=0)),
+            block(-f.C, np.minimum(e, 0.0)[:, None] * f.Ux,
+                  diff(f.Uv, "minus", hv, "zero", axis=0)),
+        ]
+        if self.preset.kinetic_forcing is not None:
+            blocks.append(self.preset.kinetic_forcing(t, self.sgrid, self.vgrid))
+        return blocks
+
+    def rate(self, u, f, field, t: float) -> np.ndarray:
+        flux = macro.kfvs_fluxes_1d(f, self.vgrid)
+        return macro.rate_1d(u, flux, field, self.sgrid, self.preset.macro_sources, t)
+
+    def truncate(self, blocks):
+        cfg = self.cfg
+        return lowrank.truncate(lowrank.add(*blocks), cfg.eps, relative=cfg.eps_relative)
+
+    def pin(self, blocks, target):
+        return projection.truncate_to_moments(lowrank.add(*blocks), target, self.basis,
+                                              self.cfg.eps)
+
+    def ranks(self, f) -> tuple[int, ...]:
+        return (f.rank,)
+
+
+class Problem2D(Problem):
+    """2D2V: the hierarchical ``HtTensor``."""
+
+    Moments, State = ht.Moments2D, macro.MacroState2D
+
+    @classmethod
+    def build(cls, cfg: SolverConfig, preset: Preset) -> "Problem2D":
+        weight = GaussianWeight(cfg.beta)
+        v1 = make_velocity_grid(cfg.nv, cfg.v_max, weight)
+        v2 = make_velocity_grid(cfg.nv2, cfg.v_max, weight)
+        return cls(cfg, preset, spatial_grid_2d(cfg.nx, cfg.nx2, cfg.x_min, cfg.x_max),
+                   (v1, v2), basis2=ht.MomentBasis2D.build(v1, v2))
+
+    def initial(self):
+        return self.preset.init_2d(self.sgrid, self.vgrids)
+
+    def moments(self, f):
+        return ht.ht_moments(f, self.vgrids)
+
+    def block_moments(self, blocks):
+        """Moments are linear, so the sum's moments are summed blockwise."""
+        parts = [ht.ht_moments(b, self.vgrids) for b in blocks]
+        return ht.Moments2D(sum(p.rho for p in parts), sum(p.J1 for p in parts),
+                            sum(p.J2 for p in parts), sum(p.kappa for p in parts))
+
+    def scale(self, f, a: float):
+        return ht.ht_scale(f, a)
+
+    def transport(self, f, field, t: float) -> list:
+        return ht.ht_transport_blocks(f, field, self.sgrid.h, self.vgrids)
+
+    def rate(self, u, f, field, t: float) -> np.ndarray:
+        return macro.rate_2d(u, macro.kfvs_fluxes_2d(f, self.vgrids), field, self.sgrid)
+
+    def truncate(self, blocks):
+        return ht.ht_truncate_sum(blocks, self.cfg.eps)
+
+    def pin(self, blocks, target):
+        """Truncate the sum's zero-moment remainder, then add the target carrier."""
+        nx, wp = blocks[0].nx, self.basis2.grid.w_points
+        own = ht.ht_lift_moments(self.block_moments(blocks), self.basis2, nx)
+        trunc = ht.ht_truncate_weighted_sum(blocks + [ht.ht_scale(own, -1.0)], wp, wp,
+                                            self.cfg.eps)
+        trunc = ht.ht_remove_moments(trunc, self.basis2, self.vgrids)
+        return ht.ht_add(ht.ht_lift_moments(target, self.basis2, nx), trunc)
+
+    def ranks(self, f) -> tuple[int, ...]:
+        return f.ranks
+
+
+FORMATS = {"1d1v": Problem1D, "2d2v": Problem2D}

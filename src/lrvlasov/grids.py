@@ -98,11 +98,6 @@ class VelocityGrid:
     w: np.ndarray
     weight: GaussianWeight
 
-    @property
-    def quad_weight(self) -> float:
-        """Rectangle-rule quadrature weight (uniform, equal to h)."""
-        return self.h
-
 
 def make_velocity_grid(
     n: int,

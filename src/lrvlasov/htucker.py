@@ -58,10 +58,6 @@ class HtTensor:
         full = np.einsum("il,le,abe->iab", self.Ux, self.B, pair, optimize=True)
         return full.reshape(self.shape)
 
-    def copy(self) -> "HtTensor":
-        return HtTensor(self.Ux.copy(), self.B.copy(), self.Bvv.copy(),
-                        self.Uv1.copy(), self.Uv2.copy(), self.nx, self.canonical)
-
 
 def ht_zero(nx: tuple[int, int], nv1: int, nv2: int) -> HtTensor:
     n = nx[0] * nx[1]
@@ -311,12 +307,6 @@ def ht_truncate_weighted_sum(terms, w1_points: np.ndarray, w2_points: np.ndarray
                    canonical=False)
 
 
-def ht_truncate_weighted(f: HtTensor, w1_points: np.ndarray, w2_points: np.ndarray,
-                         eps: float) -> HtTensor:
-    """sqrt(w)-conjugated hierarchical truncation on the velocity leaves."""
-    return ht_truncate_weighted_sum([f], w1_points, w2_points, eps)
-
-
 # ---------------------------------------------------------------------------
 # moments and the moment-conserving carrier
 
@@ -453,8 +443,3 @@ def ht_transport_blocks(f: HtTensor, field: ElectricField, hx: tuple[float, floa
         terms.append(replace(f, Ux=mx, B=-f.B, Uv2=dv, canonical=False))
     return terms
 
-
-def ht_transport_rhs(f: HtTensor, field: ElectricField, hx: tuple[float, float],
-                     grids: tuple[VelocityGrid, VelocityGrid]) -> HtTensor:
-    """Concatenated form of the eight transport blocks."""
-    return ht_add(*ht_transport_blocks(f, field, hx, grids))

@@ -23,7 +23,7 @@ from .lowrank import LowRankMatrix
 from .macro import MacroState1D, MacroState2D
 
 _MAGIC = b"LRVSNAP\x01"
-_VERSION = 1
+SNAPSHOT_VERSION = 1
 
 
 @dataclass
@@ -41,7 +41,8 @@ def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
-def _header(row: DiagnosticsRow) -> str:
+def csv_header(row: DiagnosticsRow) -> str:
+    """Column names for rows shaped like ``row`` (1D1V or 2D2V)."""
     if len(row.ranks) == 1:
         rank_cols = "rank"
     else:
@@ -50,21 +51,22 @@ def _header(row: DiagnosticsRow) -> str:
     return f"t,{rank_cols},mass,{mom_cols},energy,efield_energy,wall_ms"
 
 
-def write_diagnostics(series: list[DiagnosticsRow], path, header: str | None = None) -> None:
+def csv_row(row: DiagnosticsRow) -> str:
+    """One diagnostics row as CSV cells, floats to 17 significant digits."""
+    fields = ([_fmt(row.t)] + [str(r) for r in row.ranks] + [_fmt(row.mass)]
+              + [_fmt(m) for m in row.momentum]
+              + [_fmt(row.energy), _fmt(row.efield_energy), _fmt(row.wall_ms)])
+    return ",".join(fields)
+
+
+def write_diagnostics(series: list[DiagnosticsRow], path) -> None:
     path = Path(path)
+    header = csv_header(series[0]) if series else "t,rank,mass,mom1,energy,efield_energy,wall_ms"
     try:
         with path.open("w") as fh:
-            if series:
-                fh.write(_header(series[0]) + "\n")
-            elif header is not None:
-                fh.write(header + "\n")
-            else:
-                fh.write("t,rank,mass,mom1,energy,efield_energy,wall_ms\n")
+            fh.write(header + "\n")
             for row in series:
-                fields = ([_fmt(row.t)] + [str(r) for r in row.ranks] + [_fmt(row.mass)]
-                          + [_fmt(m) for m in row.momentum]
-                          + [_fmt(row.energy), _fmt(row.efield_energy), _fmt(row.wall_ms)])
-                fh.write(",".join(fields) + "\n")
+                fh.write(csv_row(row) + "\n")
     except OSError as exc:
         raise OSError(f"cannot write diagnostics to {path}: {exc}") from exc
 
@@ -72,12 +74,9 @@ def write_diagnostics(series: list[DiagnosticsRow], path, header: str | None = N
 def append_row(row: DiagnosticsRow, sink) -> None:
     """Stream one row to an open text sink, writing the header first."""
     if getattr(sink, "_needs_header", True):
-        sink.write(_header(row) + "\n")
+        sink.write(csv_header(row) + "\n")
         sink._needs_header = False
-    fields = ([_fmt(row.t)] + [str(r) for r in row.ranks] + [_fmt(row.mass)]
-              + [_fmt(m) for m in row.momentum]
-              + [_fmt(row.energy), _fmt(row.efield_energy), _fmt(row.wall_ms)])
-    sink.write(",".join(fields) + "\n")
+    sink.write(csv_row(row) + "\n")
 
 
 def read_diagnostics(path) -> list[DiagnosticsRow]:
@@ -144,57 +143,31 @@ def _read_array(fh) -> np.ndarray:
     return np.frombuffer(raw, dtype="<f8").reshape(shape, order="F").copy()
 
 
-def _write_kinetic(fh, f) -> None:
-    if isinstance(f, LowRankMatrix):
-        _write_ints(fh, 1)
-        for a in (f.C, f.Ux, f.Uv):
-            _write_array(fh, a)
-    elif isinstance(f, HtTensor):
-        _write_ints(fh, 2, f.nx[0], f.nx[1])
-        for a in (f.Ux, f.B, f.Bvv, f.Uv1, f.Uv2):
-            _write_array(fh, a)
-    else:
-        raise SnapshotError(f"cannot serialize state of type {type(f).__name__}")
+# block kinds: kinetic 1 = LowRankMatrix, 2 = HtTensor (the kind word is
+# followed by its two spatial sizes); macro 0 = none, 1 = 1D1V, 2 = 2D2V.
+# Each kind maps to its class and the number of arrays, stored in field order.
+_KINETIC = {1: (LowRankMatrix, 3), 2: (HtTensor, 5)}
+_MACRO = {0: (type(None), 0), 1: (MacroState1D, 3), 2: (MacroState2D, 4)}
 
 
-def _read_kinetic(fh):
+def _write_block(fh, obj, kinds) -> None:
+    kind = next((k for k, (cls, _) in kinds.items() if type(obj) is cls), None)
+    if kind is None:
+        raise SnapshotError(f"cannot serialize state of type {type(obj).__name__}")
+    _write_ints(fh, kind, *getattr(obj, "nx", ()))
+    for a in getattr(obj, "__dict__", {}).values():
+        if isinstance(a, np.ndarray):
+            _write_array(fh, a)
+
+
+def _read_block(fh, kinds):
     (kind,) = _read_ints(fh, 1)
-    if kind == 1:
-        c, ux, uv = (_read_array(fh) for _ in range(3))
-        return LowRankMatrix(c, ux, uv)
-    if kind == 2:
-        n1, n2 = _read_ints(fh, 2)
-        ux, b, bvv, uv1, uv2 = (_read_array(fh) for _ in range(5))
-        return HtTensor(ux, b, bvv, uv1, uv2, (n1, n2))
-    raise SnapshotError(f"unknown kinetic block kind {kind}")
-
-
-def _write_macro(fh, u) -> None:
-    if u is None:
-        _write_ints(fh, 0)
-    elif isinstance(u, MacroState1D):
-        _write_ints(fh, 1)
-        for a in (u.rho, u.J, u.e):
-            _write_array(fh, a)
-    elif isinstance(u, MacroState2D):
-        _write_ints(fh, 2)
-        for a in (u.rho, u.J1, u.J2, u.e):
-            _write_array(fh, a)
-    else:
-        raise SnapshotError(f"cannot serialize macro state {type(u).__name__}")
-
-
-def _read_macro(fh):
-    (kind,) = _read_ints(fh, 1)
-    if kind == 0:
-        return None
-    if kind == 1:
-        rho, j, e = (_read_array(fh) for _ in range(3))
-        return MacroState1D(rho, j, e)
-    if kind == 2:
-        rho, j1, j2, e = (_read_array(fh) for _ in range(4))
-        return MacroState2D(rho, j1, j2, e)
-    raise SnapshotError(f"unknown macro block kind {kind}")
+    if kind not in kinds:
+        raise SnapshotError(f"unknown block kind {kind}")
+    cls, n_arrays = kinds[kind]
+    nx = (_read_ints(fh, 2),) if cls is HtTensor else ()
+    arrays = [_read_array(fh) for _ in range(n_arrays)]
+    return None if cls is type(None) else cls(*arrays, *nx)
 
 
 def _grid_signature(problem) -> tuple[float, ...]:
@@ -208,35 +181,41 @@ def snapshot_write(hist, problem, path) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("wb") as fh:
         fh.write(_MAGIC)
-        _write_ints(fh, _VERSION, 1 if problem.cfg.dim == "1d1v" else 2,
+        _write_ints(fh, SNAPSHOT_VERSION, 1 if problem.cfg.dim == "1d1v" else 2,
                     hist.step, len(hist.fs), len(hist.dts))
         _write_floats(fh, hist.t, hist.dt_work, *hist.dts)
         _write_floats(fh, *_grid_signature(problem))
         for f, u in zip(hist.fs, hist.us):
-            _write_kinetic(fh, f)
-            _write_macro(fh, u)
+            _write_block(fh, f, _KINETIC)
+            _write_block(fh, u, _MACRO)
 
 
-def snapshot_read(path, problem):
+def snapshot_load(path):
+    """(dimensionality, grid signature, history) stored in a snapshot file."""
     from .driver import History  # deferred: avoids a module import cycle
 
     path = Path(path)
     with path.open("rb") as fh:
-        magic = fh.read(len(_MAGIC))
-        if magic != _MAGIC:
+        if fh.read(len(_MAGIC)) != _MAGIC:
             raise SnapshotError(f"{path}: bad magic; not a snapshot file")
         version, dim, step, n_levels, n_dts = _read_ints(fh, 5)
-        if version != _VERSION:
-            raise SnapshotError(f"{path}: snapshot version {version}, expected {_VERSION}")
-        want_dim = 1 if problem.cfg.dim == "1d1v" else 2
-        if dim != want_dim:
-            raise SnapshotError(f"{path}: snapshot dimensionality {dim} does not match config")
+        if version != SNAPSHOT_VERSION:
+            raise SnapshotError(
+                f"{path}: snapshot version {version}, expected {SNAPSHOT_VERSION}")
         t, dt_work, *dts = _read_floats(fh, 2 + n_dts)
         sig = _read_floats(fh, 9)
-        if not np.allclose(sig, _grid_signature(problem), rtol=0, atol=0):
-            raise SnapshotError(f"{path}: snapshot grid/method signature differs from config")
         hist = History(t=t, step=step, dts=list(dts), dt_work=dt_work)
         for _ in range(n_levels):
-            hist.fs.append(_read_kinetic(fh))
-            hist.us.append(_read_macro(fh))
-        return hist
+            hist.fs.append(_read_block(fh, _KINETIC))
+            hist.us.append(_read_block(fh, _MACRO))
+    return dim, sig, hist
+
+
+def snapshot_read(path, problem):
+    """The multistep history stored in ``path``, checked against ``problem``."""
+    dim, sig, hist = snapshot_load(path)
+    if dim != (1 if problem.cfg.dim == "1d1v" else 2):
+        raise SnapshotError(f"{path}: snapshot dimensionality {dim} does not match config")
+    if not np.allclose(sig, _grid_signature(problem), rtol=0, atol=0):
+        raise SnapshotError(f"{path}: snapshot grid/method signature differs from config")
+    return hist

@@ -39,21 +39,9 @@ class LowRankMatrix:
     def dense(self) -> np.ndarray:
         return (self.Ux * self.C[None, :]) @ self.Uv.T
 
-    def copy(self) -> "LowRankMatrix":
-        return LowRankMatrix(self.C.copy(), self.Ux.copy(), self.Uv.copy(), self.canonical)
-
-    def __neg__(self) -> "LowRankMatrix":
-        return scale(self, -1.0)
-
 
 def zero(nx: int, nv: int) -> LowRankMatrix:
     return LowRankMatrix(np.zeros(0), np.zeros((nx, 0)), np.zeros((nv, 0)), canonical=True)
-
-
-def from_outer(cx: np.ndarray, cv: np.ndarray) -> LowRankMatrix:
-    """Rank-1 object cx o cv."""
-    return LowRankMatrix(np.ones(1), np.asarray(cx, float)[:, None],
-                         np.asarray(cv, float)[:, None])
 
 
 def scale(f: LowRankMatrix, a: float) -> LowRankMatrix:

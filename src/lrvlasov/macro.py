@@ -5,12 +5,14 @@ Split fluxes are velocity moments of the kinetic solution against sign-split
 monomials v+ = max(v, 0), v- = min(v, 0); interfaces are reconstructed with
 the same fifth-order upwind stencils as the kinetic transport, so the two
 discretizations agree flux-by-flux.  Updates are flux differences plus the
-field source, keeping the totals exact up to source terms.
+field source, keeping the totals exact up to source terms.  The rates
+``rate_1d``/``rate_2d`` give -dF + S per dimension; ``combine`` applies any
+time-stepping rule's weights to them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -20,19 +22,12 @@ from .lowrank import LowRankMatrix
 from .poisson import ElectricField
 from .upwind import flux_difference, reconstruct_interface
 
-SSP_OLD = 0.25    # weight of the n-2 level
-SSP_CUR = 0.75    # weight of the n level
-SSP_DT = 1.5      # multiplier of dt
-
 
 @dataclass
 class MacroState1D:
     rho: np.ndarray
     J: np.ndarray
     e: np.ndarray
-
-    def copy(self) -> "MacroState1D":
-        return MacroState1D(self.rho.copy(), self.J.copy(), self.e.copy())
 
 
 @dataclass
@@ -41,9 +36,6 @@ class MacroState2D:
     J1: np.ndarray
     J2: np.ndarray
     e: np.ndarray
-
-    def copy(self) -> "MacroState2D":
-        return MacroState2D(self.rho.copy(), self.J1.copy(), self.J2.copy(), self.e.copy())
 
 
 @dataclass
@@ -88,10 +80,9 @@ def _interface_flux(fp: np.ndarray, fm: np.ndarray, axis: int) -> np.ndarray:
             + reconstruct_interface(fm, "minus", "periodic", axis=axis))
 
 
-def macro_step_1d(u_n: MacroState1D, u_nm2: MacroState1D, flux: FluxSet1D,
-                  field: ElectricField, dt: float, grid: SpatialGrid,
-                  extra_source=None, t: float = 0.0) -> MacroState1D:
-    """One multistep update U^{n+1} = 1/4 U^{n-2} + 3/4 U^n + 3/2 dt (-dF + S)."""
+def rate_1d(u: MacroState1D, flux: FluxSet1D, field: ElectricField, grid: SpatialGrid,
+            extra_source=None, t: float = 0.0) -> np.ndarray:
+    """-dF + S for (rho, J, e), stacked as a (3, Nx) array."""
     (h,) = grid.h
     (e_field,) = field.E
     div = np.stack([
@@ -99,38 +90,32 @@ def macro_step_1d(u_n: MacroState1D, u_nm2: MacroState1D, flux: FluxSet1D,
         for i in range(3)
     ])
     src = np.zeros_like(div)
-    src[1] = u_n.rho * e_field
+    src[1] = u.rho * e_field
     if extra_source is not None:
         s_rho, s_j, s_e = extra_source(grid.nodes(0), t, e_field)
         src[0] += s_rho
         src[1] += s_j
         src[2] += s_e
-    new = [SSP_OLD * old + SSP_CUR * cur + SSP_DT * dt * (-div[i] + src[i])
-           for i, (old, cur) in enumerate([(u_nm2.rho, u_n.rho),
-                                           (u_nm2.J, u_n.J),
-                                           (u_nm2.e, u_n.e)])]
-    return MacroState1D(rho=new[0], J=new[1], e=new[2])
+    return -div + src
 
 
-def euler_macro_1d(u_n: MacroState1D, flux: FluxSet1D, field: ElectricField, dt: float,
-                   grid: SpatialGrid, extra_source=None, t: float = 0.0) -> MacroState1D:
-    """Forward-Euler stage used by the Runge-Kutta startup."""
-    (h,) = grid.h
-    (e_field,) = field.E
-    div = np.stack([
-        flux_difference(_interface_flux(flux.plus[i], flux.minus[i], axis=0), h, axis=0)
-        for i in range(3)
-    ])
-    src = np.zeros_like(div)
-    src[1] = u_n.rho * e_field
-    if extra_source is not None:
-        s_rho, s_j, s_e = extra_source(grid.nodes(0), t, e_field)
-        src[0] += s_rho
-        src[1] += s_j
-        src[2] += s_e
-    return MacroState1D(rho=u_n.rho + dt * (-div[0] + src[0]),
-                        J=u_n.J + dt * (-div[1] + src[1]),
-                        e=u_n.e + dt * (-div[2] + src[2]))
+def combine(states, weights, rate: np.ndarray | None = None, c_dt: float = 0.0):
+    """sum_k w_k U_k + c_dt * rate, conserved variable by conserved variable.
+
+    The multistep update is combine([U^{n-2}, U^n], [1/4, 3/4], L(U^n), 3/2 dt)
+    and a forward-Euler stage is combine([U], [1], L(U), dt).  Terms are added
+    left to right, so the rounding is that of the written-out formula.
+    """
+    names = [f.name for f in fields(states[0])]
+    out = []
+    for i, name in enumerate(names):
+        acc = weights[0] * getattr(states[0], name)
+        for w, u in zip(weights[1:], states[1:]):
+            acc = acc + w * getattr(u, name)
+        if rate is not None:
+            acc = acc + c_dt * rate[i]
+        out.append(acc)
+    return type(states[0])(*out)
 
 
 def recover_kinetic_energy(u, field: ElectricField) -> np.ndarray:
@@ -204,28 +189,11 @@ def _div_2d(flux: FluxSet2D, grid: SpatialGrid) -> np.ndarray:
     return out
 
 
-def _source_2d(u_n: MacroState2D, field: ElectricField) -> np.ndarray:
-    src = np.zeros((4,) + u_n.rho.shape)
-    src[1] = u_n.rho * field.E[0]
-    src[2] = u_n.rho * field.E[1]
-    return src
-
-
-def macro_step_2d(u_n: MacroState2D, u_nm2: MacroState2D, flux: FluxSet2D,
-                  field: ElectricField, dt: float, grid: SpatialGrid) -> MacroState2D:
+def rate_2d(u: MacroState2D, flux: FluxSet2D, field: ElectricField,
+            grid: SpatialGrid) -> np.ndarray:
+    """-div F + S for (rho, J1, J2, e), stacked as a (4, N1, N2) array."""
     div = _div_2d(flux, grid)
-    src = _source_2d(u_n, field)
-    vals = [SSP_OLD * old + SSP_CUR * cur + SSP_DT * dt * (-div[i] + src[i])
-            for i, (old, cur) in enumerate([(u_nm2.rho, u_n.rho), (u_nm2.J1, u_n.J1),
-                                            (u_nm2.J2, u_n.J2), (u_nm2.e, u_n.e)])]
-    return MacroState2D(*vals)
-
-
-def euler_macro_2d(u_n: MacroState2D, flux: FluxSet2D, field: ElectricField,
-                   dt: float, grid: SpatialGrid) -> MacroState2D:
-    div = _div_2d(flux, grid)
-    src = _source_2d(u_n, field)
-    return MacroState2D(u_n.rho + dt * (-div[0] + src[0]),
-                        u_n.J1 + dt * (-div[1] + src[1]),
-                        u_n.J2 + dt * (-div[2] + src[2]),
-                        u_n.e + dt * (-div[3] + src[3]))
+    src = np.zeros_like(div)
+    src[1] = u.rho * field.E[0]
+    src[2] = u.rho * field.E[1]
+    return -div + src

@@ -101,60 +101,41 @@ def forced_exact_field(t: float, x: np.ndarray) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# Landau damping family (1D1V)
+# cosine-perturbed presets: Landau damping, bump on tail, two streams
 
-def _perturbed_maxwellian_init(alpha: float, k: float):
+def _cosine_init_1d(alpha: float, k: float, profile: Callable):
+    """(1 + alpha cos(k x)) g(v) as two separable terms."""
     def init(sgrid: SpatialGrid, vgrid: VelocityGrid) -> LowRankMatrix:
         x = sgrid.nodes(0)
-        g = np.exp(-vgrid.v**2 / 2.0) / np.sqrt(2.0 * np.pi)
+        g = profile(vgrid.v)
         ux = np.column_stack([np.ones_like(x), alpha * np.cos(k * x)])
-        uv = np.column_stack([g, g])
-        return LowRankMatrix(np.ones(2), ux, uv)
+        return LowRankMatrix(np.ones(2), ux, np.column_stack([g, g]))
     return init
 
 
-def _bump_on_tail_init(alpha: float, k: float, n_p: float, n_b: float,
-                       u: float, v_t: float):
-    def init(sgrid: SpatialGrid, vgrid: VelocityGrid) -> LowRankMatrix:
-        x = sgrid.nodes(0)
-        v = vgrid.v
-        g = n_p * np.exp(-v**2 / 2.0) + n_b * np.exp(-((v - u) ** 2) / (2.0 * v_t))
-        ux = np.column_stack([np.ones_like(x), alpha * np.cos(k * x)])
-        uv = np.column_stack([g, g])
-        return LowRankMatrix(np.ones(2), ux, uv)
-    return init
-
-
-# --------------------------------------------------------------------------
-# 2D2V presets (rank-1 hierarchical initial data)
-
-def _weak_landau_2d_init(alpha: float, k: float):
+def _cosine_init_2d(alpha: float, k: float, norm: float, profile: Callable):
+    """(1 + alpha (cos(k x1) + cos(k x2))) / norm * g(v1) g(v2), rank one."""
     def init(sgrid: SpatialGrid, vgrids) -> HtTensor:
         x1 = sgrid.nodes(0)
         x2 = sgrid.nodes(1)
         spatial = (1.0 + alpha * (np.cos(k * x1)[:, None] + np.cos(k * x2)[None, :]))
-        spatial = spatial / (2.0 * np.pi)
-        g1 = np.exp(-vgrids[0].v**2 / 2.0)
-        g2 = np.exp(-vgrids[1].v**2 / 2.0)
+        spatial = spatial / norm
         return HtTensor(spatial.reshape(-1, 1), np.eye(1), np.ones((1, 1, 1)),
-                        g1[:, None], g2[:, None], sgrid.n)
-    return init
-
-
-def _two_stream_2d_init(alpha: float, k: float, v0: float):
-    def init(sgrid: SpatialGrid, vgrids) -> HtTensor:
-        x1 = sgrid.nodes(0)
-        x2 = sgrid.nodes(1)
-        spatial = (1.0 + alpha * (np.cos(k * x1)[:, None] + np.cos(k * x2)[None, :]))
-        spatial = spatial / (4.0 * 2.0 * np.pi)
-
-        def two_beams(v):
-            return np.exp(-((v - v0) ** 2) / 2.0) + np.exp(-((v + v0) ** 2) / 2.0)
-
-        return HtTensor(spatial.reshape(-1, 1), np.eye(1), np.ones((1, 1, 1)),
-                        two_beams(vgrids[0].v)[:, None], two_beams(vgrids[1].v)[:, None],
+                        profile(vgrids[0].v)[:, None], profile(vgrids[1].v)[:, None],
                         sgrid.n)
     return init
+
+
+def _maxwellian(v: np.ndarray) -> np.ndarray:
+    return np.exp(-v**2 / 2.0) / np.sqrt(2.0 * np.pi)
+
+
+def _bump_on_tail(n_p: float, n_b: float, u: float, v_t: float) -> Callable:
+    return lambda v: n_p * np.exp(-v**2 / 2.0) + n_b * np.exp(-((v - u) ** 2) / (2.0 * v_t))
+
+
+def _two_beams(v0: float) -> Callable:
+    return lambda v: np.exp(-((v - v0) ** 2) / 2.0) + np.exp(-((v + v0) ** 2) / 2.0)
 
 
 PRESETS: dict[str, Preset] = {
@@ -171,29 +152,30 @@ PRESETS: dict[str, Preset] = {
         name="weak_landau_1d", dim="1d1v",
         x_min=0.0, x_max=4.0 * np.pi, v_max=6.0, beta=2.0, eps=1e-5,
         nx=64, nv=129, t_end=20.0,
-        init_1d=_perturbed_maxwellian_init(alpha=0.01, k=0.5),
+        init_1d=_cosine_init_1d(alpha=0.01, k=0.5, profile=_maxwellian),
         params={"alpha": 0.01, "k": 0.5},
     ),
     "strong_landau_1d": Preset(
         name="strong_landau_1d", dim="1d1v",
         x_min=0.0, x_max=4.0 * np.pi, v_max=6.0, beta=2.0, eps=1e-3,
         nx=128, nv=257, t_end=20.0,
-        init_1d=_perturbed_maxwellian_init(alpha=0.5, k=0.5),
+        init_1d=_cosine_init_1d(alpha=0.5, k=0.5, profile=_maxwellian),
         params={"alpha": 0.5, "k": 0.5},
     ),
     "bump_on_tail": Preset(
         name="bump_on_tail", dim="1d1v",
         x_min=0.0, x_max=2.0 * np.pi / 0.3, v_max=10.0, beta=3.0, eps=1e-4,
         nx=128, nv=256, t_end=30.0,
-        init_1d=_bump_on_tail_init(alpha=0.04, k=0.3, n_p=0.9 / np.sqrt(2.0 * np.pi),
-                                   n_b=0.2 / np.sqrt(2.0 * np.pi), u=4.5, v_t=0.5),
+        init_1d=_cosine_init_1d(alpha=0.04, k=0.3, profile=_bump_on_tail(
+            n_p=0.9 / np.sqrt(2.0 * np.pi), n_b=0.2 / np.sqrt(2.0 * np.pi), u=4.5, v_t=0.5)),
         params={"alpha": 0.04, "k": 0.3, "u": 4.5, "v_t": 0.5},
     ),
     "weak_landau_2d2v": Preset(
         name="weak_landau_2d2v", dim="2d2v",
         x_min=0.0, x_max=4.0 * np.pi, v_max=6.0, beta=2.0, eps=1e-5,
         nx=16, nv=32, t_end=5.0,
-        init_2d=_weak_landau_2d_init(alpha=0.01, k=0.5),
+        init_2d=_cosine_init_2d(alpha=0.01, k=0.5, norm=2.0 * np.pi,
+                                profile=lambda v: np.exp(-v**2 / 2.0)),
         params={"alpha": 0.01, "k": 0.5},
     ),
     "two_stream_2d2v": Preset(
@@ -204,7 +186,8 @@ PRESETS: dict[str, Preset] = {
         # at this absolute threshold the velocity leaves saturate near full
         # resolution; the cap must leave room for that plus carrier terms
         rank_cap=160,
-        init_2d=_two_stream_2d_init(alpha=0.001, k=0.2, v0=2.4),
+        init_2d=_cosine_init_2d(alpha=0.001, k=0.2, norm=4.0 * 2.0 * np.pi,
+                                profile=_two_beams(2.4)),
         params={"alpha": 0.001, "k": 0.2, "v0": 2.4},
     ),
 }

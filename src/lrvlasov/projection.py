@@ -112,10 +112,7 @@ def _truncate_remainder(remainder: LowRankMatrix, basis: MomentBasis, eps: float
 
 def truncate_conservative(f: LowRankMatrix, basis: MomentBasis, eps: float) -> LowRankMatrix:
     """Truncate the remainder only; the moments of f are preserved exactly."""
-    m = moments(f, basis.grid)
-    carrier = lift_moments(m, basis)
-    remainder = recompress(add(f, scale(carrier, -1.0)))
-    return add(carrier, _truncate_remainder(remainder, basis, eps, m.max_abs()))
+    return truncate_to_moments(f, moments(f, basis.grid), basis, eps)
 
 
 def truncate_to_moments(f: LowRankMatrix, m_target: Moments1D, basis: MomentBasis,
@@ -125,7 +122,6 @@ def truncate_to_moments(f: LowRankMatrix, m_target: Moments1D, basis: MomentBasi
     The remainder still comes from f's own moments; only the carrier is
     rebuilt from ``m_target``, so the result's moments equal ``m_target``.
     """
-    own = moments(f, basis.grid)
-    remainder = recompress(add(f, scale(lift_moments(own, basis), -1.0)))
+    _, remainder = moment_split(f, basis)
     carrier = lift_moments(m_target, basis)
     return add(carrier, _truncate_remainder(remainder, basis, eps, m_target.max_abs()))

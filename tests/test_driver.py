@@ -3,8 +3,7 @@ import pytest
 
 import lrvlasov.htucker as ht
 from lrvlasov.config import from_preset
-from lrvlasov.driver import (History, _current_field, advance, initialize,
-                             select_dt, step_multistep_1d, step_multistep_2d)
+from lrvlasov.driver import History, advance, initialize, select_dt, step
 from lrvlasov.errors import RankOverflowError
 from lrvlasov.lowrank import LowRankMatrix
 from lrvlasov.macro import MacroState1D, MacroState2D
@@ -19,7 +18,7 @@ import reference
 def test_select_dt_formula_and_monotonicity():
     cfg = from_preset("weak_landau_1d")
     problem, hist = initialize(cfg)
-    field = _current_field(problem, hist.fs[-1])
+    field = hist.newest(problem)[1]
     dt = select_dt(problem, field, cfg.cfl)
     # frozen regression baseline for the default weak Landau configuration
     assert dt == pytest.approx(0.00974941329769426, rel=1e-12)
@@ -78,13 +77,12 @@ def test_startup_second_order():
 
 
 def test_startup_primes_multistep():
-    from lrvlasov.driver import startup_steps
-
     cfg = from_preset("weak_landau_1d", nx=32, nv=65)
     problem, hist = initialize(cfg)
     dt = 5e-3
     assert not hist.multistep_ready(dt)
-    startup_steps(problem, hist, dt)
+    for _ in range(2):
+        advance(problem, hist, dt)
     assert hist.step == 2
     assert len(hist.fs) == 3
     assert hist.multistep_ready(dt)
@@ -100,7 +98,7 @@ def test_startup_rank_four_forced():
     # stored rank settles at 3 + 1 after startup
     cfg = from_preset("forced")
     problem, hist = initialize(cfg)
-    dt = select_dt(problem, _current_field(problem, hist.fs[-1]), cfg.cfl)
+    dt = select_dt(problem, hist.newest(problem)[1], cfg.cfl)
     for _ in range(12):
         advance(problem, hist, dt)
     assert hist.fs[-1].rank == 4
@@ -137,6 +135,36 @@ def test_macro_moments_pinned_2d():
     assert np.max(np.abs(m.J1 - u.J1)) < 1e-12 * ref
     assert np.max(np.abs(m.J2 - u.J2)) < 1e-12 * ref
     assert np.max(np.abs(m.kappa - kappa_u)) < 1e-12 * ref
+
+
+@pytest.mark.parametrize("method,solves", [("plain", 1), ("macro", 2)])
+def test_multistep_step_field_solves(monkeypatch, method, solves):
+    # a step of the run loop (CFL bound, then advance) solves once for f^n,
+    # plus once for the co-evolved density under macro; the diagnostics and
+    # the next CFL bound then share a single solve for the new level
+    import lrvlasov.driver as driver
+    from lrvlasov.driver import diagnostics_row
+
+    cfg = from_preset("weak_landau_1d", nx=32, nv=65, method=method)
+    problem, hist = initialize(cfg)
+    dt = 5e-3
+    for _ in range(2):
+        advance(problem, hist, dt)
+    assert hist.multistep_ready(dt)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve_poisson(*args, **kwargs)
+
+    monkeypatch.setattr(driver, "solve_poisson", counting)
+    select_dt(problem, hist.newest(problem)[1], cfg.cfl)
+    advance(problem, hist, dt)
+    assert len(calls) == solves
+    calls.clear()
+    diagnostics_row(problem, hist, 0.0)
+    select_dt(problem, hist.newest(problem)[1], cfg.cfl)
+    assert len(calls) == 1
 
 
 def test_rank_cap_aborts():
@@ -189,7 +217,7 @@ def test_dense_scheme_equivalence_1d(method):
         hist.us.append(_macro_of(problem, f))
     hist.dts = [dt, dt]
 
-    f_new, _ = step_multistep_1d(problem, hist, dt)
+    f_new, _ = step(problem, hist, dt)
     u_n = hist.us[-1]
     u_nm2 = hist.us[-3]
     dense_new, _ = dense_step_1d(
@@ -233,7 +261,7 @@ def test_dense_scheme_equivalence_2d(method):
         hist.us.append(_macro_of_2d(problem, f))
     hist.dts = [dt, dt]
 
-    f_new, _ = step_multistep_2d(problem, hist, dt)
+    f_new, _ = step(problem, hist, dt)
 
     # dense reference, mirroring the scheme on the full 4D array
     g1, g2 = problem.vgrids
@@ -255,7 +283,8 @@ def test_dense_scheme_equivalence_2d(method):
             u_n, u_nm2 = hist.us[-1], hist.us[-3]
             fluxes = __import__("lrvlasov.macro", fromlist=["kfvs_fluxes_2d"])
             fs = fluxes.kfvs_fluxes_2d(f_n, problem.vgrids)
-            u_new = fluxes.macro_step_2d(u_n, u_nm2, fs, field_n, dt, problem.sgrid)
+            u_new = fluxes.combine([u_nm2, u_n], [0.25, 0.75],
+                                   fluxes.rate_2d(u_n, fs, field_n, problem.sgrid), 1.5 * dt)
             field_new = solve_poisson(u_new.rho, problem.sgrid)
             kappa = u_new.e - 0.5 * field_new.magnitude_squared()
             m_target = ht.Moments2D(u_new.rho, u_new.J1, u_new.J2, kappa)
@@ -285,7 +314,7 @@ def test_forced_one_step_residual_small():
             hist.us.append(_macro_of(problem, f))
         hist.dts = [dt, dt]
         hist.t = 0.5
-        f_new, _ = step_multistep_1d(problem, hist, dt)
+        f_new, _ = step(problem, hist, dt)
         exact = problem.preset.exact_f(0.5 + dt, x, v)
         residuals.append(np.max(np.abs(f_new.dense() - exact)))
     # one-step error should shrink at least like dt^3 until the h^5 floor

@@ -6,8 +6,8 @@ from lrvlasov.grids import make_velocity_grid, spatial_grid_2d
 from lrvlasov.htucker import (HtTensor, MomentBasis2D, Moments2D, ht_add,
                               ht_canonicalize, ht_canonicalize_sum, ht_lift_moments,
                               ht_moments, ht_remove_moments, ht_scale,
-                              ht_transport_blocks, ht_transport_rhs, ht_truncate,
-                              ht_truncate_sum, ht_truncate_weighted, ht_zero)
+                              ht_transport_blocks, ht_truncate,
+                              ht_truncate_sum, ht_truncate_weighted_sum, ht_zero)
 from lrvlasov.poisson import ElectricField
 
 from reference import (dense_moments_2d, dense_pair_basis, dense_remove_moments_2d,
@@ -116,7 +116,7 @@ def test_truncate_fast_path_matches_qr_path(rng):
 def test_weighted_truncate_flat_equals_plain(rng):
     s = ht_add(random_ht(rng, r=2), ht_scale(random_ht(rng, r=2), 1e-3))
     eps = 1e-2
-    flat = ht_truncate_weighted(s, np.ones(NV), np.ones(NV), eps)
+    flat = ht_truncate_weighted_sum([s], np.ones(NV), np.ones(NV), eps)
     plain = ht_truncate(s, eps)
     assert np.allclose(flat.dense(), plain.dense(), atol=1e-10)
 
@@ -124,10 +124,10 @@ def test_weighted_truncate_flat_equals_plain(rng):
 def test_weighted_truncate_eps_zero_and_bound(rng, vgrid):
     s = ht_add(random_ht(rng, r=2), ht_scale(random_ht(rng, r=3), 1e-4))
     wp = vgrid.w_points
-    out0 = ht_truncate_weighted(s, wp, wp, 0.0)
+    out0 = ht_truncate_weighted_sum([s], wp, wp, 0.0)
     assert np.allclose(out0.dense(), s.dense(), atol=1e-11 * np.abs(s.dense()).max())
     eps = 1e-2
-    out = ht_truncate_weighted(s, wp, wp, eps)
+    out = ht_truncate_weighted_sum([s], wp, wp, eps)
     scale2 = np.sqrt(np.outer(wp, wp))
     err = (out.dense() - s.dense()) / scale2[None, None, :, :]
     assert np.linalg.norm(err.ravel()) <= eps * (1 + 1e-8)
@@ -138,7 +138,7 @@ def test_weighted_truncate_weight_validation(rng, vgrid):
     bad = np.ones(NV)
     bad[0] = 0.0
     with pytest.raises(DomainError):
-        ht_truncate_weighted(s, bad, np.ones(NV), 1e-3)
+        ht_truncate_weighted_sum([s], bad, np.ones(NV), 1e-3)
     with pytest.raises(DomainError):
         ht_truncate(s, -1.0)
 
@@ -241,13 +241,13 @@ def test_transport_rhs_zero_cases(vgrid):
     sg = spatial_grid_2d(*NX, 0.0, 2.0 * np.pi)
     field = ElectricField(E=(np.zeros(NX), np.zeros(NX)), phi=np.zeros(NX))
     z = ht_zero(NX, NV, NV)
-    out = ht_transport_rhs(z, field, sg.h, (vgrid, vgrid))
+    out = ht_add(*ht_transport_blocks(z, field, sg.h, (vgrid, vgrid)))
     assert np.max(np.abs(out.dense())) == 0.0
     # spatially uniform state with no field: all terms vanish
     maxw = np.exp(-vgrid.v**2 / 2.0)
     f = HtTensor(np.ones((NX[0] * NX[1], 1)), np.eye(1), np.ones((1, 1, 1)),
                  maxw[:, None], maxw[:, None], NX)
-    out = ht_transport_rhs(f, field, sg.h, (vgrid, vgrid))
+    out = ht_add(*ht_transport_blocks(f, field, sg.h, (vgrid, vgrid)))
     assert np.max(np.abs(out.dense())) < 1e-12
 
 
@@ -259,7 +259,7 @@ def test_transport_rhs_matches_dense(rng, vgrid):
     field = ElectricField(E=(e1, e2), phi=np.zeros(NX))
     blocks = ht_transport_blocks(f, field, sg.h, (vgrid, vgrid))
     assert len(blocks) == 8
-    out = ht_transport_rhs(f, field, sg.h, (vgrid, vgrid))
+    out = ht_add(*ht_transport_blocks(f, field, sg.h, (vgrid, vgrid)))
     oracle = dense_transport_rhs_2d(f.dense(), field, sg, vgrid, vgrid)
     assert np.allclose(out.dense(), oracle, atol=1e-11 * (np.abs(oracle).max() + 1))
 

@@ -115,6 +115,18 @@ def test_invalid_config_values():
         from_preset("forced", eps=-1.0)
 
 
+@pytest.mark.parametrize("preset,method", [
+    ("weak_landau_1d", "conservative"), ("weak_landau_1d", "macro"),
+    ("weak_landau_2d2v", "plain"), ("weak_landau_2d2v", "conservative"),
+    ("two_stream_2d2v", "macro"),
+])
+def test_eps_relative_rejected_where_unsupported(preset, method):
+    # only the plain 1D1V truncation has a relative threshold
+    with pytest.raises(ConfigError, match="eps_relative"):
+        from_preset(preset, method=method, eps_relative=True)
+    assert from_preset("weak_landau_1d", method="plain", eps_relative=True).eps_relative
+
+
 # ---------------------------------------------------------------------------
 # diagnostics CSV
 
@@ -327,3 +339,16 @@ def test_cli_error_reporting(capsys):
     rc = main(["run", "--preset", "unknown_preset"])
     assert rc == 2
     assert "unknown preset" in capsys.readouterr().err
+
+
+def test_cli_rank_overflow_reporting(tmp_path, capsys):
+    from lrvlasov.cli import main
+
+    rc = main(["run", "--preset", "strong_landau_1d", "--set", "grid.nx=32",
+               "--set", "grid.nv=64", "--set", "method.rank_cap=3",
+               "--set", "method.t_end=1.0", "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: rank")
+    # a larger eps is what lowers the rank
+    assert "larger eps" in err[0] and "tighten" not in err[0]
