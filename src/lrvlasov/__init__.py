@@ -15,14 +15,13 @@ from .grids import (GaussianWeight, SpatialGrid, VelocityGrid, make_velocity_gri
                     plain_inner, spatial_grid_1d, spatial_grid_2d, weighted_inner)
 from .htucker import HtTensor, MomentBasis2D, Moments2D
 from .lowrank import LowRankMatrix, add, recompress, truncate, truncate_weighted
-from .macro import MacroState1D, MacroState2D
 from .poisson import ElectricField, field_energy, solve_poisson
 from .projection import MomentBasis, Moments1D, moments
 
 __all__ = [
     "ElectricField", "GaussianWeight", "History", "HtTensor", "LowRankMatrix",
-    "MacroState1D", "MacroState2D", "MomentBasis", "MomentBasis2D", "Moments1D",
-    "Moments2D", "Problem", "SolverConfig", "SpatialGrid", "VelocityGrid",
+    "MomentBasis", "MomentBasis2D", "Moments1D", "Moments2D", "Problem",
+    "SolverConfig", "SpatialGrid", "VelocityGrid",
     "add", "field_energy", "from_preset", "initialize", "load_config",
     "make_velocity_grid", "moments", "plain_inner", "recompress", "run",
     "select_dt", "solve_poisson", "spatial_grid_1d", "spatial_grid_2d",

@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 from .config import load_config
-from .errors import ConfigError, RankOverflowError, SnapshotError
+from .errors import LrvlasovError
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -146,7 +146,7 @@ def main(argv=None) -> int:
         if args.command == "compare":
             return _cmd_compare(args)
         return _cmd_inspect(args)
-    except (ConfigError, RankOverflowError, SnapshotError, OSError) as exc:
+    except (LrvlasovError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

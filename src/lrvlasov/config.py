@@ -25,8 +25,7 @@ class SolverConfig:
     method: str = "macro"
     nx: int = 64
     nx2: int = 0                 # 0 means "same as nx" (2D only)
-    nv: int = 128
-    nv2: int = 0                 # 0 means "same as nv" (2D only)
+    nv: int = 128                # per velocity dimension
     x_min: float = 0.0
     x_max: float = 1.0
     v_max: float = 6.0
@@ -55,17 +54,17 @@ class SolverConfig:
                               f"got method={self.method!r} in {self.dim}")
         if self.output_every < 1:
             raise ConfigError(f"output_every must be >= 1, got {self.output_every}")
+        if self.dim == "1d1v" and self.nx2 not in (0, self.nx):
+            raise ConfigError(f"nx2 must be 0 or nx={self.nx} in 1d1v, got {self.nx2}")
         if self.nx2 == 0:
             self.nx2 = self.nx
-        if self.nv2 == 0:
-            self.nv2 = self.nv
 
 
 def from_preset(name: str, **overrides) -> SolverConfig:
     """Config with the benchmark parameters of the named preset as defaults.
 
-    Overrides merge before construction so that the derived defaults (nx2,
-    nv2 following nx, nv) resolve against the final values.
+    Overrides merge before construction so that the derived default (nx2
+    following nx) resolves against the final values.
     """
     p = get_preset(name)
     values = dict(preset=p.name, dim=p.dim, nx=p.nx, nv=p.nv,
@@ -79,8 +78,7 @@ def from_preset(name: str, **overrides) -> SolverConfig:
 _SCHEMA = {
     "preset": {"name": ("preset", str)},
     "grid": {
-        "nx": ("nx", int), "nx2": ("nx2", int),
-        "nv": ("nv", int), "nv2": ("nv2", int),
+        "nx": ("nx", int), "nx2": ("nx2", int), "nv": ("nv", int),
         "xmin": ("x_min", float), "xmax": ("x_max", float),
         "vmax": ("v_max", float), "beta": ("beta", float),
     },

@@ -23,9 +23,11 @@ per-step correction instead, which re-primes the lineage.
 Both rules are stage tables (``MULTISTEP``, ``HEUN``) that ``step`` runs the
 same way in either format: each stage sums weighted earlier levels and a
 multiple of dt * RHS of one level as a list of factored blocks, and the
-macroscopic state is combined with the same weights (``macro.combine``).
-Everything format-specific goes through the problem's class in ``formats``
-(``Problem1D`` or ``Problem2D``), so nothing here branches on the dimension.
+macroscopic state, one stacked array of rho, J_1..J_d, e, is combined with
+the same weights (``macro.combine``).  Nothing here branches on the
+dimension: ``formats`` picks the problem's class (``Problem1D`` or
+``Problem2D``), everything format-specific goes through it, and below it only
+``macro`` keeps one KFVS flux contraction per format.
 ``History`` keeps the moments and field of its newest level, so the CFL
 bound, the step and the diagnostics share one field solve per level.
 """
@@ -62,22 +64,23 @@ def _field_of(problem: Problem, rho: np.ndarray) -> ElectricField:
 
 
 def _contig_state(f):
-    """Copy state arrays to C order.
+    """Copy factor arrays to C order.
 
     Truncation leaves factor blocks as non-contiguous views, and BLAS results
     are not bit-identical across stride layouts; normalizing here makes a run
     resumed from a snapshot (whose arrays are freshly contiguous) reproduce an
     uninterrupted one exactly.
     """
-    if f is None:
-        return None
     return type(f)(*(np.ascontiguousarray(v) if isinstance(v, np.ndarray) else v
                      for v in _values(f)))
 
 
 @dataclass
 class History:
-    """Multistep lineage: up to three kinetic/macro levels plus clocks."""
+    """Multistep lineage: up to three kinetic/macro levels plus clocks.
+
+    A macro level is the stacked array of rho, J_1..J_d, e (None if unused).
+    """
 
     fs: list = dataclass_field(default_factory=list)
     us: list = dataclass_field(default_factory=list)
@@ -90,7 +93,7 @@ class History:
 
     def push(self, f, u, dt: float) -> None:
         self.fs.append(_contig_state(f))
-        self.us.append(_contig_state(u))
+        self.us.append(u)
         if len(self.fs) > 3:
             self.fs.pop(0)
             self.us.pop(0)
@@ -125,8 +128,8 @@ def initialize(cfg: SolverConfig) -> tuple[Problem, History]:
     f0 = problem.initial()
     m0 = problem.moments(f0)
     field0 = _field_of(problem, m0.rho)
-    u0 = problem.State(*_values(m0)[:-1], m0.kappa + 0.5 * field0.magnitude_squared())
-    return problem, History(fs=[_contig_state(f0)], us=[_contig_state(u0)])
+    u0 = np.stack([*_values(m0)[:-1], m0.kappa + 0.5 * field0.magnitude_squared()])
+    return problem, History(fs=[_contig_state(f0)], us=[u0])
 
 
 def select_dt(problem: Problem, field: ElectricField, cfl: float) -> float:
@@ -173,9 +176,8 @@ def _truncate(problem: Problem, blocks: list, u_new):
         return problem.truncate(blocks)
     if method == "conservative":
         return problem.pin(blocks, problem.block_moments(blocks))
-    field_new = _field_of(problem, u_new.rho)
-    kappa = recover_kinetic_energy(u_new, field_new)
-    return problem.pin(blocks, problem.Moments(*_values(u_new)[:-1], kappa))
+    kappa = recover_kinetic_energy(u_new, _field_of(problem, u_new[0]))
+    return problem.pin(blocks, problem.Moments(*u_new[:-1], kappa))
 
 
 def step(problem: Problem, hist: History, dt: float):

@@ -1,29 +1,33 @@
-"""Exception types shared across the solver."""
+"""Exception types shared across the solver, all under ``LrvlasovError``."""
 
 
-class GridSizeError(ValueError):
+class LrvlasovError(Exception):
+    """Base of every solver exception; each also keeps its builtin base."""
+
+
+class GridSizeError(LrvlasovError, ValueError):
     """Grid too small for the five-point interface stencils."""
 
 
-class DimensionError(ValueError):
+class DimensionError(LrvlasovError, ValueError):
     """Array shapes incompatible with the grids or with each other."""
 
 
-class DomainError(ValueError):
+class DomainError(LrvlasovError, ValueError):
     """Invalid parameter domain (nonpositive weights, bad tolerances...)."""
 
 
-class UnsupportedDomainError(ValueError):
+class UnsupportedDomainError(LrvlasovError, ValueError):
     """Operation requires a periodic domain."""
 
 
-class ConfigError(ValueError):
+class ConfigError(LrvlasovError, ValueError):
     """Malformed or inconsistent configuration input."""
 
 
-class SnapshotError(RuntimeError):
+class SnapshotError(LrvlasovError, RuntimeError):
     """Corrupt, truncated or version-incompatible snapshot file."""
 
 
-class RankOverflowError(RuntimeError):
+class RankOverflowError(LrvlasovError, RuntimeError):
     """Solution rank exceeded the configured cap."""

@@ -1,10 +1,13 @@
-"""Per-format problem classes: the only code that knows the dimension.
+"""Per-format problem classes: where the dimension is decided.
 
-The subclass of ``Problem`` for the configured dimension supplies what the
-stepper needs, with one meaning in both formats: moments, scaling, transport
-blocks, the macroscopic rate, plain and moment-pinned truncation of a list
-of blocks, and ranks.  Layer functions are looked up on their modules at
-call time, so wrappers installed there (tracing, test doubles) see each call.
+``FORMATS`` picks the subclass of ``Problem`` for the configured dimension; it
+supplies what the stepper needs, with one meaning in both formats: moments,
+scaling, transport blocks, KFVS fluxes, plain and moment-pinned truncation of
+a list of blocks, and ranks.  Below it only ``macro`` keeps per-format code,
+one KFVS flux contraction each; the macroscopic rate and state and the field
+solve are written once for any dimension.  Layer functions are looked up on
+their modules at call time, so wrappers installed there (tracing, test
+doubles) see each call.
 """
 
 from __future__ import annotations
@@ -33,11 +36,16 @@ class Problem:
     basis: projection.MomentBasis | None = None       # 1D1V
     basis2: ht.MomentBasis2D | None = None            # 2D2V
 
+    def rate(self, u: np.ndarray, f, field, t: float) -> np.ndarray:
+        """-div F + S for the stacked macroscopic state, fluxes taken from f."""
+        return macro.rate(u, self.fluxes(f), field, self.sgrid,
+                          self.preset.macro_sources, t)
+
 
 class Problem1D(Problem):
     """1D1V: the two-factor ``LowRankMatrix``."""
 
-    Moments, State = projection.Moments1D, macro.MacroState1D
+    Moments = projection.Moments1D
 
     @classmethod
     def build(cls, cfg: SolverConfig, preset: Preset) -> "Problem1D":
@@ -77,9 +85,8 @@ class Problem1D(Problem):
             blocks.append(self.preset.kinetic_forcing(t, self.sgrid, self.vgrid))
         return blocks
 
-    def rate(self, u, f, field, t: float) -> np.ndarray:
-        flux = macro.kfvs_fluxes_1d(f, self.vgrid)
-        return macro.rate_1d(u, flux, field, self.sgrid, self.preset.macro_sources, t)
+    def fluxes(self, f) -> list:
+        return macro.kfvs_fluxes_1d(f, self.vgrid)
 
     def truncate(self, blocks):
         cfg = self.cfg
@@ -96,15 +103,13 @@ class Problem1D(Problem):
 class Problem2D(Problem):
     """2D2V: the hierarchical ``HtTensor``."""
 
-    Moments, State = ht.Moments2D, macro.MacroState2D
+    Moments = ht.Moments2D
 
     @classmethod
     def build(cls, cfg: SolverConfig, preset: Preset) -> "Problem2D":
-        weight = GaussianWeight(cfg.beta)
-        v1 = make_velocity_grid(cfg.nv, cfg.v_max, weight)
-        v2 = make_velocity_grid(cfg.nv2, cfg.v_max, weight)
+        v = make_velocity_grid(cfg.nv, cfg.v_max, GaussianWeight(cfg.beta))
         return cls(cfg, preset, spatial_grid_2d(cfg.nx, cfg.nx2, cfg.x_min, cfg.x_max),
-                   (v1, v2), basis2=ht.MomentBasis2D.build(v1, v2))
+                   (v, v), basis2=ht.MomentBasis2D.build(v, v))
 
     def initial(self):
         return self.preset.init_2d(self.sgrid, self.vgrids)
@@ -124,8 +129,8 @@ class Problem2D(Problem):
     def transport(self, f, field, t: float) -> list:
         return ht.ht_transport_blocks(f, field, self.sgrid.h, self.vgrids)
 
-    def rate(self, u, f, field, t: float) -> np.ndarray:
-        return macro.rate_2d(u, macro.kfvs_fluxes_2d(f, self.vgrids), field, self.sgrid)
+    def fluxes(self, f) -> list:
+        return macro.kfvs_fluxes_2d(f, self.vgrids)
 
     def truncate(self, blocks):
         return ht.ht_truncate_sum(blocks, self.cfg.eps)

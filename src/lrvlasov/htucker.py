@@ -322,6 +322,16 @@ class Moments2D:
                    for a in (self.rho, self.J1, self.J2, self.kappa))
 
 
+def ht_pair_contraction(f: HtTensor, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_{l1, l2} a[l1] b[l2] Bvv[l1, l2, l] for leaf contractions a, b."""
+    return b @ np.tensordot(a, f.Bvv, axes=(0, 0))
+
+
+def ht_spatial_fields(f: HtTensor, coeffs: np.ndarray) -> np.ndarray:
+    """Map per-column velocity-pair contractions (r_v, k) to k spatial fields."""
+    return (f.Ux @ (f.B @ coeffs)).T.reshape(-1, *f.nx)
+
+
 def ht_moments(f: HtTensor, grids: tuple[VelocityGrid, VelocityGrid]) -> Moments2D:
     """(rho, J1, J2, kappa) on the spatial grid; the velocity pair is never
     densified, only contracted leaf by leaf through the transfer tensor."""
@@ -337,7 +347,7 @@ def ht_moments(f: HtTensor, grids: tuple[VelocityGrid, VelocityGrid]) -> Moments
     sq2 = h2 * (f.Uv2.T @ g2.v**2)
 
     def pair(a, b):
-        return b @ np.tensordot(a, f.Bvv, axes=(0, 0))
+        return ht_pair_contraction(f, a, b)
 
     coeffs = np.column_stack([
         pair(one1, one2),
@@ -345,7 +355,7 @@ def ht_moments(f: HtTensor, grids: tuple[VelocityGrid, VelocityGrid]) -> Moments
         pair(one1, v2m),
         0.5 * pair(sq1, one2) + 0.5 * pair(one1, sq2),
     ])
-    fields = (f.Ux @ (f.B @ coeffs)).T.reshape(4, *f.nx)
+    fields = ht_spatial_fields(f, coeffs)
     return Moments2D(rho=fields[0], J1=fields[1], J2=fields[2], kappa=fields[3])
 
 

@@ -20,7 +20,6 @@ import numpy as np
 from .errors import SnapshotError
 from .htucker import HtTensor
 from .lowrank import LowRankMatrix
-from .macro import MacroState1D, MacroState2D
 
 _MAGIC = b"LRVSNAP\x01"
 SNAPSHOT_VERSION = 1
@@ -143,36 +142,45 @@ def _read_array(fh) -> np.ndarray:
     return np.frombuffer(raw, dtype="<f8").reshape(shape, order="F").copy()
 
 
-# block kinds: kinetic 1 = LowRankMatrix, 2 = HtTensor (the kind word is
-# followed by its two spatial sizes); macro 0 = none, 1 = 1D1V, 2 = 2D2V.
-# Each kind maps to its class and the number of arrays, stored in field order.
+# A level is a kinetic block, kind 1 = LowRankMatrix or 2 = HtTensor (the kind
+# word is followed by its two spatial sizes) with its arrays in field order,
+# then a macro block: the spatial dimensionality d (0 = no macro level) and
+# the 2 + d rows rho, J_1..J_d, e, one array each.
 _KINETIC = {1: (LowRankMatrix, 3), 2: (HtTensor, 5)}
-_MACRO = {0: (type(None), 0), 1: (MacroState1D, 3), 2: (MacroState2D, 4)}
 
 
-def _write_block(fh, obj, kinds) -> None:
-    kind = next((k for k, (cls, _) in kinds.items() if type(obj) is cls), None)
+def _write_level(fh, f, u) -> None:
+    kind = next((k for k, (cls, _) in _KINETIC.items() if type(f) is cls), None)
     if kind is None:
-        raise SnapshotError(f"cannot serialize state of type {type(obj).__name__}")
-    _write_ints(fh, kind, *getattr(obj, "nx", ()))
-    for a in getattr(obj, "__dict__", {}).values():
+        raise SnapshotError(f"cannot serialize state of type {type(f).__name__}")
+    _write_ints(fh, kind, *getattr(f, "nx", ()))
+    for a in vars(f).values():
         if isinstance(a, np.ndarray):
             _write_array(fh, a)
+    rows = () if u is None else u
+    _write_ints(fh, max(len(rows) - 2, 0))
+    for row in rows:
+        _write_array(fh, row)
 
 
-def _read_block(fh, kinds):
+def _read_level(fh):
     (kind,) = _read_ints(fh, 1)
-    if kind not in kinds:
+    if kind not in _KINETIC:
         raise SnapshotError(f"unknown block kind {kind}")
-    cls, n_arrays = kinds[kind]
+    cls, n_arrays = _KINETIC[kind]
     nx = (_read_ints(fh, 2),) if cls is HtTensor else ()
-    arrays = [_read_array(fh) for _ in range(n_arrays)]
-    return None if cls is type(None) else cls(*arrays, *nx)
+    f = cls(*(_read_array(fh) for _ in range(n_arrays)), *nx)
+    (dim,) = _read_ints(fh, 1)
+    if dim not in (0, 1, 2):
+        raise SnapshotError(f"unknown block kind {dim}")
+    return f, (np.stack([_read_array(fh) for _ in range(dim + 2)]) if dim else None)
 
 
 def _grid_signature(problem) -> tuple[float, ...]:
+    # nine words; both velocity directions share nv, which fills the slot
+    # that earlier files gave a second velocity size
     cfg = problem.cfg
-    return (float(cfg.nx), float(cfg.nx2), float(cfg.nv), float(cfg.nv2),
+    return (float(cfg.nx), float(cfg.nx2), float(cfg.nv), float(cfg.nv),
             cfg.x_min, cfg.x_max, cfg.v_max, cfg.beta, cfg.eps)
 
 
@@ -186,8 +194,7 @@ def snapshot_write(hist, problem, path) -> None:
         _write_floats(fh, hist.t, hist.dt_work, *hist.dts)
         _write_floats(fh, *_grid_signature(problem))
         for f, u in zip(hist.fs, hist.us):
-            _write_block(fh, f, _KINETIC)
-            _write_block(fh, u, _MACRO)
+            _write_level(fh, f, u)
 
 
 def snapshot_load(path):
@@ -206,8 +213,9 @@ def snapshot_load(path):
         sig = _read_floats(fh, 9)
         hist = History(t=t, step=step, dts=list(dts), dt_work=dt_work)
         for _ in range(n_levels):
-            hist.fs.append(_read_block(fh, _KINETIC))
-            hist.us.append(_read_block(fh, _MACRO))
+            f, u = _read_level(fh)
+            hist.fs.append(f)
+            hist.us.append(u)
     return dim, sig, hist
 
 

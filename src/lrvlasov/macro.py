@@ -1,21 +1,23 @@
 """Macroscopic conservation-law solver with kinetic flux vector splitting.
 
-The conserved unknowns are (rho, J, e) in 1D and (rho, J1, J2, e) in 2D.
-Split fluxes are velocity moments of the kinetic solution against sign-split
-monomials v+ = max(v, 0), v- = min(v, 0); interfaces are reconstructed with
+The conserved unknowns are one stacked ``(2 + d, *n)`` array ``u`` with rows
+rho, J_1 .. J_d, e on the d-dimensional spatial grid; the split fluxes and
+the rates share that layout.  Split fluxes are velocity moments of the
+kinetic solution against sign-split monomials v+ = max(v, 0),
+v- = min(v, 0), one ``(plus, minus)`` pair per spatial axis; only their
+contraction with the factored solution is written once per format
+(``kfvs_fluxes_1d``, ``kfvs_fluxes_2d``).  Interfaces are reconstructed with
 the same fifth-order upwind stencils as the kinetic transport, so the two
-discretizations agree flux-by-flux.  Updates are flux differences plus the
-field source, keeping the totals exact up to source terms.  The rates
-``rate_1d``/``rate_2d`` give -dF + S per dimension; ``combine`` applies any
-time-stepping rule's weights to them.
+discretizations agree flux-by-flux.  ``rate`` gives -div F + S for any number
+of axes, keeping the totals exact up to source terms, and ``combine`` applies
+any time-stepping rule's weights to it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-
 import numpy as np
 
+from . import htucker as ht
 from .errors import DimensionError
 from .grids import SpatialGrid, VelocityGrid
 from .lowrank import LowRankMatrix
@@ -23,177 +25,80 @@ from .poisson import ElectricField
 from .upwind import flux_difference, reconstruct_interface
 
 
-@dataclass
-class MacroState1D:
-    rho: np.ndarray
-    J: np.ndarray
-    e: np.ndarray
-
-
-@dataclass
-class MacroState2D:
-    rho: np.ndarray
-    J1: np.ndarray
-    J2: np.ndarray
-    e: np.ndarray
-
-
-@dataclass
-class FluxSet1D:
-    """Split fluxes per conserved variable, stacked as (3, Nx) arrays."""
-
-    plus: np.ndarray
-    minus: np.ndarray
-
-    def unsplit(self) -> np.ndarray:
-        return self.plus + self.minus
-
-
-@dataclass
-class FluxSet2D:
-    """Split fluxes per direction, stacked as (4, N1, N2) arrays."""
-
-    x1_plus: np.ndarray
-    x1_minus: np.ndarray
-    x2_plus: np.ndarray
-    x2_minus: np.ndarray
-
-
-def kfvs_fluxes_1d(f: LowRankMatrix, grid: VelocityGrid) -> FluxSet1D:
-    """Mass, momentum and energy fluxes split on the sign of v."""
+def kfvs_fluxes_1d(f: LowRankMatrix, grid: VelocityGrid) -> list:
+    """Mass, momentum and energy fluxes split on the sign of v: [(plus, minus)]."""
     if f.Uv.shape[0] != grid.n:
         raise DimensionError("velocity factor length does not match grid")
     h, v = grid.h, grid.v
-    vp = np.maximum(v, 0.0)
-    vm = np.minimum(v, 0.0)
 
     def against(vv: np.ndarray) -> np.ndarray:
         mono = np.column_stack([vv, vv**2, 0.5 * vv**3])  # (Nv, 3)
         weights = h * (f.Uv.T @ mono) * f.C[:, None]      # (r, 3)
         return (f.Ux @ weights).T                         # (3, Nx)
 
-    return FluxSet1D(plus=against(vp), minus=against(vm))
+    return [(against(np.maximum(v, 0.0)), against(np.minimum(v, 0.0)))]
 
 
-def _interface_flux(fp: np.ndarray, fm: np.ndarray, axis: int) -> np.ndarray:
-    return (reconstruct_interface(fp, "plus", "periodic", axis=axis)
-            + reconstruct_interface(fm, "minus", "periodic", axis=axis))
+def kfvs_fluxes_2d(f: ht.HtTensor, grids: tuple[VelocityGrid, VelocityGrid]) -> list:
+    """Direction-split fluxes for (rho, J1, J2, e) from an HtTensor, per axis."""
+    g1, g2 = grids
+    if f.Uv1.shape[0] != g1.n or f.Uv2.shape[0] != g2.n:
+        raise DimensionError("velocity frames do not match grids")
+
+    def direction(k: int, split) -> np.ndarray:
+        # flux monomials: (s, s^2, s*o, s*(s^2 + o^2)/2), s the sign-split
+        # velocity of axis k and o the other velocity; along x2 the velocity
+        # pair and the two currents swap places
+        g, o = grids[k], grids[1 - k]
+        order = 1 if k == 0 else -1
+        s, one = split(g.v, 0.0), np.ones_like(o.v)
+
+        def pair(gs, go):
+            a, b = (g.h * gs, o.h * go)[::order]
+            return ht.ht_pair_contraction(f, a @ f.Uv1, b @ f.Uv2)
+
+        j = [pair(s**2, one), pair(s, o.v)][::order]
+        e = 0.5 * pair(s**3, one) + 0.5 * pair(s, o.v**2)
+        return ht.ht_spatial_fields(f, np.stack([pair(s, one), *j, e]).T)
+
+    return [(direction(k, np.maximum), direction(k, np.minimum)) for k in (0, 1)]
 
 
-def rate_1d(u: MacroState1D, flux: FluxSet1D, field: ElectricField, grid: SpatialGrid,
-            extra_source=None, t: float = 0.0) -> np.ndarray:
-    """-dF + S for (rho, J, e), stacked as a (3, Nx) array."""
-    (h,) = grid.h
-    (e_field,) = field.E
-    div = np.stack([
-        flux_difference(_interface_flux(flux.plus[i], flux.minus[i], axis=0), h, axis=0)
-        for i in range(3)
-    ])
+def rate(u: np.ndarray, fluxes, field: ElectricField, sgrid: SpatialGrid,
+         extra_source=None, t: float = 0.0) -> np.ndarray:
+    """-div F + S for the stacked state u, all conserved variables at once.
+
+    The source is rho E in the momentum rows, plus ``extra_source(x, t, E)``
+    -> (s_rho, s_J, s_e) of a manufactured solution in 1D.
+    """
+    div = None
+    for ax, ((plus, minus), h) in enumerate(zip(fluxes, sgrid.h), start=1):
+        fhat = (reconstruct_interface(plus, "plus", "periodic", axis=ax)
+                + reconstruct_interface(minus, "minus", "periodic", axis=ax))
+        d = flux_difference(fhat, h, axis=ax)
+        div = d if div is None else div + d
     src = np.zeros_like(div)
-    src[1] = u.rho * e_field
+    src[1:-1] = u[0] * np.stack(field.E)
     if extra_source is not None:
-        s_rho, s_j, s_e = extra_source(grid.nodes(0), t, e_field)
-        src[0] += s_rho
-        src[1] += s_j
-        src[2] += s_e
+        src += np.stack(extra_source(sgrid.nodes(0), t, field.E[0]))
     return -div + src
 
 
 def combine(states, weights, rate: np.ndarray | None = None, c_dt: float = 0.0):
-    """sum_k w_k U_k + c_dt * rate, conserved variable by conserved variable.
+    """sum_k w_k U_k + c_dt * rate.
 
     The multistep update is combine([U^{n-2}, U^n], [1/4, 3/4], L(U^n), 3/2 dt)
     and a forward-Euler stage is combine([U], [1], L(U), dt).  Terms are added
     left to right, so the rounding is that of the written-out formula.
     """
-    names = [f.name for f in fields(states[0])]
-    out = []
-    for i, name in enumerate(names):
-        acc = weights[0] * getattr(states[0], name)
-        for w, u in zip(weights[1:], states[1:]):
-            acc = acc + w * getattr(u, name)
-        if rate is not None:
-            acc = acc + c_dt * rate[i]
-        out.append(acc)
-    return type(states[0])(*out)
+    acc = weights[0] * states[0]
+    for w, u in zip(weights[1:], states[1:]):
+        acc = acc + w * u
+    if rate is not None:
+        acc = acc + c_dt * rate
+    return acc
 
 
-def recover_kinetic_energy(u, field: ElectricField) -> np.ndarray:
+def recover_kinetic_energy(u: np.ndarray, field: ElectricField) -> np.ndarray:
     """kappa = e - |E|^2 / 2 on the spatial nodes."""
-    return u.e - 0.5 * field.magnitude_squared()
-
-
-# ---------------------------------------------------------------------------
-# 2D2V: fluxes contracted through the hierarchical format, dimension by
-# dimension; the J-cross moments are the one place this touches the velocity
-# transfer tensor.
-
-def _ht_spatial_fields(f, coeffs: np.ndarray) -> np.ndarray:
-    """Map per-column velocity contractions (r_v, k) to k spatial fields."""
-    n1, n2 = f.nx
-    fields = f.Ux @ (f.B @ coeffs)  # (n1*n2, k)
-    return fields.T.reshape(-1, n1, n2)
-
-
-def _pair_contraction(f, g3: np.ndarray, g4: np.ndarray) -> np.ndarray:
-    """<U34_l, g3 o g4> for every velocity-pair column l, plain quadrature."""
-    a = g3 @ f.Uv1  # (r3,)
-    b = g4 @ f.Uv2  # (r4,)
-    return b @ np.tensordot(a, f.Bvv, axes=(0, 0))
-
-
-def kfvs_fluxes_2d(f, grids: tuple[VelocityGrid, VelocityGrid]) -> FluxSet2D:
-    """Direction-split fluxes for (rho, J1, J2, e) from an HtTensor."""
-    g1, g2 = grids
-    if f.Uv1.shape[0] != g1.n or f.Uv2.shape[0] != g2.n:
-        raise DimensionError("velocity frames do not match grids")
-    h1, h2 = g1.h, g2.h
-    v1, v2 = g1.v, g2.v
-    one1, one2 = np.ones_like(v1), np.ones_like(v2)
-
-    def direction(split_v, other_v, other_one, split_h, other_h, along_v1: bool):
-        # flux monomials: (s, s^2, s*v_other, s*(s^2 + v_other^2)/2) where s is
-        # the sign-split transport velocity of this direction
-        def contract(ga, gb):
-            if along_v1:
-                return _pair_contraction(f, split_h * ga, other_h * gb)
-            return _pair_contraction(f, other_h * gb, split_h * ga)
-
-        rho_c = contract(split_v, other_one)
-        jpar_c = contract(split_v**2, other_one)
-        jperp_c = contract(split_v, other_v)
-        e_c = 0.5 * contract(split_v**3, other_one) + 0.5 * contract(split_v, other_v**2)
-        if along_v1:
-            stack = np.stack([rho_c, jpar_c, jperp_c, e_c])   # (rho, J1, J2, e)
-        else:
-            stack = np.stack([rho_c, jperp_c, jpar_c, e_c])   # (rho, J1, J2, e)
-        return _ht_spatial_fields(f, stack.T)
-
-    v1p, v1m = np.maximum(v1, 0.0), np.minimum(v1, 0.0)
-    v2p, v2m = np.maximum(v2, 0.0), np.minimum(v2, 0.0)
-    return FluxSet2D(
-        x1_plus=direction(v1p, v2, one2, h1, h2, along_v1=True),
-        x1_minus=direction(v1m, v2, one2, h1, h2, along_v1=True),
-        x2_plus=direction(v2p, v1, one1, h2, h1, along_v1=False),
-        x2_minus=direction(v2m, v1, one1, h2, h1, along_v1=False),
-    )
-
-
-def _div_2d(flux: FluxSet2D, grid: SpatialGrid) -> np.ndarray:
-    h1, h2 = grid.h
-    out = np.empty_like(flux.x1_plus)
-    for i in range(4):
-        f1 = _interface_flux(flux.x1_plus[i], flux.x1_minus[i], axis=0)
-        f2 = _interface_flux(flux.x2_plus[i], flux.x2_minus[i], axis=1)
-        out[i] = flux_difference(f1, h1, axis=0) + flux_difference(f2, h2, axis=1)
-    return out
-
-
-def rate_2d(u: MacroState2D, flux: FluxSet2D, field: ElectricField,
-            grid: SpatialGrid) -> np.ndarray:
-    """-div F + S for (rho, J1, J2, e), stacked as a (4, N1, N2) array."""
-    div = _div_2d(flux, grid)
-    src = np.zeros_like(div)
-    src[1] = u.rho * field.E[0]
-    src[2] = u.rho * field.E[1]
-    return -div + src
+    return u[-1] - 0.5 * field.magnitude_squared()

@@ -1,7 +1,8 @@
 """Spectral field solves on periodic grids and discrete field energy.
 
-The potential solves -lap(phi) = rho - mean(rho) in Fourier space with the
-zero mode gauged to zero; the field is E = -sign * grad(phi), differentiated
+The potential solves -lap(phi) = rho - mean(rho) in Fourier space, with one
+transform over all grid axes for any dimension and the zero mode gauged to
+zero; the field is E = -sign * grad(phi), differentiated
 spectrally so that single-mode densities produce node-exact fields.  With
 sign=+1 the field satisfies div E = rho - mean(rho), the convention used by
 every benchmark.
@@ -36,8 +37,7 @@ class ElectricField:
 
 
 def _wavenumbers(n: int, h: float) -> np.ndarray:
-    k = 2.0 * np.pi * np.fft.fftfreq(n, d=h)
-    return k
+    return 2.0 * np.pi * np.fft.fftfreq(n, d=h)
 
 
 def _derivative_factor(n: int, h: float) -> np.ndarray:
@@ -48,6 +48,12 @@ def _derivative_factor(n: int, h: float) -> np.ndarray:
     if n % 2 == 0:
         ik[n // 2] = 0.0
     return ik
+
+
+def _per_axis(grid: SpatialGrid, factor) -> list[np.ndarray]:
+    """``factor(n, h)`` of every grid axis, shaped to broadcast along that axis."""
+    return [factor(n, h).reshape([-1 if b == a else 1 for b in range(grid.ndim)])
+            for a, (n, h) in enumerate(zip(grid.n, grid.h))]
 
 
 def solve_poisson(rho: np.ndarray, grid: SpatialGrid, sign: float = 1.0) -> ElectricField:
@@ -61,43 +67,22 @@ def solve_poisson(rho: np.ndarray, grid: SpatialGrid, sign: float = 1.0) -> Elec
     rho = np.asarray(rho, dtype=float)
     if rho.shape != grid.n:
         raise DimensionError(f"rho shape {rho.shape} does not match grid {grid.n}")
-
-    if grid.ndim == 1:
-        n, (h,) = grid.n[0], grid.h
-        k = _wavenumbers(n, h)
-        rho_hat = np.fft.fft(rho)
-        rho_hat[0] = 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            phi_hat = np.where(k == 0.0, 0.0, rho_hat / np.where(k == 0.0, 1.0, k**2))
-        e_hat = -sign * _derivative_factor(n, h) * phi_hat
-        return ElectricField(E=(np.fft.ifft(e_hat).real,), phi=np.fft.ifft(phi_hat).real)
-
-    n1, n2 = grid.n
-    h1, h2 = grid.h
-    k1 = _wavenumbers(n1, h1)[:, None]
-    k2 = _wavenumbers(n2, h2)[None, :]
-    rho_hat = np.fft.fft2(rho)
-    rho_hat[0, 0] = 0.0
-    ksq = k1**2 + k2**2
-    ksq[0, 0] = 1.0
+    zero = (0,) * grid.ndim
+    rho_hat = np.fft.fftn(rho)
+    rho_hat[zero] = 0.0
+    ksq = sum(k**2 for k in _per_axis(grid, _wavenumbers))
+    ksq[zero] = 1.0
     phi_hat = rho_hat / ksq
-    phi_hat[0, 0] = 0.0
-    d1 = _derivative_factor(n1, h1)[:, None]
-    d2 = _derivative_factor(n2, h2)[None, :]
-    e1 = np.fft.ifft2(-sign * d1 * phi_hat).real
-    e2 = np.fft.ifft2(-sign * d2 * phi_hat).real
-    return ElectricField(E=(e1, e2), phi=np.fft.ifft2(phi_hat).real)
+    phi_hat[zero] = 0.0
+    e = tuple(np.fft.ifftn(-sign * d * phi_hat).real
+              for d in _per_axis(grid, _derivative_factor))
+    return ElectricField(E=e, phi=np.fft.ifftn(phi_hat).real)
 
 
 def divergence(field: ElectricField, grid: SpatialGrid) -> np.ndarray:
     """Spectral divergence of the field (diagnostic for the solve identity)."""
-    if grid.ndim == 1:
-        (e,) = field.E
-        return np.fft.ifft(_derivative_factor(grid.n[0], grid.h[0]) * np.fft.fft(e)).real
-    d1 = _derivative_factor(grid.n[0], grid.h[0])[:, None]
-    d2 = _derivative_factor(grid.n[1], grid.h[1])[None, :]
-    return (np.fft.ifft2(d1 * np.fft.fft2(field.E[0])).real
-            + np.fft.ifft2(d2 * np.fft.fft2(field.E[1])).real)
+    return sum(np.fft.ifftn(d * np.fft.fftn(e)).real
+               for d, e in zip(_per_axis(grid, _derivative_factor), field.E))
 
 
 def field_energy(field: ElectricField, grid: SpatialGrid) -> float:

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 import lrvlasov.htucker as ht
+import lrvlasov.macro as macro
 from lrvlasov.config import from_preset
 from lrvlasov.driver import History, advance, initialize, select_dt, step
 from lrvlasov.errors import RankOverflowError
 from lrvlasov.lowrank import LowRankMatrix
-from lrvlasov.macro import MacroState1D, MacroState2D
 from lrvlasov.poisson import field_energy, solve_poisson
 from lrvlasov.projection import moments
 from lrvlasov.driver import run
@@ -36,8 +36,8 @@ def test_initial_macro_state_consistency():
     f0, u0 = hist.fs[-1], hist.us[-1]
     m0 = moments(f0, problem.vgrid)
     field = solve_poisson(m0.rho, problem.sgrid)
-    assert np.allclose(u0.rho, m0.rho)
-    assert np.allclose(u0.e, m0.kappa + 0.5 * field.E[0] ** 2)
+    assert np.allclose(u0[0], m0.rho)
+    assert np.allclose(u0[-1], m0.kappa + 0.5 * field.E[0] ** 2)
 
 
 def test_multistep_ready_logic():
@@ -111,12 +111,12 @@ def test_macro_moments_pinned_each_step():
     for _ in range(4):
         advance(problem, hist, dt)
     m = moments(hist.fs[-1], problem.vgrid)
-    u = hist.us[-1]
-    field = solve_poisson(u.rho, problem.sgrid, cfg.poisson_sign)
-    kappa_u = u.e - 0.5 * field.E[0] ** 2
-    ref = np.abs(u.rho).max()
-    assert np.max(np.abs(m.rho - u.rho)) < 1e-12 * ref
-    assert np.max(np.abs(m.J - u.J)) < 1e-12 * ref
+    rho, j, e = hist.us[-1]
+    field = solve_poisson(rho, problem.sgrid, cfg.poisson_sign)
+    kappa_u = e - 0.5 * field.E[0] ** 2
+    ref = np.abs(rho).max()
+    assert np.max(np.abs(m.rho - rho)) < 1e-12 * ref
+    assert np.max(np.abs(m.J - j)) < 1e-12 * ref
     assert np.max(np.abs(m.kappa - kappa_u)) < 1e-12 * ref
 
 
@@ -127,13 +127,13 @@ def test_macro_moments_pinned_2d():
     for _ in range(4):
         advance(problem, hist, dt)
     m = ht.ht_moments(hist.fs[-1], problem.vgrids)
-    u = hist.us[-1]
-    field = solve_poisson(u.rho, problem.sgrid, cfg.poisson_sign)
-    kappa_u = u.e - 0.5 * field.magnitude_squared()
-    ref = np.abs(u.rho).max()
-    assert np.max(np.abs(m.rho - u.rho)) < 1e-12 * ref
-    assert np.max(np.abs(m.J1 - u.J1)) < 1e-12 * ref
-    assert np.max(np.abs(m.J2 - u.J2)) < 1e-12 * ref
+    rho, j1, j2, e = hist.us[-1]
+    field = solve_poisson(rho, problem.sgrid, cfg.poisson_sign)
+    kappa_u = e - 0.5 * field.magnitude_squared()
+    ref = np.abs(rho).max()
+    assert np.max(np.abs(m.rho - rho)) < 1e-12 * ref
+    assert np.max(np.abs(m.J1 - j1)) < 1e-12 * ref
+    assert np.max(np.abs(m.J2 - j2)) < 1e-12 * ref
     assert np.max(np.abs(m.kappa - kappa_u)) < 1e-12 * ref
 
 
@@ -201,7 +201,7 @@ def _smooth_lowrank(problem, shift):
 def _macro_of(problem, f):
     m = moments(f, problem.vgrid)
     field = solve_poisson(m.rho, problem.sgrid)
-    return MacroState1D(m.rho, m.J, m.kappa + 0.5 * field.E[0] ** 2)
+    return np.stack([m.rho, m.J, m.kappa + 0.5 * field.E[0] ** 2])
 
 
 @pytest.mark.parametrize("method", ["plain", "conservative", "macro"])
@@ -222,7 +222,7 @@ def test_dense_scheme_equivalence_1d(method):
     u_nm2 = hist.us[-3]
     dense_new, _ = dense_step_1d(
         f_n.dense(), f_nm2.dense(),
-        [u_n.rho, u_n.J, u_n.e], [u_nm2.rho, u_nm2.J, u_nm2.e],
+        list(u_n), list(u_nm2),
         method, 0.0, problem.sgrid, problem.vgrid, dt=dt)
     ref = np.linalg.norm(dense_new)
     assert np.linalg.norm(f_new.dense() - dense_new) < 1e-11 * ref
@@ -244,8 +244,7 @@ def _smooth_ht(problem, shift):
 def _macro_of_2d(problem, f):
     m = ht.ht_moments(f, problem.vgrids)
     field = solve_poisson(m.rho, problem.sgrid)
-    return MacroState2D(m.rho, m.J1, m.J2,
-                        m.kappa + 0.5 * field.magnitude_squared())
+    return np.stack([m.rho, m.J1, m.J2, m.kappa + 0.5 * field.magnitude_squared()])
 
 
 @pytest.mark.parametrize("method", ["plain", "conservative", "macro"])
@@ -281,13 +280,12 @@ def test_dense_scheme_equivalence_2d(method):
             dense_new = carrier_own + remainder
         else:
             u_n, u_nm2 = hist.us[-1], hist.us[-3]
-            fluxes = __import__("lrvlasov.macro", fromlist=["kfvs_fluxes_2d"])
-            fs = fluxes.kfvs_fluxes_2d(f_n, problem.vgrids)
-            u_new = fluxes.combine([u_nm2, u_n], [0.25, 0.75],
-                                   fluxes.rate_2d(u_n, fs, field_n, problem.sgrid), 1.5 * dt)
-            field_new = solve_poisson(u_new.rho, problem.sgrid)
-            kappa = u_new.e - 0.5 * field_new.magnitude_squared()
-            m_target = ht.Moments2D(u_new.rho, u_new.J1, u_new.J2, kappa)
+            fs = macro.kfvs_fluxes_2d(f_n, problem.vgrids)
+            u_new = macro.combine([u_nm2, u_n], [0.25, 0.75],
+                                  macro.rate(u_n, fs, field_n, problem.sgrid), 1.5 * dt)
+            field_new = solve_poisson(u_new[0], problem.sgrid)
+            kappa = u_new[-1] - 0.5 * field_new.magnitude_squared()
+            m_target = ht.Moments2D(*u_new[:-1], kappa)
             basis2 = problem.basis2
             carrier = ht.ht_lift_moments(m_target, basis2, problem.sgrid.n).dense()
             dense_new = carrier + remainder

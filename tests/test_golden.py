@@ -35,7 +35,10 @@ RUNS = {
     "weak_landau_2d2v_macro": ("weak_landau_2d2v", {"method": "macro", "t_end": 0.25}),
     "two_stream_2d2v_macro": ("two_stream_2d2v", {"method": "macro", "t_end": 0.5}),
 }
-RESUMED = "strong_landau_1d_plain"
+# runs also checked through a snapshot and a resume from it; the first one
+# (plain, no macro levels) is checked only there, the macro runs in both formats
+# also carry their co-evolved (rho, J, e) levels through the snapshot
+RESUMED = ["strong_landau_1d_plain", "weak_landau_1d_macro", "weak_landau_2d2v_macro"]
 SNAPSHOT_EVERY = 10
 CONVERGENCE_SIZES = [16, 32]
 
@@ -84,15 +87,16 @@ def _write(stem: str, table) -> None:
         csv.writer(fh, lineterminator="\n").writerows(table)
 
 
-@pytest.mark.parametrize("stem", sorted(set(RUNS) - {RESUMED}))
+@pytest.mark.parametrize("stem", sorted(set(RUNS) - {RESUMED[0]}))
 def test_golden_run(stem):
     assert _table(_run(stem)) == _read(stem)
 
 
-def test_golden_snapshot_and_resume(tmp_path):
-    full = _run(RESUMED, snapshot_dir=tmp_path)
-    assert _table(full) == _read(RESUMED)
-    preset, overrides = RUNS[RESUMED]
+@pytest.mark.parametrize("stem", RESUMED)
+def test_golden_snapshot_and_resume(tmp_path, stem):
+    full = _run(stem, snapshot_dir=tmp_path)
+    assert _table(full) == _read(stem)
+    preset, overrides = RUNS[stem]
     cfg = from_preset(preset, output_every=1, **overrides)
     resumed = run(cfg, resume=str(tmp_path / f"snapshot_{SNAPSHOT_EVERY:06d}.bin"))
     # the resumed run records from the snapshot's step on, bit for bit

@@ -8,7 +8,6 @@ from lrvlasov.htucker import HtTensor
 from lrvlasov.io import (DiagnosticsRow, read_diagnostics, snapshot_read,
                          snapshot_write, write_diagnostics)
 from lrvlasov.lowrank import LowRankMatrix
-from lrvlasov.macro import MacroState1D
 
 
 def test_preset_defaults_weak_landau():
@@ -127,6 +126,27 @@ def test_eps_relative_rejected_where_unsupported(preset, method):
     assert from_preset("weak_landau_1d", method="plain", eps_relative=True).eps_relative
 
 
+def test_nv2_key_removed(tmp_path):
+    # both velocity directions of 2D2V share nv; a second size is not a key
+    with pytest.raises(ConfigError, match="nv2"):
+        parse_overrides(["grid.nv2=16"])
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("[preset]\nname = weak_landau_2d2v\n[grid]\nnv2 = 16\n")
+    with pytest.raises(ConfigError, match="nv2"):
+        load_config(path=cfg_file)
+    problem, _ = initialize(from_preset("weak_landau_2d2v", nx=8, nv=16, t_end=0.0))
+    assert [g.n for g in problem.vgrids] == [16, 16]
+
+
+def test_nx2_rejected_in_1d1v():
+    # 1D1V has one spatial axis, so a second size other than nx is an error
+    with pytest.raises(ConfigError, match="nx2"):
+        from_preset("weak_landau_1d", nx2=9)
+    assert from_preset("weak_landau_1d").nx2 == 64
+    assert from_preset("weak_landau_1d", nx2=64).nx2 == 64
+    assert from_preset("weak_landau_2d2v", nx2=8).nx2 == 8
+
+
 # ---------------------------------------------------------------------------
 # diagnostics CSV
 
@@ -198,8 +218,8 @@ def test_snapshot_roundtrip_lowrank(tmp_path, rng):
     problem, hist = initialize(cfg)
     f = LowRankMatrix(rng.standard_normal(3) ** 2, rng.standard_normal((16, 3)),
                       rng.standard_normal((33, 3)))
-    u = MacroState1D(rng.standard_normal(16), rng.standard_normal(16),
-                     rng.standard_normal(16))
+    u = np.stack([rng.standard_normal(16), rng.standard_normal(16),
+                  rng.standard_normal(16)])
     hist.fs = [f]
     hist.us = [u]
     hist.t = 0.375
@@ -216,9 +236,9 @@ def test_snapshot_roundtrip_lowrank(tmp_path, rng):
     assert np.array_equal(g.Ux, f.Ux)
     assert np.array_equal(g.Uv, f.Uv)
     b = back.us[0]
-    assert np.array_equal(b.rho, u.rho)
-    assert np.array_equal(b.J, u.J)
-    assert np.array_equal(b.e, u.e)
+    assert np.array_equal(b[0], u[0])  # rho
+    assert np.array_equal(b[1], u[1])  # J
+    assert np.array_equal(b[2], u[2])  # e
 
 
 def test_snapshot_roundtrip_ht(tmp_path, rng):
@@ -264,6 +284,21 @@ def test_snapshot_grid_mismatch(tmp_path):
     other, _ = initialize(from_preset("weak_landau_1d", nx=32, nv=33))
     with pytest.raises(SnapshotError, match="signature"):
         snapshot_read(path, other)
+
+
+def test_snapshot_grid_signature_layout(tmp_path):
+    # nine words, nv repeated in the slot of the former second velocity size,
+    # so files written before that key was removed still load
+    from lrvlasov.io import snapshot_load
+
+    cfg = from_preset("weak_landau_2d2v", nx=8, nv=16, t_end=0.0)
+    problem, hist = initialize(cfg)
+    path = tmp_path / "s.bin"
+    snapshot_write(hist, problem, path)
+    _, sig, _ = snapshot_load(path)
+    assert sig == (8.0, 8.0, 16.0, 16.0, cfg.x_min, cfg.x_max, cfg.v_max, cfg.beta,
+                   cfg.eps)
+    assert snapshot_read(path, problem).step == 0
 
 
 def test_resume_bit_exact(tmp_path):
@@ -339,6 +374,25 @@ def test_cli_error_reporting(capsys):
     rc = main(["run", "--preset", "unknown_preset"])
     assert rc == 2
     assert "unknown preset" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("preset,override", [
+    ("weak_landau_1d", "grid.nx=4"),        # GridSizeError
+    ("weak_landau_1d", "grid.beta=-1"),     # DomainError
+    ("weak_landau_1d", "grid.vmax=0"),      # DomainError
+    ("weak_landau_1d", "grid.nx2=9"),       # ConfigError
+    ("weak_landau_2d2v", "grid.nv2=16"),    # ConfigError (removed key)
+])
+def test_cli_typed_errors_one_line(tmp_path, capsys, preset, override):
+    from lrvlasov.cli import main
+
+    rc = main(["run", "--preset", preset, "--set", override, "--set", "method.t_end=0.05",
+               "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "Traceback" not in err
 
 
 def test_cli_rank_overflow_reporting(tmp_path, capsys):
