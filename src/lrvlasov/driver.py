@@ -44,7 +44,7 @@ from . import htucker as ht  # noqa: F401  (kept bound as driver.ht for callers)
 from . import io as _io
 from . import macro
 from .config import SolverConfig
-from .errors import RankOverflowError
+from .errors import NonFiniteError, RankOverflowError, SnapshotError
 from .formats import FORMATS, Problem
 from .io import DiagnosticsRow
 from .macro import recover_kinetic_energy
@@ -110,10 +110,16 @@ class History:
         return all(abs(d - dt) <= _DT_MATCH * ref for d in self.dts[-2:])
 
     def newest(self, problem: Problem):
-        """Moments and field of the newest stored level, solved once per level."""
+        """Moments and field of the newest stored level, solved once per level.
+
+        Non-finite moments stop the run here, at the step that produced them.
+        """
         f = self.fs[-1]
         if not self.cache or self.cache[0] is not f:
             m = problem.moments(f)
+            if not all(np.isfinite(a).all() for a in _values(m)):
+                raise NonFiniteError(f"non-finite moments at step {self.step} "
+                                     f"(t={self.t:.6g})")
             self.cache = (f, m, _field_of(problem, m.rho))
         return self.cache[1], self.cache[2]
 
@@ -253,12 +259,29 @@ def _march(problem: Problem, hist: History):
         yield
 
 
+def _resume(problem: Problem, path) -> History:
+    """The snapshot's history, refused unless the method can step its levels.
+
+    macro stores a (rho, J, e) level beside every kinetic level; the other
+    methods store one only beside the initial state.
+    """
+    hist = _io.snapshot_read(path, problem)
+    method = problem.cfg.method
+    if method == "macro" and any(u is None for u in hist.us):
+        raise SnapshotError(f"{path}: snapshot has no macroscopic levels, which "
+                            f"method=macro needs; resume it under the method that wrote it")
+    if method != "macro" and hist.step > 0 and hist.us[-1] is not None:
+        raise SnapshotError(f"{path}: snapshot carries macroscopic levels, so "
+                            f"method=macro wrote it, not method={method}")
+    return hist
+
+
 def run(cfg: SolverConfig, snapshot_every: int = 0, snapshot_dir=None,
         resume=None) -> list[DiagnosticsRow]:
     """Advance to t_end, returning diagnostics at the configured cadence."""
     problem, hist = initialize(cfg)
     if resume is not None:
-        hist = _io.snapshot_read(resume, problem)
+        hist = _resume(problem, resume)
     series: list[DiagnosticsRow] = []
     clock0 = time.perf_counter()
 

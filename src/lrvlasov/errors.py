@@ -31,3 +31,7 @@ class SnapshotError(LrvlasovError, RuntimeError):
 
 class RankOverflowError(LrvlasovError, RuntimeError):
     """Solution rank exceeded the configured cap."""
+
+
+class NonFiniteError(LrvlasovError, ArithmeticError):
+    """The solution's moments became NaN or infinite."""

@@ -9,10 +9,21 @@ velocity-pair columns:
     f[i, j1, j2] = sum_{lx, lv} Ux[i, lx] B[lx, lv]
                    * sum_{l1, l2} Bvv[l1, l2, lv] Uv1[j1, l1] Uv2[j2, l2]
 
-Addition concatenates blocks exactly.  Truncation orthogonalizes leaves to
-root, then cuts three nodes (the root separation and the two velocity leaves)
-by their singular spectra with per-node tolerance eps/sqrt(3), which bounds
-the total error by eps in the Frobenius norm.  Physical space is never
+Addition concatenates blocks exactly.  Truncation cuts three nodes (the root
+separation and the two velocity leaves) by their singular spectra with
+per-node tolerance eps/sqrt(3), which bounds the total error by eps in the
+Frobenius norm (Grasedyck's hierarchical SVD bound).  For eps > 0 the root cut
+of a block sum comes from an adaptive randomized range finder (Halko,
+Martinsson & Tropp) applied to the sum's (space | velocity pair) matrix
+through the blocks' own factors, so the sum is never formed: a Gaussian sketch
+of 16 columns, drawn from a generator with a fixed seed, doubles until the
+exact discarded tail (the squared Frobenius norm from Gram matrices, minus the
+kept squared singular values) is within eps/sqrt(3), or within the Gram
+products' round-off where cancelling blocks put eps below it, and the sketch
+is at least 8 columns wider than the kept rank; one subspace iteration then
+sharpens the frame.  The fixed seed makes the result a function of the input
+alone, so a resumed run repeats an uninterrupted one bit for bit.  eps = 0
+keeps everything and stays on Householder QR.  Physical space is never
 compressed below the stored spatial frame: its rank only changes through the
 root separation.
 """
@@ -107,53 +118,22 @@ def _mode2(mat: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.moveaxis(np.tensordot(mat, t, axes=(1, 1)), 0, 1)
 
 
-def _gram_whiten(a: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray]:
-    """Whitener w and triangular-like r with a ~= (a @ w) @ r, a @ w orthonormal.
-
-    Built from the equilibrated Gram matrix: roughly an order of magnitude
-    cheaper than Householder QR on the tall stacks assembled by a time step,
-    at the cost of a sqrt(machine-eps) accuracy floor on small singular
-    values.  Only used on the truncating path, where everything near that
-    floor is discarded anyway.  Returning the whitener instead of the
-    orthonormal factor lets callers postpone the tall product until after
-    rank decisions have shrunk it.
-    """
-    m = a.shape[1]
-    if m == 0:
-        return np.zeros((0, 0)), np.zeros((0, 0))
-    norms = np.sqrt(np.einsum("ij,ij->j", a, a))
-    safe = np.where(norms > 0, norms, 1.0)
-    g = (a.T @ a) / np.outer(safe, safe)
-    lam, vec = np.linalg.eigh(g)
-    lam = lam[::-1]
-    vec = vec[:, ::-1]
-    top = max(lam[0], 0.0)
-    nmax = float(np.max(norms, initial=0.0))
-    lam_floor = 0.0 if nmax == 0.0 else (floor / nmax) ** 2
-    cut = max(lam_floor, 100.0 * m * np.finfo(float).eps * max(top, 1e-300))
-    k = int(np.sum(lam > cut))
-    if k == 0:
-        return np.zeros((m, 0)), np.zeros((0, m))
-    root = np.sqrt(lam[:k])
-    w = (vec[:, :k] / root[None, :]) / safe[:, None]
-    r = root[:, None] * (vec[:, :k].T * safe[None, :])
-    return w, r
-
-
-def _assemble_sum(terms):
-    """Shared stacking for sum routines: leaf QRs, pair unfold, spatial stack.
-
-    Block-diagonal transfer tensors of a concatenated sum are mostly zeros;
-    orthogonalizing the stacked leaves first and mapping each term's transfer
-    into the shared leaf bases keeps every intermediate at its true size.
-    Returns (q1, q2, mat, ux_cat, apply_b) where mat is the pair unfold in the
-    (q1 o q2) basis and apply_b(rv) evaluates blockdiag(B_t) @ rv.T without
-    forming the block diagonal.
-    """
+def _check_shapes(terms) -> None:
     shape = terms[0].shape
     for t in terms[1:]:
         if t.shape != shape:
             raise DimensionError(f"shape mismatch in sum: {t.shape} vs {shape}")
+
+
+def ht_canonicalize_sum(terms) -> HtTensor:
+    """Canonical form of sum(terms) without materializing the padded sum.
+
+    Block-diagonal transfer tensors of a concatenated sum are mostly zeros;
+    orthogonalizing the stacked leaves first and mapping each term's transfer
+    into the shared leaf bases keeps every intermediate at its true size.
+    """
+    terms = list(terms)
+    _check_shapes(terms)
     q1, r1 = np.linalg.qr(np.hstack([t.Uv1 for t in terms]))
     q2, r2 = np.linalg.qr(np.hstack([t.Uv2 for t in terms]))
     off1 = np.cumsum([0] + [t.Uv1.shape[1] for t in terms])
@@ -162,26 +142,12 @@ def _assemble_sum(terms):
         [_mode2(r2[:, off2[i]:off2[i + 1]],
                 _mode1(r1[:, off1[i]:off1[i + 1]], t.Bvv))
          for i, t in enumerate(terms)], axis=2)
-    mat = bvv.reshape(-1, bvv.shape[2])
-    ux_cat = np.hstack([t.Ux for t in terms])
+    qv, rv = np.linalg.qr(bvv.reshape(-1, bvv.shape[2]))
+    qx, rx = np.linalg.qr(np.hstack([t.Ux for t in terms]))
     offv = np.cumsum([0] + [t.B.shape[1] for t in terms])
-
-    def apply_b(rv: np.ndarray) -> np.ndarray:
-        return np.vstack([t.B @ rv[:, offv[i]:offv[i + 1]].T
-                          for i, t in enumerate(terms)])
-
-    return q1, q2, mat, ux_cat, apply_b
-
-
-def ht_canonicalize_sum(terms) -> HtTensor:
-    """Canonical form of sum(terms) without materializing the padded sum."""
-    terms = list(terms)
-    q1, q2, mat, ux_cat, apply_b = _assemble_sum(terms)
-    qv, rv = np.linalg.qr(mat)
-    bvv = qv.reshape(q1.shape[1], q2.shape[1], -1)
-    qx, rx = np.linalg.qr(ux_cat)
-    b = rx @ apply_b(rv)
-    return HtTensor(qx, b, bvv, q1, q2, terms[0].nx, canonical=True)
+    b = rx @ np.vstack([t.B @ rv[:, offv[i]:offv[i + 1]].T for i, t in enumerate(terms)])
+    return HtTensor(qx, b, qv.reshape(q1.shape[1], q2.shape[1], -1), q1, q2, terms[0].nx,
+                    canonical=True)
 
 
 def ht_canonicalize(f: HtTensor) -> HtTensor:
@@ -228,15 +194,119 @@ def _finish_truncation(ux, core, uv1, uv2, nx, tol, floor):
     return HtTensor(ux, rv.T, bvv, new_uv1, new_uv2, nx, canonical=True)
 
 
+_SKETCH_START = 16   # columns of the first sketch; each retry doubles them
+_SKETCH_MARGIN = 8   # sketch columns beyond the kept rank
+_SKETCH_SEED = 0     # fixed, so the result is a function of the input alone
+_GRAM_NOISE = 4.0 * np.finfo(float).eps  # round-off per unit of summed absolute products
+
+
+class _PairUnfold:
+    """Pair unfold of a block sum in the stacked leaf bases, never formed.
+
+    Column block t is term t's Bvv with its first two indices mapped through
+    the term's blocks of the stacked leaf R factors, so the matrix has
+    n1 * n2 rows (the velocity pair in the q1 o q2 basis) and one column per
+    term and root index.  Terms are reordered so that those sharing one Bvv
+    object (a step's f^n and its transport blocks) are contiguous; the Gram
+    then takes a few matrix products per term and run, not per pair of terms.
+    """
+
+    def __init__(self, terms):
+        runs = {}
+        for t in terms:
+            runs.setdefault(id(t.Bvv), []).append(t)
+        self.terms = [t for run in runs.values() for t in run]
+        self.runs = np.cumsum([0] + [len(run) for run in runs.values()])
+        self.q1, self.r1 = np.linalg.qr(np.hstack([t.Uv1 for t in self.terms]))
+        self.q2, self.r2 = np.linalg.qr(np.hstack([t.Uv2 for t in self.terms]))
+        self.o1, self.o2, self.ov = (
+            np.cumsum([0] + [t.Bvv.shape[i] for t in self.terms]) for i in range(3))
+
+    def _leaves(self, s: int) -> tuple[np.ndarray, np.ndarray]:
+        return (self.r1[:, self.o1[s]:self.o1[s + 1]], self.r2[:, self.o2[s]:self.o2[s + 1]])
+
+    def gram(self) -> np.ndarray:
+        """mat^T mat from the leaf R factors, one term against each later run.
+
+        Block (s, t) is sum Bvv_s[a, b, k] G1[s a, t c] G2[s b, t d]
+        Bvv_t[c, d, l] with G1, G2 the stacked leaves' Grams; the lower
+        triangle follows by symmetry.
+        """
+        n = self.ov[-1]
+        gv = np.empty((n, n))
+        for s, ts in enumerate(self.terms):
+            a, b, k = ts.Bvv.shape
+            r1s, r2s = self._leaves(s)
+            rows = slice(self.ov[s], self.ov[s + 1])
+            for lo, hi in zip(self.runs[:-1], self.runs[1:]):
+                if hi <= s:
+                    continue
+                lo = max(lo, s)
+                bt = self.terms[lo].Bvv
+                c, d, l = bt.shape
+                m = hi - lo
+                # y[t, (c, b), k] = sum_a G1[s a, t c] Bvv_s[a, b, k]
+                y = (self.r1[:, self.o1[lo]:self.o1[hi]].T @ r1s) @ ts.Bvv.reshape(a, -1)
+                # u[t, (c, b), l] = sum_d G2[s b, t d] Bvv_t[c, d, l]
+                g2 = r2s.T @ self.r2[:, self.o2[lo]:self.o2[hi]]
+                u = np.matmul(g2.reshape(b, m, d).transpose(1, 0, 2)[:, None], bt)
+                block = np.matmul(y.reshape(m, c * b, k).transpose(0, 2, 1),
+                                  u.reshape(m, c * b, l))
+                gv[rows, self.ov[lo]:self.ov[hi]] = block.transpose(1, 0, 2).reshape(k, -1)
+            gv[self.ov[s + 1]:, rows] = gv[rows, self.ov[s + 1]:].T
+        return gv
+
+    def rmatmul(self, omega: np.ndarray) -> np.ndarray:
+        """mat^T omega for omega of shape (n1, n2, p)."""
+        n1, n2, p = omega.shape
+        x = (self.r1.T @ omega.reshape(n1, -1)).reshape(-1, n2, p)
+        out = []
+        for s, ts in enumerate(self.terms):
+            a, b, _ = ts.Bvv.shape
+            r2s = self._leaves(s)[1]
+            xs = np.matmul(r2s.T, x[self.o1[s]:self.o1[s + 1]]).reshape(a * b, p)
+            out.append(ts.Bvv.reshape(a * b, -1).T @ xs)
+        return np.vstack(out)
+
+    def matmul(self, w: np.ndarray) -> np.ndarray:
+        """mat w as an (n1, n2, k) core."""
+        core = 0.0
+        for s, ts in enumerate(self.terms):
+            a, b, _ = ts.Bvv.shape
+            r1s, r2s = self._leaves(s)
+            x = (ts.Bvv.reshape(a * b, -1) @ w[self.ov[s]:self.ov[s + 1]]).reshape(a, -1)
+            x = (r1s @ x).reshape(-1, b, w.shape[1])
+            core = core + np.matmul(r2s, x)
+        return core
+
+
 def ht_truncate_sum(terms, eps: float, droptol: float = DEFAULT_DROPTOL) -> HtTensor:
     """Hierarchical truncation of sum(terms), total Frobenius error <= eps.
 
-    eps > 0 takes the fast Gram orthogonalization route (its noise floor sits
-    orders of magnitude below any kept singular value), postponing the tall
-    products until rank decisions have shrunk them, and finishes with an exact
-    re-canonicalization of the small result.  eps = 0 keeps everything and
-    uses Householder QR throughout so round trips are clean to machine
-    precision.
+    eps > 0: the spatial frame comes from an adaptive randomized range finder
+    on the root matricization M = Ux_cat blockdiag(B_t) mat^T (rows: space;
+    columns: velocity pair), where mat is the pair unfold in the stacked leaf
+    bases.  M is only ever applied (``_PairUnfold``), and ||M||_F^2 is exact,
+    from the spatial and pair Gram matrices.  The Gaussian sketch starts at
+    16 columns drawn from ``default_rng`` with a fixed seed, so equal inputs
+    give equal bits, and doubles until the exact discarded tail
+    ||M||_F^2 - sum of kept s^2 is at most (eps/sqrt(3))^2 and the sketch is
+    at least 8 columns wider than the kept rank; without that margin the
+    frame sees only as far as the cut and the rank grows.  Two limits keep
+    the loop finite: a sketch as wide as the rank bound of M misses nothing,
+    so its tail is the discarded s^2 alone, and no tail below the round-off
+    of the Gram products (4 machine eps times the sum of their absolute
+    products) is asked for, since cancelling blocks can put eps/sqrt(3)
+    beneath it.  The singular values come from the p x p Gram
+    (Q^T M)(Q^T M)^T.  Once the sketch suffices, one subspace iteration,
+    Q <- orth(M M^T Q), which costs only products with the Grams, sharpens the
+    frame near the cut; it replaces Q where its own exact tail allows no
+    larger kept rank.  The kept frame Q U and the pair core are orthonormal,
+    so no re-canonicalization follows.  Both velocity leaves are then cut at
+    eps/sqrt(3) from the core's Grams.
+
+    eps = 0 keeps everything and uses Householder QR throughout so round
+    trips are clean to machine precision.
     """
     if eps < 0:
         raise DomainError(f"truncation threshold must be >= 0, got {eps}")
@@ -260,23 +330,63 @@ def ht_truncate_sum(terms, eps: float, droptol: float = DEFAULT_DROPTOL) -> HtTe
         core = (g.Bvv @ vt[:keep].T) * s[:keep]
         return _finish_truncation(ux, core, g.Uv1, g.Uv2, g.nx, tol, floor)
 
-    q1, q2, mat, ux_cat, apply_b = _assemble_sum(terms)
-    w_v, r_v = _gram_whiten(mat, floor)
-    w_x, r_x = _gram_whiten(ux_cat, floor)
-    if r_v.shape[0] == 0 or r_x.shape[0] == 0:
+    _check_shapes(terms)
+    terms = [t for t in terms if min(t.ranks) > 0]  # zero blocks add nothing
+    if not terms:
         return ht_zero(nx, nv1, nv2)
-    b = r_x @ apply_b(r_v)
-    u, s, vt = np.linalg.svd(b, full_matrices=False)
-    keep = _keep_count(s, tol, floor)
-    if keep == 0:
+    pair = _PairUnfold(terms)
+    xb = np.hstack([t.Ux @ t.B for t in pair.terms])
+    gv = pair.gram()
+    products = (xb.T @ xb) * gv
+    norm2 = float(products.sum())
+    # blocks that cancel leave ||M||^2 far below the products it sums, whose
+    # round-off sets the finest tail the Grams can tell from zero
+    cut2 = max(tol ** 2, _GRAM_NOISE * float(np.abs(products, out=products).sum()))
+    if norm2 <= cut2:
         return ht_zero(nx, nv1, nv2)
-    ux = ux_cat @ (w_x @ u[:, :keep])
-    pair = mat @ (w_v @ vt[:keep].T)
-    core = pair.reshape(q1.shape[1], q2.shape[1], keep) * s[:keep]
-    out = _finish_truncation(ux, core, q1, q2, nx, tol, floor)
-    # the Gram route leaves the frames only near-orthonormal; one exact pass
-    # over the now-small object restores machine-precision canonical form
-    return ht_canonicalize(out)
+    n1, n2 = pair.q1.shape[1], pair.q2.shape[1]
+    most = min(xb.shape[0], xb.shape[1], n1 * n2)
+
+    def cut(z):
+        """Kept count for the frame with Q^T Xb = z (None if no count meets
+        cut2), and the eigenvectors and eigenvalues of (Q^T M)(Q^T M)^T,
+        largest first."""
+        lam, vec = np.linalg.eigh(z @ gv @ z.T)
+        lam, vec = np.maximum(lam[::-1], 0.0), vec[:, ::-1]
+        # tail after k kept = what the frame misses + sum(lam[k:]); a frame
+        # as wide as the rank bound misses nothing
+        missed = norm2 - lam.sum() if z.shape[0] < most else 0.0
+        ok = missed + np.concatenate((np.cumsum(lam[::-1])[::-1], [0.0])) <= cut2
+        return (int(np.argmax(ok)) if ok.any() else None), vec, lam
+
+    rng = np.random.default_rng(_SKETCH_SEED)
+    sketch = np.zeros((xb.shape[1], 0))
+    width = _SKETCH_START
+    while True:
+        new = min(width, most) - sketch.shape[1]
+        sketch = np.hstack([sketch, pair.rmatmul(rng.standard_normal((n1, n2, new)))])
+        q = np.linalg.qr(xb @ sketch)[0]
+        z = q.T @ xb
+        keep, vec, lam = cut(z)
+        if q.shape[1] == most:
+            keep = q.shape[1] if keep is None else keep
+            break
+        if keep is not None and q.shape[1] >= keep + _SKETCH_MARGIN:
+            # lam[k] <= s_k(M)^2 <= the best tail after k kept, so a fewer-kept
+            # cut can exist only if lam[keep - 1] <= cut2; then one subspace
+            # iteration, M M^T Q = Xb gv (Q^T Xb)^T, sharpens the frame near
+            # the cut and is kept where it cuts no later
+            if lam[keep - 1] <= cut2:
+                sharp = np.linalg.qr(xb @ (gv @ z.T))[0]
+                sharp_z = sharp.T @ xb
+                keep2, vec2, _ = cut(sharp_z)
+                if keep2 is not None and keep2 <= keep:
+                    q, z, keep, vec = sharp, sharp_z, keep2, vec2
+            break
+        width *= 2
+    ux = q @ vec[:, :keep]
+    core = pair.matmul(z.T @ vec[:, :keep])
+    return _finish_truncation(ux, core, pair.q1, pair.q2, nx, tol, floor)
 
 
 def ht_truncate(f: HtTensor, eps: float, droptol: float = DEFAULT_DROPTOL) -> HtTensor:

@@ -11,6 +11,7 @@ bit-exactly.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -185,16 +186,27 @@ def _grid_signature(problem) -> tuple[float, ...]:
 
 
 def snapshot_write(hist, problem, path) -> None:
+    """Write the history to ``path`` atomically.
+
+    The bytes go to ``<path>.tmp``, which replaces ``path`` only once it is
+    complete; a failed write removes it, so no partial snapshot is left.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("wb") as fh:
-        fh.write(_MAGIC)
-        _write_ints(fh, SNAPSHOT_VERSION, 1 if problem.cfg.dim == "1d1v" else 2,
-                    hist.step, len(hist.fs), len(hist.dts))
-        _write_floats(fh, hist.t, hist.dt_work, *hist.dts)
-        _write_floats(fh, *_grid_signature(problem))
-        for f, u in zip(hist.fs, hist.us):
-            _write_level(fh, f, u)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with tmp.open("wb") as fh:
+            fh.write(_MAGIC)
+            _write_ints(fh, SNAPSHOT_VERSION, 1 if problem.cfg.dim == "1d1v" else 2,
+                        hist.step, len(hist.fs), len(hist.dts))
+            _write_floats(fh, hist.t, hist.dt_work, *hist.dts)
+            _write_floats(fh, *_grid_signature(problem))
+            for f, u in zip(hist.fs, hist.us):
+                _write_level(fh, f, u)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def snapshot_load(path):

@@ -5,7 +5,7 @@ import lrvlasov.htucker as ht
 import lrvlasov.macro as macro
 from lrvlasov.config import from_preset
 from lrvlasov.driver import History, advance, initialize, select_dt, step
-from lrvlasov.errors import RankOverflowError
+from lrvlasov.errors import NonFiniteError, RankOverflowError
 from lrvlasov.lowrank import LowRankMatrix
 from lrvlasov.poisson import field_energy, solve_poisson
 from lrvlasov.projection import moments
@@ -317,3 +317,19 @@ def test_forced_one_step_residual_small():
         residuals.append(np.max(np.abs(f_new.dense() - exact)))
     # one-step error should shrink at least like dt^3 until the h^5 floor
     assert residuals[0] / residuals[1] > 4.0
+
+
+def test_non_finite_state_stops_run_at_its_step(monkeypatch):
+    import lrvlasov.driver as driver
+
+    real_step = driver.step
+
+    def poisoned(problem, hist, dt):
+        f, u = real_step(problem, hist, dt)
+        if hist.step == 4:  # the state this returns becomes step 5
+            f = LowRankMatrix(f.C * np.nan, f.Ux, f.Uv)
+        return f, u
+
+    monkeypatch.setattr(driver, "step", poisoned)
+    with pytest.raises(NonFiniteError, match=r"step 5 \(t=0\.\d+"):
+        run(from_preset("weak_landau_1d", nx=16, nv=33, t_end=1.0))

@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lrvlasov.errors import DimensionError, DomainError
 from lrvlasov.grids import make_velocity_grid, spatial_grid_2d
@@ -270,3 +274,58 @@ def test_canonicalize_sum_matches_add(rng):
     plain = ht_add(*terms)
     assert np.allclose(fused.dense(), plain.dense(),
                        atol=1e-12 * np.abs(plain.dense()).max())
+
+
+# ---------------------------------------------------------------------------
+# randomized rounding of block sums against dense
+
+def _step_like_sum(rng, kind, nv):
+    """f^{n-2}, f^n and transport-style blocks sharing f^n's Bvv object (each
+    swaps one leaf frame and the spatial frame, like a step's transport terms),
+    a small carrier-like term and a zero-rank block."""
+    f = random_ht(rng, r=int(rng.integers(1, 5)), nv=nv)
+    blocks = [ht_scale(random_ht(rng, r=int(rng.integers(1, 4)), nv=nv), 0.25),
+              ht_scale(f, 0.75)]
+    for i in range(int(rng.integers(2, 9))):
+        leaf = "Uv1" if i % 2 == 0 else "Uv2"
+        blocks.append(replace(f, Ux=rng.standard_normal(f.Ux.shape),
+                              B=rng.uniform(-0.1, 0.1) * f.B, canonical=False,
+                              **{leaf: rng.standard_normal(getattr(f, leaf).shape)}))
+    blocks += [ht_scale(random_ht(rng, r=1, nv=nv), 1e-3), ht_zero(NX, *nv)]
+    if kind == "deficient":   # repeated directions: rank well below the block count
+        blocks += [ht_scale(b, -0.5) for b in blocks[1:4]]
+    if kind == "cancelling":  # the sum is zero up to round-off
+        blocks += [ht_scale(b, -1.0) for b in blocks]
+    return blocks
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["full", "deficient", "cancelling"]),
+       st.booleans(), st.floats(-5.0, -1.0))
+def test_truncate_sum_randomized_meets_eps_against_dense(seed, kind, weighted, log_eps):
+    rng = np.random.default_rng(seed)
+    nv = (int(rng.integers(5, 9)), int(rng.integers(5, 9)))
+    blocks = _step_like_sum(rng, kind, nv)
+    w1 = rng.uniform(0.2, 2.0, nv[0]) if weighted else np.ones(nv[0])
+    w2 = rng.uniform(0.2, 2.0, nv[1]) if weighted else np.ones(nv[1])
+    metric = np.sqrt(np.outer(w1, w2))[None, None]
+    dense = sum(b.dense() for b in blocks)
+    scale = (sum(np.linalg.norm(b.dense() / metric) for b in blocks) if kind == "cancelling"
+             else np.linalg.norm(dense / metric))
+    eps = 10.0 ** log_eps * scale
+
+    def rounded():
+        if weighted:
+            return ht_truncate_weighted_sum(blocks, w1, w2, eps)
+        return ht_truncate_sum(blocks, eps)
+
+    out = rounded()
+    assert np.linalg.norm((out.dense() - dense) / metric) <= eps * (1 + 1e-8)
+    r1, r2, rv = out.Bvv.shape
+    frames = (out.Ux, out.Uv1 / np.sqrt(w1)[:, None], out.Uv2 / np.sqrt(w2)[:, None],
+              out.Bvv.reshape(r1 * r2, rv))
+    for frame in frames:
+        assert np.allclose(frame.T @ frame, np.eye(frame.shape[1]), rtol=0, atol=1e-12)
+    again = rounded()
+    assert again.ranks == out.ranks
+    for name in ("Ux", "B", "Bvv", "Uv1", "Uv2"):
+        assert np.array_equal(getattr(again, name), getattr(out, name))

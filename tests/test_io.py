@@ -301,6 +301,47 @@ def test_snapshot_grid_signature_layout(tmp_path):
     assert snapshot_read(path, problem).step == 0
 
 
+@pytest.mark.parametrize("written,resumed", [("plain", "macro"), ("macro", "plain"),
+                                              ("macro", "conservative")])
+def test_resume_refuses_other_method_levels(tmp_path, written, resumed):
+    # macro keeps a (rho, J, e) level beside every kinetic level, the other
+    # methods only beside the initial state; a snapshot resumes only where
+    # the configured method can step the levels it holds
+    grid = {"nx": 16, "nv": 33, "t_end": 0.1}
+    run(from_preset("weak_landau_1d", method=written, **grid), snapshot_every=2,
+        snapshot_dir=str(tmp_path))
+    snap = str(tmp_path / "snapshot_000002.bin")
+    with pytest.raises(SnapshotError, match="macroscopic levels"):
+        run(from_preset("weak_landau_1d", method=resumed, **grid), resume=snap)
+    # under the method that wrote it the same file resumes
+    assert run(from_preset("weak_landau_1d", method=written, **grid), resume=snap)
+
+
+def test_snapshot_write_is_atomic(tmp_path, monkeypatch):
+    import lrvlasov.io as io_mod
+
+    problem, hist = initialize(from_preset("weak_landau_1d", nx=16, nv=33))
+    path = tmp_path / "s.bin"
+    snapshot_write(hist, problem, path)
+    before = path.read_bytes()
+
+    def fail(fh, f, u):
+        fh.write(b"partial")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(io_mod, "_write_level", fail)
+    hist.step += 1
+    with pytest.raises(OSError, match="disk full"):
+        snapshot_write(hist, problem, path)
+    # the earlier snapshot is untouched and no partial file is left beside it
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.bin"]
+    fresh = tmp_path / "new.bin"
+    with pytest.raises(OSError, match="disk full"):
+        snapshot_write(hist, problem, fresh)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.bin"]
+
+
 def test_resume_bit_exact(tmp_path):
     # uninterrupted run vs snapshot-resume at a mid step, variant with a
     # constant working dt; every recorded quantity must agree bit for bit
@@ -393,6 +434,25 @@ def test_cli_typed_errors_one_line(tmp_path, capsys, preset, override):
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_cli_resume_plain_snapshot_under_macro(tmp_path, capsys):
+    from lrvlasov.cli import main
+
+    grid = ["--set", "grid.nx=16", "--set", "grid.nv=33"]
+    rc = main(["run", "--preset", "weak_landau_1d", "--set", "method.variant=plain",
+               "--set", "method.t_end=0.05", *grid, "--snapshot-every", "1",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    snap = sorted(tmp_path.glob("snapshot_*.bin"))[-1]
+    capsys.readouterr()
+    rc = main(["run", "--preset", "weak_landau_1d", "--set", "method.t_end=0.1", *grid,
+               "--resume", str(snap), "--out", str(tmp_path / "resumed")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "macroscopic levels" in lines[0] and "Traceback" not in err
 
 
 def test_cli_rank_overflow_reporting(tmp_path, capsys):
