@@ -48,16 +48,22 @@ def _resolve_config(args):
 
 
 def _cmd_run(args) -> int:
+    from contextlib import ExitStack
+    from functools import cache
+
     from .driver import run
-    from .io import write_diagnostics
+    from .io import append_row
 
     cfg = _resolve_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    series = run(cfg, snapshot_every=args.snapshot_every, snapshot_dir=str(out),
-                 resume=args.resume)
     csv_path = out / "diagnostics.csv"
-    write_diagnostics(series, csv_path)
+    # rows are streamed as they are recorded, so a failed run keeps them; the
+    # file opens at the first row, so a run failing before it keeps an old one
+    with ExitStack() as stack:
+        sink = cache(lambda: stack.enter_context(csv_path.open("w")))
+        series = run(cfg, snapshot_every=args.snapshot_every, snapshot_dir=str(out),
+                     resume=args.resume, on_row=lambda row: append_row(row, sink()))
     last = series[-1]
     print(f"preset={cfg.preset} method={cfg.method} t={last.t:.6g} "
           f"ranks={last.ranks} mass={last.mass:.12g}")

@@ -277,8 +277,10 @@ def _resume(problem: Problem, path) -> History:
 
 
 def run(cfg: SolverConfig, snapshot_every: int = 0, snapshot_dir=None,
-        resume=None) -> list[DiagnosticsRow]:
-    """Advance to t_end, returning diagnostics at the configured cadence."""
+        resume=None, on_row=None) -> list[DiagnosticsRow]:
+    """Advance to t_end, returning diagnostics at the configured cadence.
+
+    ``on_row(row)`` sees each row as it is recorded, even if the run fails."""
     problem, hist = initialize(cfg)
     if resume is not None:
         hist = _resume(problem, resume)
@@ -288,6 +290,8 @@ def run(cfg: SolverConfig, snapshot_every: int = 0, snapshot_dir=None,
     def record() -> None:
         wall_ms = 1000.0 * (time.perf_counter() - clock0)
         series.append(diagnostics_row(problem, hist, wall_ms))
+        if on_row is not None:
+            on_row(series[-1])
 
     if hist.step % cfg.output_every == 0:
         record()

@@ -118,10 +118,7 @@ class Problem2D(Problem):
         return ht.ht_moments(f, self.vgrids)
 
     def block_moments(self, blocks):
-        """Moments are linear, so the sum's moments are summed blockwise."""
-        parts = [ht.ht_moments(b, self.vgrids) for b in blocks]
-        return ht.Moments2D(sum(p.rho for p in parts), sum(p.J1 for p in parts),
-                            sum(p.J2 for p in parts), sum(p.kappa for p in parts))
+        return ht.ht_sum_moments(blocks, self.vgrids)
 
     def scale(self, f, a: float):
         return ht.ht_scale(f, a)
@@ -136,13 +133,7 @@ class Problem2D(Problem):
         return ht.ht_truncate_sum(blocks, self.cfg.eps)
 
     def pin(self, blocks, target):
-        """Truncate the sum's zero-moment remainder, then add the target carrier."""
-        nx, wp = blocks[0].nx, self.basis2.grid.w_points
-        own = ht.ht_lift_moments(self.block_moments(blocks), self.basis2, nx)
-        trunc = ht.ht_truncate_weighted_sum(blocks + [ht.ht_scale(own, -1.0)], wp, wp,
-                                            self.cfg.eps)
-        trunc = ht.ht_remove_moments(trunc, self.basis2, self.vgrids)
-        return ht.ht_add(ht.ht_lift_moments(target, self.basis2, nx), trunc)
+        return ht.ht_truncate_to_moments(blocks, target, self.basis2, self.cfg.eps)
 
     def ranks(self, f) -> tuple[int, ...]:
         return f.ranks

@@ -23,9 +23,14 @@ products' round-off where cancelling blocks put eps below it, and the sketch
 is at least 8 columns wider than the kept rank; one subspace iteration then
 sharpens the frame.  The fixed seed makes the result a function of the input
 alone, so a resumed run repeats an uninterrupted one bit for bit.  eps = 0
-keeps everything and stays on Householder QR.  Physical space is never
-compressed below the stored spatial frame: its rank only changes through the
-root separation.
+keeps everything and stays on Householder QR and SVDs.  Physical space is
+never compressed below the stored spatial frame: its rank only changes
+through the root separation.
+
+A moment-pinned truncation (``ht_truncate_to_moments``) cuts the sum's
+zero-moment remainder once, in the norm weighted by 1/w, and adds one
+carrier, lifted from the target moments minus what the cut leaked into the
+remainder; a pinned state's ranks are its remainder's plus (4, 4, 3, 3).
 """
 
 from __future__ import annotations
@@ -49,7 +54,6 @@ class HtTensor:
     Uv1: np.ndarray   # (nv1, r1)
     Uv2: np.ndarray   # (nv2, r2)
     nx: tuple[int, int]
-    canonical: bool = False
 
     @property
     def ranks(self) -> tuple[int, int, int, int]:
@@ -73,21 +77,25 @@ class HtTensor:
 def ht_zero(nx: tuple[int, int], nv1: int, nv2: int) -> HtTensor:
     n = nx[0] * nx[1]
     return HtTensor(np.zeros((n, 0)), np.zeros((0, 0)), np.zeros((0, 0, 0)),
-                    np.zeros((nv1, 0)), np.zeros((nv2, 0)), nx, canonical=True)
+                    np.zeros((nv1, 0)), np.zeros((nv2, 0)), nx)
 
 
 def ht_scale(f: HtTensor, a: float) -> HtTensor:
-    return replace(f, B=a * f.B, canonical=False)
+    return replace(f, B=a * f.B)
+
+
+def _check_shapes(terms) -> None:
+    shape = terms[0].shape
+    for t in terms[1:]:
+        if t.shape != shape:
+            raise DimensionError(f"shape mismatch in sum: {t.shape} vs {shape}")
 
 
 def ht_add(*terms: HtTensor) -> HtTensor:
     """Exact sum by block concatenation; all hierarchical ranks add."""
     if not terms:
         raise ValueError("ht_add() needs at least one term")
-    shape = terms[0].shape
-    for t in terms[1:]:
-        if t.shape != shape:
-            raise DimensionError(f"shape mismatch in ht_add: {t.shape} vs {shape}")
+    _check_shapes(terms)
     if len(terms) == 1:
         return terms[0]
     rx = [t.Ux.shape[1] for t in terms]
@@ -101,11 +109,9 @@ def ht_add(*terms: HtTensor) -> HtTensor:
         b[ox:ox + nx_, ov:ov + nv_] = t.B
         bvv[o1:o1 + n1_, o2:o2 + n2_, ov:ov + nv_] = t.Bvv
         ox, ov, o1, o2 = ox + nx_, ov + nv_, o1 + n1_, o2 + n2_
-    return HtTensor(
-        np.hstack([t.Ux for t in terms]), b, bvv,
-        np.hstack([t.Uv1 for t in terms]), np.hstack([t.Uv2 for t in terms]),
-        terms[0].nx, canonical=False,
-    )
+    return HtTensor(np.hstack([t.Ux for t in terms]), b, bvv,
+                    np.hstack([t.Uv1 for t in terms]), np.hstack([t.Uv2 for t in terms]),
+                    terms[0].nx)
 
 
 def _mode1(mat: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -116,13 +122,6 @@ def _mode1(mat: np.ndarray, t: np.ndarray) -> np.ndarray:
 def _mode2(mat: np.ndarray, t: np.ndarray) -> np.ndarray:
     """(q,b),(a,b,c) -> (a,q,c)"""
     return np.moveaxis(np.tensordot(mat, t, axes=(1, 1)), 0, 1)
-
-
-def _check_shapes(terms) -> None:
-    shape = terms[0].shape
-    for t in terms[1:]:
-        if t.shape != shape:
-            raise DimensionError(f"shape mismatch in sum: {t.shape} vs {shape}")
 
 
 def ht_canonicalize_sum(terms) -> HtTensor:
@@ -146,8 +145,7 @@ def ht_canonicalize_sum(terms) -> HtTensor:
     qx, rx = np.linalg.qr(np.hstack([t.Ux for t in terms]))
     offv = np.cumsum([0] + [t.B.shape[1] for t in terms])
     b = rx @ np.vstack([t.B @ rv[:, offv[i]:offv[i + 1]].T for i, t in enumerate(terms)])
-    return HtTensor(qx, b, qv.reshape(q1.shape[1], q2.shape[1], -1), q1, q2, terms[0].nx,
-                    canonical=True)
+    return HtTensor(qx, b, qv.reshape(q1.shape[1], q2.shape[1], -1), q1, q2, terms[0].nx)
 
 
 def ht_canonicalize(f: HtTensor) -> HtTensor:
@@ -174,24 +172,28 @@ def scale_bound(f: HtTensor) -> float:
 
 def _finish_truncation(ux, core, uv1, uv2, nx, tol, floor):
     """Leaf cuts on the root-weighted core, then re-orthonormalized assembly."""
-    def leaf_cut(gram_axes, frame):
-        gram = np.tensordot(core, core, axes=(gram_axes, gram_axes))
-        lam, vec = np.linalg.eigh(gram)
-        lam = np.maximum(lam[::-1], 0.0)
-        vec = vec[:, ::-1]
-        k = max(_keep_count(np.sqrt(lam), tol, floor), 1)
+    def leaf_cut(axis, frame):
+        if tol == 0.0:  # a Gram's squared spectrum blurs below sqrt(eps_mach)
+            unfold = np.moveaxis(core, axis, 0).reshape(core.shape[axis], -1)
+            vec, s, _ = np.linalg.svd(unfold, full_matrices=False)
+        else:
+            others = tuple(a for a in range(3) if a != axis)
+            lam, vec = np.linalg.eigh(np.tensordot(core, core, axes=(others, others)))
+            s = np.sqrt(np.maximum(lam[::-1], 0.0))
+            vec = vec[:, ::-1]
+        k = max(_keep_count(s, tol, floor), 1)
         return frame @ vec[:, :k], vec[:, :k]
 
-    new_uv1, rot1 = leaf_cut((1, 2), uv1)
+    new_uv1, rot1 = leaf_cut(0, uv1)
     core = _mode1(rot1.T, core)
-    new_uv2, rot2 = leaf_cut((0, 2), uv2)
+    new_uv2, rot2 = leaf_cut(1, uv2)
     core = _mode2(rot2.T, core)
 
     # restore orthonormal pair transfer; the root picks up the R factor
     mat = core.reshape(-1, core.shape[2])
     qv, rv = np.linalg.qr(mat)
     bvv = qv.reshape(core.shape[0], core.shape[1], -1)
-    return HtTensor(ux, rv.T, bvv, new_uv1, new_uv2, nx, canonical=True)
+    return HtTensor(ux, rv.T, bvv, new_uv1, new_uv2, nx)
 
 
 _SKETCH_START = 16   # columns of the first sketch; each retry doubles them
@@ -305,8 +307,8 @@ def ht_truncate_sum(terms, eps: float, droptol: float = DEFAULT_DROPTOL) -> HtTe
     so no re-canonicalization follows.  Both velocity leaves are then cut at
     eps/sqrt(3) from the core's Grams.
 
-    eps = 0 keeps everything and uses Householder QR throughout so round
-    trips are clean to machine precision.
+    eps = 0 keeps everything and uses Householder QR and SVDs throughout so
+    round trips are clean to machine precision.
     """
     if eps < 0:
         raise DomainError(f"truncation threshold must be >= 0, got {eps}")
@@ -410,11 +412,9 @@ def ht_truncate_weighted_sum(terms, w1_points: np.ndarray, w2_points: np.ndarray
     for t in terms:
         _check_weights(t, w1, w2)
     s1, s2 = np.sqrt(w1), np.sqrt(w2)
-    scaled = [replace(t, Uv1=t.Uv1 / s1[:, None], Uv2=t.Uv2 / s2[:, None],
-                      canonical=False) for t in terms]
+    scaled = [replace(t, Uv1=t.Uv1 / s1[:, None], Uv2=t.Uv2 / s2[:, None]) for t in terms]
     out = ht_truncate_sum(scaled, eps)
-    return replace(out, Uv1=out.Uv1 * s1[:, None], Uv2=out.Uv2 * s2[:, None],
-                   canonical=False)
+    return replace(out, Uv1=out.Uv1 * s1[:, None], Uv2=out.Uv2 * s2[:, None])
 
 
 # ---------------------------------------------------------------------------
@@ -430,6 +430,10 @@ class Moments2D:
     def max_abs(self) -> float:
         return max(float(np.max(np.abs(a), initial=0.0))
                    for a in (self.rho, self.J1, self.J2, self.kappa))
+
+    def __sub__(self, other: "Moments2D") -> "Moments2D":
+        return Moments2D(self.rho - other.rho, self.J1 - other.J1, self.J2 - other.J2,
+                         self.kappa - other.kappa)
 
 
 def ht_pair_contraction(f: HtTensor, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -467,6 +471,13 @@ def ht_moments(f: HtTensor, grids: tuple[VelocityGrid, VelocityGrid]) -> Moments
     ])
     fields = ht_spatial_fields(f, coeffs)
     return Moments2D(rho=fields[0], J1=fields[1], J2=fields[2], kappa=fields[3])
+
+
+def ht_sum_moments(terms, grids: tuple[VelocityGrid, VelocityGrid]) -> Moments2D:
+    """Moments of sum(terms); moments are linear, so they are summed blockwise."""
+    parts = [ht_moments(t, grids) for t in terms]
+    return Moments2D(sum(p.rho for p in parts), sum(p.J1 for p in parts),
+                     sum(p.J2 for p in parts), sum(p.kappa for p in parts))
 
 
 @dataclass(frozen=True)
@@ -517,14 +528,22 @@ def ht_lift_moments(m: Moments2D, basis: MomentBasis2D, nx: tuple[int, int]) -> 
         np.sqrt(2.0) * (m.kappa.reshape(-1) - b.c * m.rho.reshape(-1)) / (b.c1 * b.c3),
     ])
     return HtTensor(ux, np.eye(4), b.pair_transfer.copy(), b.frame.copy(),
-                    b.frame.copy(), nx, canonical=False)
+                    b.frame.copy(), nx)
 
 
-def ht_remove_moments(f: HtTensor, basis: MomentBasis2D,
-                      grids: tuple[VelocityGrid, VelocityGrid]) -> HtTensor:
-    """Subtract the moment carrier of f, leaving a zero-moment tensor."""
-    m = ht_moments(f, grids)
-    return ht_add(f, ht_scale(ht_lift_moments(m, basis, f.nx), -1.0))
+def ht_truncate_to_moments(terms, m_target: Moments2D, basis: MomentBasis2D,
+                           eps: float) -> HtTensor:
+    """Weighted truncation of sum(terms) with its moments pinned to m_target.
+
+    The remainder sum(terms) - lift(moments) is truncated once; the one
+    carrier added to it is lifted from ``m_target`` minus the remainder's own
+    (leaked) moments, so its ranks are the remainder's plus (4, 4, 3, 3).
+    """
+    grids, wp, nx = (basis.grid, basis.grid), basis.grid.w_points, terms[0].nx
+    own = ht_lift_moments(ht_sum_moments(terms, grids), basis, nx)
+    remainder = ht_truncate_weighted_sum([*terms, ht_scale(own, -1.0)], wp, wp, eps)
+    leak = ht_moments(remainder, grids)
+    return ht_add(ht_lift_moments(m_target - leak, basis, nx), remainder)
 
 
 # ---------------------------------------------------------------------------
@@ -548,18 +567,18 @@ def ht_transport_blocks(f: HtTensor, field: ElectricField, hx: tuple[float, floa
     for bias, vpart in (("plus", np.maximum(v1, 0.0)), ("minus", np.minimum(v1, 0.0))):
         du = upwind_derivative(ux_grid, bias, hx[0], "periodic", axis=0)
         terms.append(replace(f, Ux=du.reshape(n1 * n2, -1), B=-f.B,
-                             Uv1=vpart[:, None] * f.Uv1, canonical=False))
+                             Uv1=vpart[:, None] * f.Uv1))
     for bias, vpart in (("plus", np.maximum(v2, 0.0)), ("minus", np.minimum(v2, 0.0))):
         du = upwind_derivative(ux_grid, bias, hx[1], "periodic", axis=1)
         terms.append(replace(f, Ux=du.reshape(n1 * n2, -1), B=-f.B,
-                             Uv2=vpart[:, None] * f.Uv2, canonical=False))
+                             Uv2=vpart[:, None] * f.Uv2))
     for bias, epart in (("plus", np.maximum(e1, 0.0)), ("minus", np.minimum(e1, 0.0))):
         mx = (ux_grid * epart[:, :, None]).reshape(n1 * n2, -1)
         dv = upwind_derivative(f.Uv1, bias, grids[0].h, "zero", axis=0)
-        terms.append(replace(f, Ux=mx, B=-f.B, Uv1=dv, canonical=False))
+        terms.append(replace(f, Ux=mx, B=-f.B, Uv1=dv))
     for bias, epart in (("plus", np.maximum(e2, 0.0)), ("minus", np.minimum(e2, 0.0))):
         mx = (ux_grid * epart[:, :, None]).reshape(n1 * n2, -1)
         dv = upwind_derivative(f.Uv2, bias, grids[1].h, "zero", axis=0)
-        terms.append(replace(f, Ux=mx, B=-f.B, Uv2=dv, canonical=False))
+        terms.append(replace(f, Ux=mx, B=-f.B, Uv2=dv))
     return terms
 

@@ -59,24 +59,17 @@ def csv_row(row: DiagnosticsRow) -> str:
     return ",".join(fields)
 
 
-def write_diagnostics(series: list[DiagnosticsRow], path) -> None:
-    path = Path(path)
-    header = csv_header(series[0]) if series else "t,rank,mass,mom1,energy,efield_energy,wall_ms"
-    try:
-        with path.open("w") as fh:
-            fh.write(header + "\n")
-            for row in series:
-                fh.write(csv_row(row) + "\n")
-    except OSError as exc:
-        raise OSError(f"cannot write diagnostics to {path}: {exc}") from exc
-
-
 def append_row(row: DiagnosticsRow, sink) -> None:
-    """Stream one row to an open text sink, writing the header first."""
+    """Stream one row to an open text sink, writing the header first.
+
+    The sink is flushed after every row, so what a run has recorded is on
+    disk even if it fails later.
+    """
     if getattr(sink, "_needs_header", True):
         sink.write(csv_header(row) + "\n")
         sink._needs_header = False
     sink.write(csv_row(row) + "\n")
+    sink.flush()
 
 
 def read_diagnostics(path) -> list[DiagnosticsRow]:
@@ -84,21 +77,14 @@ def read_diagnostics(path) -> list[DiagnosticsRow]:
     lines = path.read_text().splitlines()
     if not lines:
         raise SnapshotError(f"empty diagnostics file: {path}")
-    names = lines[0].split(",")
-    n_ranks = sum(1 for n in names if n.startswith("rank"))
-    n_mom = sum(1 for n in names if n.startswith("mom"))
+    n_ranks = sum(1 for n in lines[0].split(",") if n.startswith("rank"))
     rows = []
     for line in lines[1:]:
-        parts = line.split(",")
-        i = 0
-        t = float(parts[i]); i += 1
-        ranks = tuple(int(p) for p in parts[i:i + n_ranks]); i += n_ranks
-        mass = float(parts[i]); i += 1
-        mom = tuple(float(p) for p in parts[i:i + n_mom]); i += n_mom
-        energy = float(parts[i]); i += 1
-        efield = float(parts[i]); i += 1
-        wall = float(parts[i])
-        rows.append(DiagnosticsRow(t, ranks, mass, mom, energy, efield, wall))
+        cells = line.split(",")
+        ranks = tuple(int(c) for c in cells[1:1 + n_ranks])
+        # t, mass, the momentum components, energy, efield_energy, wall_ms
+        t, mass, *rest = (float(c) for c in cells[:1] + cells[1 + n_ranks:])
+        rows.append(DiagnosticsRow(t, ranks, mass, tuple(rest[:-3]), *rest[-3:]))
     return rows
 
 

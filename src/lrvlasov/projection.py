@@ -4,8 +4,11 @@ The distribution is split as f = carrier + remainder, where the carrier is an
 exact three-term object built from the weighted-orthogonal velocity basis
 {1, v, v^2 - c} and reproduces the mass, current and kinetic-energy densities
 of f; the remainder has zero moments and is the only part rank truncation may
-touch.  Moment quadrature uses the plain h_v inner product, while basis
-orthogonality lives in the w-weighted product; the two must not be conflated.
+touch.  A pinned truncation cuts the remainder once and adds one carrier,
+lifted from the target moments minus whatever the cut leaked into the
+remainder, so its rank is the remainder's plus three.  Moment quadrature uses
+the plain h_v inner product, while basis orthogonality lives in the w-weighted
+product; the two must not be conflated.
 """
 
 from __future__ import annotations
@@ -17,10 +20,6 @@ import numpy as np
 from .errors import DimensionError, DomainError
 from .grids import VelocityGrid
 from .lowrank import LowRankMatrix, add, recompress, scale, truncate_weighted
-
-# remainder moments above this (relative to the carrier moments) trigger one
-# re-projection after weighted truncation; cheap, rank +3 worst case
-_MOMENT_LEAK_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -101,15 +100,6 @@ def moment_split(f: LowRankMatrix, basis: MomentBasis) -> tuple[LowRankMatrix, L
     return carrier, remainder
 
 
-def _truncate_remainder(remainder: LowRankMatrix, basis: MomentBasis, eps: float,
-                        moment_scale: float) -> LowRankMatrix:
-    out = truncate_weighted(remainder, basis.grid.w_points, eps)
-    leak = moments(out, basis.grid)
-    if leak.max_abs() > _MOMENT_LEAK_TOL * (1.0 + moment_scale):
-        out = add(out, scale(lift_moments(leak, basis), -1.0))
-    return out
-
-
 def truncate_conservative(f: LowRankMatrix, basis: MomentBasis, eps: float) -> LowRankMatrix:
     """Truncate the remainder only; the moments of f are preserved exactly."""
     return truncate_to_moments(f, moments(f, basis.grid), basis, eps)
@@ -119,9 +109,11 @@ def truncate_to_moments(f: LowRankMatrix, m_target: Moments1D, basis: MomentBasi
                         eps: float) -> LowRankMatrix:
     """Like truncate_conservative but pins the moments to external values.
 
-    The remainder still comes from f's own moments; only the carrier is
-    rebuilt from ``m_target``, so the result's moments equal ``m_target``.
+    The remainder f - lift(moments(f)) is weighted-truncated once; the one
+    carrier added to it is lifted from ``m_target`` minus the remainder's own
+    (leaked) moments, so the result's moments equal ``m_target``.
     """
-    _, remainder = moment_split(f, basis)
-    carrier = lift_moments(m_target, basis)
-    return add(carrier, _truncate_remainder(remainder, basis, eps, m_target.max_abs()))
+    own = lift_moments(moments(f, basis.grid), basis)
+    remainder = truncate_weighted(add(f, scale(own, -1.0)), basis.grid.w_points, eps)
+    leak = moments(remainder, basis.grid)
+    return add(lift_moments(m_target - leak, basis), remainder)

@@ -137,6 +137,30 @@ def test_macro_moments_pinned_2d():
     assert np.max(np.abs(m.kappa - kappa_u)) < 1e-12 * ref
 
 
+def test_pin_2d_adds_one_carrier_to_the_truncated_remainder():
+    # the pinned state is the weighted-truncated zero-moment remainder plus one
+    # (4, 4, 3, 3) carrier, whose moments are the target's
+    problem, _ = initialize(from_preset("weak_landau_2d2v", nx=8, nv=16, t_end=0.0))
+    nx, (g, _) = problem.sgrid.n, problem.vgrids
+    wp = g.w_points
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        blocks = []
+        for r in rng.integers(1, 4, size=3):
+            blocks.append(ht.HtTensor(
+                rng.standard_normal((nx[0] * nx[1], r)), rng.standard_normal((r, r)),
+                rng.standard_normal((r, r, r)), wp[:, None] * rng.standard_normal((g.n, r)),
+                wp[:, None] * rng.standard_normal((g.n, r)), nx))
+        target = ht.Moments2D(*rng.standard_normal((4, *nx)))
+        out = problem.pin(blocks, target)
+        own = ht.ht_lift_moments(problem.block_moments(blocks), problem.basis2, nx)
+        remainder = ht.ht_truncate_weighted_sum(blocks + [ht.ht_scale(own, -1.0)], wp, wp,
+                                                problem.cfg.eps)
+        assert out.ranks == tuple(r + c for r, c in zip(remainder.ranks, (4, 4, 3, 3)))
+        got = problem.moments(out)
+        assert (got - target).max_abs() < 1e-12 * (target.max_abs() + 1.0)
+
+
 @pytest.mark.parametrize("method,solves", [("plain", 1), ("macro", 2)])
 def test_multistep_step_field_solves(monkeypatch, method, solves):
     # a step of the run loop (CFL bound, then advance) solves once for f^n,

@@ -3,7 +3,10 @@
 Every run takes the Heun startup, at least ten multistep steps and a final
 clamped Heun step, and records every step.  All diagnostics columns except
 ``wall_ms`` are compared as 17-significant-digit strings, which round-trip
-float64 exactly, so any change in floating-point results fails here.
+float64 exactly, so any change in floating-point results fails here.  BLAS
+kernels split their sums by thread, so the last bits of a result depend on the
+thread count: every run here, and every regeneration, pins the loaded
+OpenBLAS to one thread and restores its count afterwards.
 
 Regenerate the files (only for an intended change of results) with
 
@@ -11,8 +14,11 @@ Regenerate the files (only for an intended change of results) with
 """
 
 import csv
+import ctypes
+from contextlib import contextmanager
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from lrvlasov.config import from_preset
@@ -41,6 +47,48 @@ RUNS = {
 RESUMED = ["strong_landau_1d_plain", "weak_landau_1d_macro", "weak_landau_2d2v_macro"]
 SNAPSHOT_EVERY = 10
 CONVERGENCE_SIZES = [16, 32]
+
+
+def _blas_threads():
+    """(get, set) of the thread count of the OpenBLAS numpy loaded, or None.
+
+    numpy wheels bundle OpenBLAS beside the package; loading it again by path
+    returns the handle numpy already uses.
+    """
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*.so*")):
+        lib = ctypes.CDLL(str(path))
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+                put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+                if get is not None and put is not None:
+                    get.restype, get.argtypes = ctypes.c_int, []
+                    put.restype, put.argtypes = None, [ctypes.c_int]
+                    return get, put
+    return None
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the block with OpenBLAS on one thread, then restore its count."""
+    threads = _blas_threads()
+    if threads is None:
+        yield
+        return
+    get, put = threads
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
+
+@pytest.fixture(autouse=True)
+def _one_blas_thread():
+    with one_blas_thread():
+        yield
 
 
 def _g(x: float) -> str:
@@ -109,6 +157,7 @@ def test_golden_convergence_table():
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
-    for name in RUNS:
-        _write(name, _table(_run(name)))
-    _write("convergence", _convergence_table())
+    with one_blas_thread():
+        for name in RUNS:
+            _write(name, _table(_run(name)))
+        _write("convergence", _convergence_table())

@@ -5,8 +5,8 @@ from lrvlasov.config import from_preset, load_config, parse_overrides
 from lrvlasov.driver import initialize, run
 from lrvlasov.errors import ConfigError, SnapshotError
 from lrvlasov.htucker import HtTensor
-from lrvlasov.io import (DiagnosticsRow, read_diagnostics, snapshot_read,
-                         snapshot_write, write_diagnostics)
+from lrvlasov.io import (DiagnosticsRow, append_row, read_diagnostics, snapshot_read,
+                         snapshot_write)
 from lrvlasov.lowrank import LowRankMatrix
 
 
@@ -151,9 +151,19 @@ def test_nx2_rejected_in_1d1v():
 # diagnostics CSV
 
 
+def _stream(series, path) -> None:
+    with path.open("w") as fh:
+        for row in series:
+            append_row(row, fh)
+
+
 def test_diagnostics_empty_series(tmp_path):
+    # no row, no header; the first 1D row writes the 1D header
     path = tmp_path / "d.csv"
-    write_diagnostics([], path)
+    _stream([], path)
+    assert path.read_text() == ""
+    _stream([DiagnosticsRow(t=0.0, ranks=(2,), mass=1.0, momentum=(0.0,), energy=1.0,
+                            efield_energy=0.1, wall_ms=0.0)], path)
     assert path.read_text().startswith("t,rank,mass")
 
 
@@ -162,7 +172,7 @@ def test_diagnostics_roundtrip_bit_exact(tmp_path):
                            momentum=(np.sqrt(2.0) * 1e-13,), energy=1.0 / 3.0,
                            efield_energy=2.0 / 7.0, wall_ms=13.25)]
     path = tmp_path / "d.csv"
-    write_diagnostics(rows, path)
+    _stream(rows, path)
     back = read_diagnostics(path)
     assert len(back) == 1
     b = back[0]
@@ -178,15 +188,13 @@ def test_diagnostics_2d_header(tmp_path):
     rows = [DiagnosticsRow(t=0.0, ranks=(4, 4, 3, 3), mass=1.0, momentum=(0.0, 0.0),
                            energy=1.0, efield_energy=0.1, wall_ms=0.0)]
     path = tmp_path / "d.csv"
-    write_diagnostics(rows, path)
+    _stream(rows, path)
     header = path.read_text().splitlines()[0]
     assert header == "t,rank_x,rank_vv,rank_v1,rank_v2,mass,mom1,mom2,energy,efield_energy,wall_ms"
     assert read_diagnostics(path)[0].ranks == (4, 4, 3, 3)
 
 
 def test_append_row_streaming(tmp_path):
-    from lrvlasov.io import append_row
-
     rows = [DiagnosticsRow(t=float(k), ranks=(4,), mass=1.0, momentum=(0.0,),
                            energy=2.0, efield_energy=0.5, wall_ms=float(k))
             for k in range(3)]
@@ -203,7 +211,7 @@ def test_weak_landau_mass_column_constant(tmp_path):
     cfg = from_preset("weak_landau_1d", t_end=0.5)
     series = run(cfg)
     path = tmp_path / "d.csv"
-    write_diagnostics(series, path)
+    _stream(series, path)
     back = read_diagnostics(path)
     masses = np.array([r.mass for r in back])
     assert np.max(np.abs(masses - masses[0])) / masses[0] < 1e-11
@@ -453,6 +461,8 @@ def test_cli_resume_plain_snapshot_under_macro(tmp_path, capsys):
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "macroscopic levels" in lines[0] and "Traceback" not in err
+    # the run failed before its first row, so it wrote no diagnostics file
+    assert not (tmp_path / "resumed" / "diagnostics.csv").exists()
 
 
 def test_cli_rank_overflow_reporting(tmp_path, capsys):
@@ -460,9 +470,18 @@ def test_cli_rank_overflow_reporting(tmp_path, capsys):
 
     rc = main(["run", "--preset", "strong_landau_1d", "--set", "grid.nx=32",
                "--set", "grid.nv=64", "--set", "method.rank_cap=3",
-               "--set", "method.t_end=1.0", "--out", str(tmp_path)])
+               "--set", "method.t_end=1.0", "--set", "output.every=1",
+               "--out", str(tmp_path)])
     assert rc == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: rank")
     # a larger eps is what lowers the rank
     assert "larger eps" in err[0] and "tighten" not in err[0]
+    # every step recorded before the error was streamed to disk: t = 0 and
+    # each step up to the one named in the message
+    lines = (tmp_path / "diagnostics.csv").read_text().splitlines()
+    assert lines[0] == "t,rank,mass,mom1,energy,efield_energy,wall_ms"
+    failed_step = int(err[0].split("(step ")[1].split(")")[0])
+    rows = read_diagnostics(tmp_path / "diagnostics.csv")
+    assert len(rows) == failed_step + 1 and failed_step >= 1
+    assert rows[0].t == 0.0 and all(r.ranks[0] <= 3 for r in rows)
