@@ -181,7 +181,7 @@ def _truncate(problem: Problem, blocks: list, u_new):
     if method == "plain":
         return problem.truncate(blocks)
     if method == "conservative":
-        return problem.pin(blocks, problem.block_moments(blocks))
+        return problem.pin(blocks)
     kappa = recover_kinetic_energy(u_new, _field_of(problem, u_new[0]))
     return problem.pin(blocks, problem.Moments(*u_new[:-1], kappa))
 

@@ -59,9 +59,6 @@ class Problem1D(Problem):
     def moments(self, f):
         return projection.moments(f, self.vgrid)
 
-    def block_moments(self, blocks):
-        return projection.moments(lowrank.add(*blocks), self.vgrid)
-
     def scale(self, f, a: float):
         return lowrank.scale(f, a)
 
@@ -92,7 +89,7 @@ class Problem1D(Problem):
         cfg = self.cfg
         return lowrank.truncate(lowrank.add(*blocks), cfg.eps, relative=cfg.eps_relative)
 
-    def pin(self, blocks, target):
+    def pin(self, blocks, target=None):
         return projection.truncate_to_moments(lowrank.add(*blocks), target, self.basis,
                                               self.cfg.eps)
 
@@ -117,9 +114,6 @@ class Problem2D(Problem):
     def moments(self, f):
         return ht.ht_moments(f, self.vgrids)
 
-    def block_moments(self, blocks):
-        return ht.ht_sum_moments(blocks, self.vgrids)
-
     def scale(self, f, a: float):
         return ht.ht_scale(f, a)
 
@@ -132,7 +126,7 @@ class Problem2D(Problem):
     def truncate(self, blocks):
         return ht.ht_truncate_sum(blocks, self.cfg.eps)
 
-    def pin(self, blocks, target):
+    def pin(self, blocks, target=None):
         return ht.ht_truncate_to_moments(blocks, target, self.basis2, self.cfg.eps)
 
     def ranks(self, f) -> tuple[int, ...]:

@@ -531,19 +531,23 @@ def ht_lift_moments(m: Moments2D, basis: MomentBasis2D, nx: tuple[int, int]) -> 
                     b.frame.copy(), nx)
 
 
-def ht_truncate_to_moments(terms, m_target: Moments2D, basis: MomentBasis2D,
+def ht_truncate_to_moments(terms, m_target: Moments2D | None, basis: MomentBasis2D,
                            eps: float) -> HtTensor:
     """Weighted truncation of sum(terms) with its moments pinned to m_target.
 
     The remainder sum(terms) - lift(moments) is truncated once; the one
     carrier added to it is lifted from ``m_target`` minus the remainder's own
     (leaked) moments, so its ranks are the remainder's plus (4, 4, 3, 3).
+    Without a target the moments of the sum, taken once for the remainder,
+    are kept.
     """
     grids, wp, nx = (basis.grid, basis.grid), basis.grid.w_points, terms[0].nx
-    own = ht_lift_moments(ht_sum_moments(terms, grids), basis, nx)
-    remainder = ht_truncate_weighted_sum([*terms, ht_scale(own, -1.0)], wp, wp, eps)
+    own = ht_sum_moments(terms, grids)
+    remainder = ht_truncate_weighted_sum(
+        [*terms, ht_scale(ht_lift_moments(own, basis, nx), -1.0)], wp, wp, eps)
     leak = ht_moments(remainder, grids)
-    return ht_add(ht_lift_moments(m_target - leak, basis, nx), remainder)
+    return ht_add(ht_lift_moments((own if m_target is None else m_target) - leak, basis, nx),
+                  remainder)
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,14 @@ transform over all grid axes for any dimension and the zero mode gauged to
 zero; the field is E = -sign * grad(phi), differentiated
 spectrally so that single-mode densities produce node-exact fields.  With
 sign=+1 the field satisfies div E = rho - mean(rho), the convention used by
-every benchmark.
+every benchmark.  The squared wavenumbers and the derivative factors are
+built once per grid and shared, read-only, by every solve on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -56,6 +58,18 @@ def _per_axis(grid: SpatialGrid, factor) -> list[np.ndarray]:
             for a, (n, h) in enumerate(zip(grid.n, grid.h))]
 
 
+@lru_cache(maxsize=16)
+def _factors(grid: SpatialGrid) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """``ksq`` with its zero mode set to 1, and the per-axis derivative
+    factors, built once per grid and shared read-only by every solve."""
+    ksq = sum(k**2 for k in _per_axis(grid, _wavenumbers))
+    ksq[(0,) * grid.ndim] = 1.0
+    derivs = tuple(_per_axis(grid, _derivative_factor))
+    for a in (ksq, *derivs):
+        a.flags.writeable = False
+    return ksq, derivs
+
+
 def solve_poisson(rho: np.ndarray, grid: SpatialGrid, sign: float = 1.0) -> ElectricField:
     """Solve for the self-consistent field of a periodic charge density.
 
@@ -67,22 +81,20 @@ def solve_poisson(rho: np.ndarray, grid: SpatialGrid, sign: float = 1.0) -> Elec
     rho = np.asarray(rho, dtype=float)
     if rho.shape != grid.n:
         raise DimensionError(f"rho shape {rho.shape} does not match grid {grid.n}")
+    ksq, derivs = _factors(grid)
     zero = (0,) * grid.ndim
     rho_hat = np.fft.fftn(rho)
     rho_hat[zero] = 0.0
-    ksq = sum(k**2 for k in _per_axis(grid, _wavenumbers))
-    ksq[zero] = 1.0
     phi_hat = rho_hat / ksq
     phi_hat[zero] = 0.0
-    e = tuple(np.fft.ifftn(-sign * d * phi_hat).real
-              for d in _per_axis(grid, _derivative_factor))
+    e = tuple(np.fft.ifftn(-sign * d * phi_hat).real for d in derivs)
     return ElectricField(E=e, phi=np.fft.ifftn(phi_hat).real)
 
 
 def divergence(field: ElectricField, grid: SpatialGrid) -> np.ndarray:
     """Spectral divergence of the field (diagnostic for the solve identity)."""
     return sum(np.fft.ifftn(d * np.fft.fftn(e)).real
-               for d, e in zip(_per_axis(grid, _derivative_factor), field.E))
+               for d, e in zip(_factors(grid)[1], field.E))
 
 
 def field_energy(field: ElectricField, grid: SpatialGrid) -> float:

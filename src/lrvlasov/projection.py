@@ -102,18 +102,20 @@ def moment_split(f: LowRankMatrix, basis: MomentBasis) -> tuple[LowRankMatrix, L
 
 def truncate_conservative(f: LowRankMatrix, basis: MomentBasis, eps: float) -> LowRankMatrix:
     """Truncate the remainder only; the moments of f are preserved exactly."""
-    return truncate_to_moments(f, moments(f, basis.grid), basis, eps)
+    return truncate_to_moments(f, None, basis, eps)
 
 
-def truncate_to_moments(f: LowRankMatrix, m_target: Moments1D, basis: MomentBasis,
+def truncate_to_moments(f: LowRankMatrix, m_target: Moments1D | None, basis: MomentBasis,
                         eps: float) -> LowRankMatrix:
     """Like truncate_conservative but pins the moments to external values.
 
     The remainder f - lift(moments(f)) is weighted-truncated once; the one
     carrier added to it is lifted from ``m_target`` minus the remainder's own
-    (leaked) moments, so the result's moments equal ``m_target``.
+    (leaked) moments, so the result's moments equal ``m_target``.  Without a
+    target the moments of f, taken once for the remainder, are kept.
     """
-    own = lift_moments(moments(f, basis.grid), basis)
-    remainder = truncate_weighted(add(f, scale(own, -1.0)), basis.grid.w_points, eps)
+    own = moments(f, basis.grid)
+    remainder = truncate_weighted(add(f, scale(lift_moments(own, basis), -1.0)),
+                                  basis.grid.w_points, eps)
     leak = moments(remainder, basis.grid)
-    return add(lift_moments(m_target - leak, basis), remainder)
+    return add(lift_moments((own if m_target is None else m_target) - leak, basis), remainder)

@@ -4,8 +4,9 @@ Everything here works on dense arrays and deliberately avoids the factored
 code paths it is used to check: moments come from full quadrature sums,
 projections from explicitly assembled basis matrices, truncations from dense
 (weighted) SVDs, and the time step from applying the upwind operators to the
-full 2D / 4D arrays.  The linear damping rate comes from a dispersion-relation
-root finder built on the Faddeeva function.
+full 2D / 4D arrays.  The upwind stencil itself is checked against its
+ghost-cell (pad and moveaxis) formulation.  The linear damping rate comes
+from a dispersion-relation root finder built on the Faddeeva function.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from scipy.special import wofz
 
 from lrvlasov.grids import SpatialGrid, VelocityGrid
 from lrvlasov.poisson import ElectricField, solve_poisson
-from lrvlasov.upwind import flux_difference, reconstruct_interface, upwind_derivative
+from lrvlasov.upwind import (MINUS_COEFFS, PLUS_COEFFS, flux_difference,
+                             reconstruct_interface, upwind_derivative)
 
 # ---------------------------------------------------------------------------
 # dense moment / projection / truncation oracles (1D1V)
@@ -194,6 +196,34 @@ def dense_transport_rhs_2d(f: np.ndarray, field: ElectricField, sgrid: SpatialGr
             + np.maximum(e2, 0)[:, :, None, None] * upwind_derivative(f, "plus", g2.h, "zero", axis=3)
             + np.minimum(e2, 0)[:, :, None, None] * upwind_derivative(f, "minus", g2.h, "zero", axis=3))
     return out
+
+
+# ---------------------------------------------------------------------------
+# upwind stencil oracle: the ghost-cell formulation, pad and moveaxis
+
+
+def padded_reconstruct_interface(values, bias: str, boundary: str, axis: int = -1):
+    """Interface values from four ghost cells per side, summed in stencil order.
+
+    The axis is moved last, padded by wrapping or with zeros, and the five
+    shifted slices are added to a zero array that is C-ordered with the axis
+    last; the result is that array viewed with the axis back in place.
+    """
+    values = np.moveaxis(np.asarray(values, dtype=float), axis, -1)
+    n = values.shape[-1]
+    pad = [(0, 0)] * (values.ndim - 1) + [(4, 4)]
+    ext = np.pad(values, pad, mode="wrap" if boundary == "periodic" else "constant")
+    coeffs = PLUS_COEFFS if bias == "plus" else MINUS_COEFFS
+    start = 1 if bias == "plus" else 2
+    fhat = np.zeros(values.shape[:-1] + (n + 1,))
+    for k, c in enumerate(coeffs):
+        fhat += c * ext[..., start + k : start + k + n + 1]
+    return np.moveaxis(fhat, -1, axis)
+
+
+def padded_upwind_derivative(u, bias: str, h: float, boundary: str, axis: int = -1):
+    fhat = np.moveaxis(padded_reconstruct_interface(u, bias, boundary, axis), axis, -1)
+    return np.moveaxis((fhat[..., 1:] - fhat[..., :-1]) / h, -1, axis)
 
 
 # ---------------------------------------------------------------------------

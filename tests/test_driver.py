@@ -153,12 +153,37 @@ def test_pin_2d_adds_one_carrier_to_the_truncated_remainder():
                 wp[:, None] * rng.standard_normal((g.n, r)), nx))
         target = ht.Moments2D(*rng.standard_normal((4, *nx)))
         out = problem.pin(blocks, target)
-        own = ht.ht_lift_moments(problem.block_moments(blocks), problem.basis2, nx)
+        own = ht.ht_lift_moments(ht.ht_sum_moments(blocks, problem.vgrids), problem.basis2, nx)
         remainder = ht.ht_truncate_weighted_sum(blocks + [ht.ht_scale(own, -1.0)], wp, wp,
                                                 problem.cfg.eps)
         assert out.ranks == tuple(r + c for r, c in zip(remainder.ranks, (4, 4, 3, 3)))
         got = problem.moments(out)
         assert (got - target).max_abs() < 1e-12 * (target.max_abs() + 1.0)
+
+
+def test_conservative_truncation_takes_block_moments_once(monkeypatch):
+    # conservative pins to the sum's own moments, which the pin computes for
+    # its remainder anyway: one ht_moments per block, plus one for the leak
+    import lrvlasov.driver as driver
+
+    calls, per_truncation = [0], []
+    moments_2d, truncate = ht.ht_moments, driver._truncate
+
+    def counting_moments(*args, **kwargs):
+        calls[0] += 1
+        return moments_2d(*args, **kwargs)
+
+    def counting_truncate(problem, blocks, u_new):
+        before = calls[0]
+        out = truncate(problem, blocks, u_new)
+        per_truncation.append((calls[0] - before, len(blocks)))
+        return out
+
+    monkeypatch.setattr(ht, "ht_moments", counting_moments)
+    monkeypatch.setattr(driver, "_truncate", counting_truncate)
+    run(from_preset("weak_landau_2d2v", nx=8, nv=16, method="conservative", t_end=0.1))
+    assert len(per_truncation) >= 4
+    assert all(n == blocks + 1 for n, blocks in per_truncation)
 
 
 @pytest.mark.parametrize("method,solves", [("plain", 1), ("macro", 2)])

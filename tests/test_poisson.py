@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lrvlasov import poisson
 from lrvlasov.errors import DimensionError, UnsupportedDomainError
 from lrvlasov.grids import SpatialGrid, spatial_grid_1d, spatial_grid_2d
 from lrvlasov.poisson import divergence, field_energy, solve_poisson
@@ -107,3 +108,34 @@ def test_error_paths():
     bad = SpatialGrid(n=(32,), x_min=(0.0,), x_max=(1.0,), periodic=False)
     with pytest.raises(UnsupportedDomainError):
         solve_poisson(np.ones(32), bad)
+
+
+def _bits(field):
+    return [a.tobytes() for a in (*field.E, field.phi)]
+
+
+@pytest.mark.parametrize("n", [(64,), (16, 12)])
+def test_solves_share_read_only_factors(n):
+    # the spectral factors are built once per grid, shared by every solve on
+    # it (an equal grid built again included), and cannot be written
+    rng = np.random.default_rng(8)
+    make = lambda: SpatialGrid(n=n, x_min=(0.0,) * len(n), x_max=(2.0 * np.pi,) * len(n))
+    g = make()
+    rho = 1.0 + 0.1 * rng.standard_normal(n)
+    poisson._factors.cache_clear()
+    first = solve_poisson(rho, g)
+    factors = poisson._factors(g)
+    solve_poisson(2.0 * rho, make(), sign=-1.0)
+    assert poisson._factors(make()) is factors
+    assert poisson._factors.cache_info().misses == 1
+
+    ksq, derivs = factors
+    for a in (ksq, *derivs):
+        with pytest.raises(ValueError):
+            a[(0,) * len(n)] = 123.0
+        with pytest.raises(ValueError):
+            a *= 2.0
+    again = solve_poisson(rho, g)
+    poisson._factors.cache_clear()
+    fresh = solve_poisson(rho, g)
+    assert _bits(again) == _bits(fresh) == _bits(first)

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lrvlasov.errors import ConfigError, GridSizeError
 from lrvlasov.upwind import (MINUS_COEFFS, PLUS_COEFFS, flux_difference,
                              reconstruct_interface, upwind_derivative)
+from reference import padded_reconstruct_interface, padded_upwind_derivative
 
 
 def test_stencil_coefficients():
@@ -142,3 +145,48 @@ def test_validation_errors():
         reconstruct_interface(np.ones(6), "plus", "periodic")
     with pytest.raises(GridSizeError):
         reconstruct_interface(np.ones(4), "plus", "zero")
+
+
+def _layout(a):
+    """Strides of the axes longer than 1 (a length-1 axis has no layout)."""
+    return [s for s, n in zip(a.strides, a.shape) if n > 1]
+
+
+@st.composite
+def _stencil_case(draw):
+    ndim = draw(st.integers(1, 3))
+    axis = draw(st.integers(-ndim, ndim - 1))
+    boundary = draw(st.sampled_from(["periodic", "zero"]))
+    n = draw(st.integers(8 if boundary == "periodic" else 5, 40))
+    shape = [draw(st.integers(1, 6)) for _ in range(ndim)]
+    shape[axis] = n
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if layout == "strided":
+        # every other entry of a larger array, reversed along one axis
+        big = rng.standard_normal([2 * s for s in shape])
+        flip = draw(st.integers(0, ndim - 1))
+        values = big[tuple(slice(None, None, -2) if a == flip else slice(None, None, 2)
+                           for a in range(ndim))]
+    else:
+        values = np.asarray(rng.standard_normal(shape), order=layout)
+    # signed zeros where a stencil can sum to zero
+    values[rng.random(values.shape) < 0.1] = -0.0
+    bias = draw(st.sampled_from(["plus", "minus"]))
+    return values, bias, boundary, axis
+
+
+@settings(max_examples=200)
+@given(_stencil_case(), st.floats(0.01, 10.0))
+def test_stencil_matches_padded_oracle_bit_for_bit(case, h):
+    values, bias, boundary, axis = case
+    for got, want in (
+        (reconstruct_interface(values, bias, boundary, axis=axis),
+         padded_reconstruct_interface(values, bias, boundary, axis)),
+        (upwind_derivative(values, bias, h, boundary, axis=axis),
+         padded_upwind_derivative(values, bias, h, boundary, axis)),
+    ):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert _layout(got) == _layout(want)
