@@ -119,7 +119,10 @@ def test_solves_share_read_only_factors(n):
     # the spectral factors are built once per grid, shared by every solve on
     # it (an equal grid built again included), and cannot be written
     rng = np.random.default_rng(8)
-    make = lambda: SpatialGrid(n=n, x_min=(0.0,) * len(n), x_max=(2.0 * np.pi,) * len(n))
+
+    def make():
+        return SpatialGrid(n=n, x_min=(0.0,) * len(n), x_max=(2.0 * np.pi,) * len(n))
+
     g = make()
     rho = 1.0 + 0.1 * rng.standard_normal(n)
     poisson._factors.cache_clear()
