@@ -98,6 +98,7 @@ def _cmd_convergence(args) -> int:
 def _cmd_compare(args) -> int:
     from dataclasses import replace
 
+    from .config import METHODS
     from .driver import run
     from .io import csv_header, csv_row
 
@@ -106,12 +107,15 @@ def _cmd_compare(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "compare.csv"
     with csv_path.open("w") as fh:
-        for i, method in enumerate(("plain", "conservative", "macro")):
-            series = run(replace(cfg, method=method))
-            if i == 0:
-                fh.write(f"method,{csv_header(series[0])}\n")
-            for row in series:
+        for method in METHODS:
+            # streamed and flushed per row, so a failing method keeps its rows
+            def write(row, method=method):
+                if not fh.tell():
+                    fh.write(f"method,{csv_header(row)}\n")
                 fh.write(f"{method},{csv_row(row)}\n")
+                fh.flush()
+
+            series = run(replace(cfg, method=method), on_row=write)
             print(f"{method}: {len(series)} rows")
     print(f"wrote {csv_path}")
     return 0

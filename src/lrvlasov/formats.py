@@ -32,9 +32,6 @@ class Problem:
     preset: Preset
     sgrid: SpatialGrid
     vgrids: tuple[VelocityGrid, ...]                  # one per velocity dimension
-    vgrid: VelocityGrid | None = None                 # 1D1V
-    basis: projection.MomentBasis | None = None       # 1D1V
-    basis2: ht.MomentBasis2D | None = None            # 2D2V
 
     def rate(self, u: np.ndarray, f, field, t: float) -> np.ndarray:
         """-div F + S for the stacked macroscopic state, fluxes taken from f."""
@@ -42,16 +39,22 @@ class Problem:
                           self.preset.macro_sources, t)
 
 
+@dataclass
 class Problem1D(Problem):
     """1D1V: the two-factor ``LowRankMatrix``."""
 
+    basis: projection.MomentBasis
     Moments = projection.Moments1D
 
     @classmethod
     def build(cls, cfg: SolverConfig, preset: Preset) -> "Problem1D":
         vgrid = make_velocity_grid(cfg.nv, cfg.v_max, GaussianWeight(cfg.beta))
         return cls(cfg, preset, spatial_grid_1d(cfg.nx, cfg.x_min, cfg.x_max), (vgrid,),
-                   vgrid=vgrid, basis=projection.MomentBasis.build(vgrid))
+                   projection.MomentBasis.build(vgrid))
+
+    @property
+    def vgrid(self) -> VelocityGrid:
+        return self.vgrids[0]
 
     def initial(self):
         return self.preset.init_1d(self.sgrid, self.vgrid)
@@ -86,8 +89,7 @@ class Problem1D(Problem):
         return macro.kfvs_fluxes_1d(f, self.vgrid)
 
     def truncate(self, blocks):
-        cfg = self.cfg
-        return lowrank.truncate(lowrank.add(*blocks), cfg.eps, relative=cfg.eps_relative)
+        return lowrank.truncate(lowrank.add(*blocks), self.cfg.eps)
 
     def pin(self, blocks, target=None):
         return projection.truncate_to_moments(lowrank.add(*blocks), target, self.basis,
@@ -97,16 +99,18 @@ class Problem1D(Problem):
         return (f.rank,)
 
 
+@dataclass
 class Problem2D(Problem):
     """2D2V: the hierarchical ``HtTensor``."""
 
+    basis2: ht.MomentBasis2D
     Moments = ht.Moments2D
 
     @classmethod
     def build(cls, cfg: SolverConfig, preset: Preset) -> "Problem2D":
         v = make_velocity_grid(cfg.nv, cfg.v_max, GaussianWeight(cfg.beta))
         return cls(cfg, preset, spatial_grid_2d(cfg.nx, cfg.nx2, cfg.x_min, cfg.x_max),
-                   (v, v), basis2=ht.MomentBasis2D.build(v, v))
+                   (v, v), ht.MomentBasis2D.build(v, v))
 
     def initial(self):
         return self.preset.init_2d(self.sgrid, self.vgrids)

@@ -51,6 +51,9 @@ class SpatialGrid:
                     f"spatial grid needs at least {MIN_STENCIL_POINTS} points per "
                     f"dimension for the interface stencils, got {nd}"
                 )
+        for a, b in zip(self.x_min, self.x_max):
+            if not b > a:
+                raise DomainError(f"spatial domain needs x_max > x_min, got [{a}, {b})")
 
     @property
     def ndim(self) -> int:

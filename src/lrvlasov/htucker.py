@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import DimensionError, DomainError
 from .grids import VelocityGrid
-from .lowrank import DEFAULT_DROPTOL
+from .lowrank import DEFAULT_DROPTOL, keep_count
 from .poisson import ElectricField
 from .upwind import upwind_derivative
 
@@ -148,19 +148,6 @@ def ht_canonicalize_sum(terms) -> HtTensor:
     return HtTensor(qx, b, qv.reshape(q1.shape[1], q2.shape[1], -1), q1, q2, terms[0].nx)
 
 
-def ht_canonicalize(f: HtTensor) -> HtTensor:
-    """Orthonormalize every frame and the velocity-pair transfer (leaves to root)."""
-    return ht_canonicalize_sum([f])
-
-
-def _keep_count(s: np.ndarray, tol: float, floor: float) -> int:
-    if s.size == 0 or s[0] <= 0.0:
-        return 0
-    tails = np.sqrt(np.cumsum(s[::-1] ** 2))[::-1]
-    ok = tails <= max(tol, floor)
-    return int(np.argmax(ok)) if ok.any() else s.size
-
-
 def scale_bound(f: HtTensor) -> float:
     """Frobenius-norm bound from block magnitudes; survives cancellation."""
     ux = np.linalg.norm(f.Ux, axis=0)
@@ -181,7 +168,7 @@ def _finish_truncation(ux, core, uv1, uv2, nx, tol, floor):
             lam, vec = np.linalg.eigh(np.tensordot(core, core, axes=(others, others)))
             s = np.sqrt(np.maximum(lam[::-1], 0.0))
             vec = vec[:, ::-1]
-        k = max(_keep_count(s, tol, floor), 1)
+        k = max(keep_count(s, max(tol, floor)), 1)
         return frame @ vec[:, :k], vec[:, :k]
 
     new_uv1, rot1 = leaf_cut(0, uv1)
@@ -282,7 +269,7 @@ class _PairUnfold:
         return core
 
 
-def ht_truncate_sum(terms, eps: float, droptol: float = DEFAULT_DROPTOL) -> HtTensor:
+def ht_truncate_sum(terms, eps: float) -> HtTensor:
     """Hierarchical truncation of sum(terms), total Frobenius error <= eps.
 
     eps > 0: the spatial frame comes from an adaptive randomized range finder
@@ -313,7 +300,7 @@ def ht_truncate_sum(terms, eps: float, droptol: float = DEFAULT_DROPTOL) -> HtTe
     if eps < 0:
         raise DomainError(f"truncation threshold must be >= 0, got {eps}")
     terms = list(terms)
-    floor = droptol * sum(scale_bound(t) for t in terms)
+    floor = DEFAULT_DROPTOL * sum(scale_bound(t) for t in terms)
     tol = eps / np.sqrt(3.0)
     nx = terms[0].nx
     nv1, nv2 = terms[0].Uv1.shape[0], terms[0].Uv2.shape[0]
@@ -325,7 +312,7 @@ def ht_truncate_sum(terms, eps: float, droptol: float = DEFAULT_DROPTOL) -> HtTe
         # root separation: with orthonormal frames the singular values of B
         # are those of the (x)|(v1,v2) matricization
         u, s, vt = np.linalg.svd(g.B, full_matrices=False)
-        keep = _keep_count(s, tol, floor)
+        keep = keep_count(s, max(tol, floor))
         if keep == 0:
             return ht_zero(g.nx, nv1, nv2)
         ux = g.Ux @ u[:, :keep]
@@ -389,11 +376,6 @@ def ht_truncate_sum(terms, eps: float, droptol: float = DEFAULT_DROPTOL) -> HtTe
     ux = q @ vec[:, :keep]
     core = pair.matmul(z.T @ vec[:, :keep])
     return _finish_truncation(ux, core, pair.q1, pair.q2, nx, tol, floor)
-
-
-def ht_truncate(f: HtTensor, eps: float, droptol: float = DEFAULT_DROPTOL) -> HtTensor:
-    """Hierarchical rank truncation with total Frobenius error <= eps."""
-    return ht_truncate_sum([f], eps, droptol=droptol)
 
 
 def _check_weights(f: HtTensor, w1: np.ndarray, w2: np.ndarray) -> None:

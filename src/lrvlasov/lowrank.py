@@ -99,32 +99,29 @@ def recompress(f: LowRankMatrix, droptol: float = DEFAULT_DROPTOL) -> LowRankMat
     return LowRankMatrix(s[:keep], qx @ u[:, :keep], qv @ vt[:keep].T, canonical=True)
 
 
-def _keep_count(s: np.ndarray, eps: float, relative: bool) -> int:
-    """Smallest kept count whose discarded tail has 2-norm <= eps."""
+def keep_count(s: np.ndarray, eps: float) -> int:
+    """Smallest kept count of the sorted spectrum s whose discarded tail has
+    2-norm <= eps."""
     tails = np.sqrt(np.cumsum(s[::-1] ** 2))[::-1]  # tails[k] = ||s[k:]||_2
-    threshold = eps * tails[0] if relative and tails.size else eps
-    ok = tails <= threshold
+    ok = tails <= eps
     return int(np.argmax(ok)) if ok.any() else s.size
 
 
-def truncate(f: LowRankMatrix, eps: float, relative: bool = False,
-             droptol: float = DEFAULT_DROPTOL) -> LowRankMatrix:
+def truncate(f: LowRankMatrix, eps: float) -> LowRankMatrix:
     """Rank truncation with Frobenius tail sqrt(sum_{k>r} s_k^2) <= eps.
 
-    eps = 0 reduces to recompression.  The threshold is absolute unless
-    ``relative`` is set, in which case it is scaled by the full spectrum norm.
+    eps = 0 reduces to recompression.
     """
     if eps < 0:
         raise DomainError(f"truncation threshold must be >= 0, got {eps}")
-    g = f if f.canonical else recompress(f, droptol=droptol)
+    g = f if f.canonical else recompress(f)
     if eps == 0.0 or g.rank == 0:
         return g
-    keep = _keep_count(g.C, eps, relative)
+    keep = keep_count(g.C, eps)
     return LowRankMatrix(g.C[:keep], g.Ux[:, :keep], g.Uv[:, :keep], canonical=True)
 
 
-def truncate_weighted(f: LowRankMatrix, w_points: np.ndarray, eps: float,
-                      relative: bool = False) -> LowRankMatrix:
+def truncate_weighted(f: LowRankMatrix, w_points: np.ndarray, eps: float) -> LowRankMatrix:
     """sqrt(w)-conjugated truncation acting purely on the velocity factors."""
     w_points = np.asarray(w_points, dtype=float)
     if w_points.shape != (f.Uv.shape[0],):
@@ -133,5 +130,5 @@ def truncate_weighted(f: LowRankMatrix, w_points: np.ndarray, eps: float,
         raise DomainError("weights must be strictly positive")
     root = np.sqrt(w_points)
     scaled = LowRankMatrix(f.C, f.Ux, f.Uv / root[:, None])
-    t = truncate(scaled, eps, relative=relative)
+    t = truncate(scaled, eps)
     return LowRankMatrix(t.C, t.Ux, t.Uv * root[:, None], canonical=False)

@@ -25,11 +25,6 @@ class ElectricField:
     """Field values on spatial nodes; E is a tuple of arrays, one per dimension."""
 
     E: tuple[np.ndarray, ...]
-    phi: np.ndarray
-
-    @property
-    def ndim(self) -> int:
-        return len(self.E)
 
     def magnitude_squared(self) -> np.ndarray:
         out = self.E[0] ** 2
@@ -87,8 +82,7 @@ def solve_poisson(rho: np.ndarray, grid: SpatialGrid, sign: float = 1.0) -> Elec
     rho_hat[zero] = 0.0
     phi_hat = rho_hat / ksq
     phi_hat[zero] = 0.0
-    e = tuple(np.fft.ifftn(-sign * d * phi_hat).real for d in derivs)
-    return ElectricField(E=e, phi=np.fft.ifftn(phi_hat).real)
+    return ElectricField(E=tuple(np.fft.ifftn(-sign * d * phi_hat).real for d in derivs))
 
 
 def divergence(field: ElectricField, grid: SpatialGrid) -> np.ndarray:

@@ -14,7 +14,7 @@ stays rank one, and is used for convergence studies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -45,7 +45,6 @@ class Preset:
     kinetic_forcing: Optional[Callable] = None  # (t, sgrid, vgrid) -> LowRankMatrix
     macro_sources: Optional[Callable] = None    # (x, t, E) -> (s_rho, s_J, s_e)
     exact_f: Optional[Callable] = None          # (t, x, v) -> dense array
-    params: dict = field(default_factory=dict)
 
 
 # --------------------------------------------------------------------------
@@ -153,14 +152,12 @@ PRESETS: dict[str, Preset] = {
         x_min=0.0, x_max=4.0 * np.pi, v_max=6.0, beta=2.0, eps=1e-5,
         nx=64, nv=129, t_end=20.0,
         init_1d=_cosine_init_1d(alpha=0.01, k=0.5, profile=_maxwellian),
-        params={"alpha": 0.01, "k": 0.5},
     ),
     "strong_landau_1d": Preset(
         name="strong_landau_1d", dim="1d1v",
         x_min=0.0, x_max=4.0 * np.pi, v_max=6.0, beta=2.0, eps=1e-3,
         nx=128, nv=257, t_end=20.0,
         init_1d=_cosine_init_1d(alpha=0.5, k=0.5, profile=_maxwellian),
-        params={"alpha": 0.5, "k": 0.5},
     ),
     "bump_on_tail": Preset(
         name="bump_on_tail", dim="1d1v",
@@ -168,7 +165,6 @@ PRESETS: dict[str, Preset] = {
         nx=128, nv=256, t_end=30.0,
         init_1d=_cosine_init_1d(alpha=0.04, k=0.3, profile=_bump_on_tail(
             n_p=0.9 / np.sqrt(2.0 * np.pi), n_b=0.2 / np.sqrt(2.0 * np.pi), u=4.5, v_t=0.5)),
-        params={"alpha": 0.04, "k": 0.3, "u": 4.5, "v_t": 0.5},
     ),
     "weak_landau_2d2v": Preset(
         name="weak_landau_2d2v", dim="2d2v",
@@ -176,7 +172,6 @@ PRESETS: dict[str, Preset] = {
         nx=16, nv=32, t_end=5.0,
         init_2d=_cosine_init_2d(alpha=0.01, k=0.5, norm=2.0 * np.pi,
                                 profile=lambda v: np.exp(-v**2 / 2.0)),
-        params={"alpha": 0.01, "k": 0.5},
     ),
     "two_stream_2d2v": Preset(
         name="two_stream_2d2v", dim="2d2v",
@@ -188,7 +183,6 @@ PRESETS: dict[str, Preset] = {
         rank_cap=160,
         init_2d=_cosine_init_2d(alpha=0.001, k=0.2, norm=4.0 * 2.0 * np.pi,
                                 profile=_two_beams(2.4)),
-        params={"alpha": 0.001, "k": 0.2, "v0": 2.4},
     ),
 }
 

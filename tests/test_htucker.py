@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 from lrvlasov.errors import DimensionError, DomainError
 from lrvlasov.grids import make_velocity_grid, spatial_grid_2d
 from lrvlasov.htucker import (HtTensor, MomentBasis2D, Moments2D, ht_add,
-                              ht_canonicalize, ht_canonicalize_sum, ht_lift_moments,
-                              ht_moments, ht_scale, ht_transport_blocks, ht_truncate,
-                              ht_truncate_sum, ht_truncate_to_moments,
-                              ht_truncate_weighted_sum, ht_zero)
+                              ht_canonicalize_sum, ht_lift_moments, ht_moments,
+                              ht_scale, ht_transport_blocks, ht_truncate_sum,
+                              ht_truncate_to_moments, ht_truncate_weighted_sum, ht_zero)
 from lrvlasov.poisson import ElectricField
 
 from reference import (dense_moments_2d, dense_pair_basis, dense_remove_moments_2d,
@@ -58,7 +57,7 @@ def test_add_cancellation(rng):
     a = random_ht(rng, r=3)
     z = ht_add(a, ht_scale(a, -1.0))
     assert np.max(np.abs(z.dense())) < 1e-12 * np.abs(a.dense()).max()
-    assert ht_truncate(z, 0.0).ranks == (0, 0, 0, 0)
+    assert ht_truncate_sum([z], 0.0).ranks == (0, 0, 0, 0)
 
 
 def test_add_shape_mismatch(rng):
@@ -68,7 +67,7 @@ def test_add_shape_mismatch(rng):
 
 def test_canonicalize_preserves_and_orthonormal(rng):
     s = ht_add(random_ht(rng, r=3), random_ht(rng, r=2))
-    c = ht_canonicalize(s)
+    c = ht_canonicalize_sum([s])
     assert np.allclose(c.dense(), s.dense(), atol=1e-12 * np.abs(s.dense()).max())
     for frame in (c.Ux, c.Uv1, c.Uv2):
         k = frame.shape[1]
@@ -79,7 +78,7 @@ def test_canonicalize_preserves_and_orthonormal(rng):
 
 def test_truncate_eps_zero_roundtrip(rng):
     s = ht_add(random_ht(rng, r=3), random_ht(rng, r=2))
-    out = ht_truncate(s, 0.0)
+    out = ht_truncate_sum([s], 0.0)
     assert np.allclose(out.dense(), s.dense(), atol=1e-11 * np.abs(s.dense()).max())
 
 
@@ -88,7 +87,7 @@ def test_truncate_rank_one_product(rng):
     f = HtTensor(rng.standard_normal((NX[0] * NX[1], 1)), np.eye(1),
                  np.ones((1, 1, 1)), rng.standard_normal((NV, 1)),
                  rng.standard_normal((NV, 1)), NX)
-    out = ht_truncate(f, 1e-6)
+    out = ht_truncate_sum([f], 1e-6)
     assert out.ranks == (1, 1, 1, 1)
     assert np.allclose(out.dense(), f.dense(), atol=1e-12 * np.abs(f.dense()).max())
 
@@ -119,7 +118,7 @@ def test_weighted_truncate_flat_equals_plain(rng):
     s = ht_add(random_ht(rng, r=2), ht_scale(random_ht(rng, r=2), 1e-3))
     eps = 1e-2
     flat = ht_truncate_weighted_sum([s], np.ones(NV), np.ones(NV), eps)
-    plain = ht_truncate(s, eps)
+    plain = ht_truncate_sum([s], eps)
     assert np.allclose(flat.dense(), plain.dense(), atol=1e-10)
 
 
@@ -142,7 +141,7 @@ def test_weighted_truncate_weight_validation(rng, vgrid):
     with pytest.raises(DomainError):
         ht_truncate_weighted_sum([s], bad, np.ones(NV), 1e-3)
     with pytest.raises(DomainError):
-        ht_truncate(s, -1.0)
+        ht_truncate_sum([s], -1.0)
 
 
 def test_moments_zero_and_dense_oracle(rng, vgrid):
@@ -203,7 +202,7 @@ def test_lift_zero_and_degenerate(rng, vgrid, basis2):
     m = Moments2D(rho, np.zeros(NX), np.zeros(NX), basis2.c * rho)
     lifted = ht_lift_moments(m, basis2, NX)
     # fourth column vanishes; effective separation rank collapses to 1
-    assert ht_truncate(lifted, 0.0).ranks[0] == 1
+    assert ht_truncate_sum([lifted], 0.0).ranks[0] == 1
 
 
 def test_lift_roundtrip(rng, vgrid, basis2):
@@ -265,7 +264,7 @@ def test_carrier_in_span_annihilated(rng, vgrid, basis2):
 
 def test_transport_rhs_zero_cases(vgrid):
     sg = spatial_grid_2d(*NX, 0.0, 2.0 * np.pi)
-    field = ElectricField(E=(np.zeros(NX), np.zeros(NX)), phi=np.zeros(NX))
+    field = ElectricField(E=(np.zeros(NX), np.zeros(NX)))
     z = ht_zero(NX, NV, NV)
     out = ht_add(*ht_transport_blocks(z, field, sg.h, (vgrid, vgrid)))
     assert np.max(np.abs(out.dense())) == 0.0
@@ -282,7 +281,7 @@ def test_transport_rhs_matches_dense(rng, vgrid):
     f = random_ht(rng, r=2)
     e1 = rng.standard_normal(NX)
     e2 = rng.standard_normal(NX)
-    field = ElectricField(E=(e1, e2), phi=np.zeros(NX))
+    field = ElectricField(E=(e1, e2))
     blocks = ht_transport_blocks(f, field, sg.h, (vgrid, vgrid))
     assert len(blocks) == 8
     out = ht_add(*ht_transport_blocks(f, field, sg.h, (vgrid, vgrid)))

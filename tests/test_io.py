@@ -1,13 +1,23 @@
+import contextlib
+import io
+import math
+import tempfile
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lrvlasov.config import from_preset, load_config, parse_overrides
+from lrvlasov.config import (_SCHEMA, METHODS, SolverConfig, from_preset, load_config,
+                             parse_overrides)
 from lrvlasov.driver import initialize, run
-from lrvlasov.errors import ConfigError, SnapshotError
+from lrvlasov.errors import ConfigError, DomainError, SnapshotError
 from lrvlasov.htucker import HtTensor
 from lrvlasov.io import (DiagnosticsRow, append_row, read_diagnostics, snapshot_read,
                          snapshot_write)
 from lrvlasov.lowrank import LowRankMatrix
+from lrvlasov.presets import PRESETS
 
 
 def test_preset_defaults_weak_landau():
@@ -114,16 +124,32 @@ def test_invalid_config_values():
         from_preset("forced", eps=-1.0)
 
 
-@pytest.mark.parametrize("preset,method", [
-    ("weak_landau_1d", "conservative"), ("weak_landau_1d", "macro"),
-    ("weak_landau_2d2v", "plain"), ("weak_landau_2d2v", "conservative"),
-    ("two_stream_2d2v", "macro"),
-])
-def test_eps_relative_rejected_where_unsupported(preset, method):
-    # only the plain 1D1V truncation has a relative threshold
+def test_eps_relative_key_removed(tmp_path):
+    # the absolute eps is the only threshold; a relative one is not a key
     with pytest.raises(ConfigError, match="eps_relative"):
-        from_preset(preset, method=method, eps_relative=True)
-    assert from_preset("weak_landau_1d", method="plain", eps_relative=True).eps_relative
+        parse_overrides(["method.eps_relative=true"])
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("[preset]\nname = weak_landau_1d\n[method]\neps_relative = true\n")
+    with pytest.raises(ConfigError, match="eps_relative"):
+        load_config(path=cfg_file)
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(SolverConfig) if f.type == "float"])
+def test_non_finite_config_values_rejected(name):
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigError, match=f"{name} must be finite"):
+            from_preset("weak_landau_1d", **{name: bad})
+
+
+@pytest.mark.parametrize("preset,bounds", [
+    ("weak_landau_1d", dict(x_min=20.0)),
+    ("weak_landau_1d", dict(x_max=0.0)),
+    ("weak_landau_2d2v", dict(x_min=20.0, nx=8, nv=16)),
+])
+def test_spatial_domain_must_be_ordered(preset, bounds):
+    # x_max <= x_min gives a spacing h <= 0 and so a step dt <= 0
+    with pytest.raises(DomainError, match="x_max > x_min"):
+        initialize(from_preset(preset, **bounds))
 
 
 def test_nv2_key_removed(tmp_path):
@@ -145,6 +171,41 @@ def test_nx2_rejected_in_1d1v():
     assert from_preset("weak_landau_1d").nx2 == 64
     assert from_preset("weak_landau_1d", nx2=64).nx2 == 64
     assert from_preset("weak_landau_2d2v", nx2=8).nx2 == 8
+
+
+def test_schema_targets_are_the_config_fields():
+    targets = {name for keys in _SCHEMA.values() for name, _ in keys.values()}
+    assert targets == {f.name for f in fields(SolverConfig)} - {"dim"}
+
+
+# zero, negative, non-finite, boundary and unparsable values per key type; none
+# makes an accepted run long (grids stay at most 16 x 33, cfl at least 0.3)
+_FUZZ_VALUES = {
+    int: ["0", "-1", "1", "7", "8", "9", "16", "x", ""],
+    float: ["0", "-0.0", "-1", "0.5", "1", "1.5", "nan", "inf", "-inf", "x"],
+    str: [*PRESETS, *METHODS, "x", ""],
+}
+_FUZZ_T_END = ["0", "-1", "0.05", "nan", "inf", "-inf", "x"]  # t_end is the run length
+_FUZZ_KEYS = [(f"{section}.{key}", name, typ)
+              for section, keys in _SCHEMA.items() for key, (name, typ) in keys.items()]
+
+
+@settings(max_examples=40)
+@given(st.sampled_from(["weak_landau_1d", "weak_landau_2d2v"]),
+       st.sampled_from(_FUZZ_KEYS), st.data())
+def test_config_fuzz_runs_or_fails_in_one_line(preset, target, data):
+    from lrvlasov.cli import main
+
+    key, name, typ = target
+    value = data.draw(st.sampled_from(_FUZZ_T_END if name == "t_end" else _FUZZ_VALUES[typ]))
+    err = io.StringIO()
+    with (tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err),
+          contextlib.redirect_stdout(io.StringIO())):
+        rc = main(["run", "--preset", preset, "--set", "grid.nx=16", "--set", "grid.nv=33",
+                   "--set", "method.t_end=0.05", "--set", f"{key}={value}", "--out", out])
+    lines = err.getvalue().strip().splitlines()
+    assert rc == 0 or (rc == 2 and len(lines) == 1 and lines[0].startswith("error: ")), \
+        (rc, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +478,26 @@ def test_cli_compare_writes_all_methods(tmp_path):
     assert methods == {"plain", "conservative", "macro"}
 
 
+def test_cli_compare_keeps_rows_of_a_failing_method(tmp_path, capsys):
+    from lrvlasov.cli import main
+
+    rc = main(["compare", "--preset", "strong_landau_1d", "--set", "grid.nx=32",
+               "--set", "grid.nv=64", "--set", "method.rank_cap=3",
+               "--set", "method.t_end=1.0", "--set", "output.every=1",
+               "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: rank")
+    # plain fails first; the rows it recorded up to the failed step were
+    # streamed to disk under the header
+    failed_step = int(err[0].split("(step ")[1].split(")")[0])
+    lines = (tmp_path / "compare.csv").read_text().splitlines()
+    assert lines[0] == "method,t,rank,mass,mom1,energy,efield_energy,wall_ms"
+    assert len(lines) == 1 + failed_step + 1 and failed_step >= 1
+    assert all(line.startswith("plain,") for line in lines[1:])
+    assert float(lines[1].split(",")[1]) == 0.0
+
+
 def test_cli_error_reporting(capsys):
     from lrvlasov.cli import main
 
@@ -431,11 +512,18 @@ def test_cli_error_reporting(capsys):
     ("weak_landau_1d", "grid.vmax=0"),      # DomainError
     ("weak_landau_1d", "grid.nx2=9"),       # ConfigError
     ("weak_landau_2d2v", "grid.nv2=16"),    # ConfigError (removed key)
+    ("weak_landau_1d", "grid.xmin=20"),     # DomainError (x_min > x_max)
+    ("weak_landau_1d", "grid.xmax=0"),      # DomainError (empty domain)
+    ("weak_landau_1d", "grid.beta=nan"),    # ConfigError (non-finite)
+    ("weak_landau_1d", "method.poisson_sign=nan"),
+    ("weak_landau_1d", "method.eps=nan"),
+    ("weak_landau_1d", "method.t_end=nan"),
 ])
 def test_cli_typed_errors_one_line(tmp_path, capsys, preset, override):
     from lrvlasov.cli import main
 
-    rc = main(["run", "--preset", preset, "--set", override, "--set", "method.t_end=0.05",
+    # the override comes last, so that it also wins for method.t_end
+    rc = main(["run", "--preset", preset, "--set", "method.t_end=0.05", "--set", override,
                "--out", str(tmp_path)])
     assert rc == 2
     err = capsys.readouterr().err

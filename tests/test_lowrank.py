@@ -127,15 +127,6 @@ def test_truncate_rank_monotone_in_eps(rng):
     assert ranks == sorted(ranks, reverse=True)
 
 
-def test_truncate_relative_mode(rng):
-    a = random_lowrank(rng)
-    big = scale(a, 1e6)
-    r_abs = truncate(big, 1e-3).rank
-    r_rel = truncate(big, 1e-3, relative=True).rank
-    assert r_abs == big.rank  # absolute 1e-3 is tiny against the scaled spectrum
-    assert r_rel <= r_abs
-
-
 def test_weighted_truncate_flat_weight_equals_plain(rng):
     a = add(random_lowrank(rng), random_lowrank(rng))
     eps = 1e-3

@@ -25,7 +25,7 @@ def sgrid():
 
 
 def zero_field(n):
-    return ElectricField(E=(np.zeros(n),), phi=np.zeros(n))
+    return ElectricField(E=(np.zeros(n),))
 
 
 def state(*rows):
@@ -128,7 +128,7 @@ def test_momentum_source_is_rho_e(rng, sgrid, vgrid):
     u_n = state(np.abs(rng.standard_normal(NX)) + 1.0, np.zeros(NX), np.ones(NX))
     fs = kfvs_fluxes_1d(zero(NX, NV), vgrid)
     e = rng.standard_normal(NX)
-    field = ElectricField(E=(e,), phi=np.zeros(NX))
+    field = ElectricField(E=(e,))
     dt = 0.2
     out = combine([u_n, u_n], [0.25, 0.75], rate(u_n, fs, field, sgrid), 1.5 * dt)
     assert np.allclose(out[1], 1.5 * dt * u_n[0] * e, atol=1e-14)
@@ -136,7 +136,7 @@ def test_momentum_source_is_rho_e(rng, sgrid, vgrid):
 
 def test_recover_kinetic_energy(rng):
     e_arr = rng.standard_normal(NX)
-    field = ElectricField(E=(e_arr,), phi=np.zeros(NX))
+    field = ElectricField(E=(e_arr,))
     u = state(np.ones(NX), np.zeros(NX), np.abs(rng.standard_normal(NX)) + 2.0)
     kappa = recover_kinetic_energy(u, field)
     assert np.allclose(kappa, u[-1] - 0.5 * e_arr**2, atol=1e-15)
@@ -218,7 +218,7 @@ def test_macro_step_2d_telescoping(rng):
     fs = kfvs_fluxes_2d(f, (g, g))
     u = state(rng.standard_normal((8, 8)), rng.standard_normal((8, 8)),
               rng.standard_normal((8, 8)), rng.standard_normal((8, 8)))
-    field = ElectricField(E=(np.zeros((8, 8)), np.zeros((8, 8))), phi=np.zeros((8, 8)))
+    field = ElectricField(E=(np.zeros((8, 8)), np.zeros((8, 8))))
     out = combine([u, u], [0.25, 0.75], rate(u, fs, field, sg), 1.5 * 0.02)
     for row in (0, -1):  # rho, e
         assert out[row].sum() == pytest.approx(u[row].sum(), rel=1e-12)
@@ -234,7 +234,7 @@ def test_macro_step_2d_dimension_splitting(rng):
     (x1_plus, x1_minus), (x2_plus, x2_minus) = fs
     u = state(rng.standard_normal((8, 8)), rng.standard_normal((8, 8)),
               rng.standard_normal((8, 8)), rng.standard_normal((8, 8)))
-    field = ElectricField(E=(np.zeros((8, 8)), np.zeros((8, 8))), phi=np.zeros((8, 8)))
+    field = ElectricField(E=(np.zeros((8, 8)), np.zeros((8, 8))))
     dt = 0.02
     out = combine([u, u], [0.25, 0.75], rate(u, fs, field, sg), 1.5 * dt)
     h1, h2 = sg.h

@@ -11,7 +11,6 @@ def test_constant_density_zero_field():
     g = spatial_grid_1d(32, 0.0, 2.0 * np.pi)
     field = solve_poisson(1.7 * np.ones(32), g)
     assert np.allclose(field.E[0], 0.0, atol=1e-15)
-    assert np.allclose(field.phi, 0.0, atol=1e-15)
 
 
 def test_single_mode_1d():
@@ -50,7 +49,6 @@ def test_mean_field_zero():
                     for m in range(1, 8))
     field = solve_poisson(rho, g)
     assert abs(np.mean(field.E[0])) < 1e-12
-    assert abs(np.mean(field.phi)) < 1e-13
 
 
 def test_divergence_identity_multimode():
@@ -87,7 +85,7 @@ def test_field_energy_values():
     assert field_energy(zero, g) == 0.0
     # E = sin(x) on [0, 2pi): energy = pi/2 exactly (discrete trig identity)
     from lrvlasov.poisson import ElectricField
-    field = ElectricField(E=(np.sin(x),), phi=np.zeros(128))
+    field = ElectricField(E=(np.sin(x),))
     assert field_energy(field, g) == pytest.approx(np.pi / 2.0, abs=1e-12)
 
 
@@ -111,7 +109,7 @@ def test_error_paths():
 
 
 def _bits(field):
-    return [a.tobytes() for a in (*field.E, field.phi)]
+    return [a.tobytes() for a in field.E]
 
 
 @pytest.mark.parametrize("n", [(64,), (16, 12)])
