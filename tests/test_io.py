@@ -124,6 +124,18 @@ def test_invalid_config_values():
         from_preset("forced", eps=-1.0)
 
 
+@pytest.mark.parametrize("preset,method", [
+    ("weak_landau_1d", "conservative"), ("weak_landau_1d", "macro"),
+    ("weak_landau_2d2v", "plain"), ("weak_landau_2d2v", "conservative"),
+    ("two_stream_2d2v", "macro"),
+])
+def test_eps_relative_rejected_where_unsupported(preset, method):
+    # no method in either format has a relative threshold, so the field is gone
+    with pytest.raises(TypeError, match="eps_relative"):
+        from_preset(preset, method=method, eps_relative=True)
+    assert "eps_relative" not in {f.name for f in fields(SolverConfig)}
+
+
 def test_eps_relative_key_removed(tmp_path):
     # the absolute eps is the only threshold; a relative one is not a key
     with pytest.raises(ConfigError, match="eps_relative"):
