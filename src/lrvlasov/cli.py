@@ -100,7 +100,7 @@ def _cmd_compare(args) -> int:
 
     from .config import METHODS
     from .driver import run
-    from .io import csv_header, csv_row
+    from .io import append_row
 
     cfg = _resolve_config(args)
     out = Path(args.out)
@@ -109,13 +109,8 @@ def _cmd_compare(args) -> int:
     with csv_path.open("w") as fh:
         for method in METHODS:
             # streamed and flushed per row, so a failing method keeps its rows
-            def write(row, method=method):
-                if not fh.tell():
-                    fh.write(f"method,{csv_header(row)}\n")
-                fh.write(f"{method},{csv_row(row)}\n")
-                fh.flush()
-
-            series = run(replace(cfg, method=method), on_row=write)
+            series = run(replace(cfg, method=method),
+                         on_row=lambda row, method=method: append_row(row, fh, method))
             print(f"{method}: {len(series)} rows")
     print(f"wrote {csv_path}")
     return 0

@@ -17,10 +17,6 @@ class DomainError(LrvlasovError, ValueError):
     """Invalid parameter domain (nonpositive weights, bad tolerances...)."""
 
 
-class UnsupportedDomainError(LrvlasovError, ValueError):
-    """Operation requires a periodic domain."""
-
-
 class ConfigError(LrvlasovError, ValueError):
     """Malformed or inconsistent configuration input."""
 

@@ -1,10 +1,11 @@
 """Uniform phase-space grids, quadrature weights and velocity inner products.
 
-Spatial grids are periodic: for n points on [x_min, x_max) the node x_max is
-the periodic image of x_min and is not stored, so h = (x_max - x_min) / n and
-FFT-based field solves map one-to-one onto nodes.  Velocity grids include both
-endpoints, v_0 = -v_max and v_{n-1} = +v_max, so h = 2 v_max / (n - 1); nodes
-are constructed symmetrically so that v_j == -v_{n-1-j} holds bit-exactly.
+Spatial grids are always periodic; there is no other kind.  For n points on
+[x_min, x_max) the node x_max is the periodic image of x_min and is not
+stored, so h = (x_max - x_min) / n and FFT-based field solves map one-to-one
+onto nodes.  Velocity grids include both endpoints, v_0 = -v_max and
+v_{n-1} = +v_max, so h = 2 v_max / (n - 1); nodes are constructed
+symmetrically so that v_j == -v_{n-1-j} holds bit-exactly.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ class SpatialGrid:
     n: tuple[int, ...]
     x_min: tuple[float, ...]
     x_max: tuple[float, ...]
-    periodic: bool = True
 
     def __post_init__(self):
         if len(self.n) not in (1, 2):

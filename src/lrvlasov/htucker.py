@@ -23,9 +23,11 @@ products' round-off where cancelling blocks put eps below it, and the sketch
 is at least 8 columns wider than the kept rank; one subspace iteration then
 sharpens the frame.  The fixed seed makes the result a function of the input
 alone, so a resumed run repeats an uninterrupted one bit for bit.  eps = 0
-keeps everything and stays on Householder QR and SVDs.  Physical space is
-never compressed below the stored spatial frame: its rank only changes
-through the root separation.
+goes through the same stacked leaves and pair unfold, but forms the unfold
+and takes the root spectrum exactly from Householder QRs and one small SVD;
+only there does a floor of 1e-14 times the blocks' summed magnitude bounds
+drop numerically zero directions.  Physical space is never compressed below
+the stored spatial frame: its rank only changes through the root separation.
 
 A moment-pinned truncation (``ht_truncate_to_moments``) cuts the sum's
 zero-moment remainder once, in the norm weighted by 1/w, and adds one
@@ -114,40 +116,6 @@ def ht_add(*terms: HtTensor) -> HtTensor:
                     terms[0].nx)
 
 
-def _mode1(mat: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """(p,a),(a,b,c) -> (p,b,c)"""
-    return np.tensordot(mat, t, axes=(1, 0))
-
-
-def _mode2(mat: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """(q,b),(a,b,c) -> (a,q,c)"""
-    return np.moveaxis(np.tensordot(mat, t, axes=(1, 1)), 0, 1)
-
-
-def ht_canonicalize_sum(terms) -> HtTensor:
-    """Canonical form of sum(terms) without materializing the padded sum.
-
-    Block-diagonal transfer tensors of a concatenated sum are mostly zeros;
-    orthogonalizing the stacked leaves first and mapping each term's transfer
-    into the shared leaf bases keeps every intermediate at its true size.
-    """
-    terms = list(terms)
-    _check_shapes(terms)
-    q1, r1 = np.linalg.qr(np.hstack([t.Uv1 for t in terms]))
-    q2, r2 = np.linalg.qr(np.hstack([t.Uv2 for t in terms]))
-    off1 = np.cumsum([0] + [t.Uv1.shape[1] for t in terms])
-    off2 = np.cumsum([0] + [t.Uv2.shape[1] for t in terms])
-    bvv = np.concatenate(
-        [_mode2(r2[:, off2[i]:off2[i + 1]],
-                _mode1(r1[:, off1[i]:off1[i + 1]], t.Bvv))
-         for i, t in enumerate(terms)], axis=2)
-    qv, rv = np.linalg.qr(bvv.reshape(-1, bvv.shape[2]))
-    qx, rx = np.linalg.qr(np.hstack([t.Ux for t in terms]))
-    offv = np.cumsum([0] + [t.B.shape[1] for t in terms])
-    b = rx @ np.vstack([t.B @ rv[:, offv[i]:offv[i + 1]].T for i, t in enumerate(terms)])
-    return HtTensor(qx, b, qv.reshape(q1.shape[1], q2.shape[1], -1), q1, q2, terms[0].nx)
-
-
 def scale_bound(f: HtTensor) -> float:
     """Frobenius-norm bound from block magnitudes; survives cancellation."""
     ux = np.linalg.norm(f.Ux, axis=0)
@@ -157,10 +125,11 @@ def scale_bound(f: HtTensor) -> float:
     return float(ux @ np.abs(f.B) @ pair)
 
 
-def _finish_truncation(ux, core, uv1, uv2, nx, tol, floor):
-    """Leaf cuts on the root-weighted core, then re-orthonormalized assembly."""
+def _finish_truncation(ux, core, uv1, uv2, nx, tol, exact):
+    """Leaf cuts at tol on the root-weighted core, then re-orthonormalized
+    assembly; ``exact`` takes the leaf spectra from SVDs, not Grams."""
     def leaf_cut(axis, frame):
-        if tol == 0.0:  # a Gram's squared spectrum blurs below sqrt(eps_mach)
+        if exact:  # a Gram's squared spectrum blurs below sqrt(eps_mach)
             unfold = np.moveaxis(core, axis, 0).reshape(core.shape[axis], -1)
             vec, s, _ = np.linalg.svd(unfold, full_matrices=False)
         else:
@@ -168,13 +137,13 @@ def _finish_truncation(ux, core, uv1, uv2, nx, tol, floor):
             lam, vec = np.linalg.eigh(np.tensordot(core, core, axes=(others, others)))
             s = np.sqrt(np.maximum(lam[::-1], 0.0))
             vec = vec[:, ::-1]
-        k = max(keep_count(s, max(tol, floor)), 1)
+        k = max(keep_count(s, tol), 1)
         return frame @ vec[:, :k], vec[:, :k]
 
     new_uv1, rot1 = leaf_cut(0, uv1)
-    core = _mode1(rot1.T, core)
+    core = np.tensordot(rot1.T, core, axes=(1, 0))  # (k1, b, c)
     new_uv2, rot2 = leaf_cut(1, uv2)
-    core = _mode2(rot2.T, core)
+    core = np.moveaxis(np.tensordot(rot2.T, core, axes=(1, 1)), 0, 1)  # (k1, k2, c)
 
     # restore orthonormal pair transfer; the root picks up the R factor
     mat = core.reshape(-1, core.shape[2])
@@ -294,37 +263,38 @@ def ht_truncate_sum(terms, eps: float) -> HtTensor:
     so no re-canonicalization follows.  Both velocity leaves are then cut at
     eps/sqrt(3) from the core's Grams.
 
-    eps = 0 keeps everything and uses Householder QR and SVDs throughout so
-    round trips are clean to machine precision.
+    eps = 0 forms the pair unfold, mat = ``_PairUnfold.matmul(I)``, and
+    takes the root spectrum exactly, from the SVD of R_x R_m^T after
+    Householder QRs of Xb and mat.  Its only cut, at the root and at both
+    leaves (SVDs of the core's unfoldings), is the floor 1e-14 * sum of the
+    blocks' ``scale_bound``, which drops numerically zero directions.
     """
     if eps < 0:
         raise DomainError(f"truncation threshold must be >= 0, got {eps}")
     terms = list(terms)
-    floor = DEFAULT_DROPTOL * sum(scale_bound(t) for t in terms)
-    tol = eps / np.sqrt(3.0)
+    _check_shapes(terms)
     nx = terms[0].nx
     nv1, nv2 = terms[0].Uv1.shape[0], terms[0].Uv2.shape[0]
-
-    if eps == 0.0:
-        g = ht_canonicalize_sum(terms)
-        if min(g.ranks) == 0:
-            return ht_zero(g.nx, nv1, nv2)
-        # root separation: with orthonormal frames the singular values of B
-        # are those of the (x)|(v1,v2) matricization
-        u, s, vt = np.linalg.svd(g.B, full_matrices=False)
-        keep = keep_count(s, max(tol, floor))
-        if keep == 0:
-            return ht_zero(g.nx, nv1, nv2)
-        ux = g.Ux @ u[:, :keep]
-        core = (g.Bvv @ vt[:keep].T) * s[:keep]
-        return _finish_truncation(ux, core, g.Uv1, g.Uv2, g.nx, tol, floor)
-
-    _check_shapes(terms)
     terms = [t for t in terms if min(t.ranks) > 0]  # zero blocks add nothing
     if not terms:
         return ht_zero(nx, nv1, nv2)
     pair = _PairUnfold(terms)
     xb = np.hstack([t.Ux @ t.B for t in pair.terms])
+    n1, n2 = pair.q1.shape[1], pair.q2.shape[1]
+
+    if eps == 0.0:
+        # M = Xb mat^T: the root spectrum is that of R_x R_m^T
+        tol = DEFAULT_DROPTOL * sum(scale_bound(t) for t in terms)
+        qx, rx = np.linalg.qr(xb)
+        qm, rm = np.linalg.qr(pair.matmul(np.eye(xb.shape[1])).reshape(n1 * n2, -1))
+        u, s, vt = np.linalg.svd(rx @ rm.T, full_matrices=False)
+        keep = keep_count(s, tol)
+        if keep == 0:
+            return ht_zero(nx, nv1, nv2)
+        core = (qm @ (vt[:keep].T * s[:keep])).reshape(n1, n2, keep)
+        return _finish_truncation(qx @ u[:, :keep], core, pair.q1, pair.q2, nx, tol, exact=True)
+
+    tol = eps / np.sqrt(3.0)
     gv = pair.gram()
     products = (xb.T @ xb) * gv
     norm2 = float(products.sum())
@@ -333,7 +303,6 @@ def ht_truncate_sum(terms, eps: float) -> HtTensor:
     cut2 = max(tol ** 2, _GRAM_NOISE * float(np.abs(products, out=products).sum()))
     if norm2 <= cut2:
         return ht_zero(nx, nv1, nv2)
-    n1, n2 = pair.q1.shape[1], pair.q2.shape[1]
     most = min(xb.shape[0], xb.shape[1], n1 * n2)
 
     def cut(z):
@@ -375,7 +344,7 @@ def ht_truncate_sum(terms, eps: float) -> HtTensor:
         width *= 2
     ux = q @ vec[:, :keep]
     core = pair.matmul(z.T @ vec[:, :keep])
-    return _finish_truncation(ux, core, pair.q1, pair.q2, nx, tol, floor)
+    return _finish_truncation(ux, core, pair.q1, pair.q2, nx, tol, exact=False)
 
 
 def _check_weights(f: HtTensor, w1: np.ndarray, w2: np.ndarray) -> None:

@@ -59,16 +59,20 @@ def csv_row(row: DiagnosticsRow) -> str:
     return ",".join(fields)
 
 
-def append_row(row: DiagnosticsRow, sink) -> None:
+def append_row(row: DiagnosticsRow, sink, method: str | None = None) -> None:
     """Stream one row to an open text sink, writing the header first.
 
-    The sink is flushed after every row, so what a run has recorded is on
-    disk even if it fails later.
+    With ``method`` every line gains a leading ``method`` column, so runs of
+    several methods can share one sink.  The sink is flushed after every row,
+    so what a run has recorded is on disk even if it fails later.
     """
+    header, line = csv_header(row), csv_row(row)
+    if method is not None:
+        header, line = f"method,{header}", f"{method},{line}"
     if getattr(sink, "_needs_header", True):
-        sink.write(csv_header(row) + "\n")
+        sink.write(header + "\n")
         sink._needs_header = False
-    sink.write(csv_row(row) + "\n")
+    sink.write(line + "\n")
     sink.flush()
 
 
@@ -132,7 +136,8 @@ def _read_array(fh) -> np.ndarray:
 # A level is a kinetic block, kind 1 = LowRankMatrix or 2 = HtTensor (the kind
 # word is followed by its two spatial sizes) with its arrays in field order,
 # then a macro block: the spatial dimensionality d (0 = no macro level) and
-# the 2 + d rows rho, J_1..J_d, e, one array each.
+# the 2 + d rows rho, J_1..J_d, e, one array each.  Both the kind and a
+# nonzero d equal the dimensionality in the file header.
 _KINETIC = {1: (LowRankMatrix, 3), 2: (HtTensor, 5)}
 
 
@@ -150,17 +155,17 @@ def _write_level(fh, f, u) -> None:
         _write_array(fh, row)
 
 
-def _read_level(fh):
+def _read_level(fh, dim: int):
     (kind,) = _read_ints(fh, 1)
-    if kind not in _KINETIC:
-        raise SnapshotError(f"unknown block kind {kind}")
+    if kind != dim:
+        raise SnapshotError(f"kinetic block kind {kind} in a {dim}D snapshot")
     cls, n_arrays = _KINETIC[kind]
     nx = (_read_ints(fh, 2),) if cls is HtTensor else ()
     f = cls(*(_read_array(fh) for _ in range(n_arrays)), *nx)
-    (dim,) = _read_ints(fh, 1)
-    if dim not in (0, 1, 2):
-        raise SnapshotError(f"unknown block kind {dim}")
-    return f, (np.stack([_read_array(fh) for _ in range(dim + 2)]) if dim else None)
+    (macro,) = _read_ints(fh, 1)
+    if macro not in (0, dim):
+        raise SnapshotError(f"macro dimensionality word {macro} in a {dim}D snapshot")
+    return f, (np.stack([_read_array(fh) for _ in range(macro + 2)]) if macro else None)
 
 
 def _grid_signature(problem) -> tuple[float, ...]:
@@ -207,11 +212,13 @@ def snapshot_load(path):
         if version != SNAPSHOT_VERSION:
             raise SnapshotError(
                 f"{path}: snapshot version {version}, expected {SNAPSHOT_VERSION}")
+        if dim not in _KINETIC:
+            raise SnapshotError(f"{path}: unknown snapshot dimensionality {dim}")
         t, dt_work, *dts = _read_floats(fh, 2 + n_dts)
         sig = _read_floats(fh, 9)
         hist = History(t=t, step=step, dts=list(dts), dt_work=dt_work)
         for _ in range(n_levels):
-            f, u = _read_level(fh)
+            f, u = _read_level(fh, dim)
             hist.fs.append(f)
             hist.us.append(u)
     return dim, sig, hist
@@ -222,6 +229,6 @@ def snapshot_read(path, problem):
     dim, sig, hist = snapshot_load(path)
     if dim != (1 if problem.cfg.dim == "1d1v" else 2):
         raise SnapshotError(f"{path}: snapshot dimensionality {dim} does not match config")
-    if not np.allclose(sig, _grid_signature(problem), rtol=0, atol=0):
+    if sig != _grid_signature(problem):
         raise SnapshotError(f"{path}: snapshot grid/method signature differs from config")
     return hist

@@ -23,10 +23,9 @@ DEFAULT_DROPTOL = 1e-14
 
 @dataclass
 class LowRankMatrix:
-    C: np.ndarray   # (r,) coefficients; nonnegative and sorted when canonical
+    C: np.ndarray   # (r,) coefficients; nonnegative and sorted after recompress
     Ux: np.ndarray  # (Nx, r) spatial factors
     Uv: np.ndarray  # (Nv, r) velocity factors
-    canonical: bool = False
 
     @property
     def rank(self) -> int:
@@ -41,11 +40,11 @@ class LowRankMatrix:
 
 
 def zero(nx: int, nv: int) -> LowRankMatrix:
-    return LowRankMatrix(np.zeros(0), np.zeros((nx, 0)), np.zeros((nv, 0)), canonical=True)
+    return LowRankMatrix(np.zeros(0), np.zeros((nx, 0)), np.zeros((nv, 0)))
 
 
 def scale(f: LowRankMatrix, a: float) -> LowRankMatrix:
-    return replace(f, C=a * f.C, canonical=f.canonical and a >= 0)
+    return replace(f, C=a * f.C)
 
 
 def add(*terms: LowRankMatrix) -> LowRankMatrix:
@@ -62,7 +61,6 @@ def add(*terms: LowRankMatrix) -> LowRankMatrix:
         np.concatenate([t.C for t in terms]),
         np.hstack([t.Ux for t in terms]),
         np.hstack([t.Uv for t in terms]),
-        canonical=False,
     )
 
 
@@ -84,19 +82,17 @@ def recompress(f: LowRankMatrix, droptol: float = DEFAULT_DROPTOL) -> LowRankMat
 
     ``droptol`` removes singular values below droptol * scale_bound(f),
     eliminating exactly (or numerically) redundant terms; the dense form is
-    preserved to that accuracy.  Canonical input is returned unchanged.
+    preserved to that accuracy.
     """
-    if f.canonical:
-        return f
     if f.rank == 0:
-        return LowRankMatrix(f.C, f.Ux, f.Uv, canonical=True)
+        return f
     floor = droptol * scale_bound(f)
     qx, rx = np.linalg.qr(f.Ux)
     qv, rv = np.linalg.qr(f.Uv)
     core = (rx * f.C[None, :]) @ rv.T
     u, s, vt = np.linalg.svd(core)
     keep = int(np.sum(s > floor)) if s.size and s[0] > 0.0 else 0
-    return LowRankMatrix(s[:keep], qx @ u[:, :keep], qv @ vt[:keep].T, canonical=True)
+    return LowRankMatrix(s[:keep], qx @ u[:, :keep], qv @ vt[:keep].T)
 
 
 def keep_count(s: np.ndarray, eps: float) -> int:
@@ -114,11 +110,11 @@ def truncate(f: LowRankMatrix, eps: float) -> LowRankMatrix:
     """
     if eps < 0:
         raise DomainError(f"truncation threshold must be >= 0, got {eps}")
-    g = f if f.canonical else recompress(f)
+    g = recompress(f)
     if eps == 0.0 or g.rank == 0:
         return g
     keep = keep_count(g.C, eps)
-    return LowRankMatrix(g.C[:keep], g.Ux[:, :keep], g.Uv[:, :keep], canonical=True)
+    return LowRankMatrix(g.C[:keep], g.Ux[:, :keep], g.Uv[:, :keep])
 
 
 def truncate_weighted(f: LowRankMatrix, w_points: np.ndarray, eps: float) -> LowRankMatrix:
@@ -131,4 +127,4 @@ def truncate_weighted(f: LowRankMatrix, w_points: np.ndarray, eps: float) -> Low
     root = np.sqrt(w_points)
     scaled = LowRankMatrix(f.C, f.Ux, f.Uv / root[:, None])
     t = truncate(scaled, eps)
-    return LowRankMatrix(t.C, t.Ux, t.Uv * root[:, None], canonical=False)
+    return LowRankMatrix(t.C, t.Ux, t.Uv * root[:, None])

@@ -1,4 +1,4 @@
-"""Spectral field solves on periodic grids and discrete field energy.
+"""Spectral field solves and discrete field energy on the periodic spatial grids.
 
 The potential solves -lap(phi) = rho - mean(rho) in Fourier space, with one
 transform over all grid axes for any dimension and the zero mode gauged to
@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionError, UnsupportedDomainError
+from .errors import DimensionError
 from .grids import SpatialGrid
 
 
@@ -66,13 +66,12 @@ def _factors(grid: SpatialGrid) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
 
 
 def solve_poisson(rho: np.ndarray, grid: SpatialGrid, sign: float = 1.0) -> ElectricField:
-    """Solve for the self-consistent field of a periodic charge density.
+    """Solve for the self-consistent field of a charge density on the
+    periodic grid.
 
     The background density is the discrete mean of rho, which enforces the
     solvability condition exactly.
     """
-    if not grid.periodic:
-        raise UnsupportedDomainError("spectral field solve requires a periodic grid")
     rho = np.asarray(rho, dtype=float)
     if rho.shape != grid.n:
         raise DimensionError(f"rho shape {rho.shape} does not match grid {grid.n}")

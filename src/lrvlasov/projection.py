@@ -90,7 +90,7 @@ def lift_moments(m: Moments1D, basis: MomentBasis) -> LowRankMatrix:
         (2.0 * m.kappa - basis.c * m.rho) / basis.norm3_sq,
     ])
     uv = np.column_stack([wp, wp * v, wp * (v**2 - basis.c)])
-    return LowRankMatrix(np.ones(3), ux, uv, canonical=False)
+    return LowRankMatrix(np.ones(3), ux, uv)
 
 
 def moment_split(f: LowRankMatrix, basis: MomentBasis) -> tuple[LowRankMatrix, LowRankMatrix]:

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from lrvlasov.errors import DimensionError, DomainError
 from lrvlasov.grids import make_velocity_grid, spatial_grid_2d
 from lrvlasov.htucker import (HtTensor, MomentBasis2D, Moments2D, ht_add,
-                              ht_canonicalize_sum, ht_lift_moments, ht_moments,
-                              ht_scale, ht_transport_blocks, ht_truncate_sum,
-                              ht_truncate_to_moments, ht_truncate_weighted_sum, ht_zero)
+                              ht_lift_moments, ht_moments, ht_scale, ht_transport_blocks,
+                              ht_truncate_sum, ht_truncate_to_moments,
+                              ht_truncate_weighted_sum, ht_zero)
 from lrvlasov.poisson import ElectricField
 
 from reference import (dense_moments_2d, dense_pair_basis, dense_remove_moments_2d,
@@ -67,7 +67,7 @@ def test_add_shape_mismatch(rng):
 
 def test_canonicalize_preserves_and_orthonormal(rng):
     s = ht_add(random_ht(rng, r=3), random_ht(rng, r=2))
-    c = ht_canonicalize_sum([s])
+    c = ht_truncate_sum([s], 0.0)
     assert np.allclose(c.dense(), s.dense(), atol=1e-12 * np.abs(s.dense()).max())
     for frame in (c.Ux, c.Uv1, c.Uv2):
         k = frame.shape[1]
@@ -291,7 +291,7 @@ def test_transport_rhs_matches_dense(rng, vgrid):
 
 def test_canonicalize_sum_matches_add(rng):
     terms = [random_ht(rng, r=2) for _ in range(4)]
-    fused = ht_canonicalize_sum(terms)
+    fused = ht_truncate_sum(terms, 0.0)
     plain = ht_add(*terms)
     assert np.allclose(fused.dense(), plain.dense(),
                        atol=1e-12 * np.abs(plain.dense()).max())
@@ -321,8 +321,10 @@ def _step_like_sum(rng, kind, nv):
 
 
 @given(st.integers(0, 2**32 - 1), st.sampled_from(["full", "deficient", "cancelling"]),
-       st.booleans(), st.floats(-5.0, -1.0))
+       st.booleans(), st.none() | st.floats(-5.0, -1.0))
 def test_truncate_sum_randomized_meets_eps_against_dense(seed, kind, weighted, log_eps):
+    # log_eps None is eps = 0: a faint rank-1 block at 1e-9 of the scale joins
+    # the sum, and the result must match the dense sum to round-off
     rng = np.random.default_rng(seed)
     nv = (int(rng.integers(5, 9)), int(rng.integers(5, 9)))
     blocks = _step_like_sum(rng, kind, nv)
@@ -332,7 +334,13 @@ def test_truncate_sum_randomized_meets_eps_against_dense(seed, kind, weighted, l
     dense = sum(b.dense() for b in blocks)
     scale = (sum(np.linalg.norm(b.dense() / metric) for b in blocks) if kind == "cancelling"
              else np.linalg.norm(dense / metric))
-    eps = 10.0 ** log_eps * scale
+    if log_eps is None:
+        faint = random_ht(rng, r=1, nv=nv)
+        blocks.append(ht_scale(faint, 1e-9 * scale / np.linalg.norm(faint.dense() / metric)))
+        dense = dense + blocks[-1].dense()
+        eps, bound = 0.0, 1e-12 * scale
+    else:
+        eps = bound = 10.0 ** log_eps * scale
 
     def rounded():
         if weighted:
@@ -340,7 +348,7 @@ def test_truncate_sum_randomized_meets_eps_against_dense(seed, kind, weighted, l
         return ht_truncate_sum(blocks, eps)
 
     out = rounded()
-    assert np.linalg.norm((out.dense() - dense) / metric) <= eps * (1 + 1e-8)
+    assert np.linalg.norm((out.dense() - dense) / metric) <= bound * (1 + 1e-8)
     r1, r2, rv = out.Bvv.shape
     frames = (out.Ux, out.Uv1 / np.sqrt(w1)[:, None], out.Uv2 / np.sqrt(w2)[:, None],
               out.Bvv.reshape(r1 * r2, rv))
@@ -350,3 +358,19 @@ def test_truncate_sum_randomized_meets_eps_against_dense(seed, kind, weighted, l
     assert again.ranks == out.ranks
     for name in ("Ux", "B", "Bvv", "Uv1", "Uv2"):
         assert np.array_equal(getattr(again, name), getattr(out, name))
+
+
+def test_truncate_sum_floor_only_at_eps_zero(rng, monkeypatch):
+    # the droptol floor is the only cut at eps = 0; eps > 0 cuts at
+    # eps/sqrt(3) alone and takes no per-block magnitude bound
+    import lrvlasov.htucker as ht_mod
+
+    calls = []
+    bound = ht_mod.scale_bound
+    monkeypatch.setattr(ht_mod, "scale_bound", lambda f: calls.append(f) or bound(f))
+    terms = [random_ht(rng, r=3), ht_scale(random_ht(rng, r=2), 1e-3)]
+    ht_truncate_sum(terms, 1e-4)
+    ht_truncate_weighted_sum(terms, np.ones(NV), np.ones(NV), 1e-4)
+    assert calls == []
+    ht_truncate_sum(terms, 0.0)
+    assert len(calls) == len(terms)

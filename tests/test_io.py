@@ -565,6 +565,56 @@ def test_cli_resume_plain_snapshot_under_macro(tmp_path, capsys):
     assert not (tmp_path / "resumed" / "diagnostics.csv").exists()
 
 
+def _first_level_word_offsets(raw: bytes) -> tuple[int, int]:
+    """Byte offsets of the first level's kinetic kind word and macro word in
+    a 1D snapshot: past the magic, five header ints, t, dt_work and the recent
+    steps and the nine signature floats; the macro word follows the kind word
+    and the three factor arrays."""
+    import struct
+
+    (n_dts,) = struct.unpack_from("<q", raw, 8 + 4 * 8)
+    kind = off = 8 + 5 * 8 + 8 * (2 + n_dts) + 9 * 8
+    off += 8
+    for _ in range(3):
+        (ndim,) = struct.unpack_from("<q", raw, off)
+        shape = struct.unpack_from(f"<{ndim}q", raw, off + 8)
+        off += 8 * (1 + ndim) + 8 * math.prod(shape)
+    return kind, off
+
+
+@pytest.mark.parametrize("which,word,message", [
+    ("macro", 2, "macro dimensionality word 2 in a 1D snapshot"),
+    ("macro", 3, "macro dimensionality word 3 in a 1D snapshot"),
+    ("macro", -1, "macro dimensionality word -1 in a 1D snapshot"),
+    ("kind", 2, "kinetic block kind 2 in a 1D snapshot"),
+])
+def test_cli_resume_refuses_foreign_level_words(tmp_path, capsys, which, word, message):
+    # a 1D snapshot holds 1D kinetic blocks (kind 1) and 1D macro levels
+    # (word 1) or none (word 0); any other word ends the resume with one
+    # error line naming it
+    import struct
+
+    from lrvlasov.cli import main
+
+    grid = ["--set", "grid.nx=16", "--set", "grid.nv=33", "--set", "method.t_end=0.05"]
+    assert main(["run", "--preset", "weak_landau_1d", *grid, "--snapshot-every", "1",
+                 "--out", str(tmp_path)]) == 0
+    snap = sorted(tmp_path.glob("snapshot_*.bin"))[-1]
+    raw = bytearray(snap.read_bytes())
+    off = dict(zip(("kind", "macro"), _first_level_word_offsets(raw)))[which]
+    assert struct.unpack_from("<q", raw, off) == (1,)
+    struct.pack_into("<q", raw, off, word)
+    snap.write_bytes(bytes(raw))
+    capsys.readouterr()
+    rc = main(["run", "--preset", "weak_landau_1d", *grid, "--resume", str(snap),
+               "--out", str(tmp_path / "resumed")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
+    assert "Traceback" not in err
+
+
 def test_cli_rank_overflow_reporting(tmp_path, capsys):
     from lrvlasov.cli import main
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lrvlasov import poisson
-from lrvlasov.errors import DimensionError, UnsupportedDomainError
+from lrvlasov.errors import DimensionError
 from lrvlasov.grids import SpatialGrid, spatial_grid_1d, spatial_grid_2d
 from lrvlasov.poisson import divergence, field_energy, solve_poisson
 
@@ -103,9 +103,6 @@ def test_error_paths():
     g = spatial_grid_1d(32, 0.0, 1.0)
     with pytest.raises(DimensionError):
         solve_poisson(np.ones(31), g)
-    bad = SpatialGrid(n=(32,), x_min=(0.0,), x_max=(1.0,), periodic=False)
-    with pytest.raises(UnsupportedDomainError):
-        solve_poisson(np.ones(32), bad)
 
 
 def _bits(field):
