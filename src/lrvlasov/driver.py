@@ -260,20 +260,25 @@ def _march(problem: Problem, hist: History):
 
 
 def _resume(problem: Problem, path) -> History:
-    """The snapshot's history, refused unless the method can step its levels.
+    """The snapshot's history, refused unless it was written under this config.
 
-    macro stores a (rho, J, e) level beside every kinetic level; the other
-    methods store one only beside the initial state.
+    The levels are checked before the signature, so a snapshot of another
+    method is refused for what its levels show: macro stores a (rho, J, e)
+    level beside every kinetic level, the other methods store one only beside
+    the initial state.  That check is also the only method check a version 1
+    snapshot, whose signature has no method, gets.
     """
-    hist = _io.snapshot_read(path, problem)
     method = problem.cfg.method
-    if method == "macro" and any(u is None for u in hist.us):
-        raise SnapshotError(f"{path}: snapshot has no macroscopic levels, which "
-                            f"method=macro needs; resume it under the method that wrote it")
-    if method != "macro" and hist.step > 0 and hist.us[-1] is not None:
-        raise SnapshotError(f"{path}: snapshot carries macroscopic levels, so "
-                            f"method=macro wrote it, not method={method}")
-    return hist
+
+    def check_levels(hist: History) -> None:
+        if method == "macro" and any(u is None for u in hist.us):
+            raise SnapshotError(f"{path}: snapshot has no macroscopic levels, which "
+                                f"method=macro needs; resume it under the method that wrote it")
+        if method != "macro" and hist.step > 0 and hist.us[-1] is not None:
+            raise SnapshotError(f"{path}: snapshot carries macroscopic levels, so "
+                                f"method=macro wrote it, not method={method}")
+
+    return _io.snapshot_read(path, problem, check_levels)
 
 
 def run(cfg: SolverConfig, snapshot_every: int = 0, snapshot_dir=None,

@@ -15,8 +15,9 @@ per-node tolerance eps/sqrt(3), which bounds the total error by eps in the
 Frobenius norm (Grasedyck's hierarchical SVD bound).  For eps > 0 the root cut
 of a block sum comes from an adaptive randomized range finder (Halko,
 Martinsson & Tropp) applied to the sum's (space | velocity pair) matrix
-through the blocks' own factors, so the sum is never formed: a Gaussian sketch
-of 16 columns, drawn from a generator with a fixed seed, doubles until the
+through the blocks' own factors, so the sum is never formed: a sketch of 16
+Khatri-Rao columns omega_1 (x) omega_2 (Gaussian leaf vectors drawn from a
+generator with a fixed seed, applied leaf by leaf) doubles until the
 exact discarded tail (the squared Frobenius norm from Gram matrices, minus the
 kept squared singular values) is within eps/sqrt(3), or within the Gram
 products' round-off where cancelling blocks put eps below it, and the sketch
@@ -28,6 +29,11 @@ and takes the root spectrum exactly from Householder QRs and one small SVD;
 only there does a floor of 1e-14 times the blocks' summed magnitude bounds
 drop numerically zero directions.  Physical space is never compressed below
 the stored spatial frame: its rank only changes through the root separation.
+
+Moments and KFVS fluxes are separable velocity-pair functionals, taken for
+all blocks of a sum in one batched contraction (``_pair_fields``): one matrix
+product per leaf, one per run of blocks sharing a Bvv, one spatial product per
+block.
 
 A moment-pinned truncation (``ht_truncate_to_moments``) cuts the sum's
 zero-moment remainder once, in the norm weighted by 1/w, and adds one
@@ -158,15 +164,13 @@ _SKETCH_SEED = 0     # fixed, so the result is a function of the input alone
 _GRAM_NOISE = 4.0 * np.finfo(float).eps  # round-off per unit of summed absolute products
 
 
-class _PairUnfold:
-    """Pair unfold of a block sum in the stacked leaf bases, never formed.
+class _Runs:
+    """Blocks reordered so that those sharing one Bvv object are contiguous.
 
-    Column block t is term t's Bvv with its first two indices mapped through
-    the term's blocks of the stacked leaf R factors, so the matrix has
-    n1 * n2 rows (the velocity pair in the q1 o q2 basis) and one column per
-    term and root index.  Terms are reordered so that those sharing one Bvv
-    object (a step's f^n and its transport blocks) are contiguous; the Gram
-    then takes a few matrix products per term and run, not per pair of terms.
+    A step's f^n and its transport blocks share f^n's Bvv, so a contraction
+    through the transfer tensors takes one matrix product per run of blocks,
+    not one per block.  ``o1``, ``o2`` and ``ov`` are the blocks' offsets in
+    the stacked Uv1, Uv2 and root columns.
     """
 
     def __init__(self, terms):
@@ -175,10 +179,46 @@ class _PairUnfold:
             runs.setdefault(id(t.Bvv), []).append(t)
         self.terms = [t for run in runs.values() for t in run]
         self.runs = np.cumsum([0] + [len(run) for run in runs.values()])
-        self.q1, self.r1 = np.linalg.qr(np.hstack([t.Uv1 for t in self.terms]))
-        self.q2, self.r2 = np.linalg.qr(np.hstack([t.Uv2 for t in self.terms]))
         self.o1, self.o2, self.ov = (
             np.cumsum([0] + [t.Bvv.shape[i] for t in self.terms]) for i in range(3))
+
+    def khatri_rao(self, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+        """Root coefficients of p separable pair vectors, shape (sum r_v, p).
+
+        x1 (sum r1, p) and x2 (sum r2, p) hold the vectors' leaf factors
+        contracted with the stacked leaf columns; row block t of the result
+        is sum_{a, b} x1[o1_t + a, j] x2[o2_t + b, j] Bvv_t[a, b, :].  Per run
+        the Khatri-Rao products of the blocks' leaf coordinates go through the
+        shared Bvv in one matrix product.
+        """
+        p = x1.shape[1]
+        out = []
+        for lo, hi in zip(self.runs[:-1], self.runs[1:]):
+            bvv = self.terms[lo].Bvv
+            a, b, k = bvv.shape
+            m = hi - lo
+            y1 = x1[self.o1[lo]:self.o1[hi]].reshape(m, a, p).transpose(1, 0, 2)
+            y2 = x2[self.o2[lo]:self.o2[hi]].reshape(m, b, p).transpose(1, 0, 2)
+            kr = (y1[:, None] * y2[None]).reshape(a * b, m * p)
+            z = bvv.reshape(a * b, k).T @ kr
+            out.append(z.reshape(k, m, p).transpose(1, 0, 2).reshape(m * k, p))
+        return np.vstack(out)
+
+
+class _PairUnfold(_Runs):
+    """Pair unfold of a block sum in the stacked leaf bases, never formed.
+
+    Column block t is term t's Bvv with its first two indices mapped through
+    the term's blocks of the stacked leaf R factors, so the matrix has
+    n1 * n2 rows (the velocity pair in the q1 o q2 basis) and one column per
+    term and root index.  The Gram and the sketch take a few matrix products
+    per term and run of terms sharing one Bvv, not per pair of terms.
+    """
+
+    def __init__(self, terms):
+        super().__init__(terms)
+        self.q1, self.r1 = np.linalg.qr(np.hstack([t.Uv1 for t in self.terms]))
+        self.q2, self.r2 = np.linalg.qr(np.hstack([t.Uv2 for t in self.terms]))
 
     def _leaves(self, s: int) -> tuple[np.ndarray, np.ndarray]:
         return (self.r1[:, self.o1[s]:self.o1[s + 1]], self.r2[:, self.o2[s]:self.o2[s + 1]])
@@ -214,17 +254,11 @@ class _PairUnfold:
             gv[self.ov[s + 1]:, rows] = gv[rows, self.ov[s + 1]:].T
         return gv
 
-    def rmatmul(self, omega: np.ndarray) -> np.ndarray:
-        """mat^T omega for omega of shape (n1, n2, p)."""
-        n1, n2, p = omega.shape
-        x = (self.r1.T @ omega.reshape(n1, -1)).reshape(-1, n2, p)
-        out = []
-        for s, ts in enumerate(self.terms):
-            a, b, _ = ts.Bvv.shape
-            r2s = self._leaves(s)[1]
-            xs = np.matmul(r2s.T, x[self.o1[s]:self.o1[s + 1]]).reshape(a * b, p)
-            out.append(ts.Bvv.reshape(a * b, -1).T @ xs)
-        return np.vstack(out)
+    def rmatmul(self, omega1: np.ndarray, omega2: np.ndarray) -> np.ndarray:
+        """mat^T (omega1 . omega2): column j of the test matrix is the
+        Khatri-Rao column omega1[:, j] (x) omega2[:, j], contracted leaf by
+        leaf, so it is never formed."""
+        return self.khatri_rao(self.r1.T @ omega1, self.r2.T @ omega2)
 
     def matmul(self, w: np.ndarray) -> np.ndarray:
         """mat w as an (n1, n2, k) core."""
@@ -245,9 +279,12 @@ def ht_truncate_sum(terms, eps: float) -> HtTensor:
     on the root matricization M = Ux_cat blockdiag(B_t) mat^T (rows: space;
     columns: velocity pair), where mat is the pair unfold in the stacked leaf
     bases.  M is only ever applied (``_PairUnfold``), and ||M||_F^2 is exact,
-    from the spatial and pair Gram matrices.  The Gaussian sketch starts at
-    16 columns drawn from ``default_rng`` with a fixed seed, so equal inputs
-    give equal bits, and doubles until the exact discarded tail
+    from the spatial and pair Gram matrices.  The sketch starts at 16
+    Khatri-Rao columns omega_1 (x) omega_2, the leaf vectors drawn from
+    ``default_rng`` with a fixed seed, so equal inputs give equal bits; a
+    column costs n1 + n2 draws, not n1 n2 (the per-leaf sketch of Al Daas et
+    al., SISC 2023, for tensor-train sums).  It doubles until the exact
+    discarded tail
     ||M||_F^2 - sum of kept s^2 is at most (eps/sqrt(3))^2 and the sketch is
     at least 8 columns wider than the kept rank; without that margin the
     frame sees only as far as the cut and the rank grows.  Two limits keep
@@ -322,7 +359,8 @@ def ht_truncate_sum(terms, eps: float) -> HtTensor:
     width = _SKETCH_START
     while True:
         new = min(width, most) - sketch.shape[1]
-        sketch = np.hstack([sketch, pair.rmatmul(rng.standard_normal((n1, n2, new)))])
+        sketch = np.hstack([sketch, pair.rmatmul(rng.standard_normal((n1, new)),
+                                                 rng.standard_normal((n2, new)))])
         q = np.linalg.qr(xb @ sketch)[0]
         z = q.T @ xb
         keep, vec, lam = cut(z)
@@ -387,48 +425,55 @@ class Moments2D:
                          self.kappa - other.kappa)
 
 
-def ht_pair_contraction(f: HtTensor, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """sum_{l1, l2} a[l1] b[l2] Bvv[l1, l2, l] for leaf contractions a, b."""
-    return b @ np.tensordot(a, f.Bvv, axes=(0, 0))
+def _pair_fields(terms, leaf1: np.ndarray, leaf2: np.ndarray,
+                 weights: np.ndarray) -> np.ndarray:
+    """Spatial fields sum_t sum_q weights[q, m] <leaf1[:, q] (x) leaf2[:, q], t>.
+
+    Column q of ``leaf1`` and ``leaf2`` is one separable velocity-pair
+    functional; the result has one (n1, n2) field per column of ``weights``.
+    One matrix product per leaf contracts every functional with every block's
+    frame, one per run of blocks sharing a Bvv maps them to root
+    coefficients, and one spatial product per block adds its fields in.
+    """
+    nx = terms[0].nx
+    out = np.zeros((weights.shape[1], nx[0] * nx[1]))
+    terms = [t for t in terms if min(t.ranks) > 0]  # zero blocks add nothing
+    if terms:
+        runs = _Runs(terms)
+        x1 = np.hstack([t.Uv1 for t in runs.terms]).T @ leaf1
+        x2 = np.hstack([t.Uv2 for t in runs.terms]).T @ leaf2
+        coeffs = runs.khatri_rao(x1, x2) @ weights
+        for s, t in enumerate(runs.terms):
+            out += (t.B @ coeffs[runs.ov[s]:runs.ov[s + 1]]).T @ t.Ux.T
+    return out.reshape(-1, *nx)
 
 
-def ht_spatial_fields(f: HtTensor, coeffs: np.ndarray) -> np.ndarray:
-    """Map per-column velocity-pair contractions (r_v, k) to k spatial fields."""
-    return (f.Ux @ (f.B @ coeffs)).T.reshape(-1, *f.nx)
+# rho, J1, J2, kappa from the pair functionals 1 1, v1 1, 1 v2, v1^2 1, 1 v2^2
+_MOMENT_WEIGHTS = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
+                            [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 0.5],
+                            [0.0, 0.0, 0.0, 0.5]])
+
+
+def _moments(terms, grids: tuple[VelocityGrid, VelocityGrid]) -> Moments2D:
+    g1, g2 = grids
+    for t in terms:
+        if t.Uv1.shape[0] != g1.n or t.Uv2.shape[0] != g2.n:
+            raise DimensionError("velocity frames do not match grids")
+    one1, one2 = np.ones(g1.n), np.ones(g2.n)
+    leaf1 = g1.h * np.column_stack([one1, g1.v, one1, g1.v**2, one1])
+    leaf2 = g2.h * np.column_stack([one2, one2, g2.v, one2, g2.v**2])
+    return Moments2D(*_pair_fields(terms, leaf1, leaf2, _MOMENT_WEIGHTS))
 
 
 def ht_moments(f: HtTensor, grids: tuple[VelocityGrid, VelocityGrid]) -> Moments2D:
     """(rho, J1, J2, kappa) on the spatial grid; the velocity pair is never
     densified, only contracted leaf by leaf through the transfer tensor."""
-    g1, g2 = grids
-    if f.Uv1.shape[0] != g1.n or f.Uv2.shape[0] != g2.n:
-        raise DimensionError("velocity frames do not match grids")
-    h1, h2 = g1.h, g2.h
-    one1 = h1 * f.Uv1.sum(axis=0)
-    one2 = h2 * f.Uv2.sum(axis=0)
-    v1m = h1 * (f.Uv1.T @ g1.v)
-    v2m = h2 * (f.Uv2.T @ g2.v)
-    sq1 = h1 * (f.Uv1.T @ g1.v**2)
-    sq2 = h2 * (f.Uv2.T @ g2.v**2)
-
-    def pair(a, b):
-        return ht_pair_contraction(f, a, b)
-
-    coeffs = np.column_stack([
-        pair(one1, one2),
-        pair(v1m, one2),
-        pair(one1, v2m),
-        0.5 * pair(sq1, one2) + 0.5 * pair(one1, sq2),
-    ])
-    fields = ht_spatial_fields(f, coeffs)
-    return Moments2D(rho=fields[0], J1=fields[1], J2=fields[2], kappa=fields[3])
+    return _moments([f], grids)
 
 
 def ht_sum_moments(terms, grids: tuple[VelocityGrid, VelocityGrid]) -> Moments2D:
-    """Moments of sum(terms); moments are linear, so they are summed blockwise."""
-    parts = [ht_moments(t, grids) for t in terms]
-    return Moments2D(sum(p.rho for p in parts), sum(p.J1 for p in parts),
-                     sum(p.J2 for p in parts), sum(p.kappa for p in parts))
+    """Moments of sum(terms), all blocks in one batched contraction."""
+    return _moments(list(terms), grids)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,8 @@ binary: an 8-byte magic, int64 header words, then factor blocks, each with
 explicit dimensions and float64 payload in column-major order.  A snapshot
 stores the full multistep lineage (kinetic and macroscopic levels plus the
 recent step sizes), so a resumed run reproduces an uninterrupted one
-bit-exactly.
+bit-exactly.  The header also carries the config words the stored bits
+depend on, and a snapshot resumes only under a config with the same words.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .htucker import HtTensor
 from .lowrank import LowRankMatrix
 
 _MAGIC = b"LRVSNAP\x01"
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 
 @dataclass
@@ -168,12 +169,39 @@ def _read_level(fh, dim: int):
     return f, (np.stack([_read_array(fh) for _ in range(macro + 2)]) if macro else None)
 
 
-def _grid_signature(problem) -> tuple[float, ...]:
-    # nine words; both velocity directions share nv, which fills the slot
-    # that earlier files gave a second velocity size
+_TEXT_MAX = 1024  # bytes of a header text word; method and preset names are short
+
+
+def _write_text(fh, text: str) -> None:
+    raw = text.encode()
+    _write_ints(fh, len(raw))
+    fh.write(raw)
+
+
+def _read_text(fh) -> str:
+    (n,) = _read_ints(fh, 1)
+    if not 0 <= n <= _TEXT_MAX:
+        raise SnapshotError(f"text length {n} in the snapshot header")
+    raw = fh.read(n)
+    if len(raw) != n:
+        raise SnapshotError("truncated snapshot (header)")
+    return raw.decode(errors="replace")
+
+
+# The signature: nine grid words (both versions), then, from version 2 on, the
+# run words cfl and poisson_sign (floats), method and preset (length-prefixed
+# UTF-8).  t_end, the output cadence and rank_cap may change on resume.
+_SIGNATURE_NAMES = ("nx", "nx2", "nv", "nv", "x_min", "x_max", "v_max", "beta", "eps",
+                    "cfl", "poisson_sign", "method", "preset")
+
+
+def _signature(problem) -> tuple:
+    # both velocity directions share nv, which fills the slot that earlier
+    # files gave a second velocity size
     cfg = problem.cfg
     return (float(cfg.nx), float(cfg.nx2), float(cfg.nv), float(cfg.nv),
-            cfg.x_min, cfg.x_max, cfg.v_max, cfg.beta, cfg.eps)
+            cfg.x_min, cfg.x_max, cfg.v_max, cfg.beta, cfg.eps,
+            cfg.cfl, cfg.poisson_sign, cfg.method, cfg.preset)
 
 
 def snapshot_write(hist, problem, path) -> None:
@@ -191,7 +219,10 @@ def snapshot_write(hist, problem, path) -> None:
             _write_ints(fh, SNAPSHOT_VERSION, 1 if problem.cfg.dim == "1d1v" else 2,
                         hist.step, len(hist.fs), len(hist.dts))
             _write_floats(fh, hist.t, hist.dt_work, *hist.dts)
-            _write_floats(fh, *_grid_signature(problem))
+            *words, method, preset = _signature(problem)
+            _write_floats(fh, *words)
+            _write_text(fh, method)
+            _write_text(fh, preset)
             for f, u in zip(hist.fs, hist.us):
                 _write_level(fh, f, u)
         os.replace(tmp, path)
@@ -200,8 +231,10 @@ def snapshot_write(hist, problem, path) -> None:
         raise
 
 
-def snapshot_load(path):
-    """(dimensionality, grid signature, history) stored in a snapshot file."""
+def snapshot_parse(path):
+    """(version, dimensionality, signature, history) stored in a snapshot
+    file; the signature has the nine grid words of a version 1 file, all of
+    ``_SIGNATURE_NAMES`` from version 2 on."""
     from .driver import History  # deferred: avoids a module import cycle
 
     path = Path(path)
@@ -209,26 +242,47 @@ def snapshot_load(path):
         if fh.read(len(_MAGIC)) != _MAGIC:
             raise SnapshotError(f"{path}: bad magic; not a snapshot file")
         version, dim, step, n_levels, n_dts = _read_ints(fh, 5)
-        if version != SNAPSHOT_VERSION:
+        if version not in (1, SNAPSHOT_VERSION):
             raise SnapshotError(
-                f"{path}: snapshot version {version}, expected {SNAPSHOT_VERSION}")
+                f"{path}: snapshot version {version}, expected 1 or {SNAPSHOT_VERSION}")
         if dim not in _KINETIC:
             raise SnapshotError(f"{path}: unknown snapshot dimensionality {dim}")
         t, dt_work, *dts = _read_floats(fh, 2 + n_dts)
-        sig = _read_floats(fh, 9)
+        sig = _read_floats(fh, 9 if version == 1 else 11)
+        if version > 1:
+            sig += (_read_text(fh), _read_text(fh))
         hist = History(t=t, step=step, dts=list(dts), dt_work=dt_work)
         for _ in range(n_levels):
             f, u = _read_level(fh, dim)
             hist.fs.append(f)
             hist.us.append(u)
-    return dim, sig, hist
+    return version, dim, sig, hist
 
 
-def snapshot_read(path, problem):
-    """The multistep history stored in ``path``, checked against ``problem``."""
-    dim, sig, hist = snapshot_load(path)
+def snapshot_load(path):
+    """(dimensionality, grid signature, history) stored in a snapshot file.
+
+    The grid signature is the nine words every version stores."""
+    _, dim, sig, hist = snapshot_parse(path)
+    return dim, sig[:9], hist
+
+
+def snapshot_read(path, problem, check_levels=None):
+    """The multistep history stored in ``path``, checked against ``problem``.
+
+    ``check_levels(hist)``, if given, may refuse the stored levels; it runs
+    before the signature is compared, so its more specific reason comes
+    first.
+    """
+    _, dim, sig, hist = snapshot_parse(path)
     if dim != (1 if problem.cfg.dim == "1d1v" else 2):
         raise SnapshotError(f"{path}: snapshot dimensionality {dim} does not match config")
-    if sig != _grid_signature(problem):
-        raise SnapshotError(f"{path}: snapshot grid/method signature differs from config")
+    if check_levels is not None:
+        check_levels(hist)
+    ours = _signature(problem)
+    differ = [f"{name} {a!r} (config {b!r})"
+              for name, a, b in zip(_SIGNATURE_NAMES, sig, ours) if a != b]
+    if differ:
+        raise SnapshotError(f"{path}: snapshot signature differs from config: "
+                            + ", ".join(dict.fromkeys(differ)))
     return hist

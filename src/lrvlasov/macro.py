@@ -6,9 +6,10 @@ the rates share that layout.  Split fluxes are velocity moments of the
 kinetic solution against sign-split monomials v+ = max(v, 0),
 v- = min(v, 0), one ``(plus, minus)`` pair per spatial axis; only their
 contraction with the factored solution is written once per format
-(``kfvs_fluxes_1d``, ``kfvs_fluxes_2d``).  Interfaces are reconstructed with
-the same fifth-order upwind stencils as the kinetic transport, so the two
-discretizations agree flux-by-flux.  ``rate`` gives -div F + S for any number
+(``kfvs_fluxes_1d``, ``kfvs_fluxes_2d``); in 2D all sixteen split fluxes
+are one batched pair contraction in ``htucker``.  Interfaces are
+reconstructed with the same fifth-order upwind stencils as the kinetic
+transport, so the two discretizations agree flux-by-flux.  ``rate`` gives -div F + S for any number
 of axes, keeping the totals exact up to source terms, and ``combine`` applies
 any time-stepping rule's weights to it.
 """
@@ -39,29 +40,45 @@ def kfvs_fluxes_1d(f: LowRankMatrix, grid: VelocityGrid) -> list:
     return [(against(np.maximum(v, 0.0)), against(np.minimum(v, 0.0)))]
 
 
+def _flux_weights() -> np.ndarray:
+    """(20, 16) map from the 2D flux pair functionals to the flux rows.
+
+    Per axis k and sign, five functionals (s 1, s^2 1, s o, s^3 1, s o^2)
+    give the four rows (rho, J1, J2, e) of that axis's split flux; s^2 is the
+    current along axis k and s o the other one.
+    """
+    w = np.zeros((20, 16))
+    for k in (0, 1):
+        rows = (0, 1 + k, 2 - k, 3, 3)
+        for block in (2 * k, 2 * k + 1):
+            for i, r in enumerate(rows):
+                w[5 * block + i, 4 * block + r] = 0.5 if r == 3 else 1.0
+    return w
+
+
+_FLUX_WEIGHTS = _flux_weights()
+
+
 def kfvs_fluxes_2d(f: ht.HtTensor, grids: tuple[VelocityGrid, VelocityGrid]) -> list:
-    """Direction-split fluxes for (rho, J1, J2, e) from an HtTensor, per axis."""
+    """Direction-split fluxes for (rho, J1, J2, e) from an HtTensor, per axis.
+
+    The flux monomials are (s, s^2, s o, s (s^2 + o^2) / 2), s the sign-split
+    velocity of the axis and o the other velocity; all sixteen fluxes come
+    from one batched contraction of f's velocity pair.
+    """
     g1, g2 = grids
     if f.Uv1.shape[0] != g1.n or f.Uv2.shape[0] != g2.n:
         raise DimensionError("velocity frames do not match grids")
-
-    def direction(k: int, split) -> np.ndarray:
-        # flux monomials: (s, s^2, s*o, s*(s^2 + o^2)/2), s the sign-split
-        # velocity of axis k and o the other velocity; along x2 the velocity
-        # pair and the two currents swap places
+    leaves = ([], [])
+    for k in (0, 1):
         g, o = grids[k], grids[1 - k]
-        order = 1 if k == 0 else -1
-        s, one = split(g.v, 0.0), np.ones_like(o.v)
-
-        def pair(gs, go):
-            a, b = (g.h * gs, o.h * go)[::order]
-            return ht.ht_pair_contraction(f, a @ f.Uv1, b @ f.Uv2)
-
-        j = [pair(s**2, one), pair(s, o.v)][::order]
-        e = 0.5 * pair(s**3, one) + 0.5 * pair(s, o.v**2)
-        return ht.ht_spatial_fields(f, np.stack([pair(s, one), *j, e]).T)
-
-    return [(direction(k, np.maximum), direction(k, np.minimum)) for k in (0, 1)]
+        one = np.ones_like(o.v)
+        for split in (np.maximum, np.minimum):
+            s = split(g.v, 0.0)
+            leaves[k].append(g.h * np.column_stack([s, s**2, s, s**3, s]))
+            leaves[1 - k].append(o.h * np.column_stack([one, one, o.v, one, o.v**2]))
+    fields = ht._pair_fields([f], np.hstack(leaves[0]), np.hstack(leaves[1]), _FLUX_WEIGHTS)
+    return [(fields[0:4], fields[4:8]), (fields[8:12], fields[12:16])]
 
 
 def rate(u: np.ndarray, fluxes, field: ElectricField, sgrid: SpatialGrid,

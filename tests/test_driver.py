@@ -163,27 +163,35 @@ def test_pin_2d_adds_one_carrier_to_the_truncated_remainder():
 
 def test_conservative_truncation_takes_block_moments_once(monkeypatch):
     # conservative pins to the sum's own moments, which the pin computes for
-    # its remainder anyway: one ht_moments per block, plus one for the leak
+    # its remainder anyway: one ht_sum_moments over the truncation's blocks,
+    # plus one ht_moments for the leak; a target taken apart from the pin
+    # would add a call of either
     import lrvlasov.driver as driver
 
-    calls, per_truncation = [0], []
-    moments_2d, truncate = ht.ht_moments, driver._truncate
+    calls, per_truncation = {"sum": [], "one": 0}, []
+    sum_moments, moments_2d, truncate = ht.ht_sum_moments, ht.ht_moments, driver._truncate
+
+    def counting_sum_moments(terms, *args, **kwargs):
+        terms = list(terms)
+        calls["sum"].append(len(terms))
+        return sum_moments(terms, *args, **kwargs)
 
     def counting_moments(*args, **kwargs):
-        calls[0] += 1
+        calls["one"] += 1
         return moments_2d(*args, **kwargs)
 
     def counting_truncate(problem, blocks, u_new):
-        before = calls[0]
+        calls["sum"], calls["one"] = [], 0
         out = truncate(problem, blocks, u_new)
-        per_truncation.append((calls[0] - before, len(blocks)))
+        per_truncation.append((calls["sum"], calls["one"], len(blocks)))
         return out
 
+    monkeypatch.setattr(ht, "ht_sum_moments", counting_sum_moments)
     monkeypatch.setattr(ht, "ht_moments", counting_moments)
     monkeypatch.setattr(driver, "_truncate", counting_truncate)
     run(from_preset("weak_landau_2d2v", nx=8, nv=16, method="conservative", t_end=0.1))
     assert len(per_truncation) >= 4
-    assert all(n == blocks + 1 for n, blocks in per_truncation)
+    assert all(sums == [blocks] and ones == 1 for sums, ones, blocks in per_truncation)
 
 
 @pytest.mark.parametrize("method,solves", [("plain", 1), ("macro", 2)])

@@ -7,13 +7,15 @@ from hypothesis import strategies as st
 
 from lrvlasov.errors import DimensionError, DomainError
 from lrvlasov.grids import make_velocity_grid, spatial_grid_2d
-from lrvlasov.htucker import (HtTensor, MomentBasis2D, Moments2D, ht_add,
-                              ht_lift_moments, ht_moments, ht_scale, ht_transport_blocks,
-                              ht_truncate_sum, ht_truncate_to_moments,
+from lrvlasov.htucker import (HtTensor, MomentBasis2D, Moments2D, _PairUnfold, ht_add,
+                              ht_lift_moments, ht_moments, ht_scale, ht_sum_moments,
+                              ht_transport_blocks, ht_truncate_sum, ht_truncate_to_moments,
                               ht_truncate_weighted_sum, ht_zero)
+from lrvlasov.macro import kfvs_fluxes_2d
 from lrvlasov.poisson import ElectricField
 
-from reference import (dense_moments_2d, dense_pair_basis, dense_remove_moments_2d,
+from reference import (dense_moments_2d, dense_pair_basis, dense_pair_functionals_2d,
+                       dense_pair_quadrature, dense_remove_moments_2d,
                        dense_transport_rhs_2d)
 
 NX = (8, 8)
@@ -358,6 +360,59 @@ def test_truncate_sum_randomized_meets_eps_against_dense(seed, kind, weighted, l
     assert again.ranks == out.ranks
     for name in ("Ux", "B", "Bvv", "Uv1", "Uv2"):
         assert np.array_equal(getattr(again, name), getattr(out, name))
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["full", "deficient", "cancelling",
+                                                   "all_zero"]))
+def test_batched_moments_and_fluxes_against_dense(seed, kind):
+    # ht_moments, ht_sum_moments and kfvs_fluxes_2d against dense quadrature
+    # on step-like block lists (shared-Bvv runs, a zero-rank block), and on a
+    # sum whose blocks are all rank 0; the error is relative to the same
+    # quadrature of |blocks| against |weights|, which cancellation leaves alone
+    rng = np.random.default_rng(seed)
+    nv = (int(rng.integers(8, 12)), int(rng.integers(8, 12)))  # grids need 8 points
+    grids = (make_velocity_grid(nv[0], 4.0), make_velocity_grid(nv[1], 5.0))
+    if kind == "all_zero":
+        blocks = [ht_zero(NX, *nv), ht_scale(ht_zero(NX, *nv), 2.0)]
+    else:
+        blocks = _step_like_sum(rng, kind, nv)
+    weights = dense_pair_functionals_2d(*grids)
+    dense = [b.dense() for b in blocks]
+    total, size = sum(dense), sum(np.abs(d) for d in dense)
+
+    def check(got, weight, of=total, bound=size):
+        oracle = dense_pair_quadrature(of, weight, *grids)
+        scale = dense_pair_quadrature(bound, np.abs(weight), *grids).max()
+        assert np.all(np.abs(got - oracle) <= 1e-13 * scale)
+
+    m = ht_sum_moments(blocks, grids)
+    for got, weight in zip((m.rho, m.J1, m.J2, m.kappa), weights["moments"]):
+        check(got, weight)
+    for b, d in zip(blocks, dense):
+        m = ht_moments(b, grids)
+        for got, weight in zip((m.rho, m.J1, m.J2, m.kappa), weights["moments"]):
+            check(got, weight, d, np.abs(d))
+    fluxes = kfvs_fluxes_2d(ht_add(*blocks), grids)
+    split = weights["fluxes"]  # x1 plus, x1 minus, x2 plus, x2 minus
+    for (plus, minus), w_plus, w_minus in zip(fluxes, split[0::2], split[1::2]):
+        for got, weight in [*zip(plus, w_plus), *zip(minus, w_minus)]:
+            check(got, weight)
+
+
+def test_khatri_rao_rmatmul_matches_formed_unfold(rng):
+    # the per-leaf sketch product equals the formed pair unfold applied to
+    # the dense Khatri-Rao test matrix
+    nv = (7, 6)
+    blocks = [b for b in _step_like_sum(rng, "full", nv) if min(b.ranks) > 0]
+    pair = _PairUnfold(blocks)
+    n1, n2 = pair.q1.shape[1], pair.q2.shape[1]
+    cols = pair.ov[-1]
+    mat = pair.matmul(np.eye(cols)).reshape(n1 * n2, cols)
+    omega1, omega2 = rng.standard_normal((n1, 5)), rng.standard_normal((n2, 5))
+    dense = (omega1[:, None, :] * omega2[None, :, :]).reshape(n1 * n2, 5)
+    got = pair.rmatmul(omega1, omega2)
+    assert got.shape == (cols, 5)
+    assert np.all(np.abs(got - mat.T @ dense) <= 1e-13 * (np.abs(mat).T @ np.abs(dense)))
 
 
 def test_truncate_sum_floor_only_at_eps_zero(rng, monkeypatch):

@@ -3,6 +3,7 @@ import io
 import math
 import tempfile
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -398,6 +399,104 @@ def test_resume_refuses_other_method_levels(tmp_path, written, resumed):
     assert run(from_preset("weak_landau_1d", method=written, **grid), resume=snap)
 
 
+@pytest.mark.parametrize("key,value", [("cfl", 0.2), ("poisson_sign", -1.0),
+                                       ("method", "conservative"),
+                                       ("preset", "strong_landau_1d")])
+def test_resume_refuses_other_run_words(tmp_path, key, value):
+    # the stored bits depend on cfl, poisson_sign, method and preset as well
+    # as the grid; a snapshot resumes only where all of them match
+    grid = {"nx": 16, "nv": 33, "t_end": 0.1, "method": "plain"}
+    cfg = from_preset("weak_landau_1d", **grid)
+    run(cfg, snapshot_every=2, snapshot_dir=str(tmp_path))
+    snap = str(tmp_path / "snapshot_000002.bin")
+    if key == "preset":  # another preset on the same grid and domain
+        same = {k: getattr(cfg, k) for k in ("x_min", "x_max", "v_max", "beta", "eps")}
+        other = from_preset(value, **grid, **same)
+    else:
+        other = from_preset("weak_landau_1d", **{**grid, key: value})
+    with pytest.raises(SnapshotError, match=f"signature differs from config: {key} "):
+        run(other, resume=snap)
+    # t_end is no signature word: the same file resumes to a later end
+    assert run(from_preset("weak_landau_1d", **{**grid, "t_end": 0.2}), resume=snap)
+
+
+def test_cli_resume_under_other_cfl_one_line(tmp_path, capsys):
+    from lrvlasov.cli import main
+
+    grid = ["--set", "grid.nx=16", "--set", "grid.nv=33", "--set", "method.t_end=0.05"]
+    assert main(["run", "--preset", "weak_landau_1d", *grid, "--snapshot-every", "1",
+                 "--out", str(tmp_path)]) == 0
+    snap = sorted(tmp_path.glob("snapshot_*.bin"))[-1]
+    capsys.readouterr()
+    rc = main(["run", "--preset", "weak_landau_1d", *grid, "--set", "method.cfl=0.2",
+               "--resume", str(snap), "--out", str(tmp_path / "resumed")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "cfl 0.3 (config 0.2)" in lines[0] and "Traceback" not in err
+
+
+# written by the version 1 format (nine grid words, no run words):
+# weak_landau_1d, macro, grid.nx=16, grid.nv=33, snapshot at step 4 of a run
+# to t_end 0.2
+V1_SNAPSHOT = Path(__file__).parent / "data" / "weak_landau_1d_v1_step4.bin"
+
+
+def test_v1_snapshot_resumes_bit_exact():
+    from lrvlasov.io import snapshot_load
+
+    cfg = from_preset("weak_landau_1d", nx=16, nv=33, t_end=0.2, output_every=1)
+    _, sig, hist = snapshot_load(V1_SNAPSHOT)
+    assert len(sig) == 9 and hist.step == 4
+    full = run(cfg)
+    resumed = run(cfg, resume=str(V1_SNAPSHOT))
+    assert len(resumed) == len(full) - 4
+    for a, b in zip(resumed, full[4:]):
+        assert (a.t, a.ranks, a.mass, a.momentum, a.energy, a.efield_energy) == (
+            b.t, b.ranks, b.mass, b.momentum, b.energy, b.efield_energy)
+    # only its nine grid words are checked
+    with pytest.raises(SnapshotError, match="signature differs from config: nx "):
+        run(from_preset("weak_landau_1d", nx=32, nv=33, t_end=0.2), resume=str(V1_SNAPSHOT))
+
+
+def test_cli_inspect_prints_file_version_and_run_words(tmp_path, capsys):
+    from lrvlasov.cli import main
+
+    assert main(["inspect", str(V1_SNAPSHOT)]) == 0
+    out = capsys.readouterr().out
+    assert "version 1, 1D1V, step 4" in out and "run:" not in out
+    assert main(["run", "--preset", "weak_landau_1d", "--set", "grid.nx=16",
+                 "--set", "grid.nv=33", "--set", "method.t_end=0.05",
+                 "--snapshot-every", "1", "--out", str(tmp_path)]) == 0
+    snap = sorted(tmp_path.glob("snapshot_*.bin"))[-1]
+    capsys.readouterr()
+    assert main(["inspect", str(snap)]) == 0
+    out = capsys.readouterr().out
+    assert "version 2, 1D1V" in out
+    assert "run: preset=weak_landau_1d method=macro cfl=0.3 poisson_sign=1" in out
+
+
+@pytest.mark.parametrize("length", [-1, 2**40, 9])
+def test_snapshot_bad_text_length(tmp_path, length):
+    # the method word's length prefix comes from the file: a negative or huge
+    # length, or one past the end of the header text, is refused, not read
+    import struct
+
+    cfg = from_preset("weak_landau_1d", nx=16, nv=33)
+    problem, hist = initialize(cfg)
+    path = tmp_path / "s.bin"
+    snapshot_write(hist, problem, path)
+    raw = bytearray(path.read_bytes())
+    (n_dts,) = struct.unpack_from("<q", raw, 8 + 4 * 8)
+    off = 8 + 5 * 8 + 8 * (2 + n_dts) + 11 * 8
+    assert struct.unpack_from("<q", raw, off) == (len("macro"),)
+    struct.pack_into("<q", raw, off, length)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(SnapshotError, match="text length|signature differs"):
+        snapshot_read(path, problem)
+
+
 def test_snapshot_write_is_atomic(tmp_path, monkeypatch):
     import lrvlasov.io as io_mod
 
@@ -568,12 +667,17 @@ def test_cli_resume_plain_snapshot_under_macro(tmp_path, capsys):
 def _first_level_word_offsets(raw: bytes) -> tuple[int, int]:
     """Byte offsets of the first level's kinetic kind word and macro word in
     a 1D snapshot: past the magic, five header ints, t, dt_work and the recent
-    steps and the nine signature floats; the macro word follows the kind word
-    and the three factor arrays."""
+    steps, the eleven signature floats and the method and preset texts (each
+    a length word and its bytes); the macro word follows the kind word and
+    the three factor arrays."""
     import struct
 
     (n_dts,) = struct.unpack_from("<q", raw, 8 + 4 * 8)
-    kind = off = 8 + 5 * 8 + 8 * (2 + n_dts) + 9 * 8
+    off = 8 + 5 * 8 + 8 * (2 + n_dts) + 11 * 8
+    for _ in range(2):
+        (n,) = struct.unpack_from("<q", raw, off)
+        off += 8 + n
+    kind = off
     off += 8
     for _ in range(3):
         (ndim,) = struct.unpack_from("<q", raw, off)
