@@ -53,6 +53,12 @@ class SolverConfig:
             raise ConfigError(f"eps must be >= 0, got {self.eps}")
         if self.t_end < 0:
             raise ConfigError(f"t_end must be >= 0, got {self.t_end}")
+        if self.poisson_sign not in (1.0, -1.0):
+            raise ConfigError(f"poisson_sign must be 1 or -1, got {self.poisson_sign}")
+        if self.method == "macro" and self.poisson_sign == -1.0:
+            # the macro energy row conserves kappa + |E|^2/2 whatever the sign
+            raise ConfigError("method=macro does not support poisson_sign=-1: its energy "
+                              "row has no sign term yet; use method=conservative or plain")
         if self.output_every < 1:
             raise ConfigError(f"output_every must be >= 1, got {self.output_every}")
         if self.dim == "1d1v" and self.nx2 not in (0, self.nx):

@@ -89,11 +89,10 @@ class Problem1D(Problem):
         return macro.kfvs_fluxes_1d(f, self.vgrid)
 
     def truncate(self, blocks):
-        return lowrank.truncate(lowrank.add(*blocks), self.cfg.eps)
+        return lowrank.truncate_sum(blocks, self.cfg.eps)
 
     def pin(self, blocks, target=None):
-        return projection.truncate_to_moments(lowrank.add(*blocks), target, self.basis,
-                                              self.cfg.eps)
+        return projection.truncate_sum_to_moments(blocks, target, self.basis, self.cfg.eps)
 
     def ranks(self, f) -> tuple[int, ...]:
         return (f.rank,)

@@ -1,9 +1,13 @@
 """Factored representation of the 1D1V solution and its rank arithmetic.
 
 A distribution on an Nx x Nv grid is stored as f = sum_l C_l Ux[:,l] o Uv[:,l].
-Sums concatenate factor blocks exactly; canonicalization runs a thin QR on each
-factor block followed by an SVD of the small core, which is also how rank
-truncation and the weighted truncation are realized.  The weighted truncation
+Sums concatenate factor blocks exactly.  Every truncation, recompression
+included, is one randomized range finder (Halko, Martinsson & Tropp, SIAM Rev.
+2011) on the sum formed densely: at most 128 x 257 for the 1D presets, and
+cheaper to form than the stacked factors are to orthonormalize.  Its sketch
+grows until the exact error of the returned matrix, the explicit residual of
+the sketch plus the discarded singular values, is within eps, so the bound
+holds whatever the draws; they can only cost rank.  The weighted truncation
 scales the velocity factors by 1/sqrt(w(v_j)) (point values, not quadrature
 weights), truncates, and scales back, so its error is controlled in the norm
 weighted by 1/w.
@@ -11,6 +15,7 @@ weighted by 1/w.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -20,10 +25,16 @@ from .errors import DimensionError, DomainError
 # relative singular-value floor used when removing exactly redundant terms
 DEFAULT_DROPTOL = 1e-14
 
+_SKETCH_START = 16   # smallest sketch width; each retry doubles it
+_SKETCH_MARGIN = 8   # sketch columns beyond the kept rank and the largest block rank
+# n -> (generator, rows drawn so far): a memo of a function of n alone, so no
+# caller sees what another asked for; stdlib draws keep numpy.random unimported
+_TEST_ROWS: dict[int, tuple[random.Random, np.ndarray]] = {}
+
 
 @dataclass
 class LowRankMatrix:
-    C: np.ndarray   # (r,) coefficients; nonnegative and sorted after recompress
+    C: np.ndarray   # (r,) coefficients; nonnegative and sorted after truncation
     Ux: np.ndarray  # (Nx, r) spatial factors
     Uv: np.ndarray  # (Nv, r) velocity factors
 
@@ -47,14 +58,19 @@ def scale(f: LowRankMatrix, a: float) -> LowRankMatrix:
     return replace(f, C=a * f.C)
 
 
-def add(*terms: LowRankMatrix) -> LowRankMatrix:
-    """Exact sum by factor concatenation; rank is the sum of ranks."""
-    if not terms:
-        raise ValueError("add() needs at least one term")
+def _check_shapes(terms) -> tuple[int, int]:
     shape = terms[0].shape
     for t in terms[1:]:
         if t.shape != shape:
             raise DimensionError(f"shape mismatch in add: {t.shape} vs {shape}")
+    return shape
+
+
+def add(*terms: LowRankMatrix) -> LowRankMatrix:
+    """Exact sum by factor concatenation; rank is the sum of ranks."""
+    if not terms:
+        raise ValueError("add() needs at least one term")
+    _check_shapes(terms)
     if len(terms) == 1:
         return terms[0]
     return LowRankMatrix(
@@ -77,30 +93,106 @@ def scale_bound(f: LowRankMatrix) -> float:
                         * np.linalg.norm(f.Uv, axis=0)))
 
 
+def keep_count(s: np.ndarray, eps: float, missed: float = 0.0) -> int:
+    """Smallest kept count of the sorted spectrum s whose discarded tail,
+    sqrt(missed + ||s[k:]||^2), is <= eps; s.size if none is.
+
+    ``missed`` is the squared norm of what the spectrum does not cover."""
+    tails = np.sqrt(missed + np.cumsum(s[::-1] ** 2))[::-1]  # tails[k] = the tail after k
+    ok = tails <= eps
+    return int(np.argmax(ok)) if ok.any() else s.size
+
+
+def _test_matrix(n: int, p: int) -> np.ndarray:
+    """The first p columns of the fixed n-row Gaussian test matrix.
+
+    Column j holds the j-th n draws of ``random.Random(0)``, extended in
+    order and cached, so it is the same whatever p and whatever was asked
+    for before.
+    """
+    if n not in _TEST_ROWS:
+        _TEST_ROWS[n] = (random.Random(0), np.empty((0, n)))
+    rng, rows = _TEST_ROWS[n]
+    if rows.shape[0] < p:
+        new = [[rng.gauss(0.0, 1.0) for _ in range(n)] for _ in range(p - rows.shape[0])]
+        rows = np.vstack([rows, new])
+        _TEST_ROWS[n] = (rng, rows)
+    return rows[:p].T
+
+
+def _truncate(terms, eps: float, w_points=None, droptol: float = DEFAULT_DROPTOL):
+    """The one truncation loop behind every public entry point.
+
+    S = sum_b (Ux_b C_b) Uv_b^T (velocity columns scaled by 1/sqrt(w)) is
+    formed densely and sketched with the fixed test matrix: Q = qr(S Omega),
+    B = Q^T S, B = V s U^T from the SVD of B^T.  The error of keeping k
+    singular triplets is exactly ||S - Q B||_F^2 + sum_{i>=k} s_i^2, the
+    first term from the explicit residual, so no squared norm is subtracted.
+    The sketch starts at the smallest 16 * 2^j >= (largest block rank + 8)
+    and doubles until it is 8 columns wider than the kept rank or spans the
+    rank bound min(Nx, Nv, sum of ranks) of S.  eps = 0 starts at that bound
+    and cuts at droptol times the blocks' summed ``scale_bound``.
+    """
+    nx, nv = terms[0].shape
+    terms = [t for t in terms if t.rank]
+    if not terms:
+        return zero(nx, nv)
+    root = None if w_points is None else np.sqrt(w_points)
+    x = np.hstack([t.Ux * t.C for t in terms])
+    v = np.hstack([t.Uv for t in terms])
+    if root is not None:
+        v = v / root[:, None]
+    s_mat = x @ v.T
+    most = min(s_mat.shape[0], s_mat.shape[1], x.shape[1])
+    if eps == 0.0:
+        eps = droptol * float(np.linalg.norm(x, axis=0) @ np.linalg.norm(v, axis=0))
+        width = most
+    else:
+        width = _SKETCH_START
+        while width < max(t.rank for t in terms) + _SKETCH_MARGIN:
+            width *= 2
+    while True:
+        p = min(width, most)
+        q = np.linalg.qr(s_mat @ _test_matrix(s_mat.shape[1], p))[0]
+        b = q.T @ s_mat
+        u, s, vt = np.linalg.svd(b.T, full_matrices=False)
+        resid = (s_mat - q @ b).ravel()
+        keep = keep_count(s, eps, float(resid @ resid))
+        if p == most or p >= keep + _SKETCH_MARGIN:
+            break
+        width *= 2
+    uv = u[:, :keep]
+    return LowRankMatrix(s[:keep], q @ vt[:keep].T, uv if root is None else uv * root[:, None])
+
+
+def truncate_sum(terms, eps: float, w_points=None) -> LowRankMatrix:
+    """Truncation of sum(terms) with Frobenius error <= eps, taken in the norm
+    weighted by 1/w when ``w_points`` (w at the velocity nodes) is given.
+
+    The result has orthonormal factors and sorted nonnegative coefficients;
+    eps = 0 keeps the sum to 1e-14 of its blocks' magnitude bounds.
+    """
+    if eps < 0:
+        raise DomainError(f"truncation threshold must be >= 0, got {eps}")
+    terms = list(terms)
+    nv = _check_shapes(terms)[1]
+    if w_points is not None:
+        w_points = np.asarray(w_points, dtype=float)
+        if w_points.shape != (nv,):
+            raise DimensionError("weight vector length does not match velocity factors")
+        if np.any(w_points <= 0):
+            raise DomainError("weights must be strictly positive")
+    return _truncate(terms, eps, w_points)
+
+
 def recompress(f: LowRankMatrix, droptol: float = DEFAULT_DROPTOL) -> LowRankMatrix:
     """Canonicalize: orthonormal factors, sorted nonnegative coefficients.
 
-    ``droptol`` removes singular values below droptol * scale_bound(f),
+    ``droptol`` removes the singular-value tail up to droptol * scale_bound(f),
     eliminating exactly (or numerically) redundant terms; the dense form is
     preserved to that accuracy.
     """
-    if f.rank == 0:
-        return f
-    floor = droptol * scale_bound(f)
-    qx, rx = np.linalg.qr(f.Ux)
-    qv, rv = np.linalg.qr(f.Uv)
-    core = (rx * f.C[None, :]) @ rv.T
-    u, s, vt = np.linalg.svd(core)
-    keep = int(np.sum(s > floor)) if s.size and s[0] > 0.0 else 0
-    return LowRankMatrix(s[:keep], qx @ u[:, :keep], qv @ vt[:keep].T)
-
-
-def keep_count(s: np.ndarray, eps: float) -> int:
-    """Smallest kept count of the sorted spectrum s whose discarded tail has
-    2-norm <= eps."""
-    tails = np.sqrt(np.cumsum(s[::-1] ** 2))[::-1]  # tails[k] = ||s[k:]||_2
-    ok = tails <= eps
-    return int(np.argmax(ok)) if ok.any() else s.size
+    return _truncate([f], 0.0, droptol=droptol)
 
 
 def truncate(f: LowRankMatrix, eps: float) -> LowRankMatrix:
@@ -108,23 +200,9 @@ def truncate(f: LowRankMatrix, eps: float) -> LowRankMatrix:
 
     eps = 0 reduces to recompression.
     """
-    if eps < 0:
-        raise DomainError(f"truncation threshold must be >= 0, got {eps}")
-    g = recompress(f)
-    if eps == 0.0 or g.rank == 0:
-        return g
-    keep = keep_count(g.C, eps)
-    return LowRankMatrix(g.C[:keep], g.Ux[:, :keep], g.Uv[:, :keep])
+    return truncate_sum([f], eps)
 
 
 def truncate_weighted(f: LowRankMatrix, w_points: np.ndarray, eps: float) -> LowRankMatrix:
     """sqrt(w)-conjugated truncation acting purely on the velocity factors."""
-    w_points = np.asarray(w_points, dtype=float)
-    if w_points.shape != (f.Uv.shape[0],):
-        raise DimensionError("weight vector length does not match velocity factors")
-    if np.any(w_points <= 0):
-        raise DomainError("weights must be strictly positive")
-    root = np.sqrt(w_points)
-    scaled = LowRankMatrix(f.C, f.Ux, f.Uv / root[:, None])
-    t = truncate(scaled, eps)
-    return LowRankMatrix(t.C, t.Ux, t.Uv * root[:, None])
+    return truncate_sum([f], eps, w_points)

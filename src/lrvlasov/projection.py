@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DimensionError, DomainError
 from .grids import VelocityGrid
-from .lowrank import LowRankMatrix, add, recompress, scale, truncate_weighted
+from .lowrank import LowRankMatrix, add, recompress, scale, truncate_sum
 
 
 @dataclass(frozen=True)
@@ -102,20 +102,28 @@ def moment_split(f: LowRankMatrix, basis: MomentBasis) -> tuple[LowRankMatrix, L
 
 def truncate_conservative(f: LowRankMatrix, basis: MomentBasis, eps: float) -> LowRankMatrix:
     """Truncate the remainder only; the moments of f are preserved exactly."""
-    return truncate_to_moments(f, None, basis, eps)
+    return truncate_sum_to_moments([f], None, basis, eps)
 
 
 def truncate_to_moments(f: LowRankMatrix, m_target: Moments1D | None, basis: MomentBasis,
                         eps: float) -> LowRankMatrix:
-    """Like truncate_conservative but pins the moments to external values.
+    """Like truncate_conservative but pins the moments to external values."""
+    return truncate_sum_to_moments([f], m_target, basis, eps)
 
-    The remainder f - lift(moments(f)) is weighted-truncated once; the one
-    carrier added to it is lifted from ``m_target`` minus the remainder's own
-    (leaked) moments, so the result's moments equal ``m_target``.  Without a
-    target the moments of f, taken once for the remainder, are kept.
+
+def truncate_sum_to_moments(terms, m_target: Moments1D | None, basis: MomentBasis,
+                            eps: float) -> LowRankMatrix:
+    """Pinned truncation of sum(terms): moments equal ``m_target``.
+
+    The remainder, the terms minus the sum's own moment carrier, is
+    weighted-truncated once; the one carrier added to it is lifted from
+    ``m_target`` minus the remainder's own (leaked) moments, so the result's
+    moments equal ``m_target``.  Without a target the moments of the sum,
+    taken once for the remainder, are kept.
     """
-    own = moments(f, basis.grid)
-    remainder = truncate_weighted(add(f, scale(lift_moments(own, basis), -1.0)),
-                                  basis.grid.w_points, eps)
+    terms = list(terms)
+    own = moments(add(*terms), basis.grid)
+    remainder = truncate_sum([*terms, scale(lift_moments(own, basis), -1.0)], eps,
+                             basis.grid.w_points)
     leak = moments(remainder, basis.grid)
     return add(lift_moments((own if m_target is None else m_target) - leak, basis), remainder)

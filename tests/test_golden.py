@@ -11,6 +11,9 @@ OpenBLAS to one thread and restores its count afterwards.
 Regenerate the files (only for an intended change of results) with
 
     PYTHONPATH=src python tests/test_golden.py
+
+which also rewrites ``data/weak_landau_1d_v1_step4.bin``, the version 1
+snapshot that ``test_io.py`` resumes bit for bit, from the current code.
 """
 
 import csv
@@ -23,6 +26,7 @@ import pytest
 
 from lrvlasov.config import from_preset
 from lrvlasov.driver import convergence_table, run
+from reference import write_v1_snapshot
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -161,3 +165,4 @@ if __name__ == "__main__":
         for name in RUNS:
             _write(name, _table(_run(name)))
         _write("convergence", _convergence_table())
+        write_v1_snapshot(Path(__file__).parent / "data" / "weak_landau_1d_v1_step4.bin")

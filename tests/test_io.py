@@ -125,6 +125,36 @@ def test_invalid_config_values():
         from_preset("forced", eps=-1.0)
 
 
+@pytest.mark.parametrize("sign", [0.0, 0.5, 2.0, -1.5])
+def test_poisson_sign_other_than_plus_or_minus_one_rejected(sign):
+    with pytest.raises(ConfigError, match="poisson_sign must be 1 or -1"):
+        from_preset("weak_landau_1d", method="plain", poisson_sign=sign)
+
+
+def test_poisson_sign_minus_one_rejected_under_macro_only():
+    # macro's energy row conserves kappa + |E|^2/2 for either sign, so with
+    # sign -1 it would pin the wrong energy; the kinetic methods accept it
+    with pytest.raises(ConfigError, match="method=macro does not support poisson_sign=-1"):
+        from_preset("weak_landau_1d", method="macro", poisson_sign=-1.0)
+    for method in ("plain", "conservative"):
+        cfg = from_preset("weak_landau_2d2v", method=method, poisson_sign=-1.0)
+        assert cfg.poisson_sign == -1.0
+
+
+@pytest.mark.parametrize("override", ["method.poisson_sign=2",
+                                      "method.poisson_sign=-1"])  # the preset runs macro
+def test_cli_poisson_sign_refusal_one_line(tmp_path, capsys, override):
+    from lrvlasov.cli import main
+
+    rc = main(["run", "--preset", "weak_landau_1d", "--set", "method.t_end=0.05",
+               "--set", override, "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "poisson_sign" in lines[0]
+    assert "Traceback" not in err and not (tmp_path / "diagnostics.csv").exists()
+
+
 @pytest.mark.parametrize("preset,method", [
     ("weak_landau_1d", "conservative"), ("weak_landau_1d", "macro"),
     ("weak_landau_2d2v", "plain"), ("weak_landau_2d2v", "conservative"),

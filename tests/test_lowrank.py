@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lrvlasov.errors import DimensionError, DomainError
-from lrvlasov.lowrank import (LowRankMatrix, add, recompress, scale, truncate,
-                              truncate_weighted, zero)
+from lrvlasov.grids import GaussianWeight, make_velocity_grid
+from lrvlasov.lowrank import (LowRankMatrix, add, recompress, scale, scale_bound, truncate,
+                              truncate_sum, truncate_weighted, zero)
 
 from reference import dense_truncate, dense_weighted_truncate
 
@@ -194,3 +195,100 @@ def test_truncate_error_bound_property(seed):
     eps = 10.0 ** rng.uniform(-10, 0)
     out = truncate(f, eps)
     assert np.linalg.norm(out.dense() - f.dense()) <= eps + 1e-13 * np.linalg.norm(f.dense())
+
+
+# ---------------------------------------------------------------------------
+# the sketched block-sum truncation against a dense SVD
+
+_SUM_KINDS = ("cancelling", "weighted_vmax8", "duplicate", "zero", "one_block", "full_width",
+              "split_plateau")
+
+
+def _graded(rng, nx, nv, rank, decay, maxwellian=None):
+    """A block with coefficients 10^(-decay k); velocity factors are shifted
+    Maxwellians times low-order polynomials when ``maxwellian`` holds v."""
+    if maxwellian is None:
+        uv = rng.standard_normal((nv, rank))
+    else:
+        v = maxwellian
+        shift = rng.uniform(-3.0, 3.0, rank)
+        c = rng.standard_normal((3, rank))
+        poly = c[0] + c[1] * (v[:, None] / 4.0) + c[2] * (v[:, None] / 4.0) ** 2
+        uv = np.exp(-(v[:, None] - shift) ** 2 / 2.0) * poly
+    return LowRankMatrix(10.0 ** (-decay * np.arange(rank)) * rng.uniform(0.5, 2.0, rank),
+                         rng.standard_normal((nx, rank)), uv)
+
+
+def _sum_case(kind, rng):
+    """(terms, w_points or None) for one kind of block sum."""
+    nx, nv = int(rng.integers(8, 41)), int(rng.integers(9, 42))
+    decay = rng.uniform(0.2, 1.5)
+    if kind == "cancelling":  # |sum| ~ 1e-3 of the blocks' magnitudes
+        f = _graded(rng, nx, nv, int(rng.integers(2, 9)), decay)
+        small = scale(_graded(rng, nx, nv, int(rng.integers(1, 4)), decay), 1e-3)
+        return [f, small, scale(f, -1.0)], None
+    if kind == "weighted_vmax8":  # the solver's 1/w-weighted norm at v_max 8
+        grid = make_velocity_grid(nv, 8.0, GaussianWeight(2.0))
+        terms = [_graded(rng, nx, nv, int(rng.integers(1, 9)), decay, grid.v)
+                 for _ in range(int(rng.integers(1, 6)))]
+        return terms, grid.w_points
+    if kind == "duplicate":  # rank-deficient: repeated and rescaled blocks
+        f = _graded(rng, nx, nv, int(rng.integers(1, 9)), decay)
+        return [f, f, scale(f, 0.5), _graded(rng, nx, nv, 2, decay)], None
+    if kind == "zero":  # rank-0 blocks, zero coefficients, or nothing else
+        blocks = [zero(nx, nv), LowRankMatrix(np.zeros(3), rng.standard_normal((nx, 3)),
+                                              rng.standard_normal((nv, 3)))]
+        if rng.random() < 0.5:
+            blocks.append(_graded(rng, nx, nv, int(rng.integers(1, 6)), decay))
+        return blocks, None
+    if kind == "one_block":
+        return [_graded(rng, nx, nv, int(rng.integers(1, 25)), decay)], None
+    if kind == "full_width":  # a flat spectrum wider than the first sketch
+        return [_graded(rng, nx, nv, int(rng.integers(10, 30)), 0.01) for _ in range(3)], None
+    # a few large directions over a flat tail of 20-40 split into rank-4 blocks:
+    # the first sketch (16 columns) misses much of the tail
+    nx, nv = int(rng.integers(20, 41)), int(rng.integers(21, 42))
+    tail = LowRankMatrix(np.full(40, 10.0 ** rng.uniform(-6, -3)),
+                         rng.standard_normal((nx, 40)) / np.sqrt(nx),
+                         rng.standard_normal((nv, 40)) / np.sqrt(nv))
+    blocks = [LowRankMatrix(tail.C[i:i + 4], tail.Ux[:, i:i + 4], tail.Uv[:, i:i + 4])
+              for i in range(0, int(rng.integers(20, 41)), 4)]
+    return [_graded(rng, nx, nv, int(rng.integers(2, 6)), 1.0), *blocks], None
+
+
+@settings(max_examples=120)
+@given(kind=st.sampled_from(_SUM_KINDS), seed=st.integers(0, 2**20),
+       log_eps=st.floats(-8.0, -0.5))
+def test_truncate_sum_meets_eps_against_dense(kind, seed, log_eps):
+    terms, w = _sum_case(kind, np.random.default_rng(seed))
+    root = np.ones(terms[0].shape[1]) if w is None else np.sqrt(w)
+    dense = add(*terms).dense()
+    weighted = dense / root[None, :]
+    bound = sum(scale_bound(LowRankMatrix(t.C, t.Ux, t.Uv / root[:, None])) for t in terms)
+    s = np.linalg.svd(weighted, compute_uv=False)
+    norm = float(np.linalg.norm(s))
+    eps = 10.0 ** log_eps * (norm if norm > 0 else 1.0)
+    if kind == "full_width":  # keep all but a few of the flat directions
+        eps = 0.5 * float(np.linalg.norm(s[-3:]))
+    if kind == "split_plateau":  # cut inside the flat tail
+        eps = 10.0 ** (log_eps / 8.0) * float(np.linalg.norm(s[terms[0].rank:]))
+    out = truncate_sum(terms, eps, w)
+    err = np.linalg.norm((out.dense() - dense) / root[None, :])
+    assert err <= eps + 1e-13 * bound
+    # the dense optimum: the fewest kept singular values whose tail is <= eps
+    tails = np.sqrt(np.cumsum(s[::-1] ** 2))[::-1]
+    optimum = int(np.argmax(tails <= eps)) if (tails <= eps).any() else s.size
+    # a flat tail that the first sketch misses is where the draws cost rank:
+    # of 3000 such sums 216 kept one more than the optimum and 4 two more
+    assert out.rank <= optimum + (2 if kind == "split_plateau" else 1)
+    # the same bits on a repeat, also after a wider sketch of the same nv
+    recompress(_graded(np.random.default_rng(1), 48, dense.shape[1], 48, 0.01))
+    again = truncate_sum(terms, eps, w)
+    for a, b in ((out.C, again.C), (out.Ux, again.Ux), (out.Uv, again.Uv)):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    # eps = 0 keeps the sum within criterion 6's 1e-11
+    exact = truncate_sum(terms, 0.0, w)
+    top = np.max(np.abs(dense), initial=0.0)
+    assert np.max(np.abs(exact.dense() - dense), initial=0.0) <= 1e-11 * top
+    if top == 0.0:
+        assert exact.rank == 0 and out.rank == 0
