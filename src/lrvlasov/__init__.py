@@ -13,14 +13,14 @@ from .config import SolverConfig, from_preset, load_config
 from .driver import History, Problem, initialize, run, select_dt
 from .grids import (GaussianWeight, SpatialGrid, VelocityGrid, make_velocity_grid,
                     plain_inner, spatial_grid_1d, spatial_grid_2d, weighted_inner)
-from .htucker import HtTensor, MomentBasis2D, Moments2D
+from .htucker import HtTensor
 from .lowrank import LowRankMatrix, add, recompress, truncate, truncate_weighted
 from .poisson import ElectricField, field_energy, solve_poisson
-from .projection import MomentBasis, Moments1D, moments
+from .projection import MomentBasis, moments
 
 __all__ = [
     "ElectricField", "GaussianWeight", "History", "HtTensor", "LowRankMatrix",
-    "MomentBasis", "MomentBasis2D", "Moments1D", "Moments2D", "Problem",
+    "MomentBasis", "Problem",
     "SolverConfig", "SpatialGrid", "VelocityGrid",
     "add", "field_energy", "from_preset", "initialize", "load_config",
     "make_velocity_grid", "moments", "plain_inner", "recompress", "run",

@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 from .config import load_config
-from .errors import LrvlasovError
+from .errors import ConfigError, LrvlasovError
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -75,7 +75,11 @@ def _cmd_convergence(args) -> int:
     from .config import parse_overrides
     from .driver import convergence_table
 
-    sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
+    try:
+        sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
+    except ValueError:
+        raise ConfigError(f"--sizes expects comma-separated integers, "
+                          f"got {args.sizes!r}") from None
     overrides = parse_overrides(args.overrides)
     rows = convergence_table(sizes, overrides)
     print(f"{'N':>6} {'Linf error':>14} {'order':>7} {'L2 error':>14} {'order':>7}")

@@ -28,8 +28,10 @@ the same weights (``macro.combine``).  Nothing here branches on the
 dimension: ``formats`` picks the problem's class (``Problem1D`` or
 ``Problem2D``), everything format-specific goes through it, and below it only
 ``macro`` keeps one KFVS flux contraction per format.
-``History`` keeps the moments and field of its newest level, so the CFL
-bound, the step and the diagnostics share one field solve per level.
+Moments share the macroscopic state's layout, with kappa in the last row
+where the state holds e = kappa + |E|^2 / 2.  ``History`` keeps the moments
+and field of its newest level, so the CFL bound, the step and the diagnostics
+share one field solve per level.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from . import htucker as ht  # noqa: F401  (kept bound as driver.ht for callers)
 from . import io as _io
 from . import macro
 from .config import SolverConfig
-from .errors import NonFiniteError, RankOverflowError, SnapshotError
+from .errors import ConfigError, NonFiniteError, RankOverflowError, SnapshotError
 from .formats import FORMATS, Problem
 from .io import DiagnosticsRow
 from .macro import recover_kinetic_energy
@@ -55,7 +57,7 @@ _DT_MATCH = 1e-12  # relative tolerance for "same step size" lineage checks
 
 
 def _values(obj) -> list:
-    """Field values of a state or moments dataclass, in declaration order."""
+    """Field values of a state dataclass, in declaration order."""
     return [getattr(obj, f.name) for f in fields(obj)]
 
 
@@ -117,10 +119,10 @@ class History:
         f = self.fs[-1]
         if not self.cache or self.cache[0] is not f:
             m = problem.moments(f)
-            if not all(np.isfinite(a).all() for a in _values(m)):
+            if not np.isfinite(m).all():
                 raise NonFiniteError(f"non-finite moments at step {self.step} "
                                      f"(t={self.t:.6g})")
-            self.cache = (f, m, _field_of(problem, m.rho))
+            self.cache = (f, m, _field_of(problem, m[0]))
         return self.cache[1], self.cache[2]
 
 
@@ -132,9 +134,8 @@ def initialize(cfg: SolverConfig) -> tuple[Problem, History]:
     """Initial factored state and macroscopic state, history primed at t=0."""
     problem = setup(cfg)
     f0 = problem.initial()
-    m0 = problem.moments(f0)
-    field0 = _field_of(problem, m0.rho)
-    u0 = np.stack([*_values(m0)[:-1], m0.kappa + 0.5 * field0.magnitude_squared()])
+    u0 = problem.moments(f0)
+    u0[-1] += 0.5 * _field_of(problem, u0[0]).magnitude_squared()
     return problem, History(fs=[_contig_state(f0)], us=[u0])
 
 
@@ -182,8 +183,9 @@ def _truncate(problem: Problem, blocks: list, u_new):
         return problem.truncate(blocks)
     if method == "conservative":
         return problem.pin(blocks)
-    kappa = recover_kinetic_energy(u_new, _field_of(problem, u_new[0]))
-    return problem.pin(blocks, problem.Moments(*u_new[:-1], kappa))
+    target = u_new.copy()
+    target[-1] = recover_kinetic_energy(u_new, _field_of(problem, u_new[0]))
+    return problem.pin(blocks, target)
 
 
 def step(problem: Problem, hist: History, dt: float):
@@ -199,7 +201,7 @@ def step(problem: Problem, hist: History, dt: float):
             j = len(levels) + stage.rhs
             f_j = levels[j][0]
             field = (hist.newest(problem)[1] if j == len(hist.fs) - 1
-                     else _field_of(problem, problem.moments(f_j).rho))
+                     else _field_of(problem, problem.moments(f_j)[0]))
             t_j = hist.t + stage.t_rhs * dt
             blocks += [problem.scale(b, stage.c * dt)
                        for b in problem.transport(f_j, field, t_j)]
@@ -235,9 +237,9 @@ def diagnostics_row(problem: Problem, hist: History, wall_ms: float) -> Diagnost
     return DiagnosticsRow(
         t=hist.t,
         ranks=problem.ranks(hist.fs[-1]),
-        mass=vol * float(np.sum(m.rho)),
-        momentum=tuple(vol * float(np.sum(j)) for j in _values(m)[1:-1]),
-        energy=vol * float(np.sum(m.kappa)) + efield,
+        mass=vol * float(np.sum(m[0])),
+        momentum=tuple(vol * float(np.sum(j)) for j in m[1:-1]),
+        energy=vol * float(np.sum(m[-1])) + efield,
         efield_energy=efield,
         wall_ms=wall_ms,
     )
@@ -286,6 +288,8 @@ def run(cfg: SolverConfig, snapshot_every: int = 0, snapshot_dir=None,
     """Advance to t_end, returning diagnostics at the configured cadence.
 
     ``on_row(row)`` sees each row as it is recorded, even if the run fails."""
+    if snapshot_every < 0:
+        raise ConfigError(f"snapshot_every must be >= 0, got {snapshot_every}")
     problem, hist = initialize(cfg)
     if resume is not None:
         hist = _resume(problem, resume)

@@ -3,11 +3,14 @@
 ``FORMATS`` picks the subclass of ``Problem`` for the configured dimension; it
 supplies what the stepper needs, with one meaning in both formats: moments,
 scaling, transport blocks, KFVS fluxes, plain and moment-pinned truncation of
-a list of blocks, and ranks.  Below it only ``macro`` keeps per-format code,
-one KFVS flux contraction each; the macroscopic rate and state and the field
-solve are written once for any dimension.  Layer functions are looked up on
-their modules at call time, so wrappers installed there (tracing, test
-doubles) see each call.
+a list of blocks, and ranks.  Both formats take their moments in the
+macroscopic state's ``(2 + d, *n)`` layout (rows rho, J_1 .. J_d, kappa), a
+pin's target is given in it, and both build their carriers from one
+``projection.MomentBasis`` of the shared velocity grid.  Below it only
+``macro`` keeps per-format code, one KFVS flux contraction each; the
+macroscopic rate and state and the field solve are written once for any
+dimension.  Layer functions are looked up on their modules at call time, so
+wrappers installed there (tracing, test doubles) see each call.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ class Problem:
     preset: Preset
     sgrid: SpatialGrid
     vgrids: tuple[VelocityGrid, ...]                  # one per velocity dimension
+    basis: projection.MomentBasis                     # one for every velocity dimension
 
     def rate(self, u: np.ndarray, f, field, t: float) -> np.ndarray:
         """-div F + S for the stacked macroscopic state, fluxes taken from f."""
@@ -42,9 +46,6 @@ class Problem:
 @dataclass
 class Problem1D(Problem):
     """1D1V: the two-factor ``LowRankMatrix``."""
-
-    basis: projection.MomentBasis
-    Moments = projection.Moments1D
 
     @classmethod
     def build(cls, cfg: SolverConfig, preset: Preset) -> "Problem1D":
@@ -102,14 +103,11 @@ class Problem1D(Problem):
 class Problem2D(Problem):
     """2D2V: the hierarchical ``HtTensor``."""
 
-    basis2: ht.MomentBasis2D
-    Moments = ht.Moments2D
-
     @classmethod
     def build(cls, cfg: SolverConfig, preset: Preset) -> "Problem2D":
         v = make_velocity_grid(cfg.nv, cfg.v_max, GaussianWeight(cfg.beta))
         return cls(cfg, preset, spatial_grid_2d(cfg.nx, cfg.nx2, cfg.x_min, cfg.x_max),
-                   (v, v), ht.MomentBasis2D.build(v, v))
+                   (v, v), projection.MomentBasis.build(v))
 
     def initial(self):
         return self.preset.init_2d(self.sgrid, self.vgrids)
@@ -130,7 +128,7 @@ class Problem2D(Problem):
         return ht.ht_truncate_sum(blocks, self.cfg.eps)
 
     def pin(self, blocks, target=None):
-        return ht.ht_truncate_to_moments(blocks, target, self.basis2, self.cfg.eps)
+        return ht.ht_truncate_to_moments(blocks, target, self.basis, self.cfg.eps)
 
     def ranks(self, f) -> tuple[int, ...]:
         return f.ranks

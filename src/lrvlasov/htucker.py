@@ -33,12 +33,15 @@ the stored spatial frame: its rank only changes through the root separation.
 Moments and KFVS fluxes are separable velocity-pair functionals, taken for
 all blocks of a sum in one batched contraction (``_pair_fields``): one matrix
 product per leaf, one per run of blocks sharing a Bvv, one spatial product per
-block.
+block.  The moments come out in the macroscopic state's layout, one stacked
+``(4, n1, n2)`` array with rows rho, J1, J2, kappa.
 
 A moment-pinned truncation (``ht_truncate_to_moments``) cuts the sum's
 zero-moment remainder once, in the norm weighted by 1/w, and adds one
 carrier, lifted from the target moments minus what the cut leaked into the
-remainder; a pinned state's ranks are its remainder's plus (4, 4, 3, 3).
+remainder; a pinned state's ranks are its remainder's plus (4, 4, 3, 3).  The
+carrier's velocity leaves both hold the 1D ``projection.MomentBasis`` frame
+{1, v, v^2 - c}, coupled by one fixed pair transfer.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ from .errors import DimensionError, DomainError
 from .grids import VelocityGrid
 from .lowrank import DEFAULT_DROPTOL, keep_count
 from .poisson import ElectricField
+from .projection import MomentBasis
 from .upwind import upwind_derivative
 
 
@@ -409,22 +413,6 @@ def ht_truncate_weighted_sum(terms, w1_points: np.ndarray, w2_points: np.ndarray
 # ---------------------------------------------------------------------------
 # moments and the moment-conserving carrier
 
-@dataclass
-class Moments2D:
-    rho: np.ndarray
-    J1: np.ndarray
-    J2: np.ndarray
-    kappa: np.ndarray
-
-    def max_abs(self) -> float:
-        return max(float(np.max(np.abs(a), initial=0.0))
-                   for a in (self.rho, self.J1, self.J2, self.kappa))
-
-    def __sub__(self, other: "Moments2D") -> "Moments2D":
-        return Moments2D(self.rho - other.rho, self.J1 - other.J1, self.J2 - other.J2,
-                         self.kappa - other.kappa)
-
-
 def _pair_fields(terms, leaf1: np.ndarray, leaf2: np.ndarray,
                  weights: np.ndarray) -> np.ndarray:
     """Spatial fields sum_t sum_q weights[q, m] <leaf1[:, q] (x) leaf2[:, q], t>.
@@ -454,80 +442,56 @@ _MOMENT_WEIGHTS = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
                             [0.0, 0.0, 0.0, 0.5]])
 
 
-def _moments(terms, grids: tuple[VelocityGrid, VelocityGrid]) -> Moments2D:
+def _moment_leaves(terms, grids: tuple[VelocityGrid, VelocityGrid]):
+    """Leaf columns of the moment pair functionals, checked against the terms."""
     g1, g2 = grids
     for t in terms:
         if t.Uv1.shape[0] != g1.n or t.Uv2.shape[0] != g2.n:
             raise DimensionError("velocity frames do not match grids")
     one1, one2 = np.ones(g1.n), np.ones(g2.n)
-    leaf1 = g1.h * np.column_stack([one1, g1.v, one1, g1.v**2, one1])
-    leaf2 = g2.h * np.column_stack([one2, one2, g2.v, one2, g2.v**2])
-    return Moments2D(*_pair_fields(terms, leaf1, leaf2, _MOMENT_WEIGHTS))
+    return (g1.h * np.column_stack([one1, g1.v, one1, g1.v**2, one1]),
+            g2.h * np.column_stack([one2, one2, g2.v, one2, g2.v**2]))
 
 
-def ht_moments(f: HtTensor, grids: tuple[VelocityGrid, VelocityGrid]) -> Moments2D:
-    """(rho, J1, J2, kappa) on the spatial grid; the velocity pair is never
+def ht_moments(f: HtTensor, grids: tuple[VelocityGrid, VelocityGrid]) -> np.ndarray:
+    """(rho, J1, J2, kappa) stacked, (4, n1, n2); the velocity pair is never
     densified, only contracted leaf by leaf through the transfer tensor."""
-    return _moments([f], grids)
+    return _pair_fields([f], *_moment_leaves([f], grids), _MOMENT_WEIGHTS)
 
 
-def ht_sum_moments(terms, grids: tuple[VelocityGrid, VelocityGrid]) -> Moments2D:
+def ht_sum_moments(terms, grids: tuple[VelocityGrid, VelocityGrid]) -> np.ndarray:
     """Moments of sum(terms), all blocks in one batched contraction."""
-    return _moments(list(terms), grids)
+    terms = list(terms)
+    return _pair_fields(terms, *_moment_leaves(terms, grids), _MOMENT_WEIGHTS)
 
 
-@dataclass(frozen=True)
-class MomentBasis2D:
-    """Orthonormal moment basis for the velocity pair.
-
-    Both velocity directions must share grid and weight; the three leaf frame
-    vectors are the weight-scaled {1, v, v^2 - c} normalized by (c1, c2, c3),
-    and the sparse pair transfer couples them into the four moment tensors.
-    """
-
-    grid: VelocityGrid
-    c: float
-    c1: float
-    c2: float
-    c3: float
-    frame: np.ndarray         # (nv, 3) leaf frame, shared by both leaves
-    pair_transfer: np.ndarray  # (3, 3, 4)
-
-    @classmethod
-    def build(cls, grid1: VelocityGrid, grid2: VelocityGrid) -> "MomentBasis2D":
-        if (grid1.n != grid2.n or grid1.v_max != grid2.v_max
-                or grid1.weight != grid2.weight):
-            raise DimensionError("velocity grids and weights must match in both directions")
-        g = grid1
-        w, v, wp = g.w, g.v, g.w_points
-        c1 = float(np.sqrt(np.sum(w)))
-        c = float(np.dot(v**2, w)) / c1**2
-        c2 = float(np.sqrt(np.dot(v**2, w)))
-        c3 = float(np.sqrt(np.dot((v**2 - c) ** 2, w)))
-        frame = np.column_stack([wp / c1, wp * v / c2, wp * (v**2 - c) / c3])
-        bt = np.zeros((3, 3, 4))
-        bt[0, 0, 0] = 1.0
-        bt[1, 0, 1] = 1.0
-        bt[0, 1, 2] = 1.0
-        bt[2, 0, 3] = 1.0 / np.sqrt(2.0)
-        bt[0, 2, 3] = 1.0 / np.sqrt(2.0)
-        return cls(grid=g, c=c, c1=c1, c2=c2, c3=c3, frame=frame, pair_transfer=bt)
+# the pair transfer of every carrier: leaf pairs (1, 1), (v, 1), (1, v) and
+# (v^2 - c, 1), (1, v^2 - c) give the four orthonormal moment tensors
+_PAIR_TRANSFER = np.zeros((3, 3, 4))
+_PAIR_TRANSFER[[0, 1, 0, 2, 0], [0, 0, 1, 0, 2], [0, 1, 2, 3, 3]] = (
+    1.0, 1.0, 1.0, 1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0))
+_PAIR_TRANSFER.flags.writeable = False
 
 
-def ht_lift_moments(m: Moments2D, basis: MomentBasis2D, nx: tuple[int, int]) -> HtTensor:
-    """Exact carrier tensor whose moments are m; all internal ranks are fixed."""
-    b = basis
+def ht_lift_moments(m: np.ndarray, basis: MomentBasis, nx: tuple[int, int]) -> HtTensor:
+    """Exact carrier tensor whose moments are m; all internal ranks are fixed.
+
+    Both velocity leaves hold the frame {1, v, v^2 - c} of ``basis``, weight
+    scaled and normalized by the basis norms."""
+    v, wp, c = basis.grid.v, basis.grid.w_points, basis.c
+    c1, c2, c3 = np.sqrt([basis.norm1_sq, basis.norm2_sq, basis.norm3_sq])
+    frame = np.column_stack([wp / c1, wp * v / c2, wp * (v**2 - c) / c3])
+    rho, j1, j2, kappa = m.reshape(4, -1)
     ux = np.column_stack([
-        m.rho.reshape(-1) / b.c1**2,
-        m.J1.reshape(-1) / (b.c1 * b.c2),
-        m.J2.reshape(-1) / (b.c1 * b.c2),
-        np.sqrt(2.0) * (m.kappa.reshape(-1) - b.c * m.rho.reshape(-1)) / (b.c1 * b.c3),
+        rho / c1**2,
+        j1 / (c1 * c2),
+        j2 / (c1 * c2),
+        np.sqrt(2.0) * (kappa - c * rho) / (c1 * c3),
     ])
-    return HtTensor(ux, np.eye(4), b.pair_transfer.copy(), b.frame.copy(),
-                    b.frame.copy(), nx)
+    return HtTensor(ux, np.eye(4), _PAIR_TRANSFER, frame, frame, nx)
 
 
-def ht_truncate_to_moments(terms, m_target: Moments2D | None, basis: MomentBasis2D,
+def ht_truncate_to_moments(terms, m_target: np.ndarray | None, basis: MomentBasis,
                            eps: float) -> HtTensor:
     """Weighted truncation of sum(terms) with its moments pinned to m_target.
 

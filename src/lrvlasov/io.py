@@ -12,8 +12,10 @@ depend on, and a snapshot resumes only under a config with the same words.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -124,13 +126,26 @@ def _write_array(fh, a: np.ndarray) -> None:
     fh.write(a.astype("<f8").tobytes(order="F"))
 
 
+def _bytes_left(fh) -> int:
+    return os.fstat(fh.fileno()).st_size - fh.tell()
+
+
 def _read_array(fh) -> np.ndarray:
+    """One array; its rank, dimensions and payload are checked against the
+    bytes left in the file, so a corrupt header is refused before anything
+    is allocated."""
     (ndim,) = _read_ints(fh, 1)
+    if not 0 <= 8 * ndim <= _bytes_left(fh):
+        raise SnapshotError(f"truncated or corrupt snapshot (array rank {ndim})")
     shape = _read_ints(fh, ndim)
-    count = int(np.prod(shape)) if ndim else 1
+    count = math.prod(shape)
+    # an empty array has no payload, but numpy must still be able to hold
+    # the product of its nonzero dimensions
+    if (min(shape, default=0) < 0 or 8 * count > _bytes_left(fh)
+            or 8 * math.prod(n for n in shape if n) > sys.maxsize):
+        raise SnapshotError(f"truncated or corrupt snapshot (array shape {shape}, "
+                            f"{_bytes_left(fh)} bytes left)")
     raw = fh.read(8 * count)
-    if len(raw) != 8 * count:
-        raise SnapshotError("truncated snapshot (array payload)")
     return np.frombuffer(raw, dtype="<f8").reshape(shape, order="F").copy()
 
 
@@ -257,14 +272,6 @@ def snapshot_parse(path):
             hist.fs.append(f)
             hist.us.append(u)
     return version, dim, sig, hist
-
-
-def snapshot_load(path):
-    """(dimensionality, grid signature, history) stored in a snapshot file.
-
-    The grid signature is the nine words every version stores."""
-    _, dim, sig, hist = snapshot_parse(path)
-    return dim, sig[:9], hist
 
 
 def snapshot_read(path, problem, check_levels=None):

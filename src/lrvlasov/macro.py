@@ -1,8 +1,8 @@
 """Macroscopic conservation-law solver with kinetic flux vector splitting.
 
 The conserved unknowns are one stacked ``(2 + d, *n)`` array ``u`` with rows
-rho, J_1 .. J_d, e on the d-dimensional spatial grid; the split fluxes and
-the rates share that layout.  Split fluxes are velocity moments of the
+rho, J_1 .. J_d, e on the d-dimensional spatial grid; the split fluxes, the
+rates and the kinetic moments (kappa in place of e) share that layout.  Split fluxes are velocity moments of the
 kinetic solution against sign-split monomials v+ = max(v, 0),
 v- = min(v, 0), one ``(plus, minus)`` pair per spatial axis; only their
 contraction with the factored solution is written once per format

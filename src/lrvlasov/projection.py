@@ -1,14 +1,18 @@
 """Velocity moments and the moment-conserving decomposition for 1D1V.
 
-The distribution is split as f = carrier + remainder, where the carrier is an
+Moments share the macroscopic state's layout: one stacked ``(2 + d, *n)``
+array with rows rho, J_1 .. J_d, kappa (here d = 1), the kinetic-energy
+density in the last row where the state holds the total energy.  The
+distribution is split as f = carrier + remainder, where the carrier is an
 exact three-term object built from the weighted-orthogonal velocity basis
-{1, v, v^2 - c} and reproduces the mass, current and kinetic-energy densities
-of f; the remainder has zero moments and is the only part rank truncation may
-touch.  A pinned truncation cuts the remainder once and adds one carrier,
-lifted from the target moments minus whatever the cut leaked into the
-remainder, so its rank is the remainder's plus three.  Moment quadrature uses
-the plain h_v inner product, while basis orthogonality lives in the w-weighted
-product; the two must not be conflated.
+{1, v, v^2 - c} and reproduces the moments of f; ``MomentBasis`` is that
+basis for both formats (in 2D2V each velocity leaf holds it).  The remainder
+has zero moments and is the only part rank truncation may touch.  A pinned
+truncation cuts the remainder once and adds one carrier, lifted from the
+target moments minus whatever the cut leaked into the remainder, so its rank
+is the remainder's plus three.  Moment quadrature uses the plain h_v inner
+product, while basis orthogonality lives in the w-weighted product; the two
+must not be conflated.
 """
 
 from __future__ import annotations
@@ -48,35 +52,18 @@ class MomentBasis:
         return np.ones_like(v), v, v**2 - self.c
 
 
-@dataclass
-class Moments1D:
-    rho: np.ndarray
-    J: np.ndarray
-    kappa: np.ndarray
-
-    def max_abs(self) -> float:
-        return max(float(np.max(np.abs(a), initial=0.0)) for a in (self.rho, self.J, self.kappa))
-
-    def __sub__(self, other: "Moments1D") -> "Moments1D":
-        return Moments1D(self.rho - other.rho, self.J - other.J, self.kappa - other.kappa)
-
-
-def moments(f: LowRankMatrix, grid: VelocityGrid) -> Moments1D:
-    """Mass, current and kinetic-energy densities by factor-wise quadrature."""
+def moments(f: LowRankMatrix, grid: VelocityGrid) -> np.ndarray:
+    """(rho, J, kappa) stacked, (3, nx), by factor-wise quadrature."""
     if f.Uv.shape[0] != grid.n:
         raise DimensionError("velocity factor length does not match grid")
     h, v = grid.h, grid.v
     m0 = h * f.Uv.sum(axis=0)                  # <Uv_l, 1>
     m1 = h * (f.Uv.T @ v)                      # <Uv_l, v>
     m2 = h * (f.Uv.T @ (0.5 * v**2))           # <Uv_l, v^2/2>
-    return Moments1D(
-        rho=f.Ux @ (f.C * m0),
-        J=f.Ux @ (f.C * m1),
-        kappa=f.Ux @ (f.C * m2),
-    )
+    return np.stack([f.Ux @ (f.C * m0), f.Ux @ (f.C * m1), f.Ux @ (f.C * m2)])
 
 
-def lift_moments(m: Moments1D, basis: MomentBasis) -> LowRankMatrix:
+def lift_moments(m: np.ndarray, basis: MomentBasis) -> LowRankMatrix:
     """Exact rank-3 carrier whose moments are m.
 
     Stored un-recompressed as exactly three terms so that conservation is
@@ -84,10 +71,11 @@ def lift_moments(m: Moments1D, basis: MomentBasis) -> LowRankMatrix:
     """
     wp = basis.grid.w_points
     v = basis.grid.v
+    rho, j, kappa = m
     ux = np.column_stack([
-        m.rho / basis.norm1_sq,
-        m.J / basis.norm2_sq,
-        (2.0 * m.kappa - basis.c * m.rho) / basis.norm3_sq,
+        rho / basis.norm1_sq,
+        j / basis.norm2_sq,
+        (2.0 * kappa - basis.c * rho) / basis.norm3_sq,
     ])
     uv = np.column_stack([wp, wp * v, wp * (v**2 - basis.c)])
     return LowRankMatrix(np.ones(3), ux, uv)
@@ -105,13 +93,13 @@ def truncate_conservative(f: LowRankMatrix, basis: MomentBasis, eps: float) -> L
     return truncate_sum_to_moments([f], None, basis, eps)
 
 
-def truncate_to_moments(f: LowRankMatrix, m_target: Moments1D | None, basis: MomentBasis,
+def truncate_to_moments(f: LowRankMatrix, m_target: np.ndarray | None, basis: MomentBasis,
                         eps: float) -> LowRankMatrix:
     """Like truncate_conservative but pins the moments to external values."""
     return truncate_sum_to_moments([f], m_target, basis, eps)
 
 
-def truncate_sum_to_moments(terms, m_target: Moments1D | None, basis: MomentBasis,
+def truncate_sum_to_moments(terms, m_target: np.ndarray | None, basis: MomentBasis,
                             eps: float) -> LowRankMatrix:
     """Pinned truncation of sum(terms): moments equal ``m_target``.
 

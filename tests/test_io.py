@@ -401,13 +401,13 @@ def test_snapshot_grid_mismatch(tmp_path):
 def test_snapshot_grid_signature_layout(tmp_path):
     # nine words, nv repeated in the slot of the former second velocity size,
     # so files written before that key was removed still load
-    from lrvlasov.io import snapshot_load
+    from lrvlasov.io import snapshot_parse
 
     cfg = from_preset("weak_landau_2d2v", nx=8, nv=16, t_end=0.0)
     problem, hist = initialize(cfg)
     path = tmp_path / "s.bin"
     snapshot_write(hist, problem, path)
-    _, sig, _ = snapshot_load(path)
+    sig = snapshot_parse(path)[2][:9]
     assert sig == (8.0, 8.0, 16.0, 16.0, cfg.x_min, cfg.x_max, cfg.v_max, cfg.beta,
                    cfg.eps)
     assert snapshot_read(path, problem).step == 0
@@ -474,10 +474,10 @@ V1_SNAPSHOT = Path(__file__).parent / "data" / "weak_landau_1d_v1_step4.bin"
 
 
 def test_v1_snapshot_resumes_bit_exact():
-    from lrvlasov.io import snapshot_load
+    from lrvlasov.io import snapshot_parse
 
     cfg = from_preset("weak_landau_1d", nx=16, nv=33, t_end=0.2, output_every=1)
-    _, sig, hist = snapshot_load(V1_SNAPSHOT)
+    _, _, sig, hist = snapshot_parse(V1_SNAPSHOT)
     assert len(sig) == 9 and hist.step == 4
     full = run(cfg)
     resumed = run(cfg, resume=str(V1_SNAPSHOT))
@@ -607,6 +607,35 @@ def test_cli_convergence_small(tmp_path, capsys):
     assert len(text) == 3
 
 
+def test_cli_convergence_non_integer_size_one_line(tmp_path, capsys):
+    from lrvlasov.cli import main
+
+    rc = main(["convergence", "--sizes", "32,abc", "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: --sizes")
+    assert "Traceback" not in err
+    assert not (tmp_path / "convergence.csv").exists()
+
+
+def test_negative_snapshot_cadence_rejected(tmp_path, capsys):
+    # step % -1 == 0 would write a snapshot at every step
+    from lrvlasov.cli import main
+
+    cfg = from_preset("weak_landau_1d", nx=16, nv=33, t_end=0.05)
+    with pytest.raises(ConfigError, match="snapshot_every"):
+        run(cfg, snapshot_every=-1, snapshot_dir=str(tmp_path))
+    rc = main(["run", "--preset", "weak_landau_1d", "--set", "grid.nx=16",
+               "--set", "grid.nv=33", "--set", "method.t_end=0.05",
+               "--snapshot-every", "-1", "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and "snapshot_every must be >= 0" in lines[0]
+    assert not list(tmp_path.iterdir())
+
+
 def test_cli_compare_writes_all_methods(tmp_path):
     from lrvlasov.cli import main
 
@@ -714,6 +743,32 @@ def _first_level_word_offsets(raw: bytes) -> tuple[int, int]:
         shape = struct.unpack_from(f"<{ndim}q", raw, off + 8)
         off += 8 * (1 + ndim) + 8 * math.prod(shape)
     return kind, off
+
+
+@pytest.mark.parametrize("word,value", [("ndim", 2**40), ("dim", 2**58), ("dim", -1)])
+def test_oversized_array_header_refused(tmp_path, capsys, word, value):
+    # the first factor's rank or dimension word is corrupted: a shape asking
+    # for more than the file holds is refused before any payload is read
+    import struct
+
+    from lrvlasov.cli import main
+    from lrvlasov.io import snapshot_parse
+
+    problem, hist = initialize(from_preset("weak_landau_1d", nx=16, nv=33))
+    path = tmp_path / "s.bin"
+    snapshot_write(hist, problem, path)
+    raw = bytearray(path.read_bytes())
+    ndim_at = _first_level_word_offsets(raw)[0] + 8
+    assert struct.unpack_from("<2q", raw, ndim_at) == (1, hist.fs[0].rank)
+    struct.pack_into("<q", raw, ndim_at if word == "ndim" else ndim_at + 8, value)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(SnapshotError, match="corrupt snapshot"):
+        snapshot_parse(path)
+    capsys.readouterr()
+    assert main(["inspect", str(path)]) == 2
+    err = capsys.readouterr().err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("which,word,message", [

@@ -63,11 +63,11 @@ def test_forced_initial_moments_analytic():
     x = problem.sgrid.nodes(0)
     profile = 2.0 - np.cos(2.0 * x)
     sq = np.sqrt(np.pi)
-    assert np.allclose(m.rho, profile * sq / 2.0, rtol=1e-10)
-    assert np.allclose(m.J, profile * sq / 8.0, rtol=1e-10)
-    assert np.allclose(m.kappa, profile * 3.0 * sq / 64.0, rtol=1e-10)
+    assert np.allclose(m[0], profile * sq / 2.0, rtol=1e-10)
+    assert np.allclose(m[1], profile * sq / 8.0, rtol=1e-10)
+    assert np.allclose(m[2], profile * 3.0 * sq / 64.0, rtol=1e-10)
     rho_d, j_d, k_d = dense_moments(hist.fs[-1].dense(), problem.vgrid)
-    assert np.allclose(m.rho, rho_d, atol=1e-14)
+    assert np.allclose(m[0], rho_d, atol=1e-14)
 
 
 def test_forced_field_consistency():
@@ -76,7 +76,7 @@ def test_forced_field_consistency():
     cfg = from_preset("forced")
     problem, hist = initialize(cfg)
     m = moments(hist.fs[-1], problem.vgrid)
-    field = solve_poisson(m.rho, problem.sgrid, sign=+1.0)
+    field = solve_poisson(m[0], problem.sgrid, sign=+1.0)
     x = problem.sgrid.nodes(0)
     exact = forced_exact_field(0.0, x)
     assert np.max(np.abs(field.E[0] - exact)) < 2e-9  # quadrature tail of rho
@@ -155,5 +155,5 @@ def test_2d_weak_landau_moments_uniform_background():
     import lrvlasov.htucker as ht
     m = ht.ht_moments(hist.fs[-1], problem.vgrids)
     # alpha perturbation rides on a uniform background of unit density
-    assert np.allclose(m.rho.mean(), 1.0, rtol=1e-6)
-    assert np.max(np.abs(m.J1)) < 1e-14
+    assert np.allclose(m[0].mean(), 1.0, rtol=1e-6)
+    assert np.max(np.abs(m[1])) < 1e-14

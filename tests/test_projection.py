@@ -4,7 +4,7 @@ import pytest
 from lrvlasov.errors import DimensionError
 from lrvlasov.grids import GaussianWeight, make_velocity_grid, weighted_inner
 from lrvlasov.lowrank import LowRankMatrix, add, recompress, scale, zero
-from lrvlasov.projection import (MomentBasis, Moments1D, lift_moments, moment_split,
+from lrvlasov.projection import (MomentBasis, lift_moments, moment_split,
                                  moments, truncate_conservative, truncate_to_moments)
 
 from reference import dense_carrier, dense_moments, dense_weighted_projection
@@ -39,7 +39,7 @@ def test_basis_orthogonality(vgrid, basis):
 
 def test_moments_zero(vgrid):
     m = moments(zero(NX, NV), vgrid)
-    assert np.all(m.rho == 0) and np.all(m.J == 0) and np.all(m.kappa == 0)
+    assert m.shape == (3, NX) and np.all(m == 0)
 
 
 def test_moments_maxwellian_profile(vgrid):
@@ -50,15 +50,15 @@ def test_moments_maxwellian_profile(vgrid):
     f = LowRankMatrix(np.ones(1), gx[:, None], maxw[:, None])
     m = moments(f, vgrid)
     rho_d, j_d, k_d = dense_moments(f.dense(), vgrid)
-    assert np.allclose(m.rho, rho_d, atol=1e-14)
-    assert np.allclose(m.J, j_d, atol=1e-14)
-    assert np.allclose(m.kappa, k_d, atol=1e-14)
+    assert np.allclose(m[0], rho_d, atol=1e-14)
+    assert np.allclose(m[1], j_d, atol=1e-14)
+    assert np.allclose(m[2], k_d, atol=1e-14)
     # J vanishes for the even profile; kappa tracks the discrete second moment
-    assert np.max(np.abs(m.J)) < 1e-14
+    assert np.max(np.abs(m[1])) < 1e-14
     mass_g = vgrid.h * maxw.sum()
     second = 0.5 * vgrid.h * np.dot(maxw, vgrid.v**2)
-    assert np.allclose(m.rho, gx * mass_g, atol=1e-14)
-    assert np.allclose(m.kappa, m.rho * (second / mass_g), atol=1e-13)
+    assert np.allclose(m[0], gx * mass_g, atol=1e-14)
+    assert np.allclose(m[2], m[0] * (second / mass_g), atol=1e-13)
 
 
 def test_moments_match_dense_random(rng, vgrid):
@@ -66,9 +66,9 @@ def test_moments_match_dense_random(rng, vgrid):
     m = moments(f, vgrid)
     rho_d, j_d, k_d = dense_moments(f.dense(), vgrid)
     scale_ref = np.abs(rho_d).max() + 1.0
-    assert np.allclose(m.rho, rho_d, atol=1e-13 * scale_ref)
-    assert np.allclose(m.J, j_d, atol=1e-13 * scale_ref)
-    assert np.allclose(m.kappa, k_d, atol=1e-13 * scale_ref)
+    assert np.allclose(m[0], rho_d, atol=1e-13 * scale_ref)
+    assert np.allclose(m[1], j_d, atol=1e-13 * scale_ref)
+    assert np.allclose(m[2], k_d, atol=1e-13 * scale_ref)
 
 
 def test_moments_grid_mismatch(rng, vgrid):
@@ -78,7 +78,7 @@ def test_moments_grid_mismatch(rng, vgrid):
 
 
 def test_lift_zero_moments(basis):
-    m = Moments1D(np.zeros(NX), np.zeros(NX), np.zeros(NX))
+    m = np.zeros((3, NX))
     out = lift_moments(m, basis)
     assert np.max(np.abs(out.dense())) == 0.0
 
@@ -86,27 +86,24 @@ def test_lift_zero_moments(basis):
 def test_lift_degenerate_third_term(rng, basis, vgrid):
     # kappa = c rho / 2 makes the third carrier term vanish identically
     rho = np.abs(rng.standard_normal(NX)) + 1.0
-    m = Moments1D(rho, np.zeros(NX), 0.5 * basis.c * rho)
+    m = np.stack([rho, np.zeros(NX), 0.5 * basis.c * rho])
     out = lift_moments(m, basis)
     assert recompress(out, droptol=1e-13).rank <= 1
 
 
 def test_lift_roundtrip_random(rng, basis, vgrid):
     for _ in range(30):
-        m = Moments1D(rng.standard_normal(NX) * 3.0, rng.standard_normal(NX),
-                      rng.standard_normal(NX))
+        m = np.stack([rng.standard_normal(NX) * 3.0, rng.standard_normal(NX),
+                      rng.standard_normal(NX)])
         got = moments(lift_moments(m, basis), vgrid)
-        ref = max(np.abs(m.rho).max(), np.abs(m.J).max(), np.abs(m.kappa).max())
-        assert np.allclose(got.rho, m.rho, atol=1e-12 * ref)
-        assert np.allclose(got.J, m.J, atol=1e-12 * ref)
-        assert np.allclose(got.kappa, m.kappa, atol=1e-12 * ref)
+        assert np.allclose(got, m, atol=1e-12 * np.abs(m).max())
 
 
 def test_lift_matches_dense_carrier(rng, basis, vgrid):
-    m = Moments1D(rng.standard_normal(NX), rng.standard_normal(NX),
-                  rng.standard_normal(NX))
+    m = np.stack([rng.standard_normal(NX), rng.standard_normal(NX),
+                  rng.standard_normal(NX)])
     lifted = lift_moments(m, basis).dense()
-    oracle = dense_carrier(m.rho, m.J, m.kappa, vgrid)
+    oracle = dense_carrier(*m, vgrid)
     assert np.allclose(lifted, oracle, atol=1e-13 * np.abs(oracle).max())
 
 
@@ -127,10 +124,10 @@ def test_split_moment_bookkeeping(rng, basis, vgrid):
     carrier, remainder = moment_split(f, basis)
     m_f = moments(f, vgrid)
     m_c = moments(carrier, vgrid)
-    ref = m_f.max_abs() + 1.0
-    assert np.allclose(m_c.rho, m_f.rho, atol=1e-12 * ref)
+    ref = np.abs(m_f).max() + 1.0
+    assert np.allclose(m_c[0], m_f[0], atol=1e-12 * ref)
     m_r = moments(remainder, vgrid)
-    assert m_r.max_abs() < 1e-11 * ref
+    assert np.abs(m_r).max() < 1e-11 * ref
 
 
 def test_split_matches_dense_projection(rng, basis, vgrid):
@@ -168,10 +165,8 @@ def test_conservative_truncate_moment_preservation(rng, basis, vgrid):
         eps = 10.0 ** rng.uniform(-8, -2)
         out = truncate_conservative(f, basis, eps)
         m_in, m_out = moments(f, vgrid), moments(out, vgrid)
-        ref = m_in.max_abs() + 1e-3
-        assert np.max(np.abs(m_out.rho - m_in.rho)) < 1e-12 * ref
-        assert np.max(np.abs(m_out.J - m_in.J)) < 1e-12 * ref
-        assert np.max(np.abs(m_out.kappa - m_in.kappa)) < 1e-12 * ref
+        ref = np.abs(m_in).max() + 1e-3
+        assert np.max(np.abs(m_out - m_in)) < 1e-12 * ref
         # rank bound: one three-term carrier plus the truncated remainder
         _, remainder = moment_split(f, basis)
         r2 = truncate_weighted(remainder, vgrid.w_points, eps).rank
@@ -198,10 +193,10 @@ def test_pinned_moments_definitional_match(rng, basis, vgrid):
 
 def test_pinned_moments_zero_target(rng, basis, vgrid):
     f = random_lr(rng)
-    m0 = Moments1D(np.zeros(NX), np.zeros(NX), np.zeros(NX))
+    m0 = np.zeros((3, NX))
     out = truncate_to_moments(f, m0, basis, 1e-4)
     m_out = moments(out, vgrid)
-    assert m_out.max_abs() < 1e-12 * (moments(f, vgrid).max_abs() + 1.0)
+    assert np.abs(m_out).max() < 1e-12 * (np.abs(moments(f, vgrid)).max() + 1.0)
 
 
 def test_pinned_moments_track_target(rng, basis, vgrid):
@@ -209,13 +204,11 @@ def test_pinned_moments_track_target(rng, basis, vgrid):
         f = random_lr(rng)
         own = moments(f, vgrid)
         delta = 1e-3 * rng.standard_normal(NX)
-        target = Moments1D(own.rho + delta, own.J + delta, own.kappa + delta)
+        target = own + delta
         out = truncate_to_moments(f, target, basis, 1e-5)
         got = moments(out, vgrid)
-        ref = target.max_abs() + 1.0
-        assert np.max(np.abs(got.rho - target.rho)) < 1e-12 * ref
-        assert np.max(np.abs(got.J - target.J)) < 1e-12 * ref
-        assert np.max(np.abs(got.kappa - target.kappa)) < 1e-12 * ref
+        ref = np.abs(target).max() + 1.0
+        assert np.max(np.abs(got - target)) < 1e-12 * ref
 
 
 def test_bump_weight_basis_still_orthogonal():
