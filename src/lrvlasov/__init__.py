@@ -14,7 +14,7 @@ from .driver import History, Problem, initialize, run, select_dt
 from .grids import (GaussianWeight, SpatialGrid, VelocityGrid, make_velocity_grid,
                     plain_inner, spatial_grid_1d, spatial_grid_2d, weighted_inner)
 from .htucker import HtTensor
-from .lowrank import LowRankMatrix, add, recompress, truncate, truncate_weighted
+from .lowrank import LowRankMatrix, add, recompress, truncate_sum
 from .poisson import ElectricField, field_energy, solve_poisson
 from .projection import MomentBasis, moments
 
@@ -25,7 +25,7 @@ __all__ = [
     "add", "field_energy", "from_preset", "initialize", "load_config",
     "make_velocity_grid", "moments", "plain_inner", "recompress", "run",
     "select_dt", "solve_poisson", "spatial_grid_1d", "spatial_grid_2d",
-    "truncate", "truncate_weighted", "weighted_inner",
+    "truncate_sum", "weighted_inner",
 ]
 
 __version__ = "0.1.0"

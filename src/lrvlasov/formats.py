@@ -3,19 +3,23 @@
 ``FORMATS`` picks the subclass of ``Problem`` for the configured dimension; it
 supplies what the stepper needs, with one meaning in both formats: moments,
 scaling, transport blocks, KFVS fluxes, plain and moment-pinned truncation of
-a list of blocks, and ranks.  Both formats take their moments in the
-macroscopic state's ``(2 + d, *n)`` layout (rows rho, J_1 .. J_d, kappa), a
-pin's target is given in it, and both build their carriers from one
-``projection.MomentBasis`` of the shared velocity grid.  Below it only
-``macro`` keeps per-format code, one KFVS flux contraction each; the
-macroscopic rate and state and the field solve are written once for any
-dimension.  Layer functions are looked up on their modules at call time, so
-wrappers installed there (tracing, test doubles) see each call.
+a list of blocks, and ranks.  The transport -(v . grad_x + E . grad_v) f is
+written once, in ``Problem.transport``, for any dimension; each format gives
+it two primitives, its spatial factor on the grid with its velocity leaves
+(``factors``), and one block from a new spatial factor and a new leaf
+(``block``).  Both formats take their moments in the macroscopic state's
+``(2 + d, *n)`` layout (rows rho, J_1 .. J_d, kappa), a pin's target is given
+in it, and both build their carriers from one ``projection.MomentBasis`` of
+the shared velocity grid.  Below it only ``macro`` keeps per-format code, one
+KFVS flux contraction each; the macroscopic rate and state and the field
+solve are written once for any dimension.  Layer functions are looked up on
+their modules at call time, so wrappers installed there (tracing, test
+doubles) see each call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -42,6 +46,28 @@ class Problem:
         return macro.rate(u, self.fluxes(f), field, self.sgrid,
                           self.preset.macro_sources, t)
 
+    def transport(self, f, field, t: float) -> list:
+        """-(v . grad_x + E . grad_v) f as blocks, plus any manufactured forcing.
+
+        Each axis gives two blocks split on the sign of its speed, the
+        one-sided derivative on one factor and the sign-split multiplier on
+        the other: the spatial axes first (speed v_d), then the velocity
+        axes (speed E_d).
+        """
+        ux, leaves = self.factors(f)
+        blocks = []
+        for axis, (hx, leaf, g) in enumerate(zip(self.sgrid.h, leaves, self.vgrids)):
+            for bias, v in (("plus", np.maximum(g.v, 0.0)), ("minus", np.minimum(g.v, 0.0))):
+                du = upwind.upwind_derivative(ux, bias, hx, "periodic", axis=axis)
+                blocks.append(self.block(f, du, axis, v[:, None] * leaf))
+        for axis, (e, leaf, g) in enumerate(zip(field.E, leaves, self.vgrids)):
+            for bias, ep in (("plus", np.maximum(e, 0.0)), ("minus", np.minimum(e, 0.0))):
+                dv = upwind.upwind_derivative(leaf, bias, g.h, "zero", axis=0)
+                blocks.append(self.block(f, ux * ep[..., None], axis, dv))
+        if self.preset.kinetic_forcing is not None:
+            blocks.append(self.preset.kinetic_forcing(t, self.sgrid, *self.vgrids))
+        return blocks
+
 
 @dataclass
 class Problem1D(Problem):
@@ -66,25 +92,13 @@ class Problem1D(Problem):
     def scale(self, f, a: float):
         return lowrank.scale(f, a)
 
-    def transport(self, f, field, t: float) -> list:
-        """-(v d/dx + E d/dv) f as four blocks, plus any manufactured forcing."""
-        (hx,) = self.sgrid.h
-        v, hv = self.vgrid.v, self.vgrid.h
-        (e,) = field.E
-        diff, block = upwind.upwind_derivative, lowrank.LowRankMatrix
-        blocks = [
-            block(-f.C, diff(f.Ux, "plus", hx, "periodic", axis=0),
-                  np.maximum(v, 0.0)[:, None] * f.Uv),
-            block(-f.C, diff(f.Ux, "minus", hx, "periodic", axis=0),
-                  np.minimum(v, 0.0)[:, None] * f.Uv),
-            block(-f.C, np.maximum(e, 0.0)[:, None] * f.Ux,
-                  diff(f.Uv, "plus", hv, "zero", axis=0)),
-            block(-f.C, np.minimum(e, 0.0)[:, None] * f.Ux,
-                  diff(f.Uv, "minus", hv, "zero", axis=0)),
-        ]
-        if self.preset.kinetic_forcing is not None:
-            blocks.append(self.preset.kinetic_forcing(t, self.sgrid, self.vgrid))
-        return blocks
+    def factors(self, f):
+        """The spatial factor on the grid, (*n, r), and the velocity leaves."""
+        return f.Ux, (f.Uv,)
+
+    def block(self, f, ux, axis: int, leaf):
+        """-f with its spatial factor and the leaf of velocity ``axis`` replaced."""
+        return lowrank.LowRankMatrix(-f.C, ux, leaf)
 
     def fluxes(self, f) -> list:
         return macro.kfvs_fluxes_1d(f, self.vgrid)
@@ -113,13 +127,18 @@ class Problem2D(Problem):
         return self.preset.init_2d(self.sgrid, self.vgrids)
 
     def moments(self, f):
-        return ht.ht_moments(f, self.vgrids)
+        return ht.ht_moments([f], self.vgrids)
 
     def scale(self, f, a: float):
         return ht.ht_scale(f, a)
 
-    def transport(self, f, field, t: float) -> list:
-        return ht.ht_transport_blocks(f, field, self.sgrid.h, self.vgrids)
+    def factors(self, f):
+        return f.Ux.reshape(*f.nx, -1), (f.Uv1, f.Uv2)
+
+    def block(self, f, ux, axis: int, leaf):
+        # every block keeps f's Bvv object, so _Runs contracts them together
+        return replace(f, Ux=ux.reshape(f.Ux.shape[0], -1), B=-f.B,
+                       **{("Uv1", "Uv2")[axis]: leaf})
 
     def fluxes(self, f) -> list:
         return macro.kfvs_fluxes_2d(f, self.vgrids)

@@ -9,17 +9,19 @@ velocity-pair columns:
     f[i, j1, j2] = sum_{lx, lv} Ux[i, lx] B[lx, lv]
                    * sum_{l1, l2} Bvv[l1, l2, lv] Uv1[j1, l1] Uv2[j2, l2]
 
-Addition concatenates blocks exactly.  Truncation cuts three nodes (the root
-separation and the two velocity leaves) by their singular spectra with
-per-node tolerance eps/sqrt(3), which bounds the total error by eps in the
-Frobenius norm (Grasedyck's hierarchical SVD bound).  For eps > 0 the root cut
-of a block sum comes from an adaptive randomized range finder (Halko,
-Martinsson & Tropp) applied to the sum's (space | velocity pair) matrix
-through the blocks' own factors, so the sum is never formed: a sketch of 16
-Khatri-Rao columns omega_1 (x) omega_2 (Gaussian leaf vectors drawn from a
-generator with a fixed seed, applied leaf by leaf) doubles until the
-exact discarded tail (the squared Frobenius norm from Gram matrices, minus the
-kept squared singular values) is within eps/sqrt(3), or within the Gram
+Addition concatenates blocks exactly.  ``ht_truncate_sum`` is the one
+truncation of a block sum, plain or, given the weights w at the nodes of the
+velocity grid both leaves share, in the norm weighted by 1/(w(v1) w(v2)).  It
+cuts three nodes (the root separation and the two velocity leaves) by their
+singular spectra with per-node tolerance eps/sqrt(3), which bounds the total
+error by eps in the Frobenius norm (Grasedyck's hierarchical SVD bound).  For
+eps > 0 the root cut of a block sum comes from an adaptive randomized range
+finder (Halko, Martinsson & Tropp) applied to the sum's (space | velocity
+pair) matrix through the blocks' own factors, so the sum is never formed: a
+sketch of 16 Khatri-Rao columns omega_1 (x) omega_2 (Gaussian leaf vectors
+drawn from a generator with a fixed seed, applied leaf by leaf) doubles until
+the exact discarded tail (the squared Frobenius norm from Gram matrices,
+minus the kept squared singular values) is within eps/sqrt(3), or within the Gram
 products' round-off where cancelling blocks put eps below it, and the sketch
 is at least 8 columns wider than the kept rank; one subspace iteration then
 sharpens the frame.  The fixed seed makes the result a function of the input
@@ -33,8 +35,10 @@ the stored spatial frame: its rank only changes through the root separation.
 Moments and KFVS fluxes are separable velocity-pair functionals, taken for
 all blocks of a sum in one batched contraction (``_pair_fields``): one matrix
 product per leaf, one per run of blocks sharing a Bvv, one spatial product per
-block.  The moments come out in the macroscopic state's layout, one stacked
-``(4, n1, n2)`` array with rows rho, J1, J2, kappa.
+block.  ``ht_moments`` takes a block list, like every sum routine here, and
+its moments come out in the macroscopic state's layout, one stacked
+``(4, n1, n2)`` array with rows rho, J1, J2, kappa.  The transport blocks
+are built in ``formats``, which writes that operator once for both formats.
 
 A moment-pinned truncation (``ht_truncate_to_moments``) cuts the sum's
 zero-moment remainder once, in the norm weighted by 1/w, and adds one
@@ -52,10 +56,8 @@ import numpy as np
 
 from .errors import DimensionError, DomainError
 from .grids import VelocityGrid
-from .lowrank import DEFAULT_DROPTOL, keep_count
-from .poisson import ElectricField
+from .lowrank import DEFAULT_DROPTOL, _weight_root, keep_count
 from .projection import MomentBasis
-from .upwind import upwind_derivative
 
 
 @dataclass
@@ -135,9 +137,10 @@ def scale_bound(f: HtTensor) -> float:
     return float(ux @ np.abs(f.B) @ pair)
 
 
-def _finish_truncation(ux, core, uv1, uv2, nx, tol, exact):
+def _finish_truncation(ux, core, uv1, uv2, nx, tol, exact, sqrt_w):
     """Leaf cuts at tol on the root-weighted core, then re-orthonormalized
-    assembly; ``exact`` takes the leaf spectra from SVDs, not Grams."""
+    assembly; ``exact`` takes the leaf spectra from SVDs, not Grams, and the
+    leaves are scaled back by ``sqrt_w`` when it is given."""
     def leaf_cut(axis, frame):
         if exact:  # a Gram's squared spectrum blurs below sqrt(eps_mach)
             unfold = np.moveaxis(core, axis, 0).reshape(core.shape[axis], -1)
@@ -154,6 +157,8 @@ def _finish_truncation(ux, core, uv1, uv2, nx, tol, exact):
     core = np.tensordot(rot1.T, core, axes=(1, 0))  # (k1, b, c)
     new_uv2, rot2 = leaf_cut(1, uv2)
     core = np.moveaxis(np.tensordot(rot2.T, core, axes=(1, 1)), 0, 1)  # (k1, k2, c)
+    if sqrt_w is not None:
+        new_uv1, new_uv2 = new_uv1 * sqrt_w[:, None], new_uv2 * sqrt_w[:, None]
 
     # restore orthonormal pair transfer; the root picks up the R factor
     mat = core.reshape(-1, core.shape[2])
@@ -276,8 +281,11 @@ class _PairUnfold(_Runs):
         return core
 
 
-def ht_truncate_sum(terms, eps: float) -> HtTensor:
-    """Hierarchical truncation of sum(terms), total Frobenius error <= eps.
+def ht_truncate_sum(terms, eps: float, w_points=None) -> HtTensor:
+    """Hierarchical truncation of sum(terms), total Frobenius error <= eps,
+    taken in the norm weighted by 1/(w(v1) w(v2)) when ``w_points`` (w at the
+    nodes of the velocity grid both leaves share) is given: the leaves are
+    scaled by 1/sqrt(w) before the cut and by sqrt(w) after it.
 
     eps > 0: the spatial frame comes from an adaptive randomized range finder
     on the root matricization M = Ux_cat blockdiag(B_t) mat^T (rows: space;
@@ -316,7 +324,11 @@ def ht_truncate_sum(terms, eps: float) -> HtTensor:
     _check_shapes(terms)
     nx = terms[0].nx
     nv1, nv2 = terms[0].Uv1.shape[0], terms[0].Uv2.shape[0]
+    sqrt_w = _weight_root(w_points, nv1, nv2)
     terms = [t for t in terms if min(t.ranks) > 0]  # zero blocks add nothing
+    if sqrt_w is not None:
+        terms = [replace(t, Uv1=t.Uv1 / sqrt_w[:, None], Uv2=t.Uv2 / sqrt_w[:, None])
+                 for t in terms]
     if not terms:
         return ht_zero(nx, nv1, nv2)
     pair = _PairUnfold(terms)
@@ -333,7 +345,8 @@ def ht_truncate_sum(terms, eps: float) -> HtTensor:
         if keep == 0:
             return ht_zero(nx, nv1, nv2)
         core = (qm @ (vt[:keep].T * s[:keep])).reshape(n1, n2, keep)
-        return _finish_truncation(qx @ u[:, :keep], core, pair.q1, pair.q2, nx, tol, exact=True)
+        return _finish_truncation(qx @ u[:, :keep], core, pair.q1, pair.q2, nx, tol,
+                                  exact=True, sqrt_w=sqrt_w)
 
     tol = eps / np.sqrt(3.0)
     gv = pair.gram()
@@ -386,28 +399,7 @@ def ht_truncate_sum(terms, eps: float) -> HtTensor:
         width *= 2
     ux = q @ vec[:, :keep]
     core = pair.matmul(z.T @ vec[:, :keep])
-    return _finish_truncation(ux, core, pair.q1, pair.q2, nx, tol, exact=False)
-
-
-def _check_weights(f: HtTensor, w1: np.ndarray, w2: np.ndarray) -> None:
-    if w1.shape != (f.Uv1.shape[0],) or w2.shape != (f.Uv2.shape[0],):
-        raise DimensionError("weight vectors do not match velocity frames")
-    if np.any(w1 <= 0) or np.any(w2 <= 0):
-        raise DomainError("weights must be strictly positive")
-
-
-def ht_truncate_weighted_sum(terms, w1_points: np.ndarray, w2_points: np.ndarray,
-                             eps: float) -> HtTensor:
-    """sqrt(w)-conjugated hierarchical truncation of a sum of terms."""
-    terms = list(terms)
-    w1 = np.asarray(w1_points, float)
-    w2 = np.asarray(w2_points, float)
-    for t in terms:
-        _check_weights(t, w1, w2)
-    s1, s2 = np.sqrt(w1), np.sqrt(w2)
-    scaled = [replace(t, Uv1=t.Uv1 / s1[:, None], Uv2=t.Uv2 / s2[:, None]) for t in terms]
-    out = ht_truncate_sum(scaled, eps)
-    return replace(out, Uv1=out.Uv1 * s1[:, None], Uv2=out.Uv2 * s2[:, None])
+    return _finish_truncation(ux, core, pair.q1, pair.q2, nx, tol, exact=False, sqrt_w=sqrt_w)
 
 
 # ---------------------------------------------------------------------------
@@ -453,14 +445,10 @@ def _moment_leaves(terms, grids: tuple[VelocityGrid, VelocityGrid]):
             g2.h * np.column_stack([one2, one2, g2.v, one2, g2.v**2]))
 
 
-def ht_moments(f: HtTensor, grids: tuple[VelocityGrid, VelocityGrid]) -> np.ndarray:
-    """(rho, J1, J2, kappa) stacked, (4, n1, n2); the velocity pair is never
-    densified, only contracted leaf by leaf through the transfer tensor."""
-    return _pair_fields([f], *_moment_leaves([f], grids), _MOMENT_WEIGHTS)
-
-
-def ht_sum_moments(terms, grids: tuple[VelocityGrid, VelocityGrid]) -> np.ndarray:
-    """Moments of sum(terms), all blocks in one batched contraction."""
+def ht_moments(terms, grids: tuple[VelocityGrid, VelocityGrid]) -> np.ndarray:
+    """(rho, J1, J2, kappa) of sum(terms) stacked, (4, n1, n2), all blocks in
+    one batched contraction; the velocity pair is never densified, only
+    contracted leaf by leaf through the transfer tensors."""
     terms = list(terms)
     return _pair_fields(terms, *_moment_leaves(terms, grids), _MOMENT_WEIGHTS)
 
@@ -473,8 +461,9 @@ _PAIR_TRANSFER[[0, 1, 0, 2, 0], [0, 0, 1, 0, 2], [0, 1, 2, 3, 3]] = (
 _PAIR_TRANSFER.flags.writeable = False
 
 
-def ht_lift_moments(m: np.ndarray, basis: MomentBasis, nx: tuple[int, int]) -> HtTensor:
-    """Exact carrier tensor whose moments are m; all internal ranks are fixed.
+def ht_lift_moments(m: np.ndarray, basis: MomentBasis) -> HtTensor:
+    """Exact carrier tensor whose moments are m, (4, n1, n2); all internal
+    ranks are fixed.
 
     Both velocity leaves hold the frame {1, v, v^2 - c} of ``basis``, weight
     scaled and normalized by the basis norms."""
@@ -488,7 +477,7 @@ def ht_lift_moments(m: np.ndarray, basis: MomentBasis, nx: tuple[int, int]) -> H
         j2 / (c1 * c2),
         np.sqrt(2.0) * (kappa - c * rho) / (c1 * c3),
     ])
-    return HtTensor(ux, np.eye(4), _PAIR_TRANSFER, frame, frame, nx)
+    return HtTensor(ux, np.eye(4), _PAIR_TRANSFER, frame, frame, m.shape[1:])
 
 
 def ht_truncate_to_moments(terms, m_target: np.ndarray | None, basis: MomentBasis,
@@ -501,48 +490,11 @@ def ht_truncate_to_moments(terms, m_target: np.ndarray | None, basis: MomentBasi
     Without a target the moments of the sum, taken once for the remainder,
     are kept.
     """
-    grids, wp, nx = (basis.grid, basis.grid), basis.grid.w_points, terms[0].nx
-    own = ht_sum_moments(terms, grids)
-    remainder = ht_truncate_weighted_sum(
-        [*terms, ht_scale(ht_lift_moments(own, basis, nx), -1.0)], wp, wp, eps)
-    leak = ht_moments(remainder, grids)
-    return ht_add(ht_lift_moments((own if m_target is None else m_target) - leak, basis, nx),
+    terms, grids = list(terms), (basis.grid, basis.grid)
+    own = ht_moments(terms, grids)
+    remainder = ht_truncate_sum([*terms, ht_scale(ht_lift_moments(own, basis), -1.0)], eps,
+                                basis.grid.w_points)
+    leak = ht_moments([remainder], grids)
+    return ht_add(ht_lift_moments((own if m_target is None else m_target) - leak, basis),
                   remainder)
-
-
-# ---------------------------------------------------------------------------
-# transport right-hand side
-
-def ht_transport_blocks(f: HtTensor, field: ElectricField, hx: tuple[float, float],
-                        grids: tuple[VelocityGrid, VelocityGrid]) -> list[HtTensor]:
-    """-(v1 d/dx1 + v2 d/dx2 + E1 d/dv1 + E2 d/dv2) f as eight separable terms.
-
-    Each transport direction splits on the sign of its speed, applying the
-    matching one-sided derivative to one frame and the sign-split multiplier
-    to the other.  The blocks are returned unconcatenated so callers can feed
-    them to the fused sum routines.
-    """
-    n1, n2 = f.nx
-    e1, e2 = field.E
-    v1, v2 = grids[0].v, grids[1].v
-    ux_grid = f.Ux.reshape(n1, n2, -1)
-    terms = []
-
-    for bias, vpart in (("plus", np.maximum(v1, 0.0)), ("minus", np.minimum(v1, 0.0))):
-        du = upwind_derivative(ux_grid, bias, hx[0], "periodic", axis=0)
-        terms.append(replace(f, Ux=du.reshape(n1 * n2, -1), B=-f.B,
-                             Uv1=vpart[:, None] * f.Uv1))
-    for bias, vpart in (("plus", np.maximum(v2, 0.0)), ("minus", np.minimum(v2, 0.0))):
-        du = upwind_derivative(ux_grid, bias, hx[1], "periodic", axis=1)
-        terms.append(replace(f, Ux=du.reshape(n1 * n2, -1), B=-f.B,
-                             Uv2=vpart[:, None] * f.Uv2))
-    for bias, epart in (("plus", np.maximum(e1, 0.0)), ("minus", np.minimum(e1, 0.0))):
-        mx = (ux_grid * epart[:, :, None]).reshape(n1 * n2, -1)
-        dv = upwind_derivative(f.Uv1, bias, grids[0].h, "zero", axis=0)
-        terms.append(replace(f, Ux=mx, B=-f.B, Uv1=dv))
-    for bias, epart in (("plus", np.maximum(e2, 0.0)), ("minus", np.minimum(e2, 0.0))):
-        mx = (ux_grid * epart[:, :, None]).reshape(n1 * n2, -1)
-        dv = upwind_derivative(f.Uv2, bias, grids[1].h, "zero", axis=0)
-        terms.append(replace(f, Ux=mx, B=-f.B, Uv2=dv))
-    return terms
 

@@ -181,7 +181,39 @@ def _read_level(fh, dim: int):
     (macro,) = _read_ints(fh, 1)
     if macro not in (0, dim):
         raise SnapshotError(f"macro dimensionality word {macro} in a {dim}D snapshot")
-    return f, (np.stack([_read_array(fh) for _ in range(macro + 2)]) if macro else None)
+    return f, [_read_array(fh) for _ in range(macro + 2)] if macro else []
+
+
+def _level_shapes(dim: int, sig) -> tuple[dict, tuple]:
+    """A level's factor shapes from the signature's grid words, and the grid
+    shape that every macro row has; a name is a rank, the same wherever it
+    appears."""
+    nx, nx2, nv1, nv2 = sig[:4]
+    if dim == 1:
+        return {"C": ("r",), "Ux": (nx, "r"), "Uv": (nv1, "r")}, (nx,)
+    return ({"Ux": (nx * nx2, "rx"), "B": ("rx", "rv"), "Bvv": ("r1", "r2", "rv"),
+             "Uv1": (nv1, "r1"), "Uv2": (nv2, "r2")}, (nx, nx2))
+
+
+def _check_level(where: str, f, rows, shapes: dict, grid: tuple) -> None:
+    """Refuse a level whose arrays disagree with each other or with the grid."""
+    def dims(want) -> str:
+        return "(" + ", ".join(w if isinstance(w, str) else format(w, ".17g")
+                               for w in want) + ")"
+
+    ranks: dict[str, int] = {}
+    for name, want in shapes.items():
+        got = getattr(f, name).shape
+        if len(got) != len(want) or not all(
+                ranks.setdefault(w, g) == g if isinstance(w, str) else w == g
+                for w, g in zip(want, got)):
+            raise SnapshotError(f"{where} array {name} has shape {got}, expected {dims(want)}")
+    if getattr(f, "nx", grid) != grid:
+        raise SnapshotError(f"{where} spatial words {f.nx}, expected {dims(grid)}")
+    for k, row in enumerate(rows):
+        if row.shape != grid:
+            raise SnapshotError(f"{where} macro row {k} has shape {row.shape}, "
+                                f"expected {dims(grid)}")
 
 
 _TEXT_MAX = 1024  # bytes of a header text word; method and preset names are short
@@ -249,7 +281,8 @@ def snapshot_write(hist, problem, path) -> None:
 def snapshot_parse(path):
     """(version, dimensionality, signature, history) stored in a snapshot
     file; the signature has the nine grid words of a version 1 file, all of
-    ``_SIGNATURE_NAMES`` from version 2 on."""
+    ``_SIGNATURE_NAMES`` from version 2 on.  Each level's factor shapes are
+    checked against each other and against the signature's grid words."""
     from .driver import History  # deferred: avoids a module import cycle
 
     path = Path(path)
@@ -267,10 +300,12 @@ def snapshot_parse(path):
         if version > 1:
             sig += (_read_text(fh), _read_text(fh))
         hist = History(t=t, step=step, dts=list(dts), dt_work=dt_work)
-        for _ in range(n_levels):
-            f, u = _read_level(fh, dim)
+        shapes, grid = _level_shapes(dim, sig)
+        for i in range(n_levels):
+            f, rows = _read_level(fh, dim)
+            _check_level(f"{path}: level {i}", f, rows, shapes, grid)
             hist.fs.append(f)
-            hist.us.append(u)
+            hist.us.append(np.stack(rows) if rows else None)
     return version, dim, sig, hist
 
 

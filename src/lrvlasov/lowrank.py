@@ -7,10 +7,10 @@ included, is one randomized range finder (Halko, Martinsson & Tropp, SIAM Rev.
 cheaper to form than the stacked factors are to orthonormalize.  Its sketch
 grows until the exact error of the returned matrix, the explicit residual of
 the sketch plus the discarded singular values, is within eps, so the bound
-holds whatever the draws; they can only cost rank.  The weighted truncation
-scales the velocity factors by 1/sqrt(w(v_j)) (point values, not quadrature
-weights), truncates, and scales back, so its error is controlled in the norm
-weighted by 1/w.
+holds whatever the draws; they can only cost rank.  ``truncate_sum`` is
+the one entry point for a cut; given weights it scales the velocity factors by
+1/sqrt(w(v_j)) (point values, not quadrature weights), truncates, and scales
+back, so its error is controlled in the norm weighted by 1/w.
 """
 
 from __future__ import annotations
@@ -120,10 +120,23 @@ def _test_matrix(n: int, p: int) -> np.ndarray:
     return rows[:p].T
 
 
-def _truncate(terms, eps: float, w_points=None, droptol: float = DEFAULT_DROPTOL):
+def _weight_root(w_points, *lengths: int):
+    """sqrt(w) of the weights at the velocity nodes, checked against the
+    length of every velocity factor; None without weights."""
+    if w_points is None:
+        return None
+    w_points = np.asarray(w_points, dtype=float)
+    if any(w_points.shape != (n,) for n in lengths):
+        raise DimensionError("weight vector length does not match velocity factors")
+    if np.any(w_points <= 0):
+        raise DomainError("weights must be strictly positive")
+    return np.sqrt(w_points)
+
+
+def _truncate(terms, eps: float, sqrt_w=None, droptol: float = DEFAULT_DROPTOL):
     """The one truncation loop behind every public entry point.
 
-    S = sum_b (Ux_b C_b) Uv_b^T (velocity columns scaled by 1/sqrt(w)) is
+    S = sum_b (Ux_b C_b) Uv_b^T (velocity columns divided by ``sqrt_w``) is
     formed densely and sketched with the fixed test matrix: Q = qr(S Omega),
     B = Q^T S, B = V s U^T from the SVD of B^T.  The error of keeping k
     singular triplets is exactly ||S - Q B||_F^2 + sum_{i>=k} s_i^2, the
@@ -137,11 +150,10 @@ def _truncate(terms, eps: float, w_points=None, droptol: float = DEFAULT_DROPTOL
     terms = [t for t in terms if t.rank]
     if not terms:
         return zero(nx, nv)
-    root = None if w_points is None else np.sqrt(w_points)
     x = np.hstack([t.Ux * t.C for t in terms])
     v = np.hstack([t.Uv for t in terms])
-    if root is not None:
-        v = v / root[:, None]
+    if sqrt_w is not None:
+        v = v / sqrt_w[:, None]
     s_mat = x @ v.T
     most = min(s_mat.shape[0], s_mat.shape[1], x.shape[1])
     if eps == 0.0:
@@ -162,7 +174,8 @@ def _truncate(terms, eps: float, w_points=None, droptol: float = DEFAULT_DROPTOL
             break
         width *= 2
     uv = u[:, :keep]
-    return LowRankMatrix(s[:keep], q @ vt[:keep].T, uv if root is None else uv * root[:, None])
+    return LowRankMatrix(s[:keep], q @ vt[:keep].T,
+                         uv if sqrt_w is None else uv * sqrt_w[:, None])
 
 
 def truncate_sum(terms, eps: float, w_points=None) -> LowRankMatrix:
@@ -175,14 +188,7 @@ def truncate_sum(terms, eps: float, w_points=None) -> LowRankMatrix:
     if eps < 0:
         raise DomainError(f"truncation threshold must be >= 0, got {eps}")
     terms = list(terms)
-    nv = _check_shapes(terms)[1]
-    if w_points is not None:
-        w_points = np.asarray(w_points, dtype=float)
-        if w_points.shape != (nv,):
-            raise DimensionError("weight vector length does not match velocity factors")
-        if np.any(w_points <= 0):
-            raise DomainError("weights must be strictly positive")
-    return _truncate(terms, eps, w_points)
+    return _truncate(terms, eps, _weight_root(w_points, _check_shapes(terms)[1]))
 
 
 def recompress(f: LowRankMatrix, droptol: float = DEFAULT_DROPTOL) -> LowRankMatrix:
@@ -194,15 +200,3 @@ def recompress(f: LowRankMatrix, droptol: float = DEFAULT_DROPTOL) -> LowRankMat
     """
     return _truncate([f], 0.0, droptol=droptol)
 
-
-def truncate(f: LowRankMatrix, eps: float) -> LowRankMatrix:
-    """Rank truncation with Frobenius tail sqrt(sum_{k>r} s_k^2) <= eps.
-
-    eps = 0 reduces to recompression.
-    """
-    return truncate_sum([f], eps)
-
-
-def truncate_weighted(f: LowRankMatrix, w_points: np.ndarray, eps: float) -> LowRankMatrix:
-    """sqrt(w)-conjugated truncation acting purely on the velocity factors."""
-    return truncate_sum([f], eps, w_points)

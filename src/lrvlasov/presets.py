@@ -42,7 +42,7 @@ class Preset:
     rank_cap: int = 60
     init_1d: Optional[Callable] = None       # (sgrid, vgrid) -> LowRankMatrix
     init_2d: Optional[Callable] = None       # (sgrid, vgrids) -> HtTensor
-    kinetic_forcing: Optional[Callable] = None  # (t, sgrid, vgrid) -> LowRankMatrix
+    kinetic_forcing: Optional[Callable] = None  # (t, sgrid, *vgrids) -> block of f's format
     macro_sources: Optional[Callable] = None    # (x, t, E) -> (s_rho, s_J, s_e)
     exact_f: Optional[Callable] = None          # (t, x, v) -> dense array
 

@@ -140,7 +140,7 @@ def test_macro_moments_pinned_2d():
     dt = 4e-3
     for _ in range(4):
         advance(problem, hist, dt)
-    m = ht.ht_moments(hist.fs[-1], problem.vgrids)
+    m = ht.ht_moments([hist.fs[-1]], problem.vgrids)
     rho, j1, j2, e = hist.us[-1]
     field = solve_poisson(rho, problem.sgrid, cfg.poisson_sign)
     kappa_u = e - 0.5 * field.magnitude_squared()
@@ -164,9 +164,8 @@ def test_pin_2d_adds_one_carrier_to_the_truncated_remainder():
                 wp[:, None] * rng.standard_normal((g.n, r)), nx))
         target = rng.standard_normal((4, *nx))
         out = problem.pin(blocks, target)
-        own = ht.ht_lift_moments(ht.ht_sum_moments(blocks, problem.vgrids), problem.basis, nx)
-        remainder = ht.ht_truncate_weighted_sum(blocks + [ht.ht_scale(own, -1.0)], wp, wp,
-                                                problem.cfg.eps)
+        own = ht.ht_lift_moments(ht.ht_moments(blocks, problem.vgrids), problem.basis)
+        remainder = ht.ht_truncate_sum(blocks + [ht.ht_scale(own, -1.0)], problem.cfg.eps, wp)
         assert out.ranks == tuple(r + c for r, c in zip(remainder.ranks, (4, 4, 3, 3)))
         got = problem.moments(out)
         assert np.abs(got - target).max() < 1e-12 * (np.abs(target).max() + 1.0)
@@ -174,35 +173,30 @@ def test_pin_2d_adds_one_carrier_to_the_truncated_remainder():
 
 def test_conservative_truncation_takes_block_moments_once(monkeypatch):
     # conservative pins to the sum's own moments, which the pin computes for
-    # its remainder anyway: one ht_sum_moments over the truncation's blocks,
-    # plus one ht_moments for the leak; a target taken apart from the pin
-    # would add a call of either
+    # its remainder anyway: one ht_moments over the truncation's blocks, plus
+    # one over the remainder for the leak; a target taken apart from the pin
+    # would add a call
     import lrvlasov.driver as driver
 
-    calls, per_truncation = {"sum": [], "one": 0}, []
-    sum_moments, moments_2d, truncate = ht.ht_sum_moments, ht.ht_moments, driver._truncate
+    calls, per_truncation = [], []
+    moments_2d, truncate = ht.ht_moments, driver._truncate
 
-    def counting_sum_moments(terms, *args, **kwargs):
+    def counting_moments(terms, *args, **kwargs):
         terms = list(terms)
-        calls["sum"].append(len(terms))
-        return sum_moments(terms, *args, **kwargs)
-
-    def counting_moments(*args, **kwargs):
-        calls["one"] += 1
-        return moments_2d(*args, **kwargs)
+        calls.append(len(terms))
+        return moments_2d(terms, *args, **kwargs)
 
     def counting_truncate(problem, blocks, u_new):
-        calls["sum"], calls["one"] = [], 0
+        calls.clear()
         out = truncate(problem, blocks, u_new)
-        per_truncation.append((calls["sum"], calls["one"], len(blocks)))
+        per_truncation.append((list(calls), len(blocks)))
         return out
 
-    monkeypatch.setattr(ht, "ht_sum_moments", counting_sum_moments)
     monkeypatch.setattr(ht, "ht_moments", counting_moments)
     monkeypatch.setattr(driver, "_truncate", counting_truncate)
     run(from_preset("weak_landau_2d2v", nx=8, nv=16, method="conservative", t_end=0.1))
     assert len(per_truncation) >= 4
-    assert all(sums == [blocks] and ones == 1 for sums, ones, blocks in per_truncation)
+    assert all(sizes == [blocks, 1] for sizes, blocks in per_truncation)
 
 
 @pytest.mark.parametrize("method,solves", [("plain", 1), ("macro", 2)])
@@ -310,7 +304,7 @@ def _smooth_ht(problem, shift):
 
 
 def _macro_of_2d(problem, f):
-    rho, j1, j2, kappa = ht.ht_moments(f, problem.vgrids)
+    rho, j1, j2, kappa = ht.ht_moments([f], problem.vgrids)
     field = solve_poisson(rho, problem.sgrid)
     return np.stack([rho, j1, j2, kappa + 0.5 * field.magnitude_squared()])
 
@@ -354,7 +348,7 @@ def test_dense_scheme_equivalence_2d(method):
             field_new = solve_poisson(u_new[0], problem.sgrid)
             kappa = u_new[-1] - 0.5 * field_new.magnitude_squared()
             m_target = np.stack([*u_new[:-1], kappa])
-            carrier = ht.ht_lift_moments(m_target, problem.basis, problem.sgrid.n).dense()
+            carrier = ht.ht_lift_moments(m_target, problem.basis).dense()
             dense_new = carrier + remainder
     ref = np.linalg.norm(dense_new.ravel())
     assert np.linalg.norm((f_new.dense() - dense_new).ravel()) < 1e-11 * ref

@@ -5,19 +5,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from lrvlasov.config import from_preset
+from lrvlasov.driver import setup
 from lrvlasov.errors import DimensionError, DomainError
 from lrvlasov.grids import make_velocity_grid, spatial_grid_2d
 from lrvlasov.htucker import (_PAIR_TRANSFER, HtTensor, _PairUnfold, ht_add,
-                              ht_lift_moments, ht_moments, ht_scale, ht_sum_moments,
-                              ht_transport_blocks, ht_truncate_sum, ht_truncate_to_moments,
-                              ht_truncate_weighted_sum, ht_zero)
+                              ht_lift_moments, ht_moments, ht_scale, ht_truncate_sum,
+                              ht_truncate_to_moments, ht_zero)
 from lrvlasov.macro import kfvs_fluxes_2d
 from lrvlasov.poisson import ElectricField
 from lrvlasov.projection import MomentBasis
 
 from reference import (dense_moments_2d, dense_pair_basis, dense_pair_functionals_2d,
-                       dense_pair_quadrature, dense_remove_moments_2d,
-                       dense_transport_rhs_2d)
+                       dense_pair_quadrature, dense_remove_moments_2d)
 
 NX = (8, 8)
 NV = 16
@@ -120,7 +120,7 @@ def test_truncate_fast_path_matches_qr_path(rng):
 def test_weighted_truncate_flat_equals_plain(rng):
     s = ht_add(random_ht(rng, r=2), ht_scale(random_ht(rng, r=2), 1e-3))
     eps = 1e-2
-    flat = ht_truncate_weighted_sum([s], np.ones(NV), np.ones(NV), eps)
+    flat = ht_truncate_sum([s], eps, np.ones(NV))
     plain = ht_truncate_sum([s], eps)
     assert np.allclose(flat.dense(), plain.dense(), atol=1e-10)
 
@@ -128,10 +128,10 @@ def test_weighted_truncate_flat_equals_plain(rng):
 def test_weighted_truncate_eps_zero_and_bound(rng, vgrid):
     s = ht_add(random_ht(rng, r=2), ht_scale(random_ht(rng, r=3), 1e-4))
     wp = vgrid.w_points
-    out0 = ht_truncate_weighted_sum([s], wp, wp, 0.0)
+    out0 = ht_truncate_sum([s], 0.0, wp)
     assert np.allclose(out0.dense(), s.dense(), atol=1e-11 * np.abs(s.dense()).max())
     eps = 1e-2
-    out = ht_truncate_weighted_sum([s], wp, wp, eps)
+    out = ht_truncate_sum([s], eps, wp)
     scale2 = np.sqrt(np.outer(wp, wp))
     err = (out.dense() - s.dense()) / scale2[None, None, :, :]
     assert np.linalg.norm(err.ravel()) <= eps * (1 + 1e-8)
@@ -142,17 +142,19 @@ def test_weighted_truncate_weight_validation(rng, vgrid):
     bad = np.ones(NV)
     bad[0] = 0.0
     with pytest.raises(DomainError):
-        ht_truncate_weighted_sum([s], bad, np.ones(NV), 1e-3)
+        ht_truncate_sum([s], 1e-3, bad)
+    with pytest.raises(DimensionError):
+        ht_truncate_sum([s], 1e-3, np.ones(NV + 1))
     with pytest.raises(DomainError):
         ht_truncate_sum([s], -1.0)
 
 
 def test_moments_zero_and_dense_oracle(rng, vgrid):
     z = ht_zero(NX, NV, NV)
-    mz = ht_moments(z, (vgrid, vgrid))
+    mz = ht_moments([z], (vgrid, vgrid))
     assert mz.shape == (4, *NX) and np.all(mz == 0)
     f = random_ht(rng, r=3)
-    m = ht_moments(f, (vgrid, vgrid))
+    m = ht_moments([f], (vgrid, vgrid))
     rho_d, j1_d, j2_d, kap_d = dense_moments_2d(f.dense(), vgrid, vgrid)
     ref = np.abs(rho_d).max() + 1.0
     assert np.allclose(m, np.stack([rho_d, j1_d, j2_d, kap_d]), atol=1e-12 * ref)
@@ -162,7 +164,7 @@ def test_moments_product_maxwellian(rng, vgrid):
     maxw = np.exp(-vgrid.v**2 / 2.0)
     f = HtTensor(np.ones((NX[0] * NX[1], 1)), np.eye(1), np.ones((1, 1, 1)),
                  maxw[:, None], maxw[:, None], NX)
-    m = ht_moments(f, (vgrid, vgrid))
+    m = ht_moments([f], (vgrid, vgrid))
     mass1d = vgrid.h * maxw.sum()
     rho, j1, j2, kappa = m
     assert np.allclose(rho, mass1d**2, rtol=1e-13)
@@ -193,10 +195,10 @@ def test_pair_basis_orthonormal(vgrid):
 
 def test_lift_zero_and_degenerate(rng, vgrid, basis):
     z = np.zeros((4, *NX))
-    assert np.max(np.abs(ht_lift_moments(z, basis, NX).dense())) == 0.0
+    assert np.max(np.abs(ht_lift_moments(z, basis).dense())) == 0.0
     rho = np.abs(rng.standard_normal(NX)) + 1.0
     m = np.stack([rho, np.zeros(NX), np.zeros(NX), basis.c * rho])
-    lifted = ht_lift_moments(m, basis, NX)
+    lifted = ht_lift_moments(m, basis)
     # fourth column vanishes; effective separation rank collapses to 1
     assert ht_truncate_sum([lifted], 0.0).ranks[0] == 1
 
@@ -205,7 +207,7 @@ def test_lift_roundtrip(rng, vgrid, basis):
     for _ in range(30):
         m = np.stack([rng.standard_normal(NX), rng.standard_normal(NX),
                       rng.standard_normal(NX), rng.standard_normal(NX)])
-        got = ht_moments(ht_lift_moments(m, basis, NX), (vgrid, vgrid))
+        got = ht_moments([ht_lift_moments(m, basis)], (vgrid, vgrid))
         assert np.max(np.abs(got - m)) < 1e-12 * (np.abs(m).max() + 1.0)
 
 
@@ -217,8 +219,8 @@ def test_remove_moments(rng, vgrid, basis):
     # pinning to zero moments at eps = 0 removes the moment carrier
     f = random_ht(rng, r=3)
     out = ht_truncate_to_moments([f], _zero_moments(), basis, 0.0)
-    m = ht_moments(out, (vgrid, vgrid))
-    ref = np.abs(ht_moments(f, (vgrid, vgrid))).max() + 1.0
+    m = ht_moments([out], (vgrid, vgrid))
+    ref = np.abs(ht_moments([f], (vgrid, vgrid))).max() + 1.0
     assert np.abs(m).max() < 1e-12 * ref
     # dense complement-projection oracle
     oracle = dense_remove_moments_2d(f.dense(), vgrid)
@@ -237,11 +239,11 @@ def test_weighted_truncate_eps_zero_keeps_faint_directions(vgrid, basis):
     for seed in range(20):
         rng = np.random.default_rng(seed)
         f = random_ht(rng, r=3)
-        own = ht_lift_moments(ht_moments(f, grids), basis, NX)
-        rem = ht_truncate_weighted_sum([f, ht_scale(own, -1.0)], wp, wp, 0.0)
-        leak = ht_lift_moments(ht_moments(rem, grids), basis, NX)
+        own = ht_lift_moments(ht_moments([f], grids), basis)
+        rem = ht_truncate_sum([f, ht_scale(own, -1.0)], 0.0, wp)
+        leak = ht_lift_moments(ht_moments([rem], grids), basis)
         faint = ht_add(ht_scale(leak, -1.0), rem)
-        out = ht_truncate_weighted_sum([faint], wp, wp, 0.0)
+        out = ht_truncate_sum([faint], 0.0, wp)
         assert out.ranks == rem.ranks
         err = np.linalg.norm((out.dense() - faint.dense()) / metric)
         assert err <= 1e-13 * np.linalg.norm(faint.dense() / metric)
@@ -250,36 +252,24 @@ def test_weighted_truncate_eps_zero_keeps_faint_directions(vgrid, basis):
 def test_carrier_in_span_annihilated(rng, vgrid, basis):
     m = np.stack([rng.standard_normal(NX), rng.standard_normal(NX),
                   rng.standard_normal(NX), rng.standard_normal(NX)])
-    carrier = ht_lift_moments(m, basis, NX)
+    carrier = ht_lift_moments(m, basis)
     out = ht_truncate_to_moments([carrier], _zero_moments(), basis, 0.0)
     assert np.max(np.abs(out.dense())) < 1e-12 * (np.abs(carrier.dense()).max() + 1)
 
 
-def test_transport_rhs_zero_cases(vgrid):
-    sg = spatial_grid_2d(*NX, 0.0, 2.0 * np.pi)
+def test_transport_rhs_zero_cases():
+    problem = setup(from_preset("weak_landau_2d2v", nx=NX[0], nv=NV))
+    vgrid = problem.vgrids[0]
     field = ElectricField(E=(np.zeros(NX), np.zeros(NX)))
     z = ht_zero(NX, NV, NV)
-    out = ht_add(*ht_transport_blocks(z, field, sg.h, (vgrid, vgrid)))
+    out = ht_add(*problem.transport(z, field, 0.0))
     assert np.max(np.abs(out.dense())) == 0.0
     # spatially uniform state with no field: all terms vanish
     maxw = np.exp(-vgrid.v**2 / 2.0)
     f = HtTensor(np.ones((NX[0] * NX[1], 1)), np.eye(1), np.ones((1, 1, 1)),
                  maxw[:, None], maxw[:, None], NX)
-    out = ht_add(*ht_transport_blocks(f, field, sg.h, (vgrid, vgrid)))
+    out = ht_add(*problem.transport(f, field, 0.0))
     assert np.max(np.abs(out.dense())) < 1e-12
-
-
-def test_transport_rhs_matches_dense(rng, vgrid):
-    sg = spatial_grid_2d(*NX, 0.0, 2.0 * np.pi)
-    f = random_ht(rng, r=2)
-    e1 = rng.standard_normal(NX)
-    e2 = rng.standard_normal(NX)
-    field = ElectricField(E=(e1, e2))
-    blocks = ht_transport_blocks(f, field, sg.h, (vgrid, vgrid))
-    assert len(blocks) == 8
-    out = ht_add(*ht_transport_blocks(f, field, sg.h, (vgrid, vgrid)))
-    oracle = dense_transport_rhs_2d(f.dense(), field, sg, vgrid, vgrid)
-    assert np.allclose(out.dense(), oracle, atol=1e-11 * (np.abs(oracle).max() + 1))
 
 
 def test_canonicalize_sum_matches_add(rng):
@@ -320,9 +310,11 @@ def test_truncate_sum_randomized_meets_eps_against_dense(seed, kind, weighted, l
     # the sum, and the result must match the dense sum to round-off
     rng = np.random.default_rng(seed)
     nv = (int(rng.integers(5, 9)), int(rng.integers(5, 9)))
+    if weighted:  # one weight vector: both leaves share one velocity grid
+        nv = (nv[0], nv[0])
     blocks = _step_like_sum(rng, kind, nv)
     w1 = rng.uniform(0.2, 2.0, nv[0]) if weighted else np.ones(nv[0])
-    w2 = rng.uniform(0.2, 2.0, nv[1]) if weighted else np.ones(nv[1])
+    w2 = w1 if weighted else np.ones(nv[1])
     metric = np.sqrt(np.outer(w1, w2))[None, None]
     dense = sum(b.dense() for b in blocks)
     scale = (sum(np.linalg.norm(b.dense() / metric) for b in blocks) if kind == "cancelling"
@@ -336,9 +328,7 @@ def test_truncate_sum_randomized_meets_eps_against_dense(seed, kind, weighted, l
         eps = bound = 10.0 ** log_eps * scale
 
     def rounded():
-        if weighted:
-            return ht_truncate_weighted_sum(blocks, w1, w2, eps)
-        return ht_truncate_sum(blocks, eps)
+        return ht_truncate_sum(blocks, eps, w1 if weighted else None)
 
     out = rounded()
     assert np.linalg.norm((out.dense() - dense) / metric) <= bound * (1 + 1e-8)
@@ -356,7 +346,7 @@ def test_truncate_sum_randomized_meets_eps_against_dense(seed, kind, weighted, l
 @given(st.integers(0, 2**32 - 1), st.sampled_from(["full", "deficient", "cancelling",
                                                    "all_zero"]))
 def test_batched_moments_and_fluxes_against_dense(seed, kind):
-    # ht_moments, ht_sum_moments and kfvs_fluxes_2d against dense quadrature
+    # ht_moments of the sum and of each block, and kfvs_fluxes_2d, against dense quadrature
     # on step-like block lists (shared-Bvv runs, a zero-rank block), and on a
     # sum whose blocks are all rank 0; the error is relative to the same
     # quadrature of |blocks| against |weights|, which cancellation leaves alone
@@ -376,10 +366,10 @@ def test_batched_moments_and_fluxes_against_dense(seed, kind):
         scale = dense_pair_quadrature(bound, np.abs(weight), *grids).max()
         assert np.all(np.abs(got - oracle) <= 1e-13 * scale)
 
-    for got, weight in zip(ht_sum_moments(blocks, grids), weights["moments"]):
+    for got, weight in zip(ht_moments(blocks, grids), weights["moments"]):
         check(got, weight)
     for b, d in zip(blocks, dense):
-        for got, weight in zip(ht_moments(b, grids), weights["moments"]):
+        for got, weight in zip(ht_moments([b], grids), weights["moments"]):
             check(got, weight, d, np.abs(d))
     fluxes = kfvs_fluxes_2d(ht_add(*blocks), grids)
     split = weights["fluxes"]  # x1 plus, x1 minus, x2 plus, x2 minus
@@ -414,7 +404,7 @@ def test_truncate_sum_floor_only_at_eps_zero(rng, monkeypatch):
     monkeypatch.setattr(ht_mod, "scale_bound", lambda f: calls.append(f) or bound(f))
     terms = [random_ht(rng, r=3), ht_scale(random_ht(rng, r=2), 1e-3)]
     ht_truncate_sum(terms, 1e-4)
-    ht_truncate_weighted_sum(terms, np.ones(NV), np.ones(NV), 1e-4)
+    ht_truncate_sum(terms, 1e-4, np.ones(NV))
     assert calls == []
     ht_truncate_sum(terms, 0.0)
     assert len(calls) == len(terms)

@@ -1,8 +1,9 @@
 import contextlib
 import io
 import math
+import re
 import tempfile
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -802,6 +803,63 @@ def test_cli_resume_refuses_foreign_level_words(tmp_path, capsys, which, word, m
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("preset,corrupt,message", [
+    ("weak_landau_1d", lambda f, u: (replace(f, Uv=f.Uv[:-1]), u),
+     "level 0 array Uv has shape (32, 2), expected (33, r)"),
+    ("weak_landau_1d", lambda f, u: (replace(f, C=np.append(f.C, 1.0)), u),
+     "level 0 array Ux has shape (16, 2), expected (16, r)"),
+    ("weak_landau_1d", lambda f, u: (f, [u[0], u[1], u[2][:-1]]),
+     "level 0 macro row 2 has shape (15,), expected (16)"),
+    ("weak_landau_2d2v", lambda f, u: (replace(f, Bvv=f.Bvv[..., :-1]), u),
+     "level 0 array Bvv has shape"),
+    ("weak_landau_2d2v", lambda f, u: (replace(f, nx=(4, 16)), u),
+     "level 0 spatial words (4, 16), expected (8, 8)"),
+], ids=["1d-Uv", "1d-C", "1d-macro-row", "2d-Bvv", "2d-nx"])
+def test_snapshot_level_shapes_checked(tmp_path, preset, corrupt, message):
+    # a level's arrays must agree with each other and with the grid words of
+    # the signature; the first that does not is named
+    from lrvlasov.io import snapshot_parse
+
+    problem, hist = initialize(from_preset(preset, nx=16 if "1d" in preset else 8,
+                                           nv=33 if "1d" in preset else 16))
+    f, u = corrupt(hist.fs[0], hist.us[0])
+    hist.fs, hist.us = [f], [u]
+    path = tmp_path / "s.bin"
+    snapshot_write(hist, problem, path)
+    with pytest.raises(SnapshotError, match=re.escape(message)):
+        snapshot_parse(path)
+
+
+def test_cli_refuses_level_with_foreign_factor_shape(tmp_path, capsys):
+    # the first level's Ux words rewritten from (16, r) to (8, 2r): the
+    # payload still fits, but inspect and a multistep resume stop at the
+    # level with one error line instead of failing deep inside a sum
+    import struct
+
+    from lrvlasov.cli import main
+
+    grid = ["--set", "grid.nx=16", "--set", "grid.nv=33", "--set", "method.t_end=0.05"]
+    assert main(["run", "--preset", "weak_landau_1d", *grid, "--snapshot-every", "1",
+                 "--out", str(tmp_path)]) == 0
+    snap = sorted(tmp_path.glob("snapshot_*.bin"))[-1]
+    raw = bytearray(snap.read_bytes())
+    c_at = _first_level_word_offsets(raw)[0] + 8
+    (r,) = struct.unpack_from("<q", raw, c_at + 8)
+    ux_dims = c_at + 8 * (2 + r) + 8
+    assert struct.unpack_from("<2q", raw, ux_dims) == (16, r)
+    struct.pack_into("<2q", raw, ux_dims, 8, 2 * r)
+    snap.write_bytes(bytes(raw))
+    for argv in (["inspect", str(snap)],
+                 ["run", "--preset", "weak_landau_1d", *grid, "--resume", str(snap),
+                  "--out", str(tmp_path / "resumed")]):
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "Traceback" not in err
+        assert f"level 0 array Ux has shape (8, {2 * r}), expected (16, r)" in lines[0]
 
 
 def test_cli_rank_overflow_reporting(tmp_path, capsys):

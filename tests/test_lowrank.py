@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from lrvlasov.errors import DimensionError, DomainError
 from lrvlasov.grids import GaussianWeight, make_velocity_grid
-from lrvlasov.lowrank import (LowRankMatrix, add, recompress, scale, scale_bound, truncate,
-                              truncate_sum, truncate_weighted, zero)
+from lrvlasov.lowrank import (LowRankMatrix, add, recompress, scale, scale_bound, truncate_sum,
+                              zero)
 
 from reference import dense_truncate, dense_weighted_truncate
 
@@ -89,13 +89,13 @@ def test_recompress_orthonormal_and_sorted(rng):
 
 def test_truncate_eps_zero_preserves(rng):
     a = add(random_lowrank(rng), random_lowrank(rng))
-    out = truncate(a, 0.0)
+    out = truncate_sum([a], 0.0)
     assert np.allclose(out.dense(), a.dense(), atol=1e-13 * np.abs(a.dense()).max())
 
 
 def test_truncate_rank_one_stays(rng):
     a = random_lowrank(rng, rank=1)
-    assert truncate(a, 1e-4).rank == 1
+    assert truncate_sum([a], 1e-4).rank == 1
 
 
 def test_truncate_constructed_spectrum():
@@ -105,7 +105,7 @@ def test_truncate_constructed_spectrum():
     ux = np.linalg.qr(np.random.default_rng(0).standard_normal((nx, 3)))[0]
     uv = np.linalg.qr(np.random.default_rng(1).standard_normal((nv, 3)))[0]
     f = LowRankMatrix(sv, ux, uv)
-    out = truncate(f, 1e-4)
+    out = truncate_sum([f], 1e-4)
     assert out.rank == 2
     err = np.linalg.norm(out.dense() - f.dense())
     assert err == pytest.approx(1e-9, rel=1e-6)
@@ -116,7 +116,7 @@ def test_truncate_matches_dense_oracle(rng):
     for _ in range(20):
         a = add(random_lowrank(rng, rank=3), random_lowrank(rng, rank=3, scale_factor=1e-3))
         eps = 10.0 ** rng.uniform(-8, -1)
-        out = truncate(a, eps)
+        out = truncate_sum([a], eps)
         dense = a.dense()
         assert np.linalg.norm(out.dense() - dense) <= eps * (1 + 1e-10)
         oracle = dense_truncate(dense, eps)
@@ -126,22 +126,22 @@ def test_truncate_matches_dense_oracle(rng):
 
 def test_truncate_rank_monotone_in_eps(rng):
     a = add(random_lowrank(rng), random_lowrank(rng, scale_factor=1e-2))
-    ranks = [truncate(a, eps).rank for eps in (1e-10, 1e-6, 1e-3, 1e-1, 1.0)]
+    ranks = [truncate_sum([a], eps).rank for eps in (1e-10, 1e-6, 1e-3, 1e-1, 1.0)]
     assert ranks == sorted(ranks, reverse=True)
 
 
 def test_weighted_truncate_flat_weight_equals_plain(rng):
     a = add(random_lowrank(rng), random_lowrank(rng))
     eps = 1e-3
-    flat = truncate_weighted(a, np.ones(a.Uv.shape[0]), eps)
-    plain = truncate(a, eps)
+    flat = truncate_sum([a], eps, np.ones(a.Uv.shape[0]))
+    plain = truncate_sum([a], eps)
     assert np.allclose(flat.dense(), plain.dense(), atol=1e-13)
 
 
 def test_weighted_truncate_eps_zero(rng):
     a = random_lowrank(rng)
     w = np.exp(-np.linspace(-3, 3, a.Uv.shape[0]) ** 2 / 2)
-    out = truncate_weighted(a, w, 0.0)
+    out = truncate_sum([a], 0.0, w)
     assert np.allclose(out.dense(), a.dense(), atol=1e-12 * np.abs(a.dense()).max())
 
 
@@ -153,7 +153,7 @@ def test_weighted_truncate_matches_dense_weighted_svd(rng):
     a = add(random_lowrank(rng, nv=nv, rank=3),
             random_lowrank(rng, nv=nv, rank=3, scale_factor=1e-4))
     eps = 1e-3
-    out = truncate_weighted(a, w, eps)
+    out = truncate_sum([a], eps, w)
     # error measured after scaling by 1/sqrt(w)
     err = (out.dense() - a.dense()) / np.sqrt(w)[None, :]
     assert np.linalg.norm(err) <= eps * (1 + 1e-10)
@@ -166,34 +166,34 @@ def test_weighted_truncate_rejects_bad_weights(rng):
     w = np.ones(a.Uv.shape[0])
     w[3] = 0.0
     with pytest.raises(DomainError):
-        truncate_weighted(a, w, 1e-3)
+        truncate_sum([a], 1e-3, w)
     with pytest.raises(DimensionError):
-        truncate_weighted(a, np.ones(5), 1e-3)
+        truncate_sum([a], 1e-3, np.ones(5))
 
 
 def test_zero_object_round_trips():
     z = zero(8, 9)
     assert z.rank == 0
     assert np.all(z.dense() == 0.0)
-    assert truncate(z, 1e-3).rank == 0
+    assert truncate_sum([z], 1e-3).rank == 0
     out = add(z, z)
     assert recompress(out).rank == 0
 
 
 def test_negative_eps_rejected(rng):
     with pytest.raises(DomainError):
-        truncate(random_lowrank(rng), -1e-3)
+        truncate_sum([random_lowrank(rng)], -1e-3)
 
 
 @given(st.integers(0, 500))
 def test_truncate_error_bound_property(seed):
-    # spec invariant: ||dense(truncate(f, eps)) - dense(f)||_F <= eps
+    # spec invariant: ||dense(truncate_sum([f], eps)) - dense(f)||_F <= eps
     rng = np.random.default_rng(seed)
     rank = int(rng.integers(1, 7))
     f = LowRankMatrix(np.abs(rng.standard_normal(rank)) * 10.0 ** rng.integers(-4, 3),
                       rng.standard_normal((10, rank)), rng.standard_normal((12, rank)))
     eps = 10.0 ** rng.uniform(-10, 0)
-    out = truncate(f, eps)
+    out = truncate_sum([f], eps)
     assert np.linalg.norm(out.dense() - f.dense()) <= eps + 1e-13 * np.linalg.norm(f.dense())
 
 

@@ -153,7 +153,7 @@ def test_2d_weak_landau_moments_uniform_background():
     cfg = from_preset("weak_landau_2d2v", nx=8, nv=32)
     problem, hist = initialize(cfg)
     import lrvlasov.htucker as ht
-    m = ht.ht_moments(hist.fs[-1], problem.vgrids)
+    m = ht.ht_moments([hist.fs[-1]], problem.vgrids)
     # alpha perturbation rides on a uniform background of unit density
     assert np.allclose(m[0].mean(), 1.0, rtol=1e-6)
     assert np.max(np.abs(m[1])) < 1e-14

@@ -154,7 +154,7 @@ def test_conservative_truncate_eps_zero(rng, basis, vgrid):
 
 
 def test_conservative_truncate_moment_preservation(rng, basis, vgrid):
-    from lrvlasov.lowrank import truncate_weighted
+    from lrvlasov.lowrank import truncate_sum
 
     for k in range(100):
         f = random_lr(rng, rank=int(rng.integers(1, 7)))
@@ -169,7 +169,7 @@ def test_conservative_truncate_moment_preservation(rng, basis, vgrid):
         assert np.max(np.abs(m_out - m_in)) < 1e-12 * ref
         # rank bound: one three-term carrier plus the truncated remainder
         _, remainder = moment_split(f, basis)
-        r2 = truncate_weighted(remainder, vgrid.w_points, eps).rank
+        r2 = truncate_sum([remainder], eps, vgrid.w_points).rank
         assert out.rank <= 3 + r2
 
 
