@@ -4,7 +4,8 @@ The config file is a flat key=value format with four sections, [preset],
 [grid], [method] and [output].  Unknown keys are rejected with the offending
 line number so typos cannot silently fall back to defaults.  A preset supplies
 defaults for everything; file values override the preset and command-line
-``--set section.key=value`` pairs override both.
+``--set section.key=value`` pairs override both.  The dimension is the
+preset's alone (``SolverConfig.dim``); no file, override or field sets it.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ METHODS = ("plain", "conservative", "macro")
 @dataclass
 class SolverConfig:
     preset: str
-    dim: str                     # "1d1v" | "2d2v"
     method: str = "macro"
     nx: int = 64
     nx2: int = 0                 # 0 means "same as nx" (2D only)
@@ -45,8 +45,6 @@ class SolverConfig:
                 raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.method not in METHODS:
             raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.dim not in ("1d1v", "2d2v"):
-            raise ConfigError(f"dim must be '1d1v' or '2d2v', got {self.dim!r}")
         if not (0.0 < self.cfl <= 1.0):
             raise ConfigError(f"cfl must be in (0, 1], got {self.cfl}")
         if self.eps < 0:
@@ -66,6 +64,11 @@ class SolverConfig:
         if self.nx2 == 0:
             self.nx2 = self.nx
 
+    @property
+    def dim(self) -> str:
+        """"1d1v" or "2d2v": the preset's, and set nowhere else."""
+        return get_preset(self.preset).dim
+
 
 def from_preset(name: str, **overrides) -> SolverConfig:
     """Config with the benchmark parameters of the named preset as defaults.
@@ -74,7 +77,7 @@ def from_preset(name: str, **overrides) -> SolverConfig:
     following nx) resolves against the final values.
     """
     p = get_preset(name)
-    values = dict(preset=p.name, dim=p.dim, nx=p.nx, nv=p.nv,
+    values = dict(preset=p.name, nx=p.nx, nv=p.nv,
                   x_min=p.x_min, x_max=p.x_max, v_max=p.v_max,
                   beta=p.beta, eps=p.eps, t_end=p.t_end, rank_cap=p.rank_cap)
     values.update(overrides)

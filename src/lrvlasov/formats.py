@@ -1,33 +1,38 @@
 """Per-format problem classes: where the dimension is decided.
 
-``FORMATS`` picks the subclass of ``Problem`` for the configured dimension; it
-supplies what the stepper needs, with one meaning in both formats: moments,
-scaling, transport blocks, KFVS fluxes, plain and moment-pinned truncation of
-a list of blocks, and ranks.  The transport -(v . grad_x + E . grad_v) f is
-written once, in ``Problem.transport``, for any dimension; each format gives
-it two primitives, its spatial factor on the grid with its velocity leaves
-(``factors``), and one block from a new spatial factor and a new leaf
-(``block``).  Both formats take their moments in the macroscopic state's
-``(2 + d, *n)`` layout (rows rho, J_1 .. J_d, kappa), a pin's target is given
-in it, and both build their carriers from one ``projection.MomentBasis`` of
-the shared velocity grid.  Below it only ``macro`` keeps per-format code, one
-KFVS flux contraction each; the macroscopic rate and state and the field
-solve are written once for any dimension.  Layer functions are looked up on
-their modules at call time, so wrappers installed there (tracing, test
-doubles) see each call.
+``FORMATS`` picks the subclass of ``Problem`` for the preset's dimension
+(``SolverConfig.dim``); it supplies what the stepper needs, with one meaning
+in both formats: moments, scaling, transport blocks, KFVS fluxes, plain and
+moment-pinned truncation of a list of blocks, and ranks.  What does not touch
+the factors is written once on ``Problem``: ``build`` makes ``dims`` spatial
+axes and ``dims`` velocity axes sharing one grid, ``initial`` calls the
+preset's one ``init(sgrid, *vgrids)`` hook, and the transport
+-(v . grad_x + E . grad_v) f is ``Problem.transport`` for any dimension.  Each
+format keeps only what reads or writes its factors: ``factors`` (its spatial
+factor on the grid and its velocity leaves) and ``block`` (one block from a
+new spatial factor and a new leaf), the two primitives of the transport, and
+``scale``, ``moments``, ``fluxes``, ``truncate``, ``pin`` and ``ranks``.
+Both formats take their moments in the macroscopic state's ``(2 + d, *n)``
+layout (rows rho, J_1 .. J_d, kappa), a pin's target is given in it, and both
+build their carriers from one ``projection.MomentBasis`` of the shared
+velocity grid.  Below it only ``macro`` keeps per-format code, one KFVS flux
+contraction each; the macroscopic rate and state and the field solve are
+written once for any dimension.  Layer functions are looked up on their
+modules at call time, so wrappers installed there (tracing, test doubles)
+see each call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
 from . import htucker as ht
 from . import lowrank, macro, projection, upwind
 from .config import SolverConfig
-from .grids import (GaussianWeight, SpatialGrid, VelocityGrid, make_velocity_grid,
-                    spatial_grid_1d, spatial_grid_2d)
+from .grids import GaussianWeight, SpatialGrid, VelocityGrid, make_velocity_grid
 from .presets import Preset
 
 
@@ -35,11 +40,30 @@ from .presets import Preset
 class Problem:
     """Resolved grids, bases and preset hooks for one run."""
 
+    dims: ClassVar[int]                               # spatial (= velocity) dimensions
+
     cfg: SolverConfig
     preset: Preset
     sgrid: SpatialGrid
     vgrids: tuple[VelocityGrid, ...]                  # one per velocity dimension
     basis: projection.MomentBasis                     # one for every velocity dimension
+
+    @classmethod
+    def build(cls, cfg: SolverConfig, preset: Preset) -> "Problem":
+        """The grids of ``cfg`` in ``dims`` dimensions; every velocity
+        dimension shares one grid and so one moment basis."""
+        d = cls.dims
+        v = make_velocity_grid(cfg.nv, cfg.v_max, GaussianWeight(cfg.beta))
+        sgrid = SpatialGrid((cfg.nx, cfg.nx2)[:d], (cfg.x_min,) * d, (cfg.x_max,) * d)
+        return cls(cfg, preset, sgrid, (v,) * d, projection.MomentBasis.build(v))
+
+    @property
+    def vgrid(self) -> VelocityGrid:
+        """The velocity grid that every velocity dimension shares."""
+        return self.vgrids[0]
+
+    def initial(self):
+        return self.preset.init(self.sgrid, *self.vgrids)
 
     def rate(self, u: np.ndarray, f, field, t: float) -> np.ndarray:
         """-div F + S for the stacked macroscopic state, fluxes taken from f."""
@@ -73,18 +97,7 @@ class Problem:
 class Problem1D(Problem):
     """1D1V: the two-factor ``LowRankMatrix``."""
 
-    @classmethod
-    def build(cls, cfg: SolverConfig, preset: Preset) -> "Problem1D":
-        vgrid = make_velocity_grid(cfg.nv, cfg.v_max, GaussianWeight(cfg.beta))
-        return cls(cfg, preset, spatial_grid_1d(cfg.nx, cfg.x_min, cfg.x_max), (vgrid,),
-                   projection.MomentBasis.build(vgrid))
-
-    @property
-    def vgrid(self) -> VelocityGrid:
-        return self.vgrids[0]
-
-    def initial(self):
-        return self.preset.init_1d(self.sgrid, self.vgrid)
+    dims = 1
 
     def moments(self, f):
         return projection.moments(f, self.vgrid)
@@ -117,14 +130,7 @@ class Problem1D(Problem):
 class Problem2D(Problem):
     """2D2V: the hierarchical ``HtTensor``."""
 
-    @classmethod
-    def build(cls, cfg: SolverConfig, preset: Preset) -> "Problem2D":
-        v = make_velocity_grid(cfg.nv, cfg.v_max, GaussianWeight(cfg.beta))
-        return cls(cfg, preset, spatial_grid_2d(cfg.nx, cfg.nx2, cfg.x_min, cfg.x_max),
-                   (v, v), projection.MomentBasis.build(v))
-
-    def initial(self):
-        return self.preset.init_2d(self.sgrid, self.vgrids)
+    dims = 2
 
     def moments(self, f):
         return ht.ht_moments([f], self.vgrids)

@@ -102,19 +102,12 @@ class VelocityGrid:
     weight: GaussianWeight
 
 
-def make_velocity_grid(
-    n: int,
-    v_max: float,
-    weight: GaussianWeight | None = None,
-    min_points: int = MIN_STENCIL_POINTS,
-) -> VelocityGrid:
-    """Build a symmetric velocity grid spanning [-v_max, v_max] inclusive.
-
-    ``min_points`` exists so unit tests can build tiny grids; production use
-    keeps the default, matching the five-point stencil requirement.
-    """
-    if n < min_points:
-        raise GridSizeError(f"velocity grid needs at least {min_points} points, got {n}")
+def make_velocity_grid(n: int, v_max: float, weight: GaussianWeight | None = None) -> VelocityGrid:
+    """Build a symmetric velocity grid spanning [-v_max, v_max] inclusive,
+    with at least the points the five-point stencils need."""
+    if n < MIN_STENCIL_POINTS:
+        raise GridSizeError(
+            f"velocity grid needs at least {MIN_STENCIL_POINTS} points, got {n}")
     if v_max <= 0:
         raise DomainError(f"v_max must be positive, got {v_max}")
     weight = weight or GaussianWeight()

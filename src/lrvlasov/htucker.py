@@ -56,7 +56,8 @@ import numpy as np
 
 from .errors import DimensionError, DomainError
 from .grids import VelocityGrid
-from .lowrank import DEFAULT_DROPTOL, _weight_root, keep_count
+from .lowrank import (DEFAULT_DROPTOL, _SKETCH_MARGIN, _SKETCH_START, _check_shapes,
+                      _weight_root, keep_count)
 from .projection import MomentBasis
 
 
@@ -96,13 +97,6 @@ def ht_zero(nx: tuple[int, int], nv1: int, nv2: int) -> HtTensor:
 
 def ht_scale(f: HtTensor, a: float) -> HtTensor:
     return replace(f, B=a * f.B)
-
-
-def _check_shapes(terms) -> None:
-    shape = terms[0].shape
-    for t in terms[1:]:
-        if t.shape != shape:
-            raise DimensionError(f"shape mismatch in sum: {t.shape} vs {shape}")
 
 
 def ht_add(*terms: HtTensor) -> HtTensor:
@@ -167,8 +161,6 @@ def _finish_truncation(ux, core, uv1, uv2, nx, tol, exact, sqrt_w):
     return HtTensor(ux, rv.T, bvv, new_uv1, new_uv2, nx)
 
 
-_SKETCH_START = 16   # columns of the first sketch; each retry doubles them
-_SKETCH_MARGIN = 8   # sketch columns beyond the kept rank
 _SKETCH_SEED = 0     # fixed, so the result is a function of the input alone
 _GRAM_NOISE = 4.0 * np.finfo(float).eps  # round-off per unit of summed absolute products
 
@@ -467,15 +459,15 @@ def ht_lift_moments(m: np.ndarray, basis: MomentBasis) -> HtTensor:
 
     Both velocity leaves hold the frame {1, v, v^2 - c} of ``basis``, weight
     scaled and normalized by the basis norms."""
-    v, wp, c = basis.grid.v, basis.grid.w_points, basis.c
-    c1, c2, c3 = np.sqrt([basis.norm1_sq, basis.norm2_sq, basis.norm3_sq])
-    frame = np.column_stack([wp / c1, wp * v / c2, wp * (v**2 - c) / c3])
+    norms = np.sqrt([basis.norm1_sq, basis.norm2_sq, basis.norm3_sq])
+    c1, c2, c3 = norms
+    frame = basis.grid.w_points[:, None] * np.column_stack(basis.vectors()) / norms
     rho, j1, j2, kappa = m.reshape(4, -1)
     ux = np.column_stack([
         rho / c1**2,
         j1 / (c1 * c2),
         j2 / (c1 * c2),
-        np.sqrt(2.0) * (kappa - c * rho) / (c1 * c3),
+        np.sqrt(2.0) * (kappa - basis.c * rho) / (c1 * c3),
     ])
     return HtTensor(ux, np.eye(4), _PAIR_TRANSFER, frame, frame, m.shape[1:])
 

@@ -263,8 +263,8 @@ def snapshot_write(hist, problem, path) -> None:
     try:
         with tmp.open("wb") as fh:
             fh.write(_MAGIC)
-            _write_ints(fh, SNAPSHOT_VERSION, 1 if problem.cfg.dim == "1d1v" else 2,
-                        hist.step, len(hist.fs), len(hist.dts))
+            _write_ints(fh, SNAPSHOT_VERSION, len(problem.vgrids), hist.step,
+                        len(hist.fs), len(hist.dts))
             _write_floats(fh, hist.t, hist.dt_work, *hist.dts)
             *words, method, preset = _signature(problem)
             _write_floats(fh, *words)
@@ -317,7 +317,7 @@ def snapshot_read(path, problem, check_levels=None):
     first.
     """
     _, dim, sig, hist = snapshot_parse(path)
-    if dim != (1 if problem.cfg.dim == "1d1v" else 2):
+    if dim != len(problem.vgrids):
         raise SnapshotError(f"{path}: snapshot dimensionality {dim} does not match config")
     if check_levels is not None:
         check_levels(hist)

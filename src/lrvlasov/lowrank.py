@@ -62,7 +62,7 @@ def _check_shapes(terms) -> tuple[int, int]:
     shape = terms[0].shape
     for t in terms[1:]:
         if t.shape != shape:
-            raise DimensionError(f"shape mismatch in add: {t.shape} vs {shape}")
+            raise DimensionError(f"shape mismatch in sum: {t.shape} vs {shape}")
     return shape
 
 
@@ -133,7 +133,7 @@ def _weight_root(w_points, *lengths: int):
     return np.sqrt(w_points)
 
 
-def _truncate(terms, eps: float, sqrt_w=None, droptol: float = DEFAULT_DROPTOL):
+def _truncate(terms, eps: float, sqrt_w=None):
     """The one truncation loop behind every public entry point.
 
     S = sum_b (Ux_b C_b) Uv_b^T (velocity columns divided by ``sqrt_w``) is
@@ -144,7 +144,7 @@ def _truncate(terms, eps: float, sqrt_w=None, droptol: float = DEFAULT_DROPTOL):
     The sketch starts at the smallest 16 * 2^j >= (largest block rank + 8)
     and doubles until it is 8 columns wider than the kept rank or spans the
     rank bound min(Nx, Nv, sum of ranks) of S.  eps = 0 starts at that bound
-    and cuts at droptol times the blocks' summed ``scale_bound``.
+    and cuts at ``DEFAULT_DROPTOL`` times the blocks' summed ``scale_bound``.
     """
     nx, nv = terms[0].shape
     terms = [t for t in terms if t.rank]
@@ -157,7 +157,7 @@ def _truncate(terms, eps: float, sqrt_w=None, droptol: float = DEFAULT_DROPTOL):
     s_mat = x @ v.T
     most = min(s_mat.shape[0], s_mat.shape[1], x.shape[1])
     if eps == 0.0:
-        eps = droptol * float(np.linalg.norm(x, axis=0) @ np.linalg.norm(v, axis=0))
+        eps = DEFAULT_DROPTOL * float(np.linalg.norm(x, axis=0) @ np.linalg.norm(v, axis=0))
         width = most
     else:
         width = _SKETCH_START
@@ -191,12 +191,12 @@ def truncate_sum(terms, eps: float, w_points=None) -> LowRankMatrix:
     return _truncate(terms, eps, _weight_root(w_points, _check_shapes(terms)[1]))
 
 
-def recompress(f: LowRankMatrix, droptol: float = DEFAULT_DROPTOL) -> LowRankMatrix:
+def recompress(f: LowRankMatrix) -> LowRankMatrix:
     """Canonicalize: orthonormal factors, sorted nonnegative coefficients.
 
-    ``droptol`` removes the singular-value tail up to droptol * scale_bound(f),
-    eliminating exactly (or numerically) redundant terms; the dense form is
-    preserved to that accuracy.
+    The singular-value tail up to ``DEFAULT_DROPTOL`` * scale_bound(f) is
+    removed, eliminating exactly (or numerically) redundant terms; the dense
+    form is preserved to that accuracy.
     """
-    return _truncate([f], 0.0, droptol=droptol)
+    return _truncate([f], 0.0)
 

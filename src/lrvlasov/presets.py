@@ -39,9 +39,8 @@ class Preset:
     nx: int                       # default points per spatial dimension
     nv: int                       # default points per velocity dimension
     t_end: float
+    init: Callable                # (sgrid, *vgrids) -> f in the format of dim
     rank_cap: int = 60
-    init_1d: Optional[Callable] = None       # (sgrid, vgrid) -> LowRankMatrix
-    init_2d: Optional[Callable] = None       # (sgrid, vgrids) -> HtTensor
     kinetic_forcing: Optional[Callable] = None  # (t, sgrid, *vgrids) -> block of f's format
     macro_sources: Optional[Callable] = None    # (x, t, E) -> (s_rho, s_J, s_e)
     exact_f: Optional[Callable] = None          # (t, x, v) -> dense array
@@ -114,13 +113,13 @@ def _cosine_init_1d(alpha: float, k: float, profile: Callable):
 
 def _cosine_init_2d(alpha: float, k: float, norm: float, profile: Callable):
     """(1 + alpha (cos(k x1) + cos(k x2))) / norm * g(v1) g(v2), rank one."""
-    def init(sgrid: SpatialGrid, vgrids) -> HtTensor:
+    def init(sgrid: SpatialGrid, v1: VelocityGrid, v2: VelocityGrid) -> HtTensor:
         x1 = sgrid.nodes(0)
         x2 = sgrid.nodes(1)
         spatial = (1.0 + alpha * (np.cos(k * x1)[:, None] + np.cos(k * x2)[None, :]))
         spatial = spatial / norm
         return HtTensor(spatial.reshape(-1, 1), np.eye(1), np.ones((1, 1, 1)),
-                        profile(vgrids[0].v)[:, None], profile(vgrids[1].v)[:, None],
+                        profile(v1.v)[:, None], profile(v2.v)[:, None],
                         sgrid.n)
     return init
 
@@ -142,7 +141,7 @@ PRESETS: dict[str, Preset] = {
         name="forced", dim="1d1v",
         x_min=-np.pi, x_max=np.pi, v_max=4.0, beta=2.0, eps=1e-4,
         nx=128, nv=256, t_end=1.0,
-        init_1d=_forced_init,
+        init=_forced_init,
         kinetic_forcing=_forced_forcing,
         macro_sources=_forced_macro_sources,
         exact_f=_forced_exact,
@@ -151,26 +150,26 @@ PRESETS: dict[str, Preset] = {
         name="weak_landau_1d", dim="1d1v",
         x_min=0.0, x_max=4.0 * np.pi, v_max=6.0, beta=2.0, eps=1e-5,
         nx=64, nv=129, t_end=20.0,
-        init_1d=_cosine_init_1d(alpha=0.01, k=0.5, profile=_maxwellian),
+        init=_cosine_init_1d(alpha=0.01, k=0.5, profile=_maxwellian),
     ),
     "strong_landau_1d": Preset(
         name="strong_landau_1d", dim="1d1v",
         x_min=0.0, x_max=4.0 * np.pi, v_max=6.0, beta=2.0, eps=1e-3,
         nx=128, nv=257, t_end=20.0,
-        init_1d=_cosine_init_1d(alpha=0.5, k=0.5, profile=_maxwellian),
+        init=_cosine_init_1d(alpha=0.5, k=0.5, profile=_maxwellian),
     ),
     "bump_on_tail": Preset(
         name="bump_on_tail", dim="1d1v",
         x_min=0.0, x_max=2.0 * np.pi / 0.3, v_max=10.0, beta=3.0, eps=1e-4,
         nx=128, nv=256, t_end=30.0,
-        init_1d=_cosine_init_1d(alpha=0.04, k=0.3, profile=_bump_on_tail(
+        init=_cosine_init_1d(alpha=0.04, k=0.3, profile=_bump_on_tail(
             n_p=0.9 / np.sqrt(2.0 * np.pi), n_b=0.2 / np.sqrt(2.0 * np.pi), u=4.5, v_t=0.5)),
     ),
     "weak_landau_2d2v": Preset(
         name="weak_landau_2d2v", dim="2d2v",
         x_min=0.0, x_max=4.0 * np.pi, v_max=6.0, beta=2.0, eps=1e-5,
         nx=16, nv=32, t_end=5.0,
-        init_2d=_cosine_init_2d(alpha=0.01, k=0.5, norm=2.0 * np.pi,
+        init=_cosine_init_2d(alpha=0.01, k=0.5, norm=2.0 * np.pi,
                                 profile=lambda v: np.exp(-v**2 / 2.0)),
     ),
     "two_stream_2d2v": Preset(
@@ -181,7 +180,7 @@ PRESETS: dict[str, Preset] = {
         # at this absolute threshold the velocity leaves saturate near full
         # resolution; the cap must leave room for that plus carrier terms
         rank_cap=160,
-        init_2d=_cosine_init_2d(alpha=0.001, k=0.2, norm=4.0 * 2.0 * np.pi,
+        init=_cosine_init_2d(alpha=0.001, k=0.2, norm=4.0 * 2.0 * np.pi,
                                 profile=_two_beams(2.4)),
     ),
 }

@@ -69,15 +69,13 @@ def lift_moments(m: np.ndarray, basis: MomentBasis) -> LowRankMatrix:
     Stored un-recompressed as exactly three terms so that conservation is
     enforced structurally even when terms degenerate.
     """
-    wp = basis.grid.w_points
-    v = basis.grid.v
     rho, j, kappa = m
     ux = np.column_stack([
         rho / basis.norm1_sq,
         j / basis.norm2_sq,
         (2.0 * kappa - basis.c * rho) / basis.norm3_sq,
     ])
-    uv = np.column_stack([wp, wp * v, wp * (v**2 - basis.c)])
+    uv = basis.grid.w_points[:, None] * np.column_stack(basis.vectors())
     return LowRankMatrix(np.ones(3), ux, uv)
 
 

@@ -1,13 +1,17 @@
-"""Problem.transport, written once for both formats, against dense stencils."""
+"""The per-format problem: grids and initial data from the preset's
+dimension, and ``Problem.transport``, written once for both formats, against
+dense stencils."""
 
 import numpy as np
 import pytest
 
 from lrvlasov.config import from_preset
 from lrvlasov.driver import setup
+from lrvlasov.formats import FORMATS
 from lrvlasov.htucker import HtTensor, ht_add
 from lrvlasov.lowrank import LowRankMatrix, add
 from lrvlasov.poisson import ElectricField
+from lrvlasov.presets import PRESETS
 
 import reference
 
@@ -42,3 +46,17 @@ def test_transport_matches_dense(rng, dim):
         out = ht_add(*blocks).dense()
         oracle = reference.dense_transport_rhs_2d(f.dense(), field, sg, g1, g2)
     assert np.allclose(out, oracle, atol=1e-11 * (np.abs(oracle).max() + 1))
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_initial_state_has_the_format_and_grid_of_the_preset(name):
+    # one build and one init hook for both formats: the preset's dim picks
+    # the class, which makes dims spatial and dims velocity grids
+    dim = PRESETS[name].dim
+    problem = setup(from_preset(name, nx=8, nv=16))
+    f = problem.initial()
+    assert type(problem) is FORMATS[dim]
+    assert isinstance(f, {"1d1v": LowRankMatrix, "2d2v": HtTensor}[dim])
+    assert problem.sgrid.n == (8,) * problem.dims
+    assert [g.n for g in problem.vgrids] == [16] * problem.dims
+    assert f.shape == (*problem.sgrid.n, *(g.n for g in problem.vgrids))

@@ -9,8 +9,9 @@ from lrvlasov.grids import (GaussianWeight, make_velocity_grid, plain_inner,
 
 
 def test_tiny_grid_endpoints():
-    g = make_velocity_grid(3, 1.0, min_points=0)
-    assert np.allclose(g.v, [-1.0, 0.0, 1.0])
+    # nine points on [-4, 4] put every node, and the spacing, on an integer
+    g = make_velocity_grid(9, 4.0)
+    assert np.array_equal(g.v, np.arange(-4.0, 5.0))
     assert g.h == 1.0
 
 

@@ -168,6 +168,18 @@ def test_eps_relative_rejected_where_unsupported(preset, method):
     assert "eps_relative" not in {f.name for f in fields(SolverConfig)}
 
 
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_dim_comes_from_the_preset(preset):
+    # the preset decides the dimension; a config that names one, even the
+    # same, is refused at construction instead of failing inside run
+    dim = PRESETS[preset].dim
+    assert from_preset(preset).dim == dim
+    for value in ("1d1v", "2d2v"):
+        with pytest.raises(TypeError, match="dim"):
+            from_preset(preset, dim=value)
+    assert "dim" not in {f.name for f in fields(SolverConfig)}
+
+
 def test_eps_relative_key_removed(tmp_path):
     # the absolute eps is the only threshold; a relative one is not a key
     with pytest.raises(ConfigError, match="eps_relative"):
@@ -219,7 +231,7 @@ def test_nx2_rejected_in_1d1v():
 
 def test_schema_targets_are_the_config_fields():
     targets = {name for keys in _SCHEMA.values() for name, _ in keys.values()}
-    assert targets == {f.name for f in fields(SolverConfig)} - {"dim"}
+    assert targets == {f.name for f in fields(SolverConfig)}
 
 
 # zero, negative, non-finite, boundary and unparsable values per key type; none

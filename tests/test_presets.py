@@ -146,7 +146,7 @@ def test_forced_macro_sources_are_moment_residuals():
 def test_forced_initial_data_rank_one_after_recompress():
     cfg = from_preset("forced")
     problem, hist = initialize(cfg)
-    assert recompress(hist.fs[-1], droptol=1e-13).rank == 1
+    assert recompress(hist.fs[-1]).rank == 1
 
 
 def test_2d_weak_landau_moments_uniform_background():
