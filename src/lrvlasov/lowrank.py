@@ -30,6 +30,8 @@ _SKETCH_MARGIN = 8   # sketch columns beyond the kept rank and the largest block
 # n -> (generator, rows drawn so far): a memo of a function of n alone, so no
 # caller sees what another asked for; stdlib draws keep numpy.random unimported
 _TEST_ROWS: dict[int, tuple[random.Random, np.ndarray]] = {}
+_WORKSPACE_GRIDS = 4  # grids that keep a workspace; the least recently used is dropped
+_WORKSPACES: dict[tuple[int, int], _Workspace] = {}
 
 
 @dataclass
@@ -120,6 +122,36 @@ def _test_matrix(n: int, p: int) -> np.ndarray:
     return rows[:p].T
 
 
+class _Workspace:
+    """The large arrays of one truncation on an nx x nv grid, reused by the next.
+
+    A fresh 128 x 257 array is above glibc's trim threshold, so freeing it
+    returns the heap top to the kernel and the next call faults every page
+    back in; reused buffers touch no fresh page once warm.  The velocity stack
+    grows to the widest stack seen and is used as a contiguous prefix.
+    """
+
+    def __init__(self, nx: int, nv: int):
+        self.nv = nv
+        self.s_mat = np.empty((nx, nv))
+        self.resid = np.empty((nx, nv))
+        self._stack = np.empty(0)
+
+    def stack(self, width: int) -> np.ndarray:
+        if self._stack.size < self.nv * width:
+            self._stack = np.empty(self.nv * width)
+        return self._stack[:self.nv * width].reshape(self.nv, width)
+
+
+def _workspace(nx: int, nv: int) -> _Workspace:
+    """The workspace of the grid, kept for the ``_WORKSPACE_GRIDS`` latest grids."""
+    ws = _WORKSPACES.pop((nx, nv), None) or _Workspace(nx, nv)
+    _WORKSPACES[nx, nv] = ws
+    if len(_WORKSPACES) > _WORKSPACE_GRIDS:
+        del _WORKSPACES[next(iter(_WORKSPACES))]
+    return ws
+
+
 def _weight_root(w_points, *lengths: int):
     """sqrt(w) of the weights at the velocity nodes, checked against the
     length of every velocity factor; None without weights."""
@@ -150,11 +182,12 @@ def _truncate(terms, eps: float, sqrt_w=None):
     terms = [t for t in terms if t.rank]
     if not terms:
         return zero(nx, nv)
+    ws = _workspace(nx, nv)
     x = np.hstack([t.Ux * t.C for t in terms])
-    v = np.hstack([t.Uv for t in terms])
+    v = np.concatenate([t.Uv for t in terms], axis=1, out=ws.stack(x.shape[1]))
     if sqrt_w is not None:
-        v = v / sqrt_w[:, None]
-    s_mat = x @ v.T
+        np.divide(v, sqrt_w[:, None], out=v)
+    s_mat = np.matmul(x, v.T, out=ws.s_mat)
     most = min(s_mat.shape[0], s_mat.shape[1], x.shape[1])
     if eps == 0.0:
         eps = DEFAULT_DROPTOL * float(np.linalg.norm(x, axis=0) @ np.linalg.norm(v, axis=0))
@@ -168,7 +201,7 @@ def _truncate(terms, eps: float, sqrt_w=None):
         q = np.linalg.qr(s_mat @ _test_matrix(s_mat.shape[1], p))[0]
         b = q.T @ s_mat
         u, s, vt = np.linalg.svd(b.T, full_matrices=False)
-        resid = (s_mat - q @ b).ravel()
+        resid = np.subtract(s_mat, np.matmul(q, b, out=ws.resid), out=ws.resid).ravel()
         keep = keep_count(s, eps, float(resid @ resid))
         if p == most or p >= keep + _SKETCH_MARGIN:
             break
