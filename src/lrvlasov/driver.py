@@ -287,7 +287,9 @@ def run(cfg: SolverConfig, snapshot_every: int = 0, snapshot_dir=None,
         resume=None, on_row=None) -> list[DiagnosticsRow]:
     """Advance to t_end, returning diagnostics at the configured cadence.
 
-    ``on_row(row)`` sees each row as it is recorded, even if the run fails."""
+    ``on_row(row)`` sees each row as it is recorded, even if the run fails.
+    A step that overflows the rank cap leaves the last good history in
+    ``snapshot_dir``, which resumes under a larger ``rank_cap``."""
     if snapshot_every < 0:
         raise ConfigError(f"snapshot_every must be >= 0, got {snapshot_every}")
     problem, hist = initialize(cfg)
@@ -304,11 +306,22 @@ def run(cfg: SolverConfig, snapshot_every: int = 0, snapshot_dir=None,
 
     if hist.step % cfg.output_every == 0:
         record()
-    for _ in _march(problem, hist):
-        if hist.step % cfg.output_every == 0:
-            record()
-        if snapshot_every and hist.step % snapshot_every == 0 and snapshot_dir is not None:
-            _io.snapshot_write(hist, problem, f"{snapshot_dir}/snapshot_{hist.step:06d}.bin")
+    def snapshot() -> str:
+        path = f"{snapshot_dir}/snapshot_{hist.step:06d}.bin"
+        _io.snapshot_write(hist, problem, path)
+        return path
+
+    try:
+        for _ in _march(problem, hist):
+            if hist.step % cfg.output_every == 0:
+                record()
+            if snapshot_every and hist.step % snapshot_every == 0 and snapshot_dir is not None:
+                snapshot()
+    except RankOverflowError as err:
+        # raised before the push, so hist still holds the last good step
+        if snapshot_dir is None:
+            raise
+        raise RankOverflowError(f"{err}; the last good state is in {snapshot()}") from None
     if not series or series[-1].t < hist.t - _tiny(cfg):
         record()
     return series

@@ -56,8 +56,7 @@ import numpy as np
 
 from .errors import DimensionError, DomainError
 from .grids import VelocityGrid
-from .lowrank import (DEFAULT_DROPTOL, _SKETCH_MARGIN, _SKETCH_START, _check_shapes,
-                      _weight_root, keep_count)
+from .lowrank import DEFAULT_DROPTOL, _SKETCH_MARGIN, _check_shapes, _weight_root, keep_count
 from .projection import MomentBasis
 
 
@@ -162,6 +161,7 @@ def _finish_truncation(ux, core, uv1, uv2, nx, tol, exact, sqrt_w):
 
 
 _SKETCH_SEED = 0     # fixed, so the result is a function of the input alone
+_SKETCH_START = 16   # first sketch width; each retry doubles it
 _GRAM_NOISE = 4.0 * np.finfo(float).eps  # round-off per unit of summed absolute products
 
 

@@ -5,9 +5,13 @@ Sums concatenate factor blocks exactly.  Every truncation, recompression
 included, is one randomized range finder (Halko, Martinsson & Tropp, SIAM Rev.
 2011) on the sum formed densely: at most 128 x 257 for the 1D presets, and
 cheaper to form than the stacked factors are to orthonormalize.  Its sketch
-grows until the exact error of the returned matrix, the explicit residual of
-the sketch plus the discarded singular values, is within eps, so the bound
-holds whatever the draws; they can only cost rank.  ``truncate_sum`` is
+starts at the largest block rank + 8 columns and doubles until the exact
+error of the returned matrix, the explicit residual of the sketch plus the
+discarded singular values, is within eps, so the bound holds whatever the
+draws; they can only cost rank.  The sum, its residual and the stacked
+velocity factors live in one workspace per grid that every call reuses: fresh
+arrays of that size are returned to the kernel by glibc's heap trim when
+freed, and the next call faulted them back in page by page.  ``truncate_sum`` is
 the one entry point for a cut; given weights it scales the velocity factors by
 1/sqrt(w(v_j)) (point values, not quadrature weights), truncates, and scales
 back, so its error is controlled in the norm weighted by 1/w.
@@ -25,7 +29,6 @@ from .errors import DimensionError, DomainError
 # relative singular-value floor used when removing exactly redundant terms
 DEFAULT_DROPTOL = 1e-14
 
-_SKETCH_START = 16   # smallest sketch width; each retry doubles it
 _SKETCH_MARGIN = 8   # sketch columns beyond the kept rank and the largest block rank
 # n -> (generator, rows drawn so far): a memo of a function of n alone, so no
 # caller sees what another asked for; stdlib draws keep numpy.random unimported
@@ -173,10 +176,15 @@ def _truncate(terms, eps: float, sqrt_w=None):
     B = Q^T S, B = V s U^T from the SVD of B^T.  The error of keeping k
     singular triplets is exactly ||S - Q B||_F^2 + sum_{i>=k} s_i^2, the
     first term from the explicit residual, so no squared norm is subtracted.
-    The sketch starts at the smallest 16 * 2^j >= (largest block rank + 8)
-    and doubles until it is 8 columns wider than the kept rank or spans the
-    rank bound min(Nx, Nv, sum of ranks) of S.  eps = 0 starts at that bound
-    and cuts at ``DEFAULT_DROPTOL`` times the blocks' summed ``scale_bound``.
+    The sketch starts at the largest block rank + 8 columns and doubles
+    until it is 8 columns wider than the kept rank or spans the rank bound
+    min(Nx, Nv, sum of ranks) of S.  eps = 0 starts at that bound and cuts at
+    ``DEFAULT_DROPTOL`` times the blocks' summed ``scale_bound``.
+
+    S, the residual and the stacked velocity factors are written with
+    ``out=`` into the grid's ``_Workspace``, so a warm call allocates no
+    array of their size and so faults in no page that glibc trimmed off the
+    heap after the last call; nothing returned aliases the workspace.
     """
     nx, nv = terms[0].shape
     terms = [t for t in terms if t.rank]
@@ -193,9 +201,7 @@ def _truncate(terms, eps: float, sqrt_w=None):
         eps = DEFAULT_DROPTOL * float(np.linalg.norm(x, axis=0) @ np.linalg.norm(v, axis=0))
         width = most
     else:
-        width = _SKETCH_START
-        while width < max(t.rank for t in terms) + _SKETCH_MARGIN:
-            width *= 2
+        width = max(t.rank for t in terms) + _SKETCH_MARGIN
     while True:
         p = min(width, most)
         q = np.linalg.qr(s_mat @ _test_matrix(s_mat.shape[1], p))[0]

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -233,6 +235,24 @@ def test_rank_cap_aborts():
     cfg = from_preset("strong_landau_1d", nx=32, nv=64, rank_cap=3, t_end=1.0)
     with pytest.raises(RankOverflowError):
         run(cfg)
+
+
+def test_rank_overflow_leaves_a_snapshot_that_resumes_under_a_larger_cap(tmp_path):
+    cfg = from_preset("strong_landau_1d", nx=32, nv=64, rank_cap=3, t_end=1.0, output_every=1)
+    with pytest.raises(RankOverflowError, match="the last good state is in") as err:
+        run(cfg, snapshot_dir=str(tmp_path))
+    last_good = int(str(err.value).split("(step ")[1].split(")")[0])
+    path = tmp_path / f"snapshot_{last_good:06d}.bin"
+    assert last_good >= 1 and sorted(tmp_path.iterdir()) == [path]
+    assert str(path) in str(err.value)
+    # rank_cap is not part of the snapshot's signature
+    larger = replace(cfg, rank_cap=60)
+    full = run(larger)
+    resumed = run(larger, resume=str(path))
+    assert len(resumed) == len(full) - last_good
+    for a, b in zip(resumed, full[last_good:]):
+        assert (a.t, a.ranks, a.mass, a.momentum, a.energy, a.efield_energy) == (
+            b.t, b.ranks, b.mass, b.momentum, b.energy, b.efield_energy)
 
 
 def test_run_deterministic():
