@@ -304,13 +304,13 @@ def run(cfg: SolverConfig, snapshot_every: int = 0, snapshot_dir=None,
         if on_row is not None:
             on_row(series[-1])
 
-    if hist.step % cfg.output_every == 0:
-        record()
     def snapshot() -> str:
         path = f"{snapshot_dir}/snapshot_{hist.step:06d}.bin"
         _io.snapshot_write(hist, problem, path)
         return path
 
+    if hist.step % cfg.output_every == 0:
+        record()
     try:
         for _ in _march(problem, hist):
             if hist.step % cfg.output_every == 0:

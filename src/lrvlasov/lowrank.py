@@ -9,9 +9,8 @@ starts at the largest block rank + 8 columns and doubles until the exact
 error of the returned matrix, the explicit residual of the sketch plus the
 discarded singular values, is within eps, so the bound holds whatever the
 draws; they can only cost rank.  The sum, its residual and the stacked
-velocity factors live in one workspace per grid that every call reuses: fresh
-arrays of that size are returned to the kernel by glibc's heap trim when
-freed, and the next call faulted them back in page by page.  ``truncate_sum`` is
+velocity factors live in one workspace per grid that every call reuses, so a
+warm call faults in no page (``_Workspace``).  ``truncate_sum`` is
 the one entry point for a cut; given weights it scales the velocity factors by
 1/sqrt(w(v_j)) (point values, not quadrature weights), truncates, and scales
 back, so its error is controlled in the norm weighted by 1/w.
@@ -19,6 +18,7 @@ back, so its error is controlled in the norm weighted by 1/w.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, replace
 
@@ -33,8 +33,6 @@ _SKETCH_MARGIN = 8   # sketch columns beyond the kept rank and the largest block
 # n -> (generator, rows drawn so far): a memo of a function of n alone, so no
 # caller sees what another asked for; stdlib draws keep numpy.random unimported
 _TEST_ROWS: dict[int, tuple[random.Random, np.ndarray]] = {}
-_WORKSPACE_GRIDS = 4  # grids that keep a workspace; the least recently used is dropped
-_WORKSPACES: dict[tuple[int, int], _Workspace] = {}
 
 
 @dataclass
@@ -128,10 +126,12 @@ def _test_matrix(n: int, p: int) -> np.ndarray:
 class _Workspace:
     """The large arrays of one truncation on an nx x nv grid, reused by the next.
 
-    A fresh 128 x 257 array is above glibc's trim threshold, so freeing it
-    returns the heap top to the kernel and the next call faults every page
-    back in; reused buffers touch no fresh page once warm.  The velocity stack
-    grows to the widest stack seen and is used as a contiguous prefix.
+    Fresh arrays of 128 x 257 are above glibc's trim threshold: freeing them
+    returns the heap top to the kernel, and the next call faulted every page
+    back in (about 160 minor faults per strong_landau_1d step).  Reused, they
+    touch no fresh page once warm.  Every call overwrites what it reads, so
+    no result depends on an earlier call.  The velocity stack grows to the
+    widest stack seen and is used as a contiguous prefix.
     """
 
     def __init__(self, nx: int, nv: int):
@@ -146,13 +146,9 @@ class _Workspace:
         return self._stack[:self.nv * width].reshape(self.nv, width)
 
 
+@functools.lru_cache(maxsize=4)  # the latest grids keep theirs, so the memory is bounded
 def _workspace(nx: int, nv: int) -> _Workspace:
-    """The workspace of the grid, kept for the ``_WORKSPACE_GRIDS`` latest grids."""
-    ws = _WORKSPACES.pop((nx, nv), None) or _Workspace(nx, nv)
-    _WORKSPACES[nx, nv] = ws
-    if len(_WORKSPACES) > _WORKSPACE_GRIDS:
-        del _WORKSPACES[next(iter(_WORKSPACES))]
-    return ws
+    return _Workspace(nx, nv)
 
 
 def _weight_root(w_points, *lengths: int):
@@ -182,9 +178,7 @@ def _truncate(terms, eps: float, sqrt_w=None):
     ``DEFAULT_DROPTOL`` times the blocks' summed ``scale_bound``.
 
     S, the residual and the stacked velocity factors are written with
-    ``out=`` into the grid's ``_Workspace``, so a warm call allocates no
-    array of their size and so faults in no page that glibc trimmed off the
-    heap after the last call; nothing returned aliases the workspace.
+    ``out=`` into the grid's ``_Workspace``; nothing returned aliases it.
     """
     nx, nv = terms[0].shape
     terms = [t for t in terms if t.rank]
