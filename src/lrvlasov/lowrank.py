@@ -127,9 +127,9 @@ class _Workspace:
     """The large arrays of one truncation on an nx x nv grid, reused by the next.
 
     Fresh arrays of 128 x 257 are above glibc's trim threshold: freeing them
-    returns the heap top to the kernel, and the next call faulted every page
-    back in (about 160 minor faults per strong_landau_1d step).  Reused, they
-    touch no fresh page once warm.  Every call overwrites what it reads, so
+    returns the heap top to the kernel, and the next call faults every page
+    back in (about 160 minor faults per strong_landau_1d step when each call
+    allocated its own).  Reused, they touch no fresh page once warm.  Every call overwrites what it reads, so
     no result depends on an earlier call.  The velocity stack grows to the
     widest stack seen and is used as a contiguous prefix.
     """
