@@ -31,13 +31,15 @@ dimension: ``formats`` picks the problem's class (``Problem1D`` or
 Moments share the macroscopic state's layout, with kappa in the last row
 where the state holds e = kappa + |E|^2 / 2.  ``History`` keeps the moments
 and field of its newest level, so the CFL bound, the step and the diagnostics
-share one field solve per level.
+share one field solve per level.  A non-finite macroscopic state or a failed
+factorization stops the step with ``NonFiniteError``.  A resumed run takes
+its history from ``io.snapshot_read`` and builds no initial state.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field as dataclass_field, fields
+from dataclasses import dataclass, field as dataclass_field
 from typing import NamedTuple
 
 import numpy as np
@@ -46,7 +48,7 @@ from . import htucker as ht  # noqa: F401  (kept bound as driver.ht for callers)
 from . import io as _io
 from . import macro
 from .config import SolverConfig
-from .errors import ConfigError, NonFiniteError, RankOverflowError, SnapshotError
+from .errors import ConfigError, NonFiniteError, RankOverflowError
 from .formats import FORMATS, Problem
 from .io import DiagnosticsRow
 from .macro import recover_kinetic_energy
@@ -54,11 +56,6 @@ from .poisson import ElectricField, field_energy, solve_poisson
 from .presets import get_preset
 
 _DT_MATCH = 1e-12  # relative tolerance for "same step size" lineage checks
-
-
-def _values(obj) -> list:
-    """Field values of a state dataclass, in declaration order."""
-    return [getattr(obj, f.name) for f in fields(obj)]
 
 
 def _field_of(problem: Problem, rho: np.ndarray) -> ElectricField:
@@ -74,7 +71,7 @@ def _contig_state(f):
     uninterrupted one exactly.
     """
     return type(f)(*(np.ascontiguousarray(v) if isinstance(v, np.ndarray) else v
-                     for v in _values(f)))
+                     for v in vars(f).values()))
 
 
 @dataclass
@@ -211,6 +208,9 @@ def step(problem: Problem, hist: History, dt: float):
         if with_macro:
             u = macro.combine([us[k] for k, _ in stage.weights],
                               [w for _, w in stage.weights], rate, stage.c * dt)
+            if not np.isfinite(u).all():
+                raise NonFiniteError(f"non-finite macroscopic state at step {hist.step} "
+                                     f"(t={hist.t:.6g})")
         levels.append([_truncate(problem, blocks, u)] if stage.truncate else blocks)
         us.append(u)
     return levels[-1][0], us[-1]
@@ -218,7 +218,10 @@ def step(problem: Problem, hist: History, dt: float):
 
 def advance(problem: Problem, hist: History, dt: float) -> None:
     """One step of the configured scheme, checked against the rank cap."""
-    f_new, u_new = step(problem, hist, dt)
+    try:
+        f_new, u_new = step(problem, hist, dt)
+    except np.linalg.LinAlgError as err:  # LAPACK met a non-finite or overflowing state
+        raise NonFiniteError(f"{err} at step {hist.step} (t={hist.t:.6g})") from None
     ranks, cap = problem.ranks(f_new), problem.cfg.rank_cap
     if max(ranks) > cap:
         raise RankOverflowError(
@@ -261,28 +264,6 @@ def _march(problem: Problem, hist: History):
         yield
 
 
-def _resume(problem: Problem, path) -> History:
-    """The snapshot's history, refused unless it was written under this config.
-
-    The levels are checked before the signature, so a snapshot of another
-    method is refused for what its levels show: macro stores a (rho, J, e)
-    level beside every kinetic level, the other methods store one only beside
-    the initial state.  That check is also the only method check a version 1
-    snapshot, whose signature has no method, gets.
-    """
-    method = problem.cfg.method
-
-    def check_levels(hist: History) -> None:
-        if method == "macro" and any(u is None for u in hist.us):
-            raise SnapshotError(f"{path}: snapshot has no macroscopic levels, which "
-                                f"method=macro needs; resume it under the method that wrote it")
-        if method != "macro" and hist.step > 0 and hist.us[-1] is not None:
-            raise SnapshotError(f"{path}: snapshot carries macroscopic levels, so "
-                                f"method=macro wrote it, not method={method}")
-
-    return _io.snapshot_read(path, problem, check_levels)
-
-
 def run(cfg: SolverConfig, snapshot_every: int = 0, snapshot_dir=None,
         resume=None, on_row=None) -> list[DiagnosticsRow]:
     """Advance to t_end, returning diagnostics at the configured cadence.
@@ -292,9 +273,11 @@ def run(cfg: SolverConfig, snapshot_every: int = 0, snapshot_dir=None,
     ``snapshot_dir``, which resumes under a larger ``rank_cap``."""
     if snapshot_every < 0:
         raise ConfigError(f"snapshot_every must be >= 0, got {snapshot_every}")
-    problem, hist = initialize(cfg)
-    if resume is not None:
-        hist = _resume(problem, resume)
+    if resume is None:
+        problem, hist = initialize(cfg)
+    else:
+        problem = setup(cfg)
+        hist = _io.snapshot_read(resume, problem)
     series: list[DiagnosticsRow] = []
     clock0 = time.perf_counter()
 

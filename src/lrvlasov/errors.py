@@ -30,4 +30,4 @@ class RankOverflowError(LrvlasovError, RuntimeError):
 
 
 class NonFiniteError(LrvlasovError, ArithmeticError):
-    """The solution's moments became NaN or infinite."""
+    """The solution became NaN or infinite, or a factorization failed on it."""

@@ -302,8 +302,7 @@ def write_v1_snapshot(path) -> None:
             break
     with open(path, "wb") as fh:
         fh.write(io._MAGIC)
-        io._write_ints(fh, 1, 1, hist.step, len(hist.fs), len(hist.dts))
-        io._write_floats(fh, hist.t, hist.dt_work, *hist.dts)
-        io._write_floats(fh, *io._signature(problem)[:9])
+        io._write_words(fh, "q", 1, 1, hist.step, len(hist.fs), len(hist.dts))
+        io._write_words(fh, "d", hist.t, hist.dt_work, *hist.dts, *io._signature(problem)[:9])
         for f, u in zip(hist.fs, hist.us):
             io._write_level(fh, f, u)

@@ -414,3 +414,24 @@ def test_non_finite_state_stops_run_at_its_step(monkeypatch):
     monkeypatch.setattr(driver, "step", poisoned)
     with pytest.raises(NonFiniteError, match=r"step 5 \(t=0\.\d+"):
         run(from_preset("weak_landau_1d", nx=16, nv=33, t_end=1.0))
+
+
+@pytest.mark.parametrize("preset,grid", [("weak_landau_1d", {"nx": 16, "nv": 33}),
+                                         ("weak_landau_2d2v", {"nx": 8, "nv": 16})])
+def test_non_finite_macro_state_stops_the_step(monkeypatch, preset, grid):
+    # a NaN rate makes the stage's macroscopic state NaN; the step stops
+    # there, before the state becomes a pin target that reaches the SVD or eigh
+    monkeypatch.setattr(macro, "rate", lambda u, *args, **kwargs: np.full_like(u, np.nan))
+    with pytest.raises(NonFiniteError, match=r"macroscopic state at step 0 \(t=0\)"):
+        run(from_preset(preset, t_end=0.1, **grid))
+
+
+def test_linalg_error_in_a_step_is_typed(monkeypatch):
+    problem, hist = initialize(from_preset("weak_landau_1d", nx=16, nv=33, method="plain"))
+
+    def fail(blocks):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(problem, "truncate", fail)
+    with pytest.raises(NonFiniteError, match=r"SVD did not converge at step 0 \(t=0\)"):
+        advance(problem, hist, 0.01)

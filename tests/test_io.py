@@ -367,7 +367,8 @@ def test_snapshot_roundtrip_lowrank(tmp_path, rng):
 
 
 def test_snapshot_roundtrip_ht(tmp_path, rng):
-    cfg = from_preset("weak_landau_2d2v", nx=8, nv=16)
+    # a history with no macroscopic levels, as method=plain keeps it
+    cfg = from_preset("weak_landau_2d2v", nx=8, nv=16, method="plain")
     problem, hist = initialize(cfg)
     f = HtTensor(rng.standard_normal((64, 2)), rng.standard_normal((2, 2)),
                  rng.standard_normal((2, 2, 2)), rng.standard_normal((16, 2)),
@@ -736,26 +737,43 @@ def test_cli_resume_plain_snapshot_under_macro(tmp_path, capsys):
     assert not (tmp_path / "resumed" / "diagnostics.csv").exists()
 
 
-def _first_level_word_offsets(raw: bytes) -> tuple[int, int]:
-    """Byte offsets of the first level's kinetic kind word and macro word in
-    a 1D snapshot: past the magic, five header ints, t, dt_work and the recent
-    steps, the eleven signature floats and the method and preset texts (each
-    a length word and its bytes); the macro word follows the kind word and
-    the three factor arrays."""
+def _snapshot_offsets(raw: bytes) -> dict:
+    """Byte offsets in a version 2 snapshot: the header floats t, dt_work,
+    dts[i] and eps, each level's kind and macro words, and the first payload
+    word of every level array and macro row, named as the snapshot checks
+    name them."""
     import struct
 
-    (n_dts,) = struct.unpack_from("<q", raw, 8 + 4 * 8)
-    off = 8 + 5 * 8 + 8 * (2 + n_dts) + 11 * 8
-    for _ in range(2):
-        (n,) = struct.unpack_from("<q", raw, off)
-        off += 8 + n
-    kind = off
-    off += 8
-    for _ in range(3):
-        (ndim,) = struct.unpack_from("<q", raw, off)
-        shape = struct.unpack_from(f"<{ndim}q", raw, off + 8)
-        off += 8 * (1 + ndim) + 8 * math.prod(shape)
-    return kind, off
+    pos = 16  # past the magic and the version word
+
+    def words(n: int) -> tuple:
+        nonlocal pos
+        pos += 8 * n
+        return struct.unpack_from(f"<{n}q", raw, pos - 8 * n)
+
+    dim, _, n_levels, n_dts = words(4)
+    at = {"t": pos, "dt_work": pos + 8, "eps": pos + 8 * (2 + n_dts + 8),
+          **{f"dts[{i}]": pos + 8 * (2 + i) for i in range(n_dts)}}
+    pos += 8 * (2 + n_dts + 11)
+    for _ in range(2):  # the method and preset texts
+        (n,) = words(1)
+        pos += n
+    names = ("C", "Ux", "Uv") if dim == 1 else ("Ux", "B", "Bvv", "Uv1", "Uv2")
+    for i in range(n_levels):
+        at[f"level {i} kind"] = pos
+        words(1 if dim == 1 else 3)  # the kind word and, in 2D, the spatial words
+        for name in names:
+            shape = words(words(1)[0])
+            at[f"level {i} array {name}"] = pos
+            pos += 8 * math.prod(shape)
+        at[f"level {i} macro"] = pos
+        (d,) = words(1)
+        for k in range(d + 2 if d else 0):
+            shape = words(words(1)[0])
+            at[f"level {i} macro row {k}"] = pos
+            pos += 8 * math.prod(shape)
+    assert pos == len(raw)
+    return at
 
 
 @pytest.mark.parametrize("word,value", [("ndim", 2**40), ("dim", 2**58), ("dim", -1)])
@@ -771,7 +789,7 @@ def test_oversized_array_header_refused(tmp_path, capsys, word, value):
     path = tmp_path / "s.bin"
     snapshot_write(hist, problem, path)
     raw = bytearray(path.read_bytes())
-    ndim_at = _first_level_word_offsets(raw)[0] + 8
+    ndim_at = _snapshot_offsets(raw)["level 0 kind"] + 8
     assert struct.unpack_from("<2q", raw, ndim_at) == (1, hist.fs[0].rank)
     struct.pack_into("<q", raw, ndim_at if word == "ndim" else ndim_at + 8, value)
     path.write_bytes(bytes(raw))
@@ -803,7 +821,7 @@ def test_cli_resume_refuses_foreign_level_words(tmp_path, capsys, which, word, m
                  "--out", str(tmp_path)]) == 0
     snap = sorted(tmp_path.glob("snapshot_*.bin"))[-1]
     raw = bytearray(snap.read_bytes())
-    off = dict(zip(("kind", "macro"), _first_level_word_offsets(raw)))[which]
+    off = _snapshot_offsets(raw)[f"level 0 {which}"]
     assert struct.unpack_from("<q", raw, off) == (1,)
     struct.pack_into("<q", raw, off, word)
     snap.write_bytes(bytes(raw))
@@ -857,7 +875,7 @@ def test_cli_refuses_level_with_foreign_factor_shape(tmp_path, capsys):
                  "--out", str(tmp_path)]) == 0
     snap = sorted(tmp_path.glob("snapshot_*.bin"))[-1]
     raw = bytearray(snap.read_bytes())
-    c_at = _first_level_word_offsets(raw)[0] + 8
+    c_at = _snapshot_offsets(raw)["level 0 kind"] + 8
     (r,) = struct.unpack_from("<q", raw, c_at + 8)
     ux_dims = c_at + 8 * (2 + r) + 8
     assert struct.unpack_from("<2q", raw, ux_dims) == (16, r)
@@ -872,6 +890,110 @@ def test_cli_refuses_level_with_foreign_factor_shape(tmp_path, capsys):
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and "Traceback" not in err
         assert f"level 0 array Ux has shape (8, {2 * r}), expected (16, r)" in lines[0]
+
+
+# a step-3 snapshot (three levels, two recent steps) of each format and the
+# grid it resumes on
+STEP3_RUNS = {"weak_landau_1d": (16, 33, 0.2), "weak_landau_2d2v": (8, 16, 0.1)}
+
+
+@pytest.fixture(scope="module")
+def step3_snapshots(tmp_path_factory) -> dict:
+    snaps = {}
+    for preset, (nx, nv, t_end) in STEP3_RUNS.items():
+        out = tmp_path_factory.mktemp(preset)
+        run(from_preset(preset, nx=nx, nv=nv, t_end=t_end), snapshot_every=3,
+            snapshot_dir=str(out))
+        snaps[preset] = (out / "snapshot_000003.bin").read_bytes()
+    return snaps
+
+
+def _resume_corrupted(snaps, preset, word, value, tmp_path, capsys) -> str:
+    """Overwrite one float word of the preset's step-3 snapshot, resume it
+    through the CLI to twice its t_end and return its one error line."""
+    import struct
+
+    from lrvlasov.cli import main
+
+    raw = bytearray(snaps[preset])
+    struct.pack_into("<d", raw, _snapshot_offsets(raw)[word], value)
+    snap = tmp_path / "bad.bin"
+    snap.write_bytes(bytes(raw))
+    nx, nv, t_end = STEP3_RUNS[preset]
+    capsys.readouterr()
+    rc = main(["run", "--preset", preset, "--set", f"grid.nx={nx}", "--set", f"grid.nv={nv}",
+               "--set", f"method.t_end={2 * t_end}", "--resume", str(snap),
+               "--out", str(tmp_path / "resumed")])
+    err = capsys.readouterr().err
+    lines = err.strip().splitlines()
+    assert rc == 2 and len(lines) == 1 and lines[0].startswith("error: ")
+    assert "Traceback" not in err
+    return lines[0]
+
+
+@pytest.mark.parametrize("preset", sorted(STEP3_RUNS))
+@pytest.mark.parametrize("word,value,message", [
+    ("t", math.nan, "t is not finite"),
+    ("t", -0.5, "out of range: t -0.5"),
+    ("dt_work", math.inf, "dt_work is not finite"),
+    ("dt_work", -0.01, "out of range: dt_work -0.01"),
+    ("dts[0]", math.nan, "dts[0] is not finite"),
+    ("dts[0]", 0.0, "out of range: dts[0] 0.0"),
+    ("dts[1]", -0.01, "out of range: dts[1] -0.01"),
+    ("eps", math.nan, "eps is not finite"),
+    ("level 2 array Ux", math.inf, "level 2 array Ux is not finite"),
+    ("level 2 macro row 0", math.nan, "level 2 macro row 0 is not finite"),
+])
+def test_cli_resume_refuses_bad_snapshot_words(step3_snapshots, tmp_path, capsys, preset,
+                                               word, value, message):
+    # a non-finite float word or array, a negative clock or a recent step
+    # that is not positive ends the resume with one line naming the word
+    line = _resume_corrupted(step3_snapshots, preset, word, value, tmp_path, capsys)
+    assert message in line
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.parametrize("preset,word", [("weak_landau_1d", "level 2 array C"),
+                                         ("weak_landau_2d2v", "level 2 array B")])
+def test_cli_resume_of_overflowing_factor_one_line(step3_snapshots, tmp_path, capsys,
+                                                   preset, word):
+    # 1e300 is finite, so the file loads; the step it feeds overflows, and
+    # the run stops with a typed error naming the step
+    line = _resume_corrupted(step3_snapshots, preset, word, 1e300, tmp_path, capsys)
+    assert "at step 3 (t=" in line
+
+
+@pytest.mark.parametrize("corrupt,message", [
+    (lambda h: setattr(h, "t", math.nan), "t is not finite"),
+    (lambda h: setattr(h, "dt_work", -1.0), "out of range: dt_work -1.0"),
+    (lambda h: setattr(h, "dts", [0.01, 0.0]), "out of range: dts[1] 0.0"),
+    (lambda h: h.fs[0].C.__setitem__(0, math.nan), "level 0 array C is not finite"),
+    (lambda h: h.us[0].__setitem__((2, 0), math.inf), "level 0 macro row 2 is not finite"),
+], ids=["t", "dt_work", "dts", "C", "macro-row"])
+def test_snapshot_write_refuses_bad_words(tmp_path, corrupt, message):
+    # a history that a resume would refuse is not written
+    problem, hist = initialize(from_preset("weak_landau_1d", nx=16, nv=33))
+    corrupt(hist)
+    with pytest.raises(SnapshotError, match=re.escape(message)):
+        snapshot_write(hist, problem, tmp_path / "s.bin")
+    assert not list(tmp_path.iterdir())
+
+
+def test_resume_builds_no_initial_state(tmp_path, monkeypatch):
+    # a resume takes every level from the snapshot, so the initial state is
+    # never built, and the resumed rows are the uninterrupted run's bits
+    from lrvlasov.formats import Problem
+
+    cfg = from_preset("weak_landau_1d", nx=16, nv=33, t_end=0.2, output_every=1)
+    full = run(cfg, snapshot_every=3, snapshot_dir=str(tmp_path))
+
+    def refuse(self):
+        raise AssertionError("initial state built on resume")
+
+    monkeypatch.setattr(Problem, "initial", refuse)
+    resumed = run(cfg, resume=str(tmp_path / "snapshot_000003.bin"))
+    assert [(r.t, r.ranks, r.mass, r.momentum, r.energy) for r in resumed] == [
+        (r.t, r.ranks, r.mass, r.momentum, r.energy) for r in full[3:]]
 
 
 def test_cli_rank_overflow_reporting(tmp_path, capsys):
