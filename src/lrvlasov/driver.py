@@ -173,7 +173,7 @@ HEUN = (
 )
 
 
-def _truncate(problem: Problem, blocks: list, u_new):
+def _cut(problem: Problem, blocks: list, u_new):
     """The method policy: plain truncation, or truncation pinned to moments."""
     method = problem.cfg.method
     if method == "plain":
@@ -211,7 +211,7 @@ def step(problem: Problem, hist: History, dt: float):
             if not np.isfinite(u).all():
                 raise NonFiniteError(f"non-finite macroscopic state at step {hist.step} "
                                      f"(t={hist.t:.6g})")
-        levels.append([_truncate(problem, blocks, u)] if stage.truncate else blocks)
+        levels.append([_cut(problem, blocks, u)] if stage.truncate else blocks)
         us.append(u)
     return levels[-1][0], us[-1]
 

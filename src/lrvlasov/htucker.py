@@ -15,17 +15,12 @@ velocity grid both leaves share, in the norm weighted by 1/(w(v1) w(v2)).  It
 cuts three nodes (the root separation and the two velocity leaves) by their
 singular spectra with per-node tolerance eps/sqrt(3), which bounds the total
 error by eps in the Frobenius norm (Grasedyck's hierarchical SVD bound).  For
-eps > 0 the root cut of a block sum comes from an adaptive randomized range
-finder (Halko, Martinsson & Tropp) applied to the sum's (space | velocity
-pair) matrix through the blocks' own factors, so the sum is never formed: a
-sketch of 16 Khatri-Rao columns omega_1 (x) omega_2 (Gaussian leaf vectors
-drawn from a generator with a fixed seed, applied leaf by leaf) doubles until
-the exact discarded tail (the squared Frobenius norm from Gram matrices,
-minus the kept squared singular values) is within eps/sqrt(3), or within the Gram
-products' round-off where cancelling blocks put eps below it, and the sketch
-is at least 8 columns wider than the kept rank; one subspace iteration then
-sharpens the frame.  The fixed seed makes the result a function of the input
-alone, so a resumed run repeats an uninterrupted one bit for bit.  eps = 0
+eps > 0 the root cut of a block sum comes from the 1D truncation's loop,
+``lowrank._range_finder``, applied to the sum's (space | velocity pair)
+matrix through the blocks' own factors, so the sum is never formed; one
+subspace iteration then sharpens the frame.  Its fixed test matrix makes the
+result a function of the input alone, so a resumed run repeats an
+uninterrupted one bit for bit.  eps = 0
 goes through the same stacked leaves and pair unfold, but forms the unfold
 and takes the root spectrum exactly from Householder QRs and one small SVD;
 only there does a floor of 1e-14 times the blocks' summed magnitude bounds
@@ -56,7 +51,8 @@ import numpy as np
 
 from .errors import DimensionError, DomainError
 from .grids import VelocityGrid
-from .lowrank import DEFAULT_DROPTOL, _SKETCH_MARGIN, _check_shapes, _weight_root, keep_count
+from .lowrank import (DEFAULT_DROPTOL, _SKETCH_MARGIN, _check_shapes, _range_finder,
+                      _weight_root, keep_count)
 from .projection import MomentBasis
 
 
@@ -160,8 +156,6 @@ def _finish_truncation(ux, core, uv1, uv2, nx, tol, exact, sqrt_w):
     return HtTensor(ux, rv.T, bvv, new_uv1, new_uv2, nx)
 
 
-_SKETCH_SEED = 0     # fixed, so the result is a function of the input alone
-_SKETCH_START = 16   # first sketch width; each retry doubles it
 _GRAM_NOISE = 4.0 * np.finfo(float).eps  # round-off per unit of summed absolute products
 
 
@@ -279,30 +273,23 @@ def ht_truncate_sum(terms, eps: float, w_points=None) -> HtTensor:
     nodes of the velocity grid both leaves share) is given: the leaves are
     scaled by 1/sqrt(w) before the cut and by sqrt(w) after it.
 
-    eps > 0: the spatial frame comes from an adaptive randomized range finder
-    on the root matricization M = Ux_cat blockdiag(B_t) mat^T (rows: space;
+    eps > 0: the spatial frame comes from ``lowrank._range_finder`` on the
+    root matricization M = Ux_cat blockdiag(B_t) mat^T (rows: space;
     columns: velocity pair), where mat is the pair unfold in the stacked leaf
-    bases.  M is only ever applied (``_PairUnfold``), and ||M||_F^2 is exact,
-    from the spatial and pair Gram matrices.  The sketch starts at 16
-    Khatri-Rao columns omega_1 (x) omega_2, the leaf vectors drawn from
-    ``default_rng`` with a fixed seed, so equal inputs give equal bits; a
-    column costs n1 + n2 draws, not n1 n2 (the per-leaf sketch of Al Daas et
-    al., SISC 2023, for tensor-train sums).  It doubles until the exact
-    discarded tail
-    ||M||_F^2 - sum of kept s^2 is at most (eps/sqrt(3))^2 and the sketch is
-    at least 8 columns wider than the kept rank; without that margin the
-    frame sees only as far as the cut and the rank grows.  Two limits keep
-    the loop finite: a sketch as wide as the rank bound of M misses nothing,
-    so its tail is the discarded s^2 alone, and no tail below the round-off
-    of the Gram products (4 machine eps times the sum of their absolute
-    products) is asked for, since cancelling blocks can put eps/sqrt(3)
-    beneath it.  The singular values come from the p x p Gram
-    (Q^T M)(Q^T M)^T.  Once the sketch suffices, one subspace iteration,
-    Q <- orth(M M^T Q), which costs only products with the Grams, sharpens the
-    frame near the cut; it replaces Q where its own exact tail allows no
-    larger kept rank.  The kept frame Q U and the pair core are orthonormal,
-    so no re-canonicalization follows.  Both velocity leaves are then cut at
-    eps/sqrt(3) from the core's Grams.
+    bases.  M is only ever applied (``_PairUnfold``): a test column's first
+    n1 rows and the rest are the leaf vectors of omega_1 (x) omega_2, applied
+    leaf by leaf (the per-leaf sketch of Al Daas et al., SISC 2023, for
+    tensor-train sums).  The kept count is the fewest singular values, from
+    the p x p Gram (Q^T M)(Q^T M)^T, whose tail plus what the frame misses,
+    ||M||_F^2 - sum of s^2 (exact, from the spatial and pair Grams; nothing
+    at the rank bound of M), is within eps/sqrt(3), or within the Gram
+    products' round-off (4 machine eps times their absolute sum) where
+    cancelling blocks put eps/sqrt(3) beneath it.  One subspace iteration,
+    Q <- orth(M M^T Q), which costs only products with the Grams, then
+    sharpens the frame near the cut; it replaces Q where its own exact tail
+    allows no larger kept rank.  The kept frame Q U and the pair core are
+    orthonormal, so no re-canonicalization follows.  Both velocity leaves are
+    then cut at eps/sqrt(3) from the core's Grams.
 
     eps = 0 forms the pair unfold, mat = ``_PairUnfold.matmul(I)``, and
     takes the root spectrum exactly, from the SVD of R_x R_m^T after
@@ -351,44 +338,25 @@ def ht_truncate_sum(terms, eps: float, w_points=None) -> HtTensor:
         return ht_zero(nx, nv1, nv2)
     most = min(xb.shape[0], xb.shape[1], n1 * n2)
 
-    def cut(z):
-        """Kept count for the frame with Q^T Xb = z (None if no count meets
-        cut2), and the eigenvectors and eigenvalues of (Q^T M)(Q^T M)^T,
-        largest first."""
+    def count(q):  # also Q^T Xb and the eigenpairs of (Q^T M)(Q^T M)^T, largest first
+        z = q.T @ xb
         lam, vec = np.linalg.eigh(z @ gv @ z.T)
         lam, vec = np.maximum(lam[::-1], 0.0), vec[:, ::-1]
-        # tail after k kept = what the frame misses + sum(lam[k:]); a frame
-        # as wide as the rank bound misses nothing
-        missed = norm2 - lam.sum() if z.shape[0] < most else 0.0
-        ok = missed + np.concatenate((np.cumsum(lam[::-1])[::-1], [0.0])) <= cut2
-        return (int(np.argmax(ok)) if ok.any() else None), vec, lam
+        missed = max(norm2 - lam.sum(), 0.0) if q.shape[1] < most else 0.0
+        return keep_count(np.sqrt(lam), np.sqrt(cut2), missed), (z, vec, lam)
 
-    rng = np.random.default_rng(_SKETCH_SEED)
-    sketch = np.zeros((xb.shape[1], 0))
-    width = _SKETCH_START
-    while True:
-        new = min(width, most) - sketch.shape[1]
-        sketch = np.hstack([sketch, pair.rmatmul(rng.standard_normal((n1, new)),
-                                                 rng.standard_normal((n2, new)))])
-        q = np.linalg.qr(xb @ sketch)[0]
-        z = q.T @ xb
-        keep, vec, lam = cut(z)
-        if q.shape[1] == most:
-            keep = q.shape[1] if keep is None else keep
-            break
-        if keep is not None and q.shape[1] >= keep + _SKETCH_MARGIN:
-            # lam[k] <= s_k(M)^2 <= the best tail after k kept, so a fewer-kept
-            # cut can exist only if lam[keep - 1] <= cut2; then one subspace
-            # iteration, M M^T Q = Xb gv (Q^T Xb)^T, sharpens the frame near
-            # the cut and is kept where it cuts no later
-            if lam[keep - 1] <= cut2:
-                sharp = np.linalg.qr(xb @ (gv @ z.T))[0]
-                sharp_z = sharp.T @ xb
-                keep2, vec2, _ = cut(sharp_z)
-                if keep2 is not None and keep2 <= keep:
-                    q, z, keep, vec = sharp, sharp_z, keep2, vec2
-            break
-        width *= 2
+    q, keep, (z, vec, lam) = _range_finder(
+        lambda omega: xb @ pair.rmatmul(omega[:n1], omega[n1:]), count, n1 + n2,
+        max(t.Ux.shape[1] for t in terms) + _SKETCH_MARGIN, most)
+    # lam[k] <= s_k(M)^2 <= the best tail after k kept, so a fewer-kept cut
+    # can exist only if lam[keep - 1] <= cut2; then one subspace iteration,
+    # M M^T Q = Xb gv (Q^T Xb)^T, sharpens the frame near the cut and is kept
+    # where it cuts no later
+    if q.shape[1] < most and lam[keep - 1] <= cut2:
+        sharp = np.linalg.qr(xb @ (gv @ z.T))[0]
+        keep2, (sharp_z, vec2, _) = count(sharp)
+        if keep2 <= keep:
+            q, z, keep, vec = sharp, sharp_z, keep2, vec2
     ux = q @ vec[:, :keep]
     core = pair.matmul(z.T @ vec[:, :keep])
     return _finish_truncation(ux, core, pair.q1, pair.q2, nx, tol, exact=False, sqrt_w=sqrt_w)

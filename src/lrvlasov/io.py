@@ -207,6 +207,16 @@ def _check_level(where: str, f, rows, shapes: dict, grid: tuple) -> None:
                                 f"expected {dims(grid)}")
 
 
+def _check_counts(where: str, step: int, n_levels: int, n_dts: int) -> None:
+    """Refuse a negative step and a level or recent-step count that no
+    history holds: one to three levels, the last zero to two step sizes."""
+    for name, word, lo, hi in (("step", step, 0, math.inf), ("level count", n_levels, 1, 3),
+                               ("recent-step count", n_dts, 0, 2)):
+        if not lo <= word <= hi:
+            raise SnapshotError(f"{where}: {name} {word} in the snapshot header, "
+                                f"expected {lo} to {hi}")
+
+
 def _check_words(where: str, hist, sig) -> None:
     """Refuse a non-finite float word or array, a negative t or dt_work and a
     recent step that is not positive; dt_work 0 means no step is chosen yet."""
@@ -269,6 +279,7 @@ def snapshot_write(hist, problem, path) -> None:
     """
     path = Path(path)
     *words, method, preset = _signature(problem)
+    _check_counts(str(path), hist.step, len(hist.fs), len(hist.dts))
     _check_words(str(path), hist, words)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
@@ -291,9 +302,10 @@ def snapshot_write(hist, problem, path) -> None:
 def snapshot_parse(path):
     """(version, dimensionality, signature, history) stored in a snapshot
     file; the signature has the nine grid words of a version 1 file, all of
-    ``_SIGNATURE_NAMES`` from version 2 on.  Each level's factor shapes are
-    checked against each other and against the signature's grid words, then
-    every float word and array is checked by ``_check_words``."""
+    ``_SIGNATURE_NAMES`` from version 2 on.  The header's counts are checked
+    (``_check_counts``) before they size a read, each level's factor shapes
+    against each other and against the signature's grid words, then every
+    float word and array by ``_check_words``."""
     from .driver import History  # deferred: avoids a module import cycle
 
     path = Path(path)
@@ -306,6 +318,7 @@ def snapshot_parse(path):
                 f"{path}: snapshot version {version}, expected 1 or {SNAPSHOT_VERSION}")
         if dim not in _KINETIC:
             raise SnapshotError(f"{path}: unknown snapshot dimensionality {dim}")
+        _check_counts(str(path), step, n_levels, n_dts)
         t, dt_work, *dts = _read_words(fh, "d", 2 + n_dts)
         sig = _read_words(fh, "d", 9 if version == 1 else 11)
         if version > 1:

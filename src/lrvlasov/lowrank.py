@@ -2,16 +2,15 @@
 
 A distribution on an Nx x Nv grid is stored as f = sum_l C_l Ux[:,l] o Uv[:,l].
 Sums concatenate factor blocks exactly.  Every truncation, recompression
-included, is one randomized range finder (Halko, Martinsson & Tropp, SIAM Rev.
-2011) on the sum formed densely: at most 128 x 257 for the 1D presets, and
-cheaper to form than the stacked factors are to orthonormalize.  Its sketch
-starts at the largest block rank + 8 columns and doubles until the exact
-error of the returned matrix, the explicit residual of the sketch plus the
+included, runs ``_range_finder``, the sketch loop of both formats, on the sum
+formed densely: at most 128 x 257 for the 1D presets, and cheaper to form
+than the stacked factors are to orthonormalize.  It stops once the exact error
+of the returned matrix, the explicit residual of the sketch plus the
 discarded singular values, is within eps, so the bound holds whatever the
 draws; they can only cost rank.  The sum, its residual and the stacked
 velocity factors live in one workspace per grid that every call reuses, so a
-warm call faults in no page (``_Workspace``).  ``truncate_sum`` is
-the one entry point for a cut; given weights it scales the velocity factors by
+warm call faults in no page (``_Workspace``).  ``truncate_sum`` is the one
+entry point for a cut; given weights it scales the velocity factors by
 1/sqrt(w(v_j)) (point values, not quadrature weights), truncates, and scales
 back, so its error is controlled in the norm weighted by 1/w.
 """
@@ -123,6 +122,26 @@ def _test_matrix(n: int, p: int) -> np.ndarray:
     return rows[:p].T
 
 
+def _range_finder(apply, count, n: int, width: int, most: int):
+    """The adaptive randomized range finder (Halko, Martinsson & Tropp, SIAM
+    Rev. 2011) of every truncation but the hierarchical one at eps = 0.
+
+    Q = qr(apply(Omega)) for the first p = min(width, most) columns Omega of
+    the fixed n-row ``_test_matrix``; ``count(Q)`` returns the kept rank and
+    what else the caller needs.  The sketch doubles until it is
+    ``_SKETCH_MARGIN`` columns wider than the kept rank (without that margin
+    the frame sees only as far as the cut and the rank grows) or spans the
+    rank bound ``most``.  Returns (Q, kept rank, the rest of ``count(Q)``).
+    """
+    while True:
+        p = min(width, most)
+        q = np.linalg.qr(apply(_test_matrix(n, p)))[0]
+        keep, extras = count(q)
+        if p == most or p >= keep + _SKETCH_MARGIN:
+            return q, keep, extras
+        width *= 2
+
+
 class _Workspace:
     """The large arrays of one truncation on an nx x nv grid, reused by the next.
 
@@ -165,17 +184,16 @@ def _weight_root(w_points, *lengths: int):
 
 
 def _truncate(terms, eps: float, sqrt_w=None):
-    """The one truncation loop behind every public entry point.
+    """The one truncation behind every public entry point.
 
     S = sum_b (Ux_b C_b) Uv_b^T (velocity columns divided by ``sqrt_w``) is
-    formed densely and sketched with the fixed test matrix: Q = qr(S Omega),
+    formed densely and sketched by ``_range_finder``: Q = qr(S Omega),
     B = Q^T S, B = V s U^T from the SVD of B^T.  The error of keeping k
     singular triplets is exactly ||S - Q B||_F^2 + sum_{i>=k} s_i^2, the
     first term from the explicit residual, so no squared norm is subtracted.
-    The sketch starts at the largest block rank + 8 columns and doubles
-    until it is 8 columns wider than the kept rank or spans the rank bound
-    min(Nx, Nv, sum of ranks) of S.  eps = 0 starts at that bound and cuts at
-    ``DEFAULT_DROPTOL`` times the blocks' summed ``scale_bound``.
+    The rank bound of S is min(Nx, Nv, sum of ranks).  eps = 0 sketches at
+    that bound and cuts at ``DEFAULT_DROPTOL`` times the blocks' summed
+    ``scale_bound``.
 
     S, the residual and the stacked velocity factors are written with
     ``out=`` into the grid's ``_Workspace``; nothing returned aliases it.
@@ -194,18 +212,17 @@ def _truncate(terms, eps: float, sqrt_w=None):
     if eps == 0.0:
         eps = DEFAULT_DROPTOL * float(np.linalg.norm(x, axis=0) @ np.linalg.norm(v, axis=0))
         width = most
-    else:
+    else:  # both formats start at the largest block rank + the margin
         width = max(t.rank for t in terms) + _SKETCH_MARGIN
-    while True:
-        p = min(width, most)
-        q = np.linalg.qr(s_mat @ _test_matrix(s_mat.shape[1], p))[0]
+
+    def count(q):
         b = q.T @ s_mat
         u, s, vt = np.linalg.svd(b.T, full_matrices=False)
         resid = np.subtract(s_mat, np.matmul(q, b, out=ws.resid), out=ws.resid).ravel()
-        keep = keep_count(s, eps, float(resid @ resid))
-        if p == most or p >= keep + _SKETCH_MARGIN:
-            break
-        width *= 2
+        return keep_count(s, eps, float(resid @ resid)), (u, s, vt)
+
+    q, keep, (u, s, vt) = _range_finder(lambda omega: s_mat @ omega, count,
+                                        s_mat.shape[1], width, most)
     uv = u[:, :keep]
     return LowRankMatrix(s[:keep], q @ vt[:keep].T,
                          uv if sqrt_w is None else uv * sqrt_w[:, None])

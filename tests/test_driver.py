@@ -181,21 +181,21 @@ def test_conservative_truncation_takes_block_moments_once(monkeypatch):
     import lrvlasov.driver as driver
 
     calls, per_truncation = [], []
-    moments_2d, truncate = ht.ht_moments, driver._truncate
+    moments_2d, cut = ht.ht_moments, driver._cut
 
     def counting_moments(terms, *args, **kwargs):
         terms = list(terms)
         calls.append(len(terms))
         return moments_2d(terms, *args, **kwargs)
 
-    def counting_truncate(problem, blocks, u_new):
+    def counting_cut(problem, blocks, u_new):
         calls.clear()
-        out = truncate(problem, blocks, u_new)
+        out = cut(problem, blocks, u_new)
         per_truncation.append((list(calls), len(blocks)))
         return out
 
     monkeypatch.setattr(ht, "ht_moments", counting_moments)
-    monkeypatch.setattr(driver, "_truncate", counting_truncate)
+    monkeypatch.setattr(driver, "_cut", counting_cut)
     run(from_preset("weak_landau_2d2v", nx=8, nv=16, method="conservative", t_end=0.1))
     assert len(per_truncation) >= 4
     assert all(sizes == [blocks, 1] for sizes, blocks in per_truncation)

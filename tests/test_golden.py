@@ -14,6 +14,8 @@ Regenerate the files (only for an intended change of results) with
 
 which also rewrites ``data/weak_landau_1d_v1_step4.bin``, the version 1
 snapshot that ``test_io.py`` resumes bit for bit, from the current code.
+Before it overwrites a file it prints one line for it: unchanged, or how many
+rows changed rank and the largest relative change in each float column.
 """
 
 import csv
@@ -159,10 +161,38 @@ def test_golden_convergence_table():
     assert _convergence_table() == _read("convergence")
 
 
+def _change(stem: str, table) -> str:
+    """What regenerating ``stem`` with ``table`` changes, in one line."""
+    if not (GOLDEN / f"{stem}.csv").exists():
+        return f"{stem}.csv: new"
+    old = _read(stem)
+    if old == table:
+        return f"{stem}.csv: unchanged"
+    header, rows, old_rows = table[0], table[1:], old[1:]
+    exact = [i for i, name in enumerate(header) if name == "n" or name.startswith("rank")]
+    moved = sum(any(a[i] != b[i] for i in exact) for a, b in zip(rows, old_rows))
+    parts = [f"{moved} of {len(rows)} rows changed rank"]
+    if len(rows) != len(old_rows):
+        parts.append(f"rows {len(old_rows)} -> {len(rows)}")
+    for i, name in enumerate(header):
+        if i in exact:
+            continue
+        pairs = [(float(a[i]), float(b[i])) for a, b in zip(rows, old_rows)]
+        rel = max((abs(a - b) / abs(b) if b else (0.0 if a == b else float("inf"))
+                   for a, b in pairs), default=0.0)
+        parts.append(f"{name} {rel:.2g}")
+    return f"{stem}.csv: " + ", ".join(parts)
+
+
+def _regenerate(stem: str, table) -> None:
+    print(_change(stem, table))
+    _write(stem, table)
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     with one_blas_thread():
         for name in RUNS:
-            _write(name, _table(_run(name)))
-        _write("convergence", _convergence_table())
+            _regenerate(name, _table(_run(name)))
+        _regenerate("convergence", _convergence_table())
         write_v1_snapshot(Path(__file__).parent / "data" / "weak_landau_1d_v1_step4.bin")

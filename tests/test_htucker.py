@@ -337,6 +337,10 @@ def test_truncate_sum_randomized_meets_eps_against_dense(seed, kind, weighted, l
               out.Bvv.reshape(r1 * r2, rv))
     for frame in frames:
         assert np.allclose(frame.T @ frame, np.eye(frame.shape[1]), rtol=0, atol=1e-12)
+    # the same bits on a repeat, also after a truncation of another leaf size
+    # and a wider sketch of this one
+    ht_truncate_sum(_step_like_sum(rng, "full", (nv[0] + 1, nv[1] + 2)), 1e-9)
+    ht_truncate_sum(blocks, 1e-6 * bound)
     again = rounded()
     assert again.ranks == out.ranks
     for name in ("Ux", "B", "Bvv", "Uv1", "Uv2"):

@@ -9,12 +9,12 @@ defined once and imported by the other, so the copies cannot drift apart.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "lrvlasov"
-# private names that two modules define for unrelated things:
-# driver's method policy for a step's truncation and lowrank's sketch loop
-UNRELATED = {"_truncate": {"driver.py", "lowrank.py"}}
 
 
 def unused_imports(path: Path) -> list[str]:
@@ -61,4 +61,25 @@ def test_no_private_name_defined_twice():
         for name in private_definitions(p):
             where.setdefault(name, set()).add(p.name)
     twice = {n: files for n, files in where.items() if len(files) > 1}
-    assert twice == UNRELATED
+    assert twice == {}
+
+
+_RUN_BOTH_FORMATS = """
+import sys
+from lrvlasov.config import from_preset
+from lrvlasov.driver import run
+
+run(from_preset("weak_landau_1d", nx=16, nv=33, t_end=0.05))
+run(from_preset("weak_landau_2d2v", nx=8, nv=16, t_end=0.05))
+print(sorted(m for m in sys.modules if m.startswith("numpy.random")))
+"""
+
+
+def test_runs_in_both_formats_leave_numpy_random_unimported():
+    # both formats sketch with lowrank's standard-library test matrix, so no
+    # run pays numpy.random's import (about 20 ms)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", _RUN_BOTH_FORMATS], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip().splitlines()[-1] == "[]"

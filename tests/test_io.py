@@ -541,6 +541,54 @@ def test_snapshot_bad_text_length(tmp_path, length):
         snapshot_read(path, problem)
 
 
+_COUNT_GRIDS = {"weak_landau_1d": ["--set", "grid.nx=16", "--set", "grid.nv=33"],
+                "weak_landau_2d2v": ["--set", "grid.nx=8", "--set", "grid.nv=16"]}
+
+
+@pytest.fixture(scope="module")
+def count_snapshots(tmp_path_factory):
+    """A plain snapshot of three levels in each format, written by the CLI."""
+    from lrvlasov.cli import main
+
+    snaps = {}
+    for preset, grid in _COUNT_GRIDS.items():
+        out = tmp_path_factory.mktemp(preset)
+        assert main(["run", "--preset", preset, *grid, "--set", "method.variant=plain",
+                     "--set", "method.t_end=0.05", "--snapshot-every", "2",
+                     "--out", str(out)]) == 0
+        snaps[preset] = sorted(out.glob("snapshot_*.bin"))[-1].read_bytes()
+    return snaps
+
+
+@pytest.mark.parametrize("preset", sorted(_COUNT_GRIDS))
+@pytest.mark.parametrize("word,value", [("step", -5), ("level count", 0),
+                                        ("level count", -1), ("recent-step count", -1),
+                                        ("recent-step count", 10**12)])
+def test_snapshot_header_count_out_of_range_one_line(tmp_path, capsys, count_snapshots,
+                                                     preset, word, value):
+    # step, level count and recent-step count follow the magic, version and
+    # dimensionality words; each is checked before it sizes a read
+    import struct
+
+    from lrvlasov.cli import main
+
+    raw = bytearray(count_snapshots[preset])
+    at = {"step": 3, "level count": 4, "recent-step count": 5}[word]
+    struct.pack_into("<q", raw, 8 * at, value)
+    snap = tmp_path / "s.bin"
+    snap.write_bytes(bytes(raw))
+    capsys.readouterr()
+    grid = [*_COUNT_GRIDS[preset], "--set", "method.variant=plain", "--set", "method.t_end=0.1"]
+    for argv in (["run", "--preset", preset, *grid, "--resume", str(snap),
+                  "--out", str(tmp_path / "resumed")], ["inspect", str(snap)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert f"{word} {value} in the snapshot header" in lines[0]
+        assert "Traceback" not in err
+
+
 def test_snapshot_write_is_atomic(tmp_path, monkeypatch):
     import lrvlasov.io as io_mod
 

@@ -13,6 +13,7 @@ import lrvlasov
 from lrvlasov import lowrank
 from lrvlasov.errors import DimensionError, DomainError
 from lrvlasov.grids import GaussianWeight, make_velocity_grid
+from lrvlasov.htucker import HtTensor, ht_add, ht_truncate_sum
 from lrvlasov.lowrank import (LowRankMatrix, add, recompress, scale, scale_bound, truncate_sum,
                               zero)
 
@@ -305,12 +306,21 @@ def test_truncate_sum_meets_eps_against_dense(kind, seed, log_eps):
 # ---------------------------------------------------------------------------
 # the truncation's workspace and first sketch width
 
-def test_first_sketch_is_largest_block_rank_plus_margin(rng, monkeypatch):
+@pytest.mark.parametrize("dim", [1, 2])
+def test_first_sketch_is_largest_block_rank_plus_margin(rng, monkeypatch, dim):
+    # both formats run lowrank's one sketch loop
     widths = []
     draw = lowrank._test_matrix
     monkeypatch.setattr(lowrank, "_test_matrix", lambda n, p: widths.append(p) or draw(n, p))
-    terms = [random_lowrank(rng, nx=40, nv=50, rank=r) for r in (3, 7, 5, 6, 4)]
-    truncate_sum(terms, 1e-3 * np.linalg.norm(add(*terms).dense()))
+    ranks = (3, 7, 5, 6, 4)
+    if dim == 1:
+        terms = [random_lowrank(rng, nx=40, nv=50, rank=r) for r in ranks]
+        truncate_sum(terms, 1e-3 * np.linalg.norm(add(*terms).dense()))
+    else:
+        terms = [HtTensor(*(rng.standard_normal(shape) for shape in
+                            ((64, r), (r, r), (r, r, r), (16, r), (16, r))), (8, 8))
+                 for r in ranks]
+        ht_truncate_sum(terms, 1e-3 * np.linalg.norm(ht_add(*terms).dense()))
     # 15 of the 25 columns the sum can span
     assert widths[0] == 7 + lowrank._SKETCH_MARGIN == 15
 
