@@ -32,12 +32,14 @@ Moments share the macroscopic state's layout, with kappa in the last row
 where the state holds e = kappa + |E|^2 / 2.  ``History`` keeps the moments
 and field of its newest level, so the CFL bound, the step and the diagnostics
 share one field solve per level.  A non-finite macroscopic state or a failed
-factorization stops the step with ``NonFiniteError``.  A resumed run takes
-its history from ``io.snapshot_read`` and builds no initial state.
+factorization stops the step with ``NonFiniteError``, as does a level whose
+moments are not finite or overflow in their sum or field energy.  A resumed
+run takes its history from ``io.snapshot_read`` and builds no initial state.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field as dataclass_field
 from typing import NamedTuple
@@ -111,16 +113,24 @@ class History:
     def newest(self, problem: Problem):
         """Moments and field of the newest stored level, solved once per level.
 
-        Non-finite moments stop the run here, at the step that produced them.
+        Moments that are not finite, or whose sum or field energy overflows,
+        stop the run here, at the step that produced them.
         """
         f = self.fs[-1]
         if not self.cache or self.cache[0] is not f:
             m = problem.moments(f)
-            if not np.isfinite(m).all():
+            finite = np.isfinite(m).all()
+            field = _field_of(problem, m[0]) if finite else None
+            # finite moments can still overflow in their sum or field energy
+            if not (finite and math.isfinite(float(m.sum()) + field_energy(field, problem.sgrid))):
                 raise NonFiniteError(f"non-finite moments at step {self.step} "
                                      f"(t={self.t:.6g})")
-            self.cache = (f, m, _field_of(problem, m[0]))
+            self.cache = (f, m, field)
         return self.cache[1], self.cache[2]
+
+    def checked(self) -> bool:
+        """Whether ``newest`` has accepted the newest level."""
+        return bool(self.cache) and self.cache[0] is self.fs[-1]
 
 
 def setup(cfg: SolverConfig) -> Problem:
@@ -269,8 +279,11 @@ def run(cfg: SolverConfig, snapshot_every: int = 0, snapshot_dir=None,
     """Advance to t_end, returning diagnostics at the configured cadence.
 
     ``on_row(row)`` sees each row as it is recorded, even if the run fails.
-    A step that overflows the rank cap leaves the last good history in
-    ``snapshot_dir``, which resumes under a larger ``rank_cap``."""
+    A step that overflows the rank cap, or stops on a non-finite macroscopic
+    state or a failed factorization, leaves the last good history in
+    ``snapshot_dir`` and names it in its error; after a rank overflow that
+    history resumes under a larger ``rank_cap``.  Non-finite moments, which
+    ``History.newest`` finds in a level already pushed, leave no snapshot."""
     if snapshot_every < 0:
         raise ConfigError(f"snapshot_every must be >= 0, got {snapshot_every}")
     if resume is None:
@@ -300,11 +313,12 @@ def run(cfg: SolverConfig, snapshot_every: int = 0, snapshot_dir=None,
                 record()
             if snapshot_every and hist.step % snapshot_every == 0 and snapshot_dir is not None:
                 snapshot()
-    except RankOverflowError as err:
-        # raised before the push, so hist still holds the last good step
-        if snapshot_dir is None:
+    except (RankOverflowError, NonFiniteError) as err:
+        # advance raises before the push, so hist still holds the last good
+        # step; History.newest raises after it, on a level that is not good
+        if snapshot_dir is None or not hist.checked():
             raise
-        raise RankOverflowError(f"{err}; the last good state is in {snapshot()}") from None
+        raise type(err)(f"{err}; the last good state is in {snapshot()}") from None
     if not series or series[-1].t < hist.t - _tiny(cfg):
         record()
     return series

@@ -26,6 +26,10 @@ and takes the root spectrum exactly from Householder QRs and one small SVD;
 only there does a floor of 1e-14 times the blocks' summed magnitude bounds
 drop numerically zero directions.  Physical space is never compressed below
 the stored spatial frame: its rank only changes through the root separation.
+The large per-call arrays (the stacked spatial products, the pair Gram, their
+Hadamard product and the pair unfold's block-by-block sum) come from the
+grid's ``lowrank._workspace``, which the 1D truncation also draws on, so a
+warm truncation faults in no fresh page; nothing returned aliases it.
 
 Moments and KFVS fluxes are separable velocity-pair functionals, taken for
 all blocks of a sum in one batched contraction (``_pair_fields``): one matrix
@@ -52,7 +56,7 @@ import numpy as np
 from .errors import DimensionError, DomainError
 from .grids import VelocityGrid
 from .lowrank import (DEFAULT_DROPTOL, _SKETCH_MARGIN, _check_shapes, _range_finder,
-                      _weight_root, keep_count)
+                      _weight_root, _workspace, keep_count)
 from .projection import MomentBasis
 
 
@@ -207,11 +211,13 @@ class _PairUnfold(_Runs):
     the term's blocks of the stacked leaf R factors, so the matrix has
     n1 * n2 rows (the velocity pair in the q1 o q2 basis) and one column per
     term and root index.  The Gram and the sketch take a few matrix products
-    per term and run of terms sharing one Bvv, not per pair of terms.
+    per term and run of terms sharing one Bvv, not per pair of terms.  The
+    Gram and the unfold are written into the grid's workspace ``ws``.
     """
 
     def __init__(self, terms):
         super().__init__(terms)
+        self.ws = _workspace(*terms[0].shape)
         self.q1, self.r1 = np.linalg.qr(np.hstack([t.Uv1 for t in self.terms]))
         self.q2, self.r2 = np.linalg.qr(np.hstack([t.Uv2 for t in self.terms]))
 
@@ -226,7 +232,7 @@ class _PairUnfold(_Runs):
         triangle follows by symmetry.
         """
         n = self.ov[-1]
-        gv = np.empty((n, n))
+        gv = self.ws.take("gv", n, n)
         for s, ts in enumerate(self.terms):
             a, b, k = ts.Bvv.shape
             r1s, r2s = self._leaves(s)
@@ -256,14 +262,18 @@ class _PairUnfold(_Runs):
         return self.khatri_rao(self.r1.T @ omega1, self.r2.T @ omega2)
 
     def matmul(self, w: np.ndarray) -> np.ndarray:
-        """mat w as an (n1, n2, k) core."""
-        core = 0.0
+        """mat w as an (n1, n2, k) core, summed block by block in place."""
+        shape = (self.r1.shape[0], self.r2.shape[0], w.shape[1])
+        core, part = self.ws.take("core", *shape), self.ws.take("core_part", *shape)
         for s, ts in enumerate(self.terms):
             a, b, _ = ts.Bvv.shape
             r1s, r2s = self._leaves(s)
             x = (ts.Bvv.reshape(a * b, -1) @ w[self.ov[s]:self.ov[s + 1]]).reshape(a, -1)
             x = (r1s @ x).reshape(-1, b, w.shape[1])
-            core = core + np.matmul(r2s, x)
+            if s == 0:
+                np.matmul(r2s, x, out=core)
+            else:
+                np.add(core, np.matmul(r2s, x, out=part), out=core)
         return core
 
 
@@ -311,7 +321,10 @@ def ht_truncate_sum(terms, eps: float, w_points=None) -> HtTensor:
     if not terms:
         return ht_zero(nx, nv1, nv2)
     pair = _PairUnfold(terms)
-    xb = np.hstack([t.Ux @ t.B for t in pair.terms])
+    ws = pair.ws
+    xb = ws.take("xb", nx[0] * nx[1], pair.ov[-1])
+    for s, t in enumerate(pair.terms):
+        np.matmul(t.Ux, t.B, out=xb[:, pair.ov[s]:pair.ov[s + 1]])
     n1, n2 = pair.q1.shape[1], pair.q2.shape[1]
 
     if eps == 0.0:
@@ -329,7 +342,8 @@ def ht_truncate_sum(terms, eps: float, w_points=None) -> HtTensor:
 
     tol = eps / np.sqrt(3.0)
     gv = pair.gram()
-    products = (xb.T @ xb) * gv
+    products = np.matmul(xb.T, xb, out=ws.take("products", *gv.shape))
+    np.multiply(products, gv, out=products)
     norm2 = float(products.sum())
     # blocks that cancel leave ||M||^2 far below the products it sums, whose
     # round-off sets the finest tail the Grams can tell from zero

@@ -9,7 +9,9 @@ of the returned matrix, the explicit residual of the sketch plus the
 discarded singular values, is within eps, so the bound holds whatever the
 draws; they can only cost rank.  The sum, its residual and the stacked
 velocity factors live in one workspace per grid that every call reuses, so a
-warm call faults in no page (``_Workspace``).  ``truncate_sum`` is the one
+warm call faults in no page (``_Workspace``); the 2D truncation in
+``htucker`` takes its large arrays from the same workspace, and nothing
+either returns aliases it.  ``truncate_sum`` is the one
 entry point for a cut; given weights it scales the velocity factors by
 1/sqrt(w(v_j)) (point values, not quadrature weights), truncates, and scales
 back, so its error is controlled in the norm weighted by 1/w.
@@ -18,6 +20,7 @@ back, so its error is controlled in the norm weighted by 1/w.
 from __future__ import annotations
 
 import functools
+import math
 import random
 from dataclasses import dataclass, replace
 
@@ -143,31 +146,36 @@ def _range_finder(apply, count, n: int, width: int, most: int):
 
 
 class _Workspace:
-    """The large arrays of one truncation on an nx x nv grid, reused by the next.
+    """The large arrays of one grid's truncations, reused by the next call.
 
-    Fresh arrays of 128 x 257 are above glibc's trim threshold: freeing them
+    Both formats draw on it: ``_truncate`` for the 1D sum, its residual and
+    the stacked velocity factors, ``htucker`` for the stacked spatial product,
+    the pair Gram, their Hadamard product and the pair unfold's scratch.
+    Fresh arrays of that size lie above glibc's trim threshold: freeing them
     returns the heap top to the kernel, and the next call faults every page
-    back in (about 160 minor faults per strong_landau_1d step when each call
-    allocated its own).  Reused, they touch no fresh page once warm.  Every call overwrites what it reads, so
-    no result depends on an earlier call.  The velocity stack grows to the
-    widest stack seen and is used as a contiguous prefix.
+    back in (about 160 minor faults per strong_landau_1d step, 300 per
+    weak_landau_2d2v step, when each call allocated its own).  Reused, they
+    touch no fresh page once warm.  Each named buffer grows to the largest
+    size asked for and is handed out as a contiguous prefix.  Every call
+    overwrites what it reads, so no result depends on an earlier call, and
+    nothing a truncation returns aliases a buffer.
     """
 
-    def __init__(self, nx: int, nv: int):
-        self.nv = nv
-        self.s_mat = np.empty((nx, nv))
-        self.resid = np.empty((nx, nv))
-        self._stack = np.empty(0)
+    def __init__(self):
+        self._buffers: dict[str, np.ndarray] = {}
 
-    def stack(self, width: int) -> np.ndarray:
-        if self._stack.size < self.nv * width:
-            self._stack = np.empty(self.nv * width)
-        return self._stack[:self.nv * width].reshape(self.nv, width)
+    def take(self, name: str, *shape: int) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < size:
+            buf = self._buffers[name] = np.empty(size)
+        return buf[:size].reshape(shape)
 
 
 @functools.lru_cache(maxsize=4)  # the latest grids keep theirs, so the memory is bounded
-def _workspace(nx: int, nv: int) -> _Workspace:
-    return _Workspace(nx, nv)
+def _workspace(*shape: int) -> _Workspace:
+    """The workspace of the grid whose tensors have this ``shape``."""
+    return _Workspace()
 
 
 def _weight_root(w_points, *lengths: int):
@@ -204,22 +212,23 @@ def _truncate(terms, eps: float, sqrt_w=None):
         return zero(nx, nv)
     ws = _workspace(nx, nv)
     x = np.hstack([t.Ux * t.C for t in terms])
-    v = np.concatenate([t.Uv for t in terms], axis=1, out=ws.stack(x.shape[1]))
+    v = np.concatenate([t.Uv for t in terms], axis=1, out=ws.take("stack", nv, x.shape[1]))
     if sqrt_w is not None:
         np.divide(v, sqrt_w[:, None], out=v)
-    s_mat = np.matmul(x, v.T, out=ws.s_mat)
+    s_mat = np.matmul(x, v.T, out=ws.take("s_mat", nx, nv))
     most = min(s_mat.shape[0], s_mat.shape[1], x.shape[1])
     if eps == 0.0:
         eps = DEFAULT_DROPTOL * float(np.linalg.norm(x, axis=0) @ np.linalg.norm(v, axis=0))
         width = most
     else:  # both formats start at the largest block rank + the margin
         width = max(t.rank for t in terms) + _SKETCH_MARGIN
+    resid = ws.take("resid", nx, nv)
 
     def count(q):
         b = q.T @ s_mat
         u, s, vt = np.linalg.svd(b.T, full_matrices=False)
-        resid = np.subtract(s_mat, np.matmul(q, b, out=ws.resid), out=ws.resid).ravel()
-        return keep_count(s, eps, float(resid @ resid)), (u, s, vt)
+        tail = np.subtract(s_mat, np.matmul(q, b, out=resid), out=resid).ravel()
+        return keep_count(s, eps, float(tail @ tail)), (u, s, vt)
 
     q, keep, (u, s, vt) = _range_finder(lambda omega: s_mat @ omega, count,
                                         s_mat.shape[1], width, most)

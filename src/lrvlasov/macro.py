@@ -2,16 +2,16 @@
 
 The conserved unknowns are one stacked ``(2 + d, *n)`` array ``u`` with rows
 rho, J_1 .. J_d, e on the d-dimensional spatial grid; the split fluxes, the
-rates and the kinetic moments (kappa in place of e) share that layout.  Split fluxes are velocity moments of the
-kinetic solution against sign-split monomials v+ = max(v, 0),
-v- = min(v, 0), one ``(plus, minus)`` pair per spatial axis; only their
-contraction with the factored solution is written once per format
-(``kfvs_fluxes_1d``, ``kfvs_fluxes_2d``); in 2D all sixteen split fluxes
-are one batched pair contraction in ``htucker``.  Interfaces are
+rates and the kinetic moments (kappa in place of e) share that layout.  Split
+fluxes are velocity moments of the kinetic solution against sign-split
+monomials v+ = max(v, 0), v- = min(v, 0), one ``(plus, minus)`` pair per
+spatial axis; only their contraction with the factored solution is written
+once per format (``kfvs_fluxes_1d``, ``kfvs_fluxes_2d``); in 2D all sixteen
+split fluxes are one batched pair contraction in ``htucker``.  Interfaces are
 reconstructed with the same fifth-order upwind stencils as the kinetic
-transport, so the two discretizations agree flux-by-flux.  ``rate`` gives -div F + S for any number
-of axes, keeping the totals exact up to source terms, and ``combine`` applies
-any time-stepping rule's weights to it.
+transport, so the two discretizations agree flux-by-flux.  ``rate`` gives
+-div F + S for any number of axes, keeping the totals exact up to source
+terms, and ``combine`` applies any time-stepping rule's weights to it.
 """
 
 from __future__ import annotations

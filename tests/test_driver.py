@@ -426,6 +426,52 @@ def test_non_finite_macro_state_stops_the_step(monkeypatch, preset, grid):
         run(from_preset(preset, t_end=0.1, **grid))
 
 
+@pytest.mark.parametrize("preset,grid", [("weak_landau_1d", {"nx": 16, "nv": 33}),
+                                         ("weak_landau_2d2v", {"nx": 8, "nv": 16})])
+def test_non_finite_macro_state_leaves_a_snapshot_that_resumes(monkeypatch, tmp_path, preset,
+                                                               grid):
+    cfg = from_preset(preset, t_end=0.2, output_every=1, **grid)
+    full = run(cfg)
+    # a NaN rate from t_k on stops multistep step k before its push
+    k = len(full) - 2
+    real_rate = macro.rate
+
+    def poisoned(u, *args):
+        rate = real_rate(u, *args)
+        return rate * np.nan if args[-1] >= full[k].t else rate
+
+    monkeypatch.setattr(macro, "rate", poisoned)
+    with pytest.raises(NonFiniteError, match="the last good state is in") as err:
+        run(cfg, snapshot_dir=str(tmp_path))
+    path = tmp_path / f"snapshot_{k:06d}.bin"
+    assert f"macroscopic state at step {k} (t=" in str(err.value)
+    assert str(path) in str(err.value) and sorted(tmp_path.iterdir()) == [path]
+    monkeypatch.undo()
+    resumed = run(cfg, resume=str(path))
+    assert len(resumed) == len(full) - k
+    for a, b in zip(resumed, full[k:]):
+        assert (a.t, a.ranks, a.mass, a.momentum, a.energy, a.efield_energy) == (
+            b.t, b.ranks, b.mass, b.momentum, b.energy, b.efield_energy)
+
+
+def test_non_finite_moments_leave_no_snapshot(monkeypatch, tmp_path):
+    # newest finds them in a level already pushed, which is not a good state
+    import lrvlasov.driver as driver
+
+    real_step = driver.step
+
+    def poisoned(problem, hist, dt):
+        f, u = real_step(problem, hist, dt)
+        if hist.step == 2:
+            f = LowRankMatrix(f.C * np.nan, f.Ux, f.Uv)
+        return f, u
+
+    monkeypatch.setattr(driver, "step", poisoned)
+    with pytest.raises(NonFiniteError, match=r"non-finite moments at step 3 \(t=[\d.]+\)$"):
+        run(from_preset("weak_landau_1d", nx=16, nv=33, t_end=1.0), snapshot_dir=str(tmp_path))
+    assert not list(tmp_path.iterdir())
+
+
 def test_linalg_error_in_a_step_is_typed(monkeypatch):
     problem, hist = initialize(from_preset("weak_landau_1d", nx=16, nv=33, method="plain"))
 

@@ -412,3 +412,24 @@ def test_truncate_sum_floor_only_at_eps_zero(rng, monkeypatch):
     assert calls == []
     ht_truncate_sum(terms, 0.0)
     assert len(calls) == len(terms)
+
+
+def test_truncate_sum_result_does_not_alias_the_workspace(rng):
+    grids = [(NX, NV), ((4, 6), 10)]
+    weights = {nv: make_velocity_grid(nv, 6.0).w_points for _, nv in grids}
+    cases = [(nx, nv, eps, w) for nx, nv in grids for eps in (0.0, 1e-3)
+             for w in (None, weights[nv])]
+
+    def truncate_all(ranks):
+        return [ht_truncate_sum([random_ht(rng, r, nx, (nv, nv)) for r in ranks], eps, w)
+                for nx, nv, eps, w in cases]
+
+    def saved(fs):
+        return [[getattr(f, k).tobytes() for k in ("Ux", "B", "Bvv", "Uv1", "Uv2")] for f in fs]
+
+    kept = truncate_all((2, 3))
+    before = saved(kept)
+    # later calls on the same grids, narrower and wider sums
+    for ranks in ((1,), (4, 5, 3), (2, 2)):
+        truncate_all(ranks)
+    assert saved(kept) == before

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from lrvlasov.config import (_SCHEMA, METHODS, SolverConfig, from_preset, load_config,
                              parse_overrides)
 from lrvlasov.driver import initialize, run
-from lrvlasov.errors import ConfigError, DomainError, SnapshotError
+from lrvlasov.errors import ConfigError, DomainError, NonFiniteError, SnapshotError
 from lrvlasov.htucker import HtTensor
 from lrvlasov.io import (DiagnosticsRow, append_row, read_diagnostics, snapshot_read,
                          snapshot_write)
@@ -1009,6 +1009,97 @@ def test_cli_resume_of_overflowing_factor_one_line(step3_snapshots, tmp_path, ca
     # the run stops with a typed error naming the step
     line = _resume_corrupted(step3_snapshots, preset, word, 1e300, tmp_path, capsys)
     assert "at step 3 (t=" in line
+
+
+_FUZZ_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 0.5, 3.0, 1e300, -1e300,
+                1e-300, 5e-324, 2.0**62]
+
+
+def _corrupt(raw: bytearray, data) -> bytearray:
+    """Byte flips, a truncation or one float word overwritten, as drawn."""
+    import struct
+
+    kind = data.draw(st.sampled_from(["flip", "truncate", "float"]), label="kind")
+    if kind == "truncate":
+        return raw[:data.draw(st.integers(0, len(raw) - 1), label="length")]
+    if kind == "float":
+        at = _snapshot_offsets(raw)
+        word = data.draw(st.sampled_from(sorted(at)), label="word")
+        struct.pack_into("<d", raw, at[word], data.draw(st.sampled_from(_FUZZ_FLOATS)))
+        return raw
+    for _ in range(data.draw(st.integers(1, 3), label="flips")):
+        # half of the flips land in the first 512 bytes: the header and the
+        # first level's words, where the parser's branches are
+        pos = data.draw(st.one_of(st.integers(0, 511), st.integers(0, len(raw) - 1)))
+        raw[pos] ^= 1 << data.draw(st.integers(0, 7))
+    return raw
+
+
+def _resume_two_steps(path, preset: str) -> None:
+    """Resume ``path`` and take two steps under the ratcheted CFL step, as
+    ``driver._march`` does but whatever t is; the diagnostics must be finite."""
+    from lrvlasov.driver import advance, diagnostics_row, select_dt, setup
+
+    nx, nv, _ = STEP3_RUNS[preset]
+    problem = setup(from_preset(preset, nx=nx, nv=nv))
+    hist = snapshot_read(path, problem)
+    cfl = problem.cfg.cfl
+    if hist.dt_work == 0.0:
+        hist.dt_work = select_dt(problem, hist.newest(problem)[1], cfl)
+    for _ in range(2):
+        hist.dt_work = min(hist.dt_work, select_dt(problem, hist.newest(problem)[1], cfl))
+        advance(problem, hist, hist.dt_work)
+    row = diagnostics_row(problem, hist, 0.0)
+    assert np.isfinite([row.t, row.mass, *row.momentum, row.energy, row.efield_energy]).all()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("word,value", [("level 1 array C", -1e300),
+                                        ("level 1 macro row 2", 1e300)])
+def test_resumed_huge_level_stops_where_its_field_energy_overflows(step3_snapshots, tmp_path,
+                                                                   word, value):
+    # the words are finite, and so are the moments of the step they enter;
+    # its field energy overflows, and the run stops there
+    import struct
+
+    raw = bytearray(step3_snapshots["weak_landau_1d"])
+    struct.pack_into("<d", raw, _snapshot_offsets(raw)[word], value)
+    snap = tmp_path / "huge.bin"
+    snap.write_bytes(bytes(raw))
+    with pytest.raises(NonFiniteError, match=r"non-finite moments at step [45] \(t="):
+        _resume_two_steps(snap, "weak_landau_1d")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=100)
+@given(st.sampled_from(sorted(STEP3_RUNS)), st.data())
+def test_corrupted_snapshot_resumes_or_fails_typed(step3_snapshots, preset, data):
+    # a corrupted snapshot either resumes and steps to finite diagnostics or
+    # ends in a solver error, which the CLI, recording every step, prints as
+    # one line; a resume that steps is not run on to t_end, since a huge
+    # finite field can make its CFL step arbitrarily small
+    from lrvlasov.cli import main
+    from lrvlasov.errors import LrvlasovError
+
+    raw = _corrupt(bytearray(step3_snapshots[preset]), data)
+    nx, nv, t_end = STEP3_RUNS[preset]
+    with tempfile.TemporaryDirectory() as tmp:
+        snap = Path(tmp) / "fuzz.bin"
+        snap.write_bytes(bytes(raw))
+        argvs = [["inspect", str(snap)]]
+        try:
+            _resume_two_steps(snap, preset)
+        except LrvlasovError:
+            argvs.append(["run", "--preset", preset, "--set", f"grid.nx={nx}",
+                          "--set", f"grid.nv={nv}", "--set", f"method.t_end={2 * t_end}",
+                          "--set", "output.every=1", "--resume", str(snap), "--out", tmp])
+        for argv in argvs:
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                rc = main(argv)
+            lines = err.getvalue().strip().splitlines()
+            assert rc == 0 or (rc == 2 and len(lines) == 1 and lines[0].startswith("error: ")), \
+                (argv[0], rc, lines)
 
 
 @pytest.mark.parametrize("corrupt,message", [

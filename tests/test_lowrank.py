@@ -344,28 +344,48 @@ import json, resource, sys
 from lrvlasov import driver
 from lrvlasov.config import from_preset
 
-problem, hist = driver.initialize(from_preset("strong_landau_1d", method=sys.argv[1], t_end=0.5))
-steps = driver._march(problem, hist)
-next(steps)  # the first step sizes the workspace and draws the test matrix
-before, first = resource.getrusage(resource.RUSAGE_SELF), hist.step
-for _ in steps:
-    pass
+preset, overrides, runs = json.loads(sys.argv[1])
+for _ in range(runs):  # all but the last run warm the process
+    problem, hist = driver.initialize(from_preset(preset, **overrides))
+    steps = driver._march(problem, hist)
+    next(steps)  # the first step sizes the workspace and draws the test matrix
+    before, first = resource.getrusage(resource.RUSAGE_SELF), hist.step
+    for _ in steps:
+        pass
 after = resource.getrusage(resource.RUSAGE_SELF)
 print(json.dumps({"steps": hist.step - first, "minflt": after.ru_minflt - before.ru_minflt}))
 """
 
 
+def _faults_per_step(preset: str, overrides: dict, runs: int = 1) -> dict:
+    # one BLAS thread, as the benchmark runs, since a second thread's arena
+    # keeps the heap top from being trimmed and hides the faults
+    src = str(Path(lrvlasov.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path,
+           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    out = subprocess.run([sys.executable, "-c", _FAULTS_PER_STEP,
+                          json.dumps([preset, overrides, runs])], env=env,
+                         capture_output=True, text=True, check=True)
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="counts glibc heap trims as minor faults")
 @pytest.mark.parametrize("method", ["plain", "macro"])
 def test_warm_1d_steps_fault_in_no_fresh_pages(method):
-    # fresh 128 x 257 temporaries per truncation cost about 160 minor faults a
-    # step; one BLAS thread, as the benchmark runs, since a second thread's
-    # arena keeps the heap top from being trimmed and hides the faults
-    src = str(Path(lrvlasov.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
-           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-    out = subprocess.run([sys.executable, "-c", _FAULTS_PER_STEP, method], env=env,
-                         capture_output=True, text=True, check=True)
-    counts = json.loads(out.stdout.strip().splitlines()[-1])
+    # fresh 128 x 257 temporaries per truncation cost about 160 minor faults a step
+    counts = _faults_per_step("strong_landau_1d", {"method": method, "t_end": 0.5})
     assert counts["steps"] > 100
+    assert counts["minflt"] < 10 * counts["steps"]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="counts glibc heap trims as minor faults")
+@pytest.mark.parametrize("grid", [{"t_end": 1.0}, {"nx": 32, "nv": 64, "t_end": 0.5}],
+                         ids=["preset", "32x64"])
+def test_warm_2d_steps_fault_in_no_fresh_pages(grid):
+    # fresh per-call arrays in htucker cost about 250 minor faults a step; the
+    # 2D workspace grows with the ranks over a run's first ~100 steps, so a
+    # first run of the same grid warms the process and the second is counted
+    counts = _faults_per_step("weak_landau_2d2v", grid, runs=2)
+    assert counts["steps"] > 40
     assert counts["minflt"] < 10 * counts["steps"]
