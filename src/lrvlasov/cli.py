@@ -6,6 +6,8 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .config import load_config
 from .errors import ConfigError, LrvlasovError
 
@@ -121,8 +123,6 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_inspect(args) -> int:
-    import numpy as np
-
     from .htucker import HtTensor
     from .io import snapshot_parse
 
@@ -149,15 +149,18 @@ def _cmd_inspect(args) -> int:
 
 
 def main(argv=None) -> int:
+    """Run one command; a solver or file error ends it with one ``error:`` line.
+
+    Floating-point overflow, invalid and divide warnings are silenced for the
+    command, so a state that overflows reports only the typed error that stops
+    it; library calls outside the CLI keep numpy's settings.
+    """
     args = _build_parser().parse_args(argv)
+    command = {"run": _cmd_run, "convergence": _cmd_convergence,
+               "compare": _cmd_compare, "inspect": _cmd_inspect}[args.command]
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "convergence":
-            return _cmd_convergence(args)
-        if args.command == "compare":
-            return _cmd_compare(args)
-        return _cmd_inspect(args)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return command(args)
     except (LrvlasovError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

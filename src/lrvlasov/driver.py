@@ -17,24 +17,26 @@ The multistep formula assumes three equally spaced time levels.  The step
 size is a CFL bound re-evaluated every step but ratcheted (never increased
 within a run); whenever the current step size differs from the last two
 recorded ones (startup, a ratchet tightening, or the final clamped step) the
-step runs a two-stage Heun update with the same spatial operator and the same
-per-step correction instead, which re-primes the lineage.
+step runs Heun in Shu-Osher form instead, which re-primes the lineage:
+
+    f_a = f^n + dt * RHS(f^n),  f^{n+1,*} = 1/2 f^n + 1/2 f_a + 1/2 dt * RHS(f_a)
 
 Both rules are stage tables (``MULTISTEP``, ``HEUN``) that ``step`` runs the
-same way in either format: each stage sums weighted earlier levels and a
-multiple of dt * RHS of one level as a list of factored blocks, and the
-macroscopic state, one stacked array of rho, J_1..J_d, e, is combined with
-the same weights (``macro.combine``).  Nothing here branches on the
-dimension: ``formats`` picks the problem's class (``Problem1D`` or
-``Problem2D``), everything format-specific goes through it, and below it only
-``macro`` keeps one KFVS flux contraction per format.
+same way in either format: every stage sums weighted earlier levels and a
+multiple of dt * RHS of the newest level as factored blocks and truncates
+them into a new level, and the macroscopic state, one stacked array of rho,
+J_1..J_d, e, is combined with the same weights (``macro.combine``).  Nothing
+here branches on the dimension: ``formats`` picks the problem's class
+(``Problem1D`` or ``Problem2D``), everything format-specific goes through it,
+and below it only ``macro`` keeps one KFVS flux contraction per format.
 Moments share the macroscopic state's layout, with kappa in the last row
 where the state holds e = kappa + |E|^2 / 2.  ``History`` keeps the moments
 and field of its newest level, so the CFL bound, the step and the diagnostics
 share one field solve per level.  A non-finite macroscopic state or a failed
 factorization stops the step with ``NonFiniteError``, as does a level whose
-moments are not finite or overflow in their sum or field energy.  A resumed
-run takes its history from ``io.snapshot_read`` and builds no initial state.
+moments are not finite or overflow in their sum or field energy, and a step
+size too small to advance t.  A resumed run takes its history from
+``io.snapshot_read`` and builds no initial state.
 """
 
 from __future__ import annotations
@@ -93,14 +95,9 @@ class History:
     cache: tuple = dataclass_field(default=(), repr=False, compare=False)
 
     def push(self, f, u, dt: float) -> None:
-        self.fs.append(_contig_state(f))
-        self.us.append(u)
-        if len(self.fs) > 3:
-            self.fs.pop(0)
-            self.us.pop(0)
-        self.dts.append(dt)
-        if len(self.dts) > 2:
-            self.dts.pop(0)
+        self.fs = [*self.fs, _contig_state(f)][-3:]
+        self.us = [*self.us, u][-3:]
+        self.dts = [*self.dts, dt][-2:]
         self.t += dt
         self.step += 1
 
@@ -158,29 +155,22 @@ def select_dt(problem: Problem, field: ElectricField, cfl: float) -> float:
 # stage tables and the one stepper
 
 class Stage(NamedTuple):
-    """sum_k w_k L_k + c dt RHS(L_rhs), with the RHS taken at t + t_rhs dt.
+    """sum_k w_k L_k + c dt RHS(L_-1), the RHS taken at t + t_rhs dt, then cut.
 
     Levels are counted back from the newest (-1) over the stored history
-    followed by the stages already taken.  A stage that does not ``truncate``
-    stays a block sum, and its macroscopic state a plain update.
+    followed by the stages already taken.  Every stage takes the RHS of the
+    newest level and is truncated by the method's ``_cut`` into a new level,
+    and its macroscopic state is combined with the same weights.
     """
 
     weights: tuple[tuple[int, float], ...]
-    rhs: int | None = None
-    c: float = 0.0
+    c: float
     t_rhs: float = 0.0
-    truncate: bool = True
 
 
-MULTISTEP = (Stage(((-3, 0.25), (-1, 0.75)), rhs=-1, c=1.5),)
-# Heun as two forward-Euler stages and the average with f^n.  The second
-# stage stays a block sum, so the macroscopic average is 0.5 u^n + 0.5 u_b,
-# the same bits as 0.5 (u^n + u_b).
-HEUN = (
-    Stage(((-1, 1.0),), rhs=-1, c=1.0),                             # f_a
-    Stage(((-1, 1.0),), rhs=-1, c=1.0, t_rhs=1.0, truncate=False),  # f_b = f_a + dt L(f_a)
-    Stage(((-3, 0.5), (-1, 0.5))),                                  # (f^n + f_b) / 2
-)
+MULTISTEP = (Stage(((-3, 0.25), (-1, 0.75)), c=1.5),)
+# Heun in Shu-Osher form: f_a, then 1/2 f^n + 1/2 f_a + 1/2 dt RHS(f_a)
+HEUN = (Stage(((-1, 1.0),), c=1.0), Stage(((-2, 0.5), (-1, 0.5)), c=0.5, t_rhs=1.0))
 
 
 def _cut(problem: Problem, blocks: list, u_new):
@@ -198,32 +188,25 @@ def _cut(problem: Problem, blocks: list, u_new):
 def step(problem: Problem, hist: History, dt: float):
     """One multistep or Heun step; returns the new kinetic and macro states."""
     table = MULTISTEP if hist.multistep_ready(dt) else HEUN
-    with_macro = problem.cfg.method == "macro"
-    levels = [[f] for f in hist.fs]   # each level as a list of blocks
-    us = list(hist.us)
+    levels, us = list(hist.fs), list(hist.us)
+    field = hist.newest(problem)[1]
     for stage in table:
-        blocks = [problem.scale(b, w) for k, w in stage.weights for b in levels[k]]
-        rate = None
-        if stage.rhs is not None:
-            j = len(levels) + stage.rhs
-            f_j = levels[j][0]
-            field = (hist.newest(problem)[1] if j == len(hist.fs) - 1
-                     else _field_of(problem, problem.moments(f_j)[0]))
-            t_j = hist.t + stage.t_rhs * dt
-            blocks += [problem.scale(b, stage.c * dt)
-                       for b in problem.transport(f_j, field, t_j)]
-            if with_macro:
-                rate = problem.rate(us[j], f_j, field, t_j)
+        if len(levels) > len(hist.fs):  # the newest level is a stage just taken
+            field = _field_of(problem, problem.moments(levels[-1])[0])
+        t_rhs = hist.t + stage.t_rhs * dt
+        blocks = [problem.scale(levels[k], w) for k, w in stage.weights]
+        blocks += [problem.scale(b, stage.c * dt)
+                   for b in problem.transport(levels[-1], field, t_rhs)]
         u = None
-        if with_macro:
-            u = macro.combine([us[k] for k, _ in stage.weights],
-                              [w for _, w in stage.weights], rate, stage.c * dt)
+        if problem.cfg.method == "macro":
+            u = macro.combine([us[k] for k, _ in stage.weights], [w for _, w in stage.weights],
+                              problem.rate(us[-1], levels[-1], field, t_rhs), stage.c * dt)
             if not np.isfinite(u).all():
                 raise NonFiniteError(f"non-finite macroscopic state at step {hist.step} "
                                      f"(t={hist.t:.6g})")
-        levels.append([_cut(problem, blocks, u)] if stage.truncate else blocks)
+        levels.append(_cut(problem, blocks, u))
         us.append(u)
-    return levels[-1][0], us[-1]
+    return levels[-1], us[-1]
 
 
 def advance(problem: Problem, hist: History, dt: float) -> None:
@@ -268,9 +251,12 @@ def _march(problem: Problem, hist: History):
     if hist.dt_work == 0.0:
         hist.dt_work = select_dt(problem, hist.newest(problem)[1], cfg.cfl)
     while hist.t < cfg.t_end - _tiny(cfg):
-        dt_cfl = select_dt(problem, hist.newest(problem)[1], cfg.cfl)
-        hist.dt_work = min(hist.dt_work, dt_cfl)
-        advance(problem, hist, min(hist.dt_work, cfg.t_end - hist.t))
+        hist.dt_work = min(hist.dt_work, select_dt(problem, hist.newest(problem)[1], cfg.cfl))
+        dt = min(hist.dt_work, cfg.t_end - hist.t)
+        if hist.t + dt == hist.t:  # a step this small leaves the run where it is
+            raise NonFiniteError(f"step size {dt:.3g} does not advance t at step {hist.step} "
+                                 f"(t={hist.t:.6g})")
+        advance(problem, hist, dt)
         yield
 
 
@@ -280,10 +266,11 @@ def run(cfg: SolverConfig, snapshot_every: int = 0, snapshot_dir=None,
 
     ``on_row(row)`` sees each row as it is recorded, even if the run fails.
     A step that overflows the rank cap, or stops on a non-finite macroscopic
-    state or a failed factorization, leaves the last good history in
-    ``snapshot_dir`` and names it in its error; after a rank overflow that
-    history resumes under a larger ``rank_cap``.  Non-finite moments, which
-    ``History.newest`` finds in a level already pushed, leave no snapshot."""
+    state, a failed factorization or a step size too small to advance t,
+    leaves the last good history in ``snapshot_dir`` and names it in its
+    error; after a rank overflow that history resumes under a larger
+    ``rank_cap``.  Non-finite moments, which ``History.newest`` finds in a
+    level already pushed, leave no snapshot."""
     if snapshot_every < 0:
         raise ConfigError(f"snapshot_every must be >= 0, got {snapshot_every}")
     if resume is None:

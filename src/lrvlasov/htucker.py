@@ -443,7 +443,7 @@ def ht_lift_moments(m: np.ndarray, basis: MomentBasis) -> HtTensor:
     scaled and normalized by the basis norms."""
     norms = np.sqrt([basis.norm1_sq, basis.norm2_sq, basis.norm3_sq])
     c1, c2, c3 = norms
-    frame = basis.grid.w_points[:, None] * np.column_stack(basis.vectors()) / norms
+    frame = basis.frame / norms
     rho, j1, j2, kappa = m.reshape(4, -1)
     ux = np.column_stack([
         rho / c1**2,

@@ -101,19 +101,18 @@ def rate(u: np.ndarray, fluxes, field: ElectricField, sgrid: SpatialGrid,
     return -div + src
 
 
-def combine(states, weights, rate: np.ndarray | None = None, c_dt: float = 0.0):
+def combine(states, weights, rate: np.ndarray, c_dt: float):
     """sum_k w_k U_k + c_dt * rate.
 
-    The multistep update is combine([U^{n-2}, U^n], [1/4, 3/4], L(U^n), 3/2 dt)
-    and a forward-Euler stage is combine([U], [1], L(U), dt).  Terms are added
-    left to right, so the rounding is that of the written-out formula.
+    The multistep update is combine([U^{n-2}, U^n], [1/4, 3/4], L(U^n), 3/2 dt).
+    Heun's two stages are combine([U^n], [1], L(U^n), dt) for U_a and
+    combine([U^n, U_a], [1/2, 1/2], L(U_a), dt/2).  Terms are added left to
+    right, so the rounding is that of the written-out formula.
     """
     acc = weights[0] * states[0]
     for w, u in zip(weights[1:], states[1:]):
         acc = acc + w * u
-    if rate is not None:
-        acc = acc + c_dt * rate
-    return acc
+    return acc + c_dt * rate
 
 
 def recover_kinetic_energy(u: np.ndarray, field: ElectricField) -> np.ndarray:

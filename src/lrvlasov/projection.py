@@ -28,13 +28,16 @@ from .lowrank import LowRankMatrix, add, recompress, scale, truncate_sum
 
 @dataclass(frozen=True)
 class MomentBasis:
-    """Weighted-orthogonal velocity basis {1, v, v^2 - c} and its norms."""
+    """Weighted-orthogonal velocity basis {1, v, v^2 - c}, its norms and the
+    carrier frame w(v) {1, v, v^2 - c}, a read-only (nv, 3) array that both
+    formats' carriers take their velocity factors from."""
 
     grid: VelocityGrid
     c: float
     norm1_sq: float   # ||1||_w^2
     norm2_sq: float   # ||v||_w^2
     norm3_sq: float   # ||v^2 - c||_w^2
+    frame: np.ndarray
 
     @classmethod
     def build(cls, grid: VelocityGrid) -> "MomentBasis":
@@ -45,7 +48,9 @@ class MomentBasis:
             raise DomainError("nonpositive basis constant; weight or grid invalid")
         n2 = float(np.dot(v**2, w))
         n3 = float(np.dot((v**2 - c) ** 2, w))
-        return cls(grid=grid, c=c, norm1_sq=n1, norm2_sq=n2, norm3_sq=n3)
+        frame = grid.w_points[:, None] * np.column_stack([np.ones_like(v), v, v**2 - c])
+        frame.flags.writeable = False
+        return cls(grid=grid, c=c, norm1_sq=n1, norm2_sq=n2, norm3_sq=n3, frame=frame)
 
     def vectors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         v = self.grid.v
@@ -75,8 +80,7 @@ def lift_moments(m: np.ndarray, basis: MomentBasis) -> LowRankMatrix:
         j / basis.norm2_sq,
         (2.0 * kappa - basis.c * rho) / basis.norm3_sq,
     ])
-    uv = basis.grid.w_points[:, None] * np.column_stack(basis.vectors())
-    return LowRankMatrix(np.ones(3), ux, uv)
+    return LowRankMatrix(np.ones(3), ux, basis.frame)
 
 
 def moment_split(f: LowRankMatrix, basis: MomentBasis) -> tuple[LowRankMatrix, LowRankMatrix]:

@@ -374,6 +374,51 @@ def test_dense_scheme_equivalence_2d(method):
     assert np.linalg.norm((f_new.dense() - dense_new).ravel()) < 1e-11 * ref
 
 
+def _dense_heun(f, dt, rhs):
+    """Heun in Shu-Osher form: f_a = f + dt L(f), then
+    f^{n+1} = 1/2 f + 1/2 f_a + 1/2 dt L(f_a)."""
+    f_a = f + dt * rhs(f)
+    return 0.5 * f + 0.5 * f_a + 0.5 * dt * rhs(f_a)
+
+
+def _heun_history(states, dt):
+    # three levels whose last two step sizes differ from dt: step runs Heun
+    hist = History(fs=list(states), us=[None] * len(states), dts=[dt, 2.0 * dt])
+    assert not hist.multistep_ready(dt)
+    return hist
+
+
+def test_dense_heun_equivalence_1d():
+    cfg = from_preset("weak_landau_1d", nx=16, nv=32, eps=0.0, method="plain")
+    problem, _ = initialize(cfg)
+    sgrid, vgrid, dt = problem.sgrid, problem.vgrid, 1e-3
+    hist = _heun_history([_smooth_lowrank(problem, s) for s in (0.3, 0.15, 0.0)], dt)
+
+    def rhs(f):
+        (e,) = solve_poisson(dense_moments(f, vgrid)[0], sgrid, cfg.poisson_sign).E
+        return reference.dense_transport_rhs(f, e, sgrid, vgrid)
+
+    f_new, _ = step(problem, hist, dt)
+    dense_new = _dense_heun(hist.fs[-1].dense(), dt, rhs)
+    assert np.linalg.norm(f_new.dense() - dense_new) < 1e-11 * np.linalg.norm(dense_new)
+
+
+def test_dense_heun_equivalence_2d():
+    cfg = from_preset("weak_landau_2d2v", nx=8, nv=16, eps=0.0, method="plain")
+    problem, _ = initialize(cfg)
+    (g1, g2), dt = problem.vgrids, 1e-3
+    hist = _heun_history([_smooth_ht(problem, s) for s in (0.2, 0.1, 0.0)], dt)
+
+    def rhs(f):
+        field = solve_poisson(dense_moments_2d(f, g1, g2)[0], problem.sgrid, cfg.poisson_sign)
+        return reference.dense_transport_rhs_2d(f, field, problem.sgrid, g1, g2)
+
+    f_new, _ = step(problem, hist, dt)
+    dense_new = _dense_heun(hist.fs[-1].dense(), dt, rhs)
+    ref = np.linalg.norm(dense_new.ravel())
+    assert np.linalg.norm((f_new.dense() - dense_new).ravel()) < 1e-11 * ref
+
+
 def test_forced_one_step_residual_small():
     # manufactured-solution residual: a single multistep step from exact data
     # leaves an O(dt^3 + h^5) defect

@@ -1,5 +1,6 @@
 """Every module-level import in the package is read by the module that makes
-it, and no private module-level name is defined in two modules.
+it, no private module-level name is defined in two modules, and no line is
+longer than 100 characters.
 
 No linter ships with the project, so this walks each module's syntax tree
 with the standard library.  An import kept on purpose for other modules to
@@ -62,6 +63,15 @@ def test_no_private_name_defined_twice():
             where.setdefault(name, set()).add(p.name)
     twice = {n: files for n, files in where.items() if len(files) > 1}
     assert twice == {}
+
+
+MAX_LINE = 100
+
+
+def test_no_line_longer_than_max():
+    long = [f"{p.name}:{i} ({len(line)})" for p in sorted(SRC.glob("*.py"))
+            for i, line in enumerate(p.read_text().splitlines(), start=1) if len(line) > MAX_LINE]
+    assert long == []
 
 
 _RUN_BOTH_FORMATS = """

@@ -956,17 +956,24 @@ def step3_snapshots(tmp_path_factory) -> dict:
     return snaps
 
 
+def _write_corrupted(snaps, preset, word, value, path):
+    """Write the preset's step-3 snapshot to ``path`` with one float word
+    overwritten by ``value`` (none if ``word`` is None)."""
+    import struct
+
+    raw = bytearray(snaps[preset])
+    if word is not None:
+        struct.pack_into("<d", raw, _snapshot_offsets(raw)[word], value)
+    path.write_bytes(bytes(raw))
+    return path
+
+
 def _resume_corrupted(snaps, preset, word, value, tmp_path, capsys) -> str:
     """Overwrite one float word of the preset's step-3 snapshot, resume it
     through the CLI to twice its t_end and return its one error line."""
-    import struct
-
     from lrvlasov.cli import main
 
-    raw = bytearray(snaps[preset])
-    struct.pack_into("<d", raw, _snapshot_offsets(raw)[word], value)
-    snap = tmp_path / "bad.bin"
-    snap.write_bytes(bytes(raw))
+    snap = _write_corrupted(snaps, preset, word, value, tmp_path / "bad.bin")
     nx, nv, t_end = STEP3_RUNS[preset]
     capsys.readouterr()
     rc = main(["run", "--preset", preset, "--set", f"grid.nx={nx}", "--set", f"grid.nv={nv}",
@@ -1000,7 +1007,6 @@ def test_cli_resume_refuses_bad_snapshot_words(step3_snapshots, tmp_path, capsys
     assert message in line
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 @pytest.mark.parametrize("preset,word", [("weak_landau_1d", "level 2 array C"),
                                          ("weak_landau_2d2v", "level 2 array B")])
 def test_cli_resume_of_overflowing_factor_one_line(step3_snapshots, tmp_path, capsys,
@@ -1060,14 +1066,62 @@ def test_resumed_huge_level_stops_where_its_field_energy_overflows(step3_snapsho
                                                                    word, value):
     # the words are finite, and so are the moments of the step they enter;
     # its field energy overflows, and the run stops there
-    import struct
-
-    raw = bytearray(step3_snapshots["weak_landau_1d"])
-    struct.pack_into("<d", raw, _snapshot_offsets(raw)[word], value)
-    snap = tmp_path / "huge.bin"
-    snap.write_bytes(bytes(raw))
+    snap = _write_corrupted(step3_snapshots, "weak_landau_1d", word, value, tmp_path / "huge.bin")
     with pytest.raises(NonFiniteError, match=r"non-finite moments at step [45] \(t="):
         _resume_two_steps(snap, "weak_landau_1d")
+
+
+@pytest.mark.parametrize("word", [None, "level 1 array C"], ids=["clean", "overflowing"])
+def test_cli_resume_prints_only_its_error_line(step3_snapshots, tmp_path, word):
+    # run in its own process, where numpy's warnings reach stderr as they do
+    # for a user (pytest captures them in process): a resume whose state
+    # overflows prints its one error line and nothing else, a clean one nothing
+    import os
+    import subprocess
+    import sys
+
+    snap = _write_corrupted(step3_snapshots, "weak_landau_1d", word, -1e300,
+                            tmp_path / "s.bin")
+    nx, nv, t_end = STEP3_RUNS["weak_landau_1d"]
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run(
+        [sys.executable, "-m", "lrvlasov", "run", "--preset", "weak_landau_1d",
+         "--set", f"grid.nx={nx}", "--set", f"grid.nv={nv}", "--set", f"method.t_end={2 * t_end}",
+         "--resume", str(snap), "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True)
+    if word is None:
+        assert (out.returncode, out.stderr) == (0, "")
+    else:
+        assert out.returncode == 2
+        assert out.stderr.startswith("error: non-finite moments at step 5")
+        assert out.stderr.count("\n") == 1 and out.stderr.endswith("\n")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("preset,word", [("weak_landau_1d", "level 1 macro row 0"),
+                                         ("weak_landau_2d2v", "level 2 array Ux")])
+def test_resumed_huge_level_stops_where_its_step_leaves_t_unchanged(step3_snapshots, tmp_path,
+                                                                    monkeypatch, preset, word):
+    # 2^62 is finite, and so is every state it feeds, but its field makes the
+    # CFL step too small to change t; the run stops there instead of stepping
+    # for ever (the counter fails a run that keeps stepping)
+    import lrvlasov.driver as driver
+
+    snap = _write_corrupted(step3_snapshots, preset, word, 2.0**62, tmp_path / "huge.bin")
+    calls, real_advance = [], driver.advance
+
+    def counted(*args):
+        calls.append(1)
+        if len(calls) > 100:
+            pytest.fail("the resumed run is still stepping after 100 steps")
+        return real_advance(*args)
+
+    monkeypatch.setattr(driver, "advance", counted)
+    nx, nv, t_end = STEP3_RUNS[preset]
+    with pytest.raises(NonFiniteError, match=r"step size \S+ does not advance t at step \d+ \(t="):
+        run(from_preset(preset, nx=nx, nv=nv, t_end=2 * t_end), resume=str(snap))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
