@@ -30,8 +30,9 @@ here branches on the dimension: ``formats`` picks the problem's class
 (``Problem1D`` or ``Problem2D``), everything format-specific goes through it,
 and below it only ``macro`` keeps one KFVS flux contraction per format.
 Moments share the macroscopic state's layout, with kappa in the last row
-where the state holds e = kappa + |E|^2 / 2.  ``History`` keeps the moments
-and field of its newest level, so the CFL bound, the step and the diagnostics
+where the state holds e = kappa + sign |E|^2 / 2, the field's share written
+once (``ElectricField.energy_density``).  ``History`` keeps the moments and
+field of its newest level, so the CFL bound, the step and the diagnostics
 share one field solve per level.  A non-finite macroscopic state or a failed
 factorization stops the step with ``NonFiniteError``, as does a level whose
 moments are not finite or overflow in their sum or field energy, and a step
@@ -55,7 +56,6 @@ from .config import SolverConfig
 from .errors import ConfigError, NonFiniteError, RankOverflowError
 from .formats import FORMATS, Problem
 from .io import DiagnosticsRow
-from .macro import recover_kinetic_energy
 from .poisson import ElectricField, field_energy, solve_poisson
 from .presets import get_preset
 
@@ -139,7 +139,7 @@ def initialize(cfg: SolverConfig) -> tuple[Problem, History]:
     problem = setup(cfg)
     f0 = problem.initial()
     u0 = problem.moments(f0)
-    u0[-1] += 0.5 * _field_of(problem, u0[0]).magnitude_squared()
+    u0[-1] += _field_of(problem, u0[0]).energy_density()
     return problem, History(fs=[_contig_state(f0)], us=[u0])
 
 
@@ -181,7 +181,7 @@ def _cut(problem: Problem, blocks: list, u_new):
     if method == "conservative":
         return problem.pin(blocks)
     target = u_new.copy()
-    target[-1] = recover_kinetic_energy(u_new, _field_of(problem, u_new[0]))
+    target[-1] -= _field_of(problem, u_new[0]).energy_density()
     return problem.pin(blocks, target)
 
 

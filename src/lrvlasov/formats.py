@@ -13,7 +13,8 @@ factor on the grid and its velocity leaves) and ``block`` (one block from a
 new spatial factor and a new leaf), the two primitives of the transport, and
 ``scale``, ``moments``, ``fluxes``, ``truncate``, ``pin`` and ``ranks``.
 Both formats take their moments in the macroscopic state's ``(2 + d, *n)``
-layout (rows rho, J_1 .. J_d, kappa), a pin's target is given in it, and both
+layout (rows rho, J_1 .. J_d, kappa, where the state holds e = kappa +
+sign |E|^2 / 2), a pin's target is given in it, and both
 build their carriers from one ``projection.MomentBasis`` of the shared
 velocity grid.  Below it only ``macro`` keeps per-format code, one KFVS flux
 contraction each; the macroscopic rate and state and the field solve are

@@ -217,9 +217,21 @@ def _check_counts(where: str, step: int, n_levels: int, n_dts: int) -> None:
                                 f"expected {lo} to {hi}")
 
 
-def _check_words(where: str, hist, sig) -> None:
+def _cfl_step(dim: int, sig) -> float:
+    """cfl / sum_d (v_max / h_d) from the signature's words: ``driver.select_dt``
+    at zero field, which bounds every step a run takes; 0, inf or nan where
+    the words give no grid (a zero size or spacing)."""
+    nx, nx2, _, _, x_min, x_max, v_max, _, _, cfl = (np.float64(w) for w in sig[:10])
+    with np.errstate(all="ignore"):
+        return float(cfl / sum(v_max / ((x_max - x_min) / n) for n in (nx, nx2)[:dim]))
+
+
+def _check_words(where: str, dim: int, hist, sig) -> None:
     """Refuse a non-finite float word or array, a negative t or dt_work and a
-    recent step that is not positive; dt_work 0 means no step is chosen yet."""
+    recent step that is not positive; dt_work 0 means no step is chosen yet.
+    From version 2 on, whose signature holds cfl, also refuse a dt_work or
+    recent step above the CFL step and a t above step CFL steps (with the
+    rounding of a sum of step terms); version 1 files are not bounded."""
     named = [("t", hist.t), ("dt_work", hist.dt_work), *zip(_SIGNATURE_NAMES, sig[:11]),
              *((f"dts[{i}]", d) for i, d in enumerate(hist.dts))]
     named += [(f"level {i} array {k}", a) for i, f in enumerate(hist.fs)
@@ -231,6 +243,13 @@ def _check_words(where: str, hist, sig) -> None:
             raise SnapshotError(f"{where}: {name} is not finite")
     bad = [f"{name} {w!r}" for name, w in named[:2] if w < 0]
     bad += [f"dts[{i}] {d!r}" for i, d in enumerate(hist.dts) if d <= 0]
+    dt_cfl = _cfl_step(dim, sig) if len(sig) > 9 else math.nan
+    if not bad and dt_cfl > 0:  # words that give no grid are the signature's to refuse
+        if hist.t > hist.step * dt_cfl * (1.0 + hist.step * 2.0**-52):
+            bad.append(f"t {hist.t!r} above {hist.step} CFL steps of {dt_cfl!r}")
+        bad += [f"{name} {w!r} above the CFL step {dt_cfl!r}" for name, w in
+                (("dt_work", hist.dt_work), *((f"dts[{i}]", d) for i, d in enumerate(hist.dts)))
+                if w > dt_cfl]
     if bad:
         raise SnapshotError(f"{where}: out of range: " + ", ".join(bad))
 
@@ -280,7 +299,7 @@ def snapshot_write(hist, problem, path) -> None:
     path = Path(path)
     *words, method, preset = _signature(problem)
     _check_counts(str(path), hist.step, len(hist.fs), len(hist.dts))
-    _check_words(str(path), hist, words)
+    _check_words(str(path), len(problem.vgrids), hist, words)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:
@@ -330,7 +349,7 @@ def snapshot_parse(path):
             _check_level(f"{path}: level {i}", f, rows, shapes, grid)
             hist.fs.append(f)
             hist.us.append(np.stack(rows) if rows else None)
-    _check_words(str(path), hist, sig)
+    _check_words(str(path), dim, hist, sig)
     return version, dim, sig, hist
 
 

@@ -1,17 +1,18 @@
 """Macroscopic conservation-law solver with kinetic flux vector splitting.
 
 The conserved unknowns are one stacked ``(2 + d, *n)`` array ``u`` with rows
-rho, J_1 .. J_d, e on the d-dimensional spatial grid; the split fluxes, the
-rates and the kinetic moments (kappa in place of e) share that layout.  Split
-fluxes are velocity moments of the kinetic solution against sign-split
-monomials v+ = max(v, 0), v- = min(v, 0), one ``(plus, minus)`` pair per
-spatial axis; only their contraction with the factored solution is written
-once per format (``kfvs_fluxes_1d``, ``kfvs_fluxes_2d``); in 2D all sixteen
-split fluxes are one batched pair contraction in ``htucker``.  Interfaces are
-reconstructed with the same fifth-order upwind stencils as the kinetic
-transport, so the two discretizations agree flux-by-flux.  ``rate`` gives
--div F + S for any number of axes, keeping the totals exact up to source
-terms, and ``combine`` applies any time-stepping rule's weights to it.
+rho, J_1 .. J_d, e = kappa + sign |E|^2 / 2 on the d-dimensional spatial grid;
+the split fluxes, the rates and the kinetic moments (kappa in place of e)
+share that layout.  Split fluxes are velocity moments of the kinetic solution
+against sign-split monomials v+ = max(v, 0), v- = min(v, 0), one ``(plus,
+minus)`` pair per spatial axis; only their contraction with the factored
+solution is written once per format (``kfvs_fluxes_1d``, ``kfvs_fluxes_2d``);
+in 2D all sixteen split fluxes are one batched pair contraction in
+``htucker``.  Interfaces are reconstructed with the same fifth-order upwind
+stencils as the kinetic transport, so the two discretizations agree
+flux-by-flux.  ``rate`` gives -div F + S for any number of axes, keeping the
+totals exact up to source terms, and ``combine`` applies any time-stepping
+rule's weights to it.
 """
 
 from __future__ import annotations
@@ -85,8 +86,13 @@ def rate(u: np.ndarray, fluxes, field: ElectricField, sgrid: SpatialGrid,
          extra_source=None, t: float = 0.0) -> np.ndarray:
     """-div F + S for the stacked state u, all conserved variables at once.
 
-    The source is rho E in the momentum rows, plus ``extra_source(x, t, E)``
-    -> (s_rho, s_J, s_e) of a manufactured solution in 1D.
+    The source is rho E in the momentum rows and the mean current's work
+    E . mean(J) in the energy row.  With div E = sign (rho - mean(rho)),
+    e gains E . (J - P_L J) for either sign, P_L J the zero-mean curl-free
+    part of J; J - P_L J is mean(J) in 1D, and 2D leaves out its
+    divergence-free part.  Sum_x E = 0 keeps the totals exact.
+    ``extra_source(x, t, E)`` -> (s_rho, s_J, s_e) adds the sources of a
+    manufactured solution in 1D.
     """
     div = None
     for ax, ((plus, minus), h) in enumerate(zip(fluxes, sgrid.h), start=1):
@@ -96,6 +102,7 @@ def rate(u: np.ndarray, fluxes, field: ElectricField, sgrid: SpatialGrid,
         div = d if div is None else div + d
     src = np.zeros_like(div)
     src[1:-1] = u[0] * np.stack(field.E)
+    src[-1] = sum(e * j.mean() for e, j in zip(field.E, u[1:-1]))
     if extra_source is not None:
         src += np.stack(extra_source(sgrid.nodes(0), t, field.E[0]))
     return -div + src
@@ -113,8 +120,3 @@ def combine(states, weights, rate: np.ndarray, c_dt: float):
     for w, u in zip(weights[1:], states[1:]):
         acc = acc + w * u
     return acc + c_dt * rate
-
-
-def recover_kinetic_energy(u: np.ndarray, field: ElectricField) -> np.ndarray:
-    """kappa = e - |E|^2 / 2 on the spatial nodes."""
-    return u[-1] - 0.5 * field.magnitude_squared()

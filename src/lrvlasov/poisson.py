@@ -2,11 +2,11 @@
 
 The potential solves -lap(phi) = rho - mean(rho) in Fourier space, with one
 transform over all grid axes for any dimension and the zero mode gauged to
-zero; the field is E = -sign * grad(phi), differentiated
-spectrally so that single-mode densities produce node-exact fields.  With
-sign=+1 the field satisfies div E = rho - mean(rho), the convention used by
-every benchmark.  The squared wavenumbers and the derivative factors are
-built once per grid and shared, read-only, by every solve on it.
+zero; the field is E = -sign * grad(phi), differentiated spectrally so that
+single-mode densities produce node-exact fields, and div E = sign * (rho -
+mean(rho)).  The field carries its sign, and so its share sign * |E|^2 / 2 of
+the conserved energy density.  The squared wavenumbers and the derivative
+factors are built once per grid and shared, read-only, by every solve on it.
 """
 
 from __future__ import annotations
@@ -22,15 +22,20 @@ from .grids import SpatialGrid
 
 @dataclass
 class ElectricField:
-    """Field values on spatial nodes; E is a tuple of arrays, one per dimension."""
+    """Field values on spatial nodes, one array of E per dimension, and its sign."""
 
     E: tuple[np.ndarray, ...]
+    sign: float = 1.0
 
     def magnitude_squared(self) -> np.ndarray:
         out = self.E[0] ** 2
         for comp in self.E[1:]:
             out = out + comp**2
         return out
+
+    def energy_density(self) -> np.ndarray:
+        """The field's share of the energy density, sign * |E|^2 / 2."""
+        return 0.5 * self.sign * self.magnitude_squared()
 
 
 def _wavenumbers(n: int, h: float) -> np.ndarray:
@@ -81,7 +86,7 @@ def solve_poisson(rho: np.ndarray, grid: SpatialGrid, sign: float = 1.0) -> Elec
     rho_hat[zero] = 0.0
     phi_hat = rho_hat / ksq
     phi_hat[zero] = 0.0
-    return ElectricField(E=tuple(np.fft.ifftn(-sign * d * phi_hat).real for d in derivs))
+    return ElectricField(tuple(np.fft.ifftn(-sign * d * phi_hat).real for d in derivs), sign)
 
 
 def divergence(field: ElectricField, grid: SpatialGrid) -> np.ndarray:
@@ -91,5 +96,5 @@ def divergence(field: ElectricField, grid: SpatialGrid) -> np.ndarray:
 
 
 def field_energy(field: ElectricField, grid: SpatialGrid) -> float:
-    """0.5 * sum |E|^2 * cell volume."""
-    return 0.5 * grid.cell_volume * float(np.sum(field.magnitude_squared()))
+    """The field's share of the energy, sign * 0.5 * sum |E|^2 * cell volume."""
+    return 0.5 * field.sign * grid.cell_volume * float(np.sum(field.magnitude_squared()))

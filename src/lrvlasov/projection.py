@@ -2,7 +2,8 @@
 
 Moments share the macroscopic state's layout: one stacked ``(2 + d, *n)``
 array with rows rho, J_1 .. J_d, kappa (here d = 1), the kinetic-energy
-density in the last row where the state holds the total energy.  The
+density in the last row where the state holds the total energy
+e = kappa + sign |E|^2 / 2 (``poisson.ElectricField.energy_density``).  The
 distribution is split as f = carrier + remainder, where the carrier is an
 exact three-term object built from the weighted-orthogonal velocity basis
 {1, v, v^2 - c} and reproduces the moments of f; ``MomentBasis`` is that

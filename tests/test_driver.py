@@ -150,6 +150,39 @@ def test_macro_moments_pinned_2d():
     assert np.max(np.abs(m - np.stack([rho, j1, j2, kappa_u]))) < 1e-12 * ref
 
 
+@pytest.mark.parametrize("preset,grid,t_end", [("weak_landau_1d", {}, 2.0),
+                                               ("weak_landau_2d2v", {"nx": 8, "nv": 16}, 1.0)])
+def test_poisson_sign_minus_one_conserves_its_energy(preset, grid, t_end):
+    # with div E = -(rho - mean) the energy is kappa - |E|^2 / 2; the energy
+    # column holds it to round-off under macro and to the truncation's level
+    # under the kinetic methods, and the field's share is negative
+    for method, tol in (("plain", 1e-5), ("conservative", 1e-5), ("macro", 1e-13)):
+        rows = run(from_preset(preset, method=method, poisson_sign=-1.0, t_end=t_end,
+                               output_every=1, **grid))
+        e0 = rows[0].energy
+        assert rows[-1].t == t_end and all(r.efield_energy < 0 for r in rows)
+        assert max(abs(r.energy - e0) for r in rows) <= tol * abs(e0), method
+
+
+def test_macro_pin_target_is_the_sums_kinetic_energy(monkeypatch):
+    # bump_on_tail carries a mean current; with its work E . mean(J) in the
+    # energy row the co-evolved kappa stays on the pinned sum's own (the
+    # energy row without it parted from it by 6e-4 within t = 1)
+    from lrvlasov.formats import Problem1D
+
+    gaps = []
+    pin = Problem1D.pin
+
+    def recording(self, blocks, target=None):
+        own = sum(self.moments(b) for b in blocks)
+        gaps.append(np.abs(target[-1] - own[-1]).max())
+        return pin(self, blocks, target)
+
+    monkeypatch.setattr(Problem1D, "pin", recording)
+    run(from_preset("bump_on_tail", method="macro", t_end=1.0))
+    assert len(gaps) > 100 and max(gaps) < 1e-6
+
+
 def test_pin_2d_adds_one_carrier_to_the_truncated_remainder():
     # the pinned state is the weighted-truncated zero-moment remainder plus one
     # (4, 4, 3, 3) carrier, whose moments are the target's

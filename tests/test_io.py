@@ -3,7 +3,7 @@ import io
 import math
 import re
 import tempfile
-from dataclasses import fields, replace
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -13,12 +13,13 @@ from hypothesis import strategies as st
 
 from lrvlasov.config import (_SCHEMA, METHODS, SolverConfig, from_preset, load_config,
                              parse_overrides)
-from lrvlasov.driver import initialize, run
+from lrvlasov.driver import initialize, run, select_dt, setup
 from lrvlasov.errors import ConfigError, DomainError, NonFiniteError, SnapshotError
 from lrvlasov.htucker import HtTensor
 from lrvlasov.io import (DiagnosticsRow, append_row, read_diagnostics, snapshot_read,
                          snapshot_write)
 from lrvlasov.lowrank import LowRankMatrix
+from lrvlasov.poisson import ElectricField
 from lrvlasov.presets import PRESETS
 
 
@@ -132,18 +133,16 @@ def test_poisson_sign_other_than_plus_or_minus_one_rejected(sign):
         from_preset("weak_landau_1d", method="plain", poisson_sign=sign)
 
 
-def test_poisson_sign_minus_one_rejected_under_macro_only():
-    # macro's energy row conserves kappa + |E|^2/2 for either sign, so with
-    # sign -1 it would pin the wrong energy; the kinetic methods accept it
-    with pytest.raises(ConfigError, match="method=macro does not support poisson_sign=-1"):
-        from_preset("weak_landau_1d", method="macro", poisson_sign=-1.0)
-    for method in ("plain", "conservative"):
-        cfg = from_preset("weak_landau_2d2v", method=method, poisson_sign=-1.0)
-        assert cfg.poisson_sign == -1.0
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_every_preset_and_method_builds_under_either_poisson_sign(sign):
+    # the field carries its sign into the energy, so every method takes both
+    for preset in PRESETS:
+        for method in METHODS:
+            cfg = from_preset(preset, method=method, poisson_sign=sign)
+            assert (cfg.method, cfg.poisson_sign) == (method, sign)
 
 
-@pytest.mark.parametrize("override", ["method.poisson_sign=2",
-                                      "method.poisson_sign=-1"])  # the preset runs macro
+@pytest.mark.parametrize("override", ["method.poisson_sign=2"])
 def test_cli_poisson_sign_refusal_one_line(tmp_path, capsys, override):
     from lrvlasov.cli import main
 
@@ -154,6 +153,20 @@ def test_cli_poisson_sign_refusal_one_line(tmp_path, capsys, override):
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and "poisson_sign" in lines[0]
     assert "Traceback" not in err and not (tmp_path / "diagnostics.csv").exists()
+
+
+def test_cli_runs_macro_under_poisson_sign_minus_one(tmp_path, capsys):
+    # the preset runs macro; with sign -1 its energy column holds
+    # kappa - |E|^2 / 2, and the field's share is negative
+    from lrvlasov.cli import main
+
+    rc = main(["run", "--preset", "weak_landau_1d", "--set", "method.t_end=0.2",
+               "--set", "output.every=1", "--set", "method.poisson_sign=-1",
+               "--out", str(tmp_path)])
+    assert rc == 0, capsys.readouterr().err
+    rows = read_diagnostics(tmp_path / "diagnostics.csv")
+    assert len(rows) > 20 and all(r.efield_energy < 0 for r in rows)
+    assert max(abs(r.energy - rows[0].energy) for r in rows) < 1e-13 * abs(rows[0].energy)
 
 
 @pytest.mark.parametrize("preset,method", [
@@ -232,6 +245,32 @@ def test_nx2_rejected_in_1d1v():
 def test_schema_targets_are_the_config_fields():
     targets = {name for keys in _SCHEMA.values() for name, _ in keys.values()}
     assert targets == {f.name for f in fields(SolverConfig)}
+
+
+def test_preset_values_have_no_second_default():
+    # a preset owns these nine values, so SolverConfig has no default of its
+    # own for them that a direct construction could silently take
+    owned = {"nx", "nv", "x_min", "x_max", "v_max", "beta", "eps", "t_end", "rank_cap"}
+    required = {f.name for f in fields(SolverConfig) if f.default is MISSING}
+    assert required == owned | {"preset"}
+    with pytest.raises(TypeError, match="nx"):
+        SolverConfig(preset="weak_landau_1d")
+    p = PRESETS["weak_landau_1d"]
+    assert SolverConfig(preset=p.name, **{k: getattr(p, k) for k in owned}) == from_preset(p.name)
+
+
+def test_readme_config_block_loads_and_names_every_key(tmp_path):
+    # the README's example file is a valid config that names every key (a
+    # comment counts, as for nx2) and spells out its preset's values
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"```\n(\[preset\]\n.*?\[output\].*?)```", readme, re.S).group(1)
+    path = tmp_path / "readme.cfg"
+    path.write_text(block)
+    cfg = load_config(path=path)
+    assert cfg == from_preset(cfg.preset)
+    missing = [key for keys in _SCHEMA.values() for key in keys
+               if not re.search(rf"\b{key}\b", block)]
+    assert missing == []
 
 
 # zero, negative, non-finite, boundary and unparsable values per key type; none
@@ -347,7 +386,7 @@ def test_snapshot_roundtrip_lowrank(tmp_path, rng):
                   rng.standard_normal(16)])
     hist.fs = [f]
     hist.us = [u]
-    hist.t = 0.375
+    hist.t = 0.0625  # at most 7 steps of the grid's CFL step 0.039
     hist.step = 7
     hist.dts = [0.01, 0.01]
     hist.dt_work = 0.01
@@ -787,9 +826,9 @@ def test_cli_resume_plain_snapshot_under_macro(tmp_path, capsys):
 
 def _snapshot_offsets(raw: bytes) -> dict:
     """Byte offsets in a version 2 snapshot: the header floats t, dt_work,
-    dts[i] and eps, each level's kind and macro words, and the first payload
-    word of every level array and macro row, named as the snapshot checks
-    name them."""
+    dts[i], x_max and eps, each level's kind and macro words, and the first
+    payload word of every level array and macro row, named as the snapshot
+    checks name them."""
     import struct
 
     pos = 16  # past the magic and the version word
@@ -800,7 +839,8 @@ def _snapshot_offsets(raw: bytes) -> dict:
         return struct.unpack_from(f"<{n}q", raw, pos - 8 * n)
 
     dim, _, n_levels, n_dts = words(4)
-    at = {"t": pos, "dt_work": pos + 8, "eps": pos + 8 * (2 + n_dts + 8),
+    at = {"t": pos, "dt_work": pos + 8, "x_max": pos + 8 * (2 + n_dts + 5),
+          "eps": pos + 8 * (2 + n_dts + 8),
           **{f"dts[{i}]": pos + 8 * (2 + i) for i in range(n_dts)}}
     pos += 8 * (2 + n_dts + 11)
     for _ in range(2):  # the method and preset texts
@@ -996,6 +1036,7 @@ def _resume_corrupted(snaps, preset, word, value, tmp_path, capsys) -> str:
     ("dts[0]", 0.0, "out of range: dts[0] 0.0"),
     ("dts[1]", -0.01, "out of range: dts[1] -0.01"),
     ("eps", math.nan, "eps is not finite"),
+    ("x_max", 0.0, "x_max 0.0 (config"),  # a zero spacing gives no CFL step to bound t
     ("level 2 array Ux", math.inf, "level 2 array Ux is not finite"),
     ("level 2 macro row 0", math.nan, "level 2 macro row 0 is not finite"),
 ])
@@ -1005,6 +1046,35 @@ def test_cli_resume_refuses_bad_snapshot_words(step3_snapshots, tmp_path, capsys
     # that is not positive ends the resume with one line naming the word
     line = _resume_corrupted(step3_snapshots, preset, word, value, tmp_path, capsys)
     assert message in line
+
+
+def _zero_field_dt(problem) -> float:
+    zero = ElectricField(E=tuple(np.zeros(problem.sgrid.n) for _ in problem.vgrids))
+    return select_dt(problem, zero, problem.cfg.cfl)
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_snapshot_cfl_step_is_select_dt_at_zero_field(preset):
+    # the bound on a snapshot's clocks comes from its words alone, and is the
+    # largest step the run can take, to the bit
+    import lrvlasov.io as lio
+
+    problem = setup(from_preset(preset))
+    sig = lio._signature(problem)
+    assert lio._cfl_step(len(problem.vgrids), sig) == _zero_field_dt(problem)
+
+
+@pytest.mark.parametrize("preset", sorted(STEP3_RUNS))
+@pytest.mark.parametrize("word,steps", [("t", None), ("t", 6), ("dt_work", 2), ("dts[1]", 2)])
+def test_cli_resume_refuses_clocks_beyond_the_cfl_step(step3_snapshots, tmp_path, capsys,
+                                                       preset, word, steps):
+    # every step is at most the CFL step at zero field, so at step 3 t is at
+    # most 3 of them; 1e300, or twice the bound, ends the resume in one line
+    nx, nv, _ = STEP3_RUNS[preset]
+    dt_cfl = _zero_field_dt(setup(from_preset(preset, nx=nx, nv=nv)))
+    value = 1e300 if steps is None else steps * dt_cfl
+    line = _resume_corrupted(step3_snapshots, preset, word, value, tmp_path, capsys)
+    assert f"out of range: {word} {value!r} above" in line
 
 
 @pytest.mark.parametrize("preset,word", [("weak_landau_1d", "level 2 array C"),

@@ -4,8 +4,7 @@ import pytest
 from lrvlasov.grids import make_velocity_grid, spatial_grid_1d, spatial_grid_2d
 from lrvlasov.htucker import HtTensor
 from lrvlasov.lowrank import LowRankMatrix, zero
-from lrvlasov.macro import (combine, kfvs_fluxes_1d, kfvs_fluxes_2d, rate,
-                            recover_kinetic_energy)
+from lrvlasov.macro import combine, kfvs_fluxes_1d, kfvs_fluxes_2d, rate
 from lrvlasov.poisson import ElectricField
 from lrvlasov.upwind import flux_difference, reconstruct_interface, upwind_derivative
 
@@ -134,15 +133,15 @@ def test_momentum_source_is_rho_e(rng, sgrid, vgrid):
     assert np.allclose(out[1], 1.5 * dt * u_n[0] * e, atol=1e-14)
 
 
-def test_recover_kinetic_energy(rng):
-    e_arr = rng.standard_normal(NX)
-    field = ElectricField(E=(e_arr,))
-    u = state(np.ones(NX), np.zeros(NX), np.abs(rng.standard_normal(NX)) + 2.0)
-    kappa = recover_kinetic_energy(u, field)
-    assert np.allclose(kappa, u[-1] - 0.5 * e_arr**2, atol=1e-15)
-    assert np.allclose(recover_kinetic_energy(u, zero_field(NX)), u[-1])
-    u2 = state(np.ones(NX), np.zeros(NX), 0.5 * e_arr**2)
-    assert np.allclose(recover_kinetic_energy(u2, field), 0.0, atol=1e-15)
+def test_energy_row_gains_the_mean_current_work(rng, sgrid, vgrid):
+    # with no flux, the energy rate is E . mean(J), whatever J's profile; its
+    # total vanishes with that of E
+    e = np.fft.irfft(np.fft.rfft(rng.standard_normal(NX)) * (np.arange(NX // 2 + 1) > 0), NX)
+    j = rng.standard_normal(NX) + 0.7
+    u = state(np.ones(NX), j, np.ones(NX))
+    out = rate(u, kfvs_fluxes_1d(zero(NX, NV), vgrid), ElectricField(E=(e,)), sgrid)
+    assert np.array_equal(out[-1], e * j.mean())
+    assert abs(out[-1].sum()) < 1e-14 * np.abs(out[-1]).sum()
 
 
 def test_euler_stage_consistency(rng, sgrid, vgrid):

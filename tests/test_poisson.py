@@ -4,7 +4,7 @@ import pytest
 from lrvlasov import poisson
 from lrvlasov.errors import DimensionError
 from lrvlasov.grids import SpatialGrid, spatial_grid_1d, spatial_grid_2d
-from lrvlasov.poisson import divergence, field_energy, solve_poisson
+from lrvlasov.poisson import ElectricField, divergence, field_energy, solve_poisson
 
 
 def test_constant_density_zero_field():
@@ -84,9 +84,24 @@ def test_field_energy_values():
     zero = solve_poisson(np.ones(128), g)
     assert field_energy(zero, g) == 0.0
     # E = sin(x) on [0, 2pi): energy = pi/2 exactly (discrete trig identity)
-    from lrvlasov.poisson import ElectricField
     field = ElectricField(E=(np.sin(x),))
     assert field_energy(field, g) == pytest.approx(np.pi / 2.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_energy_density_carries_the_sign(sign):
+    # the field's share of the energy density is sign |E|^2 / 2, and
+    # field_energy is its total: negative for sign -1
+    g = spatial_grid_2d(16, 12, 0.0, 2.0 * np.pi)
+    x1, x2 = g.nodes(0)[:, None], g.nodes(1)[None, :]
+    field = solve_poisson(1.0 + 0.3 * np.cos(x1) * np.sin(2 * x2), g, sign)
+    assert field.sign == sign
+    msq = field.E[0] ** 2 + field.E[1] ** 2
+    assert np.array_equal(field.energy_density(), 0.5 * sign * msq)
+    energy = field_energy(field, g)
+    assert np.sign(energy) == sign
+    assert energy == pytest.approx(0.5 * sign * g.cell_volume * msq.sum(), rel=1e-15)
+    assert np.array_equal(ElectricField(E=field.E).energy_density(), 0.5 * msq)  # sign 1
 
 
 def test_weak_landau_initial_field_energy():

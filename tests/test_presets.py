@@ -104,7 +104,9 @@ def test_forced_kinetic_forcing_is_pde_residual():
 
 def test_forced_macro_sources_are_moment_residuals():
     # moment-system residual oracle: the printed sources must equal
-    # d/dt(moment) + d/dx(flux) - physical source of the exact solution
+    # d/dt(moment) + d/dx(flux) - physical source of the exact solution, the
+    # physical sources being rho E for J and the mean current's work E mean(J)
+    # for e
     preset = get_preset("forced")
     n = 256
     sgrid = spatial_grid_1d(n, -np.pi, np.pi)
@@ -135,7 +137,8 @@ def test_forced_macro_sources_are_moment_residuals():
     resid_rho = (rho_p - rho_m) / (2 * dt) + np.gradient(j, x, edge_order=2) - s_rho
     resid_j = ((j_p - j_m) / (2 * dt) + np.gradient(sigma, x, edge_order=2)
                - rho * e_exact - s_j)
-    resid_e = (e_p - e_m) / (2 * dt) + np.gradient(q_flux, x, edge_order=2) - s_e
+    resid_e = ((e_p - e_m) / (2 * dt) + np.gradient(q_flux, x, edge_order=2)
+               - e_exact * np.mean(j) - s_e)
     scale = np.max(np.abs(s_rho))
     # gradient() is second order; residuals vanish at that level
     assert np.max(np.abs(resid_rho)) < 1e-3 * scale
