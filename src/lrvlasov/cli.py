@@ -124,20 +124,19 @@ def _cmd_compare(args) -> int:
 
 def _cmd_inspect(args) -> int:
     from .htucker import HtTensor
-    from .io import snapshot_parse
+    from .io import SNAPSHOT_VERSION, snapshot_parse
 
     path = Path(args.snapshot)
-    version, dim, sig, hist = snapshot_parse(path)
+    dim, sig, hist = snapshot_parse(path)
     print(f"snapshot {path}")
-    print(f"  version {version}, {'1D1V' if dim == 1 else '2D2V'}, "
+    print(f"  version {SNAPSHOT_VERSION}, {'1D1V' if dim == 1 else '2D2V'}, "
           f"step {hist.step}, t = {hist.t:.9g}")
     print(f"  dt_work = {hist.dt_work:.6g}, recent steps = {[f'{d:.6g}' for d in hist.dts]}")
     print(f"  grid: nx={int(sig[0])}x{int(sig[1])} nv={int(sig[2])}x{int(sig[3])} "
           f"x=[{sig[4]:.6g},{sig[5]:.6g}) v_max={sig[6]:.6g} beta={sig[7]:.6g} "
           f"eps={sig[8]:.3g}")
-    if len(sig) > 9:
-        cfl, sign, method, preset = sig[9:]
-        print(f"  run: preset={preset} method={method} cfl={cfl:.6g} poisson_sign={sign:.6g}")
+    cfl, sign, method, preset = sig[9:]
+    print(f"  run: preset={preset} method={method} cfl={cfl:.6g} poisson_sign={sign:.6g}")
     for level, f in enumerate(hist.fs):
         if isinstance(f, HtTensor):
             rx, rv, r1, r2 = f.ranks

@@ -54,6 +54,9 @@ class SolverConfig:
             raise ConfigError(f"t_end must be >= 0, got {self.t_end}")
         if self.poisson_sign not in (1.0, -1.0):
             raise ConfigError(f"poisson_sign must be 1 or -1, got {self.poisson_sign}")
+        if self.poisson_sign == -1.0 and get_preset(self.preset).kinetic_forcing is not None:
+            raise ConfigError(f"preset {self.preset!r} is manufactured for div E = rho - mean "
+                              f"rho and needs poisson_sign 1, got -1")
         if self.output_every < 1:
             raise ConfigError(f"output_every must be >= 1, got {self.output_every}")
         if self.dim == "1d1v" and self.nx2 not in (0, self.nx):

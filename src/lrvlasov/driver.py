@@ -13,7 +13,8 @@ followed by the method-dependent truncation:
                   conservation laws (KFVS fluxes of f^n), which makes mass,
                   momentum and energy conservation exact up to round-off
 
-The multistep formula assumes three equally spaced time levels.  The step
+Both pinned methods call one moment pin, ``formats.Problem.pin``.  The
+multistep formula assumes three equally spaced time levels.  The step
 size is a CFL bound re-evaluated every step but ratcheted (never increased
 within a run); whenever the current step size differs from the last two
 recorded ones (startup, a ratchet tightening, or the final clamped step) the
@@ -115,7 +116,7 @@ class History:
         """
         f = self.fs[-1]
         if not self.cache or self.cache[0] is not f:
-            m = problem.moments(f)
+            m = problem.moments([f])
             finite = np.isfinite(m).all()
             field = _field_of(problem, m[0]) if finite else None
             # finite moments can still overflow in their sum or field energy
@@ -138,7 +139,7 @@ def initialize(cfg: SolverConfig) -> tuple[Problem, History]:
     """Initial factored state and macroscopic state, history primed at t=0."""
     problem = setup(cfg)
     f0 = problem.initial()
-    u0 = problem.moments(f0)
+    u0 = problem.moments([f0])
     u0[-1] += _field_of(problem, u0[0]).energy_density()
     return problem, History(fs=[_contig_state(f0)], us=[u0])
 
@@ -192,7 +193,7 @@ def step(problem: Problem, hist: History, dt: float):
     field = hist.newest(problem)[1]
     for stage in table:
         if len(levels) > len(hist.fs):  # the newest level is a stage just taken
-            field = _field_of(problem, problem.moments(levels[-1])[0])
+            field = _field_of(problem, problem.moments([levels[-1]])[0])
         t_rhs = hist.t + stage.t_rhs * dt
         blocks = [problem.scale(levels[k], w) for k, w in stage.weights]
         blocks += [problem.scale(b, stage.c * dt)

@@ -6,21 +6,20 @@ in both formats: moments, scaling, transport blocks, KFVS fluxes, plain and
 moment-pinned truncation of a list of blocks, and ranks.  What does not touch
 the factors is written once on ``Problem``: ``build`` makes ``dims`` spatial
 axes and ``dims`` velocity axes sharing one grid, ``initial`` calls the
-preset's one ``init(sgrid, *vgrids)`` hook, and the transport
--(v . grad_x + E . grad_v) f is ``Problem.transport`` for any dimension.  Each
-format keeps only what reads or writes its factors: ``factors`` (its spatial
-factor on the grid and its velocity leaves) and ``block`` (one block from a
-new spatial factor and a new leaf), the two primitives of the transport, and
-``scale``, ``moments``, ``fluxes``, ``truncate``, ``pin`` and ``ranks``.
-Both formats take their moments in the macroscopic state's ``(2 + d, *n)``
-layout (rows rho, J_1 .. J_d, kappa, where the state holds e = kappa +
-sign |E|^2 / 2), a pin's target is given in it, and both
-build their carriers from one ``projection.MomentBasis`` of the shared
-velocity grid.  Below it only ``macro`` keeps per-format code, one KFVS flux
-contraction each; the macroscopic rate and state and the field solve are
-written once for any dimension.  Layer functions are looked up on their
-modules at call time, so wrappers installed there (tracing, test doubles)
-see each call.
+preset's one ``init(sgrid, *vgrids)`` hook, the transport
+-(v . grad_x + E . grad_v) f is ``Problem.transport`` and the LoMaC moment
+pin is ``Problem.pin``, for any dimension.  Each format keeps only what
+reads or writes its factors: ``factors`` and ``block``, the transport's
+primitives, and ``scale``, ``add``, ``moments``, ``lift``, ``fluxes``,
+``truncate`` and ``ranks``; ``moments``, ``truncate`` and ``pin`` take a
+block list.  Both formats take their moments in the macroscopic state's
+``(2 + d, *n)`` layout (rows rho, J_1 .. J_d, kappa, where the state holds
+e = kappa + sign |E|^2 / 2), ``lift`` makes the exact carrier of moments in
+it, and both build their carriers from one ``projection.MomentBasis`` of the
+shared velocity grid.  Below it only ``macro`` keeps per-format code, one
+KFVS flux contraction each.  Layer functions are looked up on their modules
+at call time, so wrappers installed there (tracing, test doubles) see each
+call.
 """
 
 from __future__ import annotations
@@ -93,6 +92,16 @@ class Problem:
             blocks.append(self.preset.kinetic_forcing(t, self.sgrid, *self.vgrids))
         return blocks
 
+    def pin(self, blocks, target=None):
+        """Truncation of sum(blocks) with its moments pinned to ``target`` (the
+        sum's own if None): the zero-moment remainder, the blocks minus their
+        own carrier, is cut once in the norm weighted by 1/w, and one carrier,
+        lifted from the target minus the cut's leak, is added back."""
+        own = self.moments(blocks)
+        rem = self.truncate([*blocks, self.scale(self.lift(own), -1.0)], self.vgrid.w_points)
+        leak = self.moments([rem])
+        return self.add(self.lift((own if target is None else target) - leak), rem)
+
 
 @dataclass
 class Problem1D(Problem):
@@ -100,11 +109,17 @@ class Problem1D(Problem):
 
     dims = 1
 
-    def moments(self, f):
-        return projection.moments(f, self.vgrid)
+    def moments(self, blocks):
+        return projection.moments(lowrank.add(*blocks), self.vgrid)
+
+    def lift(self, m):
+        return projection.lift_moments(m, self.basis)
 
     def scale(self, f, a: float):
         return lowrank.scale(f, a)
+
+    def add(self, *terms):
+        return lowrank.add(*terms)
 
     def factors(self, f):
         """The spatial factor on the grid, (*n, r), and the velocity leaves."""
@@ -117,11 +132,8 @@ class Problem1D(Problem):
     def fluxes(self, f) -> list:
         return macro.kfvs_fluxes_1d(f, self.vgrid)
 
-    def truncate(self, blocks):
-        return lowrank.truncate_sum(blocks, self.cfg.eps)
-
-    def pin(self, blocks, target=None):
-        return projection.truncate_sum_to_moments(blocks, target, self.basis, self.cfg.eps)
+    def truncate(self, blocks, w_points=None):
+        return lowrank.truncate_sum(blocks, self.cfg.eps, w_points)
 
     def ranks(self, f) -> tuple[int, ...]:
         return (f.rank,)
@@ -133,11 +145,17 @@ class Problem2D(Problem):
 
     dims = 2
 
-    def moments(self, f):
-        return ht.ht_moments([f], self.vgrids)
+    def moments(self, blocks):
+        return ht.ht_moments(blocks, self.vgrids)
+
+    def lift(self, m):
+        return ht.ht_lift_moments(m, self.basis)
 
     def scale(self, f, a: float):
         return ht.ht_scale(f, a)
+
+    def add(self, *terms):
+        return ht.ht_add(*terms)
 
     def factors(self, f):
         return f.Ux.reshape(*f.nx, -1), (f.Uv1, f.Uv2)
@@ -150,11 +168,8 @@ class Problem2D(Problem):
     def fluxes(self, f) -> list:
         return macro.kfvs_fluxes_2d(f, self.vgrids)
 
-    def truncate(self, blocks):
-        return ht.ht_truncate_sum(blocks, self.cfg.eps)
-
-    def pin(self, blocks, target=None):
-        return ht.ht_truncate_to_moments(blocks, target, self.basis, self.cfg.eps)
+    def truncate(self, blocks, w_points=None):
+        return ht.ht_truncate_sum(blocks, self.cfg.eps, w_points)
 
     def ranks(self, f) -> tuple[int, ...]:
         return f.ranks

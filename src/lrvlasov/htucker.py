@@ -39,12 +39,11 @@ its moments come out in the macroscopic state's layout, one stacked
 ``(4, n1, n2)`` array with rows rho, J1, J2, kappa.  The transport blocks
 are built in ``formats``, which writes that operator once for both formats.
 
-A moment-pinned truncation (``ht_truncate_to_moments``) cuts the sum's
-zero-moment remainder once, in the norm weighted by 1/w, and adds one
-carrier, lifted from the target moments minus what the cut leaked into the
-remainder; a pinned state's ranks are its remainder's plus (4, 4, 3, 3).  The
-carrier's velocity leaves both hold the 1D ``projection.MomentBasis`` frame
-{1, v, v^2 - c}, coupled by one fixed pair transfer.
+The moment pin is written once for both formats, as ``formats.Problem.pin``,
+over ``ht_moments``, ``ht_lift_moments`` and the weighted ``ht_truncate_sum``;
+a pinned state's ranks are its remainder's plus the carrier's (4, 4, 3, 3).
+The carrier's velocity leaves both hold the 1D ``projection.MomentBasis``
+frame {1, v, v^2 - c}, coupled by one fixed pair transfer.
 """
 
 from __future__ import annotations
@@ -452,23 +451,4 @@ def ht_lift_moments(m: np.ndarray, basis: MomentBasis) -> HtTensor:
         np.sqrt(2.0) * (kappa - basis.c * rho) / (c1 * c3),
     ])
     return HtTensor(ux, np.eye(4), _PAIR_TRANSFER, frame, frame, m.shape[1:])
-
-
-def ht_truncate_to_moments(terms, m_target: np.ndarray | None, basis: MomentBasis,
-                           eps: float) -> HtTensor:
-    """Weighted truncation of sum(terms) with its moments pinned to m_target.
-
-    The remainder sum(terms) - lift(moments) is truncated once; the one
-    carrier added to it is lifted from ``m_target`` minus the remainder's own
-    (leaked) moments, so its ranks are the remainder's plus (4, 4, 3, 3).
-    Without a target the moments of the sum, taken once for the remainder,
-    are kept.
-    """
-    terms, grids = list(terms), (basis.grid, basis.grid)
-    own = ht_moments(terms, grids)
-    remainder = ht_truncate_sum([*terms, ht_scale(ht_lift_moments(own, basis), -1.0)], eps,
-                                basis.grid.w_points)
-    leak = ht_moments([remainder], grids)
-    return ht_add(ht_lift_moments((own if m_target is None else m_target) - leak, basis),
-                  remainder)
 

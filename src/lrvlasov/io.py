@@ -227,11 +227,10 @@ def _cfl_step(dim: int, sig) -> float:
 
 
 def _check_words(where: str, dim: int, hist, sig) -> None:
-    """Refuse a non-finite float word or array, a negative t or dt_work and a
-    recent step that is not positive; dt_work 0 means no step is chosen yet.
-    From version 2 on, whose signature holds cfl, also refuse a dt_work or
-    recent step above the CFL step and a t above step CFL steps (with the
-    rounding of a sum of step terms); version 1 files are not bounded."""
+    """Refuse a non-finite float word or array, a negative t or dt_work, a
+    recent step that is not positive (dt_work 0 means no step is chosen yet),
+    a dt_work or recent step above the CFL step of the signature's words and
+    a t above step CFL steps (with the rounding of a sum of step terms)."""
     named = [("t", hist.t), ("dt_work", hist.dt_work), *zip(_SIGNATURE_NAMES, sig[:11]),
              *((f"dts[{i}]", d) for i, d in enumerate(hist.dts))]
     named += [(f"level {i} array {k}", a) for i, f in enumerate(hist.fs)
@@ -243,7 +242,7 @@ def _check_words(where: str, dim: int, hist, sig) -> None:
             raise SnapshotError(f"{where}: {name} is not finite")
     bad = [f"{name} {w!r}" for name, w in named[:2] if w < 0]
     bad += [f"dts[{i}] {d!r}" for i, d in enumerate(hist.dts) if d <= 0]
-    dt_cfl = _cfl_step(dim, sig) if len(sig) > 9 else math.nan
+    dt_cfl = _cfl_step(dim, sig)
     if not bad and dt_cfl > 0:  # words that give no grid are the signature's to refuse
         if hist.t > hist.step * dt_cfl * (1.0 + hist.step * 2.0**-52):
             bad.append(f"t {hist.t!r} above {hist.step} CFL steps of {dt_cfl!r}")
@@ -273,16 +272,15 @@ def _read_text(fh) -> str:
     return raw.decode(errors="replace")
 
 
-# The signature: nine grid words (both versions), then, from version 2 on, the
-# run words cfl and poisson_sign (floats), method and preset (length-prefixed
-# UTF-8).  t_end, the output cadence and rank_cap may change on resume.
+# The signature: nine grid words, then the run words cfl and poisson_sign
+# (floats), method and preset (length-prefixed UTF-8).  t_end, the output
+# cadence and rank_cap may change on resume.
 _SIGNATURE_NAMES = ("nx", "nx2", "nv", "nv", "x_min", "x_max", "v_max", "beta", "eps",
                     "cfl", "poisson_sign", "method", "preset")
 
 
 def _signature(problem) -> tuple:
-    # both velocity directions share nv, which fills the slot that earlier
-    # files gave a second velocity size
+    # both velocity directions share nv, written in both velocity-size slots
     cfg = problem.cfg
     return (float(cfg.nx), float(cfg.nx2), float(cfg.nv), float(cfg.nv),
             cfg.x_min, cfg.x_max, cfg.v_max, cfg.beta, cfg.eps,
@@ -319,12 +317,12 @@ def snapshot_write(hist, problem, path) -> None:
 
 
 def snapshot_parse(path):
-    """(version, dimensionality, signature, history) stored in a snapshot
-    file; the signature has the nine grid words of a version 1 file, all of
-    ``_SIGNATURE_NAMES`` from version 2 on.  The header's counts are checked
-    (``_check_counts``) before they size a read, each level's factor shapes
-    against each other and against the signature's grid words, then every
-    float word and array by ``_check_words``."""
+    """(dimensionality, signature, history) stored in a snapshot file, the
+    signature's words named by ``_SIGNATURE_NAMES``; only ``SNAPSHOT_VERSION``
+    is read.  The header's counts are checked (``_check_counts``) before
+    they size a read, each level's factor shapes against each other and
+    against the signature's grid words, then every float word and array by
+    ``_check_words``."""
     from .driver import History  # deferred: avoids a module import cycle
 
     path = Path(path)
@@ -332,16 +330,14 @@ def snapshot_parse(path):
         if fh.read(len(_MAGIC)) != _MAGIC:
             raise SnapshotError(f"{path}: bad magic; not a snapshot file")
         version, dim, step, n_levels, n_dts = _read_words(fh, "q", 5)
-        if version not in (1, SNAPSHOT_VERSION):
+        if version != SNAPSHOT_VERSION:
             raise SnapshotError(
-                f"{path}: snapshot version {version}, expected 1 or {SNAPSHOT_VERSION}")
+                f"{path}: snapshot version {version}, expected {SNAPSHOT_VERSION}")
         if dim not in _KINETIC:
             raise SnapshotError(f"{path}: unknown snapshot dimensionality {dim}")
         _check_counts(str(path), step, n_levels, n_dts)
         t, dt_work, *dts = _read_words(fh, "d", 2 + n_dts)
-        sig = _read_words(fh, "d", 9 if version == 1 else 11)
-        if version > 1:
-            sig += (_read_text(fh), _read_text(fh))
+        sig = _read_words(fh, "d", 11) + (_read_text(fh), _read_text(fh))
         hist = History(t=t, step=step, dts=list(dts), dt_work=dt_work)
         shapes, grid = _level_shapes(dim, sig)
         for i in range(n_levels):
@@ -350,15 +346,15 @@ def snapshot_parse(path):
             hist.fs.append(f)
             hist.us.append(np.stack(rows) if rows else None)
     _check_words(str(path), dim, hist, sig)
-    return version, dim, sig, hist
+    return dim, sig, hist
 
 
 def snapshot_read(path, problem):
     """The history in ``path`` if it resumes under ``problem``.  Checked in
     turn: the dimensionality, the macroscopic levels (macro keeps one beside
-    every kinetic level, the others only beside the initial state; the only
-    method check a version 1 file gets), then the signature."""
-    _, dim, sig, hist = snapshot_parse(path)
+    every kinetic level, the others only beside the initial state), then the
+    signature."""
+    dim, sig, hist = snapshot_parse(path)
     if dim != len(problem.vgrids):
         raise SnapshotError(f"{path}: snapshot dimensionality {dim} does not match config")
     method = problem.cfg.method

@@ -8,12 +8,12 @@ distribution is split as f = carrier + remainder, where the carrier is an
 exact three-term object built from the weighted-orthogonal velocity basis
 {1, v, v^2 - c} and reproduces the moments of f; ``MomentBasis`` is that
 basis for both formats (in 2D2V each velocity leaf holds it).  The remainder
-has zero moments and is the only part rank truncation may touch.  A pinned
-truncation cuts the remainder once and adds one carrier, lifted from the
-target moments minus whatever the cut leaked into the remainder, so its rank
-is the remainder's plus three.  Moment quadrature uses the plain h_v inner
-product, while basis orthogonality lives in the w-weighted product; the two
-must not be conflated.
+has zero moments and is the only part rank truncation may touch; the pinned
+truncation that cuts it and adds one carrier back is written once for both
+formats, as ``formats.Problem.pin``, over ``moments`` and ``lift_moments``
+here.  Moment quadrature uses the plain h_v inner product, while basis
+orthogonality lives in the w-weighted product; the two must not be
+conflated.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DimensionError, DomainError
 from .grids import VelocityGrid
-from .lowrank import LowRankMatrix, add, recompress, scale, truncate_sum
+from .lowrank import LowRankMatrix, add, recompress, scale
 
 
 @dataclass(frozen=True)
@@ -90,31 +90,3 @@ def moment_split(f: LowRankMatrix, basis: MomentBasis) -> tuple[LowRankMatrix, L
     remainder = recompress(add(f, scale(carrier, -1.0)))
     return carrier, remainder
 
-
-def truncate_conservative(f: LowRankMatrix, basis: MomentBasis, eps: float) -> LowRankMatrix:
-    """Truncate the remainder only; the moments of f are preserved exactly."""
-    return truncate_sum_to_moments([f], None, basis, eps)
-
-
-def truncate_to_moments(f: LowRankMatrix, m_target: np.ndarray | None, basis: MomentBasis,
-                        eps: float) -> LowRankMatrix:
-    """Like truncate_conservative but pins the moments to external values."""
-    return truncate_sum_to_moments([f], m_target, basis, eps)
-
-
-def truncate_sum_to_moments(terms, m_target: np.ndarray | None, basis: MomentBasis,
-                            eps: float) -> LowRankMatrix:
-    """Pinned truncation of sum(terms): moments equal ``m_target``.
-
-    The remainder, the terms minus the sum's own moment carrier, is
-    weighted-truncated once; the one carrier added to it is lifted from
-    ``m_target`` minus the remainder's own (leaked) moments, so the result's
-    moments equal ``m_target``.  Without a target the moments of the sum,
-    taken once for the remainder, are kept.
-    """
-    terms = list(terms)
-    own = moments(add(*terms), basis.grid)
-    remainder = truncate_sum([*terms, scale(lift_moments(own, basis), -1.0)], eps,
-                             basis.grid.w_points)
-    leak = moments(remainder, basis.grid)
-    return add(lift_moments((own if m_target is None else m_target) - leak, basis), remainder)

@@ -6,9 +6,7 @@ projections from explicitly assembled basis matrices, truncations from dense
 (weighted) SVDs, and the time step from applying the upwind operators to the
 full 2D / 4D arrays.  The upwind stencil itself is checked against its
 ghost-cell (pad and moveaxis) formulation.  The linear damping rate comes
-from a dispersion-relation root finder built on the Faddeeva function.  One
-fixture writer lives here too: a version 1 snapshot of the current code's
-state, for the test that old files still resume bit for bit.
+from a dispersion-relation root finder built on the Faddeeva function.
 """
 
 from __future__ import annotations
@@ -279,30 +277,3 @@ def landau_energy_decay_rate(k: float) -> float:
     """Decay rate of the electric ENERGY (twice the field amplitude rate)."""
     return 2.0 * landau_field_root(k).imag
 
-
-# ---------------------------------------------------------------------------
-# version 1 snapshot fixture
-
-def write_v1_snapshot(path) -> None:
-    """Write step 4 of weak_landau_1d (macro, 16 x 33, t_end 0.2) in the
-    version 1 layout.
-
-    Version 1 is the current header with version word 1 and only the nine
-    grid words of the signature (no cfl, poisson_sign, method or preset).
-    The levels are the current code's, so the file resumes bit for bit
-    against an uninterrupted run of that code.
-    """
-    from lrvlasov import io
-    from lrvlasov.config import from_preset
-    from lrvlasov.driver import _march, initialize
-
-    problem, hist = initialize(from_preset("weak_landau_1d", nx=16, nv=33, t_end=0.2))
-    for _ in _march(problem, hist):
-        if hist.step == 4:
-            break
-    with open(path, "wb") as fh:
-        fh.write(io._MAGIC)
-        io._write_words(fh, "q", 1, 1, hist.step, len(hist.fs), len(hist.dts))
-        io._write_words(fh, "d", hist.t, hist.dt_work, *hist.dts, *io._signature(problem)[:9])
-        for f, u in zip(hist.fs, hist.us):
-            io._write_level(fh, f, u)

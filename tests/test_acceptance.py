@@ -5,18 +5,18 @@ lines; the whole suite takes a couple of minutes on a laptop.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import lrvlasov.htucker as ht
 from lrvlasov.config import from_preset
-from lrvlasov.driver import convergence_table, run
+from lrvlasov.driver import convergence_table, run, setup
 from lrvlasov.grids import make_velocity_grid, spatial_grid_1d
 from lrvlasov.lowrank import LowRankMatrix
 from lrvlasov.poisson import divergence, solve_poisson
-from lrvlasov.projection import (MomentBasis, lift_moments, moment_split,
-                                 moments, truncate_conservative, truncate_to_moments)
+from lrvlasov.projection import MomentBasis, lift_moments, moment_split, moments
 from lrvlasov.upwind import upwind_derivative
 
 from reference import landau_energy_decay_rate
@@ -148,8 +148,9 @@ def test_criterion_6_dense_scheme_equivalence():
 def test_criterion_7_moment_exactness_suite():
     rng = np.random.default_rng(7)
     nx, nv = 24, 33
-    vgrid = make_velocity_grid(nv, 6.0)
-    basis = MomentBasis.build(vgrid)
+    # weak_landau_1d's velocity grid at nv points is make_velocity_grid(nv, 6.0)
+    problem = setup(from_preset("weak_landau_1d", nx=nx, nv=nv))
+    vgrid, basis = problem.vgrid, problem.basis
     vgrid2 = make_velocity_grid(17, 6.0)
     basis2 = MomentBasis.build(vgrid2)
     nx2 = (6, 6)
@@ -180,14 +181,15 @@ def test_criterion_7_moment_exactness_suite():
                              np.abs(moments(remainder, vgrid)).max() / scale_f)
 
         eps = 10.0 ** rng.uniform(-8, -2)
-        out = truncate_conservative(f, basis, eps)
+        pin = replace(problem, cfg=replace(problem.cfg, eps=eps)).pin
+        out = pin([f])
         worst["trunc"] = max(worst["trunc"],
                              np.abs(moments(out, vgrid) - m_f).max() / scale_f)
 
         target = np.stack([m_f[0] + 1e-3 * rng.standard_normal(nx),
                            m_f[1] + 1e-3 * rng.standard_normal(nx),
                            m_f[2] + 1e-3 * rng.standard_normal(nx)])
-        pinned = truncate_to_moments(f, target, basis, eps)
+        pinned = pin([f], target)
         worst["pinned"] = max(worst["pinned"],
                               np.abs(moments(pinned, vgrid) - target).max()
                               / (np.abs(target).max() + 1.0))

@@ -8,6 +8,7 @@ import lrvlasov.macro as macro
 from lrvlasov.config import from_preset
 from lrvlasov.driver import History, advance, initialize, select_dt, step
 from lrvlasov.errors import NonFiniteError, RankOverflowError
+from lrvlasov.formats import Problem
 from lrvlasov.lowrank import LowRankMatrix
 from lrvlasov.poisson import field_energy, solve_poisson
 from lrvlasov.projection import moments
@@ -48,13 +49,13 @@ def test_moments_share_the_macro_layout(preset):
     # e = kappa + |E|^2 / 2, and a pin takes its target in that layout
     problem, hist = initialize(from_preset(preset, nx=8, nv=16, t_end=0.0))
     f0, u0 = hist.fs[0], hist.us[0]
-    m = problem.moments(f0)
+    m = problem.moments([f0])
     assert m.shape == u0.shape == (2 + len(problem.vgrids), *problem.sgrid.n)
     assert np.array_equal(u0[:-1], m[:-1])
     field = solve_poisson(m[0], problem.sgrid, problem.cfg.poisson_sign)
     assert np.array_equal(u0[-1], m[-1] + 0.5 * field.magnitude_squared())
     target = m * (1.0 + 1e-3 * np.random.default_rng(3).standard_normal(m.shape))
-    got = problem.moments(problem.pin([f0], target))
+    got = problem.moments([problem.pin([f0], target)])
     assert np.abs(got - target).max() < 1e-12 * np.abs(target).max()
 
 
@@ -168,41 +169,46 @@ def test_macro_pin_target_is_the_sums_kinetic_energy(monkeypatch):
     # bump_on_tail carries a mean current; with its work E . mean(J) in the
     # energy row the co-evolved kappa stays on the pinned sum's own (the
     # energy row without it parted from it by 6e-4 within t = 1)
-    from lrvlasov.formats import Problem1D
-
     gaps = []
-    pin = Problem1D.pin
+    pin = Problem.pin
 
     def recording(self, blocks, target=None):
-        own = sum(self.moments(b) for b in blocks)
+        own = self.moments(blocks)
         gaps.append(np.abs(target[-1] - own[-1]).max())
         return pin(self, blocks, target)
 
-    monkeypatch.setattr(Problem1D, "pin", recording)
+    monkeypatch.setattr(Problem, "pin", recording)
     run(from_preset("bump_on_tail", method="macro", t_end=1.0))
     assert len(gaps) > 100 and max(gaps) < 1e-6
 
 
-def test_pin_2d_adds_one_carrier_to_the_truncated_remainder():
+@pytest.mark.parametrize("preset,carrier", [("weak_landau_1d", (3,)),
+                                            ("weak_landau_2d2v", (4, 4, 3, 3))])
+def test_pin_adds_one_carrier_to_the_truncated_remainder(preset, carrier):
     # the pinned state is the weighted-truncated zero-moment remainder plus one
-    # (4, 4, 3, 3) carrier, whose moments are the target's
-    problem, _ = initialize(from_preset("weak_landau_2d2v", nx=8, nv=16, t_end=0.0))
-    nx, (g, _) = problem.sgrid.n, problem.vgrids
+    # carrier of fixed ranks, whose moments are the target's
+    problem, _ = initialize(from_preset(preset, nx=8, nv=16, t_end=0.0))
+    nx, g, dims = problem.sgrid.n, problem.vgrid, problem.dims
     wp = g.w_points
     rng = np.random.default_rng(5)
     for _ in range(5):
         blocks = []
         for r in rng.integers(1, 4, size=3):
-            blocks.append(ht.HtTensor(
-                rng.standard_normal((nx[0] * nx[1], r)), rng.standard_normal((r, r)),
-                rng.standard_normal((r, r, r)), wp[:, None] * rng.standard_normal((g.n, r)),
-                wp[:, None] * rng.standard_normal((g.n, r)), nx))
-        target = rng.standard_normal((4, *nx))
+            ux = rng.standard_normal((int(np.prod(nx)), r))
+            if dims == 1:
+                c = np.abs(rng.standard_normal(r)) + 0.1
+                blocks.append(LowRankMatrix(c, ux, wp[:, None] * rng.standard_normal((g.n, r))))
+            else:
+                b, bvv = rng.standard_normal((r, r)), rng.standard_normal((r, r, r))
+                uv1, uv2 = (wp[:, None] * rng.standard_normal((g.n, r)) for _ in range(2))
+                blocks.append(ht.HtTensor(ux, b, bvv, uv1, uv2, nx))
+        target = rng.standard_normal((2 + dims, *nx))
         out = problem.pin(blocks, target)
-        own = ht.ht_lift_moments(ht.ht_moments(blocks, problem.vgrids), problem.basis)
-        remainder = ht.ht_truncate_sum(blocks + [ht.ht_scale(own, -1.0)], problem.cfg.eps, wp)
-        assert out.ranks == tuple(r + c for r, c in zip(remainder.ranks, (4, 4, 3, 3)))
-        got = problem.moments(out)
+        own = problem.lift(problem.moments(blocks))
+        remainder = problem.truncate(blocks + [problem.scale(own, -1.0)], wp)
+        assert problem.ranks(out) == tuple(r + c for r, c in
+                                           zip(problem.ranks(remainder), carrier))
+        got = problem.moments([out])
         assert np.abs(got - target).max() < 1e-12 * (np.abs(target).max() + 1.0)
 
 

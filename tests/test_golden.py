@@ -12,8 +12,8 @@ Regenerate the files (only for an intended change of results) with
 
     PYTHONPATH=src python tests/test_golden.py
 
-which also rewrites ``data/weak_landau_1d_v1_step4.bin``, the version 1
-snapshot that ``test_io.py`` resumes bit for bit, from the current code.
+which also rewrites ``data/weak_landau_1d_step4.bin``, the snapshot that
+``test_io.py`` resumes bit for bit, from the current code.
 Before it overwrites a file it prints one line for it: unchanged, or how many
 rows changed rank and the largest relative change in each float column.
 """
@@ -28,7 +28,6 @@ import pytest
 
 from lrvlasov.config import from_preset
 from lrvlasov.driver import convergence_table, run
-from reference import write_v1_snapshot
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -189,10 +188,23 @@ def _regenerate(stem: str, table) -> None:
     _write(stem, table)
 
 
+def _write_snapshot_fixture(path) -> None:
+    """Step 4 of weak_landau_1d (macro, 16 x 33, t_end 0.2) as ``snapshot_write``
+    writes it."""
+    from lrvlasov.driver import _march, initialize
+    from lrvlasov.io import snapshot_write
+
+    problem, hist = initialize(from_preset("weak_landau_1d", nx=16, nv=33, t_end=0.2))
+    for _ in _march(problem, hist):
+        if hist.step == 4:
+            break
+    snapshot_write(hist, problem, path)
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     with one_blas_thread():
         for name in RUNS:
             _regenerate(name, _table(_run(name)))
         _regenerate("convergence", _convergence_table())
-        write_v1_snapshot(Path(__file__).parent / "data" / "weak_landau_1d_v1_step4.bin")
+        _write_snapshot_fixture(Path(__file__).parent / "data" / "weak_landau_1d_step4.bin")

@@ -10,8 +10,7 @@ from lrvlasov.driver import setup
 from lrvlasov.errors import DimensionError, DomainError
 from lrvlasov.grids import make_velocity_grid, spatial_grid_2d
 from lrvlasov.htucker import (_PAIR_TRANSFER, HtTensor, _PairUnfold, ht_add,
-                              ht_lift_moments, ht_moments, ht_scale, ht_truncate_sum,
-                              ht_truncate_to_moments, ht_zero)
+                              ht_lift_moments, ht_moments, ht_scale, ht_truncate_sum, ht_zero)
 from lrvlasov.macro import kfvs_fluxes_2d
 from lrvlasov.poisson import ElectricField
 from lrvlasov.projection import MomentBasis
@@ -215,10 +214,18 @@ def _zero_moments():
     return np.zeros((4, *NX))
 
 
-def test_remove_moments(rng, vgrid, basis):
+@pytest.fixture(scope="module")
+def exact_pin():
+    """``Problem.pin`` at eps = 0 on weak_landau_2d2v's grids at NX x NV,
+    whose velocity grid is make_velocity_grid(NV, 6.0)."""
+    problem = setup(from_preset("weak_landau_2d2v", nx=NX[0], nv=NV))
+    return replace(problem, cfg=replace(problem.cfg, eps=0.0)).pin
+
+
+def test_remove_moments(rng, vgrid, exact_pin):
     # pinning to zero moments at eps = 0 removes the moment carrier
     f = random_ht(rng, r=3)
-    out = ht_truncate_to_moments([f], _zero_moments(), basis, 0.0)
+    out = exact_pin([f], _zero_moments())
     m = ht_moments([out], (vgrid, vgrid))
     ref = np.abs(ht_moments([f], (vgrid, vgrid))).max() + 1.0
     assert np.abs(m).max() < 1e-12 * ref
@@ -226,7 +233,7 @@ def test_remove_moments(rng, vgrid, basis):
     oracle = dense_remove_moments_2d(f.dense(), vgrid)
     assert np.allclose(out.dense(), oracle, atol=1e-11 * np.abs(f.dense()).max())
     # idempotence
-    out2 = ht_truncate_to_moments([out], _zero_moments(), basis, 0.0)
+    out2 = exact_pin([out], _zero_moments())
     assert np.allclose(out2.dense(), out.dense(), atol=1e-11 * np.abs(f.dense()).max())
 
 
@@ -249,11 +256,11 @@ def test_weighted_truncate_eps_zero_keeps_faint_directions(vgrid, basis):
         assert err <= 1e-13 * np.linalg.norm(faint.dense() / metric)
 
 
-def test_carrier_in_span_annihilated(rng, vgrid, basis):
+def test_carrier_in_span_annihilated(rng, basis, exact_pin):
     m = np.stack([rng.standard_normal(NX), rng.standard_normal(NX),
                   rng.standard_normal(NX), rng.standard_normal(NX)])
     carrier = ht_lift_moments(m, basis)
-    out = ht_truncate_to_moments([carrier], _zero_moments(), basis, 0.0)
+    out = exact_pin([carrier], _zero_moments())
     assert np.max(np.abs(out.dense())) < 1e-12 * (np.abs(carrier.dense()).max() + 1)
 
 

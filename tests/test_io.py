@@ -135,11 +135,31 @@ def test_poisson_sign_other_than_plus_or_minus_one_rejected(sign):
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_every_preset_and_method_builds_under_either_poisson_sign(sign):
-    # the field carries its sign into the energy, so every method takes both
+    # the field carries its sign into the energy, so every method takes both;
+    # only a manufactured solution fixes the sign
     for preset in PRESETS:
+        if sign == -1.0 and PRESETS[preset].kinetic_forcing is not None:
+            continue
         for method in METHODS:
             cfg = from_preset(preset, method=method, poisson_sign=sign)
             assert (cfg.method, cfg.poisson_sign) == (method, sign)
+
+
+def test_forced_refuses_poisson_sign_minus_one(tmp_path, capsys):
+    # the manufactured forcing and sources solve div E = +(rho - mean rho); at
+    # sign -1 a run would miss the exact solution by O(1) (Linf 0.91 at 32 x 64)
+    from lrvlasov.cli import main
+
+    for method in METHODS:
+        with pytest.raises(ConfigError, match="needs poisson_sign 1"):
+            from_preset("forced", method=method, poisson_sign=-1.0)
+    rc = main(["convergence", "--sizes", "8", "--set", "method.poisson_sign=-1",
+               "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "poisson_sign" in lines[0]
+    assert "Traceback" not in err and not (tmp_path / "convergence.csv").exists()
 
 
 @pytest.mark.parametrize("override", ["method.poisson_sign=2"])
@@ -460,7 +480,7 @@ def test_snapshot_grid_signature_layout(tmp_path):
     problem, hist = initialize(cfg)
     path = tmp_path / "s.bin"
     snapshot_write(hist, problem, path)
-    sig = snapshot_parse(path)[2][:9]
+    sig = snapshot_parse(path)[1][:9]
     assert sig == (8.0, 8.0, 16.0, 16.0, cfg.x_min, cfg.x_max, cfg.v_max, cfg.beta,
                    cfg.eps)
     assert snapshot_read(path, problem).step == 0
@@ -520,43 +540,52 @@ def test_cli_resume_under_other_cfl_one_line(tmp_path, capsys):
     assert "cfl 0.3 (config 0.2)" in lines[0] and "Traceback" not in err
 
 
-# written by the version 1 format (nine grid words, no run words):
+# written by ``snapshot_write`` (tests/test_golden.py regenerates it):
 # weak_landau_1d, macro, grid.nx=16, grid.nv=33, snapshot at step 4 of a run
 # to t_end 0.2
-V1_SNAPSHOT = Path(__file__).parent / "data" / "weak_landau_1d_v1_step4.bin"
+SNAPSHOT = Path(__file__).parent / "data" / "weak_landau_1d_step4.bin"
 
 
-def test_v1_snapshot_resumes_bit_exact():
-    from lrvlasov.io import snapshot_parse
-
+def test_committed_snapshot_resumes_bit_exact():
     cfg = from_preset("weak_landau_1d", nx=16, nv=33, t_end=0.2, output_every=1)
-    _, _, sig, hist = snapshot_parse(V1_SNAPSHOT)
-    assert len(sig) == 9 and hist.step == 4
     full = run(cfg)
-    resumed = run(cfg, resume=str(V1_SNAPSHOT))
+    resumed = run(cfg, resume=str(SNAPSHOT))
     assert len(resumed) == len(full) - 4
     for a, b in zip(resumed, full[4:]):
         assert (a.t, a.ranks, a.mass, a.momentum, a.energy, a.efield_energy) == (
             b.t, b.ranks, b.mass, b.momentum, b.energy, b.efield_energy)
-    # only its nine grid words are checked
-    with pytest.raises(SnapshotError, match="signature differs from config: nx "):
-        run(from_preset("weak_landau_1d", nx=32, nv=33, t_end=0.2), resume=str(V1_SNAPSHOT))
 
 
-def test_cli_inspect_prints_file_version_and_run_words(tmp_path, capsys):
+@pytest.mark.parametrize("version", [1, 3])
+def test_cli_refuses_other_snapshot_versions(tmp_path, capsys, version):
+    # a version 1 file carries no cfl, poisson_sign, method or preset words,
+    # so nothing could refuse a resume under other run settings; every
+    # version but 2 ends in one error line naming it
+    import struct
+
     from lrvlasov.cli import main
 
-    assert main(["inspect", str(V1_SNAPSHOT)]) == 0
+    raw = bytearray(SNAPSHOT.read_bytes())
+    struct.pack_into("<q", raw, 8, version)  # the word after the magic
+    path = tmp_path / "other.bin"
+    path.write_bytes(bytes(raw))
+    for argv in (["inspect", str(path)],
+                 ["run", "--preset", "weak_landau_1d", "--set", "grid.nx=16",
+                  "--set", "grid.nv=33", "--set", "method.t_end=0.2",
+                  "--resume", str(path), "--out", str(tmp_path)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "Traceback" not in err
+        assert f"snapshot version {version}, expected 2" in lines[0]
+
+
+def test_cli_inspect_prints_file_version_and_run_words(capsys):
+    from lrvlasov.cli import main
+
+    assert main(["inspect", str(SNAPSHOT)]) == 0
     out = capsys.readouterr().out
-    assert "version 1, 1D1V, step 4" in out and "run:" not in out
-    assert main(["run", "--preset", "weak_landau_1d", "--set", "grid.nx=16",
-                 "--set", "grid.nv=33", "--set", "method.t_end=0.05",
-                 "--snapshot-every", "1", "--out", str(tmp_path)]) == 0
-    snap = sorted(tmp_path.glob("snapshot_*.bin"))[-1]
-    capsys.readouterr()
-    assert main(["inspect", str(snap)]) == 0
-    out = capsys.readouterr().out
-    assert "version 2, 1D1V" in out
+    assert "version 2, 1D1V, step 4" in out
     assert "run: preset=weak_landau_1d method=macro cfl=0.3 poisson_sign=1" in out
 
 

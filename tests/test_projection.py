@@ -1,11 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from lrvlasov.config import from_preset
+from lrvlasov.driver import setup
 from lrvlasov.errors import DimensionError
 from lrvlasov.grids import GaussianWeight, make_velocity_grid, weighted_inner
 from lrvlasov.lowrank import LowRankMatrix, add, recompress, scale, zero
-from lrvlasov.projection import (MomentBasis, lift_moments, moment_split,
-                                 moments, truncate_conservative, truncate_to_moments)
+from lrvlasov.projection import MomentBasis, lift_moments, moment_split, moments
 
 from reference import dense_carrier, dense_moments, dense_weighted_projection
 
@@ -21,6 +24,17 @@ def vgrid():
 @pytest.fixture(scope="module")
 def basis(vgrid):
     return MomentBasis.build(vgrid)
+
+
+@pytest.fixture(scope="module")
+def problem():
+    # weak_landau_1d's velocity grid at NV points is make_velocity_grid(NV, 6.0)
+    return setup(from_preset("weak_landau_1d", nx=NX, nv=NV))
+
+
+def pin(problem, f, eps, target=None):
+    """The one moment pin, ``Problem.pin``, of f alone at threshold eps."""
+    return replace(problem, cfg=replace(problem.cfg, eps=eps)).pin([f], target)
 
 
 def random_lr(rng, rank=4, nx=NX, nv=NV):
@@ -147,13 +161,13 @@ def test_projector_idempotence(rng, basis, vgrid):
     assert np.max(np.abs(rem2.dense())) < 1e-11 * np.abs(carrier.dense()).max()
 
 
-def test_conservative_truncate_eps_zero(rng, basis, vgrid):
+def test_pin_eps_zero(rng, problem):
     f = random_lr(rng)
-    out = truncate_conservative(f, basis, 0.0)
+    out = pin(problem, f, 0.0)
     assert np.allclose(out.dense(), f.dense(), atol=1e-11 * np.abs(f.dense()).max())
 
 
-def test_conservative_truncate_moment_preservation(rng, basis, vgrid):
+def test_pin_moment_preservation(rng, problem, basis, vgrid):
     from lrvlasov.lowrank import truncate_sum
 
     for k in range(100):
@@ -163,7 +177,7 @@ def test_conservative_truncate_moment_preservation(rng, basis, vgrid):
             # round-off leaks into them
             f = add(f, scale(moment_split(random_lr(rng, rank=3), basis)[1], 200.0))
         eps = 10.0 ** rng.uniform(-8, -2)
-        out = truncate_conservative(f, basis, eps)
+        out = pin(problem, f, eps)
         m_in, m_out = moments(f, vgrid), moments(out, vgrid)
         ref = np.abs(m_in).max() + 1e-3
         assert np.max(np.abs(m_out - m_in)) < 1e-12 * ref
@@ -173,39 +187,39 @@ def test_conservative_truncate_moment_preservation(rng, basis, vgrid):
         assert out.rank <= 3 + r2
 
 
-def test_conservative_truncate_weighted_error_bound(rng, basis, vgrid):
+def test_pin_weighted_error_bound(rng, problem, vgrid):
     # constructed fast-decaying remainder spectrum; dense weighted-SVD oracle
     f = add(random_lr(rng, rank=2), scale(random_lr(rng, rank=3), 1e-5))
     eps = 1e-3
-    out = truncate_conservative(f, basis, eps)
+    out = pin(problem, f, eps)
     err = (out.dense() - f.dense()) / np.sqrt(vgrid.w_points)[None, :]
     assert np.linalg.norm(err) <= eps * (1 + 1e-8)
 
 
-def test_pinned_moments_definitional_match(rng, basis, vgrid):
+def test_pinned_moments_definitional_match(rng, problem, vgrid):
     f = random_lr(rng)
     eps = 1e-4
     own = moments(f, vgrid)
-    a = truncate_conservative(f, basis, eps)
-    b = truncate_to_moments(f, own, basis, eps)
+    a = pin(problem, f, eps)
+    b = pin(problem, f, eps, own)
     assert np.allclose(a.dense(), b.dense(), atol=1e-13 * np.abs(a.dense()).max())
 
 
-def test_pinned_moments_zero_target(rng, basis, vgrid):
+def test_pinned_moments_zero_target(rng, problem, vgrid):
     f = random_lr(rng)
     m0 = np.zeros((3, NX))
-    out = truncate_to_moments(f, m0, basis, 1e-4)
+    out = pin(problem, f, 1e-4, m0)
     m_out = moments(out, vgrid)
     assert np.abs(m_out).max() < 1e-12 * (np.abs(moments(f, vgrid)).max() + 1.0)
 
 
-def test_pinned_moments_track_target(rng, basis, vgrid):
+def test_pinned_moments_track_target(rng, problem, vgrid):
     for _ in range(30):
         f = random_lr(rng)
         own = moments(f, vgrid)
         delta = 1e-3 * rng.standard_normal(NX)
         target = own + delta
-        out = truncate_to_moments(f, target, basis, 1e-5)
+        out = pin(problem, f, 1e-5, target)
         got = moments(out, vgrid)
         ref = np.abs(target).max() + 1.0
         assert np.max(np.abs(got - target)) < 1e-12 * ref
