@@ -32,12 +32,17 @@ here branches on the dimension: ``formats`` picks the problem's class
 and below it only ``macro`` keeps one KFVS flux contraction per format.
 Moments share the macroscopic state's layout, with kappa in the last row
 where the state holds e = kappa + sign |E|^2 / 2, the field's share written
-once (``ElectricField.energy_density``).  ``History`` keeps the moments and
-field of its newest level, so the CFL bound, the step and the diagnostics
-share one field solve per level.  A non-finite macroscopic state or a failed
-factorization stops the step with ``NonFiniteError``, as does a level whose
-moments are not finite or overflow in their sum or field energy, and a step
-size too small to advance t.  A resumed run takes its history from
+once (``ElectricField.energy_density``).  ``History.newest`` gives the
+moments and field that the CFL bound and the next step reuse: under macro
+those of the level's macroscopic state (``_macro_pair``), which the cut
+already took for its pin target, so a step solves Poisson once and takes no
+moments of its new level, and a level at t = 0 or from a snapshot derives
+the same bits from its state; under plain and conservative the level's own.
+The diagnostics always measure the level's own moments and field.  A
+non-finite macroscopic state or a failed factorization stops the step with
+``NonFiniteError``, as does a level whose factors overflow a bound on its
+norm or whose moments overflow in their sum or field energy, and a step size
+too small to advance t.  A resumed run takes its history from
 ``io.snapshot_read`` and builds no initial state.
 """
 
@@ -67,6 +72,22 @@ def _field_of(problem: Problem, rho: np.ndarray) -> ElectricField:
     return solve_poisson(rho, problem.sgrid, problem.cfg.poisson_sign)
 
 
+def _macro_pair(problem: Problem, u: np.ndarray) -> tuple[np.ndarray, ElectricField]:
+    """The moments and field that the macroscopic state u fixes: u with
+    kappa = e - sign |E|^2 / 2 in its last row, and the field of u's density."""
+    field = _field_of(problem, u[0])
+    m = u.copy()
+    m[-1] -= field.energy_density()
+    return m, field
+
+
+def _norm_bound(f) -> float:
+    """A bound on ||f||_F^2: the product of its factors' squared Frobenius
+    norms, infinite when a factor word is not finite or overflows it."""
+    return math.prod(float(np.vdot(a, a)) for a in vars(f).values()
+                     if isinstance(a, np.ndarray))
+
+
 def _contig_state(f):
     """Copy factor arrays to C order.
 
@@ -94,6 +115,8 @@ class History:
     dt_work: float = 0.0
     # (level, moments, field) of fs[-1], filled on first use
     cache: tuple = dataclass_field(default=(), repr=False, compare=False)
+    # (macro state, moments, field) of the state ``pair`` saw last
+    paired: tuple = dataclass_field(default=(), repr=False, compare=False)
 
     def push(self, f, u, dt: float) -> None:
         self.fs = [*self.fs, _contig_state(f)][-3:]
@@ -108,19 +131,34 @@ class History:
         ref = max(abs(dt), 1e-300)
         return all(abs(d - dt) <= _DT_MATCH * ref for d in self.dts[-2:])
 
-    def newest(self, problem: Problem):
-        """Moments and field of the newest stored level, solved once per level.
+    def pair(self, problem: Problem, u: np.ndarray) -> tuple[np.ndarray, ElectricField]:
+        """``_macro_pair`` of the macroscopic state u, solved once per state:
+        the cut that pins a level to u takes it, and the level's next uses
+        (the next stage's field, ``newest``) find it here."""
+        if not self.paired or self.paired[0] is not u:
+            self.paired = (u, *_macro_pair(problem, u))
+        return self.paired[1], self.paired[2]
 
-        Moments that are not finite, or whose sum or field energy overflows,
-        stop the run here, at the step that produced them.
+    def newest(self, problem: Problem):
+        """Moments and field of the newest stored level, once per level: under
+        macro the ``pair`` of its macroscopic state, else its own.
+
+        A level whose factors overflow the bound on its norm, or whose
+        moments are not finite or overflow in their sum or field energy,
+        stops the run here, at the step that produced it.
         """
         f = self.fs[-1]
         if not self.cache or self.cache[0] is not f:
-            m = problem.moments([f])
-            finite = np.isfinite(m).all()
-            field = _field_of(problem, m[0]) if finite else None
+            m = field = None
+            if math.isfinite(_norm_bound(f)):
+                if problem.cfg.method == "macro":
+                    m, field = self.pair(problem, self.us[-1])
+                else:
+                    m = problem.moments([f])
+                    field = _field_of(problem, m[0]) if np.isfinite(m).all() else None
             # finite moments can still overflow in their sum or field energy
-            if not (finite and math.isfinite(float(m.sum()) + field_energy(field, problem.sgrid))):
+            if field is None or not math.isfinite(float(m.sum())
+                                                  + field_energy(field, problem.sgrid)):
                 raise NonFiniteError(f"non-finite moments at step {self.step} "
                                      f"(t={self.t:.6g})")
             self.cache = (f, m, field)
@@ -174,15 +212,11 @@ MULTISTEP = (Stage(((-3, 0.25), (-1, 0.75)), c=1.5),)
 HEUN = (Stage(((-1, 1.0),), c=1.0), Stage(((-2, 0.5), (-1, 0.5)), c=0.5, t_rhs=1.0))
 
 
-def _cut(problem: Problem, blocks: list, u_new):
-    """The method policy: plain truncation, or truncation pinned to moments."""
-    method = problem.cfg.method
-    if method == "plain":
+def _cut(problem: Problem, blocks: list, target):
+    """The method policy: plain truncation, or truncation pinned to moments,
+    the blocks' own under conservative, ``target`` under macro."""
+    if problem.cfg.method == "plain":
         return problem.truncate(blocks)
-    if method == "conservative":
-        return problem.pin(blocks)
-    target = u_new.copy()
-    target[-1] -= _field_of(problem, u_new[0]).energy_density()
     return problem.pin(blocks, target)
 
 
@@ -190,22 +224,25 @@ def step(problem: Problem, hist: History, dt: float):
     """One multistep or Heun step; returns the new kinetic and macro states."""
     table = MULTISTEP if hist.multistep_ready(dt) else HEUN
     levels, us = list(hist.fs), list(hist.us)
+    pinned_to_state = problem.cfg.method == "macro"
     field = hist.newest(problem)[1]
     for stage in table:
         if len(levels) > len(hist.fs):  # the newest level is a stage just taken
-            field = _field_of(problem, problem.moments([levels[-1]])[0])
+            field = (hist.pair(problem, us[-1])[1] if pinned_to_state
+                     else _field_of(problem, problem.moments([levels[-1]])[0]))
         t_rhs = hist.t + stage.t_rhs * dt
         blocks = [problem.scale(levels[k], w) for k, w in stage.weights]
         blocks += [problem.scale(b, stage.c * dt)
                    for b in problem.transport(levels[-1], field, t_rhs)]
-        u = None
-        if problem.cfg.method == "macro":
+        u = target = None
+        if pinned_to_state:
             u = macro.combine([us[k] for k, _ in stage.weights], [w for _, w in stage.weights],
                               problem.rate(us[-1], levels[-1], field, t_rhs), stage.c * dt)
             if not np.isfinite(u).all():
                 raise NonFiniteError(f"non-finite macroscopic state at step {hist.step} "
                                      f"(t={hist.t:.6g})")
-        levels.append(_cut(problem, blocks, u))
+            target = hist.pair(problem, u)[0]
+        levels.append(_cut(problem, blocks, target))
         us.append(u)
     return levels[-1], us[-1]
 
@@ -228,7 +265,12 @@ def advance(problem: Problem, hist: History, dt: float) -> None:
 # diagnostics and the run loop
 
 def diagnostics_row(problem: Problem, hist: History, wall_ms: float) -> DiagnosticsRow:
+    """The newest level's totals, from its own moments and field, so that
+    conservation is measured, not assumed from the state it was pinned to."""
     m, field = hist.newest(problem)
+    if problem.cfg.method == "macro":
+        m = problem.moments([hist.fs[-1]])
+        field = _field_of(problem, m[0])
     vol = problem.sgrid.cell_volume
     efield = field_energy(field, problem.sgrid)
     return DiagnosticsRow(

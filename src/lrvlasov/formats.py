@@ -16,15 +16,16 @@ block list.  Both formats take their moments in the macroscopic state's
 ``(2 + d, *n)`` layout (rows rho, J_1 .. J_d, kappa, where the state holds
 e = kappa + sign |E|^2 / 2), ``lift`` makes the exact carrier of moments in
 it, and both build their carriers from one ``projection.MomentBasis`` of the
-shared velocity grid.  Below it only ``macro`` keeps per-format code, one
-KFVS flux contraction each.  Layer functions are looked up on their modules
-at call time, so wrappers installed there (tracing, test doubles) see each
-call.
+shared velocity grid, which also holds the velocity tables that every moment
+and flux contraction reads, built once per grid.  Below it only ``macro``
+keeps per-format code, one KFVS flux contraction each.  Layer functions are
+looked up on their modules at call time, so wrappers installed there
+(tracing, test doubles) see each call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
@@ -162,8 +163,8 @@ class Problem2D(Problem):
 
     def block(self, f, ux, axis: int, leaf):
         # every block keeps f's Bvv object, so _Runs contracts them together
-        return replace(f, Ux=ux.reshape(f.Ux.shape[0], -1), B=-f.B,
-                       **{("Uv1", "Uv2")[axis]: leaf})
+        uv1, uv2 = (leaf, f.Uv2) if axis == 0 else (f.Uv1, leaf)
+        return ht.HtTensor(ux.reshape(f.Ux.shape[0], -1), -f.B, f.Bvv, uv1, uv2, f.nx)
 
     def fluxes(self, f) -> list:
         return macro.kfvs_fluxes_2d(f, self.vgrids)

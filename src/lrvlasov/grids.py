@@ -83,14 +83,16 @@ def spatial_grid_2d(n1: int, n2: int, x_min: float, x_max: float) -> SpatialGrid
     return SpatialGrid(n=(n1, n2), x_min=(x_min, x_min), x_max=(x_max, x_max))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VelocityGrid:
     """Velocity grid with plain and weighted quadrature vectors.
 
     ``w_points`` holds the point values w(v_j) used to scale distributions,
     while ``w`` holds the weighted-quadrature vector w(v_j) * h entering the
     weighted inner product.  Both are kept because scaling and quadrature use
-    different objects and must not be conflated.
+    different objects and must not be conflated.  A grid compares and hashes
+    by identity, so the tables built from it (``projection.MomentBasis``) are
+    cached per grid object.
     """
 
     n: int

@@ -34,10 +34,12 @@ warm truncation faults in no fresh page; nothing returned aliases it.
 Moments and KFVS fluxes are separable velocity-pair functionals, taken for
 all blocks of a sum in one batched contraction (``_pair_fields``): one matrix
 product per leaf, one per run of blocks sharing a Bvv, one spatial product per
-block.  ``ht_moments`` takes a block list, like every sum routine here, and
-its moments come out in the macroscopic state's layout, one stacked
-``(4, n1, n2)`` array with rows rho, J1, J2, kappa.  The transport blocks
-are built in ``formats``, which writes that operator once for both formats.
+block; the leaf columns are the read-only tables of the grids'
+``projection.MomentBasis``, built once per grid.  ``ht_moments`` takes a
+block list, like every sum routine here, and its moments come out in the
+macroscopic state's layout, one stacked ``(4, n1, n2)`` array with rows rho,
+J1, J2, kappa.  The transport blocks are built in ``formats``, which writes
+that operator once for both formats.
 
 The moment pin is written once for both formats, as ``formats.Problem.pin``,
 over ``ht_moments``, ``ht_lift_moments`` and the weighted ``ht_truncate_sum``;
@@ -48,7 +50,7 @@ frame {1, v, v^2 - c}, coupled by one fixed pair transfer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,7 +96,7 @@ def ht_zero(nx: tuple[int, int], nv1: int, nv2: int) -> HtTensor:
 
 
 def ht_scale(f: HtTensor, a: float) -> HtTensor:
-    return replace(f, B=a * f.B)
+    return HtTensor(f.Ux, a * f.B, f.Bvv, f.Uv1, f.Uv2, f.nx)
 
 
 def ht_add(*terms: HtTensor) -> HtTensor:
@@ -315,8 +317,8 @@ def ht_truncate_sum(terms, eps: float, w_points=None) -> HtTensor:
     sqrt_w = _weight_root(w_points, nv1, nv2)
     terms = [t for t in terms if min(t.ranks) > 0]  # zero blocks add nothing
     if sqrt_w is not None:
-        terms = [replace(t, Uv1=t.Uv1 / sqrt_w[:, None], Uv2=t.Uv2 / sqrt_w[:, None])
-                 for t in terms]
+        terms = [HtTensor(t.Ux, t.B, t.Bvv, t.Uv1 / sqrt_w[:, None], t.Uv2 / sqrt_w[:, None],
+                          t.nx) for t in terms]
     if not terms:
         return ht_zero(nx, nv1, nv2)
     pair = _PairUnfold(terms)
@@ -408,14 +410,12 @@ _MOMENT_WEIGHTS = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
 
 
 def _moment_leaves(terms, grids: tuple[VelocityGrid, VelocityGrid]):
-    """Leaf columns of the moment pair functionals, checked against the terms."""
+    """The grids' ``pair_moments`` leaves, checked against the terms."""
     g1, g2 = grids
     for t in terms:
         if t.Uv1.shape[0] != g1.n or t.Uv2.shape[0] != g2.n:
             raise DimensionError("velocity frames do not match grids")
-    one1, one2 = np.ones(g1.n), np.ones(g2.n)
-    return (g1.h * np.column_stack([one1, g1.v, one1, g1.v**2, one1]),
-            g2.h * np.column_stack([one2, one2, g2.v, one2, g2.v**2]))
+    return MomentBasis.build(g1).pair_moments[0], MomentBasis.build(g2).pair_moments[1]
 
 
 def ht_moments(terms, grids: tuple[VelocityGrid, VelocityGrid]) -> np.ndarray:

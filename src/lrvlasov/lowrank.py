@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,7 +60,7 @@ def zero(nx: int, nv: int) -> LowRankMatrix:
 
 
 def scale(f: LowRankMatrix, a: float) -> LowRankMatrix:
-    return replace(f, C=a * f.C)
+    return LowRankMatrix(a * f.C, f.Ux, f.Uv)
 
 
 def _check_shapes(terms) -> tuple[int, int]:

@@ -6,9 +6,11 @@ the split fluxes, the rates and the kinetic moments (kappa in place of e)
 share that layout.  Split fluxes are velocity moments of the kinetic solution
 against sign-split monomials v+ = max(v, 0), v- = min(v, 0), one ``(plus,
 minus)`` pair per spatial axis; only their contraction with the factored
-solution is written once per format (``kfvs_fluxes_1d``, ``kfvs_fluxes_2d``);
-in 2D all sixteen split fluxes are one batched pair contraction in
-``htucker``.  Interfaces are reconstructed with the same fifth-order upwind
+solution is written once per format (``kfvs_fluxes_1d``, ``kfvs_fluxes_2d``),
+against velocity tables built once per grid (``projection.MomentBasis``): in
+1D all six split fluxes are one chain through ``flux_table``, in 2D all
+sixteen are one batched pair contraction in ``htucker`` against
+``pair_fluxes``.  Interfaces are reconstructed with the same fifth-order upwind
 stencils as the kinetic transport, so the two discretizations agree
 flux-by-flux.  ``rate`` gives -div F + S for any number of axes, keeping the
 totals exact up to source terms, and ``combine`` applies any time-stepping
@@ -24,21 +26,18 @@ from .errors import DimensionError
 from .grids import SpatialGrid, VelocityGrid
 from .lowrank import LowRankMatrix
 from .poisson import ElectricField
+from .projection import MomentBasis
 from .upwind import flux_difference, reconstruct_interface
 
 
 def kfvs_fluxes_1d(f: LowRankMatrix, grid: VelocityGrid) -> list:
-    """Mass, momentum and energy fluxes split on the sign of v: [(plus, minus)]."""
+    """Mass, momentum and energy fluxes split on the sign of v: [(plus, minus)],
+    all six from one chain through the grid's ``flux_table``."""
     if f.Uv.shape[0] != grid.n:
         raise DimensionError("velocity factor length does not match grid")
-    h, v = grid.h, grid.v
-
-    def against(vv: np.ndarray) -> np.ndarray:
-        mono = np.column_stack([vv, vv**2, 0.5 * vv**3])  # (Nv, 3)
-        weights = h * (f.Uv.T @ mono) * f.C[:, None]      # (r, 3)
-        return (f.Ux @ weights).T                         # (3, Nx)
-
-    return [(against(np.maximum(v, 0.0)), against(np.minimum(v, 0.0)))]
+    weights = (f.Uv.T @ MomentBasis.build(grid).flux_table) * f.C[:, None]   # (r, 6)
+    fluxes = weights.T @ f.Ux.T                                             # (6, Nx)
+    return [(fluxes[:3], fluxes[3:])]
 
 
 def _flux_weights() -> np.ndarray:
@@ -65,20 +64,14 @@ def kfvs_fluxes_2d(f: ht.HtTensor, grids: tuple[VelocityGrid, VelocityGrid]) -> 
 
     The flux monomials are (s, s^2, s o, s (s^2 + o^2) / 2), s the sign-split
     velocity of the axis and o the other velocity; all sixteen fluxes come
-    from one batched contraction of f's velocity pair.
+    from one batched contraction of f's velocity pair against the grids'
+    ``pair_fluxes`` leaves.
     """
     g1, g2 = grids
     if f.Uv1.shape[0] != g1.n or f.Uv2.shape[0] != g2.n:
         raise DimensionError("velocity frames do not match grids")
-    leaves = ([], [])
-    for k in (0, 1):
-        g, o = grids[k], grids[1 - k]
-        one = np.ones_like(o.v)
-        for split in (np.maximum, np.minimum):
-            s = split(g.v, 0.0)
-            leaves[k].append(g.h * np.column_stack([s, s**2, s, s**3, s]))
-            leaves[1 - k].append(o.h * np.column_stack([one, one, o.v, one, o.v**2]))
-    fields = ht._pair_fields([f], np.hstack(leaves[0]), np.hstack(leaves[1]), _FLUX_WEIGHTS)
+    fields = ht._pair_fields([f], MomentBasis.build(g1).pair_fluxes[0],
+                             MomentBasis.build(g2).pair_fluxes[1], _FLUX_WEIGHTS)
     return [(fields[0:4], fields[4:8]), (fields[8:12], fields[12:16])]
 
 

@@ -7,7 +7,9 @@ e = kappa + sign |E|^2 / 2 (``poisson.ElectricField.energy_density``).  The
 distribution is split as f = carrier + remainder, where the carrier is an
 exact three-term object built from the weighted-orthogonal velocity basis
 {1, v, v^2 - c} and reproduces the moments of f; ``MomentBasis`` is that
-basis for both formats (in 2D2V each velocity leaf holds it).  The remainder
+basis for both formats (in 2D2V each velocity leaf holds it), built once per
+velocity grid with the grid's quadrature tables for the moments and KFVS
+fluxes of both formats, so no call rebuilds a velocity column.  The remainder
 has zero moments and is the only part rank truncation may touch; the pinned
 truncation that cuts it and adds one carrier back is written once for both
 formats, as ``formats.Problem.pin``, over ``moments`` and ``lift_moments``
@@ -18,6 +20,7 @@ conflated.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,9 +32,26 @@ from .lowrank import LowRankMatrix, add, recompress, scale
 
 @dataclass(frozen=True)
 class MomentBasis:
-    """Weighted-orthogonal velocity basis {1, v, v^2 - c}, its norms and the
-    carrier frame w(v) {1, v, v^2 - c}, a read-only (nv, 3) array that both
-    formats' carriers take their velocity factors from."""
+    """The velocity constants of one grid, read-only and built once per grid
+    object (``build`` is cached on the grid's identity).
+
+    The weighted-orthogonal basis {1, v, v^2 - c} with its norms and the
+    carrier frame w(v) {1, v, v^2 - c}, an (nv, 3) array that both formats'
+    carriers take their velocity factors from; and the plain-quadrature
+    tables (h times the monomials) of the moments and KFVS fluxes:
+
+    moment_table  (nv, 3)  [1, v, v^2/2], the 1D moments rho, J, kappa
+    flux_table    (nv, 6)  [v+, v+^2, v+^3/2, v-, v-^2, v-^3/2], the 1D
+                           split fluxes, v+ = max(v, 0) and v- = min(v, 0)
+    pair_moments  two (nv, 5) leaves, this grid as the first velocity and
+                  as the second: [1, v, 1, v^2, 1] and [1, 1, v, 1, v^2],
+                  the 2D moment pair functionals
+    pair_fluxes   two (nv, 20) leaves of the 2D split-flux pair functionals
+                  (``macro.kfvs_fluxes_2d``): per axis and sign, s = v+ or
+                  v- of that axis against o, the other velocity, the pairs
+                  (s, 1), (s^2, 1), (s, o), (s^3, 1), (s, o^2); the axis's own
+                  leaf holds [s, s^2, s, s^3, s] and the other [1, 1, o, 1, o^2]
+    """
 
     grid: VelocityGrid
     c: float
@@ -39,19 +59,38 @@ class MomentBasis:
     norm2_sq: float   # ||v||_w^2
     norm3_sq: float   # ||v^2 - c||_w^2
     frame: np.ndarray
+    moment_table: np.ndarray
+    flux_table: np.ndarray
+    pair_moments: tuple[np.ndarray, np.ndarray]
+    pair_fluxes: tuple[np.ndarray, np.ndarray]
 
     @classmethod
+    @functools.lru_cache(maxsize=8)  # the latest grids keep theirs
     def build(cls, grid: VelocityGrid) -> "MomentBasis":
-        w, v = grid.w, grid.v
+        w, v, h = grid.w, grid.v, grid.h
         n1 = float(np.sum(w))
         c = float(np.dot(v**2, w)) / n1
         if c <= 0:
             raise DomainError("nonpositive basis constant; weight or grid invalid")
         n2 = float(np.dot(v**2, w))
         n3 = float(np.dot((v**2 - c) ** 2, w))
-        frame = grid.w_points[:, None] * np.column_stack([np.ones_like(v), v, v**2 - c])
-        frame.flags.writeable = False
-        return cls(grid=grid, c=c, norm1_sq=n1, norm2_sq=n2, norm3_sq=n3, frame=frame)
+        one = np.ones_like(v)
+        plus, minus = np.maximum(v, 0.0), np.minimum(v, 0.0)
+        first = h * np.column_stack([one, v, one, v**2, one])
+        second = h * np.column_stack([one, one, v, one, v**2])
+        own = [h * np.column_stack([s, s**2, s, s**3, s]) for s in (plus, minus)]
+        basis = cls(grid=grid, c=c, norm1_sq=n1, norm2_sq=n2, norm3_sq=n3,
+                    frame=grid.w_points[:, None] * np.column_stack([one, v, v**2 - c]),
+                    moment_table=h * np.column_stack([one, v, 0.5 * v**2]),
+                    flux_table=np.hstack([h * np.column_stack([s, s**2, 0.5 * s**3])
+                                          for s in (plus, minus)]),
+                    pair_moments=(first, second),
+                    pair_fluxes=(np.hstack([*own, second, second]),
+                                 np.hstack([second, second, *own])))
+        for a in (basis.frame, basis.moment_table, basis.flux_table, *basis.pair_moments,
+                  *basis.pair_fluxes):
+            a.flags.writeable = False
+        return basis
 
     def vectors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         v = self.grid.v
@@ -59,14 +98,12 @@ class MomentBasis:
 
 
 def moments(f: LowRankMatrix, grid: VelocityGrid) -> np.ndarray:
-    """(rho, J, kappa) stacked, (3, nx), by factor-wise quadrature."""
+    """(rho, J, kappa) stacked, (3, nx), by factor-wise quadrature: one
+    chain through the grid's ``moment_table``."""
     if f.Uv.shape[0] != grid.n:
         raise DimensionError("velocity factor length does not match grid")
-    h, v = grid.h, grid.v
-    m0 = h * f.Uv.sum(axis=0)                  # <Uv_l, 1>
-    m1 = h * (f.Uv.T @ v)                      # <Uv_l, v>
-    m2 = h * (f.Uv.T @ (0.5 * v**2))           # <Uv_l, v^2/2>
-    return np.stack([f.Ux @ (f.C * m0), f.Ux @ (f.C * m1), f.Ux @ (f.C * m2)])
+    weights = (f.Uv.T @ MomentBasis.build(grid).moment_table) * f.C[:, None]   # (r, 3)
+    return weights.T @ f.Ux.T
 
 
 def lift_moments(m: np.ndarray, basis: MomentBasis) -> LowRankMatrix:

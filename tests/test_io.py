@@ -1116,6 +1116,38 @@ def test_cli_resume_of_overflowing_factor_one_line(step3_snapshots, tmp_path, ca
     assert "at step 3 (t=" in line
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("preset,word", [("weak_landau_1d", "level 2 array Ux"),
+                                         ("weak_landau_2d2v", "level 2 array Uv1")])
+def test_resumed_huge_factor_word_stops_at_the_resumed_step(step3_snapshots, tmp_path, preset,
+                                                            word):
+    # under macro the moments and field of the newest level come from its
+    # macroscopic state, which the word leaves alone; the bound on the
+    # level's norm still stops the run before it steps
+    snap = _write_corrupted(step3_snapshots, preset, word, 1e300, tmp_path / "huge.bin")
+    nx, nv, t_end = STEP3_RUNS[preset]
+    with pytest.raises(NonFiniteError, match=r"non-finite moments at step 3 \(t="):
+        run(from_preset(preset, nx=nx, nv=nv, t_end=2 * t_end), resume=str(snap))
+
+
+@pytest.mark.parametrize("preset", sorted(STEP3_RUNS))
+def test_resumed_macro_level_has_the_uninterrupted_moments_and_field(tmp_path, preset):
+    # the uninterrupted run's newest level keeps the pair its cut took; the
+    # resumed one derives it from the stored state, to the same bits
+    from lrvlasov.driver import _march
+
+    nx, nv, t_end = STEP3_RUNS[preset]
+    problem, hist = initialize(from_preset(preset, nx=nx, nv=nv, t_end=t_end))
+    march = _march(problem, hist)
+    while hist.step < 3:
+        next(march)
+    snapshot_write(hist, problem, tmp_path / "s.bin")
+    resumed = snapshot_read(tmp_path / "s.bin", setup(problem.cfg))
+    (m, field), (m2, field2) = hist.newest(problem), resumed.newest(problem)
+    assert m.tobytes() == m2.tobytes()
+    assert [e.tobytes() for e in field.E] == [e.tobytes() for e in field2.E]
+
+
 _FUZZ_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 0.5, 3.0, 1e300, -1e300,
                 1e-300, 5e-324, 2.0**62]
 
