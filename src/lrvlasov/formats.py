@@ -11,13 +11,17 @@ preset's one ``init(sgrid, *vgrids)`` hook, the transport
 pin is ``Problem.pin``, for any dimension.  Each format keeps only what
 reads or writes its factors: ``factors`` and ``block``, the transport's
 primitives, and ``scale``, ``add``, ``moments``, ``lift``, ``fluxes``,
-``truncate`` and ``ranks``; ``moments``, ``truncate`` and ``pin`` take a
-block list.  Both formats take their moments in the macroscopic state's
-``(2 + d, *n)`` layout (rows rho, J_1 .. J_d, kappa, where the state holds
-e = kappa + sign |E|^2 / 2), ``lift`` makes the exact carrier of moments in
-it, and both build their carriers from one ``projection.MomentBasis`` of the
-shared velocity grid, which also holds the velocity tables that every moment
-and flux contraction reads, built once per grid.  Below it only ``macro``
+``truncate``, ``zero_moment_cut`` and ``ranks``; ``moments``, ``truncate``,
+``zero_moment_cut`` and ``pin`` take a block list.  The zero-moment cut is
+the pin's one truncation: 1D1V projects the stacked velocity factor off the
+carrier frame in the 1/w-weighted coordinates and takes no moments, 2D2V
+subtracts the carrier of the blocks' own moments.  Both formats take their
+moments in the macroscopic state's ``(2 + d, *n)`` layout (rows rho,
+J_1 .. J_d, kappa, where the state holds e = kappa + sign |E|^2 / 2),
+``lift`` makes the exact carrier of moments in it, and both build their
+carriers from one ``projection.MomentBasis`` of the shared velocity grid,
+which also holds the velocity tables that every moment and flux contraction
+reads, built once per grid.  Below it only ``macro``
 keeps per-format code, one KFVS flux contraction each.  Layer functions are
 looked up on their modules at call time, so wrappers installed there
 (tracing, test doubles) see each call.
@@ -95,13 +99,14 @@ class Problem:
 
     def pin(self, blocks, target=None):
         """Truncation of sum(blocks) with its moments pinned to ``target`` (the
-        sum's own if None): the zero-moment remainder, the blocks minus their
-        own carrier, is cut once in the norm weighted by 1/w, and one carrier,
-        lifted from the target minus the cut's leak, is added back."""
-        own = self.moments(blocks)
-        rem = self.truncate([*blocks, self.scale(self.lift(own), -1.0)], self.vgrid.w_points)
-        leak = self.moments([rem])
-        return self.add(self.lift((own if target is None else target) - leak), rem)
+        sum's own if None): the format's ``zero_moment_cut`` of the blocks,
+        then one carrier, lifted from the target minus the cut's leak, added
+        back.  The blocks' own moments are taken once at most, by the cut or
+        for the target."""
+        rem, own = self.zero_moment_cut(blocks)
+        if target is None:
+            target = self.moments(blocks) if own is None else own
+        return self.add(self.lift(target - self.moments([rem])), rem)
 
 
 @dataclass
@@ -135,6 +140,13 @@ class Problem1D(Problem):
 
     def truncate(self, blocks, w_points=None):
         return lowrank.truncate_sum(blocks, self.cfg.eps, w_points)
+
+    def zero_moment_cut(self, blocks):
+        """The zero-moment part of sum(blocks), cut once in the norm weighted
+        by 1/w: the stacked velocity factor is projected off the carrier
+        frame, so no carrier is formed and no moments taken (None)."""
+        b = self.basis
+        return lowrank.truncate_projected(blocks, self.cfg.eps, b.sqrt_w, b.zero_frame), None
 
     def ranks(self, f) -> tuple[int, ...]:
         return (f.rank,)
@@ -171,6 +183,13 @@ class Problem2D(Problem):
 
     def truncate(self, blocks, w_points=None):
         return ht.ht_truncate_sum(blocks, self.cfg.eps, w_points)
+
+    def zero_moment_cut(self, blocks):
+        """The blocks minus the carrier of their own moments, cut once in the
+        norm weighted by 1/w, and those moments."""
+        own = self.moments(blocks)
+        return self.truncate([*blocks, self.scale(self.lift(own), -1.0)],
+                             self.vgrid.w_points), own
 
     def ranks(self, f) -> tuple[int, ...]:
         return f.ranks

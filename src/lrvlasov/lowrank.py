@@ -11,10 +11,13 @@ draws; they can only cost rank.  The sum, its residual and the stacked
 velocity factors live in one workspace per grid that every call reuses, so a
 warm call faults in no page (``_Workspace``); the 2D truncation in
 ``htucker`` takes its large arrays from the same workspace, and nothing
-either returns aliases it.  ``truncate_sum`` is the one
-entry point for a cut; given weights it scales the velocity factors by
-1/sqrt(w(v_j)) (point values, not quadrature weights), truncates, and scales
-back, so its error is controlled in the norm weighted by 1/w.
+either returns aliases it.  ``truncate_sum`` is the entry point for a cut;
+given weights it scales the velocity factors by 1/sqrt(w(v_j)) (point values,
+not quadrature weights), truncates, and scales back, so its error is
+controlled in the norm weighted by 1/w.  ``truncate_projected`` is the same
+weighted cut with the scaled velocity factors first projected off an
+orthonormal frame, v <- v - Q (Q^T v): with the moment carriers' frame it is
+the 1D pin's zero-moment cut, which subtracts no carrier.
 """
 
 from __future__ import annotations
@@ -191,17 +194,18 @@ def _weight_root(w_points, *lengths: int):
     return np.sqrt(w_points)
 
 
-def _truncate(terms, eps: float, sqrt_w=None):
+def _truncate(terms, eps: float, sqrt_w=None, frame=None):
     """The one truncation behind every public entry point.
 
-    S = sum_b (Ux_b C_b) Uv_b^T (velocity columns divided by ``sqrt_w``) is
+    S = sum_b (Ux_b C_b) Uv_b^T (velocity columns divided by ``sqrt_w``, then
+    projected off the orthonormal ``frame``, v <- v - frame (frame^T v)) is
     formed densely and sketched by ``_range_finder``: Q = qr(S Omega),
     B = Q^T S, B = V s U^T from the SVD of B^T.  The error of keeping k
     singular triplets is exactly ||S - Q B||_F^2 + sum_{i>=k} s_i^2, the
     first term from the explicit residual, so no squared norm is subtracted.
     The rank bound of S is min(Nx, Nv, sum of ranks).  eps = 0 sketches at
-    that bound and cuts at ``DEFAULT_DROPTOL`` times the blocks' summed
-    ``scale_bound``.
+    that bound and cuts at ``DEFAULT_DROPTOL`` times the summed
+    ``scale_bound`` of the blocks as S sees them (scaled and projected).
 
     S, the residual and the stacked velocity factors are written with
     ``out=`` into the grid's ``_Workspace``; nothing returned aliases it.
@@ -215,6 +219,8 @@ def _truncate(terms, eps: float, sqrt_w=None):
     v = np.concatenate([t.Uv for t in terms], axis=1, out=ws.take("stack", nv, x.shape[1]))
     if sqrt_w is not None:
         np.divide(v, sqrt_w[:, None], out=v)
+    if frame is not None:
+        np.subtract(v, frame @ (frame.T @ v), out=v)
     s_mat = np.matmul(x, v.T, out=ws.take("s_mat", nx, nv))
     most = min(s_mat.shape[0], s_mat.shape[1], x.shape[1])
     if eps == 0.0:
@@ -248,6 +254,28 @@ def truncate_sum(terms, eps: float, w_points=None) -> LowRankMatrix:
         raise DomainError(f"truncation threshold must be >= 0, got {eps}")
     terms = list(terms)
     return _truncate(terms, eps, _weight_root(w_points, _check_shapes(terms)[1]))
+
+
+def truncate_projected(terms, eps: float, sqrt_w: np.ndarray,
+                       frame: np.ndarray) -> LowRankMatrix:
+    """Truncation, with error <= eps in the norm weighted by 1/w, of the part
+    of sum(terms) that the orthonormal (nv, k) ``frame`` does not reach in
+    that norm's coordinates, where the velocity factors are divided by
+    ``sqrt_w`` = sqrt(w(v_j)).
+
+    Each stacked velocity factor is projected, v <- v - frame (frame^T v),
+    before the sum is formed, so the cut neither touches nor returns anything
+    in the frame's span; with the moment carriers' frame
+    (``projection.MomentBasis.zero_frame``) the result has zero moments to
+    round-off.  Only the lengths of ``sqrt_w`` and ``frame`` are checked: the
+    caller builds them once per grid (positive roots, orthonormal columns).
+    """
+    if eps < 0:
+        raise DomainError(f"truncation threshold must be >= 0, got {eps}")
+    terms = list(terms)
+    if any(n != sqrt_w.shape[0] for n in (_check_shapes(terms)[1], frame.shape[0])):
+        raise DimensionError("weight or frame length does not match velocity factors")
+    return _truncate(terms, eps, sqrt_w, frame)
 
 
 def recompress(f: LowRankMatrix) -> LowRankMatrix:

@@ -13,7 +13,12 @@ fluxes of both formats, so no call rebuilds a velocity column.  The remainder
 has zero moments and is the only part rank truncation may touch; the pinned
 truncation that cuts it and adds one carrier back is written once for both
 formats, as ``formats.Problem.pin``, over ``moments`` and ``lift_moments``
-here.  Moment quadrature uses the plain h_v inner product, while basis
+here.  In the coordinates of the norm weighted by 1/w (f / sqrt(w)) the
+carrier is the orthogonal projection of f onto the columns
+``MomentBasis.zero_frame``, so the 1D pin forms no carrier to subtract: its
+one truncation projects the stacked velocity factor off that frame
+(``lowrank.truncate_projected``); ``moment_split`` keeps the subtraction.
+Moment quadrature uses the plain h_v inner product, while basis
 orthogonality lives in the w-weighted product; the two must not be
 conflated.
 """
@@ -37,8 +42,12 @@ class MomentBasis:
 
     The weighted-orthogonal basis {1, v, v^2 - c} with its norms and the
     carrier frame w(v) {1, v, v^2 - c}, an (nv, 3) array that both formats'
-    carriers take their velocity factors from; and the plain-quadrature
-    tables (h times the monomials) of the moments and KFVS fluxes:
+    carriers take their velocity factors from; the same frame in the
+    coordinates of the norm weighted by 1/w, the orthonormal columns
+    sqrt(w) {1, v, v^2 - c} / ||.|| (``zero_frame``) with the point roots
+    ``sqrt_w`` = sqrt(w(v_j)) that map into them, from which the 1D pin's
+    zero-moment cut projects; and the plain-quadrature tables (h times the
+    monomials) of the moments and KFVS fluxes:
 
     moment_table  (nv, 3)  [1, v, v^2/2], the 1D moments rho, J, kappa
     flux_table    (nv, 6)  [v+, v+^2, v+^3/2, v-, v-^2, v-^3/2], the 1D
@@ -59,6 +68,8 @@ class MomentBasis:
     norm2_sq: float   # ||v||_w^2
     norm3_sq: float   # ||v^2 - c||_w^2
     frame: np.ndarray
+    sqrt_w: np.ndarray
+    zero_frame: np.ndarray
     moment_table: np.ndarray
     flux_table: np.ndarray
     pair_moments: tuple[np.ndarray, np.ndarray]
@@ -79,16 +90,20 @@ class MomentBasis:
         first = h * np.column_stack([one, v, one, v**2, one])
         second = h * np.column_stack([one, one, v, one, v**2])
         own = [h * np.column_stack([s, s**2, s, s**3, s]) for s in (plus, minus)]
+        sqrt_w = np.sqrt(grid.w_points)
+        vectors = np.column_stack([one, v, v**2 - c])
+        weighted = sqrt_w[:, None] * vectors
         basis = cls(grid=grid, c=c, norm1_sq=n1, norm2_sq=n2, norm3_sq=n3,
-                    frame=grid.w_points[:, None] * np.column_stack([one, v, v**2 - c]),
+                    frame=grid.w_points[:, None] * vectors,
+                    sqrt_w=sqrt_w, zero_frame=weighted / np.linalg.norm(weighted, axis=0),
                     moment_table=h * np.column_stack([one, v, 0.5 * v**2]),
                     flux_table=np.hstack([h * np.column_stack([s, s**2, 0.5 * s**3])
                                           for s in (plus, minus)]),
                     pair_moments=(first, second),
                     pair_fluxes=(np.hstack([*own, second, second]),
                                  np.hstack([second, second, *own])))
-        for a in (basis.frame, basis.moment_table, basis.flux_table, *basis.pair_moments,
-                  *basis.pair_fluxes):
+        for a in (basis.frame, basis.sqrt_w, basis.zero_frame, basis.moment_table,
+                  basis.flux_table, *basis.pair_moments, *basis.pair_fluxes):
             a.flags.writeable = False
         return basis
 

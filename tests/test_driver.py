@@ -240,6 +240,34 @@ def test_conservative_truncation_takes_block_moments_once(monkeypatch):
     assert all(sizes == [blocks, 1] for sizes, blocks in per_truncation)
 
 
+@pytest.mark.parametrize("method,per_cut", [("plain", 0), ("conservative", 2), ("macro", 1)])
+def test_1d_pin_takes_moments_of_the_leak_and_the_target_only(monkeypatch, method, per_cut):
+    # the 1D zero-moment cut projects the stacked velocity factor off the
+    # carrier frame and takes no moments: a pinned truncation takes the
+    # remainder's for the leak, and conservative the blocks' own for its target
+    import lrvlasov.driver as driver
+    import lrvlasov.projection as projection
+
+    calls, per_truncation = [], []
+    moments_1d, cut = projection.moments, driver._cut
+
+    def counting_moments(*args, **kwargs):
+        calls.append(1)
+        return moments_1d(*args, **kwargs)
+
+    def counting_cut(problem, blocks, target):
+        calls.clear()
+        out = cut(problem, blocks, target)
+        per_truncation.append(len(calls))
+        return out
+
+    monkeypatch.setattr(projection, "moments", counting_moments)
+    monkeypatch.setattr(driver, "_cut", counting_cut)
+    run(from_preset("weak_landau_1d", nx=16, nv=33, method=method, t_end=0.1))
+    assert len(per_truncation) >= 4
+    assert set(per_truncation) == {per_cut}
+
+
 @pytest.mark.parametrize("method,solves", [("plain", 1), ("macro", 1)])
 def test_multistep_step_field_solves(monkeypatch, method, solves):
     # a step of the run loop (CFL bound, then advance) solves once: for f^n

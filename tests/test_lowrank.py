@@ -180,6 +180,28 @@ def test_weighted_truncate_rejects_bad_weights(rng):
         truncate_sum([a], 1e-3, np.ones(5))
 
 
+def test_projected_truncate_matches_dense_projected_svd(rng):
+    # oracle: the dense weighted sum projected off an orthonormal frame, then
+    # a dense SVD; the cut is orthogonal to the frame in weighted coordinates
+    nv = 24
+    root = np.sqrt(np.exp(-np.linspace(-4, 4, nv) ** 2 / 2))
+    frame = np.linalg.qr(rng.standard_normal((nv, 2)))[0]
+    terms = [random_lowrank(rng, nv=nv, rank=3),
+             random_lowrank(rng, nv=nv, rank=3, scale_factor=1e-4)]
+    eps = 1e-3
+    out = lowrank.truncate_projected(terms, eps, root, frame)
+    scaled = sum(t.dense() for t in terms) / root
+    projected = scaled - (scaled @ frame) @ frame.T
+    assert np.linalg.norm(out.dense() / root - projected) <= eps * (1 + 1e-10)
+    assert np.abs((out.dense() / root) @ frame).max() < 1e-12 * np.abs(projected).max()
+    oracle = dense_truncate(projected, eps)
+    assert np.allclose(out.dense() / root, oracle, atol=1e-11 * np.abs(oracle).max())
+    with pytest.raises(DimensionError):
+        lowrank.truncate_projected(terms, eps, root, frame[1:])
+    with pytest.raises(DomainError):
+        lowrank.truncate_projected(terms, -eps, root, frame)
+
+
 def test_zero_object_round_trips():
     z = zero(8, 9)
     assert z.rank == 0
