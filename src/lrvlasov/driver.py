@@ -41,9 +41,10 @@ the same bits from its state; under plain and conservative the level's own.
 The diagnostics always measure the level's own moments and field.  A
 non-finite macroscopic state or a failed factorization stops the step with
 ``NonFiniteError``, as does a level whose factors overflow a bound on its
-norm or whose moments overflow in their sum or field energy, and a step size
-too small to advance t.  A resumed run takes its history from
-``io.snapshot_read`` and builds no initial state.
+norm or whose moments overflow in their sum or field energy, a step size
+too small to advance t, and a field so large that the CFL step falls below
+1e-3 of the zero-field one (``_DT_FLOOR``).  A resumed run takes its history
+from ``io.snapshot_read`` and builds no initial state.
 """
 
 from __future__ import annotations
@@ -66,6 +67,9 @@ from .poisson import ElectricField, field_energy, solve_poisson
 from .presets import get_preset
 
 _DT_MATCH = 1e-12  # relative tolerance for "same step size" lineage checks
+# smallest CFL step a run takes, as a fraction of the zero-field CFL step
+# (``io._cfl_step``); the shipped presets' smallest is 0.74 (strong_landau_1d)
+_DT_FLOOR = 1e-3
 
 
 def _field_of(problem: Problem, rho: np.ndarray) -> ElectricField:
@@ -291,6 +295,7 @@ def _tiny(cfg: SolverConfig) -> float:
 def _march(problem: Problem, hist: History):
     """Advance to t_end under the ratcheted CFL step, yielding after each step."""
     cfg = problem.cfg
+    floor = _DT_FLOOR * _io._cfl_step(problem.dims, _io._signature(problem))
     if hist.dt_work == 0.0:
         hist.dt_work = select_dt(problem, hist.newest(problem)[1], cfg.cfl)
     while hist.t < cfg.t_end - _tiny(cfg):
@@ -299,6 +304,9 @@ def _march(problem: Problem, hist: History):
         if hist.t + dt == hist.t:  # a step this small leaves the run where it is
             raise NonFiniteError(f"step size {dt:.3g} does not advance t at step {hist.step} "
                                  f"(t={hist.t:.6g})")
+        if hist.dt_work < floor:  # a field this large would take steps without end
+            raise NonFiniteError(f"CFL step {hist.dt_work:.3g} is below {_DT_FLOOR:g} of the "
+                                 f"zero-field step at step {hist.step} (t={hist.t:.6g})")
         advance(problem, hist, dt)
         yield
 
@@ -309,11 +317,11 @@ def run(cfg: SolverConfig, snapshot_every: int = 0, snapshot_dir=None,
 
     ``on_row(row)`` sees each row as it is recorded, even if the run fails.
     A step that overflows the rank cap, or stops on a non-finite macroscopic
-    state, a failed factorization or a step size too small to advance t,
-    leaves the last good history in ``snapshot_dir`` and names it in its
-    error; after a rank overflow that history resumes under a larger
-    ``rank_cap``.  Non-finite moments, which ``History.newest`` finds in a
-    level already pushed, leave no snapshot."""
+    state, a failed factorization, a step size too small to advance t or a
+    collapsed CFL step, leaves the last good history in ``snapshot_dir`` and
+    names it in its error; after a rank overflow that history resumes under a
+    larger ``rank_cap``.  Non-finite moments, which ``History.newest`` finds in
+    a level already pushed, leave no snapshot."""
     if snapshot_every < 0:
         raise ConfigError(f"snapshot_every must be >= 0, got {snapshot_every}")
     if resume is None:

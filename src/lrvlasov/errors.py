@@ -30,4 +30,5 @@ class RankOverflowError(LrvlasovError, RuntimeError):
 
 
 class NonFiniteError(LrvlasovError, ArithmeticError):
-    """The solution became NaN or infinite, or a factorization failed on it."""
+    """The solution became NaN or infinite, a factorization failed on it, or
+    its field made the step too small to go on."""

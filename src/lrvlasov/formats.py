@@ -13,9 +13,11 @@ reads or writes its factors: ``factors`` and ``block``, the transport's
 primitives, and ``scale``, ``add``, ``moments``, ``lift``, ``fluxes``,
 ``truncate``, ``zero_moment_cut`` and ``ranks``; ``moments``, ``truncate``,
 ``zero_moment_cut`` and ``pin`` take a block list.  The zero-moment cut is
-the pin's one truncation: 1D1V projects the stacked velocity factor off the
-carrier frame in the 1/w-weighted coordinates and takes no moments, 2D2V
-subtracts the carrier of the blocks' own moments.  Both formats take their
+the pin's one truncation: the part of the sum orthogonal to the carriers in
+the 1/w-weighted coordinates, cut in that norm.  It takes no moments in
+either format: 1D1V projects the stacked velocity factor off the carrier
+frame, 2D2V the pair unfold off the carriers' moment span in pair
+coordinates (``htucker.ht_truncate_projected``).  Both formats take their
 moments in the macroscopic state's ``(2 + d, *n)`` layout (rows rho,
 J_1 .. J_d, kappa, where the state holds e = kappa + sign |E|^2 / 2),
 ``lift`` makes the exact carrier of moments in it, and both build their
@@ -100,12 +102,11 @@ class Problem:
     def pin(self, blocks, target=None):
         """Truncation of sum(blocks) with its moments pinned to ``target`` (the
         sum's own if None): the format's ``zero_moment_cut`` of the blocks,
-        then one carrier, lifted from the target minus the cut's leak, added
-        back.  The blocks' own moments are taken once at most, by the cut or
-        for the target."""
-        rem, own = self.zero_moment_cut(blocks)
+        which takes no moments, then one carrier, lifted from the target minus
+        the cut's leak, added back."""
+        rem = self.zero_moment_cut(blocks)
         if target is None:
-            target = self.moments(blocks) if own is None else own
+            target = self.moments(blocks)
         return self.add(self.lift(target - self.moments([rem])), rem)
 
 
@@ -138,15 +139,15 @@ class Problem1D(Problem):
     def fluxes(self, f) -> list:
         return macro.kfvs_fluxes_1d(f, self.vgrid)
 
-    def truncate(self, blocks, w_points=None):
-        return lowrank.truncate_sum(blocks, self.cfg.eps, w_points)
+    def truncate(self, blocks):
+        return lowrank.truncate_sum(blocks, self.cfg.eps)
 
     def zero_moment_cut(self, blocks):
         """The zero-moment part of sum(blocks), cut once in the norm weighted
         by 1/w: the stacked velocity factor is projected off the carrier
-        frame, so no carrier is formed and no moments taken (None)."""
+        frame, so no carrier is formed and no moments taken."""
         b = self.basis
-        return lowrank.truncate_projected(blocks, self.cfg.eps, b.sqrt_w, b.zero_frame), None
+        return lowrank.truncate_projected(blocks, self.cfg.eps, b.sqrt_w, b.zero_frame)
 
     def ranks(self, f) -> tuple[int, ...]:
         return (f.rank,)
@@ -181,15 +182,16 @@ class Problem2D(Problem):
     def fluxes(self, f) -> list:
         return macro.kfvs_fluxes_2d(f, self.vgrids)
 
-    def truncate(self, blocks, w_points=None):
-        return ht.ht_truncate_sum(blocks, self.cfg.eps, w_points)
+    def truncate(self, blocks):
+        return ht.ht_truncate_sum(blocks, self.cfg.eps)
 
     def zero_moment_cut(self, blocks):
-        """The blocks minus the carrier of their own moments, cut once in the
-        norm weighted by 1/w, and those moments."""
-        own = self.moments(blocks)
-        return self.truncate([*blocks, self.scale(self.lift(own), -1.0)],
-                             self.vgrid.w_points), own
+        """The zero-moment part of sum(blocks), cut once in the norm weighted
+        by 1/(w(v1) w(v2)): the pair unfold is projected off the carriers'
+        moment span in pair coordinates, so no carrier is formed and no
+        moments taken."""
+        b = self.basis
+        return ht.ht_truncate_projected(blocks, self.cfg.eps, b.sqrt_w, b.zero_frame)
 
     def ranks(self, f) -> tuple[int, ...]:
         return f.ranks

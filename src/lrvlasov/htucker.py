@@ -11,7 +11,11 @@ velocity-pair columns:
 
 Addition concatenates blocks exactly.  ``ht_truncate_sum`` is the one
 truncation of a block sum, plain or, given the weights w at the nodes of the
-velocity grid both leaves share, in the norm weighted by 1/(w(v1) w(v2)).  It
+velocity grid both leaves share, in the norm weighted by 1/(w(v1) w(v2));
+``ht_truncate_projected`` is the weighted one of the sum's part orthogonal to
+the carriers' moment span, the pin's zero-moment cut.  Each velocity leaf is
+taken in the grid's own coordinates when its stacked columns are at least as
+many as the grid's points, else in their Householder QR.  A truncation
 cuts three nodes (the root separation and the two velocity leaves) by their
 singular spectra with per-node tolerance eps/sqrt(3), which bounds the total
 error by eps in the Frobenius norm (Grasedyck's hierarchical SVD bound).  For
@@ -42,10 +46,12 @@ J1, J2, kappa.  The transport blocks are built in ``formats``, which writes
 that operator once for both formats.
 
 The moment pin is written once for both formats, as ``formats.Problem.pin``,
-over ``ht_moments``, ``ht_lift_moments`` and the weighted ``ht_truncate_sum``;
-a pinned state's ranks are its remainder's plus the carrier's (4, 4, 3, 3).
-The carrier's velocity leaves both hold the 1D ``projection.MomentBasis``
-frame {1, v, v^2 - c}, coupled by one fixed pair transfer.
+over ``ht_truncate_projected``, ``ht_moments`` of its remainder (the leaf
+cuts' leak) and ``ht_lift_moments``; a pinned state's ranks are its
+remainder's plus the carrier's (4, 4, 3, 3).  The carrier's velocity leaves
+both hold the 1D ``projection.MomentBasis`` frame {1, v, v^2 - c}, coupled by
+one fixed pair transfer; in the 1/w-weighted coordinates it is the
+orthogonal projection onto the moment span that the cut projects off.
 """
 
 from __future__ import annotations
@@ -205,8 +211,36 @@ class _Runs:
         return np.vstack(out)
 
 
+# the moment span in pair coordinates: pair functional q is leaf column
+# _PI_LEAVES[0][q] against _PI_LEAVES[1][q] of the orthonormal frame
+# {F_1, F_v, F_kappa}, and _PI_WEIGHTS maps the five to the orthonormal
+# F_1 F_1, F_v F_1, F_1 F_v and (F_kappa F_1 + F_1 F_kappa) / sqrt(2)
+_PI_LEAVES = ([0, 1, 0, 2, 0], [0, 0, 1, 0, 2])
+_PI_WEIGHTS = np.zeros((5, 4))
+_PI_WEIGHTS[[0, 1, 2, 3, 4], [0, 1, 2, 3, 3]] = (1.0, 1.0, 1.0, 1.0 / np.sqrt(2.0),
+                                                 1.0 / np.sqrt(2.0))
+_PI_WEIGHTS.flags.writeable = False
+
+
+def _leaf_coordinates(leaves: np.ndarray, frame):
+    """(q, r, p): orthonormal coordinates q of the stacked leaves, leaves =
+    q r, and the frame in them, p = q^T frame (None without one).
+
+    Leaves at least as wide as the grid take the grid's own coordinates
+    (q = I), which span every frame; narrower ones the Householder QR of
+    [frame | leaves], so q spans the frame too."""
+    n, width = leaves.shape
+    if width >= n:
+        return np.eye(n), leaves, frame
+    if frame is None:
+        return (*np.linalg.qr(leaves), None)
+    q, r = np.linalg.qr(np.hstack([frame, leaves]))
+    k = frame.shape[1]
+    return q, r[:, k:], r[:, :k]
+
+
 class _PairUnfold(_Runs):
-    """Pair unfold of a block sum in the stacked leaf bases, never formed.
+    """Pair unfold of a block sum in the stacked leaf coordinates, never formed.
 
     Column block t is term t's Bvv with its first two indices mapped through
     the term's blocks of the stacked leaf R factors, so the matrix has
@@ -214,13 +248,21 @@ class _PairUnfold(_Runs):
     term and root index.  The Gram and the sketch take a few matrix products
     per term and run of terms sharing one Bvv, not per pair of terms.  The
     Gram and the unfold are written into the grid's workspace ``ws``.
+
+    Given a leaf ``frame``, both leaf coordinates span it, ``c`` = mat^T Pi
+    for its moment span Pi (``ht_truncate_projected``), and ``rmatmul`` and
+    ``matmul`` apply the unfold projected off Pi, whose Gram is gram() - c c^T.
     """
 
-    def __init__(self, terms):
+    def __init__(self, terms, frame=None):
         super().__init__(terms)
         self.ws = _workspace(*terms[0].shape)
-        self.q1, self.r1 = np.linalg.qr(np.hstack([t.Uv1 for t in self.terms]))
-        self.q2, self.r2 = np.linalg.qr(np.hstack([t.Uv2 for t in self.terms]))
+        self.q1, self.r1, p1 = _leaf_coordinates(np.hstack([t.Uv1 for t in self.terms]), frame)
+        self.q2, self.r2, p2 = _leaf_coordinates(np.hstack([t.Uv2 for t in self.terms]), frame)
+        self.pi = self.c = None
+        if frame is not None:
+            self.pi = (p1[:, _PI_LEAVES[0]], p2[:, _PI_LEAVES[1]])
+            self.c = self.khatri_rao(self.r1.T @ self.pi[0], self.r2.T @ self.pi[1]) @ _PI_WEIGHTS
 
     def _leaves(self, s: int) -> tuple[np.ndarray, np.ndarray]:
         return (self.r1[:, self.o1[s]:self.o1[s + 1]], self.r2[:, self.o2[s]:self.o2[s + 1]])
@@ -257,13 +299,18 @@ class _PairUnfold(_Runs):
         return gv
 
     def rmatmul(self, omega1: np.ndarray, omega2: np.ndarray) -> np.ndarray:
-        """mat^T (omega1 . omega2): column j of the test matrix is the
-        Khatri-Rao column omega1[:, j] (x) omega2[:, j], contracted leaf by
-        leaf, so it is never formed."""
-        return self.khatri_rao(self.r1.T @ omega1, self.r2.T @ omega2)
+        """mat^T (omega1 . omega2), projected off Pi given a frame: column j
+        of the test matrix is the Khatri-Rao column omega1[:, j] (x)
+        omega2[:, j], contracted leaf by leaf, so it is never formed, and its
+        Pi coordinates come from the five leaf functionals the same way."""
+        out = self.khatri_rao(self.r1.T @ omega1, self.r2.T @ omega2)
+        if self.c is not None:
+            out -= self.c @ (_PI_WEIGHTS.T @ ((self.pi[0].T @ omega1) * (self.pi[1].T @ omega2)))
+        return out
 
     def matmul(self, w: np.ndarray) -> np.ndarray:
-        """mat w as an (n1, n2, k) core, summed block by block in place."""
+        """mat w as an (n1, n2, k) core, summed block by block in place and
+        projected off Pi given a frame."""
         shape = (self.r1.shape[0], self.r2.shape[0], w.shape[1])
         core, part = self.ws.take("core", *shape), self.ws.take("core_part", *shape)
         for s, ts in enumerate(self.terms):
@@ -275,53 +322,26 @@ class _PairUnfold(_Runs):
                 np.matmul(r2s, x, out=core)
             else:
                 np.add(core, np.matmul(r2s, x, out=part), out=core)
+        if self.c is not None:  # core -= Pi (C^T w), one leaf functional at a time
+            pi1, pi2 = self.pi
+            y = pi2.T[:, :, None] * (_PI_WEIGHTS @ (self.c.T @ w))[:, None]
+            core -= (pi1 @ y.reshape(pi1.shape[1], -1)).reshape(shape)
         return core
 
 
-def ht_truncate_sum(terms, eps: float, w_points=None) -> HtTensor:
-    """Hierarchical truncation of sum(terms), total Frobenius error <= eps,
-    taken in the norm weighted by 1/(w(v1) w(v2)) when ``w_points`` (w at the
-    nodes of the velocity grid both leaves share) is given: the leaves are
-    scaled by 1/sqrt(w) before the cut and by sqrt(w) after it.
-
-    eps > 0: the spatial frame comes from ``lowrank._range_finder`` on the
-    root matricization M = Ux_cat blockdiag(B_t) mat^T (rows: space;
-    columns: velocity pair), where mat is the pair unfold in the stacked leaf
-    bases.  M is only ever applied (``_PairUnfold``): a test column's first
-    n1 rows and the rest are the leaf vectors of omega_1 (x) omega_2, applied
-    leaf by leaf (the per-leaf sketch of Al Daas et al., SISC 2023, for
-    tensor-train sums).  The kept count is the fewest singular values, from
-    the p x p Gram (Q^T M)(Q^T M)^T, whose tail plus what the frame misses,
-    ||M||_F^2 - sum of s^2 (exact, from the spatial and pair Grams; nothing
-    at the rank bound of M), is within eps/sqrt(3), or within the Gram
-    products' round-off (4 machine eps times their absolute sum) where
-    cancelling blocks put eps/sqrt(3) beneath it.  One subspace iteration,
-    Q <- orth(M M^T Q), which costs only products with the Grams, then
-    sharpens the frame near the cut; it replaces Q where its own exact tail
-    allows no larger kept rank.  The kept frame Q U and the pair core are
-    orthonormal, so no re-canonicalization follows.  Both velocity leaves are
-    then cut at eps/sqrt(3) from the core's Grams.
-
-    eps = 0 forms the pair unfold, mat = ``_PairUnfold.matmul(I)``, and
-    takes the root spectrum exactly, from the SVD of R_x R_m^T after
-    Householder QRs of Xb and mat.  Its only cut, at the root and at both
-    leaves (SVDs of the core's unfoldings), is the floor 1e-14 * sum of the
-    blocks' ``scale_bound``, which drops numerically zero directions.
-    """
-    if eps < 0:
-        raise DomainError(f"truncation threshold must be >= 0, got {eps}")
-    terms = list(terms)
-    _check_shapes(terms)
+def _ht_truncate(terms, eps: float, sqrt_w=None, frame=None) -> HtTensor:
+    """The one hierarchical truncation behind ``ht_truncate_sum`` and
+    ``ht_truncate_projected``: leaves divided by ``sqrt_w`` when given, the
+    sum projected off the moment span of ``frame`` when given."""
     nx = terms[0].nx
     nv1, nv2 = terms[0].Uv1.shape[0], terms[0].Uv2.shape[0]
-    sqrt_w = _weight_root(w_points, nv1, nv2)
     terms = [t for t in terms if min(t.ranks) > 0]  # zero blocks add nothing
     if sqrt_w is not None:
         terms = [HtTensor(t.Ux, t.B, t.Bvv, t.Uv1 / sqrt_w[:, None], t.Uv2 / sqrt_w[:, None],
                           t.nx) for t in terms]
     if not terms:
         return ht_zero(nx, nv1, nv2)
-    pair = _PairUnfold(terms)
+    pair = _PairUnfold(terms, frame)
     ws = pair.ws
     xb = ws.take("xb", nx[0] * nx[1], pair.ov[-1])
     for s, t in enumerate(pair.terms):
@@ -346,35 +366,114 @@ def ht_truncate_sum(terms, eps: float, w_points=None) -> HtTensor:
     products = np.matmul(xb.T, xb, out=ws.take("products", *gv.shape))
     np.multiply(products, gv, out=products)
     norm2 = float(products.sum())
-    # blocks that cancel leave ||M||^2 far below the products it sums, whose
-    # round-off sets the finest tail the Grams can tell from zero
-    cut2 = max(tol ** 2, _GRAM_NOISE * float(np.abs(products, out=products).sum()))
+    # Pi's part of ||M||^2, subtracted as rank-4 corrections of the Grams
+    moment2 = 0.0 if pair.c is None else float(np.sum((xb @ pair.c) ** 2))
+    norm2 -= moment2
+    # blocks that cancel, or a sum mostly in Pi, leave ||M||^2 far below the
+    # products it sums, whose round-off sets the finest tail the Grams can
+    # tell from zero
+    cut2 = max(tol ** 2,
+               _GRAM_NOISE * (float(np.abs(products, out=products).sum()) + moment2))
     if norm2 <= cut2:
         return ht_zero(nx, nv1, nv2)
     most = min(xb.shape[0], xb.shape[1], n1 * n2)
 
-    def count(q):  # also Q^T Xb and the eigenpairs of (Q^T M)(Q^T M)^T, largest first
+    def count(q):  # also Q^T Xb, Q^T Xb C and the eigenpairs of (Q^T M)(Q^T M)^T
         z = q.T @ xb
-        lam, vec = np.linalg.eigh(z @ gv @ z.T)
+        gram = z @ gv @ z.T
+        zc = None
+        if pair.c is not None:
+            zc = z @ pair.c
+            gram -= zc @ zc.T
+        lam, vec = np.linalg.eigh(gram)
         lam, vec = np.maximum(lam[::-1], 0.0), vec[:, ::-1]
         missed = max(norm2 - lam.sum(), 0.0) if q.shape[1] < most else 0.0
-        return keep_count(np.sqrt(lam), np.sqrt(cut2), missed), (z, vec, lam)
+        return keep_count(np.sqrt(lam), np.sqrt(cut2), missed), (z, zc, vec, lam)
 
-    q, keep, (z, vec, lam) = _range_finder(
+    q, keep, (z, zc, vec, lam) = _range_finder(
         lambda omega: xb @ pair.rmatmul(omega[:n1], omega[n1:]), count, n1 + n2,
         max(t.Ux.shape[1] for t in terms) + _SKETCH_MARGIN, most)
     # lam[k] <= s_k(M)^2 <= the best tail after k kept, so a fewer-kept cut
     # can exist only if lam[keep - 1] <= cut2; then one subspace iteration,
-    # M M^T Q = Xb gv (Q^T Xb)^T, sharpens the frame near the cut and is kept
-    # where it cuts no later
+    # M M^T Q = Xb (gv - C C^T) (Q^T Xb)^T, sharpens the frame near the cut
+    # and is kept where it cuts no later
     if q.shape[1] < most and lam[keep - 1] <= cut2:
-        sharp = np.linalg.qr(xb @ (gv @ z.T))[0]
-        keep2, (sharp_z, vec2, _) = count(sharp)
+        back = gv @ z.T
+        if zc is not None:
+            back -= pair.c @ zc.T
+        sharp = np.linalg.qr(xb @ back)[0]
+        keep2, (sharp_z, _, vec2, _) = count(sharp)
         if keep2 <= keep:
             q, z, keep, vec = sharp, sharp_z, keep2, vec2
     ux = q @ vec[:, :keep]
     core = pair.matmul(z.T @ vec[:, :keep])
     return _finish_truncation(ux, core, pair.q1, pair.q2, nx, tol, exact=False, sqrt_w=sqrt_w)
+
+
+def ht_truncate_sum(terms, eps: float, w_points=None) -> HtTensor:
+    """Hierarchical truncation of sum(terms), total Frobenius error <= eps,
+    taken in the norm weighted by 1/(w(v1) w(v2)) when ``w_points`` (w at the
+    nodes of the velocity grid both leaves share) is given: the leaves are
+    scaled by 1/sqrt(w) before the cut and by sqrt(w) after it.
+
+    eps > 0: the spatial frame comes from ``lowrank._range_finder`` on the
+    root matricization M = Ux_cat blockdiag(B_t) mat^T (rows: space;
+    columns: velocity pair), where mat is the pair unfold in the stacked leaf
+    coordinates.  M is only ever applied (``_PairUnfold``): a test column's
+    first n1 rows and the rest are the leaf vectors of omega_1 (x) omega_2,
+    applied leaf by leaf (the per-leaf sketch of Al Daas et al., SISC 2023,
+    for tensor-train sums).  The kept count is the fewest singular values,
+    from the p x p Gram (Q^T M)(Q^T M)^T, whose tail plus what the frame
+    misses, ||M||_F^2 - sum of s^2 (exact, from the spatial and pair Grams;
+    nothing at the rank bound of M), is within eps/sqrt(3), or within the
+    Gram products' round-off (4 machine eps times their absolute sum) where
+    cancelling blocks put eps/sqrt(3) beneath it.  One subspace iteration,
+    Q <- orth(M M^T Q), which costs only products with the Grams, then
+    sharpens the frame near the cut; it replaces Q where its own exact tail
+    allows no larger kept rank.  The kept frame Q U and the pair core are
+    orthonormal, so no re-canonicalization follows.  Both velocity leaves are
+    then cut at eps/sqrt(3) from the core's Grams.
+
+    eps = 0 forms the pair unfold, mat = ``_PairUnfold.matmul(I)``, and
+    takes the root spectrum exactly, from the SVD of R_x R_m^T after
+    Householder QRs of Xb and mat.  Its only cut, at the root and at both
+    leaves (SVDs of the core's unfoldings), is the floor 1e-14 * sum of the
+    blocks' ``scale_bound``, which drops numerically zero directions.
+    """
+    if eps < 0:
+        raise DomainError(f"truncation threshold must be >= 0, got {eps}")
+    terms = list(terms)
+    _check_shapes(terms)
+    return _ht_truncate(terms, eps, _weight_root(w_points, terms[0].Uv1.shape[0],
+                                                 terms[0].Uv2.shape[0]))
+
+
+def ht_truncate_projected(terms, eps: float, sqrt_w: np.ndarray,
+                          frame: np.ndarray) -> HtTensor:
+    """The 2D mirror of ``lowrank.truncate_projected``: truncation, with error
+    <= eps in the norm weighted by 1/(w(v1) w(v2)), of the part of sum(terms)
+    orthogonal in that norm to the moment span Pi = {F_1 F_1, F_v F_1,
+    F_1 F_v, (F_kappa F_1 + F_1 F_kappa) / sqrt(2)} of the orthonormal
+    (nv, 3) ``frame``, the leaves divided by ``sqrt_w`` = sqrt(w(v_j)).
+
+    Both leaves' coordinates span the frame, so Pi lies in the pair
+    coordinates, and the cut of ``ht_truncate_sum`` takes I - Pi Pi^T as
+    rank-4 corrections with C = mat^T Pi: to ||M||^2 (whose round-off floor
+    adds ||Xb C||^2), the count's Gram, the sketch, the subspace iteration
+    and the core; eps = 0 projects the formed unfold.  Pi is not a product
+    of leaf projectors, so the leaf cuts leak into it within their error
+    (round-off at eps = 0); the pin lifts that leak.  Only the lengths of
+    ``sqrt_w`` and ``frame`` are checked: the caller builds them once per
+    grid (positive roots, orthonormal columns).
+    """
+    if eps < 0:
+        raise DomainError(f"truncation threshold must be >= 0, got {eps}")
+    terms = list(terms)
+    _check_shapes(terms)
+    if any(n != sqrt_w.shape[0] for n in (terms[0].Uv1.shape[0], terms[0].Uv2.shape[0],
+                                          frame.shape[0])):
+        raise DimensionError("weight or frame length does not match velocity leaves")
+    return _ht_truncate(terms, eps, sqrt_w, frame)
 
 
 # ---------------------------------------------------------------------------

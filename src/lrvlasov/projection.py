@@ -15,9 +15,12 @@ truncation that cuts it and adds one carrier back is written once for both
 formats, as ``formats.Problem.pin``, over ``moments`` and ``lift_moments``
 here.  In the coordinates of the norm weighted by 1/w (f / sqrt(w)) the
 carrier is the orthogonal projection of f onto the columns
-``MomentBasis.zero_frame``, so the 1D pin forms no carrier to subtract: its
-one truncation projects the stacked velocity factor off that frame
-(``lowrank.truncate_projected``); ``moment_split`` keeps the subtraction.
+``MomentBasis.zero_frame``, in 2D2V onto the pair span of that frame's
+F_1 F_1, F_v F_1, F_1 F_v and (F_kappa F_1 + F_1 F_kappa) / sqrt(2), so
+neither pin forms a carrier to subtract: the 1D one's truncation projects the
+stacked velocity factor off the frame (``lowrank.truncate_projected``), the
+2D one's the pair unfold off the pair span (``htucker.ht_truncate_projected``);
+``moment_split`` keeps the subtraction.
 Moment quadrature uses the plain h_v inner product, while basis
 orthogonality lives in the w-weighted product; the two must not be
 conflated.
@@ -45,8 +48,8 @@ class MomentBasis:
     carriers take their velocity factors from; the same frame in the
     coordinates of the norm weighted by 1/w, the orthonormal columns
     sqrt(w) {1, v, v^2 - c} / ||.|| (``zero_frame``) with the point roots
-    ``sqrt_w`` = sqrt(w(v_j)) that map into them, from which the 1D pin's
-    zero-moment cut projects; and the plain-quadrature tables (h times the
+    ``sqrt_w`` = sqrt(w(v_j)) that map into them, from which both pins'
+    zero-moment cuts project; and the plain-quadrature tables (h times the
     monomials) of the moments and KFVS fluxes:
 
     moment_table  (nv, 3)  [1, v, v^2/2], the 1D moments rho, J, kappa

@@ -257,23 +257,42 @@ def landau_field_root(k: float, guess: complex = 1.4 - 0.15j) -> complex:
 
     Newton iteration on the plasma dispersion function Z = i sqrt(pi) wofz.
     """
-    def eps(omega: complex) -> complex:
-        zeta = omega / (k * np.sqrt(2.0))
-        z = 1j * np.sqrt(np.pi) * wofz(zeta)
-        return 1.0 + (1.0 + zeta * z) / k**2
-
     omega = complex(guess)
     for _ in range(60):
         d = 1e-7 * (1.0 + abs(omega))
-        deriv = (eps(omega + d) - eps(omega - d)) / (2.0 * d)
-        step = eps(omega) / deriv
+        deriv = (_landau_dielectric(omega + d, k) - _landau_dielectric(omega - d, k)) / (2.0 * d)
+        step = _landau_dielectric(omega, k) / deriv
         omega -= step
         if abs(step) < 1e-13:
             break
     return omega
 
 
+def _landau_dielectric(omega: complex, k: float) -> complex:
+    zeta = omega / (k * np.sqrt(2.0))
+    return 1.0 + (1.0 + zeta * 1j * np.sqrt(np.pi) * wofz(zeta)) / k**2
+
+
 def landau_energy_decay_rate(k: float) -> float:
     """Decay rate of the electric ENERGY (twice the field amplitude rate)."""
     return 2.0 * landau_field_root(k).imag
+
+
+def landau_peak_energy_ratio(k: float) -> float:
+    """Peak field energy of the least-damped mode pair over the initial field
+    energy, at t = 0 of its envelope, for a density perturbation
+    alpha cos(k x) of a unit Maxwellian: (2 |c_1| / alpha)^2.
+
+    c_1 = -alpha Z(zeta_1) / (k sqrt(2) eps'(omega_1)) is the residue of the
+    density response i alpha int f_M / (omega - k v) dv / eps(omega) at the
+    root omega_1 (``landau_field_root``), and the pair omega_1, -conj(omega_1)
+    gives the amplitude 2 |c_1| e^{Im(omega_1) t}; the field is the density
+    over k, so the energy ratio is the squared density ratio.
+    """
+    omega = landau_field_root(k)
+    zeta = omega / (k * np.sqrt(2.0))
+    d = 1e-6 * (1.0 + abs(omega))
+    deriv = (_landau_dielectric(omega + d, k) - _landau_dielectric(omega - d, k)) / (2.0 * d)
+    c1 = -1j * np.sqrt(np.pi) * wofz(zeta) / (k * np.sqrt(2.0) * deriv)
+    return float((2.0 * abs(c1)) ** 2)
 

@@ -204,8 +204,7 @@ def test_pin_adds_one_carrier_to_the_truncated_remainder(preset, carrier):
                 blocks.append(ht.HtTensor(ux, b, bvv, uv1, uv2, nx))
         target = rng.standard_normal((2 + dims, *nx))
         out = problem.pin(blocks, target)
-        own = problem.lift(problem.moments(blocks))
-        remainder = problem.truncate(blocks + [problem.scale(own, -1.0)], wp)
+        remainder = problem.zero_moment_cut(blocks)
         assert problem.ranks(out) == tuple(r + c for r, c in
                                            zip(problem.ranks(remainder), carrier))
         got = problem.moments([out])
@@ -241,19 +240,21 @@ def test_conservative_truncation_takes_block_moments_once(monkeypatch):
 
 
 @pytest.mark.parametrize("method,per_cut", [("plain", 0), ("conservative", 2), ("macro", 1)])
-def test_1d_pin_takes_moments_of_the_leak_and_the_target_only(monkeypatch, method, per_cut):
-    # the 1D zero-moment cut projects the stacked velocity factor off the
-    # carrier frame and takes no moments: a pinned truncation takes the
-    # remainder's for the leak, and conservative the blocks' own for its target
+@pytest.mark.parametrize("preset", ["weak_landau_1d", "weak_landau_2d2v"])
+def test_pin_takes_moments_of_the_leak_and_the_target_only(monkeypatch, preset, method, per_cut):
+    # both formats' zero-moment cuts project off the carriers' moment span and
+    # take no moments: a pinned truncation takes the remainder's for the leak,
+    # and conservative the blocks' own for its target
     import lrvlasov.driver as driver
     import lrvlasov.projection as projection
 
+    module, name = (projection, "moments") if preset == "weak_landau_1d" else (ht, "ht_moments")
     calls, per_truncation = [], []
-    moments_1d, cut = projection.moments, driver._cut
+    moments, cut = getattr(module, name), driver._cut
 
     def counting_moments(*args, **kwargs):
         calls.append(1)
-        return moments_1d(*args, **kwargs)
+        return moments(*args, **kwargs)
 
     def counting_cut(problem, blocks, target):
         calls.clear()
@@ -261,9 +262,10 @@ def test_1d_pin_takes_moments_of_the_leak_and_the_target_only(monkeypatch, metho
         per_truncation.append(len(calls))
         return out
 
-    monkeypatch.setattr(projection, "moments", counting_moments)
+    monkeypatch.setattr(module, name, counting_moments)
     monkeypatch.setattr(driver, "_cut", counting_cut)
-    run(from_preset("weak_landau_1d", nx=16, nv=33, method=method, t_end=0.1))
+    nx, nv = {"weak_landau_1d": (16, 33), "weak_landau_2d2v": (8, 16)}[preset]
+    run(from_preset(preset, nx=nx, nv=nv, method=method, t_end=0.1))
     assert len(per_truncation) >= 4
     assert set(per_truncation) == {per_cut}
 

@@ -9,6 +9,7 @@ from lrvlasov.config import from_preset
 from lrvlasov.driver import setup
 from lrvlasov.errors import DimensionError, DomainError
 from lrvlasov.grids import make_velocity_grid, spatial_grid_2d
+import lrvlasov.htucker as ht
 from lrvlasov.htucker import (_PAIR_TRANSFER, HtTensor, _PairUnfold, ht_add,
                               ht_lift_moments, ht_moments, ht_scale, ht_truncate_sum, ht_zero)
 from lrvlasov.macro import kfvs_fluxes_2d
@@ -279,6 +280,85 @@ def test_transport_rhs_zero_cases():
     assert np.max(np.abs(out.dense())) < 1e-12
 
 
+def _projected_sums(rng, g):
+    """2D block lists on the velocity grid g: narrow sums, whose stacked
+    leaves are fewer than g's points (QR leaf coordinates), saturated ones
+    (the grid's own), each also cancelling (a block and its negative beside
+    a small one), and a two-beam profile with a transport-sized kick."""
+    wp, v = g.w_points, g.v
+
+    def shaped(r, size=1.0):
+        return HtTensor(size * rng.standard_normal((NX[0] * NX[1], r)),
+                        rng.standard_normal((r, r)), rng.standard_normal((r, r, r)),
+                        wp[:, None] * rng.standard_normal((g.n, r)),
+                        wp[:, None] * rng.standard_normal((g.n, r)), NX)
+
+    x = np.linspace(0.0, 2.0 * np.pi, NX[0], endpoint=False)
+    beams = (np.exp(-((v - 2.4) ** 2) / 2.0) + np.exp(-((v + 2.4) ** 2) / 2.0))[:, None]
+    space = np.add.outer(np.ones(NX[0]), 1e-3 * np.cos(x)).reshape(-1, 1)
+    two_beam = HtTensor(space, np.eye(1), np.ones((1, 1, 1)), beams, beams, NX)
+    kick = HtTensor(1e-2 * rng.standard_normal((NX[0] * NX[1], 2)), np.eye(2),
+                    np.eye(2)[:, :, None] * np.ones(2), np.hstack([v[:, None] * beams, beams]),
+                    np.hstack([beams, np.gradient(beams[:, 0], g.h)[:, None]]), NX)
+    big, wide = shaped(3), shaped(g.n // 2 + 1)
+    return {
+        "narrow": [shaped(int(r)) for r in rng.integers(1, 4, size=3)],
+        "narrow_cancelling": [big, shaped(2, 1e-3), ht_scale(big, -1.0)],
+        "saturated": [shaped(g.n // 2), shaped(g.n // 2 - 1), shaped(3)],
+        "saturated_cancelling": [wide, shaped(g.n // 2 - 1, 1e-3), ht_scale(wide, -1.0)],
+        "two_beam": [two_beam, kick],
+    }
+
+
+@pytest.mark.parametrize("rel_eps", [1e-3, 1e-6, 0.0])
+@pytest.mark.parametrize("v_max", [6.0, 8.0])
+def test_projected_cut_and_pin_against_dense_sums(rel_eps, v_max):
+    # dense oracles at small sizes: the cut is within eps of the dense sum
+    # projected off the carriers' moment span, in the norm weighted by
+    # 1/(w(v1) w(v2)), and so is the pin of the sum to its own moments; the
+    # pinned moments are the target's to 1e-12 of the blocks' absolute
+    # moments.  eps is taken relative to the blocks' weighted magnitude bound,
+    # which the Gram route resolves down to about 1e-7.  Unlike the 1D cut,
+    # the leaf cuts leak moments at the truncation level (Pi is not a
+    # product of leaf projectors), and the pin lifts that leak; at eps = 0
+    # the leak is round-off.
+    base = setup(from_preset("weak_landau_2d2v", nx=NX[0], nv=NV, v_max=v_max))
+    g = base.vgrid
+    grids = (g, g)
+    metric = np.sqrt(np.outer(g.w_points, g.w_points))[None, None]
+    root = np.sqrt(g.w_points)[:, None]
+    weights = [np.abs(w) for w in dense_pair_functionals_2d(g, g)["moments"]]
+    rng = np.random.default_rng(24)
+    for _ in range(3):
+        for name, blocks in _projected_sums(rng, g).items():
+            width = sum(b.Uv1.shape[1] for b in blocks)
+            assert (width >= g.n) == name.startswith("saturated"), name
+            dense = sum(b.dense() for b in blocks)
+            size = sum(np.abs(b.dense()) for b in blocks)
+            scale_m = max(dense_pair_quadrature(size, w, g, g).max() for w in weights)
+            scale_w = sum(ht.scale_bound(HtTensor(b.Ux, b.B, b.Bvv, b.Uv1 / root, b.Uv2 / root,
+                                                  NX)) for b in blocks)
+            eps = rel_eps * scale_w
+            problem = replace(base, cfg=replace(base.cfg, eps=eps))
+            bound = eps * (1 + 1e-8) + 1e-12 * scale_w
+            rem = problem.zero_moment_cut(blocks)
+            projected = dense_remove_moments_2d(dense, g) / metric
+            err = np.linalg.norm(rem.dense() / metric - projected)
+            assert err <= bound, name
+            if eps > 0:  # no more root rank than a dense SVD needs at eps/sqrt(3)
+                s = np.linalg.svd(projected.reshape(NX[0] * NX[1], -1), compute_uv=False)
+                tails = np.sqrt(np.cumsum(s[::-1] ** 2))[::-1]
+                assert rem.ranks[0] <= int(np.sum(tails > eps / np.sqrt(3.0))), name
+            if eps == 0:
+                assert np.abs(ht_moments([rem], grids)).max() <= 1e-12 * scale_m, name
+            own = np.stack(dense_moments_2d(dense, g, g))
+            target = own + 1e-3 * scale_m * rng.standard_normal(own.shape)
+            pinned = problem.pin(blocks)
+            for want, out in ((own, pinned), (target, problem.pin(blocks, target))):
+                assert np.abs(ht_moments([out], grids) - want).max() <= 1e-12 * scale_m, name
+            assert np.linalg.norm((pinned.dense() - dense) / metric) <= bound, name
+
+
 def test_canonicalize_sum_matches_add(rng):
     terms = [random_ht(rng, r=2) for _ in range(4)]
     fused = ht_truncate_sum(terms, 0.0)
@@ -391,18 +471,21 @@ def test_batched_moments_and_fluxes_against_dense(seed, kind):
 
 def test_khatri_rao_rmatmul_matches_formed_unfold(rng):
     # the per-leaf sketch product equals the formed pair unfold applied to
-    # the dense Khatri-Rao test matrix
-    nv = (7, 6)
-    blocks = [b for b in _step_like_sum(rng, "full", nv) if min(b.ranks) > 0]
-    pair = _PairUnfold(blocks)
-    n1, n2 = pair.q1.shape[1], pair.q2.shape[1]
-    cols = pair.ov[-1]
-    mat = pair.matmul(np.eye(cols)).reshape(n1 * n2, cols)
-    omega1, omega2 = rng.standard_normal((n1, 5)), rng.standard_normal((n2, 5))
-    dense = (omega1[:, None, :] * omega2[None, :, :]).reshape(n1 * n2, 5)
-    got = pair.rmatmul(omega1, omega2)
-    assert got.shape == (cols, 5)
-    assert np.all(np.abs(got - mat.T @ dense) <= 1e-13 * (np.abs(mat).T @ np.abs(dense)))
+    # the dense Khatri-Rao test matrix, also with the unfold projected off
+    # the moment span of an orthonormal leaf frame
+    frame = np.linalg.qr(rng.standard_normal((7, 3)))[0]
+    for nv, f in (((7, 6), None), ((7, 7), frame)):
+        blocks = [b for b in _step_like_sum(rng, "full", nv) if min(b.ranks) > 0]
+        pair = _PairUnfold(blocks, f)
+        n1, n2 = pair.q1.shape[1], pair.q2.shape[1]
+        cols = pair.ov[-1]
+        mat = pair.matmul(np.eye(cols)).reshape(n1 * n2, cols)
+        omega1, omega2 = rng.standard_normal((n1, 5)), rng.standard_normal((n2, 5))
+        dense = (omega1[:, None, :] * omega2[None, :, :]).reshape(n1 * n2, 5)
+        got = pair.rmatmul(omega1, omega2)
+        assert got.shape == (cols, 5)
+        assert np.all(np.abs(got - mat.T @ dense) <= 1e-13 * (np.abs(mat).T @ np.abs(dense)
+                                                               + np.abs(got)))
 
 
 def test_truncate_sum_floor_only_at_eps_zero(rng, monkeypatch):

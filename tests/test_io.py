@@ -1255,6 +1255,33 @@ def test_resumed_huge_level_stops_where_its_step_leaves_t_unchanged(step3_snapsh
         run(from_preset(preset, nx=nx, nv=nv, t_end=2 * t_end), resume=str(snap))
 
 
+@pytest.mark.parametrize("preset", sorted(STEP3_RUNS))
+def test_resumed_huge_level_stops_where_its_step_collapses(step3_snapshots, tmp_path,
+                                                           monkeypatch, preset):
+    # 2^52 in the newest level's density gives a field whose CFL step still
+    # moves t, by about five ulps; without a floor the run would take one
+    # step per few ulps (the counter fails a run that keeps stepping), so it
+    # stops where the step falls below its fraction of the zero-field one
+    import lrvlasov.driver as driver
+
+    snap = _write_corrupted(step3_snapshots, preset, "level 2 macro row 0", 2.0**52,
+                            tmp_path / "huge.bin")
+    calls, real_advance = [], driver.advance
+
+    def counted(*args):
+        calls.append(1)
+        if len(calls) > 100:
+            pytest.fail("the resumed run is still stepping after 100 steps")
+        return real_advance(*args)
+
+    monkeypatch.setattr(driver, "advance", counted)
+    nx, nv, t_end = STEP3_RUNS[preset]
+    with pytest.raises(NonFiniteError, match=r"CFL step \S+ is below 0.001 of the zero-field "
+                                             r"step at step 3 \(t="):
+        run(from_preset(preset, nx=nx, nv=nv, t_end=2 * t_end), resume=str(snap))
+    assert calls == []
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=100)
 @given(st.sampled_from(sorted(STEP3_RUNS)), st.data())

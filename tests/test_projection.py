@@ -243,7 +243,7 @@ def test_zero_moment_cut_and_pin_against_dense_sums(eps, v_max):
             scale_m = (sum(np.abs(b.dense()) for b in blocks) @ table).max()
             scale_w = sum(scale_bound(LowRankMatrix(b.C, b.Ux, b.Uv / root[:, None]))
                           for b in blocks)
-            rem, _ = problem.zero_moment_cut(blocks)
+            rem = problem.zero_moment_cut(blocks)
             assert np.abs(moments(rem, g)).max() <= 1e-12 * scale_m, name
             if eps > 0:
                 z = dense / root
