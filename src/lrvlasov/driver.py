@@ -67,8 +67,8 @@ from .poisson import ElectricField, field_energy, solve_poisson
 from .presets import get_preset
 
 _DT_MATCH = 1e-12  # relative tolerance for "same step size" lineage checks
-# smallest CFL step a run takes, as a fraction of the zero-field CFL step
-# (``io._cfl_step``); the shipped presets' smallest is 0.74 (strong_landau_1d)
+# smallest CFL step a run takes, as a fraction of the zero-field CFL step;
+# the shipped presets' smallest is 0.74 (strong_landau_1d)
 _DT_FLOOR = 1e-3
 
 
@@ -186,9 +186,14 @@ def initialize(cfg: SolverConfig) -> tuple[Problem, History]:
     return problem, History(fs=[_contig_state(f0)], us=[u0])
 
 
+def _streaming_speed(problem: Problem) -> float:
+    """sum_d v_max/h_x,d: the CFL speed of a zero field."""
+    return sum(problem.cfg.v_max / h for h in problem.sgrid.h)
+
+
 def select_dt(problem: Problem, field: ElectricField, cfl: float) -> float:
     """CFL bound cfl / (sum_d v_max/h_x,d + sum_d max|E_d|/h_v,d)."""
-    speed = sum(problem.cfg.v_max / h for h in problem.sgrid.h)
+    speed = _streaming_speed(problem)
     for e, vgrid in zip(field.E, problem.vgrids):
         speed += float(np.max(np.abs(e))) / vgrid.h
     return cfl / speed
@@ -295,7 +300,7 @@ def _tiny(cfg: SolverConfig) -> float:
 def _march(problem: Problem, hist: History):
     """Advance to t_end under the ratcheted CFL step, yielding after each step."""
     cfg = problem.cfg
-    floor = _DT_FLOOR * _io._cfl_step(problem.dims, _io._signature(problem))
+    floor = _DT_FLOOR * cfg.cfl / _streaming_speed(problem)
     if hist.dt_work == 0.0:
         hist.dt_work = select_dt(problem, hist.newest(problem)[1], cfg.cfl)
     while hist.t < cfg.t_end - _tiny(cfg):

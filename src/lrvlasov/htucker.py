@@ -9,11 +9,11 @@ velocity-pair columns:
     f[i, j1, j2] = sum_{lx, lv} Ux[i, lx] B[lx, lv]
                    * sum_{l1, l2} Bvv[l1, l2, lv] Uv1[j1, l1] Uv2[j2, l2]
 
-Addition concatenates blocks exactly.  ``ht_truncate_sum`` is the one
-truncation of a block sum, plain or, given the weights w at the nodes of the
-velocity grid both leaves share, in the norm weighted by 1/(w(v1) w(v2));
-``ht_truncate_projected`` is the weighted one of the sum's part orthogonal to
-the carriers' moment span, the pin's zero-moment cut.  Each velocity leaf is
+Addition concatenates blocks exactly.  ``ht_truncate_sum`` is the plain
+truncation of a block sum; ``ht_truncate_projected``, the pin's zero-moment
+cut, truncates the sum's part orthogonal to the carriers' moment span in the
+norm weighted by 1/(w(v1) w(v2)), w at the nodes of the velocity grid both
+leaves share.  Both run one routine, ``_ht_truncate``.  Each velocity leaf is
 taken in the grid's own coordinates when its stacked columns are at least as
 many as the grid's points, else in their Householder QR.  A truncation
 cuts three nodes (the root separation and the two velocity leaves) by their
@@ -63,7 +63,7 @@ import numpy as np
 from .errors import DimensionError, DomainError
 from .grids import VelocityGrid
 from .lowrank import (DEFAULT_DROPTOL, _SKETCH_MARGIN, _check_shapes, _range_finder,
-                      _weight_root, _workspace, keep_count)
+                      _workspace, keep_count)
 from .projection import MomentBasis
 
 
@@ -211,14 +211,18 @@ class _Runs:
         return np.vstack(out)
 
 
-# the moment span in pair coordinates: pair functional q is leaf column
-# _PI_LEAVES[0][q] against _PI_LEAVES[1][q] of the orthonormal frame
-# {F_1, F_v, F_kappa}, and _PI_WEIGHTS maps the five to the orthonormal
-# F_1 F_1, F_v F_1, F_1 F_v and (F_kappa F_1 + F_1 F_kappa) / sqrt(2)
+# the pair transfer of every carrier: leaf pairs (1, 1), (v, 1), (1, v) and
+# (v^2 - c, 1), (1, v^2 - c) of the orthonormal frame {F_1, F_v, F_kappa}
+# give the four orthonormal moment tensors F_1 F_1, F_v F_1, F_1 F_v and
+# (F_kappa F_1 + F_1 F_kappa) / sqrt(2), which span Pi; pair functional q of
+# the moment span is leaf column _PI_LEAVES[0][q] against _PI_LEAVES[1][q],
+# and _PI_WEIGHTS maps the five to the four
 _PI_LEAVES = ([0, 1, 0, 2, 0], [0, 0, 1, 0, 2])
-_PI_WEIGHTS = np.zeros((5, 4))
-_PI_WEIGHTS[[0, 1, 2, 3, 4], [0, 1, 2, 3, 3]] = (1.0, 1.0, 1.0, 1.0 / np.sqrt(2.0),
-                                                 1.0 / np.sqrt(2.0))
+_PAIR_TRANSFER = np.zeros((3, 3, 4))
+_PAIR_TRANSFER[(*_PI_LEAVES, [0, 1, 2, 3, 3])] = (
+    1.0, 1.0, 1.0, 1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0))
+_PAIR_TRANSFER.flags.writeable = False
+_PI_WEIGHTS = _PAIR_TRANSFER[_PI_LEAVES]
 _PI_WEIGHTS.flags.writeable = False
 
 
@@ -410,11 +414,8 @@ def _ht_truncate(terms, eps: float, sqrt_w=None, frame=None) -> HtTensor:
     return _finish_truncation(ux, core, pair.q1, pair.q2, nx, tol, exact=False, sqrt_w=sqrt_w)
 
 
-def ht_truncate_sum(terms, eps: float, w_points=None) -> HtTensor:
-    """Hierarchical truncation of sum(terms), total Frobenius error <= eps,
-    taken in the norm weighted by 1/(w(v1) w(v2)) when ``w_points`` (w at the
-    nodes of the velocity grid both leaves share) is given: the leaves are
-    scaled by 1/sqrt(w) before the cut and by sqrt(w) after it.
+def ht_truncate_sum(terms, eps: float) -> HtTensor:
+    """Hierarchical truncation of sum(terms), total Frobenius error <= eps.
 
     eps > 0: the spatial frame comes from ``lowrank._range_finder`` on the
     root matricization M = Ux_cat blockdiag(B_t) mat^T (rows: space;
@@ -444,8 +445,7 @@ def ht_truncate_sum(terms, eps: float, w_points=None) -> HtTensor:
         raise DomainError(f"truncation threshold must be >= 0, got {eps}")
     terms = list(terms)
     _check_shapes(terms)
-    return _ht_truncate(terms, eps, _weight_root(w_points, terms[0].Uv1.shape[0],
-                                                 terms[0].Uv2.shape[0]))
+    return _ht_truncate(terms, eps)
 
 
 def ht_truncate_projected(terms, eps: float, sqrt_w: np.ndarray,
@@ -523,14 +523,6 @@ def ht_moments(terms, grids: tuple[VelocityGrid, VelocityGrid]) -> np.ndarray:
     contracted leaf by leaf through the transfer tensors."""
     terms = list(terms)
     return _pair_fields(terms, *_moment_leaves(terms, grids), _MOMENT_WEIGHTS)
-
-
-# the pair transfer of every carrier: leaf pairs (1, 1), (v, 1), (1, v) and
-# (v^2 - c, 1), (1, v^2 - c) give the four orthonormal moment tensors
-_PAIR_TRANSFER = np.zeros((3, 3, 4))
-_PAIR_TRANSFER[[0, 1, 0, 2, 0], [0, 0, 1, 0, 2], [0, 1, 2, 3, 3]] = (
-    1.0, 1.0, 1.0, 1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0))
-_PAIR_TRANSFER.flags.writeable = False
 
 
 def ht_lift_moments(m: np.ndarray, basis: MomentBasis) -> HtTensor:
