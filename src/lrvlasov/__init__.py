@@ -16,14 +16,14 @@ from .grids import (GaussianWeight, SpatialGrid, VelocityGrid, make_velocity_gri
 from .htucker import HtTensor
 from .lowrank import LowRankMatrix, add, recompress, truncate_sum
 from .poisson import ElectricField, field_energy, solve_poisson
-from .projection import MomentBasis, moments
+from .projection import MomentBasis
 
 __all__ = [
     "ElectricField", "GaussianWeight", "History", "HtTensor", "LowRankMatrix",
     "MomentBasis", "Problem",
     "SolverConfig", "SpatialGrid", "VelocityGrid",
     "add", "field_energy", "from_preset", "initialize", "load_config",
-    "make_velocity_grid", "moments", "plain_inner", "recompress", "run",
+    "make_velocity_grid", "plain_inner", "recompress", "run",
     "select_dt", "solve_poisson", "spatial_grid_1d", "spatial_grid_2d",
     "truncate_sum", "weighted_inner",
 ]

@@ -163,6 +163,9 @@ def main(argv=None) -> int:
     except (LrvlasovError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'an array does not fit'}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

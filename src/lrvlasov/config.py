@@ -11,6 +11,7 @@ preset's alone (``SolverConfig.dim``); no file, override or field sets it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -63,6 +64,11 @@ class SolverConfig:
             raise ConfigError(f"nx2 must be 0 or nx={self.nx} in 1d1v, got {self.nx2}")
         if self.nx2 == 0:
             self.nx2 = self.nx
+        spatial = {"1d1v": ("nx", self.nx), "2d2v": ("nx and nx2", self.nx * self.nx2)}
+        for name, points in (spatial[self.dim], ("nv", self.nv)):
+            if 8 * points > sys.maxsize:  # the bound io._read_array applies
+                raise ConfigError(f"{name}: a grid of {points} points is more than "
+                                  f"8-byte values can address")
 
     @property
     def dim(self) -> str:

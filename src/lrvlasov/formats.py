@@ -7,26 +7,26 @@ moment-pinned truncation of a list of blocks, and ranks.  What does not touch
 the factors is written once on ``Problem``: ``build`` makes ``dims`` spatial
 axes and ``dims`` velocity axes sharing one grid, ``initial`` calls the
 preset's one ``init(sgrid, *vgrids)`` hook, the transport
--(v . grad_x + E . grad_v) f is ``Problem.transport`` and the LoMaC moment
+-(v . grad_x + E . grad_v) f is ``Problem.transport``, the moments and KFVS
+fluxes are ``Problem.moments`` and ``Problem.fluxes``, and the LoMaC moment
 pin is ``Problem.pin``, for any dimension.  Each format keeps only what
 reads or writes its factors: ``factors`` and ``block``, the transport's
-primitives, and ``scale``, ``add``, ``moments``, ``lift``, ``fluxes``,
-``truncate``, ``zero_moment_cut`` and ``ranks``; ``moments``, ``truncate``,
-``zero_moment_cut`` and ``pin`` take a block list.  The zero-moment cut is
-the pin's one truncation: the part of the sum orthogonal to the carriers in
-the 1/w-weighted coordinates, cut in that norm.  It takes no moments in
-either format: 1D1V projects the stacked velocity factor off the carrier
-frame, 2D2V the pair unfold off the carriers' moment span in pair
-coordinates (``htucker.ht_truncate_projected``).  Both formats take their
-moments in the macroscopic state's ``(2 + d, *n)`` layout (rows rho,
-J_1 .. J_d, kappa, where the state holds e = kappa + sign |E|^2 / 2),
+primitives, ``fields``, its one contraction of a block list with a velocity
+table (``lowrank.fields``, ``htucker.pair_fields``), and ``scale``, ``add``,
+``lift``, ``truncate``, ``zero_moment_cut`` and ``ranks``; ``moments``,
+``fields``, ``truncate``, ``zero_moment_cut`` and ``pin`` take a block list.
+The zero-moment cut is the pin's one truncation: the part of the sum
+orthogonal to the carriers in the 1/w-weighted coordinates, cut in that norm.
+It takes no moments in either format: 1D1V projects the stacked velocity
+factor off the carrier frame, 2D2V the pair unfold off the carriers' moment
+span in pair coordinates (``htucker.ht_truncate_projected``).  Both formats
+take their moments in the macroscopic state's ``(2 + d, *n)`` layout (rows
+rho, J_1 .. J_d, kappa, where the state holds e = kappa + sign |E|^2 / 2),
 ``lift`` makes the exact carrier of moments in it, and both build their
 carriers from one ``projection.MomentBasis`` of the shared velocity grid,
-which also holds the velocity tables that every moment and flux contraction
-reads, built once per grid.  Below it only ``macro``
-keeps per-format code, one KFVS flux contraction each.  Layer functions are
-looked up on their modules at call time, so wrappers installed there
-(tracing, test doubles) see each call.
+which also holds the velocity tables of the moments and fluxes, built once
+per grid.  Layer functions are looked up on their modules at call time, so
+wrappers installed there (tracing, test doubles) see each call.
 """
 
 from __future__ import annotations
@@ -72,6 +72,15 @@ class Problem:
     def initial(self):
         return self.preset.init(self.sgrid, *self.vgrids)
 
+    def moments(self, blocks) -> np.ndarray:
+        """The moments of sum(blocks), ``(2 + d, *n)``: rho, J_1 .. J_d, kappa."""
+        return self.fields(blocks, self.basis.moments[self.dims])
+
+    def fluxes(self, f) -> np.ndarray:
+        """The KFVS split fluxes of f, ``(d, 2, 2 + d, *n)``: per axis, (plus, minus)."""
+        d = self.dims
+        return self.fields([f], self.basis.fluxes[d]).reshape(d, 2, 2 + d, *self.sgrid.n)
+
     def rate(self, u: np.ndarray, f, field, t: float) -> np.ndarray:
         """-div F + S for the stacked macroscopic state, fluxes taken from f."""
         return macro.rate(u, self.fluxes(f), field, self.sgrid,
@@ -116,8 +125,8 @@ class Problem1D(Problem):
 
     dims = 1
 
-    def moments(self, blocks):
-        return projection.moments(lowrank.add(*blocks), self.vgrid)
+    def fields(self, blocks, table):
+        return lowrank.fields(lowrank.add(*blocks), table)
 
     def lift(self, m):
         return projection.lift_moments(m, self.basis)
@@ -135,9 +144,6 @@ class Problem1D(Problem):
     def block(self, f, ux, axis: int, leaf):
         """-f with its spatial factor and the leaf of velocity ``axis`` replaced."""
         return lowrank.LowRankMatrix(-f.C, ux, leaf)
-
-    def fluxes(self, f) -> list:
-        return macro.kfvs_fluxes_1d(f, self.vgrid)
 
     def truncate(self, blocks):
         return lowrank.truncate_sum(blocks, self.cfg.eps)
@@ -159,8 +165,8 @@ class Problem2D(Problem):
 
     dims = 2
 
-    def moments(self, blocks):
-        return ht.ht_moments(blocks, self.vgrids)
+    def fields(self, blocks, table):
+        return ht.pair_fields(blocks, *table)
 
     def lift(self, m):
         return ht.ht_lift_moments(m, self.basis)
@@ -178,9 +184,6 @@ class Problem2D(Problem):
         # every block keeps f's Bvv object, so _Runs contracts them together
         uv1, uv2 = (leaf, f.Uv2) if axis == 0 else (f.Uv1, leaf)
         return ht.HtTensor(ux.reshape(f.Ux.shape[0], -1), -f.B, f.Bvv, uv1, uv2, f.nx)
-
-    def fluxes(self, f) -> list:
-        return macro.kfvs_fluxes_2d(f, self.vgrids)
 
     def truncate(self, blocks):
         return ht.ht_truncate_sum(blocks, self.cfg.eps)

@@ -36,17 +36,15 @@ grid's ``lowrank._workspace``, which the 1D truncation also draws on, so a
 warm truncation faults in no fresh page; nothing returned aliases it.
 
 Moments and KFVS fluxes are separable velocity-pair functionals, taken for
-all blocks of a sum in one batched contraction (``_pair_fields``): one matrix
-product per leaf, one per run of blocks sharing a Bvv, one spatial product per
-block; the leaf columns are the read-only tables of the grids'
-``projection.MomentBasis``, built once per grid.  ``ht_moments`` takes a
-block list, like every sum routine here, and its moments come out in the
-macroscopic state's layout, one stacked ``(4, n1, n2)`` array with rows rho,
-J1, J2, kappa.  The transport blocks are built in ``formats``, which writes
-that operator once for both formats.
+all blocks of a sum in the format's one batched contraction, ``pair_fields``:
+one matrix product per leaf, one per run of blocks sharing a Bvv, one spatial
+product per block.  Its leaf columns and weight maps are the read-only tables
+of ``projection.MomentBasis``, built once per grid; ``formats.Problem`` takes
+the moments and fluxes through it.  The transport blocks are built in
+``formats``, which writes that operator once for both formats.
 
 The moment pin is written once for both formats, as ``formats.Problem.pin``,
-over ``ht_truncate_projected``, ``ht_moments`` of its remainder (the leaf
+over ``ht_truncate_projected``, the moments of its remainder (the leaf
 cuts' leak) and ``ht_lift_moments``; a pinned state's ranks are its
 remainder's plus the carrier's (4, 4, 3, 3).  The carrier's velocity leaves
 both hold the 1D ``projection.MomentBasis`` frame {1, v, v^2 - c}, coupled by
@@ -61,7 +59,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .grids import VelocityGrid
 from .lowrank import (DEFAULT_DROPTOL, _SKETCH_MARGIN, _check_shapes, _range_finder,
                       _workspace, keep_count)
 from .projection import MomentBasis
@@ -477,18 +474,23 @@ def ht_truncate_projected(terms, eps: float, sqrt_w: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# moments and the moment-conserving carrier
+# velocity-pair contractions and the moment-conserving carrier
 
-def _pair_fields(terms, leaf1: np.ndarray, leaf2: np.ndarray,
-                 weights: np.ndarray) -> np.ndarray:
+def pair_fields(terms, leaf1: np.ndarray, leaf2: np.ndarray,
+                weights: np.ndarray) -> np.ndarray:
     """Spatial fields sum_t sum_q weights[q, m] <leaf1[:, q] (x) leaf2[:, q], t>.
 
     Column q of ``leaf1`` and ``leaf2`` is one separable velocity-pair
     functional; the result has one (n1, n2) field per column of ``weights``.
     One matrix product per leaf contracts every functional with every block's
     frame, one per run of blocks sharing a Bvv maps them to root
-    coefficients, and one spatial product per block adds its fields in.
+    coefficients, and one spatial product per block adds its fields in; the
+    velocity pair is never densified.
     """
+    terms = list(terms)
+    if any(t.Uv1.shape[0] != leaf1.shape[0] or t.Uv2.shape[0] != leaf2.shape[0]
+           for t in terms):
+        raise DimensionError("velocity frames do not match the pair tables")
     nx = terms[0].nx
     out = np.zeros((weights.shape[1], nx[0] * nx[1]))
     terms = [t for t in terms if min(t.ranks) > 0]  # zero blocks add nothing
@@ -500,29 +502,6 @@ def _pair_fields(terms, leaf1: np.ndarray, leaf2: np.ndarray,
         for s, t in enumerate(runs.terms):
             out += (t.B @ coeffs[runs.ov[s]:runs.ov[s + 1]]).T @ t.Ux.T
     return out.reshape(-1, *nx)
-
-
-# rho, J1, J2, kappa from the pair functionals 1 1, v1 1, 1 v2, v1^2 1, 1 v2^2
-_MOMENT_WEIGHTS = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
-                            [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 0.5],
-                            [0.0, 0.0, 0.0, 0.5]])
-
-
-def _moment_leaves(terms, grids: tuple[VelocityGrid, VelocityGrid]):
-    """The grids' ``pair_moments`` leaves, checked against the terms."""
-    g1, g2 = grids
-    for t in terms:
-        if t.Uv1.shape[0] != g1.n or t.Uv2.shape[0] != g2.n:
-            raise DimensionError("velocity frames do not match grids")
-    return MomentBasis.build(g1).pair_moments[0], MomentBasis.build(g2).pair_moments[1]
-
-
-def ht_moments(terms, grids: tuple[VelocityGrid, VelocityGrid]) -> np.ndarray:
-    """(rho, J1, J2, kappa) of sum(terms) stacked, (4, n1, n2), all blocks in
-    one batched contraction; the velocity pair is never densified, only
-    contracted leaf by leaf through the transfer tensors."""
-    terms = list(terms)
-    return _pair_fields(terms, *_moment_leaves(terms, grids), _MOMENT_WEIGHTS)
 
 
 def ht_lift_moments(m: np.ndarray, basis: MomentBasis) -> HtTensor:

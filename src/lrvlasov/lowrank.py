@@ -11,13 +11,13 @@ draws; they can only cost rank.  The sum, its residual and the stacked
 velocity factors live in one workspace per grid that every call reuses, so a
 warm call faults in no page (``_Workspace``); the 2D truncation in
 ``htucker`` takes its large arrays from the same workspace, and nothing
-either returns aliases it.  ``truncate_sum`` is the entry point for a cut;
-given weights it scales the velocity factors by 1/sqrt(w(v_j)) (point values,
-not quadrature weights), truncates, and scales back, so its error is
-controlled in the norm weighted by 1/w.  ``truncate_projected`` is the same
-weighted cut with the scaled velocity factors first projected off an
-orthonormal frame, v <- v - Q (Q^T v): with the moment carriers' frame it is
-the 1D pin's zero-moment cut, which subtracts no carrier.
+either returns aliases it.  ``truncate_sum`` is the plain cut of a block
+sum.  ``truncate_projected`` cuts in the norm weighted by 1/w: it scales the
+velocity factors by 1/sqrt(w(v_j)) (point values, not quadrature weights),
+projects them off an orthonormal frame, v <- v - Q (Q^T v), truncates and
+scales back; with the moment carriers' frame it is the 1D pin's zero-moment
+cut, which subtracts no carrier.  ``fields`` is the format's one contraction
+with a velocity table, behind both the moments and the KFVS fluxes.
 """
 
 from __future__ import annotations
@@ -86,6 +86,15 @@ def add(*terms: LowRankMatrix) -> LowRankMatrix:
         np.hstack([t.Ux for t in terms]),
         np.hstack([t.Uv for t in terms]),
     )
+
+
+def fields(f: LowRankMatrix, table: np.ndarray) -> np.ndarray:
+    """sum_l C_l Ux[:, l] <Uv[:, l], table[:, q]>, one (Nx,) field per column
+    q of the (Nv, k) velocity ``table``: a (k, Nx) array, by one chain of
+    factor products that never forms f."""
+    if f.Uv.shape[0] != table.shape[0]:
+        raise DimensionError("velocity factor length does not match the table")
+    return ((f.Uv.T @ table) * f.C[:, None]).T @ f.Ux.T
 
 
 def scale_bound(f: LowRankMatrix) -> float:
@@ -181,19 +190,6 @@ def _workspace(*shape: int) -> _Workspace:
     return _Workspace()
 
 
-def _weight_root(w_points, *lengths: int):
-    """sqrt(w) of the weights at the velocity nodes, checked against the
-    length of every velocity factor; None without weights."""
-    if w_points is None:
-        return None
-    w_points = np.asarray(w_points, dtype=float)
-    if any(w_points.shape != (n,) for n in lengths):
-        raise DimensionError("weight vector length does not match velocity factors")
-    if np.any(w_points <= 0):
-        raise DomainError("weights must be strictly positive")
-    return np.sqrt(w_points)
-
-
 def _truncate(terms, eps: float, sqrt_w=None, frame=None):
     """The one truncation behind every public entry point.
 
@@ -243,9 +239,8 @@ def _truncate(terms, eps: float, sqrt_w=None, frame=None):
                          uv if sqrt_w is None else uv * sqrt_w[:, None])
 
 
-def truncate_sum(terms, eps: float, w_points=None) -> LowRankMatrix:
-    """Truncation of sum(terms) with Frobenius error <= eps, taken in the norm
-    weighted by 1/w when ``w_points`` (w at the velocity nodes) is given.
+def truncate_sum(terms, eps: float) -> LowRankMatrix:
+    """Truncation of sum(terms) with Frobenius error <= eps.
 
     The result has orthonormal factors and sorted nonnegative coefficients;
     eps = 0 keeps the sum to 1e-14 of its blocks' magnitude bounds.
@@ -253,7 +248,8 @@ def truncate_sum(terms, eps: float, w_points=None) -> LowRankMatrix:
     if eps < 0:
         raise DomainError(f"truncation threshold must be >= 0, got {eps}")
     terms = list(terms)
-    return _truncate(terms, eps, _weight_root(w_points, _check_shapes(terms)[1]))
+    _check_shapes(terms)
+    return _truncate(terms, eps)
 
 
 def truncate_projected(terms, eps: float, sqrt_w: np.ndarray,

@@ -1,20 +1,21 @@
 """Velocity moments and the moment-conserving decomposition for 1D1V.
 
 Moments share the macroscopic state's layout: one stacked ``(2 + d, *n)``
-array with rows rho, J_1 .. J_d, kappa (here d = 1), the kinetic-energy
-density in the last row where the state holds the total energy
-e = kappa + sign |E|^2 / 2 (``poisson.ElectricField.energy_density``).  The
-distribution is split as f = carrier + remainder, where the carrier is an
-exact three-term object built from the weighted-orthogonal velocity basis
-{1, v, v^2 - c} and reproduces the moments of f; ``MomentBasis`` is that
-basis for both formats (in 2D2V each velocity leaf holds it), built once per
-velocity grid with the grid's quadrature tables for the moments and KFVS
-fluxes of both formats, so no call rebuilds a velocity column.  The remainder
-has zero moments and is the only part rank truncation may touch; the pinned
-truncation that cuts it and adds one carrier back is written once for both
-formats, as ``formats.Problem.pin``, over ``moments`` and ``lift_moments``
-here.  In the coordinates of the norm weighted by 1/w (f / sqrt(w)) the
-carrier is the orthogonal projection of f onto the columns
+array with rows rho, J_1 .. J_d, kappa, the kinetic-energy density in the
+last row where the state holds the total energy e = kappa + sign |E|^2 / 2
+(``poisson.ElectricField.energy_density``).  The distribution is split as
+f = carrier + remainder, where the carrier is an exact three-term object built
+from the weighted-orthogonal velocity basis {1, v, v^2 - c} and reproduces
+the moments of f; ``MomentBasis`` is that basis for both formats (in 2D2V
+each velocity leaf holds it), built once per velocity grid with the grid's
+velocity tables of the moments and KFVS fluxes in both dimensions, which
+``formats.Problem`` contracts with each format's one primitive
+(``lowrank.fields``, ``htucker.pair_fields``), so no call rebuilds a velocity
+column.  The remainder has zero moments and is the only part rank truncation
+may touch; the pinned truncation that cuts it and adds one carrier back is
+written once for both formats, as ``formats.Problem.pin``, over those moments
+and ``lift_moments`` here.  In the coordinates of the norm weighted by 1/w
+(f / sqrt(w)) the carrier is the orthogonal projection of f onto the columns
 ``MomentBasis.zero_frame``, in 2D2V onto the pair span of that frame's
 F_1 F_1, F_v F_1, F_1 F_v and (F_kappa F_1 + F_1 F_kappa) / sqrt(2), so
 neither pin forms a carrier to subtract: the 1D one's truncation projects the
@@ -30,12 +31,24 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
-from .errors import DimensionError, DomainError
+from .errors import DomainError
 from .grids import VelocityGrid
-from .lowrank import LowRankMatrix, add, recompress, scale
+from .lowrank import LowRankMatrix, add, fields, recompress, scale
+
+# rho, J1, J2, kappa from the pair functionals 1 1, v1 1, 1 v2, v1^2 1, 1 v2^2
+_MOMENT_WEIGHTS = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
+                            [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 0.5],
+                            [0.0, 0.0, 0.0, 0.5]])
+# per axis k and sign, the pair functionals s 1, s^2 1, s o, s^3 1, s o^2 (s the
+# sign-split velocity of axis k, o the other one) give that split flux's rows rho,
+# J1, J2, e as the moment map gives rho, J1, J2, kappa; s^2 is the current along
+# axis k and s o the other one, so the second axis swaps the two current columns
+_FLUX_WEIGHTS = (np.kron(np.diag([1.0, 1.0, 0.0, 0.0]), _MOMENT_WEIGHTS)
+                 + np.kron(np.diag([0.0, 0.0, 1.0, 1.0]), _MOMENT_WEIGHTS[:, [0, 2, 1, 3]]))
 
 
 @dataclass(frozen=True)
@@ -50,19 +63,24 @@ class MomentBasis:
     sqrt(w) {1, v, v^2 - c} / ||.|| (``zero_frame``) with the point roots
     ``sqrt_w`` = sqrt(w(v_j)) that map into them, from which both pins'
     zero-moment cuts project; and the plain-quadrature tables (h times the
-    monomials) of the moments and KFVS fluxes:
+    monomials) of the moments and KFVS fluxes, keyed by the dimension d:
 
-    moment_table  (nv, 3)  [1, v, v^2/2], the 1D moments rho, J, kappa
-    flux_table    (nv, 6)  [v+, v+^2, v+^3/2, v-, v-^2, v-^3/2], the 1D
-                           split fluxes, v+ = max(v, 0) and v- = min(v, 0)
-    pair_moments  two (nv, 5) leaves, this grid as the first velocity and
-                  as the second: [1, v, 1, v^2, 1] and [1, 1, v, 1, v^2],
-                  the 2D moment pair functionals
-    pair_fluxes   two (nv, 20) leaves of the 2D split-flux pair functionals
-                  (``macro.kfvs_fluxes_2d``): per axis and sign, s = v+ or
-                  v- of that axis against o, the other velocity, the pairs
-                  (s, 1), (s^2, 1), (s, o), (s^3, 1), (s, o^2); the axis's own
-                  leaf holds [s, s^2, s, s^3, s] and the other [1, 1, o, 1, o^2]
+    moments[1]  (nv, 3)  [1, v, v^2/2], the 1D moments rho, J, kappa
+    fluxes[1]   (nv, 6)  [v+, v+^2, v+^3/2, v-, v-^2, v-^3/2], the 1D split
+                         fluxes, v+ = max(v, 0) and v- = min(v, 0)
+    moments[2]  (leaf1, leaf2, weights): (nv, 5) leaves for this grid as the
+                first velocity and as the second, [1, v, 1, v^2, 1] and
+                [1, 1, v, 1, v^2], and the (5, 4) map from those pair
+                functionals to rho, J1, J2, kappa
+    fluxes[2]   (leaf1, leaf2, weights): (nv, 20) leaves of the 2D split-flux
+                pair functionals and their (20, 16) map to the flux rows: per
+                axis and sign, s = v+ or v- of that axis against o, the other
+                velocity, the pairs (s, 1), (s^2, 1), (s, o), (s^3, 1),
+                (s, o^2); the axis's own leaf holds [s, s^2, s, s^3, s] and
+                the other [1, 1, o, 1, o^2]
+
+    A 1D table is what ``lowrank.fields`` contracts, a 2D one the arguments
+    of ``htucker.pair_fields`` after the blocks.
     """
 
     grid: VelocityGrid
@@ -73,10 +91,8 @@ class MomentBasis:
     frame: np.ndarray
     sqrt_w: np.ndarray
     zero_frame: np.ndarray
-    moment_table: np.ndarray
-    flux_table: np.ndarray
-    pair_moments: tuple[np.ndarray, np.ndarray]
-    pair_fluxes: tuple[np.ndarray, np.ndarray]
+    moments: MappingProxyType
+    fluxes: MappingProxyType
 
     @classmethod
     @functools.lru_cache(maxsize=8)  # the latest grids keep theirs
@@ -99,29 +115,22 @@ class MomentBasis:
         basis = cls(grid=grid, c=c, norm1_sq=n1, norm2_sq=n2, norm3_sq=n3,
                     frame=grid.w_points[:, None] * vectors,
                     sqrt_w=sqrt_w, zero_frame=weighted / np.linalg.norm(weighted, axis=0),
-                    moment_table=h * np.column_stack([one, v, 0.5 * v**2]),
-                    flux_table=np.hstack([h * np.column_stack([s, s**2, 0.5 * s**3])
-                                          for s in (plus, minus)]),
-                    pair_moments=(first, second),
-                    pair_fluxes=(np.hstack([*own, second, second]),
-                                 np.hstack([second, second, *own])))
-        for a in (basis.frame, basis.sqrt_w, basis.zero_frame, basis.moment_table,
-                  basis.flux_table, *basis.pair_moments, *basis.pair_fluxes):
+                    moments=MappingProxyType({
+                        1: h * np.column_stack([one, v, 0.5 * v**2]),
+                        2: (first, second, _MOMENT_WEIGHTS)}),
+                    fluxes=MappingProxyType({
+                        1: np.hstack([h * np.column_stack([s, s**2, 0.5 * s**3])
+                                      for s in (plus, minus)]),
+                        2: (np.hstack([*own, second, second]),
+                            np.hstack([second, second, *own]), _FLUX_WEIGHTS)}))
+        for a in (basis.frame, basis.sqrt_w, basis.zero_frame, basis.moments[1],
+                  basis.fluxes[1], *basis.moments[2], *basis.fluxes[2]):
             a.flags.writeable = False
         return basis
 
     def vectors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         v = self.grid.v
         return np.ones_like(v), v, v**2 - self.c
-
-
-def moments(f: LowRankMatrix, grid: VelocityGrid) -> np.ndarray:
-    """(rho, J, kappa) stacked, (3, nx), by factor-wise quadrature: one
-    chain through the grid's ``moment_table``."""
-    if f.Uv.shape[0] != grid.n:
-        raise DimensionError("velocity factor length does not match grid")
-    weights = (f.Uv.T @ MomentBasis.build(grid).moment_table) * f.C[:, None]   # (r, 3)
-    return weights.T @ f.Ux.T
 
 
 def lift_moments(m: np.ndarray, basis: MomentBasis) -> LowRankMatrix:
@@ -141,7 +150,7 @@ def lift_moments(m: np.ndarray, basis: MomentBasis) -> LowRankMatrix:
 
 def moment_split(f: LowRankMatrix, basis: MomentBasis) -> tuple[LowRankMatrix, LowRankMatrix]:
     """Decompose f into the moment carrier and the zero-moment remainder."""
-    carrier = lift_moments(moments(f, basis.grid), basis)
+    carrier = lift_moments(fields(f, basis.moments[1]), basis)
     remainder = recompress(add(f, scale(carrier, -1.0)))
     return carrier, remainder
 

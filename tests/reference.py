@@ -154,27 +154,24 @@ def dense_moments_2d(f: np.ndarray, g1: VelocityGrid, g2: VelocityGrid):
     return rho, j1, j2, kap
 
 
-def dense_pair_functionals_2d(g1: VelocityGrid, g2: VelocityGrid) -> dict:
-    """The velocity-pair weights (nv1, nv2) of the 2D moments and split fluxes.
+def dense_functionals(g: VelocityGrid, d: int) -> dict:
+    """The velocity weights, on the d-fold grid g x .. x g, of the moments and
+    the KFVS split fluxes.
 
-    "moments": rho, J1, J2, kappa.  "fluxes": per axis and sign (plus, then
-    minus) the (rho, J1, J2, e) fluxes s (1, v1, v2, |v|^2 / 2), s the
-    sign-split velocity of the axis.
+    "moments": rho, J_1 .. J_d, kappa.  "fluxes": per axis, the (plus, minus)
+    pair of the (rho, J_1 .. J_d, e) fluxes s (1, v_1 .. v_d, |v|^2 / 2), s
+    the sign-split velocity of the axis.
     """
-    v1, v2 = np.meshgrid(g1.v, g2.v, indexing="ij")
-    half = 0.5 * (v1**2 + v2**2)
-    moments = [np.ones_like(v1), v1, v2, half]
-    fluxes = []
-    for along in (v1, v2):
-        for s in (np.maximum(along, 0.0), np.minimum(along, 0.0)):
-            fluxes.append([s * m for m in moments])
+    vs = np.meshgrid(*(g.v,) * d, indexing="ij")
+    moments = [np.ones_like(vs[0]), *vs, 0.5 * sum(v**2 for v in vs)]
+    fluxes = [[[s * m for m in moments] for s in (np.maximum(v, 0.0), np.minimum(v, 0.0))]
+              for v in vs]
     return {"moments": moments, "fluxes": fluxes}
 
 
-def dense_pair_quadrature(f: np.ndarray, weight: np.ndarray, g1: VelocityGrid,
-                          g2: VelocityGrid) -> np.ndarray:
-    """h1 h2 sum_{j1, j2} f[:, :, j1, j2] weight[j1, j2] on the spatial grid."""
-    return g1.h * g2.h * np.tensordot(f, weight, axes=((2, 3), (0, 1)))
+def dense_quadrature(f: np.ndarray, weight: np.ndarray, g: VelocityGrid) -> np.ndarray:
+    """h^d sum_j f[..., j] weight[j] over the d velocity axes of f, d = weight.ndim."""
+    return g.h**weight.ndim * np.tensordot(f, weight, axes=weight.ndim)
 
 
 def dense_pair_basis(g: VelocityGrid):

@@ -16,7 +16,7 @@ from lrvlasov.driver import convergence_table, run, setup
 from lrvlasov.grids import make_velocity_grid, spatial_grid_1d
 from lrvlasov.lowrank import LowRankMatrix
 from lrvlasov.poisson import divergence, solve_poisson
-from lrvlasov.projection import MomentBasis, lift_moments, moment_split, moments
+from lrvlasov.projection import MomentBasis, lift_moments, moment_split
 from lrvlasov.upwind import upwind_derivative
 
 from reference import landau_energy_decay_rate, landau_peak_energy_ratio
@@ -174,24 +174,22 @@ def test_criterion_6_dense_scheme_equivalence():
 def test_criterion_7_moment_exactness_suite():
     rng = np.random.default_rng(7)
     nx, nv = 24, 33
-    # weak_landau_1d's velocity grid at nv points is make_velocity_grid(nv, 6.0)
     problem = setup(from_preset("weak_landau_1d", nx=nx, nv=nv))
-    vgrid, basis = problem.vgrid, problem.basis
-    vgrid2 = make_velocity_grid(17, 6.0)
-    basis2 = MomentBasis.build(vgrid2)
+    basis = problem.basis
+    basis2 = MomentBasis.build(make_velocity_grid(17, 6.0))
     nx2 = (6, 6)
     worst = {"lift": 0.0, "lift2d": 0.0, "split": 0.0, "trunc": 0.0, "pinned": 0.0}
 
     for _ in range(200):
         m = np.stack([rng.standard_normal(nx), rng.standard_normal(nx),
                       rng.standard_normal(nx)])
-        got = moments(lift_moments(m, basis), vgrid)
+        got = problem.moments([lift_moments(m, basis)])
         ref = np.abs(m).max() + 1.0
         worst["lift"] = max(worst["lift"], np.abs(got - m).max() / ref)
 
         m2 = np.stack([rng.standard_normal(nx2), rng.standard_normal(nx2),
                        rng.standard_normal(nx2), rng.standard_normal(nx2)])
-        got2 = ht.ht_moments([ht.ht_lift_moments(m2, basis2)], (vgrid2, vgrid2))
+        got2 = ht.pair_fields([ht.ht_lift_moments(m2, basis2)], *basis2.moments[2])
         ref2 = np.abs(m2).max() + 1.0
         dev2 = np.abs(got2 - m2).max()
         worst["lift2d"] = max(worst["lift2d"], dev2 / ref2)
@@ -200,24 +198,24 @@ def test_criterion_7_moment_exactness_suite():
         f = LowRankMatrix(np.abs(rng.standard_normal(rank)) + 0.1,
                           rng.standard_normal((nx, rank)),
                           rng.standard_normal((nv, rank)))
-        m_f = moments(f, vgrid)
+        m_f = problem.moments([f])
         scale_f = np.abs(m_f).max() + 1.0
         _, remainder = moment_split(f, basis)
         worst["split"] = max(worst["split"],
-                             np.abs(moments(remainder, vgrid)).max() / scale_f)
+                             np.abs(problem.moments([remainder])).max() / scale_f)
 
         eps = 10.0 ** rng.uniform(-8, -2)
         pin = replace(problem, cfg=replace(problem.cfg, eps=eps)).pin
         out = pin([f])
         worst["trunc"] = max(worst["trunc"],
-                             np.abs(moments(out, vgrid) - m_f).max() / scale_f)
+                             np.abs(problem.moments([out]) - m_f).max() / scale_f)
 
         target = np.stack([m_f[0] + 1e-3 * rng.standard_normal(nx),
                            m_f[1] + 1e-3 * rng.standard_normal(nx),
                            m_f[2] + 1e-3 * rng.standard_normal(nx)])
         pinned = pin([f], target)
         worst["pinned"] = max(worst["pinned"],
-                              np.abs(moments(pinned, vgrid) - target).max()
+                              np.abs(problem.moments([pinned]) - target).max()
                               / (np.abs(target).max() + 1.0))
 
     ok = (worst["lift"] < 1e-12 and worst["lift2d"] < 1e-12

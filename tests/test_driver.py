@@ -11,7 +11,6 @@ from lrvlasov.errors import NonFiniteError, RankOverflowError
 from lrvlasov.formats import Problem
 from lrvlasov.lowrank import LowRankMatrix
 from lrvlasov.poisson import field_energy, solve_poisson
-from lrvlasov.projection import moments
 from lrvlasov.driver import run
 
 from reference import dense_moments, dense_moments_2d, dense_step_1d
@@ -37,7 +36,7 @@ def test_initial_macro_state_consistency():
     cfg = from_preset("weak_landau_1d")
     problem, hist = initialize(cfg)
     f0, u0 = hist.fs[-1], hist.us[-1]
-    m0 = moments(f0, problem.vgrid)
+    m0 = problem.moments([f0])
     field = solve_poisson(m0[0], problem.sgrid)
     assert np.allclose(u0[0], m0[0])
     assert np.allclose(u0[-1], m0[-1] + 0.5 * field.E[0] ** 2)
@@ -106,8 +105,8 @@ def test_startup_primes_multistep():
     assert len(hist.fs) == 3
     assert hist.multistep_ready(dt)
     # conservation honored during startup for the macro method
-    m0 = moments(hist.fs[0], problem.vgrid)
-    m2 = moments(hist.fs[-1], problem.vgrid)
+    m0 = problem.moments([hist.fs[0]])
+    m2 = problem.moments([hist.fs[-1]])
     vol = problem.sgrid.cell_volume
     assert vol * m2[0].sum() == pytest.approx(vol * m0[0].sum(), rel=1e-13)
 
@@ -129,7 +128,7 @@ def test_macro_moments_pinned_each_step():
     dt = 5e-3
     for _ in range(4):
         advance(problem, hist, dt)
-    m = moments(hist.fs[-1], problem.vgrid)
+    m = problem.moments([hist.fs[-1]])
     rho, j, e = hist.us[-1]
     field = solve_poisson(rho, problem.sgrid, cfg.poisson_sign)
     kappa_u = e - 0.5 * field.E[0] ** 2
@@ -143,7 +142,7 @@ def test_macro_moments_pinned_2d():
     dt = 4e-3
     for _ in range(4):
         advance(problem, hist, dt)
-    m = ht.ht_moments([hist.fs[-1]], problem.vgrids)
+    m = problem.moments([hist.fs[-1]])
     rho, j1, j2, e = hist.us[-1]
     field = solve_poisson(rho, problem.sgrid, cfg.poisson_sign)
     kappa_u = e - 0.5 * field.magnitude_squared()
@@ -213,18 +212,18 @@ def test_pin_adds_one_carrier_to_the_truncated_remainder(preset, carrier):
 
 def test_conservative_truncation_takes_block_moments_once(monkeypatch):
     # conservative pins to the sum's own moments, which the pin computes for
-    # its remainder anyway: one ht_moments over the truncation's blocks, plus
-    # one over the remainder for the leak; a target taken apart from the pin
-    # would add a call
+    # its remainder anyway: one pair contraction over the truncation's blocks,
+    # plus one over the remainder for the leak; a target taken apart from the
+    # pin would add a call
     import lrvlasov.driver as driver
 
     calls, per_truncation = [], []
-    moments_2d, cut = ht.ht_moments, driver._cut
+    pair_fields, cut = ht.pair_fields, driver._cut
 
     def counting_moments(terms, *args, **kwargs):
         terms = list(terms)
         calls.append(len(terms))
-        return moments_2d(terms, *args, **kwargs)
+        return pair_fields(terms, *args, **kwargs)
 
     def counting_cut(problem, blocks, u_new):
         calls.clear()
@@ -232,7 +231,7 @@ def test_conservative_truncation_takes_block_moments_once(monkeypatch):
         per_truncation.append((list(calls), len(blocks)))
         return out
 
-    monkeypatch.setattr(ht, "ht_moments", counting_moments)
+    monkeypatch.setattr(ht, "pair_fields", counting_moments)
     monkeypatch.setattr(driver, "_cut", counting_cut)
     run(from_preset("weak_landau_2d2v", nx=8, nv=16, method="conservative", t_end=0.1))
     assert len(per_truncation) >= 4
@@ -244,17 +243,18 @@ def test_conservative_truncation_takes_block_moments_once(monkeypatch):
 def test_pin_takes_moments_of_the_leak_and_the_target_only(monkeypatch, preset, method, per_cut):
     # both formats' zero-moment cuts project off the carriers' moment span and
     # take no moments: a pinned truncation takes the remainder's for the leak,
-    # and conservative the blocks' own for its target
+    # and conservative the blocks' own for its target; each is one call of the
+    # format's velocity contraction
     import lrvlasov.driver as driver
-    import lrvlasov.projection as projection
+    import lrvlasov.lowrank as lowrank
 
-    module, name = (projection, "moments") if preset == "weak_landau_1d" else (ht, "ht_moments")
+    module, name = (lowrank, "fields") if preset == "weak_landau_1d" else (ht, "pair_fields")
     calls, per_truncation = [], []
-    moments, cut = getattr(module, name), driver._cut
+    contract, cut = getattr(module, name), driver._cut
 
     def counting_moments(*args, **kwargs):
         calls.append(1)
-        return moments(*args, **kwargs)
+        return contract(*args, **kwargs)
 
     def counting_cut(problem, blocks, target):
         calls.clear()
@@ -374,7 +374,7 @@ def _smooth_lowrank(problem, shift):
 
 
 def _macro_of(problem, f):
-    rho, j, kappa = moments(f, problem.vgrid)
+    rho, j, kappa = problem.moments([f])
     field = solve_poisson(rho, problem.sgrid)
     return np.stack([rho, j, kappa + 0.5 * field.E[0] ** 2])
 
@@ -417,7 +417,7 @@ def _smooth_ht(problem, shift):
 
 
 def _macro_of_2d(problem, f):
-    rho, j1, j2, kappa = ht.ht_moments([f], problem.vgrids)
+    rho, j1, j2, kappa = problem.moments([f])
     field = solve_poisson(rho, problem.sgrid)
     return np.stack([rho, j1, j2, kappa + 0.5 * field.magnitude_squared()])
 
@@ -455,7 +455,7 @@ def test_dense_scheme_equivalence_2d(method):
             dense_new = carrier_own + remainder
         else:
             u_n, u_nm2 = hist.us[-1], hist.us[-3]
-            fs = macro.kfvs_fluxes_2d(f_n, problem.vgrids)
+            fs = problem.fluxes(f_n)
             u_new = macro.combine([u_nm2, u_n], [0.25, 0.75],
                                   macro.rate(u_n, fs, field_n, problem.sgrid), 1.5 * dt)
             field_new = solve_poisson(u_new[0], problem.sgrid)

@@ -1,9 +1,12 @@
 """The per-format problem: grids and initial data from the preset's
-dimension, and ``Problem.transport``, written once for both formats, against
-dense stencils."""
+dimension, and ``Problem.transport``, ``Problem.moments`` and
+``Problem.fluxes``, written once for both formats, against dense stencils and
+dense quadrature."""
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lrvlasov.config import from_preset
 from lrvlasov.driver import setup
@@ -60,3 +63,71 @@ def test_initial_state_has_the_format_and_grid_of_the_preset(name):
     assert problem.sgrid.n == (8,) * problem.dims
     assert [g.n for g in problem.vgrids] == [16] * problem.dims
     assert f.shape == (*problem.sgrid.n, *(g.n for g in problem.vgrids))
+
+
+def _random_state(rng, problem, r):
+    """A state of rank r in ``problem``'s format; r = 0 is a zero-rank block."""
+    n, nv = problem.sgrid.n, problem.vgrid.n
+    if problem.dims == 1:
+        return LowRankMatrix(rng.standard_normal(r), rng.standard_normal((n[0], r)),
+                             rng.standard_normal((nv, r)))
+    return HtTensor(rng.standard_normal((n[0] * n[1], r)), rng.standard_normal((r, r)),
+                    rng.standard_normal((r, r, r)), rng.standard_normal((nv, r)),
+                    rng.standard_normal((nv, r)), n)
+
+
+def _step_like_blocks(rng, problem, kind):
+    """f^{n-2}, f^n and the transport blocks of f^n under a random field (in
+    2D they share f^n's Bvv object, so the contraction takes them as one run),
+    a small term and a zero-rank block; "deficient" repeats some of them,
+    "cancelling" adds every block's negative, "all_zero" is two rank-0 blocks."""
+    if kind == "all_zero":
+        z = _random_state(rng, problem, 0)
+        return [z, problem.scale(z, 2.0)]
+    f = _random_state(rng, problem, int(rng.integers(1, 5)))
+    field = ElectricField(E=tuple(rng.standard_normal(problem.sgrid.n)
+                                  for _ in range(problem.dims)))
+    blocks = [problem.scale(_random_state(rng, problem, int(rng.integers(1, 4))), 0.25),
+              problem.scale(f, 0.75),
+              *(problem.scale(b, rng.uniform(-0.1, 0.1)) for b in problem.transport(f, field, 0.0)),
+              problem.scale(_random_state(rng, problem, 1), 1e-3),
+              _random_state(rng, problem, 0)]
+    if kind == "deficient":   # repeated directions: rank well below the block count
+        blocks += [problem.scale(b, -0.5) for b in blocks[1:4]]
+    if kind == "cancelling":  # the sum is zero up to round-off
+        blocks += [problem.scale(b, -1.0) for b in blocks]
+    return blocks
+
+
+@pytest.mark.parametrize("name", ["weak_landau_1d", "weak_landau_2d2v"])
+@given(seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["full", "deficient", "cancelling", "all_zero"]))
+def test_moments_and_fluxes_against_dense(name, seed, kind):
+    # Problem.moments of the sum and of each block, and Problem.fluxes, each
+    # one velocity contraction of the format, against dense quadrature on
+    # step-like block lists; the error is relative to the same quadrature of
+    # |blocks| against |weights|, which cancellation leaves alone
+    rng = np.random.default_rng(seed)
+    problem = setup(from_preset(name, nx=8, nv=int(rng.integers(8, 12))))  # 8 points at least
+    g, d, n = problem.vgrid, problem.dims, problem.sgrid.n
+    blocks = _step_like_blocks(rng, problem, kind)
+    weights = reference.dense_functionals(g, d)
+    dense = [b.dense() for b in blocks]
+    total, size = sum(dense), sum(np.abs(x) for x in dense)
+
+    def check(got, weight, of=total, bound=size):
+        oracle = reference.dense_quadrature(of, weight, g)
+        scale = reference.dense_quadrature(bound, np.abs(weight), g).max()
+        assert np.all(np.abs(got - oracle) <= 1e-13 * scale)
+
+    for got, weight in zip(problem.moments(blocks), weights["moments"], strict=True):
+        check(got, weight)
+    for b, x in zip(blocks, dense):
+        for got, weight in zip(problem.moments([b]), weights["moments"], strict=True):
+            check(got, weight, x, np.abs(x))
+    fluxes = problem.fluxes(problem.add(*blocks))
+    assert fluxes.shape == (d, 2, 2 + d, *n)
+    for axis, pair in zip(fluxes, weights["fluxes"], strict=True):
+        for split, split_weights in zip(axis, pair, strict=True):  # plus, then minus
+            for got, weight in zip(split, split_weights, strict=True):
+                check(got, weight)

@@ -11,14 +11,13 @@ from lrvlasov.errors import DimensionError, DomainError
 from lrvlasov.grids import make_velocity_grid, spatial_grid_2d
 import lrvlasov.htucker as ht
 from lrvlasov.htucker import (_PAIR_TRANSFER, HtTensor, _ht_truncate, _PairUnfold, ht_add,
-                              ht_lift_moments, ht_moments, ht_scale, ht_truncate_projected,
+                              ht_lift_moments, ht_scale, ht_truncate_projected,
                               ht_truncate_sum, ht_zero)
-from lrvlasov.macro import kfvs_fluxes_2d
 from lrvlasov.poisson import ElectricField
 from lrvlasov.projection import MomentBasis
 
-from reference import (dense_moments_2d, dense_pair_basis, dense_pair_functionals_2d,
-                       dense_pair_quadrature, dense_remove_moments_2d)
+from reference import (dense_functionals, dense_moments_2d, dense_pair_basis,
+                       dense_quadrature, dense_remove_moments_2d)
 
 NX = (8, 8)
 NV = 16
@@ -32,6 +31,13 @@ def vgrid():
 @pytest.fixture(scope="module")
 def basis(vgrid):
     return MomentBasis.build(vgrid)
+
+
+@pytest.fixture(scope="module")
+def problem():
+    """weak_landau_2d2v on NX cells, whose velocity grid at NV points is
+    make_velocity_grid(NV, 6.0)."""
+    return setup(from_preset("weak_landau_2d2v", nx=NX[0], nv=NV))
 
 
 def random_ht(rng, r=2, nx=NX, nv=(NV, NV)):
@@ -151,22 +157,22 @@ def test_weighted_truncate_weight_validation(rng, basis):
         ht_truncate_sum([s], -1.0)
 
 
-def test_moments_zero_and_dense_oracle(rng, vgrid):
+def test_moments_zero_and_dense_oracle(rng, problem, vgrid):
     z = ht_zero(NX, NV, NV)
-    mz = ht_moments([z], (vgrid, vgrid))
+    mz = problem.moments([z])
     assert mz.shape == (4, *NX) and np.all(mz == 0)
     f = random_ht(rng, r=3)
-    m = ht_moments([f], (vgrid, vgrid))
+    m = problem.moments([f])
     rho_d, j1_d, j2_d, kap_d = dense_moments_2d(f.dense(), vgrid, vgrid)
     ref = np.abs(rho_d).max() + 1.0
     assert np.allclose(m, np.stack([rho_d, j1_d, j2_d, kap_d]), atol=1e-12 * ref)
 
 
-def test_moments_product_maxwellian(rng, vgrid):
+def test_moments_product_maxwellian(rng, problem, vgrid):
     maxw = np.exp(-vgrid.v**2 / 2.0)
     f = HtTensor(np.ones((NX[0] * NX[1], 1)), np.eye(1), np.ones((1, 1, 1)),
                  maxw[:, None], maxw[:, None], NX)
-    m = ht_moments([f], (vgrid, vgrid))
+    m = problem.moments([f])
     mass1d = vgrid.h * maxw.sum()
     rho, j1, j2, kappa = m
     assert np.allclose(rho, mass1d**2, rtol=1e-13)
@@ -205,11 +211,11 @@ def test_lift_zero_and_degenerate(rng, vgrid, basis):
     assert ht_truncate_sum([lifted], 0.0).ranks[0] == 1
 
 
-def test_lift_roundtrip(rng, vgrid, basis):
+def test_lift_roundtrip(rng, problem, basis):
     for _ in range(30):
         m = np.stack([rng.standard_normal(NX), rng.standard_normal(NX),
                       rng.standard_normal(NX), rng.standard_normal(NX)])
-        got = ht_moments([ht_lift_moments(m, basis)], (vgrid, vgrid))
+        got = problem.moments([ht_lift_moments(m, basis)])
         assert np.max(np.abs(got - m)) < 1e-12 * (np.abs(m).max() + 1.0)
 
 
@@ -218,19 +224,17 @@ def _zero_moments():
 
 
 @pytest.fixture(scope="module")
-def exact_pin():
-    """``Problem.pin`` at eps = 0 on weak_landau_2d2v's grids at NX x NV,
-    whose velocity grid is make_velocity_grid(NV, 6.0)."""
-    problem = setup(from_preset("weak_landau_2d2v", nx=NX[0], nv=NV))
+def exact_pin(problem):
+    """``Problem.pin`` at eps = 0 on ``problem``'s grids."""
     return replace(problem, cfg=replace(problem.cfg, eps=0.0)).pin
 
 
-def test_remove_moments(rng, vgrid, exact_pin):
+def test_remove_moments(rng, problem, vgrid, exact_pin):
     # pinning to zero moments at eps = 0 removes the moment carrier
     f = random_ht(rng, r=3)
     out = exact_pin([f], _zero_moments())
-    m = ht_moments([out], (vgrid, vgrid))
-    ref = np.abs(ht_moments([f], (vgrid, vgrid))).max() + 1.0
+    m = problem.moments([out])
+    ref = np.abs(problem.moments([f])).max() + 1.0
     assert np.abs(m).max() < 1e-12 * ref
     # dense complement-projection oracle
     oracle = dense_remove_moments_2d(f.dense(), vgrid)
@@ -240,18 +244,18 @@ def test_remove_moments(rng, vgrid, exact_pin):
     assert np.allclose(out2.dense(), out.dense(), atol=1e-11 * np.abs(f.dense()).max())
 
 
-def test_weighted_truncate_eps_zero_keeps_faint_directions(vgrid, basis):
+def test_weighted_truncate_eps_zero_keeps_faint_directions(problem, vgrid, basis):
     # a zero-moment remainder plus its tiny leak carrier: in the 1/w-weighted
     # norm its leaf spectra span about 1e9, more than a Gram resolves, and
     # eps = 0 still keeps every direction
-    wp, grids = vgrid.w_points, (vgrid, vgrid)
+    wp = vgrid.w_points
     metric = np.sqrt(np.outer(wp, wp))[None, None]
     for seed in range(20):
         rng = np.random.default_rng(seed)
         f = random_ht(rng, r=3)
-        own = ht_lift_moments(ht_moments([f], grids), basis)
+        own = ht_lift_moments(problem.moments([f]), basis)
         rem = _ht_truncate([f, ht_scale(own, -1.0)], 0.0, np.sqrt(wp))
-        leak = ht_lift_moments(ht_moments([rem], grids), basis)
+        leak = ht_lift_moments(problem.moments([rem]), basis)
         faint = ht_add(ht_scale(leak, -1.0), rem)
         out = _ht_truncate([faint], 0.0, np.sqrt(wp))
         assert out.ranks == rem.ranks
@@ -326,10 +330,9 @@ def test_projected_cut_and_pin_against_dense_sums(rel_eps, v_max):
     # the leak is round-off.
     base = setup(from_preset("weak_landau_2d2v", nx=NX[0], nv=NV, v_max=v_max))
     g = base.vgrid
-    grids = (g, g)
     metric = np.sqrt(np.outer(g.w_points, g.w_points))[None, None]
     root = np.sqrt(g.w_points)[:, None]
-    weights = [np.abs(w) for w in dense_pair_functionals_2d(g, g)["moments"]]
+    weights = [np.abs(w) for w in dense_functionals(g, 2)["moments"]]
     rng = np.random.default_rng(24)
     for _ in range(3):
         for name, blocks in _projected_sums(rng, g).items():
@@ -337,7 +340,7 @@ def test_projected_cut_and_pin_against_dense_sums(rel_eps, v_max):
             assert (width >= g.n) == name.startswith("saturated"), name
             dense = sum(b.dense() for b in blocks)
             size = sum(np.abs(b.dense()) for b in blocks)
-            scale_m = max(dense_pair_quadrature(size, w, g, g).max() for w in weights)
+            scale_m = max(dense_quadrature(size, w, g).max() for w in weights)
             scale_w = sum(ht.scale_bound(HtTensor(b.Ux, b.B, b.Bvv, b.Uv1 / root, b.Uv2 / root,
                                                   NX)) for b in blocks)
             eps = rel_eps * scale_w
@@ -352,12 +355,12 @@ def test_projected_cut_and_pin_against_dense_sums(rel_eps, v_max):
                 tails = np.sqrt(np.cumsum(s[::-1] ** 2))[::-1]
                 assert rem.ranks[0] <= int(np.sum(tails > eps / np.sqrt(3.0))), name
             if eps == 0:
-                assert np.abs(ht_moments([rem], grids)).max() <= 1e-12 * scale_m, name
+                assert np.abs(problem.moments([rem])).max() <= 1e-12 * scale_m, name
             own = np.stack(dense_moments_2d(dense, g, g))
             target = own + 1e-3 * scale_m * rng.standard_normal(own.shape)
             pinned = problem.pin(blocks)
             for want, out in ((own, pinned), (target, problem.pin(blocks, target))):
-                assert np.abs(ht_moments([out], grids) - want).max() <= 1e-12 * scale_m, name
+                assert np.abs(problem.moments([out]) - want).max() <= 1e-12 * scale_m, name
             assert np.linalg.norm((pinned.dense() - dense) / metric) <= bound, name
 
 
@@ -434,41 +437,6 @@ def test_truncate_sum_randomized_meets_eps_against_dense(seed, kind, weighted, l
     assert again.ranks == out.ranks
     for name in ("Ux", "B", "Bvv", "Uv1", "Uv2"):
         assert np.array_equal(getattr(again, name), getattr(out, name))
-
-
-@given(st.integers(0, 2**32 - 1), st.sampled_from(["full", "deficient", "cancelling",
-                                                   "all_zero"]))
-def test_batched_moments_and_fluxes_against_dense(seed, kind):
-    # ht_moments of the sum and of each block, and kfvs_fluxes_2d, against dense quadrature
-    # on step-like block lists (shared-Bvv runs, a zero-rank block), and on a
-    # sum whose blocks are all rank 0; the error is relative to the same
-    # quadrature of |blocks| against |weights|, which cancellation leaves alone
-    rng = np.random.default_rng(seed)
-    nv = (int(rng.integers(8, 12)), int(rng.integers(8, 12)))  # grids need 8 points
-    grids = (make_velocity_grid(nv[0], 4.0), make_velocity_grid(nv[1], 5.0))
-    if kind == "all_zero":
-        blocks = [ht_zero(NX, *nv), ht_scale(ht_zero(NX, *nv), 2.0)]
-    else:
-        blocks = _step_like_sum(rng, kind, nv)
-    weights = dense_pair_functionals_2d(*grids)
-    dense = [b.dense() for b in blocks]
-    total, size = sum(dense), sum(np.abs(d) for d in dense)
-
-    def check(got, weight, of=total, bound=size):
-        oracle = dense_pair_quadrature(of, weight, *grids)
-        scale = dense_pair_quadrature(bound, np.abs(weight), *grids).max()
-        assert np.all(np.abs(got - oracle) <= 1e-13 * scale)
-
-    for got, weight in zip(ht_moments(blocks, grids), weights["moments"]):
-        check(got, weight)
-    for b, d in zip(blocks, dense):
-        for got, weight in zip(ht_moments([b], grids), weights["moments"]):
-            check(got, weight, d, np.abs(d))
-    fluxes = kfvs_fluxes_2d(ht_add(*blocks), grids)
-    split = weights["fluxes"]  # x1 plus, x1 minus, x2 plus, x2 minus
-    for (plus, minus), w_plus, w_minus in zip(fluxes, split[0::2], split[1::2]):
-        for got, weight in [*zip(plus, w_plus), *zip(minus, w_minus)]:
-            check(got, weight)
 
 
 def test_khatri_rao_rmatmul_matches_formed_unfold(rng):

@@ -93,3 +93,22 @@ def test_runs_in_both_formats_leave_numpy_random_unimported():
     out = subprocess.run([sys.executable, "-c", _RUN_BOTH_FORMATS], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip().splitlines()[-1] == "[]"
+
+
+def imported_modules(path: Path) -> set[str]:
+    """The last dotted part of every module that ``path`` imports, at any depth."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            names.add(node.module.split(".")[-1])
+        if isinstance(node, ast.ImportFrom) and node.module is None:  # from . import x
+            names.update(alias.name for alias in node.names)
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[-1] for alias in node.names)
+    return names
+
+
+def test_macro_imports_no_format_module():
+    # the dimension is decided in formats alone: macro takes the split fluxes
+    # from formats.Problem.fluxes and reads neither factored format
+    assert imported_modules(SRC / "macro.py") & {"lowrank", "htucker"} == set()

@@ -832,6 +832,33 @@ def test_cli_typed_errors_one_line(tmp_path, capsys, preset, override):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("preset,grid", [("weak_landau_1d", {"nv": 2**62}),
+                                         ("weak_landau_1d", {"nx": 2**62}),
+                                         ("weak_landau_2d2v", {"nx": 2**31, "nx2": 2**31})])
+def test_grid_beyond_addressable_memory_refused(preset, grid):
+    # more than sys.maxsize bytes at 8 a point, the bound a snapshot's arrays
+    # meet, is refused by the config before any array exists
+    with pytest.raises(ConfigError, match="8-byte values can address"):
+        from_preset(preset, **grid)
+
+
+def test_cli_out_of_memory_one_line(tmp_path, capsys, monkeypatch):
+    # a grid within that bound that still does not fit in memory ends in one
+    # error line, not numpy's traceback
+    from lrvlasov import formats
+    from lrvlasov.cli import main
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 745. GiB for an array with shape (100000000000,)")
+
+    monkeypatch.setattr(formats, "make_velocity_grid", no_memory)
+    rc = main(["run", "--preset", "weak_landau_1d", "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: out of memory: Unable to allocate 745. GiB for an "
+                                "array with shape (100000000000,)"]
+
+
 def test_cli_resume_plain_snapshot_under_macro(tmp_path, capsys):
     from lrvlasov.cli import main
 

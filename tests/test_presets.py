@@ -6,7 +6,6 @@ from lrvlasov.grids import make_velocity_grid, spatial_grid_1d
 from lrvlasov.lowrank import recompress
 from lrvlasov.poisson import solve_poisson
 from lrvlasov.presets import PRESETS, forced_exact_field, get_preset
-from lrvlasov.projection import moments
 
 from reference import dense_moments
 
@@ -59,7 +58,7 @@ def test_forced_initial_moments_analytic():
     # analytic Gaussian moments of exp(-(4v-1)^2/4); x profile (2 - cos 2x)
     cfg = from_preset("forced", nx=64, nv=512, v_max=8.0)
     problem, hist = initialize(cfg)
-    m = moments(hist.fs[-1], problem.vgrid)
+    m = problem.moments([hist.fs[-1]])
     x = problem.sgrid.nodes(0)
     profile = 2.0 - np.cos(2.0 * x)
     sq = np.sqrt(np.pi)
@@ -75,7 +74,7 @@ def test_forced_field_consistency():
     # (and satisfies E_x = rho - sqrt(pi) with the standard solver sign)
     cfg = from_preset("forced")
     problem, hist = initialize(cfg)
-    m = moments(hist.fs[-1], problem.vgrid)
+    m = problem.moments([hist.fs[-1]])
     field = solve_poisson(m[0], problem.sgrid, sign=+1.0)
     x = problem.sgrid.nodes(0)
     exact = forced_exact_field(0.0, x)
@@ -155,8 +154,7 @@ def test_forced_initial_data_rank_one_after_recompress():
 def test_2d_weak_landau_moments_uniform_background():
     cfg = from_preset("weak_landau_2d2v", nx=8, nv=32)
     problem, hist = initialize(cfg)
-    import lrvlasov.htucker as ht
-    m = ht.ht_moments([hist.fs[-1]], problem.vgrids)
+    m = problem.moments([hist.fs[-1]])
     # alpha perturbation rides on a uniform background of unit density
     assert np.allclose(m[0].mean(), 1.0, rtol=1e-6)
     assert np.max(np.abs(m[1])) < 1e-14
