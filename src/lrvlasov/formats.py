@@ -91,18 +91,18 @@ class Problem:
 
         Each axis gives two blocks split on the sign of its speed, the
         one-sided derivative on one factor and the sign-split multiplier on
-        the other: the spatial axes first (speed v_d), then the velocity
-        axes (speed E_d).
+        the other: the spatial axes first (speed v_d, split on ``basis``),
+        then the velocity axes (speed E_d); one stencil call gives both.
         """
         ux, leaves = self.factors(f)
+        b = self.basis
         blocks = []
-        for axis, (hx, leaf, g) in enumerate(zip(self.sgrid.h, leaves, self.vgrids)):
-            for bias, v in (("plus", np.maximum(g.v, 0.0)), ("minus", np.minimum(g.v, 0.0))):
-                du = upwind.upwind_derivative(ux, bias, hx, "periodic", axis=axis)
+        for axis, (hx, leaf) in enumerate(zip(self.sgrid.h, leaves)):
+            for du, v in zip(upwind.derivatives(ux, hx, "periodic", axis=axis), (b.plus, b.minus)):
                 blocks.append(self.block(f, du, axis, v[:, None] * leaf))
-        for axis, (e, leaf, g) in enumerate(zip(field.E, leaves, self.vgrids)):
-            for bias, ep in (("plus", np.maximum(e, 0.0)), ("minus", np.minimum(e, 0.0))):
-                dv = upwind.upwind_derivative(leaf, bias, g.h, "zero", axis=0)
+        for axis, (e, leaf) in enumerate(zip(field.E, leaves)):
+            for dv, ep in zip(upwind.derivatives(leaf, self.vgrid.h, "zero", axis=0),
+                              (np.maximum(e, 0.0), np.minimum(e, 0.0))):
                 blocks.append(self.block(f, ux * ep[..., None], axis, dv))
         if self.preset.kinetic_forcing is not None:
             blocks.append(self.preset.kinetic_forcing(t, self.sgrid, *self.vgrids))

@@ -7,10 +7,11 @@ share that layout.  Split fluxes are velocity moments of the kinetic solution
 against sign-split monomials v+ = max(v, 0), v- = min(v, 0), one ``(plus,
 minus)`` pair per spatial axis; they are taken in ``formats.Problem.fluxes``
 by each format's one velocity contraction, so this module reads no format.
-Interfaces are reconstructed with the same fifth-order upwind stencils as the
-kinetic transport, so the two discretizations agree flux-by-flux.  ``rate``
-gives -div F + S for any number of axes, keeping the totals exact up to
-source terms, and ``combine`` applies any time-stepping rule's weights to it.
+One call of the kinetic transport's upwind stencil per axis reconstructs the
+stacked pair, plus with the plus bias and minus with the minus bias, so the
+two discretizations agree flux-by-flux.  ``rate`` gives -div F + S for any
+number of axes, keeping the totals exact up to source terms, and ``combine``
+applies any time-stepping rule's weights to it.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from .grids import SpatialGrid
 from .poisson import ElectricField
-from .upwind import flux_difference, reconstruct_interface
+from . import upwind
 
 
 def rate(u: np.ndarray, fluxes, field: ElectricField, sgrid: SpatialGrid,
@@ -32,14 +33,13 @@ def rate(u: np.ndarray, fluxes, field: ElectricField, sgrid: SpatialGrid,
     part of J; J - P_L J is mean(J) in 1D, and 2D leaves out its
     divergence-free part.  Sum_x E = 0 keeps the totals exact.
     ``extra_source(x, t, E)`` -> (s_rho, s_J, s_e) adds the sources of a
-    manufactured solution in 1D.  ``fluxes`` holds one (plus, minus) pair
-    of ``(2 + d, *n)`` arrays per spatial axis (``formats.Problem.fluxes``).
+    manufactured solution in 1D.  ``fluxes`` holds one stacked (plus, minus)
+    pair ``(2, 2 + d, *n)`` per spatial axis (``formats.Problem.fluxes``).
     """
     div = None
-    for ax, ((plus, minus), h) in enumerate(zip(fluxes, sgrid.h), start=1):
-        fhat = (reconstruct_interface(plus, "plus", "periodic", axis=ax)
-                + reconstruct_interface(minus, "minus", "periodic", axis=ax))
-        d = flux_difference(fhat, h, axis=ax)
+    for ax, (pair, h) in enumerate(zip(fluxes, sgrid.h), start=1):
+        fhat = upwind.interfaces(pair, "periodic", axis=ax + 1)
+        d = upwind.flux_difference(fhat[0, 0] + fhat[1, 1], h, axis=ax)
         div = d if div is None else div + d
     src = np.zeros_like(div)
     src[1:-1] = u[0] * np.stack(field.E)

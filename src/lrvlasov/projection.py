@@ -62,12 +62,12 @@ class MomentBasis:
     coordinates of the norm weighted by 1/w, the orthonormal columns
     sqrt(w) {1, v, v^2 - c} / ||.|| (``zero_frame``) with the point roots
     ``sqrt_w`` = sqrt(w(v_j)) that map into them, from which both pins'
-    zero-moment cuts project; and the plain-quadrature tables (h times the
-    monomials) of the moments and KFVS fluxes, keyed by the dimension d:
+    zero-moment cuts project; the transport's sign-split speeds ``plus`` = v+ =
+    max(v, 0) and ``minus`` = v- = min(v, 0); and the plain-quadrature tables
+    (h times the monomials) of the moments and KFVS fluxes, keyed by d:
 
     moments[1]  (nv, 3)  [1, v, v^2/2], the 1D moments rho, J, kappa
-    fluxes[1]   (nv, 6)  [v+, v+^2, v+^3/2, v-, v-^2, v-^3/2], the 1D split
-                         fluxes, v+ = max(v, 0) and v- = min(v, 0)
+    fluxes[1]   (nv, 6)  [v+, v+^2, v+^3/2, v-, v-^2, v-^3/2], the 1D split fluxes
     moments[2]  (leaf1, leaf2, weights): (nv, 5) leaves for this grid as the
                 first velocity and as the second, [1, v, 1, v^2, 1] and
                 [1, 1, v, 1, v^2], and the (5, 4) map from those pair
@@ -91,6 +91,8 @@ class MomentBasis:
     frame: np.ndarray
     sqrt_w: np.ndarray
     zero_frame: np.ndarray
+    plus: np.ndarray
+    minus: np.ndarray
     moments: MappingProxyType
     fluxes: MappingProxyType
 
@@ -113,7 +115,7 @@ class MomentBasis:
         vectors = np.column_stack([one, v, v**2 - c])
         weighted = sqrt_w[:, None] * vectors
         basis = cls(grid=grid, c=c, norm1_sq=n1, norm2_sq=n2, norm3_sq=n3,
-                    frame=grid.w_points[:, None] * vectors,
+                    frame=grid.w_points[:, None] * vectors, plus=plus, minus=minus,
                     sqrt_w=sqrt_w, zero_frame=weighted / np.linalg.norm(weighted, axis=0),
                     moments=MappingProxyType({
                         1: h * np.column_stack([one, v, 0.5 * v**2]),
@@ -123,8 +125,8 @@ class MomentBasis:
                                       for s in (plus, minus)]),
                         2: (np.hstack([*own, second, second]),
                             np.hstack([second, second, *own]), _FLUX_WEIGHTS)}))
-        for a in (basis.frame, basis.sqrt_w, basis.zero_frame, basis.moments[1],
-                  basis.fluxes[1], *basis.moments[2], *basis.fluxes[2]):
+        for a in (basis.frame, basis.sqrt_w, basis.zero_frame, plus, minus,
+                  basis.moments[1], basis.fluxes[1], *basis.moments[2], *basis.fluxes[2]):
             a.flags.writeable = False
         return basis
 

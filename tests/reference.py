@@ -222,18 +222,23 @@ def dense_transport_rhs_2d(f: np.ndarray, field: ElectricField, sgrid: SpatialGr
 # upwind stencil oracle: the ghost-cell formulation, pad and moveaxis
 
 
-def padded_reconstruct_interface(values, bias: str, boundary: str, axis: int = -1):
+def padded_reconstruct_interface(values, bias: str, boundary: str, axis: int = -1,
+                                 magnitude: bool = False):
     """Interface values from four ghost cells per side, summed in stencil order.
 
     The axis is moved last, padded by wrapping or with zeros, and the five
     shifted slices are added to a zero array that is C-ordered with the axis
-    last; the result is that array viewed with the axis back in place.
+    last; the result is that array viewed with the axis back in place.  With
+    ``magnitude``, each value is sum_k |c_k| |u_{j+k}| instead, the scale of
+    its round-off.
     """
     values = np.moveaxis(np.asarray(values, dtype=float), axis, -1)
     n = values.shape[-1]
     pad = [(0, 0)] * (values.ndim - 1) + [(4, 4)]
     ext = np.pad(values, pad, mode="wrap" if boundary == "periodic" else "constant")
     coeffs = PLUS_COEFFS if bias == "plus" else MINUS_COEFFS
+    if magnitude:
+        ext, coeffs = np.abs(ext), np.abs(coeffs)
     start = 1 if bias == "plus" else 2
     fhat = np.zeros(values.shape[:-1] + (n + 1,))
     for k, c in enumerate(coeffs):

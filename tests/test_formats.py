@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from lrvlasov import upwind
 from lrvlasov.config import from_preset
 from lrvlasov.driver import setup
 from lrvlasov.formats import FORMATS
@@ -49,6 +50,26 @@ def test_transport_matches_dense(rng, dim):
         out = ht_add(*blocks).dense()
         oracle = reference.dense_transport_rhs_2d(f.dense(), field, sg, g1, g2)
     assert np.allclose(out, oracle, atol=1e-11 * (np.abs(oracle).max() + 1))
+
+
+@pytest.mark.parametrize("name", ["weak_landau_1d", "weak_landau_2d2v"])
+def test_one_stencil_call_per_array_and_axis(rng, monkeypatch, name):
+    # the transport reconstructs both biases of the spatial factor along each
+    # spatial axis and of each velocity leaf in one call, and the macroscopic
+    # rate each axis's stacked (plus, minus) flux pair in one call
+    problem = setup(from_preset(name, nx=8, nv=16))
+    d = problem.dims
+    f = _random_state(rng, problem, 3)
+    field = ElectricField(E=tuple(rng.standard_normal(problem.sgrid.n) for _ in range(d)))
+    calls = []
+    stencil = upwind.interfaces
+    monkeypatch.setattr(upwind, "interfaces",
+                        lambda *args, **kwargs: calls.append(args) or stencil(*args, **kwargs))
+    assert len(problem.transport(f, field, 0.0)) == 4 * d
+    assert len(calls) == 2 * d
+    calls.clear()
+    problem.rate(problem.moments([f]), f, field, 0.0)
+    assert [a[0].shape for a in calls] == [(2, 2 + d, *problem.sgrid.n)] * d
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
