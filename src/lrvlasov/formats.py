@@ -126,7 +126,8 @@ class Problem1D(Problem):
     dims = 1
 
     def fields(self, blocks, table):
-        return lowrank.fields(lowrank.add(*blocks), table)
+        f = blocks[0] if len(blocks) == 1 else lowrank.add(*blocks)
+        return lowrank.fields(f, table)
 
     def lift(self, m):
         return projection.lift_moments(m, self.basis)

@@ -35,9 +35,10 @@ from .errors import DimensionError, DomainError
 DEFAULT_DROPTOL = 1e-14
 
 _SKETCH_MARGIN = 8   # sketch columns beyond the kept rank and the largest block rank
-# n -> (generator, rows drawn so far): a memo of a function of n alone, so no
-# caller sees what another asked for; stdlib draws keep numpy.random unimported
-_TEST_ROWS: dict[int, tuple[random.Random, np.ndarray]] = {}
+# n -> (generator, read-only C-ordered (n, drawn) columns): a memo of a
+# function of n alone, so no caller sees what another asked for; stdlib draws
+# keep numpy.random unimported
+_TEST_COLS: dict[int, tuple[random.Random, np.ndarray]] = {}
 
 
 @dataclass
@@ -121,20 +122,21 @@ def keep_count(s: np.ndarray, eps: float, missed: float = 0.0) -> int:
 
 
 def _test_matrix(n: int, p: int) -> np.ndarray:
-    """The first p columns of the fixed n-row Gaussian test matrix.
+    """The first p columns of the fixed n-row Gaussian test matrix: a
+    read-only view of C-ordered columns, each row contiguous, which BLAS
+    multiplies faster than the transposed draws.
 
     Column j holds the j-th n draws of ``random.Random(0)``, extended in
     order and cached, so it is the same whatever p and whatever was asked
     for before.
     """
-    if n not in _TEST_ROWS:
-        _TEST_ROWS[n] = (random.Random(0), np.empty((0, n)))
-    rng, rows = _TEST_ROWS[n]
-    if rows.shape[0] < p:
-        new = [[rng.gauss(0.0, 1.0) for _ in range(n)] for _ in range(p - rows.shape[0])]
-        rows = np.vstack([rows, new])
-        _TEST_ROWS[n] = (rng, rows)
-    return rows[:p].T
+    rng, cols = _TEST_COLS.get(n, (random.Random(0), np.empty((n, 0))))
+    if cols.shape[1] < p:
+        new = [[rng.gauss(0.0, 1.0) for _ in range(n)] for _ in range(p - cols.shape[1])]
+        cols = np.hstack([cols, np.array(new).T])
+        cols.flags.writeable = False
+        _TEST_COLS[n] = (rng, cols)
+    return cols[:, :p]
 
 
 def _range_finder(apply, count, n: int, width: int, most: int):

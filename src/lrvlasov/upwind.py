@@ -10,28 +10,41 @@ five-point upwind weights,
 
 and derivatives are formed as (Fhat_{j+1/2} - Fhat_{j-1/2}) / h: each
 interface value is shared by the cells beside it, so cell sums telescope.
-The kinetic transport and the macroscopic flux update share this code path,
+The kinetic transport and the macroscopic flux update share these weights,
 which is what makes their discretizations compatible.
 
-``interfaces`` is the one stencil call, for both biases.  Interface i - 1/2
-(i = 0 .. n) reads the window of cells i-3 .. i+2; a read-only window index
-per ``(n, boundary)``, built once, names each tap's source (periodic indices
-wrap, zero-extended ones point at one zero row appended after the last
-cell).  One ``np.take`` along the axis, viewed last (a transpose, no copy),
-forms the ``(..., n+1, 6)`` windows, and one product with the read-only
-``(6, 2)`` table ``_TABLE`` (plus weights in taps 0-4, minus in taps 1-5)
-gives both biases' values, summed in the BLAS kernel's order and so at
-round-off from the stencil-order sum; ``derivatives`` adds one difference
-divided by h, and ``reconstruct_interface`` and ``upwind_derivative`` are
-one bias of these.  The windows are a fresh C-ordered array, so the output's
-bytes and layout (bias first, each bias C-ordered with the stencil axis
-last, viewed with the axis in place) do not depend on the input's layout;
-the BLAS products that consume these factors block their sums by the
-strides, so it fixes the last bits of every truncation, which resumes repeat.
+Both stencils are banded operators, applied in read-only blocks built once
+per ``(n, boundary)``, and per h for derivatives, straight from the weights
+(a bounded cache, ``_operator``).  Output rows are grouped in blocks of
+``_BLOCK``; a block holds both biases of its rows and keeps only the source
+cells those rows touch: block b's column c is cell b * _BLOCK - 3 + c, wrapped
+for periodic data, and for zero extension a cell off the grid keeps an
+in-range index and a zero coefficient.  A call is one ``np.take`` of the
+cached slab index along the axis (moved first) and one batched ``np.matmul``
+that gives both biases.
+
+``interfaces`` gives Fhat_{i-1/2}, i = 0 .. n, for both biases: interface
+i - 1/2 reads cells i-3 .. i+2 (plus weights in taps 0-4, minus in taps 1-5).
+It is the flux-difference input of ``macro.rate``, which differences it with
+``flux_difference``, so the cell sums of the macroscopic update telescope;
+the periodic end values are one value, the last row copied from the first.
+``derivatives`` folds the difference and 1/h into its blocks (seven taps,
+cells j-3 .. j+3), so it matches the difference of the interface values at
+round-off and its periodic cell sums vanish at round-off; the transport's
+conservation comes from the moment pin, not from these sums.
+``reconstruct_interface`` and ``upwind_derivative`` are one bias of these.
+
+Every call writes one fresh C-ordered array of shape (rows, 2, *others), the
+stencil axis first, then the bias, then the other axes in order, and returns
+it viewed as (2, ...) with the axis in place.  So the output's bytes and
+layout do not depend on the input's layout; the BLAS products that consume
+these factors block their sums by the strides, so this fixes the last bits
+of every truncation, which resumes repeat.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -41,9 +54,9 @@ from .errors import ConfigError, GridSizeError
 PLUS_COEFFS = np.array([1 / 30, -13 / 60, 47 / 60, 9 / 20, -1 / 20])
 MINUS_COEFFS = np.array([-1 / 20, 9 / 20, 47 / 60, -13 / 60, 1 / 30])
 
+_BLOCK = 16                                       # output rows per operator block
 # tap k of interface i - 1/2 is cell i - 3 + k; the minus stencil starts one later
-_TABLE = np.column_stack([np.append(PLUS_COEFFS, 0.0), np.insert(MINUS_COEFFS, 0, 0.0)])
-_TABLE.flags.writeable = False
+_TAPS = np.array([np.append(PLUS_COEFFS, 0.0), np.insert(MINUS_COEFFS, 0, 0.0)])
 _BIAS = {"plus": 0, "minus": 1}
 _MIN_CELLS = {"periodic": 8, "zero": 5}
 
@@ -54,30 +67,58 @@ def _row(bias: str) -> int:
     return _BIAS[bias]
 
 
-@lru_cache(maxsize=None)
-def _gather(n: int, boundary: str) -> np.ndarray:
-    """(n+1, 6): source of cell i - 3 + k at [i, k]; index n is the appended zero row."""
-    cells = np.add.outer(np.arange(n + 1), np.arange(-3, 3))
-    window = np.where((cells >= 0) & (cells < n), cells, n) if boundary == "zero" else cells % n
-    window.flags.writeable = False
-    return window
+@lru_cache(maxsize=16)
+def _operator(n: int, boundary: str, h: float | None) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only slab index ``(nb, width)`` and blocks ``(nb, 2 * _BLOCK, width)``.
+
+    Rows are the interface values (h None; row i reads cells i-3 .. i+2) or
+    the derivatives (row j reads cells j-3 .. j+3 with weights
+    (T[k-1] - T[k]) / h, T the six interface taps).  Block b's column c is
+    cell b * _BLOCK - 3 + c, and its row 2q + bias is output row
+    b * _BLOCK + q of that bias, whose tap k sits in column q + k: each tap
+    has exactly one column, however often a wrapped cell recurs in the block.
+    """
+    taps, rows = _TAPS, n + 1
+    if h is not None:
+        ext = np.pad(_TAPS, ((0, 0), (1, 1)))
+        taps, rows = (ext[:, :-1] - ext[:, 1:]) / h, n
+    k = taps.shape[1]
+    width = _BLOCK + k - 1
+    cells = np.add.outer(_BLOCK * np.arange(-(-rows // _BLOCK)), np.arange(width) - 3)
+    tap = np.arange(width) - np.arange(_BLOCK)[:, None]            # [q, c] -> k
+    band = np.where((tap >= 0) & (tap < k), taps[:, tap.clip(0, k - 1)], 0.0)
+    band = band.transpose(1, 0, 2).reshape(2 * _BLOCK, width)
+    periodic = boundary == "periodic"
+    index = cells % n if periodic else cells.clip(0, n - 1)
+    blocks = np.where((periodic | (cells >= 0) & (cells < n))[:, None, :], band, 0.0)
+    index.flags.writeable = blocks.flags.writeable = False
+    return index, blocks
+
+
+def _apply(values, boundary: str, axis: int, h: float | None) -> np.ndarray:
+    """Both biases' rows of the ``(n, boundary, h)`` operator along ``axis``."""
+    values = np.asarray(values, dtype=float)
+    if boundary not in _MIN_CELLS:
+        raise ConfigError(f"boundary must be 'periodic' or 'zero', got {boundary!r}")
+    ndim, axis = values.ndim, range(values.ndim)[axis]
+    n = values.shape[axis]
+    if n < _MIN_CELLS[boundary]:
+        raise GridSizeError(f"{boundary} stencil needs >= {_MIN_CELLS[boundary]} cells, got {n}")
+    index, blocks = _operator(n, boundary, h)
+    moved = values.transpose(axis, *range(axis), *range(axis + 1, ndim))
+    others = moved.shape[1:]
+    slab = np.take(moved, index, axis=0).reshape(*index.shape, math.prod(others))
+    rows = n + (h is None)
+    out = np.matmul(blocks, slab).reshape(index.shape[0] * _BLOCK, 2, *others)[:rows]
+    if h is None and boundary == "periodic":
+        out[n] = out[0]
+    return out.transpose(1, *range(2, axis + 2), 0, *range(axis + 2, ndim + 1))
 
 
 def interfaces(values, boundary: str, axis: int = -1) -> np.ndarray:
     """Fhat_{j+1/2}, j = -1 .. n-1, of both biases: (2, ...), plus then minus, n+1
-    values along ``axis`` (index i at i - 1/2; periodic end values bit-identical)."""
-    values = np.asarray(values, dtype=float)
-    if boundary not in _MIN_CELLS:
-        raise ConfigError(f"boundary must be 'periodic' or 'zero', got {boundary!r}")
-    ndim, axis, n = values.ndim, range(values.ndim)[axis], values.shape[axis]
-    if n < _MIN_CELLS[boundary]:
-        raise GridSizeError(f"{boundary} stencil needs >= {_MIN_CELLS[boundary]} cells, got {n}")
-    last = values.transpose(*range(axis), *range(axis + 1, ndim), axis)
-    if boundary == "zero":
-        last = np.concatenate((last, np.zeros(last.shape[:-1] + (1,))), axis=-1)
-    windows = np.take(last, _gather(n, boundary), axis=-1).reshape(-1, 6)
-    fhat = (_TABLE.T @ windows.T).reshape(2, *last.shape[:-1], n + 1)
-    return fhat.transpose(0, *range(1, axis + 1), ndim, *range(axis + 1, ndim))
+    values along ``axis`` (index i at i - 1/2; periodic end values one value)."""
+    return _apply(values, boundary, axis, None)
 
 
 def flux_difference(fhat, h: float, axis: int = -1) -> np.ndarray:
@@ -89,7 +130,7 @@ def flux_difference(fhat, h: float, axis: int = -1) -> np.ndarray:
 
 def derivatives(u, h: float, boundary: str, axis: int = -1) -> np.ndarray:
     """Both biases' conservative upwind derivatives along ``axis``: (2, *u.shape)."""
-    return flux_difference(interfaces(u, boundary, axis), h, axis=range(1, np.ndim(u) + 1)[axis])
+    return _apply(u, boundary, axis, float(h))
 
 
 def reconstruct_interface(values, bias: str, boundary: str, axis: int = -1) -> np.ndarray:

@@ -54,16 +54,17 @@ def test_transport_matches_dense(rng, dim):
 
 @pytest.mark.parametrize("name", ["weak_landau_1d", "weak_landau_2d2v"])
 def test_one_stencil_call_per_array_and_axis(rng, monkeypatch, name):
-    # the transport reconstructs both biases of the spatial factor along each
-    # spatial axis and of each velocity leaf in one call, and the macroscopic
-    # rate each axis's stacked (plus, minus) flux pair in one call
+    # the transport takes both biases' derivatives of the spatial factor along
+    # each spatial axis and of each velocity leaf in one operator application,
+    # and the macroscopic rate each axis's stacked (plus, minus) flux pair's
+    # interface values in one
     problem = setup(from_preset(name, nx=8, nv=16))
     d = problem.dims
     f = _random_state(rng, problem, 3)
     field = ElectricField(E=tuple(rng.standard_normal(problem.sgrid.n) for _ in range(d)))
     calls = []
-    stencil = upwind.interfaces
-    monkeypatch.setattr(upwind, "interfaces",
+    stencil = upwind._apply
+    monkeypatch.setattr(upwind, "_apply",
                         lambda *args, **kwargs: calls.append(args) or stencil(*args, **kwargs))
     assert len(problem.transport(f, field, 0.0)) == 4 * d
     assert len(calls) == 2 * d

@@ -345,6 +345,17 @@ def test_first_sketch_is_largest_block_rank_plus_margin(rng, monkeypatch, dim):
     assert widths[0] == 7 + lowrank._SKETCH_MARGIN == 15
 
 
+def test_test_matrix_is_c_ordered_and_the_same_whatever_p():
+    # columns of one fixed draw sequence, whatever p and call order, each row
+    # contiguous and read-only
+    n = 37
+    narrow, wide = lowrank._test_matrix(n, 5), lowrank._test_matrix(n, 12)
+    again = lowrank._test_matrix(n, 9)
+    for cols in (narrow, wide, again):
+        assert cols.strides[1] == cols.itemsize and not cols.flags.writeable
+    assert np.array_equal(wide[:, :5], narrow) and np.array_equal(wide[:, :9], again)
+
+
 def test_result_does_not_alias_the_workspace(rng):
     grid = make_velocity_grid(50, 6.0, GaussianWeight(2.0))
     first = [random_lowrank(rng, nx=40, nv=50, rank=r) for r in (4, 6)]

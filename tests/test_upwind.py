@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lrvlasov.errors import ConfigError, GridSizeError
-from lrvlasov.upwind import (MINUS_COEFFS, PLUS_COEFFS, derivatives, flux_difference,
-                             interfaces, reconstruct_interface, upwind_derivative)
+from lrvlasov.upwind import (MINUS_COEFFS, PLUS_COEFFS, _operator, derivatives,
+                             flux_difference, interfaces, reconstruct_interface,
+                             upwind_derivative)
 from reference import padded_reconstruct_interface, padded_upwind_derivative
 
 
@@ -24,12 +25,14 @@ def test_constant_reconstruction():
 
 
 def test_periodic_endpoints_identical():
+    # interface n - 1/2 is interface -1/2, whichever operator block holds it
     rng = np.random.default_rng(3)
-    u = rng.standard_normal(32)
-    for bias in ("plus", "minus"):
-        fhat = reconstruct_interface(u, bias, "periodic")
-        assert fhat.shape == (33,)
-        assert fhat[0] == fhat[-1]
+    for n in (8, 15, 16, 17, 32, 33):
+        u = rng.standard_normal((n, 4))
+        for bias in ("plus", "minus"):
+            fhat = reconstruct_interface(u, bias, "periodic", axis=0)
+            assert fhat.shape == (n + 1, 4)
+            assert fhat[0].tobytes() == fhat[-1].tobytes()
 
 
 def test_linear_data_interior_exact():
@@ -152,6 +155,13 @@ def _layout(a):
     return [s for s, n in zip(a.strides, a.shape) if n > 1]
 
 
+def _one_bias_layout(shape, axis):
+    """The documented layout of one bias: a row of a C-ordered
+    (rows, 2, *others) array, viewed with the stencil axis in place."""
+    moved = np.moveaxis(np.empty(shape), axis, 0)
+    return _layout(np.moveaxis(np.empty((moved.shape[0], 2, *moved.shape[1:]))[:, 0], 0, axis))
+
+
 @st.composite
 def _stencil_case(draw):
     ndim = draw(st.integers(1, 3))
@@ -192,11 +202,14 @@ def test_stencil_matches_padded_oracle_within_round_off(case, h):
     # (a) within round-off of the stencil-order sum: each side sums the five
     # products c_k u_{j+k} in its own order, within gamma_5 S of the exact sum
     # (S = sum_k |c_k| |u_{j+k}|, gamma_5 = 5u / (1 - 5u), u = eps / 2), so
-    # interfaces differ by at most 2 gamma_5 S < 6 eps S.  A derivative adds
-    # the rounding of one difference and one division, each at most u times
-    # S_j + S_{j+1}: 8 eps (S_j + S_{j+1}) / h bounds it.
+    # interfaces differ by at most 2 gamma_5 S < 6 eps S.  A derivative sums
+    # seven products with the weights (c_{k-1} - c_k) / h, each rounded twice,
+    # so it is within (7 + 2) u (S_j + S_{j+1}) / h of the exact difference;
+    # the oracle's two sums, one difference and one division add (5 + 1 + 1) u
+    # (S_j + S_{j+1}) / h: 8 eps (S_j + S_{j+1}) / h bounds both to first order.
     # (b) the bytes and the layout of every output do not depend on the
-    # input's layout, which resumed runs rely on.
+    # input's layout, which resumed runs rely on; the layout is the
+    # documented one (``_one_bias_layout``).
     values, bias, boundary, axis = case
     eps = np.finfo(float).eps
     scale = padded_reconstruct_interface(values, bias, boundary, axis, magnitude=True)
@@ -213,7 +226,7 @@ def test_stencil_matches_padded_oracle_within_round_off(case, h):
         assert np.all(np.abs(got[0] - want) <= bound)
         for other in got[1:]:
             assert other.tobytes() == got[0].tobytes()
-            assert _layout(other) == _layout(got[0]) == _layout(want)
+            assert _layout(other) == _layout(got[0]) == _one_bias_layout(want.shape, axis)
 
 
 @pytest.mark.parametrize("boundary", ["periodic", "zero"])
@@ -228,3 +241,34 @@ def test_pair_call_is_both_single_bias_calls(rng, boundary, axis):
         assert (fhat[row].tobytes()
                 == reconstruct_interface(u, bias, boundary, axis=axis).tobytes())
         assert d[row].tobytes() == upwind_derivative(u, bias, 0.7, boundary, axis=axis).tobytes()
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "zero"])
+@pytest.mark.parametrize("axis", [0, -1])
+@pytest.mark.parametrize("n", [8, 15, 16, 17, 21, 22, 33])
+def test_block_edges_match_padded_oracle(rng, n, boundary, axis):
+    # grids shorter than, equal to and just past the 16-row blocks: a periodic
+    # block of 8 or 15 cells wraps onto itself, and each wrapped cell must be
+    # counted once per tap; the bounds are those of the round-off test
+    values = rng.standard_normal((n, 5) if axis == 0 else (5, n))
+    eps, h = np.finfo(float).eps, 0.3
+    lead = (slice(None),) * range(values.ndim)[axis]
+    fhat, d = interfaces(values, boundary, axis=axis), derivatives(values, h, boundary, axis=axis)
+    for row, bias in enumerate(("plus", "minus")):
+        scale = padded_reconstruct_interface(values, bias, boundary, axis, magnitude=True)
+        pair = scale[(*lead, slice(1, None))] + scale[(*lead, slice(None, -1))]
+        want = padded_reconstruct_interface(values, bias, boundary, axis)
+        assert np.all(np.abs(fhat[row] - want) <= 6 * eps * scale)
+        want = padded_upwind_derivative(values, bias, h, boundary, axis)
+        assert np.all(np.abs(d[row] - want) <= 8 * eps * pair / h)
+
+
+def test_operator_cache_is_bounded_and_read_only():
+    # one block set per (n, boundary, h), kept read-only in a bounded cache
+    derivatives(np.ones((33, 2)), 0.25, "zero", axis=0)
+    assert _operator.cache_info().maxsize == 16
+    index, blocks = _operator(33, "zero", 0.25)
+    with pytest.raises(ValueError):
+        blocks[0, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        index[0, 0] = 0
