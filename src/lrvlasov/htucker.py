@@ -148,7 +148,8 @@ def _finish_truncation(ux, core, uv1, uv2, nx, tol, exact, sqrt_w):
             s = np.sqrt(np.maximum(lam[::-1], 0.0))
             vec = vec[:, ::-1]
         k = max(keep_count(s, tol), 1)
-        return frame @ vec[:, :k], vec[:, :k]
+        rot = vec[:, :k]
+        return np.ascontiguousarray(rot) if frame is None else frame @ rot, rot
 
     new_uv1, rot1 = leaf_cut(0, uv1)
     core = np.tensordot(rot1.T, core, axes=(1, 0))  # (k1, b, c)
@@ -227,12 +228,13 @@ def _leaf_coordinates(leaves: np.ndarray, frame):
     """(q, r, p): orthonormal coordinates q of the stacked leaves, leaves =
     q r, and the frame in them, p = q^T frame (None without one).
 
-    Leaves at least as wide as the grid take the grid's own coordinates
-    (q = I), which span every frame; narrower ones the Householder QR of
+    Leaves at least as wide as the grid take the grid's own coordinates,
+    which span every frame; q is then None, standing for the identity, which
+    is never formed.  Narrower ones take the Householder QR of
     [frame | leaves], so q spans the frame too."""
     n, width = leaves.shape
     if width >= n:
-        return np.eye(n), leaves, frame
+        return None, leaves, frame
     if frame is None:
         return (*np.linalg.qr(leaves), None)
     q, r = np.linalg.qr(np.hstack([frame, leaves]))
@@ -347,7 +349,7 @@ def _ht_truncate(terms, eps: float, sqrt_w=None, frame=None) -> HtTensor:
     xb = ws.take("xb", nx[0] * nx[1], pair.ov[-1])
     for s, t in enumerate(pair.terms):
         np.matmul(t.Ux, t.B, out=xb[:, pair.ov[s]:pair.ov[s + 1]])
-    n1, n2 = pair.q1.shape[1], pair.q2.shape[1]
+    n1, n2 = pair.r1.shape[0], pair.r2.shape[0]
 
     if eps == 0.0:
         # M = Xb mat^T: the root spectrum is that of R_x R_m^T

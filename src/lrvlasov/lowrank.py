@@ -130,7 +130,7 @@ def _test_matrix(n: int, p: int) -> np.ndarray:
     order and cached, so it is the same whatever p and whatever was asked
     for before.
     """
-    rng, cols = _TEST_COLS.get(n, (random.Random(0), np.empty((n, 0))))
+    rng, cols = _TEST_COLS.get(n) or (random.Random(0), np.empty((n, 0)))  # built on a miss only
     if cols.shape[1] < p:
         new = [[rng.gauss(0.0, 1.0) for _ in range(n)] for _ in range(p - cols.shape[1])]
         cols = np.hstack([cols, np.array(new).T])

@@ -447,7 +447,7 @@ def test_khatri_rao_rmatmul_matches_formed_unfold(rng):
         frame = np.linalg.qr(rng.standard_normal((7, 3)))[0] if projected else None
         blocks = [b for b in _step_like_sum(rng, "full", nv) if min(b.ranks) > 0]
         pair = _PairUnfold(blocks, frame)
-        n1, n2 = pair.q1.shape[1], pair.q2.shape[1]
+        n1, n2 = pair.r1.shape[0], pair.r2.shape[0]
         cols = pair.ov[-1]
         mat = pair.matmul(np.eye(cols)).reshape(n1 * n2, cols)
         omega1, omega2 = rng.standard_normal((n1, 5)), rng.standard_normal((n2, 5))

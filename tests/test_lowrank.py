@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -345,15 +346,23 @@ def test_first_sketch_is_largest_block_rank_plus_margin(rng, monkeypatch, dim):
     assert widths[0] == 7 + lowrank._SKETCH_MARGIN == 15
 
 
-def test_test_matrix_is_c_ordered_and_the_same_whatever_p():
+def test_test_matrix_is_c_ordered_and_the_same_whatever_p(monkeypatch):
     # columns of one fixed draw sequence, whatever p and call order, each row
-    # contiguous and read-only
+    # contiguous and read-only; only a cache miss builds a generator
     n = 37
+    built = []
+    generator = lowrank.random.Random
+    monkeypatch.setattr(lowrank, "random",
+                        SimpleNamespace(Random=lambda seed: built.append(seed) or generator(seed)))
+    monkeypatch.delitem(lowrank._TEST_COLS, n, raising=False)
     narrow, wide = lowrank._test_matrix(n, 5), lowrank._test_matrix(n, 12)
     again = lowrank._test_matrix(n, 9)
+    assert built == [0]
     for cols in (narrow, wide, again):
         assert cols.strides[1] == cols.itemsize and not cols.flags.writeable
     assert np.array_equal(wide[:, :5], narrow) and np.array_equal(wide[:, :9], again)
+    rng = generator(0)
+    assert np.array_equal(wide.T, [[rng.gauss(0.0, 1.0) for _ in range(n)] for _ in range(12)])
 
 
 def test_result_does_not_alias_the_workspace(rng):
