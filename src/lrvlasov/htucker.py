@@ -17,9 +17,11 @@ leaves share.  Both run one routine, ``_ht_truncate``.  Each velocity leaf is
 taken in the grid's own coordinates when its stacked columns are at least as
 many as the grid's points, else in their Householder QR.  A truncation
 cuts three nodes (the root separation and the two velocity leaves) by their
-singular spectra with per-node tolerance eps/sqrt(3), which bounds the total
-error by eps in the Frobenius norm (Grasedyck's hierarchical SVD bound).  For
-eps > 0 the root cut of a block sum comes from the 1D truncation's loop,
+singular spectra; Grasedyck's hierarchical SVD bound keeps the total error
+within eps in the Frobenius norm when the squared tails add up to at most
+eps^2.  Each leaf is cut at eps/sqrt(3), and the root at what the two leaves
+leave of eps^2, which is at least eps^2/3.  For
+eps > 0 the root's directions come from the 1D truncation's loop,
 ``lowrank._range_finder``, applied to the sum's (space | velocity pair)
 matrix through the blocks' own factors, so the sum is never formed; one
 subspace iteration then sharpens the frame.  Its fixed test matrix makes the
@@ -134,10 +136,12 @@ def scale_bound(f: HtTensor) -> float:
     return float(ux @ np.abs(f.B) @ pair)
 
 
-def _finish_truncation(ux, core, uv1, uv2, nx, tol, exact, sqrt_w):
-    """Leaf cuts at tol on the root-weighted core, then re-orthonormalized
-    assembly; ``exact`` takes the leaf spectra from SVDs, not Grams, and the
-    leaves are scaled back by ``sqrt_w`` when it is given."""
+def _cut_leaves(core, uv1, uv2, tol, exact):
+    """Both velocity leaves cut at tol on the root-weighted core (k, l, c),
+    the second after the first: (new uv1, new uv2, the (k1, k2, c) core in
+    them, the two discarded squared tails summed).  ``exact`` takes the leaf
+    spectra from SVDs, not Grams; a leaf frame of None is the grid's own
+    coordinates."""
     def leaf_cut(axis, frame):
         if exact:  # a Gram's squared spectrum blurs below sqrt(eps_mach)
             unfold = np.moveaxis(core, axis, 0).reshape(core.shape[axis], -1)
@@ -149,20 +153,28 @@ def _finish_truncation(ux, core, uv1, uv2, nx, tol, exact, sqrt_w):
             vec = vec[:, ::-1]
         k = max(keep_count(s, tol), 1)
         rot = vec[:, :k]
-        return np.ascontiguousarray(rot) if frame is None else frame @ rot, rot
+        # a leaf stored as a reversed view of eigh's output would reach later
+        # products by another route than the contiguous one a snapshot loads
+        return (np.ascontiguousarray(rot) if frame is None else frame @ rot, rot,
+                float(s[k:] @ s[k:]))
 
-    new_uv1, rot1 = leaf_cut(0, uv1)
+    new_uv1, rot1, tail1 = leaf_cut(0, uv1)
     core = np.tensordot(rot1.T, core, axes=(1, 0))  # (k1, b, c)
-    new_uv2, rot2 = leaf_cut(1, uv2)
+    new_uv2, rot2, tail2 = leaf_cut(1, uv2)
     core = np.moveaxis(np.tensordot(rot2.T, core, axes=(1, 1)), 0, 1)  # (k1, k2, c)
-    if sqrt_w is not None:
-        new_uv1, new_uv2 = new_uv1 * sqrt_w[:, None], new_uv2 * sqrt_w[:, None]
+    return new_uv1, new_uv2, core, tail1 + tail2
 
+
+def _finish_truncation(ux, core, uv1, uv2, nx, sqrt_w):
+    """Re-orthonormalized assembly of the cut nodes, the leaves scaled back
+    by ``sqrt_w`` when it is given."""
+    if sqrt_w is not None:
+        uv1, uv2 = uv1 * sqrt_w[:, None], uv2 * sqrt_w[:, None]
     # restore orthonormal pair transfer; the root picks up the R factor
     mat = core.reshape(-1, core.shape[2])
     qv, rv = np.linalg.qr(mat)
     bvv = qv.reshape(core.shape[0], core.shape[1], -1)
-    return HtTensor(ux, rv.T, bvv, new_uv1, new_uv2, nx)
+    return HtTensor(ux, rv.T, bvv, uv1, uv2, nx)
 
 
 _GRAM_NOISE = 4.0 * np.finfo(float).eps  # round-off per unit of summed absolute products
@@ -361,8 +373,8 @@ def _ht_truncate(terms, eps: float, sqrt_w=None, frame=None) -> HtTensor:
         if keep == 0:
             return ht_zero(nx, nv1, nv2)
         core = (qm @ (vt[:keep].T * s[:keep])).reshape(n1, n2, keep)
-        return _finish_truncation(qx @ u[:, :keep], core, pair.q1, pair.q2, nx, tol,
-                                  exact=True, sqrt_w=sqrt_w)
+        uv1, uv2, core, _ = _cut_leaves(core, pair.q1, pair.q2, tol, exact=True)
+        return _finish_truncation(qx @ u[:, :keep], core, uv1, uv2, nx, sqrt_w)
 
     tol = eps / np.sqrt(3.0)
     gv = pair.gram()
@@ -391,9 +403,9 @@ def _ht_truncate(terms, eps: float, sqrt_w=None, frame=None) -> HtTensor:
         lam, vec = np.linalg.eigh(gram)
         lam, vec = np.maximum(lam[::-1], 0.0), vec[:, ::-1]
         missed = max(norm2 - lam.sum(), 0.0) if q.shape[1] < most else 0.0
-        return keep_count(np.sqrt(lam), np.sqrt(cut2), missed), (z, zc, vec, lam)
+        return keep_count(np.sqrt(lam), np.sqrt(cut2), missed), (z, zc, vec, lam, missed)
 
-    q, keep, (z, zc, vec, lam) = _range_finder(
+    q, keep, (z, zc, vec, lam, missed) = _range_finder(
         lambda omega: xb @ pair.rmatmul(omega[:n1], omega[n1:]), count, n1 + n2,
         max(t.Ux.shape[1] for t in terms) + _SKETCH_MARGIN, most)
     # lam[k] <= s_k(M)^2 <= the best tail after k kept, so a fewer-kept cut
@@ -405,12 +417,20 @@ def _ht_truncate(terms, eps: float, sqrt_w=None, frame=None) -> HtTensor:
         if zc is not None:
             back -= pair.c @ zc.T
         sharp = np.linalg.qr(xb @ back)[0]
-        keep2, (sharp_z, _, vec2, _) = count(sharp)
+        keep2, (sharp_z, _, vec2, lam2, missed2) = count(sharp)
         if keep2 <= keep:
-            q, z, keep, vec = sharp, sharp_z, keep2, vec2
-    ux = q @ vec[:, :keep]
+            q, z, keep, vec, lam, missed = sharp, sharp_z, keep2, vec2, lam2, missed2
     core = pair.matmul(z.T @ vec[:, :keep])
-    return _finish_truncation(ux, core, pair.q1, pair.q2, nx, tol, exact=False, sqrt_w=sqrt_w)
+    uv1, uv2, core, leaf2 = _cut_leaves(core, pair.q1, pair.q2, tol, exact=False)
+    # Grasedyck's bound asks only tau_root^2 + tau_1^2 + tau_2^2 <= eps^2, and
+    # the leaves, cut at tol each, rarely spend their 2 tol^2: the root keeps
+    # the fewest of its counted directions whose exact tail fits in what they
+    # leave, never cut finer than the floor cut2.  Dropping root columns only
+    # shrinks the leaf tails, which are sums over the columns.
+    keep = keep_count(np.sqrt(lam), np.sqrt(max(eps ** 2 - leaf2, cut2)), missed)
+    if keep == 0:
+        return ht_zero(nx, nv1, nv2)
+    return _finish_truncation(q @ vec[:, :keep], core[:, :, :keep], uv1, uv2, nx, sqrt_w)
 
 
 def ht_truncate_sum(terms, eps: float) -> HtTensor:
@@ -430,9 +450,13 @@ def ht_truncate_sum(terms, eps: float) -> HtTensor:
     cancelling blocks put eps/sqrt(3) beneath it.  One subspace iteration,
     Q <- orth(M M^T Q), which costs only products with the Grams, then
     sharpens the frame near the cut; it replaces Q where its own exact tail
-    allows no larger kept rank.  The kept frame Q U and the pair core are
-    orthonormal, so no re-canonicalization follows.  Both velocity leaves are
-    then cut at eps/sqrt(3) from the core's Grams.
+    allows no larger kept rank.  Both velocity leaves are then cut at
+    eps/sqrt(3) from the core's Grams, and the root is cut again, to the
+    fewest of the counted directions whose exact tail squared is within
+    eps^2 minus the two leaves' discarded squared tails (never finer than
+    that round-off floor): the leaves' spectra have gaps and seldom spend
+    their share.  The kept frame Q U and the pair core are orthonormal, so
+    no re-canonicalization follows.
 
     eps = 0 forms the pair unfold, mat = ``_PairUnfold.matmul(I)``, and
     takes the root spectrum exactly, from the SVD of R_x R_m^T after

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lrvlasov.config import from_preset
-from lrvlasov.driver import setup
+from lrvlasov.driver import run, setup
 from lrvlasov.errors import DimensionError, DomainError
 from lrvlasov.grids import make_velocity_grid, spatial_grid_2d
 import lrvlasov.htucker as ht
@@ -350,7 +350,8 @@ def test_projected_cut_and_pin_against_dense_sums(rel_eps, v_max):
             projected = dense_remove_moments_2d(dense, g) / metric
             err = np.linalg.norm(rem.dense() / metric - projected)
             assert err <= bound, name
-            if eps > 0:  # no more root rank than a dense SVD needs at eps/sqrt(3)
+            if eps > 0:  # no more root rank than a dense SVD needs at eps/sqrt(3),
+                # the least the leaves can leave the root
                 s = np.linalg.svd(projected.reshape(NX[0] * NX[1], -1), compute_uv=False)
                 tails = np.sqrt(np.cumsum(s[::-1] ** 2))[::-1]
                 assert rem.ranks[0] <= int(np.sum(tails > eps / np.sqrt(3.0))), name
@@ -362,6 +363,50 @@ def test_projected_cut_and_pin_against_dense_sums(rel_eps, v_max):
             for want, out in ((own, pinned), (target, problem.pin(blocks, target))):
                 assert np.abs(problem.moments([out]) - want).max() <= 1e-12 * scale_m, name
             assert np.linalg.norm((pinned.dense() - dense) / metric) <= bound, name
+
+
+def test_root_takes_what_exact_leaves_leave(rng):
+    # velocity leaves of rank 3, exactly representable, so the leaf cuts
+    # discard round-off and the root may take nearly all of eps^2: its rank
+    # is no more than a dense SVD needs at eps itself, not at eps/sqrt(3)
+    nv, rv = (NV, NV), 9
+    s = 0.5 ** np.arange(rv)
+    f = HtTensor(np.linalg.qr(rng.standard_normal((NX[0] * NX[1], rv)))[0], np.diag(s),
+                 np.linalg.qr(rng.standard_normal((rv, rv)))[0].reshape(3, 3, rv),
+                 *(np.linalg.qr(rng.standard_normal((n, 3)))[0] for n in nv), NX)
+    dense = f.dense()
+    sv = np.linalg.svd(dense.reshape(NX[0] * NX[1], -1), compute_uv=False)
+    tails = np.sqrt(np.cumsum(sv[::-1] ** 2))[::-1]
+    for k in range(7):  # k = 0: a sum within eps of zero
+        eps = 1.5 * tails[k]  # cut at eps keeps k; at eps/sqrt(3), more
+        assert int(np.sum(tails > eps)) == k < int(np.sum(tails > eps / np.sqrt(3.0)))
+        out = ht_truncate_sum([ht_scale(f, 0.5), ht_scale(f, 0.5)], eps)
+        assert out.ranks[0] <= k
+        assert np.linalg.norm((out.dense() - dense).ravel()) <= eps * (1 + 1e-8)
+
+
+def test_every_pinned_cut_of_weak_landau_2d2v_meets_eps(monkeypatch):
+    # the shipped preset (macro) to t = 0.6: each zero-moment cut is within
+    # eps of the dense sum projected off the moment span, in the norm
+    # weighted by 1/(w(v1) w(v2)); the root spends what the leaves leave of
+    # eps^2, so the calls run close to eps
+    cfg = from_preset("weak_landau_2d2v", method="macro", t_end=0.6)
+    g = setup(cfg).vgrid
+    cut = ht.ht_truncate_projected
+    ratios = []
+
+    def checked(terms, eps, sqrt_w, frame):
+        terms = list(terms)
+        out = cut(terms, eps, sqrt_w, frame)
+        metric = np.outer(sqrt_w, sqrt_w)[None, None]
+        projected = dense_remove_moments_2d(sum(t.dense() for t in terms), g)
+        ratios.append(np.linalg.norm((out.dense() - projected) / metric) / eps)
+        return out
+
+    monkeypatch.setattr(ht, "ht_truncate_projected", checked)
+    run(cfg)
+    assert len(ratios) >= 30
+    assert max(ratios) <= 1 + 1e-8, sorted(ratios)[-3:]
 
 
 def test_canonicalize_sum_matches_add(rng):
@@ -458,8 +503,9 @@ def test_khatri_rao_rmatmul_matches_formed_unfold(rng):
 
 
 def test_truncate_sum_floor_only_at_eps_zero(rng, monkeypatch):
-    # the droptol floor is the only cut at eps = 0; eps > 0 cuts at
-    # eps/sqrt(3) alone and takes no per-block magnitude bound
+    # the droptol floor is the only cut at eps = 0; eps > 0 cuts the leaves
+    # at eps/sqrt(3) and the root at what they leave of eps^2, and takes no
+    # per-block magnitude bound
     import lrvlasov.htucker as ht_mod
 
     calls = []
