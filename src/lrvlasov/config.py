@@ -60,6 +60,8 @@ class SolverConfig:
                               f"rho and needs poisson_sign 1, got -1")
         if self.output_every < 1:
             raise ConfigError(f"output_every must be >= 1, got {self.output_every}")
+        if self.rank_cap < 1:
+            raise ConfigError(f"rank_cap must be >= 1, got {self.rank_cap}")
         if self.dim == "1d1v" and self.nx2 not in (0, self.nx):
             raise ConfigError(f"nx2 must be 0 or nx={self.nx} in 1d1v, got {self.nx2}")
         if self.nx2 == 0:

@@ -13,13 +13,14 @@ pin is ``Problem.pin``, for any dimension.  Each format keeps only what
 reads or writes its factors: ``factors`` and ``block``, the transport's
 primitives, ``fields``, its one contraction of a block list with a velocity
 table (``lowrank.fields``, ``htucker.pair_fields``), and ``scale``, ``add``,
-``lift``, ``truncate``, ``zero_moment_cut`` and ``ranks``; ``moments``,
-``fields``, ``truncate``, ``zero_moment_cut`` and ``pin`` take a block list.
-The zero-moment cut is the pin's one truncation: the part of the sum
-orthogonal to the carriers in the 1/w-weighted coordinates, cut in that norm.
-It takes no moments in either format: 1D1V projects the stacked velocity
-factor off the carrier frame, 2D2V the pair unfold off the carriers' moment
-span in pair coordinates (``htucker.ht_truncate_projected``).  Both formats
+``lift``, ``truncate`` and ``ranks``; ``moments``, ``fields``, ``truncate``
+and ``pin`` take a block list.  ``truncate`` is the format's one truncation
+(``lowrank.truncate_sum``, ``htucker.ht_truncate_sum``): plain, or, given
+the weight's roots and the carrier frame of ``MomentBasis``, the pin's cut,
+the part of the sum orthogonal to the carriers in the 1/w-weighted
+coordinates, cut in that norm.  That cut takes no moments in either format:
+1D1V projects the stacked velocity factor off the carrier frame, 2D2V the
+pair unfold off the carriers' moment span in pair coordinates.  Both formats
 take their moments in the macroscopic state's ``(2 + d, *n)`` layout (rows
 rho, J_1 .. J_d, kappa, where the state holds e = kappa + sign |E|^2 / 2),
 ``lift`` makes the exact carrier of moments in it, and both build their
@@ -110,10 +111,11 @@ class Problem:
 
     def pin(self, blocks, target=None):
         """Truncation of sum(blocks) with its moments pinned to ``target`` (the
-        sum's own if None): the format's ``zero_moment_cut`` of the blocks,
-        which takes no moments, then one carrier, lifted from the target minus
-        the cut's leak, added back."""
-        rem = self.zero_moment_cut(blocks)
+        sum's own if None): the format's ``truncate`` of the blocks' part off
+        the carriers, cut in the 1/w-weighted norm, which takes no moments,
+        then one carrier, lifted from the target minus the cut's leak, added
+        back."""
+        rem = self.truncate(blocks, self.basis.sqrt_w, self.basis.zero_frame)
         if target is None:
             target = self.moments(blocks)
         return self.add(self.lift(target - self.moments([rem])), rem)
@@ -146,15 +148,8 @@ class Problem1D(Problem):
         """-f with its spatial factor and the leaf of velocity ``axis`` replaced."""
         return lowrank.LowRankMatrix(-f.C, ux, leaf)
 
-    def truncate(self, blocks):
-        return lowrank.truncate_sum(blocks, self.cfg.eps)
-
-    def zero_moment_cut(self, blocks):
-        """The zero-moment part of sum(blocks), cut once in the norm weighted
-        by 1/w: the stacked velocity factor is projected off the carrier
-        frame, so no carrier is formed and no moments taken."""
-        b = self.basis
-        return lowrank.truncate_projected(blocks, self.cfg.eps, b.sqrt_w, b.zero_frame)
+    def truncate(self, blocks, sqrt_w=None, frame=None):
+        return lowrank.truncate_sum(blocks, self.cfg.eps, sqrt_w, frame)
 
     def ranks(self, f) -> tuple[int, ...]:
         return (f.rank,)
@@ -186,16 +181,8 @@ class Problem2D(Problem):
         uv1, uv2 = (leaf, f.Uv2) if axis == 0 else (f.Uv1, leaf)
         return ht.HtTensor(ux.reshape(f.Ux.shape[0], -1), -f.B, f.Bvv, uv1, uv2, f.nx)
 
-    def truncate(self, blocks):
-        return ht.ht_truncate_sum(blocks, self.cfg.eps)
-
-    def zero_moment_cut(self, blocks):
-        """The zero-moment part of sum(blocks), cut once in the norm weighted
-        by 1/(w(v1) w(v2)): the pair unfold is projected off the carriers'
-        moment span in pair coordinates, so no carrier is formed and no
-        moments taken."""
-        b = self.basis
-        return ht.ht_truncate_projected(blocks, self.cfg.eps, b.sqrt_w, b.zero_frame)
+    def truncate(self, blocks, sqrt_w=None, frame=None):
+        return ht.ht_truncate_sum(blocks, self.cfg.eps, sqrt_w, frame)
 
     def ranks(self, f) -> tuple[int, ...]:
         return f.ranks

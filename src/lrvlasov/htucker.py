@@ -9,11 +9,11 @@ velocity-pair columns:
     f[i, j1, j2] = sum_{lx, lv} Ux[i, lx] B[lx, lv]
                    * sum_{l1, l2} Bvv[l1, l2, lv] Uv1[j1, l1] Uv2[j2, l2]
 
-Addition concatenates blocks exactly.  ``ht_truncate_sum`` is the plain
-truncation of a block sum; ``ht_truncate_projected``, the pin's zero-moment
-cut, truncates the sum's part orthogonal to the carriers' moment span in the
-norm weighted by 1/(w(v1) w(v2)), w at the nodes of the velocity grid both
-leaves share.  Both run one routine, ``_ht_truncate``.  Each velocity leaf is
+Addition concatenates blocks exactly.  ``ht_truncate_sum`` is the one
+truncation of a block sum: plain, or, given the weight's roots and the
+carriers' frame, the pin's cut, which truncates the sum's part orthogonal to
+the carriers' moment span in the norm weighted by 1/(w(v1) w(v2)), w at the
+nodes of the velocity grid both leaves share.  Each velocity leaf is
 taken in the grid's own coordinates when its stacked columns are at least as
 many as the grid's points, else in their Householder QR.  A truncation
 cuts three nodes (the root separation and the two velocity leaves) by their
@@ -26,12 +26,12 @@ eps > 0 the root's directions come from the 1D truncation's loop,
 matrix through the blocks' own factors, so the sum is never formed; one
 subspace iteration then sharpens the frame.  Its fixed test matrix makes the
 result a function of the input alone, so a resumed run repeats an
-uninterrupted one bit for bit.  eps = 0
-goes through the same stacked leaves and pair unfold, but forms the unfold
-and takes the root spectrum exactly from Householder QRs and one small SVD;
-only there does a floor of 1e-14 times the blocks' summed magnitude bounds
-drop numerically zero directions.  Physical space is never compressed below
-the stored spatial frame: its rank only changes through the root separation.
+uninterrupted one bit for bit.  eps = 0 goes through the same stacked leaves
+and pair unfold, forms the root matricization and counts it exactly with
+the 1D truncation itself, ``lowrank.truncate_sum`` at eps = 0; only there
+does a floor of 1e-14 times a magnitude bound drop numerically zero
+directions.  Physical space is never compressed below the stored spatial
+frame: its rank only changes through the root separation.
 The large per-call arrays (the stacked spatial products, the pair Gram, their
 Hadamard product and the pair unfold's block-by-block sum) come from the
 grid's ``lowrank._workspace``, which the 1D truncation also draws on, so a
@@ -46,8 +46,8 @@ the moments and fluxes through it.  The transport blocks are built in
 ``formats``, which writes that operator once for both formats.
 
 The moment pin is written once for both formats, as ``formats.Problem.pin``,
-over ``ht_truncate_projected``, the moments of its remainder (the leaf
-cuts' leak) and ``ht_lift_moments``; a pinned state's ranks are its
+over the projected ``ht_truncate_sum``, the moments of its remainder (the
+leaf cuts' leak) and ``ht_lift_moments``; a pinned state's ranks are its
 remainder's plus the carrier's (4, 4, 3, 3).  The carrier's velocity leaves
 both hold the 1D ``projection.MomentBasis`` frame {1, v, v^2 - c}, coupled by
 one fixed pair transfer; in the 1/w-weighted coordinates it is the
@@ -60,6 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import lowrank
 from .errors import DimensionError, DomainError
 from .lowrank import (DEFAULT_DROPTOL, _SKETCH_MARGIN, _check_shapes, _range_finder,
                       _workspace, keep_count)
@@ -125,15 +126,6 @@ def ht_add(*terms: HtTensor) -> HtTensor:
     return HtTensor(np.hstack([t.Ux for t in terms]), b, bvv,
                     np.hstack([t.Uv1 for t in terms]), np.hstack([t.Uv2 for t in terms]),
                     terms[0].nx)
-
-
-def scale_bound(f: HtTensor) -> float:
-    """Frobenius-norm bound from block magnitudes; survives cancellation."""
-    ux = np.linalg.norm(f.Ux, axis=0)
-    u1 = np.linalg.norm(f.Uv1, axis=0)
-    u2 = np.linalg.norm(f.Uv2, axis=0)
-    pair = u2 @ np.tensordot(u1, np.abs(f.Bvv), axes=(0, 0))
-    return float(ux @ np.abs(f.B) @ pair)
 
 
 def _cut_leaves(core, uv1, uv2, tol, exact):
@@ -265,8 +257,8 @@ class _PairUnfold(_Runs):
     Gram and the unfold are written into the grid's workspace ``ws``.
 
     Given a leaf ``frame``, both leaf coordinates span it, ``c`` = mat^T Pi
-    for its moment span Pi (``ht_truncate_projected``), and ``rmatmul`` and
-    ``matmul`` apply the unfold projected off Pi, whose Gram is gram() - c c^T.
+    for its moment span Pi (the pin's cut), and ``rmatmul`` and ``matmul``
+    apply the unfold projected off Pi, whose Gram is gram() - c c^T.
     """
 
     def __init__(self, terms, frame=None):
@@ -344,12 +336,58 @@ class _PairUnfold(_Runs):
         return core
 
 
-def _ht_truncate(terms, eps: float, sqrt_w=None, frame=None) -> HtTensor:
-    """The one hierarchical truncation behind ``ht_truncate_sum`` and
-    ``ht_truncate_projected``: leaves divided by ``sqrt_w`` when given, the
-    sum projected off the moment span of ``frame`` when given."""
-    nx = terms[0].nx
-    nv1, nv2 = terms[0].Uv1.shape[0], terms[0].Uv2.shape[0]
+def ht_truncate_sum(terms, eps: float, sqrt_w=None, frame=None) -> HtTensor:
+    """Hierarchical truncation of sum(terms), total Frobenius error <= eps,
+    in the norm weighted by 1/(w(v1) w(v2)) when ``sqrt_w`` = sqrt(w(v_j))
+    is given, of the part of the sum orthogonal in that norm to the moment
+    span Pi = {F_1 F_1, F_v F_1, F_1 F_v, (F_kappa F_1 + F_1 F_kappa) /
+    sqrt(2)} of the orthonormal (nv, 3) ``frame`` when it is given.
+
+    eps > 0: the spatial frame comes from ``lowrank._range_finder`` on the
+    root matricization M = Ux_cat blockdiag(B_t) mat^T (rows: space;
+    columns: velocity pair), where mat is the pair unfold in the stacked leaf
+    coordinates.  M is only ever applied (``_PairUnfold``): a test column's
+    first n1 rows and the rest are the leaf vectors of omega_1 (x) omega_2,
+    applied leaf by leaf (the per-leaf sketch of Al Daas et al., SISC 2023,
+    for tensor-train sums).  The kept count is the fewest singular values,
+    from the p x p Gram (Q^T M)(Q^T M)^T, whose tail plus what the frame
+    misses, ||M||_F^2 - sum of s^2 (exact, from the spatial and pair Grams;
+    nothing at the rank bound of M), is within eps/sqrt(3), or within the
+    Gram products' round-off (4 machine eps times their absolute sum) where
+    cancelling blocks put eps/sqrt(3) beneath it.  One subspace iteration,
+    Q <- orth(M M^T Q), which costs only products with the Grams, then
+    sharpens the frame near the cut; it replaces Q where its own exact tail
+    allows no larger kept rank.  Both velocity leaves are then cut at
+    eps/sqrt(3) from the core's Grams, and the root is cut again, to the
+    fewest of the counted directions whose exact tail squared is within
+    eps^2 minus the two leaves' discarded squared tails (never finer than
+    that round-off floor): the leaves' spectra have gaps and seldom spend
+    their share.  The kept frame Q U and the pair core are orthonormal, so
+    no re-canonicalization follows.
+
+    eps = 0 forms M, with mat = ``_PairUnfold.matmul(I)``, and counts it
+    exactly with ``lowrank.truncate_sum`` at eps = 0, whose explicit
+    residual and droptol floor drop only numerically zero directions; both
+    leaves are then cut by SVDs of the core's unfoldings at 1e-14 times the
+    kept root's norm.
+
+    Given a frame, both leaves' coordinates span it, so Pi lies in the pair
+    coordinates, and the cut takes I - Pi Pi^T as rank-4 corrections with
+    C = mat^T Pi: to ||M||^2 (whose round-off floor adds ||Xb C||^2), the
+    count's Gram, the sketch, the subspace iteration and the core; eps = 0
+    projects the formed unfold.  Pi is not a product of leaf projectors, so
+    the leaf cuts leak into it within their error (round-off at eps = 0);
+    the pin lifts that leak.  Only the lengths of ``sqrt_w`` and ``frame``
+    are checked: the caller builds them once per grid (positive roots,
+    orthonormal columns).
+    """
+    if eps < 0:
+        raise DomainError(f"truncation threshold must be >= 0, got {eps}")
+    terms = list(terms)
+    _check_shapes(terms)
+    nx, (nv1, nv2) = terms[0].nx, terms[0].shape[2:]
+    if any(a is not None and a.shape[0] != n for a in (sqrt_w, frame) for n in (nv1, nv2)):
+        raise DimensionError("weight or frame length does not match velocity leaves")
     terms = [t for t in terms if min(t.ranks) > 0]  # zero blocks add nothing
     if sqrt_w is not None:
         terms = [HtTensor(t.Ux, t.B, t.Bvv, t.Uv1 / sqrt_w[:, None], t.Uv2 / sqrt_w[:, None],
@@ -363,18 +401,16 @@ def _ht_truncate(terms, eps: float, sqrt_w=None, frame=None) -> HtTensor:
         np.matmul(t.Ux, t.B, out=xb[:, pair.ov[s]:pair.ov[s + 1]])
     n1, n2 = pair.r1.shape[0], pair.r2.shape[0]
 
-    if eps == 0.0:
-        # M = Xb mat^T: the root spectrum is that of R_x R_m^T
-        tol = DEFAULT_DROPTOL * sum(scale_bound(t) for t in terms)
-        qx, rx = np.linalg.qr(xb)
-        qm, rm = np.linalg.qr(pair.matmul(np.eye(xb.shape[1])).reshape(n1 * n2, -1))
-        u, s, vt = np.linalg.svd(rx @ rm.T, full_matrices=False)
-        keep = keep_count(s, tol)
-        if keep == 0:
+    if eps == 0.0:  # the exact count of M = Xb mat^T is the 1D loop's
+        cols = xb.shape[1]
+        mat = pair.matmul(np.eye(cols)).reshape(n1 * n2, cols)
+        root = lowrank.truncate_sum([lowrank.LowRankMatrix(np.ones(cols), xb, mat)], 0.0)
+        if root.rank == 0:
             return ht_zero(nx, nv1, nv2)
-        core = (qm @ (vt[:keep].T * s[:keep])).reshape(n1, n2, keep)
+        core = (root.Uv * root.C).reshape(n1, n2, -1)
+        tol = DEFAULT_DROPTOL * float(np.linalg.norm(root.C))  # of the kept root
         uv1, uv2, core, _ = _cut_leaves(core, pair.q1, pair.q2, tol, exact=True)
-        return _finish_truncation(qx @ u[:, :keep], core, uv1, uv2, nx, sqrt_w)
+        return _finish_truncation(root.Ux, core, uv1, uv2, nx, sqrt_w)
 
     tol = eps / np.sqrt(3.0)
     gv = pair.gram()
@@ -431,72 +467,6 @@ def _ht_truncate(terms, eps: float, sqrt_w=None, frame=None) -> HtTensor:
     if keep == 0:
         return ht_zero(nx, nv1, nv2)
     return _finish_truncation(q @ vec[:, :keep], core[:, :, :keep], uv1, uv2, nx, sqrt_w)
-
-
-def ht_truncate_sum(terms, eps: float) -> HtTensor:
-    """Hierarchical truncation of sum(terms), total Frobenius error <= eps.
-
-    eps > 0: the spatial frame comes from ``lowrank._range_finder`` on the
-    root matricization M = Ux_cat blockdiag(B_t) mat^T (rows: space;
-    columns: velocity pair), where mat is the pair unfold in the stacked leaf
-    coordinates.  M is only ever applied (``_PairUnfold``): a test column's
-    first n1 rows and the rest are the leaf vectors of omega_1 (x) omega_2,
-    applied leaf by leaf (the per-leaf sketch of Al Daas et al., SISC 2023,
-    for tensor-train sums).  The kept count is the fewest singular values,
-    from the p x p Gram (Q^T M)(Q^T M)^T, whose tail plus what the frame
-    misses, ||M||_F^2 - sum of s^2 (exact, from the spatial and pair Grams;
-    nothing at the rank bound of M), is within eps/sqrt(3), or within the
-    Gram products' round-off (4 machine eps times their absolute sum) where
-    cancelling blocks put eps/sqrt(3) beneath it.  One subspace iteration,
-    Q <- orth(M M^T Q), which costs only products with the Grams, then
-    sharpens the frame near the cut; it replaces Q where its own exact tail
-    allows no larger kept rank.  Both velocity leaves are then cut at
-    eps/sqrt(3) from the core's Grams, and the root is cut again, to the
-    fewest of the counted directions whose exact tail squared is within
-    eps^2 minus the two leaves' discarded squared tails (never finer than
-    that round-off floor): the leaves' spectra have gaps and seldom spend
-    their share.  The kept frame Q U and the pair core are orthonormal, so
-    no re-canonicalization follows.
-
-    eps = 0 forms the pair unfold, mat = ``_PairUnfold.matmul(I)``, and
-    takes the root spectrum exactly, from the SVD of R_x R_m^T after
-    Householder QRs of Xb and mat.  Its only cut, at the root and at both
-    leaves (SVDs of the core's unfoldings), is the floor 1e-14 * sum of the
-    blocks' ``scale_bound``, which drops numerically zero directions.
-    """
-    if eps < 0:
-        raise DomainError(f"truncation threshold must be >= 0, got {eps}")
-    terms = list(terms)
-    _check_shapes(terms)
-    return _ht_truncate(terms, eps)
-
-
-def ht_truncate_projected(terms, eps: float, sqrt_w: np.ndarray,
-                          frame: np.ndarray) -> HtTensor:
-    """The 2D mirror of ``lowrank.truncate_projected``: truncation, with error
-    <= eps in the norm weighted by 1/(w(v1) w(v2)), of the part of sum(terms)
-    orthogonal in that norm to the moment span Pi = {F_1 F_1, F_v F_1,
-    F_1 F_v, (F_kappa F_1 + F_1 F_kappa) / sqrt(2)} of the orthonormal
-    (nv, 3) ``frame``, the leaves divided by ``sqrt_w`` = sqrt(w(v_j)).
-
-    Both leaves' coordinates span the frame, so Pi lies in the pair
-    coordinates, and the cut of ``ht_truncate_sum`` takes I - Pi Pi^T as
-    rank-4 corrections with C = mat^T Pi: to ||M||^2 (whose round-off floor
-    adds ||Xb C||^2), the count's Gram, the sketch, the subspace iteration
-    and the core; eps = 0 projects the formed unfold.  Pi is not a product
-    of leaf projectors, so the leaf cuts leak into it within their error
-    (round-off at eps = 0); the pin lifts that leak.  Only the lengths of
-    ``sqrt_w`` and ``frame`` are checked: the caller builds them once per
-    grid (positive roots, orthonormal columns).
-    """
-    if eps < 0:
-        raise DomainError(f"truncation threshold must be >= 0, got {eps}")
-    terms = list(terms)
-    _check_shapes(terms)
-    if any(n != sqrt_w.shape[0] for n in (terms[0].Uv1.shape[0], terms[0].Uv2.shape[0],
-                                          frame.shape[0])):
-        raise DimensionError("weight or frame length does not match velocity leaves")
-    return _ht_truncate(terms, eps, sqrt_w, frame)
 
 
 # ---------------------------------------------------------------------------

@@ -2,22 +2,24 @@
 
 A distribution on an Nx x Nv grid is stored as f = sum_l C_l Ux[:,l] o Uv[:,l].
 Sums concatenate factor blocks exactly.  Every truncation, recompression
-included, runs ``_range_finder``, the sketch loop of both formats, on the sum
-formed densely: at most 128 x 257 for the 1D presets, and cheaper to form
-than the stacked factors are to orthonormalize.  It stops once the exact error
-of the returned matrix, the explicit residual of the sketch plus the
-discarded singular values, is within eps, so the bound holds whatever the
-draws; they can only cost rank.  The sum, its residual and the stacked
-velocity factors live in one workspace per grid that every call reuses, so a
-warm call faults in no page (``_Workspace``); the 2D truncation in
-``htucker`` takes its large arrays from the same workspace, and nothing
-either returns aliases it.  ``truncate_sum`` is the plain cut of a block
-sum.  ``truncate_projected`` cuts in the norm weighted by 1/w: it scales the
+included, is ``truncate_sum``: it runs ``_range_finder``, the sketch loop of
+both formats, on the sum formed densely (at eps = 0 the sum is its own
+sketch), at most 128 x 257 for the 1D presets, and cheaper to form than the
+stacked factors are to orthonormalize.
+It stops once the exact error of the returned matrix, the explicit residual
+of the sketch plus the discarded singular values, is within eps, so the bound
+holds whatever the draws; they can only cost rank.  The sum, its residual and
+the stacked velocity factors live in one workspace per grid that every call
+reuses, so a warm call faults in no page (``_Workspace``); the 2D truncation
+in ``htucker`` takes its large arrays from the same workspace, and nothing
+either returns aliases it.  Given the weight's roots and an orthonormal
+frame, ``truncate_sum`` cuts in the norm weighted by 1/w: it scales the
 velocity factors by 1/sqrt(w(v_j)) (point values, not quadrature weights),
-projects them off an orthonormal frame, v <- v - Q (Q^T v), truncates and
-scales back; with the moment carriers' frame it is the 1D pin's zero-moment
-cut, which subtracts no carrier.  ``fields`` is the format's one contraction
-with a velocity table, behind both the moments and the KFVS fluxes.
+projects them off the frame, v <- v - Q (Q^T v), truncates and scales back;
+with the moment carriers' frame it is the 1D pin's cut, which subtracts no
+carrier.  The 2D truncation's exact count at eps = 0 is this loop too, on
+its root matricization.  ``fields`` is the format's one contraction with a
+velocity table, behind both the moments and the KFVS fluxes.
 """
 
 from __future__ import annotations
@@ -98,19 +100,6 @@ def fields(f: LowRankMatrix, table: np.ndarray) -> np.ndarray:
     return ((f.Uv.T @ table) * f.C[:, None]).T @ f.Ux.T
 
 
-def scale_bound(f: LowRankMatrix) -> float:
-    """Triangle-inequality bound on the Frobenius norm of the dense form.
-
-    Unlike the norm itself this does not vanish under cancellation between
-    terms, which makes it the right yardstick for dropping numerically zero
-    singular values of near-cancelling sums.
-    """
-    if f.rank == 0:
-        return 0.0
-    return float(np.sum(np.abs(f.C) * np.linalg.norm(f.Ux, axis=0)
-                        * np.linalg.norm(f.Uv, axis=0)))
-
-
 def keep_count(s: np.ndarray, eps: float, missed: float = 0.0) -> int:
     """Smallest kept count of the sorted spectrum s whose discarded tail,
     sqrt(missed + ||s[k:]||^2), is <= eps; s.size if none is.
@@ -141,7 +130,7 @@ def _test_matrix(n: int, p: int) -> np.ndarray:
 
 def _range_finder(apply, count, n: int, width: int, most: int):
     """The adaptive randomized range finder (Halko, Martinsson & Tropp, SIAM
-    Rev. 2011) of every truncation but the hierarchical one at eps = 0.
+    Rev. 2011) of every truncation at eps > 0.
 
     Q = qr(apply(Omega)) for the first p = min(width, most) columns Omega of
     the fixed n-row ``_test_matrix``; ``count(Q)`` returns the kept rank and
@@ -162,7 +151,7 @@ def _range_finder(apply, count, n: int, width: int, most: int):
 class _Workspace:
     """The large arrays of one grid's truncations, reused by the next call.
 
-    Both formats draw on it: ``_truncate`` for the 1D sum, its residual and
+    Both formats draw on it: ``truncate_sum`` for the 1D sum, its residual and
     the stacked velocity factors, ``htucker`` for the stacked spatial product,
     the pair Gram, their Hadamard product and the pair unfold's scratch.
     Fresh arrays of that size lie above glibc's trim threshold: freeing them
@@ -192,23 +181,39 @@ def _workspace(*shape: int) -> _Workspace:
     return _Workspace()
 
 
-def _truncate(terms, eps: float, sqrt_w=None, frame=None):
-    """The one truncation behind every public entry point.
+def truncate_sum(terms, eps: float, sqrt_w=None, frame=None) -> LowRankMatrix:
+    """Truncation of sum(terms) with Frobenius error <= eps, in the norm
+    weighted by 1/w when ``sqrt_w`` = sqrt(w(v_j)) is given, of the part of
+    the sum that the orthonormal (nv, k) ``frame`` does not reach in that
+    norm's coordinates when it is given.
 
     S = sum_b (Ux_b C_b) Uv_b^T (velocity columns divided by ``sqrt_w``, then
-    projected off the orthonormal ``frame``, v <- v - frame (frame^T v)) is
-    formed densely and sketched by ``_range_finder``: Q = qr(S Omega),
-    B = Q^T S, B = V s U^T from the SVD of B^T.  The error of keeping k
-    singular triplets is exactly ||S - Q B||_F^2 + sum_{i>=k} s_i^2, the
-    first term from the explicit residual, so no squared norm is subtracted.
-    The rank bound of S is min(Nx, Nv, sum of ranks).  eps = 0 sketches at
-    that bound and cuts at ``DEFAULT_DROPTOL`` times the summed
-    ``scale_bound`` of the blocks as S sees them (scaled and projected).
+    projected off ``frame``, v <- v - frame (frame^T v)) is formed densely
+    and sketched by ``_range_finder``: Q = qr(S Omega), B = Q^T S,
+    B = V s U^T from the SVD of B^T.  The error of keeping k singular
+    triplets is exactly ||S - Q B||_F^2 + sum_{i>=k} s_i^2, the first term
+    from the explicit residual, so no squared norm is subtracted.  The rank
+    bound of S is min(Nx, Nv, sum of ranks).  eps = 0 takes Q = qr(S), S
+    being its own sketch, and cuts at ``DEFAULT_DROPTOL`` times the summed
+    products of the stacked columns' norms as S sees them (scaled and
+    projected), a bound on ||S|| that survives cancellation.
 
-    S, the residual and the stacked velocity factors are written with
-    ``out=`` into the grid's ``_Workspace``; nothing returned aliases it.
+    The result has orthonormal factors (velocity factors orthonormal in the
+    weighted coordinates) and sorted nonnegative coefficients; the cut neither
+    touches nor returns anything in the frame's span, so with the moment
+    carriers' frame (``projection.MomentBasis.zero_frame``) the result has
+    zero moments to round-off.  Only the lengths of ``sqrt_w`` and ``frame``
+    are checked: the caller builds them once per grid (positive roots,
+    orthonormal columns).  S, the residual and the stacked velocity factors
+    are written with ``out=`` into the grid's ``_Workspace``; nothing returned
+    aliases it.
     """
-    nx, nv = terms[0].shape
+    if eps < 0:
+        raise DomainError(f"truncation threshold must be >= 0, got {eps}")
+    terms = list(terms)
+    nx, nv = _check_shapes(terms)
+    if any(a is not None and a.shape[0] != nv for a in (sqrt_w, frame)):
+        raise DimensionError("weight or frame length does not match velocity factors")
     terms = [t for t in terms if t.rank]
     if not terms:
         return zero(nx, nv)
@@ -220,12 +225,6 @@ def _truncate(terms, eps: float, sqrt_w=None, frame=None):
     if frame is not None:
         np.subtract(v, frame @ (frame.T @ v), out=v)
     s_mat = np.matmul(x, v.T, out=ws.take("s_mat", nx, nv))
-    most = min(s_mat.shape[0], s_mat.shape[1], x.shape[1])
-    if eps == 0.0:
-        eps = DEFAULT_DROPTOL * float(np.linalg.norm(x, axis=0) @ np.linalg.norm(v, axis=0))
-        width = most
-    else:  # both formats start at the largest block rank + the margin
-        width = max(t.rank for t in terms) + _SKETCH_MARGIN
     resid = ws.take("resid", nx, nv)
 
     def count(q):
@@ -234,54 +233,29 @@ def _truncate(terms, eps: float, sqrt_w=None, frame=None):
         tail = np.subtract(s_mat, np.matmul(q, b, out=resid), out=resid).ravel()
         return keep_count(s, eps, float(tail @ tail)), (u, s, vt)
 
-    q, keep, (u, s, vt) = _range_finder(lambda omega: s_mat @ omega, count,
-                                        s_mat.shape[1], width, most)
+    if eps == 0.0:
+        # a test matrix as wide as the rank bound is square on the row space of
+        # S and can blur its smallest directions (a residual of 1.2e-12 ||S||
+        # on a 28-column sum whose spectrum spans 1e9), so S is its own sketch
+        eps = DEFAULT_DROPTOL * float(np.linalg.norm(x, axis=0) @ np.linalg.norm(v, axis=0))
+        q = np.linalg.qr(s_mat)[0]
+        keep, (u, s, vt) = count(q)
+    else:  # both formats start at the largest block rank + the margin
+        q, keep, (u, s, vt) = _range_finder(
+            lambda omega: s_mat @ omega, count, nv, max(t.rank for t in terms) + _SKETCH_MARGIN,
+            min(nx, nv, x.shape[1]))
     uv = u[:, :keep]
     return LowRankMatrix(s[:keep], q @ vt[:keep].T,
                          uv if sqrt_w is None else uv * sqrt_w[:, None])
 
 
-def truncate_sum(terms, eps: float) -> LowRankMatrix:
-    """Truncation of sum(terms) with Frobenius error <= eps.
-
-    The result has orthonormal factors and sorted nonnegative coefficients;
-    eps = 0 keeps the sum to 1e-14 of its blocks' magnitude bounds.
-    """
-    if eps < 0:
-        raise DomainError(f"truncation threshold must be >= 0, got {eps}")
-    terms = list(terms)
-    _check_shapes(terms)
-    return _truncate(terms, eps)
-
-
-def truncate_projected(terms, eps: float, sqrt_w: np.ndarray,
-                       frame: np.ndarray) -> LowRankMatrix:
-    """Truncation, with error <= eps in the norm weighted by 1/w, of the part
-    of sum(terms) that the orthonormal (nv, k) ``frame`` does not reach in
-    that norm's coordinates, where the velocity factors are divided by
-    ``sqrt_w`` = sqrt(w(v_j)).
-
-    Each stacked velocity factor is projected, v <- v - frame (frame^T v),
-    before the sum is formed, so the cut neither touches nor returns anything
-    in the frame's span; with the moment carriers' frame
-    (``projection.MomentBasis.zero_frame``) the result has zero moments to
-    round-off.  Only the lengths of ``sqrt_w`` and ``frame`` are checked: the
-    caller builds them once per grid (positive roots, orthonormal columns).
-    """
-    if eps < 0:
-        raise DomainError(f"truncation threshold must be >= 0, got {eps}")
-    terms = list(terms)
-    if any(n != sqrt_w.shape[0] for n in (_check_shapes(terms)[1], frame.shape[0])):
-        raise DimensionError("weight or frame length does not match velocity factors")
-    return _truncate(terms, eps, sqrt_w, frame)
-
-
 def recompress(f: LowRankMatrix) -> LowRankMatrix:
     """Canonicalize: orthonormal factors, sorted nonnegative coefficients.
 
-    The singular-value tail up to ``DEFAULT_DROPTOL`` * scale_bound(f) is
-    removed, eliminating exactly (or numerically) redundant terms; the dense
-    form is preserved to that accuracy.
+    The singular-value tail up to ``DEFAULT_DROPTOL`` times the summed
+    products of its columns' norms is removed, eliminating exactly (or
+    numerically) redundant terms; the dense form is preserved to that
+    accuracy.
     """
-    return _truncate([f], 0.0)
+    return truncate_sum([f], 0.0)
 

@@ -180,12 +180,10 @@ PRESETS: dict[str, Preset] = {
     ),
     "two_stream_2d2v": Preset(
         name="two_stream_2d2v", dim="2d2v",
-        x_min=0.0, x_max=2.0 * np.pi / 0.2, v_max=8.0, beta=2.0, eps=1e-5,
+        # beta = 2 <v^2> of the two unit-variance beams at +-2.4, so the weight
+        # is the Gaussian of the profile's temperature
+        x_min=0.0, x_max=2.0 * np.pi / 0.2, v_max=8.0, beta=13.5, eps=1e-5,
         nx=16, nv=32, t_end=5.0,
-        # counter-streaming beams are far from the weight's decay profile, so
-        # at this absolute threshold the velocity leaves saturate near full
-        # resolution; the cap must leave room for that plus carrier terms
-        rank_cap=160,
         init=_cosine_init_2d(alpha=0.001, k=0.2, norm=4.0 * 2.0 * np.pi,
                                 profile=_two_beams(2.4)),
     ),

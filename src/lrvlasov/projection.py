@@ -18,10 +18,11 @@ and ``lift_moments`` here.  In the coordinates of the norm weighted by 1/w
 (f / sqrt(w)) the carrier is the orthogonal projection of f onto the columns
 ``MomentBasis.zero_frame``, in 2D2V onto the pair span of that frame's
 F_1 F_1, F_v F_1, F_1 F_v and (F_kappa F_1 + F_1 F_kappa) / sqrt(2), so
-neither pin forms a carrier to subtract: the 1D one's truncation projects the
-stacked velocity factor off the frame (``lowrank.truncate_projected``), the
-2D one's the pair unfold off the pair span (``htucker.ht_truncate_projected``);
-``moment_split`` keeps the subtraction.
+neither pin forms a carrier to subtract: given the weight's roots and the
+frame, each format's one truncation (``lowrank.truncate_sum``,
+``htucker.ht_truncate_sum``) projects the stacked velocity factor off the
+frame in 1D, the pair unfold off the pair span in 2D; ``moment_split`` keeps
+the subtraction.
 Moment quadrature uses the plain h_v inner product, while basis
 orthogonality lives in the w-weighted product; the two must not be
 conflated.

@@ -72,6 +72,20 @@ def dense_weighted_truncate(f: np.ndarray, w_points: np.ndarray, eps: float) -> 
     return dense_truncate(f / root[None, :], eps) * root[None, :]
 
 
+def scale_bound(f) -> float:
+    """Triangle-inequality bound on the Frobenius norm of a factored tensor's
+    dense form (a ``LowRankMatrix`` or an ``HtTensor``), from its factors'
+    column norms and the magnitudes of its coefficients.  Unlike the norm it
+    does not vanish when blocks cancel, so it is the yardstick for round-off
+    of near-cancelling sums."""
+    if hasattr(f, "C"):
+        return float(np.sum(np.abs(f.C) * np.linalg.norm(f.Ux, axis=0)
+                            * np.linalg.norm(f.Uv, axis=0)))
+    pair = np.linalg.norm(f.Uv2, axis=0) @ np.tensordot(np.linalg.norm(f.Uv1, axis=0),
+                                                        np.abs(f.Bvv), axes=(0, 0))
+    return float(np.linalg.norm(f.Ux, axis=0) @ np.abs(f.B) @ pair)
+
+
 # ---------------------------------------------------------------------------
 # dense full-grid scheme (1D1V), mirroring the factored step variant by variant
 

@@ -203,7 +203,7 @@ def test_pin_adds_one_carrier_to_the_truncated_remainder(preset, carrier):
                 blocks.append(ht.HtTensor(ux, b, bvv, uv1, uv2, nx))
         target = rng.standard_normal((2 + dims, *nx))
         out = problem.pin(blocks, target)
-        remainder = problem.zero_moment_cut(blocks)
+        remainder = problem.truncate(blocks, problem.basis.sqrt_w, problem.basis.zero_frame)
         assert problem.ranks(out) == tuple(r + c for r, c in
                                            zip(problem.ranks(remainder), carrier))
         got = problem.moments([out])

@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from lrvlasov.config import from_preset
@@ -10,14 +10,14 @@ from lrvlasov.driver import run, setup
 from lrvlasov.errors import DimensionError, DomainError
 from lrvlasov.grids import make_velocity_grid, spatial_grid_2d
 import lrvlasov.htucker as ht
-from lrvlasov.htucker import (_PAIR_TRANSFER, HtTensor, _ht_truncate, _PairUnfold, ht_add,
-                              ht_lift_moments, ht_scale, ht_truncate_projected,
-                              ht_truncate_sum, ht_zero)
+from lrvlasov import lowrank
+from lrvlasov.htucker import (_PAIR_TRANSFER, HtTensor, _PairUnfold, ht_add, ht_lift_moments,
+                              ht_scale, ht_truncate_sum, ht_zero)
 from lrvlasov.poisson import ElectricField
 from lrvlasov.projection import MomentBasis
 
 from reference import (dense_functionals, dense_moments_2d, dense_pair_basis,
-                       dense_quadrature, dense_remove_moments_2d)
+                       dense_quadrature, dense_remove_moments_2d, scale_bound)
 
 NX = (8, 8)
 NV = 16
@@ -127,7 +127,7 @@ def test_truncate_fast_path_matches_qr_path(rng):
 def test_weighted_truncate_flat_equals_plain(rng):
     s = ht_add(random_ht(rng, r=2), ht_scale(random_ht(rng, r=2), 1e-3))
     eps = 1e-2
-    flat = _ht_truncate([s], eps, np.ones(NV))
+    flat = ht_truncate_sum([s], eps, np.ones(NV))
     plain = ht_truncate_sum([s], eps)
     assert np.allclose(flat.dense(), plain.dense(), atol=1e-10)
 
@@ -135,10 +135,10 @@ def test_weighted_truncate_flat_equals_plain(rng):
 def test_weighted_truncate_eps_zero_and_bound(rng, vgrid):
     s = ht_add(random_ht(rng, r=2), ht_scale(random_ht(rng, r=3), 1e-4))
     wp = vgrid.w_points
-    out0 = _ht_truncate([s], 0.0, np.sqrt(wp))
+    out0 = ht_truncate_sum([s], 0.0, np.sqrt(wp))
     assert np.allclose(out0.dense(), s.dense(), atol=1e-11 * np.abs(s.dense()).max())
     eps = 1e-2
-    out = _ht_truncate([s], eps, np.sqrt(wp))
+    out = ht_truncate_sum([s], eps, np.sqrt(wp))
     scale2 = np.sqrt(np.outer(wp, wp))
     err = (out.dense() - s.dense()) / scale2[None, None, :, :]
     assert np.linalg.norm(err.ravel()) <= eps * (1 + 1e-8)
@@ -148,11 +148,11 @@ def test_weighted_truncate_weight_validation(rng, basis):
     s = random_ht(rng)
     frame = basis.zero_frame
     with pytest.raises(DimensionError):
-        ht_truncate_projected([s], 1e-3, np.ones(NV + 1), frame)
+        ht_truncate_sum([s], 1e-3, np.ones(NV + 1), frame)
     with pytest.raises(DimensionError):
-        ht_truncate_projected([s], 1e-3, np.ones(NV), frame[1:])
+        ht_truncate_sum([s], 1e-3, np.ones(NV), frame[1:])
     with pytest.raises(DomainError):
-        ht_truncate_projected([s], -1.0, np.ones(NV), frame)
+        ht_truncate_sum([s], -1.0, np.ones(NV), frame)
     with pytest.raises(DomainError):
         ht_truncate_sum([s], -1.0)
 
@@ -254,10 +254,10 @@ def test_weighted_truncate_eps_zero_keeps_faint_directions(problem, vgrid, basis
         rng = np.random.default_rng(seed)
         f = random_ht(rng, r=3)
         own = ht_lift_moments(problem.moments([f]), basis)
-        rem = _ht_truncate([f, ht_scale(own, -1.0)], 0.0, np.sqrt(wp))
+        rem = ht_truncate_sum([f, ht_scale(own, -1.0)], 0.0, np.sqrt(wp))
         leak = ht_lift_moments(problem.moments([rem]), basis)
         faint = ht_add(ht_scale(leak, -1.0), rem)
-        out = _ht_truncate([faint], 0.0, np.sqrt(wp))
+        out = ht_truncate_sum([faint], 0.0, np.sqrt(wp))
         assert out.ranks == rem.ranks
         err = np.linalg.norm((out.dense() - faint.dense()) / metric)
         assert err <= 1e-13 * np.linalg.norm(faint.dense() / metric)
@@ -341,12 +341,12 @@ def test_projected_cut_and_pin_against_dense_sums(rel_eps, v_max):
             dense = sum(b.dense() for b in blocks)
             size = sum(np.abs(b.dense()) for b in blocks)
             scale_m = max(dense_quadrature(size, w, g).max() for w in weights)
-            scale_w = sum(ht.scale_bound(HtTensor(b.Ux, b.B, b.Bvv, b.Uv1 / root, b.Uv2 / root,
-                                                  NX)) for b in blocks)
+            scale_w = sum(scale_bound(HtTensor(b.Ux, b.B, b.Bvv, b.Uv1 / root, b.Uv2 / root, NX))
+                          for b in blocks)
             eps = rel_eps * scale_w
             problem = replace(base, cfg=replace(base.cfg, eps=eps))
             bound = eps * (1 + 1e-8) + 1e-12 * scale_w
-            rem = problem.zero_moment_cut(blocks)
+            rem = problem.truncate(blocks, problem.basis.sqrt_w, problem.basis.zero_frame)
             projected = dense_remove_moments_2d(dense, g) / metric
             err = np.linalg.norm(rem.dense() / metric - projected)
             assert err <= bound, name
@@ -386,27 +386,30 @@ def test_root_takes_what_exact_leaves_leave(rng):
 
 
 def test_every_pinned_cut_of_weak_landau_2d2v_meets_eps(monkeypatch):
-    # the shipped preset (macro) to t = 0.6: each zero-moment cut is within
-    # eps of the dense sum projected off the moment span, in the norm
-    # weighted by 1/(w(v1) w(v2)); the root spends what the leaves leave of
-    # eps^2, so the calls run close to eps
-    cfg = from_preset("weak_landau_2d2v", method="macro", t_end=0.6)
-    g = setup(cfg).vgrid
-    cut = ht.ht_truncate_projected
-    ratios = []
+    # the shipped presets (macro) to t = 0.6: each pin's cut is within eps of
+    # the dense sum projected off the moment span, in the norm weighted by
+    # 1/(w(v1) w(v2)); the root spends what the leaves leave of eps^2, so the
+    # calls run close to eps.  two_stream_2d2v makes 20 cuts; its weight is
+    # fitted to its beams (at beta 2 all 20 missed eps, by up to 6.4x)
+    cut = ht.ht_truncate_sum
+    for preset, calls in (("weak_landau_2d2v", 30), ("two_stream_2d2v", 20)):
+        cfg = from_preset(preset, method="macro", t_end=0.6)
+        g = setup(cfg).vgrid
+        ratios = []
 
-    def checked(terms, eps, sqrt_w, frame):
-        terms = list(terms)
-        out = cut(terms, eps, sqrt_w, frame)
-        metric = np.outer(sqrt_w, sqrt_w)[None, None]
-        projected = dense_remove_moments_2d(sum(t.dense() for t in terms), g)
-        ratios.append(np.linalg.norm((out.dense() - projected) / metric) / eps)
-        return out
+        def checked(terms, eps, sqrt_w=None, frame=None):
+            assert frame is not None  # under macro every cut is a pin's
+            terms = list(terms)
+            out = cut(terms, eps, sqrt_w, frame)
+            metric = np.outer(sqrt_w, sqrt_w)[None, None]
+            projected = dense_remove_moments_2d(sum(t.dense() for t in terms), g)
+            ratios.append(np.linalg.norm((out.dense() - projected) / metric) / eps)
+            return out
 
-    monkeypatch.setattr(ht, "ht_truncate_projected", checked)
-    run(cfg)
-    assert len(ratios) >= 30
-    assert max(ratios) <= 1 + 1e-8, sorted(ratios)[-3:]
+        monkeypatch.setattr(ht, "ht_truncate_sum", checked)
+        run(cfg)
+        assert len(ratios) >= calls, preset
+        assert max(ratios) <= 1 + 1e-8, (preset, sorted(ratios)[-3:])
 
 
 def test_canonicalize_sum_matches_add(rng):
@@ -442,6 +445,9 @@ def _step_like_sum(rng, kind, nv):
 
 @given(st.integers(0, 2**32 - 1), st.sampled_from(["full", "deficient", "cancelling"]),
        st.booleans(), st.none() | st.floats(-5.0, -1.0))
+# eps = 0 on a root of exactly as many columns as its rank: a Gaussian sketch
+# that wide missed the faint block by 1.2x the bound
+@example(seed=439, kind="full", weighted=False, log_eps=None)
 def test_truncate_sum_randomized_meets_eps_against_dense(seed, kind, weighted, log_eps):
     # log_eps None is eps = 0: a faint rank-1 block at 1e-9 of the scale joins
     # the sum, and the result must match the dense sum to round-off
@@ -465,7 +471,7 @@ def test_truncate_sum_randomized_meets_eps_against_dense(seed, kind, weighted, l
         eps = bound = 10.0 ** log_eps * scale
 
     def rounded():
-        return _ht_truncate(blocks, eps, np.sqrt(w1) if weighted else None)
+        return ht_truncate_sum(blocks, eps, np.sqrt(w1) if weighted else None)
 
     out = rounded()
     assert np.linalg.norm((out.dense() - dense) / metric) <= bound * (1 + 1e-8)
@@ -503,20 +509,19 @@ def test_khatri_rao_rmatmul_matches_formed_unfold(rng):
 
 
 def test_truncate_sum_floor_only_at_eps_zero(rng, monkeypatch):
-    # the droptol floor is the only cut at eps = 0; eps > 0 cuts the leaves
-    # at eps/sqrt(3) and the root at what they leave of eps^2, and takes no
-    # per-block magnitude bound
-    import lrvlasov.htucker as ht_mod
-
+    # the droptol floor is the only cut at eps = 0, where the 1D truncation
+    # counts the formed root matricization exactly; eps > 0 cuts the leaves
+    # at eps/sqrt(3) and the root at what they leave of eps^2, and forms no
+    # matricization to count
     calls = []
-    bound = ht_mod.scale_bound
-    monkeypatch.setattr(ht_mod, "scale_bound", lambda f: calls.append(f) or bound(f))
+    cut = lowrank.truncate_sum
+    monkeypatch.setattr(lowrank, "truncate_sum", lambda *a: calls.append(a) or cut(*a))
     terms = [random_ht(rng, r=3), ht_scale(random_ht(rng, r=2), 1e-3)]
     ht_truncate_sum(terms, 1e-4)
-    _ht_truncate(terms, 1e-4, np.ones(NV))
+    ht_truncate_sum(terms, 1e-4, np.ones(NV))
     assert calls == []
     ht_truncate_sum(terms, 0.0)
-    assert len(calls) == len(terms)
+    assert len(calls) == 1
 
 
 def test_truncate_sum_result_does_not_alias_the_workspace(rng):
@@ -526,7 +531,7 @@ def test_truncate_sum_result_does_not_alias_the_workspace(rng):
              for w in (None, weights[nv])]
 
     def truncate_all(ranks):
-        return [_ht_truncate([random_ht(rng, r, nx, (nv, nv)) for r in ranks], eps, w)
+        return [ht_truncate_sum([random_ht(rng, r, nx, (nv, nv)) for r in ranks], eps, w)
                 for nx, nv, eps, w in cases]
 
     def saved(fs):

@@ -125,6 +125,8 @@ def test_invalid_config_values():
         from_preset("forced", method="magic")
     with pytest.raises(ConfigError):
         from_preset("forced", eps=-1.0)
+    with pytest.raises(ConfigError, match="rank_cap must be >= 1"):
+        from_preset("forced", rank_cap=0)
 
 
 @pytest.mark.parametrize("sign", [0.0, 0.5, 2.0, -1.5])

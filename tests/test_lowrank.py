@@ -15,10 +15,9 @@ from lrvlasov import lowrank
 from lrvlasov.errors import DimensionError, DomainError
 from lrvlasov.grids import GaussianWeight, make_velocity_grid
 from lrvlasov.htucker import HtTensor, ht_add, ht_truncate_sum
-from lrvlasov.lowrank import (LowRankMatrix, add, recompress, scale, scale_bound, truncate_sum,
-                              zero)
+from lrvlasov.lowrank import LowRankMatrix, add, recompress, scale, truncate_sum, zero
 
-from reference import dense_truncate, dense_weighted_truncate
+from reference import dense_truncate, dense_weighted_truncate, scale_bound
 
 
 def random_lowrank(rng, nx=16, nv=24, rank=4, scale_factor=1.0):
@@ -143,7 +142,7 @@ def test_truncate_rank_monotone_in_eps(rng):
 def test_weighted_truncate_flat_weight_equals_plain(rng):
     a = add(random_lowrank(rng), random_lowrank(rng))
     eps = 1e-3
-    flat = lowrank._truncate([a], eps, np.ones(a.Uv.shape[0]))
+    flat = truncate_sum([a], eps, np.ones(a.Uv.shape[0]))
     plain = truncate_sum([a], eps)
     assert np.allclose(flat.dense(), plain.dense(), atol=1e-13)
 
@@ -151,7 +150,7 @@ def test_weighted_truncate_flat_weight_equals_plain(rng):
 def test_weighted_truncate_eps_zero(rng):
     a = random_lowrank(rng)
     w = np.exp(-np.linspace(-3, 3, a.Uv.shape[0]) ** 2 / 2)
-    out = lowrank._truncate([a], 0.0, np.sqrt(w))
+    out = truncate_sum([a], 0.0, np.sqrt(w))
     assert np.allclose(out.dense(), a.dense(), atol=1e-12 * np.abs(a.dense()).max())
 
 
@@ -163,7 +162,7 @@ def test_weighted_truncate_matches_dense_weighted_svd(rng):
     a = add(random_lowrank(rng, nv=nv, rank=3),
             random_lowrank(rng, nv=nv, rank=3, scale_factor=1e-4))
     eps = 1e-3
-    out = lowrank._truncate([a], eps, np.sqrt(w))
+    out = truncate_sum([a], eps, np.sqrt(w))
     # error measured after scaling by 1/sqrt(w)
     err = (out.dense() - a.dense()) / np.sqrt(w)[None, :]
     assert np.linalg.norm(err) <= eps * (1 + 1e-10)
@@ -180,7 +179,7 @@ def test_projected_truncate_matches_dense_projected_svd(rng):
     terms = [random_lowrank(rng, nv=nv, rank=3),
              random_lowrank(rng, nv=nv, rank=3, scale_factor=1e-4)]
     eps = 1e-3
-    out = lowrank.truncate_projected(terms, eps, root, frame)
+    out = truncate_sum(terms, eps, root, frame)
     scaled = sum(t.dense() for t in terms) / root
     projected = scaled - (scaled @ frame) @ frame.T
     assert np.linalg.norm(out.dense() / root - projected) <= eps * (1 + 1e-10)
@@ -188,9 +187,9 @@ def test_projected_truncate_matches_dense_projected_svd(rng):
     oracle = dense_truncate(projected, eps)
     assert np.allclose(out.dense() / root, oracle, atol=1e-11 * np.abs(oracle).max())
     with pytest.raises(DimensionError):
-        lowrank.truncate_projected(terms, eps, root, frame[1:])
+        truncate_sum(terms, eps, root, frame[1:])
     with pytest.raises(DomainError):
-        lowrank.truncate_projected(terms, -eps, root, frame)
+        truncate_sum(terms, -eps, root, frame)
 
 
 def test_zero_object_round_trips():
@@ -283,7 +282,7 @@ def _cut(terms, eps, w_points):
     weights ``w_points`` at the velocity nodes are given."""
     if w_points is None:
         return truncate_sum(terms, eps)
-    return lowrank._truncate(terms, eps, np.sqrt(w_points))
+    return truncate_sum(terms, eps, np.sqrt(w_points))
 
 
 @settings(max_examples=120)
