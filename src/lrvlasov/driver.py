@@ -195,7 +195,7 @@ def select_dt(problem: Problem, field: ElectricField, cfl: float) -> float:
     """CFL bound cfl / (sum_d v_max/h_x,d + sum_d max|E_d|/h_v,d)."""
     speed = _streaming_speed(problem)
     for e, vgrid in zip(field.E, problem.vgrids):
-        speed += float(np.max(np.abs(e))) / vgrid.h
+        speed += float(np.abs(e).max()) / vgrid.h
     return cfl / speed
 
 
@@ -239,14 +239,13 @@ def step(problem: Problem, hist: History, dt: float):
         if len(levels) > len(hist.fs):  # the newest level is a stage just taken
             field = (hist.pair(problem, us[-1])[1] if pinned_to_state
                      else _field_of(problem, problem.moments([levels[-1]])[0]))
-        t_rhs = hist.t + stage.t_rhs * dt
+        t_rhs, c_dt = hist.t + stage.t_rhs * dt, stage.c * dt
         blocks = [problem.scale(levels[k], w) for k, w in stage.weights]
-        blocks += [problem.scale(b, stage.c * dt)
-                   for b in problem.transport(levels[-1], field, t_rhs)]
+        blocks += problem.transport(levels[-1], field, t_rhs, c_dt)
         u = target = None
         if pinned_to_state:
             u = macro.combine([us[k] for k, _ in stage.weights], [w for _, w in stage.weights],
-                              problem.rate(us[-1], levels[-1], field, t_rhs), stage.c * dt)
+                              problem.rate(us[-1], levels[-1], field, t_rhs), c_dt)
             if not np.isfinite(u).all():
                 raise NonFiniteError(f"non-finite macroscopic state at step {hist.step} "
                                      f"(t={hist.t:.6g})")

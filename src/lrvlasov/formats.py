@@ -87,26 +87,31 @@ class Problem:
         return macro.rate(u, self.fluxes(f), field, self.sgrid,
                           self.preset.macro_sources, t)
 
-    def transport(self, f, field, t: float) -> list:
-        """-(v . grad_x + E . grad_v) f as blocks, plus any manufactured forcing.
+    def transport(self, f, field, t: float, c: float = 1.0) -> list:
+        """c times -(v . grad_x + E . grad_v) f as blocks, plus c times any
+        manufactured forcing.
 
         Each axis gives two blocks split on the sign of its speed, the
         one-sided derivative on one factor and the sign-split multiplier on
         the other: the spatial axes first (speed v_d, split on ``basis``),
         then the velocity axes (speed E_d); one stencil call gives both.
+        Every block shares f scaled once by -c, which is c times -f bit for
+        bit, since negation is exact.
         """
         ux, leaves = self.factors(f)
-        b = self.basis
+        g = self.scale(f, -c)
+        b, hv = self.basis, self.vgrid.h
         blocks = []
         for axis, (hx, leaf) in enumerate(zip(self.sgrid.h, leaves)):
-            for du, v in zip(upwind.derivatives(ux, hx, "periodic", axis=axis), (b.plus, b.minus)):
-                blocks.append(self.block(f, du, axis, v[:, None] * leaf))
+            plus, minus = upwind.derivatives(ux, hx, "periodic", axis=axis)
+            blocks += (self.block(g, plus, axis, b.plus[:, None] * leaf),
+                       self.block(g, minus, axis, b.minus[:, None] * leaf))
         for axis, (e, leaf) in enumerate(zip(field.E, leaves)):
-            for dv, ep in zip(upwind.derivatives(leaf, self.vgrid.h, "zero", axis=0),
-                              (np.maximum(e, 0.0), np.minimum(e, 0.0))):
-                blocks.append(self.block(f, ux * ep[..., None], axis, dv))
+            plus, minus = upwind.derivatives(leaf, hv, "zero", axis=0)
+            blocks += (self.block(g, ux * np.maximum(e, 0.0)[..., None], axis, plus),
+                       self.block(g, ux * np.minimum(e, 0.0)[..., None], axis, minus))
         if self.preset.kinetic_forcing is not None:
-            blocks.append(self.preset.kinetic_forcing(t, self.sgrid, *self.vgrids))
+            blocks.append(self.scale(self.preset.kinetic_forcing(t, self.sgrid, *self.vgrids), c))
         return blocks
 
     def pin(self, blocks, target=None):
@@ -145,8 +150,8 @@ class Problem1D(Problem):
         return f.Ux, (f.Uv,)
 
     def block(self, f, ux, axis: int, leaf):
-        """-f with its spatial factor and the leaf of velocity ``axis`` replaced."""
-        return lowrank.LowRankMatrix(-f.C, ux, leaf)
+        """f with its spatial factor and the leaf of velocity ``axis`` replaced."""
+        return lowrank.LowRankMatrix(f.C, ux, leaf)
 
     def truncate(self, blocks, sqrt_w=None, frame=None):
         return lowrank.truncate_sum(blocks, self.cfg.eps, sqrt_w, frame)
@@ -179,7 +184,7 @@ class Problem2D(Problem):
     def block(self, f, ux, axis: int, leaf):
         # every block keeps f's Bvv object, so _Runs contracts them together
         uv1, uv2 = (leaf, f.Uv2) if axis == 0 else (f.Uv1, leaf)
-        return ht.HtTensor(ux.reshape(f.Ux.shape[0], -1), -f.B, f.Bvv, uv1, uv2, f.nx)
+        return ht.HtTensor(ux.reshape(f.Ux.shape[0], -1), f.B, f.Bvv, uv1, uv2, f.nx)
 
     def truncate(self, blocks, sqrt_w=None, frame=None):
         return ht.ht_truncate_sum(blocks, self.cfg.eps, sqrt_w, frame)

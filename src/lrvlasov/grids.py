@@ -11,6 +11,7 @@ symmetrically so that v_j == -v_{n-1-j} holds bit-exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -59,7 +60,7 @@ class SpatialGrid:
     def ndim(self) -> int:
         return len(self.n)
 
-    @property
+    @cached_property  # a frozen grid's spacing, computed once
     def h(self) -> tuple[float, ...]:
         return tuple((b - a) / nd for a, b, nd in zip(self.x_min, self.x_max, self.n))
 

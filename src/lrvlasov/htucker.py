@@ -123,9 +123,9 @@ def ht_add(*terms: HtTensor) -> HtTensor:
         b[ox:ox + nx_, ov:ov + nv_] = t.B
         bvv[o1:o1 + n1_, o2:o2 + n2_, ov:ov + nv_] = t.Bvv
         ox, ov, o1, o2 = ox + nx_, ov + nv_, o1 + n1_, o2 + n2_
-    return HtTensor(np.hstack([t.Ux for t in terms]), b, bvv,
-                    np.hstack([t.Uv1 for t in terms]), np.hstack([t.Uv2 for t in terms]),
-                    terms[0].nx)
+    return HtTensor(np.concatenate([t.Ux for t in terms], axis=1), b, bvv,
+                    np.concatenate([t.Uv1 for t in terms], axis=1),
+                    np.concatenate([t.Uv2 for t in terms], axis=1), terms[0].nx)
 
 
 def _cut_leaves(core, uv1, uv2, tol, exact):
@@ -264,8 +264,10 @@ class _PairUnfold(_Runs):
     def __init__(self, terms, frame=None):
         super().__init__(terms)
         self.ws = _workspace(*terms[0].shape)
-        self.q1, self.r1, p1 = _leaf_coordinates(np.hstack([t.Uv1 for t in self.terms]), frame)
-        self.q2, self.r2, p2 = _leaf_coordinates(np.hstack([t.Uv2 for t in self.terms]), frame)
+        self.q1, self.r1, p1 = _leaf_coordinates(
+            np.concatenate([t.Uv1 for t in self.terms], axis=1), frame)
+        self.q2, self.r2, p2 = _leaf_coordinates(
+            np.concatenate([t.Uv2 for t in self.terms], axis=1), frame)
         self.pi = self.c = None
         if frame is not None:
             self.pi = (p1[:, _PI_LEAVES[0]], p2[:, _PI_LEAVES[1]])
@@ -389,9 +391,14 @@ def ht_truncate_sum(terms, eps: float, sqrt_w=None, frame=None) -> HtTensor:
     if any(a is not None and a.shape[0] != n for a in (sqrt_w, frame) for n in (nv1, nv2)):
         raise DimensionError("weight or frame length does not match velocity leaves")
     terms = [t for t in terms if min(t.ranks) > 0]  # zero blocks add nothing
-    if sqrt_w is not None:
-        terms = [HtTensor(t.Ux, t.B, t.Bvv, t.Uv1 / sqrt_w[:, None], t.Uv2 / sqrt_w[:, None],
-                          t.nx) for t in terms]
+    if sqrt_w is not None:  # a leaf array that several blocks share is divided once
+        scaled = {}
+        for t in terms:
+            for a in (t.Uv1, t.Uv2):
+                if id(a) not in scaled:
+                    scaled[id(a)] = a / sqrt_w[:, None]
+        terms = [HtTensor(t.Ux, t.B, t.Bvv, scaled[id(t.Uv1)], scaled[id(t.Uv2)], t.nx)
+                 for t in terms]
     if not terms:
         return ht_zero(nx, nv1, nv2)
     pair = _PairUnfold(terms, frame)
@@ -492,8 +499,8 @@ def pair_fields(terms, leaf1: np.ndarray, leaf2: np.ndarray,
     terms = [t for t in terms if min(t.ranks) > 0]  # zero blocks add nothing
     if terms:
         runs = _Runs(terms)
-        x1 = np.hstack([t.Uv1 for t in runs.terms]).T @ leaf1
-        x2 = np.hstack([t.Uv2 for t in runs.terms]).T @ leaf2
+        x1 = np.concatenate([t.Uv1 for t in runs.terms], axis=1).T @ leaf1
+        x2 = np.concatenate([t.Uv2 for t in runs.terms], axis=1).T @ leaf2
         coeffs = runs.khatri_rao(x1, x2) @ weights
         for s, t in enumerate(runs.terms):
             out += (t.B @ coeffs[runs.ov[s]:runs.ov[s + 1]]).T @ t.Ux.T

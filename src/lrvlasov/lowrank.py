@@ -8,11 +8,12 @@ sketch), at most 128 x 257 for the 1D presets, and cheaper to form than the
 stacked factors are to orthonormalize.
 It stops once the exact error of the returned matrix, the explicit residual
 of the sketch plus the discarded singular values, is within eps, so the bound
-holds whatever the draws; they can only cost rank.  The sum, its residual and
-the stacked velocity factors live in one workspace per grid that every call
-reuses, so a warm call faults in no page (``_Workspace``); the 2D truncation
-in ``htucker`` takes its large arrays from the same workspace, and nothing
-either returns aliases it.  Given the weight's roots and an orthonormal
+holds whatever the draws; they can only cost rank.  The spatial stack is one
+concatenation of the blocks' factors, scaled in place by their concatenated
+coefficients.  The sum, its residual and the stacked velocity factors live
+in one workspace per grid that every call reuses, so a warm call faults in
+no page (``_Workspace``); the 2D truncation in ``htucker`` takes its large
+arrays from the same workspace, and nothing either returns aliases it.  Given the weight's roots and an orthonormal
 frame, ``truncate_sum`` cuts in the norm weighted by 1/w: it scales the
 velocity factors by 1/sqrt(w(v_j)) (point values, not quadrature weights),
 projects them off the frame, v <- v - Q (Q^T v), truncates and scales back;
@@ -86,8 +87,8 @@ def add(*terms: LowRankMatrix) -> LowRankMatrix:
         return terms[0]
     return LowRankMatrix(
         np.concatenate([t.C for t in terms]),
-        np.hstack([t.Ux for t in terms]),
-        np.hstack([t.Uv for t in terms]),
+        np.concatenate([t.Ux for t in terms], axis=1),
+        np.concatenate([t.Uv for t in terms], axis=1),
     )
 
 
@@ -105,9 +106,14 @@ def keep_count(s: np.ndarray, eps: float, missed: float = 0.0) -> int:
     sqrt(missed + ||s[k:]||^2), is <= eps; s.size if none is.
 
     ``missed`` is the squared norm of what the spectrum does not cover."""
-    tails = np.sqrt(missed + np.cumsum(s[::-1] ** 2))[::-1]  # tails[k] = the tail after k
-    ok = tails <= eps
-    return int(np.argmax(ok)) if ok.any() else s.size
+    if math.isnan(eps):  # no tail is <= NaN, so a non-finite cut keeps everything
+        return s.size
+    # the tails after s.size - 1, s.size - 2, ..., 0 kept, ascending: how many
+    # are <= eps is how many to drop
+    tails = (s[::-1] ** 2).cumsum(dtype=float)
+    tails += missed
+    np.sqrt(tails, out=tails)
+    return s.size - int(tails.searchsorted(eps, side="right"))
 
 
 def _test_matrix(n: int, p: int) -> np.ndarray:
@@ -218,7 +224,8 @@ def truncate_sum(terms, eps: float, sqrt_w=None, frame=None) -> LowRankMatrix:
     if not terms:
         return zero(nx, nv)
     ws = _workspace(nx, nv)
-    x = np.hstack([t.Ux * t.C for t in terms])
+    x = np.concatenate([t.Ux for t in terms], axis=1)
+    x *= np.concatenate([t.C for t in terms])  # each block's Ux C, scaled in place
     v = np.concatenate([t.Uv for t in terms], axis=1, out=ws.take("stack", nv, x.shape[1]))
     if sqrt_w is not None:
         np.divide(v, sqrt_w[:, None], out=v)

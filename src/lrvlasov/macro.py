@@ -42,8 +42,9 @@ def rate(u: np.ndarray, fluxes, field: ElectricField, sgrid: SpatialGrid,
         d = upwind.flux_difference(fhat[0, 0] + fhat[1, 1], h, axis=ax)
         div = d if div is None else div + d
     src = np.zeros_like(div)
-    src[1:-1] = u[0] * np.stack(field.E)
-    src[-1] = sum(e * j.mean() for e, j in zip(field.E, u[1:-1]))
+    for row, e in enumerate(field.E, start=1):
+        np.multiply(u[0], e, out=src[row])
+        src[-1] += e * (u[row].sum() / u[row].size)  # mean(J), summed and divided as np.mean
     if extra_source is not None:
         src += np.stack(extra_source(sgrid.nodes(0), t, field.E[0]))
     return -div + src
@@ -57,7 +58,8 @@ def combine(states, weights, rate: np.ndarray, c_dt: float):
     combine([U^n, U_a], [1/2, 1/2], L(U_a), dt/2).  Terms are added left to
     right, so the rounding is that of the written-out formula.
     """
-    acc = weights[0] * states[0]
+    acc = weights[0] * states[0]  # a new array, summed into in place
     for w, u in zip(weights[1:], states[1:]):
-        acc = acc + w * u
-    return acc + c_dt * rate
+        acc += w * u
+    acc += c_dt * rate
+    return acc

@@ -2,10 +2,12 @@
 
 The potential solves -lap(phi) = rho - mean(rho) in Fourier space, with one
 transform over all grid axes for any dimension and the zero mode gauged to
-zero; the field is E = -sign * grad(phi), differentiated spectrally so that
-single-mode densities produce node-exact fields, and div E = sign * (rho -
-mean(rho)).  The field carries its sign, and so its share sign * |E|^2 / 2 of
-the conserved energy density.  The squared wavenumbers and the derivative
+zero; each transform is ``np.fft.fft`` or ``ifft`` run axis by axis in the
+order of ``fftn``, the last axis first, which gives ``fftn``'s bits without
+its per-call setup.  The field is E = -sign * grad(phi), differentiated
+spectrally so that single-mode densities produce node-exact fields, and
+div E = sign * (rho - mean(rho)).  The field carries its sign, and so its
+share sign * |E|^2 / 2 of the conserved energy density.  The squared wavenumbers and the derivative
 factors are built once per grid and shared, read-only, by every solve on it.
 """
 
@@ -70,6 +72,14 @@ def _factors(grid: SpatialGrid) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     return ksq, derivs
 
 
+def _transform(a: np.ndarray, fft) -> np.ndarray:
+    """``fft`` along every axis, the last first: the order and so the bits of
+    ``np.fft.fftn`` and ``ifftn``, without their per-call setup."""
+    for axis in range(a.ndim - 1, -1, -1):
+        a = fft(a, axis=axis)
+    return a
+
+
 def solve_poisson(rho: np.ndarray, grid: SpatialGrid, sign: float = 1.0) -> ElectricField:
     """Solve for the self-consistent field of a charge density on the
     periodic grid.
@@ -81,12 +91,11 @@ def solve_poisson(rho: np.ndarray, grid: SpatialGrid, sign: float = 1.0) -> Elec
     if rho.shape != grid.n:
         raise DimensionError(f"rho shape {rho.shape} does not match grid {grid.n}")
     ksq, derivs = _factors(grid)
-    zero = (0,) * grid.ndim
-    rho_hat = np.fft.fftn(rho)
-    rho_hat[zero] = 0.0
-    phi_hat = rho_hat / ksq
-    phi_hat[zero] = 0.0
-    return ElectricField(tuple(np.fft.ifftn(-sign * d * phi_hat).real for d in derivs), sign)
+    phi_hat = _transform(rho, np.fft.fft)
+    phi_hat[(0,) * grid.ndim] = 0.0
+    phi_hat /= ksq  # whose zero mode is 1, so phi_hat's stays 0
+    return ElectricField(tuple(_transform(-sign * d * phi_hat, np.fft.ifft).real
+                               for d in derivs), sign)
 
 
 def divergence(field: ElectricField, grid: SpatialGrid) -> np.ndarray:
@@ -97,4 +106,4 @@ def divergence(field: ElectricField, grid: SpatialGrid) -> np.ndarray:
 
 def field_energy(field: ElectricField, grid: SpatialGrid) -> float:
     """The field's share of the energy, sign * 0.5 * sum |E|^2 * cell volume."""
-    return 0.5 * field.sign * grid.cell_volume * float(np.sum(field.magnitude_squared()))
+    return 0.5 * field.sign * grid.cell_volume * float(field.magnitude_squared().sum())

@@ -143,11 +143,10 @@ def lift_moments(m: np.ndarray, basis: MomentBasis) -> LowRankMatrix:
     enforced structurally even when terms degenerate.
     """
     rho, j, kappa = m
-    ux = np.column_stack([
-        rho / basis.norm1_sq,
-        j / basis.norm2_sq,
-        (2.0 * kappa - basis.c * rho) / basis.norm3_sq,
-    ])
+    ux = np.empty((rho.shape[0], 3))  # each column written in place
+    np.divide(rho, basis.norm1_sq, out=ux[:, 0])
+    np.divide(j, basis.norm2_sq, out=ux[:, 1])
+    np.divide(2.0 * kappa - basis.c * rho, basis.norm3_sq, out=ux[:, 2])
     return LowRankMatrix(np.ones(3), ux, basis.frame)
 
 

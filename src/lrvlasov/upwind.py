@@ -19,9 +19,11 @@ per ``(n, boundary)``, and per h for derivatives, straight from the weights
 ``_BLOCK``; a block holds both biases of its rows and keeps only the source
 cells those rows touch: block b's column c is cell b * _BLOCK - 3 + c, wrapped
 for periodic data, and for zero extension a cell off the grid keeps an
-in-range index and a zero coefficient.  A call is one ``np.take`` of the
-cached slab index along the axis (moved first) and one batched ``np.matmul``
-that gives both biases.
+in-range index and a zero coefficient.  Every periodic block is the same
+block, so it is held once and broadcast over the blocks.  A call is one
+``take`` of the cached slab index along the axis (moved first) and one
+batched ``np.matmul`` that gives both biases; the boundary and the cell count
+are checked when an operator is built.
 
 ``interfaces`` gives Fhat_{i-1/2}, i = 0 .. n, for both biases: interface
 i - 1/2 reads cells i-3 .. i+2 (plus weights in taps 0-4, minus in taps 1-5).
@@ -77,7 +79,14 @@ def _operator(n: int, boundary: str, h: float | None) -> tuple[np.ndarray, np.nd
     cell b * _BLOCK - 3 + c, and its row 2q + bias is output row
     b * _BLOCK + q of that bias, whose tap k sits in column q + k: each tap
     has exactly one column, however often a wrapped cell recurs in the block.
+    Periodic blocks are all one block, held once and broadcast; zero
+    extension zeroes the off-grid columns of its edge blocks.  The boundary
+    and the cell count are checked here, so only a new operator pays for it.
     """
+    if boundary not in _MIN_CELLS:
+        raise ConfigError(f"boundary must be 'periodic' or 'zero', got {boundary!r}")
+    if n < _MIN_CELLS[boundary]:
+        raise GridSizeError(f"{boundary} stencil needs >= {_MIN_CELLS[boundary]} cells, got {n}")
     taps, rows = _TAPS, n + 1
     if h is not None:
         ext = np.pad(_TAPS, ((0, 0), (1, 1)))
@@ -88,31 +97,40 @@ def _operator(n: int, boundary: str, h: float | None) -> tuple[np.ndarray, np.nd
     tap = np.arange(width) - np.arange(_BLOCK)[:, None]            # [q, c] -> k
     band = np.where((tap >= 0) & (tap < k), taps[:, tap.clip(0, k - 1)], 0.0)
     band = band.transpose(1, 0, 2).reshape(2 * _BLOCK, width)
-    periodic = boundary == "periodic"
-    index = cells % n if periodic else cells.clip(0, n - 1)
-    blocks = np.where((periodic | (cells >= 0) & (cells < n))[:, None, :], band, 0.0)
-    index.flags.writeable = blocks.flags.writeable = False
+    band.flags.writeable = False
+    if boundary == "periodic":
+        index = cells % n
+        blocks = np.broadcast_to(band, (cells.shape[0], *band.shape))  # read-only
+    else:
+        index = cells.clip(0, n - 1)
+        blocks = np.where(((cells >= 0) & (cells < n))[:, None, :], band, 0.0)
+        blocks.flags.writeable = False
+    index.flags.writeable = False
     return index, blocks
+
+
+@lru_cache(maxsize=16)
+def _axes(ndim: int, axis: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """``axis`` in range(ndim), the transpose that moves it first, and the one
+    that takes the output's (rows, bias, others) to (bias, ..., rows, ...)."""
+    axis = range(ndim)[axis]
+    return (axis, (axis, *range(axis), *range(axis + 1, ndim)),
+            (1, *range(2, axis + 2), 0, *range(axis + 2, ndim + 1)))
 
 
 def _apply(values, boundary: str, axis: int, h: float | None) -> np.ndarray:
     """Both biases' rows of the ``(n, boundary, h)`` operator along ``axis``."""
     values = np.asarray(values, dtype=float)
-    if boundary not in _MIN_CELLS:
-        raise ConfigError(f"boundary must be 'periodic' or 'zero', got {boundary!r}")
-    ndim, axis = values.ndim, range(values.ndim)[axis]
+    axis, front, back = _axes(values.ndim, axis)
     n = values.shape[axis]
-    if n < _MIN_CELLS[boundary]:
-        raise GridSizeError(f"{boundary} stencil needs >= {_MIN_CELLS[boundary]} cells, got {n}")
     index, blocks = _operator(n, boundary, h)
-    moved = values.transpose(axis, *range(axis), *range(axis + 1, ndim))
+    moved = values.transpose(front)
     others = moved.shape[1:]
-    slab = np.take(moved, index, axis=0).reshape(*index.shape, math.prod(others))
-    rows = n + (h is None)
-    out = np.matmul(blocks, slab).reshape(index.shape[0] * _BLOCK, 2, *others)[:rows]
+    slab = moved.take(index, axis=0).reshape(*index.shape, math.prod(others))
+    out = np.matmul(blocks, slab).reshape(index.shape[0] * _BLOCK, 2, *others)[:n + (h is None)]
     if h is None and boundary == "periodic":
         out[n] = out[0]
-    return out.transpose(1, *range(2, axis + 2), 0, *range(axis + 2, ndim + 1))
+    return out.transpose(back)
 
 
 def interfaces(values, boundary: str, axis: int = -1) -> np.ndarray:
@@ -125,7 +143,9 @@ def flux_difference(fhat, h: float, axis: int = -1) -> np.ndarray:
     """(Fhat_{j+1/2} - Fhat_{j-1/2}) / h; cell sums telescope exactly."""
     fhat = np.asarray(fhat, dtype=float)
     before = (slice(None),) * range(fhat.ndim)[axis]
-    return (fhat[(*before, slice(1, None))] - fhat[(*before, slice(None, -1))]) / h
+    out = fhat[(*before, slice(1, None))] - fhat[(*before, slice(None, -1))]
+    out /= h
+    return out
 
 
 def derivatives(u, h: float, boundary: str, axis: int = -1) -> np.ndarray:

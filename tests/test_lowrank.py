@@ -206,6 +206,57 @@ def test_negative_eps_rejected(rng):
         truncate_sum([random_lowrank(rng)], -1e-3)
 
 
+def _keep_count_by_definition(s, eps, missed=0.0):
+    """The smallest k whose tail sqrt(missed + ||s[k:]||^2), summed from the
+    last value up, is <= eps; s.size if none is."""
+    tails = np.sqrt(missed + np.cumsum(s[::-1] ** 2))[::-1]
+    return next((k for k in range(s.size) if tails[k] <= eps), s.size)
+
+
+def test_keep_count_matches_its_definition():
+    rng = np.random.default_rng(30)
+    for _ in range(2000):
+        s = np.sort(np.abs(rng.standard_normal(int(rng.integers(0, 20)))))[::-1]
+        s *= 10.0 ** rng.uniform(-8, 2)
+        missed = float(rng.choice([0.0, rng.uniform(0, 1e-2) * float(s @ s)]))
+        tails = np.sqrt(missed + np.cumsum(s[::-1] ** 2))
+        # random thresholds, and every tail itself: a tie at eps keeps the tie
+        for eps in (rng.uniform(0, 1.2) * (tails[-1] if s.size else 1.0), *tails):
+            assert lowrank.keep_count(s, eps, missed) == _keep_count_by_definition(s, eps, missed)
+
+
+def test_keep_count_edge_cases():
+    s = np.array([3.0, 2.0, 2.0, 1.0, 1.0, 0.0, 0.0])  # tails squared 0, 0, 1, 2, 6, 10, 19
+    assert lowrank.keep_count(s, np.sqrt(2.0)) == 3
+    assert lowrank.keep_count(s, np.sqrt(6.0)) == 2
+    assert lowrank.keep_count(s, 0.0) == 5  # eps = 0 drops exact zeros only
+    assert lowrank.keep_count(s, 1e-300) == 5
+    assert lowrank.keep_count(s, np.inf) == 0
+    assert lowrank.keep_count(s, -1.0) == s.size
+    assert lowrank.keep_count(np.zeros(0), 1.0) == 0  # an empty spectrum keeps nothing
+    assert lowrank.keep_count(np.zeros(0), 1.0, missed=4.0) == 0
+    # what the spectrum misses is never dropped: missed >= eps^2 keeps everything
+    assert lowrank.keep_count(s, 1.0, missed=1.0 + 1e-12) == s.size
+    assert lowrank.keep_count(s, 2.0, missed=4.5) == s.size
+    assert lowrank.keep_count(s, 2.0, missed=3.0) == 4
+
+
+def test_keep_count_non_finite_input():
+    s = np.array([3.0, 2.0, 1.0, 0.5])
+    # a NaN threshold keeps everything: the 2D root re-cut passes
+    # sqrt(max(eps^2 - leaf tails, floor)), NaN when a leaf tail is, and a
+    # non-finite state must reach the run's checks, not become an empty cut
+    assert lowrank.keep_count(s, float("nan")) == s.size
+    assert lowrank.keep_count(s, np.sqrt(max(1e-5 ** 2 - np.nan, 1e-12))) == s.size
+    assert lowrank.keep_count(s, 10.0, missed=float("nan")) == s.size
+    assert lowrank.keep_count(s, 10.0, missed=float("inf")) == s.size
+    for bad in ([3.0, np.nan, 1.0, 0.5], [np.nan, 2.0, 1.0, 0.5], [3.0, 2.0, np.inf, 0.5],
+                [3.0, 2.0, 1.0, np.nan]):
+        bad = np.array(bad)
+        for eps in (0.4, 0.6, 1.2, 2.0, 5.0, np.inf):
+            assert lowrank.keep_count(bad, eps) == _keep_count_by_definition(bad, eps)
+
+
 @given(st.integers(0, 500))
 def test_truncate_error_bound_property(seed):
     # spec invariant: ||dense(truncate_sum([f], eps)) - dense(f)||_F <= eps

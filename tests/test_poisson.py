@@ -152,3 +152,23 @@ def test_solves_share_read_only_factors(n):
     poisson._factors.cache_clear()
     fresh = solve_poisson(rho, g)
     assert _bits(again) == _bits(fresh) == _bits(first)
+
+
+@pytest.mark.parametrize("n", [(64,), (128,), (16, 16), (32, 32)])
+def test_solve_transforms_axis_by_axis_as_fftn(n):
+    # fft and ifft run axis by axis, the last axis first, are fftn and ifftn
+    # bit for bit, and so is the solve built on them
+    rng = np.random.default_rng(4)
+    g = SpatialGrid(n=n, x_min=(0.0,) * len(n), x_max=(2.0 * np.pi,) * len(n))
+    rho = 1.0 + 0.1 * rng.standard_normal(n)
+    spectrum = np.fft.fftn(rho)
+    assert poisson._transform(rho, np.fft.fft).tobytes() == spectrum.tobytes()
+    assert poisson._transform(spectrum, np.fft.ifft).tobytes() == np.fft.ifftn(spectrum).tobytes()
+    ksq, derivs = poisson._factors(g)
+    zero = (0,) * len(n)
+    spectrum[zero] = 0.0
+    phi = spectrum / ksq
+    phi[zero] = 0.0
+    for sign in (1.0, -1.0):
+        want = [np.fft.ifftn(-sign * d * phi).real for d in derivs]
+        assert _bits(solve_poisson(rho, g, sign)) == [a.tobytes() for a in want]
