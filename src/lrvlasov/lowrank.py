@@ -13,14 +13,15 @@ concatenation of the blocks' factors, scaled in place by their concatenated
 coefficients.  The sum, its residual and the stacked velocity factors live
 in one workspace per grid that every call reuses, so a warm call faults in
 no page (``_Workspace``); the 2D truncation in ``htucker`` takes its large
-arrays from the same workspace, and nothing either returns aliases it.  Given the weight's roots and an orthonormal
-frame, ``truncate_sum`` cuts in the norm weighted by 1/w: it scales the
-velocity factors by 1/sqrt(w(v_j)) (point values, not quadrature weights),
-projects them off the frame, v <- v - Q (Q^T v), truncates and scales back;
-with the moment carriers' frame it is the 1D pin's cut, which subtracts no
-carrier.  The 2D truncation's exact count at eps = 0 is this loop too, on
-its root matricization.  ``fields`` is the format's one contraction with a
-velocity table, behind both the moments and the KFVS fluxes.
+arrays from the same workspace, and nothing either returns aliases it.
+Given the weight's roots and an orthonormal frame, ``truncate_sum`` cuts in
+the norm weighted by 1/w: it scales the velocity factors by 1/sqrt(w(v_j))
+(point values, not quadrature weights), projects them off the frame,
+v <- v - Q (Q^T v), truncates and scales back; with the moment carriers'
+frame it is the 1D pin's cut, which subtracts no carrier.  The 2D
+truncation's exact count at eps = 0 is this loop too, on its root
+matricization.  ``fields`` is the format's one contraction with a velocity
+table, behind both the moments and the KFVS fluxes.
 """
 
 from __future__ import annotations
