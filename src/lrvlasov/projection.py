@@ -143,7 +143,7 @@ def lift_moments(m: np.ndarray, basis: MomentBasis) -> LowRankMatrix:
     enforced structurally even when terms degenerate.
     """
     rho, j, kappa = m
-    ux = np.empty((rho.shape[0], 3))  # each column written in place
+    ux = np.empty((rho.shape[0], 3))
     np.divide(rho, basis.norm1_sq, out=ux[:, 0])
     np.divide(j, basis.norm2_sq, out=ux[:, 1])
     np.divide(2.0 * kappa - basis.c * rho, basis.norm3_sq, out=ux[:, 2])
