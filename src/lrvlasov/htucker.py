@@ -13,9 +13,11 @@ Addition concatenates blocks exactly.  ``ht_truncate_sum`` is the one
 truncation of a block sum: plain, or, given the weight's roots and the
 carriers' frame, the pin's cut, which truncates the sum's part orthogonal to
 the carriers' moment span in the norm weighted by 1/(w(v1) w(v2)), w at the
-nodes of the velocity grid both leaves share.  Each velocity leaf is
-taken in the grid's own coordinates when its stacked columns are at least as
-many as the grid's points, else in their Householder QR.  A truncation
+nodes of the velocity grid both leaves share; the blocks' velocity leaves are
+stacked and each stack is divided by sqrt(w) once, so every block's leaf
+columns are scaled alike whether or not blocks share a leaf array.  Each
+velocity leaf is taken in the grid's own coordinates when its stacked columns
+are at least as many as the grid's points, else in their Householder QR.  A truncation
 cuts three nodes (the root separation and the two velocity leaves) by their
 singular spectra; Grasedyck's hierarchical SVD bound keeps the total error
 within eps in the Frobenius norm when the squared tails add up to at most
@@ -57,6 +59,7 @@ orthogonal projection onto the moment span that the cut projects off.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -133,14 +136,15 @@ def _cut_leaves(core, uv1, uv2, tol, exact):
     the second after the first: (new uv1, new uv2, the (k1, k2, c) core in
     them, the two discarded squared tails summed).  ``exact`` takes the leaf
     spectra from SVDs, not Grams; a leaf frame of None is the grid's own
-    coordinates."""
-    def leaf_cut(axis, frame):
+    coordinates.  The leaf Grams are the products ``np.tensordot`` would
+    form, on the same operands: the first is the symmetric product of the
+    core's unfolding with its own transpose, the second a general product of
+    two formed unfoldings."""
+    def leaf_cut(unfold, partner, frame):  # the leaf's Gram is unfold @ partner
         if exact:  # a Gram's squared spectrum blurs below sqrt(eps_mach)
-            unfold = np.moveaxis(core, axis, 0).reshape(core.shape[axis], -1)
             vec, s, _ = np.linalg.svd(unfold, full_matrices=False)
         else:
-            others = tuple(a for a in range(3) if a != axis)
-            lam, vec = np.linalg.eigh(np.tensordot(core, core, axes=(others, others)))
+            lam, vec = np.linalg.eigh(np.dot(unfold, partner))
             s = np.sqrt(np.maximum(lam[::-1], 0.0))
             vec = vec[:, ::-1]
         k = max(keep_count(s, tol), 1)
@@ -150,10 +154,14 @@ def _cut_leaves(core, uv1, uv2, tol, exact):
         return (np.ascontiguousarray(rot) if frame is None else frame @ rot, rot,
                 float(s[k:] @ s[k:]))
 
-    new_uv1, rot1, tail1 = leaf_cut(0, uv1)
-    core = np.tensordot(rot1.T, core, axes=(1, 0))  # (k1, b, c)
-    new_uv2, rot2, tail2 = leaf_cut(1, uv2)
-    core = np.moveaxis(np.tensordot(rot2.T, core, axes=(1, 1)), 0, 1)  # (k1, k2, c)
+    _, l, c = core.shape
+    first = core.reshape(core.shape[0], -1)  # (k, (l, c))
+    new_uv1, rot1, tail1 = leaf_cut(first, first.T, uv1)
+    core = np.dot(rot1.T, first).reshape(-1, l, c)  # (k1, l, c)
+    k1 = core.shape[0]
+    second = core.transpose(1, 0, 2).reshape(l, -1)  # (l, (k1, c)), formed
+    new_uv2, rot2, tail2 = leaf_cut(second, core.transpose(0, 2, 1).reshape(-1, l), uv2)
+    core = np.dot(rot2.T, second).reshape(-1, k1, c).transpose(1, 0, 2)  # (k1, k2, c)
     return new_uv1, new_uv2, core, tail1 + tail2
 
 
@@ -177,8 +185,9 @@ class _Runs:
 
     A step's f^n and its transport blocks share f^n's Bvv, so a contraction
     through the transfer tensors takes one matrix product per run of blocks,
-    not one per block.  ``o1``, ``o2`` and ``ov`` are the blocks' offsets in
-    the stacked Uv1, Uv2 and root columns.
+    not one per block.  ``runs`` holds the runs' bounds in ``terms``, and
+    ``o1``, ``o2`` and ``ov`` the blocks' offsets in the stacked Uv1, Uv2 and
+    root columns, all as Python ints.
     """
 
     def __init__(self, terms):
@@ -186,9 +195,9 @@ class _Runs:
         for t in terms:
             runs.setdefault(id(t.Bvv), []).append(t)
         self.terms = [t for run in runs.values() for t in run]
-        self.runs = np.cumsum([0] + [len(run) for run in runs.values()])
-        self.o1, self.o2, self.ov = (
-            np.cumsum([0] + [t.Bvv.shape[i] for t in self.terms]) for i in range(3))
+        self.runs = list(accumulate(map(len, runs.values()), initial=0))
+        self.o1, self.o2, self.ov = (list(accumulate(sizes, initial=0))
+                                     for sizes in zip(*(t.Bvv.shape for t in self.terms)))
 
     def khatri_rao(self, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
         """Root coefficients of p separable pair vectors, shape (sum r_v, p).
@@ -197,20 +206,22 @@ class _Runs:
         contracted with the stacked leaf columns; row block t of the result
         is sum_{a, b} x1[o1_t + a, j] x2[o2_t + b, j] Bvv_t[a, b, :].  Per run
         the Khatri-Rao products of the blocks' leaf coordinates go through the
-        shared Bvv in one matrix product.
+        shared Bvv in one matrix product, written into its rows of the result.
         """
         p = x1.shape[1]
-        out = []
-        for lo, hi in zip(self.runs[:-1], self.runs[1:]):
+        out = np.empty((self.ov[-1], p))
+        for lo, hi in zip(self.runs, self.runs[1:]):
             bvv = self.terms[lo].Bvv
             a, b, k = bvv.shape
             m = hi - lo
+            # each leaf's coordinates formed as (a, m p), so the product runs
+            # along rows of m p, not of p
             y1 = x1[self.o1[lo]:self.o1[hi]].reshape(m, a, p).transpose(1, 0, 2)
             y2 = x2[self.o2[lo]:self.o2[hi]].reshape(m, b, p).transpose(1, 0, 2)
-            kr = (y1[:, None] * y2[None]).reshape(a * b, m * p)
-            z = bvv.reshape(a * b, k).T @ kr
-            out.append(z.reshape(k, m, p).transpose(1, 0, 2).reshape(m * k, p))
-        return np.vstack(out)
+            kr = (y1.reshape(a, 1, m * p) * y2.reshape(1, b, m * p)).reshape(a * b, m * p)
+            z = (bvv.reshape(a * b, k).T @ kr).reshape(k, m, p)
+            out[self.ov[lo]:self.ov[hi]].reshape(m, k, p)[...] = z.transpose(1, 0, 2)
+        return out
 
 
 # the pair transfer of every carrier: leaf pairs (1, 1), (v, 1), (1, v) and
@@ -256,25 +267,27 @@ class _PairUnfold(_Runs):
     per term and run of terms sharing one Bvv, not per pair of terms.  The
     Gram and the unfold are written into the grid's workspace ``ws``.
 
-    Given a leaf ``frame``, both leaf coordinates span it, ``c`` = mat^T Pi
-    for its moment span Pi (the pin's cut), and ``rmatmul`` and ``matmul``
-    apply the unfold projected off Pi, whose Gram is gram() - c c^T.
+    Given ``sqrt_w``, the stacked leaves are divided by it once, which puts
+    the sum in the 1/w-weighted coordinates.  Given a leaf ``frame``, both
+    leaf coordinates span it, ``c`` = mat^T Pi for its moment span Pi (the
+    pin's cut), and ``rmatmul`` and ``matmul`` apply the unfold projected off
+    Pi, whose Gram is gram() - c c^T.
     """
 
-    def __init__(self, terms, frame=None):
+    def __init__(self, terms, frame=None, sqrt_w=None):
         super().__init__(terms)
         self.ws = _workspace(*terms[0].shape)
-        self.q1, self.r1, p1 = _leaf_coordinates(
-            np.concatenate([t.Uv1 for t in self.terms], axis=1), frame)
-        self.q2, self.r2, p2 = _leaf_coordinates(
-            np.concatenate([t.Uv2 for t in self.terms], axis=1), frame)
+        leaves = (np.concatenate([t.Uv1 for t in self.terms], axis=1),
+                  np.concatenate([t.Uv2 for t in self.terms], axis=1))
+        if sqrt_w is not None:
+            for stack in leaves:
+                np.divide(stack, sqrt_w[:, None], out=stack)
+        self.q1, self.r1, p1 = _leaf_coordinates(leaves[0], frame)
+        self.q2, self.r2, p2 = _leaf_coordinates(leaves[1], frame)
         self.pi = self.c = None
         if frame is not None:
             self.pi = (p1[:, _PI_LEAVES[0]], p2[:, _PI_LEAVES[1]])
             self.c = self.khatri_rao(self.r1.T @ self.pi[0], self.r2.T @ self.pi[1]) @ _PI_WEIGHTS
-
-    def _leaves(self, s: int) -> tuple[np.ndarray, np.ndarray]:
-        return (self.r1[:, self.o1[s]:self.o1[s + 1]], self.r2[:, self.o2[s]:self.o2[s + 1]])
 
     def gram(self) -> np.ndarray:
         """mat^T mat from the leaf R factors, one term against each later run.
@@ -283,13 +296,14 @@ class _PairUnfold(_Runs):
         Bvv_t[c, d, l] with G1, G2 the stacked leaves' Grams; the lower
         triangle follows by symmetry.
         """
-        n = self.ov[-1]
+        r1, r2, o1, o2, ov = self.r1, self.r2, self.o1, self.o2, self.ov
+        n = ov[-1]
         gv = self.ws.take("gv", n, n)
         for s, ts in enumerate(self.terms):
             a, b, k = ts.Bvv.shape
-            r1s, r2s = self._leaves(s)
-            rows = slice(self.ov[s], self.ov[s + 1])
-            for lo, hi in zip(self.runs[:-1], self.runs[1:]):
+            r1s, r2s = r1[:, o1[s]:o1[s + 1]], r2[:, o2[s]:o2[s + 1]]
+            bvv_s = ts.Bvv.reshape(a, -1)
+            for lo, hi in zip(self.runs, self.runs[1:]):
                 if hi <= s:
                     continue
                 lo = max(lo, s)
@@ -297,14 +311,15 @@ class _PairUnfold(_Runs):
                 c, d, l = bt.shape
                 m = hi - lo
                 # y[t, (c, b), k] = sum_a G1[s a, t c] Bvv_s[a, b, k]
-                y = (self.r1[:, self.o1[lo]:self.o1[hi]].T @ r1s) @ ts.Bvv.reshape(a, -1)
+                y = (r1[:, o1[lo]:o1[hi]].T @ r1s) @ bvv_s
                 # u[t, (c, b), l] = sum_d G2[s b, t d] Bvv_t[c, d, l]
-                g2 = r2s.T @ self.r2[:, self.o2[lo]:self.o2[hi]]
+                g2 = r2s.T @ r2[:, o2[lo]:o2[hi]]
                 u = np.matmul(g2.reshape(b, m, d).transpose(1, 0, 2)[:, None], bt)
-                block = np.matmul(y.reshape(m, c * b, k).transpose(0, 2, 1),
-                                  u.reshape(m, c * b, l))
-                gv[rows, self.ov[lo]:self.ov[hi]] = block.transpose(1, 0, 2).reshape(k, -1)
-            gv[self.ov[s + 1]:, rows] = gv[rows, self.ov[s + 1]:].T
+                # written straight into gv's (k, l) blocks, each one BLAS product
+                out = gv[ov[s]:ov[s + 1], ov[lo]:ov[hi]].reshape(k, m, l).transpose(1, 0, 2)
+                np.matmul(y.reshape(m, c * b, k).transpose(0, 2, 1), u.reshape(m, c * b, l),
+                          out=out)
+            gv[ov[s + 1]:, ov[s]:ov[s + 1]] = gv[ov[s]:ov[s + 1], ov[s + 1]:].T
         return gv
 
     def rmatmul(self, omega1: np.ndarray, omega2: np.ndarray) -> np.ndarray:
@@ -320,17 +335,18 @@ class _PairUnfold(_Runs):
     def matmul(self, w: np.ndarray) -> np.ndarray:
         """mat w as an (n1, n2, k) core, summed block by block in place and
         projected off Pi given a frame."""
-        shape = (self.r1.shape[0], self.r2.shape[0], w.shape[1])
+        r1, r2, o1, o2, ov = self.r1, self.r2, self.o1, self.o2, self.ov
+        p = w.shape[1]
+        shape = (r1.shape[0], r2.shape[0], p)
         core, part = self.ws.take("core", *shape), self.ws.take("core_part", *shape)
         for s, ts in enumerate(self.terms):
             a, b, _ = ts.Bvv.shape
-            r1s, r2s = self._leaves(s)
-            x = (ts.Bvv.reshape(a * b, -1) @ w[self.ov[s]:self.ov[s + 1]]).reshape(a, -1)
-            x = (r1s @ x).reshape(-1, b, w.shape[1])
+            x = (ts.Bvv.reshape(a * b, -1) @ w[ov[s]:ov[s + 1]]).reshape(a, -1)
+            x = (r1[:, o1[s]:o1[s + 1]] @ x).reshape(-1, b, p)
             if s == 0:
-                np.matmul(r2s, x, out=core)
+                np.matmul(r2[:, o2[s]:o2[s + 1]], x, out=core)
             else:
-                np.add(core, np.matmul(r2s, x, out=part), out=core)
+                np.add(core, np.matmul(r2[:, o2[s]:o2[s + 1]], x, out=part), out=core)
         if self.c is not None:  # core -= Pi (C^T w), one leaf functional at a time
             pi1, pi2 = self.pi
             y = pi2.T[:, :, None] * (_PI_WEIGHTS @ (self.c.T @ w))[:, None]
@@ -391,17 +407,9 @@ def ht_truncate_sum(terms, eps: float, sqrt_w=None, frame=None) -> HtTensor:
     if any(a is not None and a.shape[0] != n for a in (sqrt_w, frame) for n in (nv1, nv2)):
         raise DimensionError("weight or frame length does not match velocity leaves")
     terms = [t for t in terms if min(t.ranks) > 0]  # zero blocks add nothing
-    if sqrt_w is not None:  # a leaf array that several blocks share is divided once
-        scaled = {}
-        for t in terms:
-            for a in (t.Uv1, t.Uv2):
-                if id(a) not in scaled:
-                    scaled[id(a)] = a / sqrt_w[:, None]
-        terms = [HtTensor(t.Ux, t.B, t.Bvv, scaled[id(t.Uv1)], scaled[id(t.Uv2)], t.nx)
-                 for t in terms]
     if not terms:
         return ht_zero(nx, nv1, nv2)
-    pair = _PairUnfold(terms, frame)
+    pair = _PairUnfold(terms, frame, sqrt_w)
     ws = pair.ws
     xb = ws.take("xb", nx[0] * nx[1], pair.ov[-1])
     for s, t in enumerate(pair.terms):
@@ -511,17 +519,15 @@ def ht_lift_moments(m: np.ndarray, basis: MomentBasis) -> HtTensor:
     """Exact carrier tensor whose moments are m, (4, n1, n2); all internal
     ranks are fixed.
 
-    Both velocity leaves hold the frame {1, v, v^2 - c} of ``basis``, weight
-    scaled and normalized by the basis norms."""
-    norms = np.sqrt([basis.norm1_sq, basis.norm2_sq, basis.norm3_sq])
-    c1, c2, c3 = norms
-    frame = basis.frame / norms
+    Both velocity leaves are ``basis.unit_frame``, the frame {1, v, v^2 - c}
+    weight scaled and normalized by the basis norms, built once per grid; the
+    four spatial columns are written in place."""
+    c1, c2, c3 = basis.norms
     rho, j1, j2, kappa = m.reshape(4, -1)
-    ux = np.column_stack([
-        rho / c1**2,
-        j1 / (c1 * c2),
-        j2 / (c1 * c2),
-        np.sqrt(2.0) * (kappa - basis.c * rho) / (c1 * c3),
-    ])
-    return HtTensor(ux, np.eye(4), _PAIR_TRANSFER, frame, frame, m.shape[1:])
-
+    ux = np.empty((rho.shape[0], 4))
+    np.divide(rho, c1**2, out=ux[:, 0])
+    np.divide(j1, c1 * c2, out=ux[:, 1])
+    np.divide(j2, c1 * c2, out=ux[:, 2])
+    np.divide(np.sqrt(2.0) * (kappa - basis.c * rho), c1 * c3, out=ux[:, 3])
+    return HtTensor(ux, np.eye(4), _PAIR_TRANSFER, basis.unit_frame, basis.unit_frame,
+                    m.shape[1:])

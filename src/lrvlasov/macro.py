@@ -40,14 +40,15 @@ def rate(u: np.ndarray, fluxes, field: ElectricField, sgrid: SpatialGrid,
     for ax, (pair, h) in enumerate(zip(fluxes, sgrid.h), start=1):
         fhat = upwind.interfaces(pair, "periodic", axis=ax + 1)
         d = upwind.flux_difference(fhat[0, 0] + fhat[1, 1], h, axis=ax)
-        div = d if div is None else div + d
+        div = d if div is None else np.add(div, d, out=div)
     src = np.zeros_like(div)
     for row, e in enumerate(field.E, start=1):
         np.multiply(u[0], e, out=src[row])
         src[-1] += e * (u[row].sum() / u[row].size)  # mean(J), summed and divided as np.mean
     if extra_source is not None:
         src += np.stack(extra_source(sgrid.nodes(0), t, field.E[0]))
-    return -div + src
+    src -= div  # src + (-div), bit for bit
+    return src
 
 
 def combine(states, weights, rate: np.ndarray, c_dt: float):

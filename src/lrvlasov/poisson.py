@@ -4,11 +4,13 @@ The potential solves -lap(phi) = rho - mean(rho) in Fourier space, with one
 transform over all grid axes for any dimension and the zero mode gauged to
 zero; each transform is ``np.fft.fft`` or ``ifft`` run axis by axis in the
 order of ``fftn``, the last axis first, which gives ``fftn``'s bits without
-its per-call setup.  The field is E = -sign * grad(phi), differentiated
-spectrally so that single-mode densities produce node-exact fields, and
+its per-call setup, and the field's components share one inverse transform.
+The field is E = -sign * grad(phi), differentiated spectrally so that
+single-mode densities produce node-exact fields, and
 div E = sign * (rho - mean(rho)).  The field carries its sign, and so its
-share sign * |E|^2 / 2 of the conserved energy density.  The squared wavenumbers and the derivative
-factors are built once per grid and shared, read-only, by every solve on it.
+share sign * |E|^2 / 2 of the conserved energy density.  The squared
+wavenumbers and the stacked derivative factors are built once per grid and
+shared, read-only, by every solve on it.
 """
 
 from __future__ import annotations
@@ -61,21 +63,24 @@ def _per_axis(grid: SpatialGrid, factor) -> list[np.ndarray]:
 
 
 @lru_cache(maxsize=16)
-def _factors(grid: SpatialGrid) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """``ksq`` with its zero mode set to 1, and the per-axis derivative
-    factors, built once per grid and shared read-only by every solve."""
+def _factors(grid: SpatialGrid) -> tuple[np.ndarray, np.ndarray]:
+    """``ksq`` with its zero mode set to 1, and the derivative factors of
+    every axis stacked, ``(ndim, *n)``, built once per grid and shared
+    read-only by every solve."""
     ksq = sum(k**2 for k in _per_axis(grid, _wavenumbers))
     ksq[(0,) * grid.ndim] = 1.0
-    derivs = tuple(_per_axis(grid, _derivative_factor))
-    for a in (ksq, *derivs):
+    derivs = np.stack(np.broadcast_arrays(*_per_axis(grid, _derivative_factor)))
+    for a in (ksq, derivs):
         a.flags.writeable = False
     return ksq, derivs
 
 
-def _transform(a: np.ndarray, fft) -> np.ndarray:
-    """``fft`` along every axis, the last first: the order and so the bits of
-    ``np.fft.fftn`` and ``ifftn``, without their per-call setup."""
-    for axis in range(a.ndim - 1, -1, -1):
+def _transform(a: np.ndarray, fft, dims: int | None = None) -> np.ndarray:
+    """``fft`` along the last ``dims`` axes (all by default), the last first:
+    the order and so the bits of ``np.fft.fftn`` and ``ifftn``, without their
+    per-call setup; leading axes are a batch, each of whose slices gets the
+    bits of its own transform."""
+    for axis in range(a.ndim - 1, a.ndim - 1 - (a.ndim if dims is None else dims), -1):
         a = fft(a, axis=axis)
     return a
 
@@ -85,7 +90,8 @@ def solve_poisson(rho: np.ndarray, grid: SpatialGrid, sign: float = 1.0) -> Elec
     periodic grid.
 
     The background density is the discrete mean of rho, which enforces the
-    solvability condition exactly.
+    solvability condition exactly.  Every component of the field comes from
+    one batched inverse transform.
     """
     rho = np.asarray(rho, dtype=float)
     if rho.shape != grid.n:
@@ -94,8 +100,8 @@ def solve_poisson(rho: np.ndarray, grid: SpatialGrid, sign: float = 1.0) -> Elec
     phi_hat = _transform(rho, np.fft.fft)
     phi_hat[(0,) * grid.ndim] = 0.0
     phi_hat /= ksq  # whose zero mode is 1, so phi_hat's stays 0
-    return ElectricField(tuple(_transform(-sign * d * phi_hat, np.fft.ifft).real
-                               for d in derivs), sign)
+    return ElectricField(tuple(_transform(-sign * derivs * phi_hat, np.fft.ifft, grid.ndim).real),
+                         sign)
 
 
 def divergence(field: ElectricField, grid: SpatialGrid) -> np.ndarray:

@@ -59,7 +59,9 @@ class MomentBasis:
 
     The weighted-orthogonal basis {1, v, v^2 - c} with its norms and the
     carrier frame w(v) {1, v, v^2 - c}, an (nv, 3) array that both formats'
-    carriers take their velocity factors from; the same frame in the
+    carriers take their velocity factors from, and its columns divided by the
+    basis norms ``norms`` = (||1||_w, ||v||_w, ||v^2 - c||_w) (``unit_frame``,
+    each velocity leaf of the 2D carrier); the same frame in the
     coordinates of the norm weighted by 1/w, the orthonormal columns
     sqrt(w) {1, v, v^2 - c} / ||.|| (``zero_frame``) with the point roots
     ``sqrt_w`` = sqrt(w(v_j)) that map into them, from which both pins'
@@ -90,6 +92,8 @@ class MomentBasis:
     norm2_sq: float   # ||v||_w^2
     norm3_sq: float   # ||v^2 - c||_w^2
     frame: np.ndarray
+    norms: np.ndarray
+    unit_frame: np.ndarray
     sqrt_w: np.ndarray
     zero_frame: np.ndarray
     plus: np.ndarray
@@ -115,8 +119,10 @@ class MomentBasis:
         sqrt_w = np.sqrt(grid.w_points)
         vectors = np.column_stack([one, v, v**2 - c])
         weighted = sqrt_w[:, None] * vectors
+        frame = grid.w_points[:, None] * vectors
+        norms = np.sqrt([n1, n2, n3])
         basis = cls(grid=grid, c=c, norm1_sq=n1, norm2_sq=n2, norm3_sq=n3,
-                    frame=grid.w_points[:, None] * vectors, plus=plus, minus=minus,
+                    frame=frame, norms=norms, unit_frame=frame / norms, plus=plus, minus=minus,
                     sqrt_w=sqrt_w, zero_frame=weighted / np.linalg.norm(weighted, axis=0),
                     moments=MappingProxyType({
                         1: h * np.column_stack([one, v, 0.5 * v**2]),
@@ -126,8 +132,9 @@ class MomentBasis:
                                       for s in (plus, minus)]),
                         2: (np.hstack([*own, second, second]),
                             np.hstack([second, second, *own]), _FLUX_WEIGHTS)}))
-        for a in (basis.frame, basis.sqrt_w, basis.zero_frame, plus, minus,
-                  basis.moments[1], basis.fluxes[1], *basis.moments[2], *basis.fluxes[2]):
+        for a in (basis.frame, basis.norms, basis.unit_frame, basis.sqrt_w, basis.zero_frame,
+                  plus, minus, basis.moments[1], basis.fluxes[1], *basis.moments[2],
+                  *basis.fluxes[2]):
             a.flags.writeable = False
         return basis
 

@@ -15,11 +15,13 @@ Regenerate the files (only for an intended change of results) with
 which also rewrites ``data/weak_landau_1d_step4.bin``, the snapshot that
 ``test_io.py`` resumes bit for bit, from the current code.
 Before it overwrites a file it prints one line for it: unchanged, or how many
-rows changed rank and the largest relative change in each float column.
+rows changed rank and the largest relative change in each float column; for
+the snapshot, unchanged or how many bytes differ.
 """
 
 import csv
 import ctypes
+import tempfile
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -201,10 +203,27 @@ def _write_snapshot_fixture(path) -> None:
     snapshot_write(hist, problem, path)
 
 
+def _regenerate_snapshot_fixture(path: Path) -> None:
+    """Write the snapshot fixture anew, first printing one line for it:
+    unchanged, or how many bytes differ."""
+    with tempfile.TemporaryDirectory() as tmp:
+        fresh = Path(tmp) / path.name
+        _write_snapshot_fixture(fresh)
+        new = fresh.read_bytes()
+    if not path.exists():
+        print(f"{path.name}: new")
+    elif (old := path.read_bytes()) == new:
+        print(f"{path.name}: unchanged")
+    else:
+        differ = sum(a != b for a, b in zip(old, new)) + abs(len(new) - len(old))
+        print(f"{path.name}: {differ} bytes differ ({len(old)} -> {len(new)} bytes)")
+    path.write_bytes(new)
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     with one_blas_thread():
         for name in RUNS:
             _regenerate(name, _table(_run(name)))
         _regenerate("convergence", _convergence_table())
-        _write_snapshot_fixture(Path(__file__).parent / "data" / "weak_landau_1d_step4.bin")
+        _regenerate_snapshot_fixture(Path(__file__).parent / "data" / "weak_landau_1d_step4.bin")

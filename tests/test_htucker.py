@@ -508,6 +508,51 @@ def test_khatri_rao_rmatmul_matches_formed_unfold(rng):
         assert np.all(np.abs(got - mat.T @ dense) <= 1e-13 * (np.abs(mat).T @ np.abs(dense)))
 
 
+def test_pair_gram_matches_formed_unfold(rng):
+    # gram() is mat^T mat of the formed pair unfold mat = matmul(I), to
+    # round-off of |mat|^T |mat|; with a frame, mat is projected off the
+    # moment span and its Gram is gram() - c c^T.  Step-like sums: two Bvv
+    # runs, leaves shared by several blocks, and a zero-rank block, dropped as
+    # ht_truncate_sum drops it; leaves in the grid's coordinates (nv 7) and in
+    # their QR (nv 40), weighted or not
+    for seed in range(4):
+        for nv, projected, weighted in (((7, 6), False, False), ((7, 7), True, True),
+                                        ((40, 40), False, True), ((40, 40), True, False)):
+            frame = np.linalg.qr(rng.standard_normal((nv[0], 3)))[0] if projected else None
+            sqrt_w = rng.uniform(0.5, 1.5, nv[0]) if weighted else None
+            blocks = _step_like_sum(np.random.default_rng(seed), "full", nv)
+            assert len({id(b.Bvv) for b in blocks}) < len(blocks) - 1
+            assert any(min(b.ranks) == 0 for b in blocks)
+            pair = _PairUnfold([b for b in blocks if min(b.ranks) > 0], frame, sqrt_w)
+            assert len(pair.runs) > 2
+            n1, n2 = pair.r1.shape[0], pair.r2.shape[0]
+            assert (n1 < nv[0]) == (nv[0] == 40)
+            cols = pair.ov[-1]
+            mat = pair.matmul(np.eye(cols)).reshape(n1 * n2, cols).copy()
+            gram = pair.gram().copy()
+            if projected:
+                gram -= pair.c @ pair.c.T
+            bound = np.abs(mat).T @ np.abs(mat)
+            assert np.all(np.abs(gram - mat.T @ mat) <= 1e-13 * bound)
+
+
+def test_truncate_sum_same_bits_for_shared_or_copied_leaves(rng):
+    # the stacked leaves are divided by sqrt(w) once, whichever blocks share
+    # which leaf array: blocks holding equal copies of their leaves truncate
+    # bit for bit as blocks sharing them
+    basis = MomentBasis.build(make_velocity_grid(12, 6.0))
+    for kind in ("full", "deficient"):
+        blocks = _step_like_sum(rng, kind, (12, 12))
+        copies = [replace(b, Uv1=b.Uv1.copy(), Uv2=b.Uv2.copy()) for b in blocks]
+        for args in ((), (basis.sqrt_w,), (basis.sqrt_w, basis.zero_frame)):
+            for eps in (0.0, 1e-3):
+                shared = ht_truncate_sum(blocks, eps, *args)
+                copied = ht_truncate_sum(copies, eps, *args)
+                assert shared.ranks == copied.ranks
+                for name in ("Ux", "B", "Bvv", "Uv1", "Uv2"):
+                    assert getattr(shared, name).tobytes() == getattr(copied, name).tobytes()
+
+
 def test_truncate_sum_floor_only_at_eps_zero(rng, monkeypatch):
     # the droptol floor is the only cut at eps = 0, where the 1D truncation
     # counts the formed root matricization exactly; eps > 0 cuts the leaves
