@@ -32,19 +32,19 @@ here branches on the dimension: ``formats`` picks the problem's class
 and below it only ``macro`` keeps one KFVS flux contraction per format.
 Moments share the macroscopic state's layout, with kappa in the last row
 where the state holds e = kappa + sign |E|^2 / 2, the field's share written
-once (``ElectricField.energy_density``).  ``History.newest`` gives the
-moments and field that the CFL bound and the next step reuse: under macro
-those of the level's macroscopic state (``_macro_pair``), which the cut
-already took for its pin target, so a step solves Poisson once and takes no
-moments of its new level, and a level at t = 0 or from a snapshot derives
-the same bits from its state; under plain and conservative the level's own.
+once (``ElectricField.energy_density``).  ``step`` observes each level it
+makes (``_observe``), and the observation is the next stage's field and,
+kept by ``History.push``, the CFL bound's and the next step's: under macro
+the moments and field of the level's macroscopic state (``_macro_pair``),
+which its cut was pinned to, so a stage solves Poisson once and takes no
+moments of its level; under plain and conservative the level's own.  A
+level no step made, at t = 0 or from a snapshot, is observed on first use.
 The diagnostics always measure the level's own moments and field.  A
-non-finite macroscopic state or a failed factorization stops the step with
-``NonFiniteError``, as does a level whose factors overflow a bound on its
-norm or whose moments overflow in their sum or field energy, a step size
-too small to advance t, and a field so large that the CFL step falls below
-1e-3 of the zero-field one (``_DT_FLOOR``).  A resumed run takes its history
-from ``io.snapshot_read`` and builds no initial state.
+non-finite macroscopic state or level, or a failed factorization, stops
+the step with ``NonFiniteError``, as do a step size too small to advance t
+and a field so large that the CFL step falls below 1e-3 of the zero-field
+one (``_DT_FLOOR``).  A resumed run takes its history from
+``io.snapshot_read`` and builds no initial state.
 """
 
 from __future__ import annotations
@@ -85,6 +85,27 @@ def _macro_pair(problem: Problem, u: np.ndarray) -> tuple[np.ndarray, ElectricFi
     return m, field
 
 
+def _observe(problem: Problem, hist: History, f, pair):
+    """Moments and field of level f: ``pair``, the ``_macro_pair`` of the
+    state f was pinned to, under macro, else f's own.
+
+    A level whose factors overflow the bound on its norm, or whose moments
+    are not finite or overflow in their sum or field energy, stops the run
+    with ``NonFiniteError`` at ``hist``'s step.
+    """
+    m = field = None
+    if math.isfinite(_norm_bound(f)):
+        if pair is not None:
+            m, field = pair
+        else:
+            m = problem.moments([f])
+            field = _field_of(problem, m[0]) if np.isfinite(m).all() else None
+    # finite moments can still overflow in their sum or field energy
+    if field is None or not math.isfinite(float(m.sum()) + field_energy(field, problem.sgrid)):
+        raise NonFiniteError(f"non-finite moments at step {hist.step} (t={hist.t:.6g})")
+    return m, field
+
+
 def _norm_bound(f) -> float:
     """A bound on ||f||_F^2: the product of its factors' squared Frobenius
     norms, infinite when a factor word is not finite or overflows it."""
@@ -117,17 +138,16 @@ class History:
     step: int = 0
     dts: list = dataclass_field(default_factory=list)  # last two step sizes
     dt_work: float = 0.0
-    # (level, moments, field) of fs[-1], filled on first use
-    cache: tuple = dataclass_field(default=(), repr=False, compare=False)
-    # (macro state, moments, field) of the state ``pair`` saw last
-    paired: tuple = dataclass_field(default=(), repr=False, compare=False)
+    # ``_observe`` of fs[-1]: its step's, or taken on first use
+    seen: tuple = dataclass_field(default=(), repr=False, compare=False)
 
-    def push(self, f, u, dt: float) -> None:
-        self.fs = [*self.fs, _contig_state(f)][-3:]
+    def push(self, f, u, dt: float, seen: tuple) -> None:
+        self.fs = [*self.fs, f][-3:]
         self.us = [*self.us, u][-3:]
         self.dts = [*self.dts, dt][-2:]
         self.t += dt
         self.step += 1
+        self.seen = seen
 
     def multistep_ready(self, dt: float) -> bool:
         if len(self.fs) < 3 or len(self.dts) < 2:
@@ -135,42 +155,13 @@ class History:
         ref = max(abs(dt), 1e-300)
         return all(abs(d - dt) <= _DT_MATCH * ref for d in self.dts[-2:])
 
-    def pair(self, problem: Problem, u: np.ndarray) -> tuple[np.ndarray, ElectricField]:
-        """``_macro_pair`` of the macroscopic state u, solved once per state:
-        the cut that pins a level to u takes it, and the level's next uses
-        (the next stage's field, ``newest``) find it here."""
-        if not self.paired or self.paired[0] is not u:
-            self.paired = (u, *_macro_pair(problem, u))
-        return self.paired[1], self.paired[2]
-
     def newest(self, problem: Problem):
-        """Moments and field of the newest stored level, once per level: under
-        macro the ``pair`` of its macroscopic state, else its own.
-
-        A level whose factors overflow the bound on its norm, or whose
-        moments are not finite or overflow in their sum or field energy,
-        stops the run here, at the step that produced it.
-        """
-        f = self.fs[-1]
-        if not self.cache or self.cache[0] is not f:
-            m = field = None
-            if math.isfinite(_norm_bound(f)):
-                if problem.cfg.method == "macro":
-                    m, field = self.pair(problem, self.us[-1])
-                else:
-                    m = problem.moments([f])
-                    field = _field_of(problem, m[0]) if np.isfinite(m).all() else None
-            # finite moments can still overflow in their sum or field energy
-            if field is None or not math.isfinite(float(m.sum())
-                                                  + field_energy(field, problem.sgrid)):
-                raise NonFiniteError(f"non-finite moments at step {self.step} "
-                                     f"(t={self.t:.6g})")
-            self.cache = (f, m, field)
-        return self.cache[1], self.cache[2]
-
-    def checked(self) -> bool:
-        """Whether ``newest`` has accepted the newest level."""
-        return bool(self.cache) and self.cache[0] is self.fs[-1]
+        """Moments and field of the newest level, as its step observed them;
+        a level that no step made (t = 0, a resumed one) is observed here."""
+        if not self.seen:
+            pair = _macro_pair(problem, self.us[-1]) if problem.cfg.method == "macro" else None
+            self.seen = _observe(problem, self, self.fs[-1], pair)
+        return self.seen
 
 
 def setup(cfg: SolverConfig) -> Problem:
@@ -230,35 +221,35 @@ def _cut(problem: Problem, blocks: list, target):
 
 
 def step(problem: Problem, hist: History, dt: float):
-    """One multistep or Heun step; returns the new kinetic and macro states."""
+    """One multistep or Heun step; returns the new kinetic and macro states
+    and the new level's ``_observe``."""
     table = MULTISTEP if hist.multistep_ready(dt) else HEUN
     levels, us = list(hist.fs), list(hist.us)
     pinned_to_state = problem.cfg.method == "macro"
-    field = hist.newest(problem)[1]
+    seen = hist.newest(problem)
     for stage in table:
-        if len(levels) > len(hist.fs):  # the newest level is a stage just taken
-            field = (hist.pair(problem, us[-1])[1] if pinned_to_state
-                     else _field_of(problem, problem.moments([levels[-1]])[0]))
+        field = seen[1]
         t_rhs, c_dt = hist.t + stage.t_rhs * dt, stage.c * dt
         blocks = [problem.scale(levels[k], w) for k, w in stage.weights]
         blocks += problem.transport(levels[-1], field, t_rhs, c_dt)
-        u = target = None
+        u = pair = None
         if pinned_to_state:
             u = macro.combine([us[k] for k, _ in stage.weights], [w for _, w in stage.weights],
                               problem.rate(us[-1], levels[-1], field, t_rhs), c_dt)
             if not np.isfinite(u).all():
                 raise NonFiniteError(f"non-finite macroscopic state at step {hist.step} "
                                      f"(t={hist.t:.6g})")
-            target = hist.pair(problem, u)[0]
-        levels.append(_cut(problem, blocks, target))
+            pair = _macro_pair(problem, u)
+        levels.append(_contig_state(_cut(problem, blocks, pair and pair[0])))
         us.append(u)
-    return levels[-1], us[-1]
+        seen = _observe(problem, hist, levels[-1], pair)
+    return levels[-1], us[-1], seen
 
 
 def advance(problem: Problem, hist: History, dt: float) -> None:
     """One step of the configured scheme, checked against the rank cap."""
     try:
-        f_new, u_new = step(problem, hist, dt)
+        f_new, u_new, seen = step(problem, hist, dt)
     except np.linalg.LinAlgError as err:  # LAPACK met a non-finite or overflowing state
         raise NonFiniteError(f"{err} at step {hist.step} (t={hist.t:.6g})") from None
     ranks, cap = problem.ranks(f_new), problem.cfg.rank_cap
@@ -266,7 +257,7 @@ def advance(problem: Problem, hist: History, dt: float) -> None:
         raise RankOverflowError(
             f"rank {ranks} exceeds cap {cap} at t={hist.t:.6g} (step {hist.step}); "
             f"use a larger eps (a coarser truncation keeps fewer ranks) or raise rank_cap")
-    hist.push(f_new, u_new, dt)
+    hist.push(f_new, u_new, dt, seen)
 
 
 # ---------------------------------------------------------------------------
@@ -321,18 +312,20 @@ def run(cfg: SolverConfig, snapshot_every: int = 0, snapshot_dir=None,
 
     ``on_row(row)`` sees each row as it is recorded, even if the run fails.
     A step that overflows the rank cap, or stops on a non-finite macroscopic
-    state, a failed factorization, a step size too small to advance t or a
-    collapsed CFL step, leaves the last good history in ``snapshot_dir`` and
-    names it in its error; after a rank overflow that history resumes under a
-    larger ``rank_cap``.  Non-finite moments, which ``History.newest`` finds in
-    a level already pushed, leave no snapshot."""
+    state or level, a failed factorization, a step size too small to advance
+    t or a collapsed CFL step, leaves the last good history in
+    ``snapshot_dir`` and names it in its error; after a rank overflow that
+    history resumes under a larger ``rank_cap``."""
     if snapshot_every < 0:
         raise ConfigError(f"snapshot_every must be >= 0, got {snapshot_every}")
+    if snapshot_every and snapshot_dir is None:
+        raise ConfigError(f"snapshot_every {snapshot_every} needs a snapshot_dir")
     if resume is None:
         problem, hist = initialize(cfg)
     else:
         problem = setup(cfg)
         hist = _io.snapshot_read(resume, problem)
+    hist.newest(problem)  # the one level no step made; a bad one leaves no snapshot
     series: list[DiagnosticsRow] = []
     clock0 = time.perf_counter()
 
@@ -353,12 +346,11 @@ def run(cfg: SolverConfig, snapshot_every: int = 0, snapshot_dir=None,
         for _ in _march(problem, hist):
             if hist.step % cfg.output_every == 0:
                 record()
-            if snapshot_every and hist.step % snapshot_every == 0 and snapshot_dir is not None:
+            if snapshot_every and hist.step % snapshot_every == 0:
                 snapshot()
     except (RankOverflowError, NonFiniteError) as err:
-        # advance raises before the push, so hist still holds the last good
-        # step; History.newest raises after it, on a level that is not good
-        if snapshot_dir is None or not hist.checked():
+        # advance raises before the push, so hist holds the last good step
+        if snapshot_dir is None:
             raise
         raise type(err)(f"{err}; the last good state is in {snapshot()}") from None
     if not series or series[-1].t < hist.t - _tiny(cfg):

@@ -272,11 +272,11 @@ def test_pin_takes_moments_of_the_leak_and_the_target_only(monkeypatch, preset, 
 
 @pytest.mark.parametrize("method,solves", [("plain", 1), ("macro", 1)])
 def test_multistep_step_field_solves(monkeypatch, method, solves):
-    # a step of the run loop (CFL bound, then advance) solves once: for f^n
-    # under plain, for the co-evolved density under macro, whose field the
-    # new level then keeps (the CFL bound of f^n reuses the previous step's);
-    # the diagnostics and the next CFL bound then take a single solve, the
-    # diagnostics' own under macro
+    # a step of the run loop (CFL bound, then advance) solves once, for the
+    # new level, whose field the step observes: under plain from its own
+    # moments, under macro from its co-evolved density (the CFL bound of f^n
+    # reuses the previous step's); the diagnostics and the next CFL bound
+    # then reuse it, except for the diagnostics' own solve under macro
     import lrvlasov.driver as driver
     from lrvlasov.driver import diagnostics_row
 
@@ -299,7 +299,7 @@ def test_multistep_step_field_solves(monkeypatch, method, solves):
     calls.clear()
     diagnostics_row(problem, hist, 0.0)
     select_dt(problem, hist.newest(problem)[1], cfg.cfl)
-    assert len(calls) == 1
+    assert len(calls) == (method == "macro")
 
 
 @pytest.mark.parametrize("preset,grid", [("weak_landau_1d", {"nx": 16, "nv": 33}),
@@ -392,7 +392,7 @@ def test_dense_scheme_equivalence_1d(method):
         hist.us.append(_macro_of(problem, f))
     hist.dts = [dt, dt]
 
-    f_new, _ = step(problem, hist, dt)
+    f_new, _, _ = step(problem, hist, dt)
     u_n = hist.us[-1]
     u_nm2 = hist.us[-3]
     dense_new, _ = dense_step_1d(
@@ -435,7 +435,7 @@ def test_dense_scheme_equivalence_2d(method):
         hist.us.append(_macro_of_2d(problem, f))
     hist.dts = [dt, dt]
 
-    f_new, _ = step(problem, hist, dt)
+    f_new, _, _ = step(problem, hist, dt)
 
     # dense reference, mirroring the scheme on the full 4D array
     g1, g2 = problem.vgrids
@@ -491,7 +491,7 @@ def test_dense_heun_equivalence_1d():
         (e,) = solve_poisson(dense_moments(f, vgrid)[0], sgrid, cfg.poisson_sign).E
         return reference.dense_transport_rhs(f, e, sgrid, vgrid)
 
-    f_new, _ = step(problem, hist, dt)
+    f_new, _, _ = step(problem, hist, dt)
     dense_new = _dense_heun(hist.fs[-1].dense(), dt, rhs)
     assert np.linalg.norm(f_new.dense() - dense_new) < 1e-11 * np.linalg.norm(dense_new)
 
@@ -506,7 +506,7 @@ def test_dense_heun_equivalence_2d():
         field = solve_poisson(dense_moments_2d(f, g1, g2)[0], problem.sgrid, cfg.poisson_sign)
         return reference.dense_transport_rhs_2d(f, field, problem.sgrid, g1, g2)
 
-    f_new, _ = step(problem, hist, dt)
+    f_new, _, _ = step(problem, hist, dt)
     dense_new = _dense_heun(hist.fs[-1].dense(), dt, rhs)
     ref = np.linalg.norm(dense_new.ravel())
     assert np.linalg.norm((f_new.dense() - dense_new).ravel()) < 1e-11 * ref
@@ -531,27 +531,53 @@ def test_forced_one_step_residual_small():
             hist.us.append(_macro_of(problem, f))
         hist.dts = [dt, dt]
         hist.t = 0.5
-        f_new, _ = step(problem, hist, dt)
+        f_new, _, _ = step(problem, hist, dt)
         exact = problem.preset.exact_f(0.5 + dt, x, v)
         residuals.append(np.max(np.abs(f_new.dense() - exact)))
     # one-step error should shrink at least like dt^3 until the h^5 floor
     assert residuals[0] / residuals[1] > 4.0
 
 
-def test_non_finite_state_stops_run_at_its_step(monkeypatch):
+def _poison_cuts_of_step(monkeypatch, k):
+    """Make every ``driver._cut`` of step k return NaN coefficients; returns
+    the list of the steps whose cuts ran, one entry a cut."""
     import lrvlasov.driver as driver
 
-    real_step = driver.step
+    real_step, real_cut, cuts, at = driver.step, driver._cut, [], []
 
-    def poisoned(problem, hist, dt):
-        f, u = real_step(problem, hist, dt)
-        if hist.step == 4:  # the state this returns becomes step 5
-            f = LowRankMatrix(f.C * np.nan, f.Ux, f.Uv)
-        return f, u
+    def tracked(problem, hist, dt):
+        at.append(hist.step)
+        return real_step(problem, hist, dt)
 
-    monkeypatch.setattr(driver, "step", poisoned)
-    with pytest.raises(NonFiniteError, match=r"step 5 \(t=0\.\d+"):
+    def poisoned(problem, blocks, target):
+        f = real_cut(problem, blocks, target)
+        cuts.append(at[-1])
+        if at[-1] != k:
+            return f
+        return (replace(f, C=f.C * np.nan) if isinstance(f, LowRankMatrix)
+                else replace(f, B=f.B * np.nan))
+
+    monkeypatch.setattr(driver, "step", tracked)
+    monkeypatch.setattr(driver, "_cut", poisoned)
+    return cuts
+
+
+def test_non_finite_state_stops_run_at_its_step(monkeypatch):
+    _poison_cuts_of_step(monkeypatch, 4)
+    with pytest.raises(NonFiniteError, match=r"non-finite moments at step 4 \(t=0\.\d+"):
         run(from_preset("weak_landau_1d", nx=16, nv=33, t_end=1.0))
+
+
+@pytest.mark.parametrize("method", ["plain", "conservative", "macro"])
+@pytest.mark.parametrize("preset,grid", [("weak_landau_1d", {"nx": 16, "nv": 33}),
+                                         ("weak_landau_2d2v", {"nx": 8, "nv": 16})])
+def test_non_finite_heun_stage_stops_the_step(monkeypatch, preset, grid, method):
+    # the first stage's level is observed where it is made: its NaN stops
+    # step 0 there, before the second stage's cut meets it in the SVD or eigh
+    cuts = _poison_cuts_of_step(monkeypatch, 0)
+    with pytest.raises(NonFiniteError, match=r"^non-finite moments at step 0 \(t=0\)$"):
+        run(from_preset(preset, method=method, t_end=0.1, **grid))
+    assert cuts == [0]
 
 
 @pytest.mark.parametrize("preset,grid", [("weak_landau_1d", {"nx": 16, "nv": 33}),
@@ -592,22 +618,23 @@ def test_non_finite_macro_state_leaves_a_snapshot_that_resumes(monkeypatch, tmp_
             b.t, b.ranks, b.mass, b.momentum, b.energy, b.efield_energy)
 
 
-def test_non_finite_moments_leave_no_snapshot(monkeypatch, tmp_path):
-    # newest finds them in a level already pushed, which is not a good state
-    import lrvlasov.driver as driver
-
-    real_step = driver.step
-
-    def poisoned(problem, hist, dt):
-        f, u = real_step(problem, hist, dt)
-        if hist.step == 2:
-            f = LowRankMatrix(f.C * np.nan, f.Ux, f.Uv)
-        return f, u
-
-    monkeypatch.setattr(driver, "step", poisoned)
-    with pytest.raises(NonFiniteError, match=r"non-finite moments at step 3 \(t=[\d.]+\)$"):
-        run(from_preset("weak_landau_1d", nx=16, nv=33, t_end=1.0), snapshot_dir=str(tmp_path))
-    assert not list(tmp_path.iterdir())
+def test_non_finite_moments_leave_a_snapshot_that_resumes(monkeypatch, tmp_path):
+    # the step observes its level before the push, so the history it leaves
+    # is the last good one
+    cfg = from_preset("weak_landau_1d", nx=16, nv=33, t_end=0.1, output_every=1)
+    full = run(cfg)
+    _poison_cuts_of_step(monkeypatch, 2)
+    with pytest.raises(NonFiniteError, match="the last good state is in") as err:
+        run(cfg, snapshot_dir=str(tmp_path))
+    path = tmp_path / "snapshot_000002.bin"
+    assert str(err.value).startswith("non-finite moments at step 2 (t=")
+    assert str(path) in str(err.value) and sorted(tmp_path.iterdir()) == [path]
+    monkeypatch.undo()
+    resumed = run(cfg, resume=str(path))
+    assert len(resumed) == len(full) - 2
+    for a, b in zip(resumed, full[2:]):
+        assert (a.t, a.ranks, a.mass, a.momentum, a.energy, a.efield_energy) == (
+            b.t, b.ranks, b.mass, b.momentum, b.energy, b.efield_energy)
 
 
 def test_linalg_error_in_a_step_is_typed(monkeypatch):

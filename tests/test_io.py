@@ -768,6 +768,18 @@ def test_negative_snapshot_cadence_rejected(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+def test_snapshot_cadence_without_a_directory_rejected(monkeypatch):
+    # a cadence with nowhere to write would silently write nothing
+    import lrvlasov.driver as driver
+
+    def no_step(*args):
+        pytest.fail("the run took a step")
+
+    monkeypatch.setattr(driver, "advance", no_step)
+    with pytest.raises(ConfigError, match="snapshot_every 2 needs a snapshot_dir"):
+        run(from_preset("weak_landau_1d", nx=16, nv=33, t_end=0.05), snapshot_every=2)
+
+
 def test_cli_compare_writes_all_methods(tmp_path):
     from lrvlasov.cli import main
 
@@ -1161,20 +1173,23 @@ def test_resumed_huge_factor_word_stops_at_the_resumed_step(step3_snapshots, tmp
 
 @pytest.mark.parametrize("preset", sorted(STEP3_RUNS))
 def test_resumed_macro_level_has_the_uninterrupted_moments_and_field(tmp_path, preset):
-    # the uninterrupted run's newest level keeps the pair its cut took; the
-    # resumed one derives it from the stored state, to the same bits
+    # the uninterrupted run's newest level keeps what its step observed: the
+    # pair its cut took under macro, else the moments of its C-ordered copy;
+    # the resumed one derives them from the stored level, to the same bits
     from lrvlasov.driver import _march
 
     nx, nv, t_end = STEP3_RUNS[preset]
-    problem, hist = initialize(from_preset(preset, nx=nx, nv=nv, t_end=t_end))
-    march = _march(problem, hist)
-    while hist.step < 3:
-        next(march)
-    snapshot_write(hist, problem, tmp_path / "s.bin")
-    resumed = snapshot_read(tmp_path / "s.bin", setup(problem.cfg))
-    (m, field), (m2, field2) = hist.newest(problem), resumed.newest(problem)
-    assert m.tobytes() == m2.tobytes()
-    assert [e.tobytes() for e in field.E] == [e.tobytes() for e in field2.E]
+    for method in ("plain", "conservative", "macro"):
+        cfg = from_preset(preset, nx=nx, nv=nv, t_end=t_end, method=method)
+        problem, hist = initialize(cfg)
+        march = _march(problem, hist)
+        while hist.step < 3:
+            next(march)
+        snapshot_write(hist, problem, tmp_path / f"{method}.bin")
+        resumed = snapshot_read(tmp_path / f"{method}.bin", setup(cfg))
+        (m, field), (m2, field2) = hist.newest(problem), resumed.newest(problem)
+        assert m.tobytes() == m2.tobytes()
+        assert [e.tobytes() for e in field.E] == [e.tobytes() for e in field2.E]
 
 
 _FUZZ_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 0.5, 3.0, 1e300, -1e300,
@@ -1255,7 +1270,7 @@ def test_cli_resume_prints_only_its_error_line(step3_snapshots, tmp_path, word):
         assert (out.returncode, out.stderr) == (0, "")
     else:
         assert out.returncode == 2
-        assert out.stderr.startswith("error: non-finite moments at step 5")
+        assert out.stderr.startswith("error: non-finite moments at step 4")
         assert out.stderr.count("\n") == 1 and out.stderr.endswith("\n")
 
 
