@@ -240,7 +240,9 @@ def step(problem: Problem, hist: History, dt: float):
                 raise NonFiniteError(f"non-finite macroscopic state at step {hist.step} "
                                      f"(t={hist.t:.6g})")
             pair = _macro_pair(problem, u)
-        levels.append(_contig_state(_cut(problem, blocks, pair and pair[0])))
+        level = _cut(problem, blocks, pair and pair[0])
+        del blocks  # so the copy reuses their memory, not raises the step's peak
+        levels.append(_contig_state(level))
         us.append(u)
         seen = _observe(problem, hist, levels[-1], pair)
     return levels[-1], us[-1], seen
