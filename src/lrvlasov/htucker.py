@@ -65,8 +65,8 @@ import numpy as np
 
 from . import lowrank
 from .errors import DimensionError, DomainError
-from .lowrank import (DEFAULT_DROPTOL, _SKETCH_MARGIN, _check_shapes, _range_finder,
-                      _workspace, keep_count)
+from .lowrank import (DEFAULT_DROPTOL, _SKETCH_MARGIN, _check_shapes, _gram_spectrum,
+                      _range_finder, _workspace, keep_count)
 from .projection import MomentBasis
 
 
@@ -144,9 +144,8 @@ def _cut_leaves(core, uv1, uv2, tol, exact):
         if exact:  # a Gram's squared spectrum blurs below sqrt(eps_mach)
             vec, s, _ = np.linalg.svd(unfold, full_matrices=False)
         else:
-            lam, vec = np.linalg.eigh(np.dot(unfold, partner))
-            s = np.sqrt(np.maximum(lam[::-1], 0.0))
-            vec = vec[:, ::-1]
+            lam, vec = _gram_spectrum(np.dot(unfold, partner))
+            s = np.sqrt(lam)
         k = max(keep_count(s, tol), 1)
         rot = vec[:, :k]
         # a leaf stored as a reversed view of eigh's output would reach later
@@ -451,8 +450,7 @@ def ht_truncate_sum(terms, eps: float, sqrt_w=None, frame=None) -> HtTensor:
         if pair.c is not None:
             zc = z @ pair.c
             gram -= zc @ zc.T
-        lam, vec = np.linalg.eigh(gram)
-        lam, vec = np.maximum(lam[::-1], 0.0), vec[:, ::-1]
+        lam, vec = _gram_spectrum(gram)
         missed = max(norm2 - lam.sum(), 0.0) if q.shape[1] < most else 0.0
         return keep_count(np.sqrt(lam), np.sqrt(cut2), missed), (z, zc, vec, lam, missed)
 

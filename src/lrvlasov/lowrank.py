@@ -6,9 +6,13 @@ included, is ``truncate_sum``: it runs ``_range_finder``, the sketch loop of
 both formats, on the sum formed densely (at eps = 0 the sum is its own
 sketch), at most 128 x 257 for the 1D presets, and cheaper to form than the
 stacked factors are to orthonormalize.
-It stops once the exact error of the returned matrix, the explicit residual
-of the sketch plus the discarded singular values, is within eps, so the bound
-holds whatever the draws; they can only cost rank.  The spatial stack is one
+It stops once the error of the returned matrix, the explicit residual of the
+sketch plus the discarded spectrum of the sketched rows B = Q^T S, is within
+eps, so the bound holds whatever the draws; they can only cost rank.  At
+eps > 0 that spectrum comes from ``eigh`` of the small Gram B B^T (about 60%
+of the SVD's time on the 1D presets' 257 x 23 products), with its round-off
+counted in the tail; cuts that round-off could reach (``_SVD_SWITCH``), and
+eps = 0, take the SVD of B.  The spatial stack is one
 concatenation of the blocks' factors, scaled in place by their concatenated
 coefficients.  The sum, its residual and the stacked velocity factors live
 in one workspace per grid that every call reuses, so a warm call faults in
@@ -39,6 +43,17 @@ from .errors import DimensionError, DomainError
 DEFAULT_DROPTOL = 1e-14
 
 _SKETCH_MARGIN = 8   # sketch columns beyond the kept rank and the largest block rank
+# Over-estimate of the Gram route's round-off in a counted squared tail, per
+# unit of ||S||_F^2: on 24000 cuts of the seven sum kinds of the tests, at
+# eps/||S|| from 1e-8 to 0.1, the exact error^2 exceeded the counted tail by at
+# most 6.0 eps_mach ||S||_F^2 (the Gram's own rounding and eigh's backward error)
+_GRAM_ROUNDOFF = 64.0 * np.finfo(float).eps
+# eps^2 at most this multiple of the round-off takes the SVD of B (eps/||S|| <=
+# 3.8e-6): there the added round-off would cost rank, and eigh's smallest
+# values, accurate only to eps_mach lambda_1, blur the tail; above it the
+# round-off is <= 1e-3 eps^2, and the 1D presets, cutting at eps/||S|| of
+# 3.4e-5 to 3.9e-5, keep the SVD's ranks
+_SVD_SWITCH = 1e3
 # n -> (generator, read-only C-ordered (n, drawn) columns): a memo of a
 # function of n alone, so no caller sees what another asked for; stdlib draws
 # keep numpy.random unimported
@@ -115,6 +130,14 @@ def keep_count(s: np.ndarray, eps: float, missed: float = 0.0) -> int:
     tails += missed
     np.sqrt(tails, out=tails)
     return s.size - int(tails.searchsorted(eps, side="right"))
+
+
+def _gram_spectrum(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of a symmetric Gram, the values in descending order and
+    clipped at 0 (round-off leaves the smallest slightly negative), the
+    vectors a reversed view of ``eigh``'s, column i belonging to value i."""
+    lam, vec = np.linalg.eigh(gram)
+    return np.maximum(lam[::-1], 0.0), vec[:, ::-1]
 
 
 def _test_matrix(n: int, p: int) -> np.ndarray:
@@ -196,17 +219,25 @@ def truncate_sum(terms, eps: float, sqrt_w=None, frame=None) -> LowRankMatrix:
 
     S = sum_b (Ux_b C_b) Uv_b^T (velocity columns divided by ``sqrt_w``, then
     projected off ``frame``, v <- v - frame (frame^T v)) is formed densely
-    and sketched by ``_range_finder``: Q = qr(S Omega), B = Q^T S,
-    B = V s U^T from the SVD of B^T.  The error of keeping k singular
-    triplets is exactly ||S - Q B||_F^2 + sum_{i>=k} s_i^2, the first term
-    from the explicit residual, so no squared norm is subtracted.  The rank
-    bound of S is min(Nx, Nv, sum of ranks).  eps = 0 takes Q = qr(S), S
-    being its own sketch, and cuts at ``DEFAULT_DROPTOL`` times the summed
-    products of the stacked columns' norms as S sees them (scaled and
-    projected), a bound on ||S|| that survives cancellation.
+    and sketched by ``_range_finder``: Q = qr(S Omega), B = Q^T S.  With the
+    eigenpairs lambda_i, V of the p x p Gram B B^T, descending, the result is
+    Ux = Q V_k, C = sqrt(lambda_k), Uv = B^T V_k / sqrt(lambda_k), that is
+    Q V_k V_k^T B, whose squared error is exactly ||S - Q B||_F^2 +
+    sum_{i>=k} lambda_i, the first term from the explicit residual, so no
+    squared norm is subtracted; the counted tail adds ``_GRAM_ROUNDOFF``
+    ||S||_F^2 for the Gram's round-off, an over-estimate that never floors the
+    threshold.  Where eps^2 is within ``_SVD_SWITCH`` of that term, and at
+    eps = 0, B = V s U^T comes from the SVD of B^T instead, with the same
+    identity in s_i^2 and no round-off term.  The rank bound of S is
+    min(Nx, Nv, sum of ranks).  eps = 0 takes Q = qr(S), S being its own
+    sketch, and cuts at ``DEFAULT_DROPTOL`` times the summed products of the
+    stacked columns' norms as S sees them (scaled and projected), a bound on
+    ||S|| that survives cancellation.
 
     The result has orthonormal factors (velocity factors orthonormal in the
-    weighted coordinates) and sorted nonnegative coefficients; the cut neither
+    weighted coordinates: to round-off on the SVD route, to about
+    eps_mach lambda_1 / lambda_k on the Gram route, at most 4.6e-12 on the 1D
+    presets' cuts) and sorted nonnegative coefficients; the cut neither
     touches nor returns anything in the frame's span, so with the moment
     carriers' frame (``projection.MomentBasis.zero_frame``) the result has
     zero moments to round-off.  Only the lengths of ``sqrt_w`` and ``frame``
@@ -235,11 +266,21 @@ def truncate_sum(terms, eps: float, sqrt_w=None, frame=None) -> LowRankMatrix:
     s_mat = np.matmul(x, v.T, out=ws.take("s_mat", nx, nv))
     resid = ws.take("resid", nx, nv)
 
-    def count(q):
+    # eps = 0 and NaN take the SVD too, as no eps^2 is above an infinite term
+    roundoff = _GRAM_ROUNDOFF * float(np.vdot(s_mat, s_mat)) if eps > 0.0 else math.inf
+    exact = not eps ** 2 > _SVD_SWITCH * roundoff
+
+    def count(q):  # also B, its spectrum s and V, and on the SVD route Uv
         b = q.T @ s_mat
-        u, s, vt = np.linalg.svd(b.T, full_matrices=False)
         tail = np.subtract(s_mat, np.matmul(q, b, out=resid), out=resid).ravel()
-        return keep_count(s, eps, float(tail @ tail)), (u, s, vt)
+        missed = float(tail @ tail)
+        if exact:
+            u, s, vt = np.linalg.svd(b.T, full_matrices=False)
+            return keep_count(s, eps, missed), (b, s, vt.T, u)
+        lam, vec = _gram_spectrum(b @ b.T)
+        s = np.sqrt(lam)  # a zero value, kept only when no tail meets eps, has no Uv
+        keep = min(keep_count(s, eps, missed + roundoff), np.count_nonzero(s))
+        return keep, (b, s, vec, None)
 
     if eps == 0.0:
         # a test matrix as wide as the rank bound is square on the row space of
@@ -247,14 +288,14 @@ def truncate_sum(terms, eps: float, sqrt_w=None, frame=None) -> LowRankMatrix:
         # on a 28-column sum whose spectrum spans 1e9), so S is its own sketch
         eps = DEFAULT_DROPTOL * float(np.linalg.norm(x, axis=0) @ np.linalg.norm(v, axis=0))
         q = np.linalg.qr(s_mat)[0]
-        keep, (u, s, vt) = count(q)
+        keep, (b, s, vec, u) = count(q)
     else:  # both formats start at the largest block rank + the margin
-        q, keep, (u, s, vt) = _range_finder(
+        q, keep, (b, s, vec, u) = _range_finder(
             lambda omega: s_mat @ omega, count, nv, max(t.rank for t in terms) + _SKETCH_MARGIN,
             min(nx, nv, x.shape[1]))
-    uv = u[:, :keep]
-    return LowRankMatrix(s[:keep], q @ vt[:keep].T,
-                         uv if sqrt_w is None else uv * sqrt_w[:, None])
+    rot, s = vec[:, :keep], s[:keep]
+    uv = u[:, :keep] if u is not None else (b.T @ rot) / s
+    return LowRankMatrix(s, q @ rot, uv if sqrt_w is None else uv * sqrt_w[:, None])
 
 
 def recompress(f: LowRankMatrix) -> LowRankMatrix:

@@ -11,10 +11,18 @@ div E = sign * (rho - mean(rho)).  The field carries its sign, and so its
 share sign * |E|^2 / 2 of the conserved energy density.  The squared
 wavenumbers and the stacked derivative factors are built once per grid and
 shared, read-only, by every solve on it.
+
+On a grid whose field operator, the real (ndim N x N) matrix of that solve,
+has at most ``_OPERATOR_WORDS`` words (1D grids of up to 256 points), the
+solve is instead one product of the operator, built once per grid from the
+transform solve and shared read-only, with the density less a constant; it
+matches the transform path to round-off (a few eps_mach of max|E|), not bit
+for bit.  The 2D presets' grids, 16 x 16 and up, take the transforms.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -22,6 +30,12 @@ import numpy as np
 
 from .errors import DimensionError
 from .grids import SpatialGrid
+
+# the largest field operator applied as a product (512 KiB): a solve on 64 to
+# 256 points then costs 9-19 us against 21-27 us for the transforms (1 BLAS
+# thread), and every 2D preset grid, 16 x 16 (2^17 words) and up, keeps the
+# transform path and its bits
+_OPERATOR_WORDS = 2 ** 16
 
 
 @dataclass
@@ -85,17 +99,47 @@ def _transform(a: np.ndarray, fft, dims: int | None = None) -> np.ndarray:
     return a
 
 
+@lru_cache(maxsize=16)
+def _field_operator(grid: SpatialGrid) -> np.ndarray | None:
+    """The real (ndim * N, N) map from a density to the stacked components of
+    its field at sign 1, N the grid's point count, built once per grid from
+    the transform solve of every unit density and shared read-only; None
+    when it has more than ``_OPERATOR_WORDS`` words.  It maps constants to
+    round-off, as the transform solve's gauge maps them to zero."""
+    n = math.prod(grid.n)
+    if grid.ndim * n * n > _OPERATOR_WORDS:
+        return None
+    ksq, derivs = _factors(grid)
+    phi_hat = _transform(np.eye(n).reshape(n, *grid.n), np.fft.fft, grid.ndim)
+    phi_hat[(slice(None),) + (0,) * grid.ndim] = 0.0
+    phi_hat /= ksq
+    fields = _transform(-derivs[:, None] * phi_hat, np.fft.ifft, grid.ndim).real
+    op = np.ascontiguousarray(fields.reshape(grid.ndim, n, n).transpose(0, 2, 1)).reshape(-1, n)
+    op.flags.writeable = False
+    return op
+
+
 def solve_poisson(rho: np.ndarray, grid: SpatialGrid, sign: float = 1.0) -> ElectricField:
     """Solve for the self-consistent field of a charge density on the
     periodic grid.
 
     The background density is the discrete mean of rho, which enforces the
-    solvability condition exactly.  Every component of the field comes from
+    solvability condition exactly.  A grid small enough for ``_field_operator``
+    takes the field as one product of its operator with rho - rho[0], which
+    differs from rho - mean(rho) by a constant the operator maps to
+    round-off, and which is exactly zero for a constant density, whose mean
+    need not be exact in floating point; its field is exactly zero, as on the
+    transform path.  Any other grid takes every component of the field from
     one batched inverse transform.
     """
     rho = np.asarray(rho, dtype=float)
     if rho.shape != grid.n:
         raise DimensionError(f"rho shape {rho.shape} does not match grid {grid.n}")
+    op = _field_operator(grid)
+    if op is not None:
+        flat = rho.ravel()
+        field = sign * (op @ (flat - flat[0]))
+        return ElectricField(tuple(field.reshape(grid.ndim, *grid.n)), sign)
     ksq, derivs = _factors(grid)
     phi_hat = _transform(rho, np.fft.fft)
     phi_hat[(0,) * grid.ndim] = 0.0

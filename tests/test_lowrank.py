@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lrvlasov
@@ -339,6 +339,9 @@ def _cut(terms, eps, w_points):
 @settings(max_examples=120)
 @given(kind=st.sampled_from(_SUM_KINDS), seed=st.integers(0, 2**20),
        log_eps=st.floats(-8.0, -0.5))
+# eps/||S|| about 5e-8: the Gram spectrum's tail is round-off there, and
+# without the SVD at such eps the cut missed eps (err 2.8477e-6 > 2.8399e-6)
+@example(kind="split_plateau", seed=9859, log_eps=-4.0)
 def test_truncate_sum_meets_eps_against_dense(kind, seed, log_eps):
     terms, w = _sum_case(kind, np.random.default_rng(seed))
     root = np.ones(terms[0].shape[1]) if w is None else np.sqrt(w)
@@ -372,6 +375,29 @@ def test_truncate_sum_meets_eps_against_dense(kind, seed, log_eps):
     assert np.max(np.abs(exact.dense() - dense), initial=0.0) <= 1e-11 * top
     if top == 0.0:
         assert exact.rank == 0 and out.rank == 0
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_only_cuts_near_the_gram_round_off_take_the_svd(rng, monkeypatch, weighted):
+    # eps^2 within 1e3 of the Gram's round-off (eps/||S|| <= 3.8e-6) takes
+    # the SVD of B; coarser cuts take the spectrum of the p x p Gram B B^T
+    grid = make_velocity_grid(50, 6.0, GaussianWeight(2.0))
+    terms = [_graded(rng, 40, 50, r, 0.7) for r in (6, 9, 4)]
+    w = grid.w_points if weighted else None
+    root = np.sqrt(w) if weighted else np.ones(50)
+    dense = add(*terms).dense()
+    norm = float(np.linalg.norm(dense / root[None, :]))
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    for rel, takes_svd in ((1e-8, True), (1e-10, True), (1e-4, False), (1e-2, False)):
+        calls.clear()
+        out = _cut(terms, rel * norm, w)
+        assert bool(calls) == takes_svd
+        assert np.linalg.norm((out.dense() - dense) / root[None, :]) <= rel * norm
+        # the Gram route's velocity factors are orthonormal to about 1e-11
+        uv = out.Uv / root[:, None]
+        assert np.abs(uv.T @ uv - np.eye(out.rank)).max() <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -449,10 +475,12 @@ print(json.dumps({"steps": hist.step - first, "minflt": after.ru_minflt - before
 
 def _faults_per_step(preset: str, overrides: dict, runs: int = 1) -> dict:
     # one BLAS thread, as the benchmark runs, since a second thread's arena
-    # keeps the heap top from being trimmed and hides the faults
+    # keeps the heap top from being trimmed and hides the faults; the child
+    # gets a fixed environment, because the count of heap trims moves with its
+    # size (12 against 297 faults on one parent, with PYTEST_VERSION set or not)
     src = str(Path(lrvlasov.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path,
+    env = {"PATH": os.environ.get("PATH", os.defpath), "PYTHONPATH": path, "PYTHONHASHSEED": "0",
            "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
     out = subprocess.run([sys.executable, "-c", _FAULTS_PER_STEP,
                           json.dumps([preset, overrides, runs])], env=env,
