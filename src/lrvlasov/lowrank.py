@@ -9,10 +9,10 @@ stacked factors are to orthonormalize.
 It stops once the error of the returned matrix, the explicit residual of the
 sketch plus the discarded spectrum of the sketched rows B = Q^T S, is within
 eps, so the bound holds whatever the draws; they can only cost rank.  At
-eps > 0 that spectrum comes from ``eigh`` of the small Gram B B^T (about 60%
-of the SVD's time on the 1D presets' 257 x 23 products), with its round-off
-counted in the tail; cuts that round-off could reach (``_SVD_SWITCH``), and
-eps = 0, take the SVD of B.  The spatial stack is one
+eps > 0 that spectrum comes from ``eigh`` of the small p x p Gram B B^T,
+cheaper than the SVD of B, with its round-off counted in the tail; cuts that
+round-off could reach (``_SVD_SWITCH``), and eps = 0, take the SVD of B.
+The spatial stack is one
 concatenation of the blocks' factors, scaled in place by their concatenated
 coefficients.  The sum, its residual and the stacked velocity factors live
 in one workspace per grid that every call reuses, so a warm call faults in
@@ -268,7 +268,7 @@ def truncate_sum(terms, eps: float, sqrt_w=None, frame=None) -> LowRankMatrix:
 
     # eps = 0 and NaN take the SVD too, as no eps^2 is above an infinite term
     roundoff = _GRAM_ROUNDOFF * float(np.vdot(s_mat, s_mat)) if eps > 0.0 else math.inf
-    exact = not eps ** 2 > _SVD_SWITCH * roundoff
+    exact = not eps * eps > _SVD_SWITCH * roundoff  # eps ** 2 raises above 1e154
 
     def count(q):  # also B, its spectrum s and V, and on the SVD route Uv
         b = q.T @ s_mat

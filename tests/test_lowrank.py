@@ -206,6 +206,15 @@ def test_negative_eps_rejected(rng):
         truncate_sum([random_lowrank(rng)], -1e-3)
 
 
+def test_extreme_eps_cut_everything_or_nothing(rng):
+    # the route test squares eps, which must not overflow as eps ** 2 does
+    f = random_lowrank(rng)
+    for eps in (1e300, np.inf):
+        assert truncate_sum([f], eps).rank == 0
+    for eps in (5e-324, float("nan")):
+        assert truncate_sum([f], eps).rank == f.rank
+
+
 def _keep_count_by_definition(s, eps, missed=0.0):
     """The smallest k whose tail sqrt(missed + ||s[k:]||^2), summed from the
     last value up, is <= eps; s.size if none is."""
