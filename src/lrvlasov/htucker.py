@@ -13,12 +13,14 @@ Addition concatenates blocks exactly.  ``ht_truncate_sum`` is the one
 truncation of a block sum: plain, or, given the weight's roots and the
 carriers' frame, the pin's cut, which truncates the sum's part orthogonal to
 the carriers' moment span in the norm weighted by 1/(w(v1) w(v2)), w at the
-nodes of the velocity grid both leaves share; the blocks' velocity leaves are
-stacked and each stack is divided by sqrt(w) once, so every block's leaf
-columns are scaled alike whether or not blocks share a leaf array.  Each
-velocity leaf is taken in the grid's own coordinates when its stacked columns
-are at least as many as the grid's points, else in their Householder QR.  A truncation
-cuts three nodes (the root separation and the two velocity leaves) by their
+nodes of the velocity grid both leaves share.  The projection off that span
+enters the squared norm and the pair Gram once, and the sketch and the core
+as rank-4 corrections.  The blocks' velocity leaves are stacked and each
+stack is divided by sqrt(w) once, so every block's leaf columns are scaled
+alike whether or not blocks share a leaf array.  Each velocity leaf is taken
+in the grid's own coordinates when its stacked columns are at least as many
+as the grid's points, else in their Householder QR.  A truncation cuts three
+nodes (the root separation and the two velocity leaves) by their
 singular spectra; Grasedyck's hierarchical SVD bound keeps the total error
 within eps in the Frobenius norm when the squared tails add up to at most
 eps^2.  Each leaf is cut at eps/sqrt(3), and the root at what the two leaves
@@ -135,31 +137,27 @@ def _cut_leaves(core, uv1, uv2, tol, exact):
     """Both velocity leaves cut at tol on the root-weighted core (k, l, c),
     the second after the first: (new uv1, new uv2, the (k1, k2, c) core in
     them, the two discarded squared tails summed).  ``exact`` takes the leaf
-    spectra from SVDs, not Grams; a leaf frame of None is the grid's own
-    coordinates.  The leaf Grams are the products ``np.tensordot`` would
-    form, on the same operands: the first is the symmetric product of the
-    core's unfolding with its own transpose, the second a general product of
-    two formed unfoldings."""
-    def leaf_cut(unfold, partner, frame):  # the leaf's Gram is unfold @ partner
+    spectra from SVDs, not Grams; each leaf's Gram is the symmetric product
+    of the core's unfolding for it with its own transpose.  A leaf frame of
+    None is the grid's own coordinates, where the leaf is the rotation
+    itself."""
+    def leaf_cut(unfold, frame):
         if exact:  # a Gram's squared spectrum blurs below sqrt(eps_mach)
             vec, s, _ = np.linalg.svd(unfold, full_matrices=False)
         else:
-            lam, vec = _gram_spectrum(np.dot(unfold, partner))
+            lam, vec = _gram_spectrum(unfold @ unfold.T)
             s = np.sqrt(lam)
         k = max(keep_count(s, tol), 1)
         rot = vec[:, :k]
-        # a leaf stored as a reversed view of eigh's output would reach later
-        # products by another route than the contiguous one a snapshot loads
-        return (np.ascontiguousarray(rot) if frame is None else frame @ rot, rot,
-                float(s[k:] @ s[k:]))
+        return rot if frame is None else frame @ rot, rot, float(s[k:] @ s[k:])
 
     _, l, c = core.shape
     first = core.reshape(core.shape[0], -1)  # (k, (l, c))
-    new_uv1, rot1, tail1 = leaf_cut(first, first.T, uv1)
+    new_uv1, rot1, tail1 = leaf_cut(first, uv1)
     core = np.dot(rot1.T, first).reshape(-1, l, c)  # (k1, l, c)
     k1 = core.shape[0]
     second = core.transpose(1, 0, 2).reshape(l, -1)  # (l, (k1, c)), formed
-    new_uv2, rot2, tail2 = leaf_cut(second, core.transpose(0, 2, 1).reshape(-1, l), uv2)
+    new_uv2, rot2, tail2 = leaf_cut(second, uv2)
     core = np.dot(rot2.T, second).reshape(-1, k1, c).transpose(1, 0, 2)  # (k1, k2, c)
     return new_uv1, new_uv2, core, tail1 + tail2
 
@@ -389,14 +387,15 @@ def ht_truncate_sum(terms, eps: float, sqrt_w=None, frame=None) -> HtTensor:
     kept root's norm.
 
     Given a frame, both leaves' coordinates span it, so Pi lies in the pair
-    coordinates, and the cut takes I - Pi Pi^T as rank-4 corrections with
-    C = mat^T Pi: to ||M||^2 (whose round-off floor adds ||Xb C||^2), the
-    count's Gram, the sketch, the subspace iteration and the core; eps = 0
-    projects the formed unfold.  Pi is not a product of leaf projectors, so
-    the leaf cuts leak into it within their error (round-off at eps = 0);
-    the pin lifts that leak.  Only the lengths of ``sqrt_w`` and ``frame``
-    are checked: the caller builds them once per grid (positive roots,
-    orthonormal columns).
+    coordinates, and the cut applies I - Pi Pi^T through C = mat^T Pi.  It
+    enters ||M||^2 (whose round-off floor adds ||Xb C||^2) and the pair Gram
+    once, gv <- gv - C C^T, so the count's Gram and the subspace iteration
+    read the projected Gram as they would an unprojected one; the sketch and
+    the core keep their rank-4 corrections; eps = 0 projects the formed
+    unfold.  Pi is not a product of leaf projectors, so the leaf cuts leak
+    into it within their error (round-off at eps = 0); the pin lifts that
+    leak.  Only the lengths of ``sqrt_w`` and ``frame`` are checked: the
+    caller builds them once per grid (positive roots, orthonormal columns).
     """
     if eps < 0:
         raise DomainError(f"truncation threshold must be >= 0, got {eps}")
@@ -431,9 +430,11 @@ def ht_truncate_sum(terms, eps: float, sqrt_w=None, frame=None) -> HtTensor:
     products = np.matmul(xb.T, xb, out=ws.take("products", *gv.shape))
     np.multiply(products, gv, out=products)
     norm2 = float(products.sum())
-    # Pi's part of ||M||^2, subtracted as rank-4 corrections of the Grams
-    moment2 = 0.0 if pair.c is None else float(np.sum((xb @ pair.c) ** 2))
-    norm2 -= moment2
+    moment2 = 0.0
+    if pair.c is not None:  # ||Xb C||^2 off ||M||^2, C C^T off the pair Gram
+        moment2 = float(np.sum((xb @ pair.c) ** 2))
+        norm2 -= moment2
+        gv -= pair.c @ pair.c.T
     # blocks that cancel, or a sum mostly in Pi, leave ||M||^2 far below the
     # products it sums, whose round-off sets the finest tail the Grams can
     # tell from zero
@@ -443,30 +444,22 @@ def ht_truncate_sum(terms, eps: float, sqrt_w=None, frame=None) -> HtTensor:
         return ht_zero(nx, nv1, nv2)
     most = min(xb.shape[0], xb.shape[1], n1 * n2)
 
-    def count(q):  # also Q^T Xb, Q^T Xb C and the eigenpairs of (Q^T M)(Q^T M)^T
+    def count(q):  # also Q^T Xb and the eigenpairs of (Q^T M)(Q^T M)^T
         z = q.T @ xb
-        gram = z @ gv @ z.T
-        zc = None
-        if pair.c is not None:
-            zc = z @ pair.c
-            gram -= zc @ zc.T
-        lam, vec = _gram_spectrum(gram)
+        lam, vec = _gram_spectrum(z @ gv @ z.T)
         missed = max(norm2 - lam.sum(), 0.0) if q.shape[1] < most else 0.0
-        return keep_count(np.sqrt(lam), np.sqrt(cut2), missed), (z, zc, vec, lam, missed)
+        return keep_count(np.sqrt(lam), np.sqrt(cut2), missed), (z, vec, lam, missed)
 
-    q, keep, (z, zc, vec, lam, missed) = _range_finder(
+    q, keep, (z, vec, lam, missed) = _range_finder(
         lambda omega: xb @ pair.rmatmul(omega[:n1], omega[n1:]), count, n1 + n2,
         max(t.Ux.shape[1] for t in terms) + _SKETCH_MARGIN, most)
     # lam[k] <= s_k(M)^2 <= the best tail after k kept, so a fewer-kept cut
     # can exist only if lam[keep - 1] <= cut2; then one subspace iteration,
-    # M M^T Q = Xb (gv - C C^T) (Q^T Xb)^T, sharpens the frame near the cut
-    # and is kept where it cuts no later
+    # M M^T Q = Xb gv (Q^T Xb)^T, sharpens the frame near the cut and is kept
+    # where it cuts no later
     if q.shape[1] < most and lam[keep - 1] <= cut2:
-        back = gv @ z.T
-        if zc is not None:
-            back -= pair.c @ zc.T
-        sharp = np.linalg.qr(xb @ back)[0]
-        keep2, (sharp_z, _, vec2, lam2, missed2) = count(sharp)
+        sharp = np.linalg.qr(xb @ (gv @ z.T))[0]
+        keep2, (sharp_z, vec2, lam2, missed2) = count(sharp)
         if keep2 <= keep:
             q, z, keep, vec, lam, missed = sharp, sharp_z, keep2, vec2, lam2, missed2
     core = pair.matmul(z.T @ vec[:, :keep])

@@ -85,10 +85,12 @@ def read_diagnostics(path) -> list[DiagnosticsRow]:
     lines = path.read_text().splitlines()
     if not lines:
         raise SnapshotError(f"empty diagnostics file: {path}")
-    n_ranks = sum(1 for n in lines[0].split(",") if n.startswith("rank"))
+    header = lines[0].split(",")
+    skip = int(header[0] == "method")  # ``append_row``'s leading method column
+    n_ranks = sum(1 for n in header if n.startswith("rank"))
     rows = []
     for line in lines[1:]:
-        cells = line.split(",")
+        cells = line.split(",")[skip:]
         ranks = tuple(int(c) for c in cells[1:1 + n_ranks])
         # t, mass, the momentum components, energy, efield_energy, wall_ms
         t, mass, *rest = (float(c) for c in cells[:1] + cells[1 + n_ranks:])

@@ -34,7 +34,6 @@ the periodic end values are one value, the last row copied from the first.
 cells j-3 .. j+3), so it matches the difference of the interface values at
 round-off and its periodic cell sums vanish at round-off; the transport's
 conservation comes from the moment pin, not from these sums.
-``reconstruct_interface`` and ``upwind_derivative`` are one bias of these.
 
 Every call writes one fresh C-ordered array of shape (rows, 2, *others), the
 stencil axis first, then the bias, then the other axes in order, and returns
@@ -59,14 +58,7 @@ MINUS_COEFFS = np.array([-1 / 20, 9 / 20, 47 / 60, -13 / 60, 1 / 30])
 _BLOCK = 16                                       # output rows per operator block
 # tap k of interface i - 1/2 is cell i - 3 + k; the minus stencil starts one later
 _TAPS = np.array([np.append(PLUS_COEFFS, 0.0), np.insert(MINUS_COEFFS, 0, 0.0)])
-_BIAS = {"plus": 0, "minus": 1}
 _MIN_CELLS = {"periodic": 8, "zero": 5}
-
-
-def _row(bias: str) -> int:
-    if bias not in _BIAS:
-        raise ConfigError(f"bias must be 'plus' or 'minus', got {bias!r}")
-    return _BIAS[bias]
 
 
 @lru_cache(maxsize=16)
@@ -151,13 +143,3 @@ def flux_difference(fhat, h: float, axis: int = -1) -> np.ndarray:
 def derivatives(u, h: float, boundary: str, axis: int = -1) -> np.ndarray:
     """Both biases' conservative upwind derivatives along ``axis``: (2, *u.shape)."""
     return _apply(u, boundary, axis, float(h))
-
-
-def reconstruct_interface(values, bias: str, boundary: str, axis: int = -1) -> np.ndarray:
-    """The ``bias`` row of ``interfaces``."""
-    return interfaces(values, boundary, axis=axis)[_row(bias)]
-
-
-def upwind_derivative(u, bias: str, h: float, boundary: str, axis: int = -1) -> np.ndarray:
-    """The ``bias`` row of ``derivatives``."""
-    return derivatives(u, h, boundary, axis=axis)[_row(bias)]

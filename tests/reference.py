@@ -16,8 +16,8 @@ from scipy.special import wofz
 
 from lrvlasov.grids import SpatialGrid, VelocityGrid
 from lrvlasov.poisson import ElectricField, solve_poisson
-from lrvlasov.upwind import (MINUS_COEFFS, PLUS_COEFFS, flux_difference,
-                             reconstruct_interface, upwind_derivative)
+from lrvlasov.upwind import (MINUS_COEFFS, PLUS_COEFFS, derivatives, flux_difference,
+                             interfaces)
 
 # ---------------------------------------------------------------------------
 # dense moment / projection / truncation oracles (1D1V)
@@ -96,10 +96,10 @@ def dense_transport_rhs(f: np.ndarray, e_field: np.ndarray, sgrid: SpatialGrid,
     v = vgrid.v
     vp, vm = np.maximum(v, 0.0), np.minimum(v, 0.0)
     ep, em = np.maximum(e_field, 0.0), np.minimum(e_field, 0.0)
-    rhs = -(upwind_derivative(f, "plus", hx, "periodic", axis=0) * vp[None, :]
-            + upwind_derivative(f, "minus", hx, "periodic", axis=0) * vm[None, :]
-            + ep[:, None] * upwind_derivative(f, "plus", vgrid.h, "zero", axis=1)
-            + em[:, None] * upwind_derivative(f, "minus", vgrid.h, "zero", axis=1))
+    dx = derivatives(f, hx, "periodic", axis=0)  # (plus, minus)
+    dv = derivatives(f, vgrid.h, "zero", axis=1)
+    rhs = -(dx[0] * vp[None, :] + dx[1] * vm[None, :]
+            + ep[:, None] * dv[0] + em[:, None] * dv[1])
     if forcing is not None:
         rhs = rhs + forcing
     return rhs
@@ -123,8 +123,8 @@ def dense_macro_step(u_n, u_nm2, fluxes, e_field, dt, sgrid, extra=None, t=0.0):
         sources[1] = sources[1] + s_j
         sources[2] = sources[2] + s_e
     for i in range(3):
-        fhat = (reconstruct_interface(fluxes["plus"][i], "plus", "periodic")
-                + reconstruct_interface(fluxes["minus"][i], "minus", "periodic"))
+        fhat = (interfaces(fluxes["plus"][i], "periodic")[0]
+                + interfaces(fluxes["minus"][i], "periodic")[1])
         div = flux_difference(fhat, hx)
         new.append(0.25 * u_nm2[i] + 0.75 * u_n[i] + 1.5 * dt * (-div + sources[i]))
     return new
@@ -221,14 +221,16 @@ def dense_transport_rhs_2d(f: np.ndarray, field: ElectricField, sgrid: SpatialGr
     h1, h2 = sgrid.h
     v1, v2 = g1.v, g2.v
     e1, e2 = field.E
-    out = -(upwind_derivative(f, "plus", h1, "periodic", axis=0) * np.maximum(v1, 0)[None, None, :, None]
-            + upwind_derivative(f, "minus", h1, "periodic", axis=0) * np.minimum(v1, 0)[None, None, :, None]
-            + upwind_derivative(f, "plus", h2, "periodic", axis=1) * np.maximum(v2, 0)[None, None, None, :]
-            + upwind_derivative(f, "minus", h2, "periodic", axis=1) * np.minimum(v2, 0)[None, None, None, :]
-            + np.maximum(e1, 0)[:, :, None, None] * upwind_derivative(f, "plus", g1.h, "zero", axis=2)
-            + np.minimum(e1, 0)[:, :, None, None] * upwind_derivative(f, "minus", g1.h, "zero", axis=2)
-            + np.maximum(e2, 0)[:, :, None, None] * upwind_derivative(f, "plus", g2.h, "zero", axis=3)
-            + np.minimum(e2, 0)[:, :, None, None] * upwind_derivative(f, "minus", g2.h, "zero", axis=3))
+    dx1, dx2 = (derivatives(f, h, "periodic", axis=a) for a, h in ((0, h1), (1, h2)))
+    dv1, dv2 = (derivatives(f, g.h, "zero", axis=a) for a, g in ((2, g1), (3, g2)))
+    out = -(dx1[0] * np.maximum(v1, 0)[None, None, :, None]
+            + dx1[1] * np.minimum(v1, 0)[None, None, :, None]
+            + dx2[0] * np.maximum(v2, 0)[None, None, None, :]
+            + dx2[1] * np.minimum(v2, 0)[None, None, None, :]
+            + np.maximum(e1, 0)[:, :, None, None] * dv1[0]
+            + np.minimum(e1, 0)[:, :, None, None] * dv1[1]
+            + np.maximum(e2, 0)[:, :, None, None] * dv2[0]
+            + np.minimum(e2, 0)[:, :, None, None] * dv2[1])
     return out
 
 

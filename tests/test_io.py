@@ -385,6 +385,21 @@ def test_append_row_streaming(tmp_path):
     assert path.read_text().splitlines()[0].startswith("t,rank,")
 
 
+def test_diagnostics_roundtrip_with_method_column(tmp_path):
+    # the sink ``lrvlasov compare`` writes leads every line with the method
+    rows = [DiagnosticsRow(t=0.1 * k, ranks=(4, 4, 3, 3), mass=np.pi, momentum=(1e-13, -2e-13),
+                           energy=1.0 / 3.0, efield_energy=2.0 / 7.0, wall_ms=1.5)
+            for k in range(2)]
+    path = tmp_path / "compare.csv"
+    with path.open("w") as fh:
+        for method, row in zip(("plain", "macro"), rows):
+            append_row(row, fh, method)
+    assert path.read_text().startswith("method,t,rank_x,")
+    back = read_diagnostics(path)
+    assert [(b.t, b.ranks, b.mass, b.momentum, b.energy, b.efield_energy) for b in back] == \
+        [(r.t, r.ranks, r.mass, r.momentum, r.energy, r.efield_energy) for r in rows]
+
+
 def test_weak_landau_mass_column_constant(tmp_path):
     cfg = from_preset("weak_landau_1d", t_end=0.5)
     series = run(cfg)

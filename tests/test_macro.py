@@ -8,7 +8,7 @@ from lrvlasov.htucker import HtTensor, ht_zero
 from lrvlasov.lowrank import LowRankMatrix, zero
 from lrvlasov.macro import combine, rate
 from lrvlasov.poisson import ElectricField
-from lrvlasov.upwind import flux_difference, reconstruct_interface, upwind_derivative
+from lrvlasov.upwind import derivatives, flux_difference, interfaces
 
 from reference import dense_kfvs_fluxes
 
@@ -102,11 +102,10 @@ def test_kinetic_macro_flux_compatibility(rng, problem, sgrid, vgrid):
     for l in range(f.rank):
         wp = vgrid.h * np.dot(f.Uv[:, l], vp)
         wm = vgrid.h * np.dot(f.Uv[:, l], vm)
-        kinetic += f.C[l] * (upwind_derivative(f.Ux[:, l], "plus", hx, "periodic") * wp
-                             + upwind_derivative(f.Ux[:, l], "minus", hx, "periodic") * wm)
+        d = derivatives(f.Ux[:, l], hx, "periodic")
+        kinetic += f.C[l] * (d[0] * wp + d[1] * wm)
     [(plus, minus)] = problem.fluxes(f)
-    fhat = (reconstruct_interface(plus[0], "plus", "periodic")
-            + reconstruct_interface(minus[0], "minus", "periodic"))
+    fhat = interfaces(plus[0], "periodic")[0] + interfaces(minus[0], "periodic")[1]
     macro = flux_difference(fhat, hx)
     assert np.allclose(kinetic, macro, atol=1e-12 * (np.abs(macro).max() + 1))
 
@@ -170,8 +169,7 @@ def test_euler_stage_consistency(rng, problem, sgrid, vgrid):
     dt = 0.03
     (hx,) = sgrid.h
     out = combine([u], [1.0], rate(u, fs, zero_field(NX), sgrid), dt)
-    fhat0 = (reconstruct_interface(plus[0], "plus", "periodic")
-             + reconstruct_interface(minus[0], "minus", "periodic"))
+    fhat0 = interfaces(plus[0], "periodic")[0] + interfaces(minus[0], "periodic")[1]
     expect_rho = u[0] - dt * flux_difference(fhat0, hx)
     assert np.allclose(out[0], expect_rho, atol=1e-14)
 
@@ -250,10 +248,10 @@ def test_macro_step_2d_dimension_splitting(rng, problem2):
     h1, h2 = sg.h
     manual = []
     for i, arr in enumerate(u):  # rho, J1, J2, e
-        f1 = (reconstruct_interface(x1_plus[i], "plus", "periodic", axis=0)
-              + reconstruct_interface(x1_minus[i], "minus", "periodic", axis=0))
-        f2 = (reconstruct_interface(x2_plus[i], "plus", "periodic", axis=1)
-              + reconstruct_interface(x2_minus[i], "minus", "periodic", axis=1))
+        f1 = (interfaces(x1_plus[i], "periodic", axis=0)[0]
+              + interfaces(x1_minus[i], "periodic", axis=0)[1])
+        f2 = (interfaces(x2_plus[i], "periodic", axis=1)[0]
+              + interfaces(x2_minus[i], "periodic", axis=1)[1])
         div = flux_difference(f1, h1, axis=0) + flux_difference(f2, h2, axis=1)
         manual.append(arr + 1.5 * dt * (-div))
     # both levels equal: multistep collapses to u + (3/2) dt L

@@ -5,9 +5,10 @@ from hypothesis import strategies as st
 
 from lrvlasov.errors import ConfigError, GridSizeError
 from lrvlasov.upwind import (MINUS_COEFFS, PLUS_COEFFS, _operator, derivatives,
-                             flux_difference, interfaces, reconstruct_interface,
-                             upwind_derivative)
+                             flux_difference, interfaces)
 from reference import padded_reconstruct_interface, padded_upwind_derivative
+
+ROW = {"plus": 0, "minus": 1}  # each bias's row of a stencil call
 
 
 def test_stencil_coefficients():
@@ -20,7 +21,7 @@ def test_stencil_coefficients():
 def test_constant_reconstruction():
     u = 3.7 * np.ones(16)
     for bias in ("plus", "minus"):
-        fhat = reconstruct_interface(u, bias, "periodic")
+        fhat = interfaces(u, "periodic")[ROW[bias]]
         assert np.allclose(fhat, 3.7, atol=1e-14)
 
 
@@ -30,7 +31,7 @@ def test_periodic_endpoints_identical():
     for n in (8, 15, 16, 17, 32, 33):
         u = rng.standard_normal((n, 4))
         for bias in ("plus", "minus"):
-            fhat = reconstruct_interface(u, bias, "periodic", axis=0)
+            fhat = interfaces(u, "periodic", axis=0)[ROW[bias]]
             assert fhat.shape == (n + 1, 4)
             assert fhat[0].tobytes() == fhat[-1].tobytes()
 
@@ -42,7 +43,7 @@ def test_linear_data_interior_exact():
     n = 20
     u = np.arange(n, dtype=float)
     for bias in ("plus", "minus"):
-        fhat = reconstruct_interface(u, bias, "zero")
+        fhat = interfaces(u, "zero")[ROW[bias]]
         interior = fhat[4:-4]
         expect = np.arange(3, n - 4) + 0.5
         assert np.allclose(interior, expect, atol=1e-12)
@@ -60,7 +61,7 @@ def test_reconstruction_fifth_order(bias):
     for n in (64, 128):
         h = 2.0 * np.pi / n
         x = h * np.arange(n)
-        fhat = reconstruct_interface(np.sin(x), bias, "periodic")
+        fhat = interfaces(np.sin(x), "periodic")[ROW[bias]]
         x_if = h * np.arange(-1, n) + h / 2.0
         errs.append(np.max(np.abs(fhat - _sliding_average_inverse(x_if, h))))
     assert errs[0] / errs[1] >= 2.0**4.8
@@ -72,7 +73,7 @@ def test_flux_difference_constant_and_telescoping():
     rng = np.random.default_rng(11)
     u = rng.standard_normal(24)
     h = 0.37
-    d = upwind_derivative(u, "plus", h, "periodic")
+    d = derivatives(u, h, "periodic")[0]
     assert abs(h * d.sum()) < 1e-13 * np.max(np.abs(u))
 
 
@@ -81,7 +82,7 @@ def test_zero_extension_telescoping_identity():
     u = rng.standard_normal(40)
     h = 0.2
     for bias in ("plus", "minus"):
-        fhat = reconstruct_interface(u, bias, "zero")
+        fhat = interfaces(u, "zero")[ROW[bias]]
         d = flux_difference(fhat, h)
         assert h * d.sum() == pytest.approx(fhat[-1] - fhat[0], abs=1e-13)
 
@@ -92,7 +93,7 @@ def test_derivative_fifth_order_on_sine(bias):
     for n in (64, 128):
         h = 2.0 * np.pi / n
         x = h * np.arange(n)
-        d = upwind_derivative(np.sin(x), bias, h, "periodic")
+        d = derivatives(np.sin(x), h, "periodic")[ROW[bias]]
         errs.append(np.max(np.abs(d - np.cos(x))))
     order = np.log2(errs[0] / errs[1])
     assert order >= 4.8
@@ -103,8 +104,7 @@ def test_plus_minus_difference_high_order():
     for n in (64, 128):
         h = 2.0 * np.pi / n
         x = h * np.arange(n)
-        dp = upwind_derivative(np.sin(x), "plus", h, "periodic")
-        dm = upwind_derivative(np.sin(x), "minus", h, "periodic")
+        dp, dm = derivatives(np.sin(x), h, "periodic")
         errs.append(np.max(np.abs(dp - dm)))
     assert errs[0] / errs[1] >= 2.0**4.5
 
@@ -117,7 +117,7 @@ def test_maxwellian_derivative_zero_extension():
     f = np.exp(-v**2 / 2.0)
     exact = -v * f
     for bias in ("plus", "minus"):
-        d = upwind_derivative(f, bias, h, "zero")
+        d = derivatives(f, h, "zero")[ROW[bias]]
         assert abs(d[n // 2] - exact[n // 2]) < 1e-6
 
 
@@ -125,29 +125,27 @@ def test_linearity():
     rng = np.random.default_rng(2)
     u, w = rng.standard_normal(16), rng.standard_normal(16)
     a, b = 1.3, -0.7
-    lhs = upwind_derivative(a * u + b * w, "plus", 0.5, "periodic")
-    rhs = (a * upwind_derivative(u, "plus", 0.5, "periodic")
-           + b * upwind_derivative(w, "plus", 0.5, "periodic"))
+    lhs = derivatives(a * u + b * w, 0.5, "periodic")[0]
+    rhs = (a * derivatives(u, 0.5, "periodic")[0]
+           + b * derivatives(w, 0.5, "periodic")[0])
     assert np.allclose(lhs, rhs, atol=1e-13)
 
 
 def test_2d_axis_application():
     rng = np.random.default_rng(9)
     u = rng.standard_normal((12, 9))
-    cols = np.stack([upwind_derivative(u[:, j], "plus", 0.3, "periodic")
+    cols = np.stack([derivatives(u[:, j], 0.3, "periodic")[0]
                      for j in range(u.shape[1])], axis=1)
-    assert np.allclose(upwind_derivative(u, "plus", 0.3, "periodic", axis=0), cols)
+    assert np.allclose(derivatives(u, 0.3, "periodic", axis=0)[0], cols)
 
 
 def test_validation_errors():
     with pytest.raises(ConfigError):
-        reconstruct_interface(np.ones(16), "up", "periodic")
-    with pytest.raises(ConfigError):
-        reconstruct_interface(np.ones(16), "plus", "reflect")
+        interfaces(np.ones(16), "reflect")
     with pytest.raises(GridSizeError):
-        reconstruct_interface(np.ones(6), "plus", "periodic")
+        interfaces(np.ones(6), "periodic")
     with pytest.raises(GridSizeError):
-        reconstruct_interface(np.ones(4), "plus", "zero")
+        interfaces(np.ones(4), "zero")
 
 
 def _layout(a):
@@ -216,9 +214,9 @@ def test_stencil_matches_padded_oracle_within_round_off(case, h):
     lead = (slice(None),) * range(values.ndim)[axis]
     pair = scale[(*lead, slice(1, None))] + scale[(*lead, slice(None, -1))]
     for call, want, bound in (
-        (lambda u: reconstruct_interface(u, bias, boundary, axis=axis),
+        (lambda u: interfaces(u, boundary, axis=axis)[ROW[bias]],
          padded_reconstruct_interface(values, bias, boundary, axis), 6 * eps * scale),
-        (lambda u: upwind_derivative(u, bias, h, boundary, axis=axis),
+        (lambda u: derivatives(u, h, boundary, axis=axis)[ROW[bias]],
          padded_upwind_derivative(values, bias, h, boundary, axis), 8 * eps * pair / h),
     ):
         got = [call(u) for u in _layouts(values)]
@@ -232,15 +230,21 @@ def test_stencil_matches_padded_oracle_within_round_off(case, h):
 @pytest.mark.parametrize("boundary", ["periodic", "zero"])
 @pytest.mark.parametrize("axis", [0, 1, -1])
 def test_pair_call_is_both_single_bias_calls(rng, boundary, axis):
-    # the one stencil call holds both biases; the single-bias functions are
-    # its rows, bit for bit
+    # the one stencil call holds both biases, each row in the documented
+    # one-bias layout; a derivative row is the flux difference of the same
+    # interface row, within the padded-oracle test's two bounds summed
+    # (6 + 8 eps) and the difference's own rounding
     u = rng.standard_normal((9, 10, 11))
     fhat, d = interfaces(u, boundary, axis=axis), derivatives(u, 0.7, boundary, axis=axis)
     assert fhat.shape[0] == d.shape[0] == 2
+    lead = (slice(None),) * range(u.ndim)[axis]
     for row, bias in enumerate(("plus", "minus")):
-        assert (fhat[row].tobytes()
-                == reconstruct_interface(u, bias, boundary, axis=axis).tobytes())
-        assert d[row].tobytes() == upwind_derivative(u, bias, 0.7, boundary, axis=axis).tobytes()
+        scale = padded_reconstruct_interface(u, bias, boundary, axis, magnitude=True)
+        pair = scale[(*lead, slice(1, None))] + scale[(*lead, slice(None, -1))]
+        diff = flux_difference(fhat[row], 0.7, axis=axis)
+        assert np.all(np.abs(d[row] - diff) <= 16 * np.finfo(float).eps * pair / 0.7)
+        assert _layout(fhat[row]) == _one_bias_layout(fhat.shape[1:], axis)
+        assert _layout(d[row]) == _one_bias_layout(u.shape, axis)
 
 
 @pytest.mark.parametrize("boundary", ["periodic", "zero"])
