@@ -130,7 +130,7 @@ def _cmd_inspect(args) -> int:
     dim, sig, hist = snapshot_parse(path)
     print(f"snapshot {path}")
     print(f"  version {SNAPSHOT_VERSION}, {'1D1V' if dim == 1 else '2D2V'}, "
-          f"step {hist.step}, t = {hist.t:.9g}")
+          f"step {hist.step}, t = {hist.t:.9g}, CRC-32 matches")
     print(f"  dt_work = {hist.dt_work:.6g}, recent steps = {[f'{d:.6g}' for d in hist.dts]}")
     print(f"  grid: nx={int(sig[0])}x{int(sig[1])} nv={int(sig[2])}x{int(sig[3])} "
           f"x=[{sig[4]:.6g},{sig[5]:.6g}) v_max={sig[6]:.6g} beta={sig[7]:.6g} "

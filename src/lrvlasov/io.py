@@ -3,7 +3,8 @@
 CSV columns are fixed per dimensionality, floats are written with 17
 significant digits so they round-trip exactly.  Snapshots are little-endian
 binary: an 8-byte magic, int64 header words, then factor blocks, each with
-explicit dimensions and float64 payload in column-major order.  A snapshot
+explicit dimensions and float64 payload in column-major order, and last the
+CRC-32 of every byte before it, so a damaged file is refused.  A snapshot
 stores the full multistep lineage (kinetic and macroscopic levels plus the
 recent step sizes), so a resumed run reproduces an uninterrupted one
 bit-exactly.  ``snapshot_read`` alone decides whether a snapshot resumes
@@ -17,7 +18,9 @@ import math
 import os
 import struct
 import sys
+import zlib
 from dataclasses import dataclass
+from io import BytesIO
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +30,8 @@ from .htucker import HtTensor
 from .lowrank import LowRankMatrix
 
 _MAGIC = b"LRVSNAP\x01"
-SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSION = 3
+_CRC_BYTES = 4  # the CRC-32 that ends the file
 
 
 @dataclass
@@ -303,28 +307,47 @@ def snapshot_write(hist, problem, path) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:
+        buf = BytesIO()
+        buf.write(_MAGIC)
+        _write_words(buf, "q", SNAPSHOT_VERSION, len(problem.vgrids), hist.step,
+                     len(hist.fs), len(hist.dts))
+        _write_words(buf, "d", hist.t, hist.dt_work, *hist.dts, *words)
+        _write_text(buf, method)
+        _write_text(buf, preset)
+        for f, u in zip(hist.fs, hist.us):
+            _write_level(buf, f, u)
+        _write_crc(buf)
         with tmp.open("wb") as fh:
-            fh.write(_MAGIC)
-            _write_words(fh, "q", SNAPSHOT_VERSION, len(problem.vgrids), hist.step,
-                         len(hist.fs), len(hist.dts))
-            _write_words(fh, "d", hist.t, hist.dt_work, *hist.dts, *words)
-            _write_text(fh, method)
-            _write_text(fh, preset)
-            for f, u in zip(hist.fs, hist.us):
-                _write_level(fh, f, u)
+            fh.write(buf.getbuffer())
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
 
 
+def _write_crc(buf: BytesIO) -> None:
+    buf.write(zlib.crc32(buf.getbuffer()).to_bytes(_CRC_BYTES, "little"))
+
+
+def _check_crc(fh, path) -> None:
+    """Refuse the file unless its last bytes are the CRC-32 of all before
+    them; the read position is kept."""
+    at = fh.tell()
+    fh.seek(0)
+    raw = memoryview(fh.read())
+    if zlib.crc32(raw[:-_CRC_BYTES]).to_bytes(_CRC_BYTES, "little") != raw[-_CRC_BYTES:]:
+        raise SnapshotError(f"{path}: checksum mismatch; the file is damaged or truncated")
+    fh.seek(at)
+
+
 def snapshot_parse(path):
     """(dimensionality, signature, history) stored in a snapshot file, the
     signature's words named by ``_SIGNATURE_NAMES``; only ``SNAPSHOT_VERSION``
-    is read.  The header's counts are checked (``_check_counts``) before
-    they size a read, each level's factor shapes against each other and
-    against the signature's grid words, then every float word and array by
-    ``_check_words``."""
+    is read, and only with the checksum of its bytes.  The header's counts
+    are checked (``_check_counts``) before they size a read, each level's
+    factor shapes against each other and against the signature's grid
+    words, then every float word and array by ``_check_words``: a writer
+    defect leaves a file whose checksum holds."""
     from .driver import History  # deferred: avoids a module import cycle
 
     path = Path(path)
@@ -335,6 +358,7 @@ def snapshot_parse(path):
         if version != SNAPSHOT_VERSION:
             raise SnapshotError(
                 f"{path}: snapshot version {version}, expected {SNAPSHOT_VERSION}")
+        _check_crc(fh, path)
         if dim not in _KINETIC:
             raise SnapshotError(f"{path}: unknown snapshot dimensionality {dim}")
         _check_counts(str(path), step, n_levels, n_dts)

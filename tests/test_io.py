@@ -3,6 +3,7 @@ import io
 import math
 import re
 import tempfile
+import zlib
 from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
@@ -573,11 +574,12 @@ def test_committed_snapshot_resumes_bit_exact():
             b.t, b.ranks, b.mass, b.momentum, b.energy, b.efield_energy)
 
 
-@pytest.mark.parametrize("version", [1, 3])
+@pytest.mark.parametrize("version", [1, 2, 4])
 def test_cli_refuses_other_snapshot_versions(tmp_path, capsys, version):
     # a version 1 file carries no cfl, poisson_sign, method or preset words,
-    # so nothing could refuse a resume under other run settings; every
-    # version but 2 ends in one error line naming it
+    # so nothing could refuse a resume under other run settings, and a
+    # version 2 file no checksum; every version but 3 ends in one error line
+    # naming it
     import struct
 
     from lrvlasov.cli import main
@@ -594,7 +596,7 @@ def test_cli_refuses_other_snapshot_versions(tmp_path, capsys, version):
         err = capsys.readouterr().err
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and "Traceback" not in err
-        assert f"snapshot version {version}, expected 2" in lines[0]
+        assert f"snapshot version {version}, expected 3" in lines[0]
 
 
 def test_cli_inspect_prints_file_version_and_run_words(capsys):
@@ -602,7 +604,7 @@ def test_cli_inspect_prints_file_version_and_run_words(capsys):
 
     assert main(["inspect", str(SNAPSHOT)]) == 0
     out = capsys.readouterr().out
-    assert "version 2, 1D1V, step 4" in out
+    assert "version 3, 1D1V, step 4" in out and "CRC-32 matches" in out
     assert "run: preset=weak_landau_1d method=macro cfl=0.3 poisson_sign=1" in out
 
 
@@ -621,7 +623,7 @@ def test_snapshot_bad_text_length(tmp_path, length):
     off = 8 + 5 * 8 + 8 * (2 + n_dts) + 11 * 8
     assert struct.unpack_from("<q", raw, off) == (len("macro"),)
     struct.pack_into("<q", raw, off, length)
-    path.write_bytes(bytes(raw))
+    path.write_bytes(_sealed(raw))
     with pytest.raises(SnapshotError, match="text length|signature differs"):
         snapshot_read(path, problem)
 
@@ -661,7 +663,7 @@ def test_snapshot_header_count_out_of_range_one_line(tmp_path, capsys, count_sna
     at = {"step": 3, "level count": 4, "recent-step count": 5}[word]
     struct.pack_into("<q", raw, 8 * at, value)
     snap = tmp_path / "s.bin"
-    snap.write_bytes(bytes(raw))
+    snap.write_bytes(_sealed(raw))
     capsys.readouterr()
     grid = [*_COUNT_GRIDS[preset], "--set", "method.variant=plain", "--set", "method.t_end=0.1"]
     for argv in (["run", "--preset", preset, *grid, "--resume", str(snap),
@@ -909,8 +911,16 @@ def test_cli_resume_plain_snapshot_under_macro(tmp_path, capsys):
     assert not (tmp_path / "resumed" / "diagnostics.csv").exists()
 
 
+def _sealed(raw) -> bytes:
+    """A snapshot's bytes with their CRC-32 recomputed: a word overwritten in
+    them reads as a writer defect would leave it, which only the word checks
+    can refuse."""
+    body = bytes(raw[:-4])
+    return body + zlib.crc32(body).to_bytes(4, "little")
+
+
 def _snapshot_offsets(raw: bytes) -> dict:
-    """Byte offsets in a version 2 snapshot: the header floats t, dt_work,
+    """Byte offsets in a version 3 snapshot: the header floats t, dt_work,
     dts[i], x_max and eps, each level's kind and macro words, and the first
     payload word of every level array and macro row, named as the snapshot
     checks name them."""
@@ -945,7 +955,7 @@ def _snapshot_offsets(raw: bytes) -> dict:
             shape = words(words(1)[0])
             at[f"level {i} macro row {k}"] = pos
             pos += 8 * math.prod(shape)
-    assert pos == len(raw)
+    assert pos + 4 == len(raw)  # the CRC-32 ends the file
     return at
 
 
@@ -965,7 +975,7 @@ def test_oversized_array_header_refused(tmp_path, capsys, word, value):
     ndim_at = _snapshot_offsets(raw)["level 0 kind"] + 8
     assert struct.unpack_from("<2q", raw, ndim_at) == (1, hist.fs[0].rank)
     struct.pack_into("<q", raw, ndim_at if word == "ndim" else ndim_at + 8, value)
-    path.write_bytes(bytes(raw))
+    path.write_bytes(_sealed(raw))
     with pytest.raises(SnapshotError, match="corrupt snapshot"):
         snapshot_parse(path)
     capsys.readouterr()
@@ -997,7 +1007,7 @@ def test_cli_resume_refuses_foreign_level_words(tmp_path, capsys, which, word, m
     off = _snapshot_offsets(raw)[f"level 0 {which}"]
     assert struct.unpack_from("<q", raw, off) == (1,)
     struct.pack_into("<q", raw, off, word)
-    snap.write_bytes(bytes(raw))
+    snap.write_bytes(_sealed(raw))
     capsys.readouterr()
     rc = main(["run", "--preset", "weak_landau_1d", *grid, "--resume", str(snap),
                "--out", str(tmp_path / "resumed")])
@@ -1053,7 +1063,7 @@ def test_cli_refuses_level_with_foreign_factor_shape(tmp_path, capsys):
     ux_dims = c_at + 8 * (2 + r) + 8
     assert struct.unpack_from("<2q", raw, ux_dims) == (16, r)
     struct.pack_into("<2q", raw, ux_dims, 8, 2 * r)
-    snap.write_bytes(bytes(raw))
+    snap.write_bytes(_sealed(raw))
     for argv in (["inspect", str(snap)],
                  ["run", "--preset", "weak_landau_1d", *grid, "--resume", str(snap),
                   "--out", str(tmp_path / "resumed")]):
@@ -1083,13 +1093,13 @@ def step3_snapshots(tmp_path_factory) -> dict:
 
 def _write_corrupted(snaps, preset, word, value, path):
     """Write the preset's step-3 snapshot to ``path`` with one float word
-    overwritten by ``value`` (none if ``word`` is None)."""
+    overwritten by ``value`` (none if ``word`` is None), sealed."""
     import struct
 
     raw = bytearray(snaps[preset])
     if word is not None:
         struct.pack_into("<d", raw, _snapshot_offsets(raw)[word], value)
-    path.write_bytes(bytes(raw))
+    path.write_bytes(_sealed(raw))
     return path
 
 
@@ -1371,6 +1381,28 @@ def test_corrupted_snapshot_resumes_or_fails_typed(step3_snapshots, preset, data
             lines = err.getvalue().strip().splitlines()
             assert rc == 0 or (rc == 2 and len(lines) == 1 and lines[0].startswith("error: ")), \
                 (argv[0], rc, lines)
+
+
+@settings(max_examples=100)
+@given(st.sampled_from(sorted(STEP3_RUNS)), st.data())
+def test_damaged_snapshot_is_refused(step3_snapshots, preset, data):
+    # the checksum covers every byte, so each damage of the kinds above that
+    # changes the file is refused; past the magic and version words it is
+    # the checksum that refuses it, naming the file
+    raw = step3_snapshots[preset]
+    bad = bytes(_corrupt(bytearray(raw), data))
+    nx, nv, _ = STEP3_RUNS[preset]
+    problem = setup(from_preset(preset, nx=nx, nv=nv))
+    with tempfile.TemporaryDirectory() as tmp:
+        snap = Path(tmp) / "damaged.bin"
+        snap.write_bytes(bad)
+        if bad == raw:
+            assert snapshot_read(snap, problem).step == 3
+            return
+        with pytest.raises(SnapshotError) as err:
+            snapshot_read(snap, problem)
+    if len(bad) >= 48 and bad[:16] == raw[:16]:  # whole header, magic and version intact
+        assert f"{snap}: checksum mismatch" in str(err.value)
 
 
 @pytest.mark.parametrize("corrupt,message", [
