@@ -18,14 +18,13 @@ enters the squared norm and the pair Gram once, and the sketch and the core
 as rank-4 corrections.  The blocks' velocity leaves are stacked and each
 stack is divided by sqrt(w) once, so every block's leaf columns are scaled
 alike whether or not blocks share a leaf array.  Each velocity leaf is taken
-in the grid's own coordinates when its stacked columns are at least as many
-as the grid's points, else in their Householder QR.  A truncation cuts three
-nodes (the root separation and the two velocity leaves) by their
-singular spectra; Grasedyck's hierarchical SVD bound keeps the total error
-within eps in the Frobenius norm when the squared tails add up to at most
-eps^2.  Each leaf is cut at eps/sqrt(3), and the root at what the two leaves
-leave of eps^2, which is at least eps^2/3.  For
-eps > 0 the root's directions come from the 1D truncation's loop,
+in the grid's own coordinates, where the frame's columns are the moment
+span's leaf functionals.  A truncation cuts three nodes (the root separation
+and the two velocity leaves) by their singular spectra; Grasedyck's
+hierarchical SVD bound keeps the total error within eps in the Frobenius norm
+when the squared tails add up to at most eps^2.  Each leaf is cut at
+eps/sqrt(3), and the root at what the two leaves leave of eps^2, which is at
+least eps^2/3.  For eps > 0 the root's directions come from the 1D truncation's loop,
 ``lowrank._range_finder``, applied to the sum's (space | velocity pair)
 matrix through the blocks' own factors, so the sum is never formed; one
 subspace iteration then sharpens the frame.  Its fixed test matrix makes the
@@ -133,33 +132,33 @@ def ht_add(*terms: HtTensor) -> HtTensor:
                     np.concatenate([t.Uv2 for t in terms], axis=1), terms[0].nx)
 
 
-def _cut_leaves(core, uv1, uv2, tol, exact):
-    """Both velocity leaves cut at tol on the root-weighted core (k, l, c),
-    the second after the first: (new uv1, new uv2, the (k1, k2, c) core in
-    them, the two discarded squared tails summed).  ``exact`` takes the leaf
-    spectra from SVDs, not Grams; each leaf's Gram is the symmetric product
-    of the core's unfolding for it with its own transpose.  A leaf frame of
-    None is the grid's own coordinates, where the leaf is the rotation
-    itself."""
-    def leaf_cut(unfold, frame):
+def _cut_leaves(core, spans, tol, exact):
+    """Both velocity leaves cut at tol on the root-weighted core (n1, n2, c)
+    in the grid's coordinates, the second after the first: (new uv1, new
+    uv2, the (k1, k2, c) core in them, the two discarded squared tails
+    summed).  ``exact`` takes the leaf spectra from SVDs, not Grams; each
+    leaf's Gram is the symmetric product of the core's unfolding for it with
+    its own transpose.  A cut leaf is its rotation, of at most ``spans``
+    columns: the dimensions of the spaces the unfoldings lie in, past which
+    a spectrum holds only round-off."""
+    def leaf_cut(unfold, span):
         if exact:  # a Gram's squared spectrum blurs below sqrt(eps_mach)
             vec, s, _ = np.linalg.svd(unfold, full_matrices=False)
         else:
             lam, vec = _gram_spectrum(unfold @ unfold.T)
             s = np.sqrt(lam)
-        k = max(keep_count(s, tol), 1)
-        rot = vec[:, :k]
-        return rot if frame is None else frame @ rot, rot, float(s[k:] @ s[k:])
+        k = min(max(keep_count(s, tol), 1), span)
+        return vec[:, :k], float(s[k:] @ s[k:])
 
     _, l, c = core.shape
-    first = core.reshape(core.shape[0], -1)  # (k, (l, c))
-    new_uv1, rot1, tail1 = leaf_cut(first, uv1)
-    core = np.dot(rot1.T, first).reshape(-1, l, c)  # (k1, l, c)
+    first = core.reshape(core.shape[0], -1)  # (n1, (n2, c))
+    uv1, tail1 = leaf_cut(first, spans[0])
+    core = np.dot(uv1.T, first).reshape(-1, l, c)  # (k1, n2, c)
     k1 = core.shape[0]
-    second = core.transpose(1, 0, 2).reshape(l, -1)  # (l, (k1, c)), formed
-    new_uv2, rot2, tail2 = leaf_cut(second, uv2)
-    core = np.dot(rot2.T, second).reshape(-1, k1, c).transpose(1, 0, 2)  # (k1, k2, c)
-    return new_uv1, new_uv2, core, tail1 + tail2
+    second = core.transpose(1, 0, 2).reshape(l, -1)  # (n2, (k1, c)), formed
+    uv2, tail2 = leaf_cut(second, spans[1])
+    core = np.dot(uv2.T, second).reshape(-1, k1, c).transpose(1, 0, 2)  # (k1, k2, c)
+    return uv1, uv2, core, tail1 + tail2
 
 
 def _finish_truncation(ux, core, uv1, uv2, nx, sqrt_w):
@@ -236,58 +235,38 @@ _PI_WEIGHTS = _PAIR_TRANSFER[_PI_LEAVES]
 _PI_WEIGHTS.flags.writeable = False
 
 
-def _leaf_coordinates(leaves: np.ndarray, frame):
-    """(q, r, p): orthonormal coordinates q of the stacked leaves, leaves =
-    q r, and the frame in them, p = q^T frame (None without one).
-
-    Leaves at least as wide as the grid take the grid's own coordinates,
-    which span every frame; q is then None, standing for the identity, which
-    is never formed.  Narrower ones take the Householder QR of
-    [frame | leaves], so q spans the frame too."""
-    n, width = leaves.shape
-    if width >= n:
-        return None, leaves, frame
-    if frame is None:
-        return (*np.linalg.qr(leaves), None)
-    q, r = np.linalg.qr(np.hstack([frame, leaves]))
-    k = frame.shape[1]
-    return q, r[:, k:], r[:, :k]
-
-
 class _PairUnfold(_Runs):
-    """Pair unfold of a block sum in the stacked leaf coordinates, never formed.
+    """Pair unfold of a block sum on the velocity grid, never formed.
 
     Column block t is term t's Bvv with its first two indices mapped through
-    the term's blocks of the stacked leaf R factors, so the matrix has
-    n1 * n2 rows (the velocity pair in the q1 o q2 basis) and one column per
-    term and root index.  The Gram and the sketch take a few matrix products
+    the term's columns of the stacked leaves ``r1``, ``r2``, so the matrix
+    has n1 * n2 rows (the velocity pair on the grid) and one column per term
+    and root index.  The Gram and the sketch take a few matrix products
     per term and run of terms sharing one Bvv, not per pair of terms.  The
     Gram and the unfold are written into the grid's workspace ``ws``.
 
     Given ``sqrt_w``, the stacked leaves are divided by it once, which puts
-    the sum in the 1/w-weighted coordinates.  Given a leaf ``frame``, both
-    leaf coordinates span it, ``c`` = mat^T Pi for its moment span Pi (the
-    pin's cut), and ``rmatmul`` and ``matmul`` apply the unfold projected off
-    Pi, whose Gram is gram() - c c^T.
+    the sum in the 1/w-weighted coordinates.  Given a leaf ``frame``, ``pi``
+    holds the moment span Pi's leaf functionals, columns of the frame, ``c``
+    = mat^T Pi (the pin's cut), and ``rmatmul`` and ``matmul`` apply the
+    unfold projected off Pi, whose Gram is gram() - c c^T.
     """
 
     def __init__(self, terms, frame=None, sqrt_w=None):
         super().__init__(terms)
         self.ws = _workspace(*terms[0].shape)
-        leaves = (np.concatenate([t.Uv1 for t in self.terms], axis=1),
-                  np.concatenate([t.Uv2 for t in self.terms], axis=1))
+        self.r1 = np.concatenate([t.Uv1 for t in self.terms], axis=1)
+        self.r2 = np.concatenate([t.Uv2 for t in self.terms], axis=1)
         if sqrt_w is not None:
-            for stack in leaves:
+            for stack in (self.r1, self.r2):
                 np.divide(stack, sqrt_w[:, None], out=stack)
-        self.q1, self.r1, p1 = _leaf_coordinates(leaves[0], frame)
-        self.q2, self.r2, p2 = _leaf_coordinates(leaves[1], frame)
         self.pi = self.c = None
         if frame is not None:
-            self.pi = (p1[:, _PI_LEAVES[0]], p2[:, _PI_LEAVES[1]])
+            self.pi = (frame[:, _PI_LEAVES[0]], frame[:, _PI_LEAVES[1]])
             self.c = self.khatri_rao(self.r1.T @ self.pi[0], self.r2.T @ self.pi[1]) @ _PI_WEIGHTS
 
     def gram(self) -> np.ndarray:
-        """mat^T mat from the leaf R factors, one term against each later run.
+        """mat^T mat from the stacked leaves, one term against each later run.
 
         Block (s, t) is sum Bvv_s[a, b, k] G1[s a, t c] G2[s b, t d]
         Bvv_t[c, d, l] with G1, G2 the stacked leaves' Grams; the lower
@@ -360,9 +339,9 @@ def ht_truncate_sum(terms, eps: float, sqrt_w=None, frame=None) -> HtTensor:
 
     eps > 0: the spatial frame comes from ``lowrank._range_finder`` on the
     root matricization M = Ux_cat blockdiag(B_t) mat^T (rows: space;
-    columns: velocity pair), where mat is the pair unfold in the stacked leaf
-    coordinates.  M is only ever applied (``_PairUnfold``): a test column's
-    first n1 rows and the rest are the leaf vectors of omega_1 (x) omega_2,
+    columns: velocity pair), where mat is the pair unfold on the velocity
+    grid.  M is only ever applied (``_PairUnfold``): a test column's first
+    nv1 rows and the rest are the leaf vectors of omega_1 (x) omega_2,
     applied leaf by leaf (the per-leaf sketch of Al Daas et al., SISC 2023,
     for tensor-train sums).  The kept count is the fewest singular values,
     from the p x p Gram (Q^T M)(Q^T M)^T, whose tail plus what the frame
@@ -386,8 +365,7 @@ def ht_truncate_sum(terms, eps: float, sqrt_w=None, frame=None) -> HtTensor:
     leaves are then cut by SVDs of the core's unfoldings at 1e-14 times the
     kept root's norm.
 
-    Given a frame, both leaves' coordinates span it, so Pi lies in the pair
-    coordinates, and the cut applies I - Pi Pi^T through C = mat^T Pi.  It
+    Given a frame, the cut applies I - Pi Pi^T through C = mat^T Pi.  It
     enters ||M||^2 (whose round-off floor adds ||Xb C||^2) and the pair Gram
     once, gv <- gv - C C^T, so the count's Gram and the subspace iteration
     read the projected Gram as they would an unprojected one; the sketch and
@@ -412,17 +390,19 @@ def ht_truncate_sum(terms, eps: float, sqrt_w=None, frame=None) -> HtTensor:
     xb = ws.take("xb", nx[0] * nx[1], pair.ov[-1])
     for s, t in enumerate(pair.terms):
         np.matmul(t.Ux, t.B, out=xb[:, pair.ov[s]:pair.ov[s + 1]])
-    n1, n2 = pair.r1.shape[0], pair.r2.shape[0]
+    # each leaf of the core lies in its stacked columns' span, and the
+    # frame's when the unfold is projected
+    spans = [r.shape[1] + (0 if frame is None else frame.shape[1]) for r in (pair.r1, pair.r2)]
 
     if eps == 0.0:  # the exact count of M = Xb mat^T is the 1D loop's
         cols = xb.shape[1]
-        mat = pair.matmul(np.eye(cols)).reshape(n1 * n2, cols)
+        mat = pair.matmul(np.eye(cols)).reshape(nv1 * nv2, cols)
         root = lowrank.truncate_sum([lowrank.LowRankMatrix(np.ones(cols), xb, mat)], 0.0)
         if root.rank == 0:
             return ht_zero(nx, nv1, nv2)
-        core = (root.Uv * root.C).reshape(n1, n2, -1)
+        core = (root.Uv * root.C).reshape(nv1, nv2, -1)
         tol = DEFAULT_DROPTOL * float(np.linalg.norm(root.C))  # of the kept root
-        uv1, uv2, core, _ = _cut_leaves(core, pair.q1, pair.q2, tol, exact=True)
+        uv1, uv2, core, _ = _cut_leaves(core, spans, tol, exact=True)
         return _finish_truncation(root.Ux, core, uv1, uv2, nx, sqrt_w)
 
     tol = eps / np.sqrt(3.0)
@@ -442,7 +422,7 @@ def ht_truncate_sum(terms, eps: float, sqrt_w=None, frame=None) -> HtTensor:
                _GRAM_NOISE * (float(np.abs(products, out=products).sum()) + moment2))
     if norm2 <= cut2:
         return ht_zero(nx, nv1, nv2)
-    most = min(xb.shape[0], xb.shape[1], n1 * n2)
+    most = min(xb.shape[0], xb.shape[1], nv1 * nv2)
 
     def count(q):  # also Q^T Xb and the eigenpairs of (Q^T M)(Q^T M)^T
         z = q.T @ xb
@@ -451,7 +431,7 @@ def ht_truncate_sum(terms, eps: float, sqrt_w=None, frame=None) -> HtTensor:
         return keep_count(np.sqrt(lam), np.sqrt(cut2), missed), (z, vec, lam, missed)
 
     q, keep, (z, vec, lam, missed) = _range_finder(
-        lambda omega: xb @ pair.rmatmul(omega[:n1], omega[n1:]), count, n1 + n2,
+        lambda omega: xb @ pair.rmatmul(omega[:nv1], omega[nv1:]), count, nv1 + nv2,
         max(t.Ux.shape[1] for t in terms) + _SKETCH_MARGIN, most)
     # lam[k] <= s_k(M)^2 <= the best tail after k kept, so a fewer-kept cut
     # can exist only if lam[keep - 1] <= cut2; then one subspace iteration,
@@ -463,7 +443,7 @@ def ht_truncate_sum(terms, eps: float, sqrt_w=None, frame=None) -> HtTensor:
         if keep2 <= keep:
             q, z, keep, vec, lam, missed = sharp, sharp_z, keep2, vec2, lam2, missed2
     core = pair.matmul(z.T @ vec[:, :keep])
-    uv1, uv2, core, leaf2 = _cut_leaves(core, pair.q1, pair.q2, tol, exact=False)
+    uv1, uv2, core, leaf2 = _cut_leaves(core, spans, tol, exact=False)
     # Grasedyck's bound asks only tau_root^2 + tau_1^2 + tau_2^2 <= eps^2, and
     # the leaves, cut at tol each, rarely spend their 2 tol^2: the root keeps
     # the fewest of its counted directions whose exact tail fits in what they

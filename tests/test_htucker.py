@@ -286,18 +286,24 @@ def test_transport_rhs_zero_cases():
     assert np.max(np.abs(out.dense())) < 1e-12
 
 
+def _shaped(rng, g, r, size=1.0):
+    """A random rank-r block on the velocity grid g, its leaves shaped by
+    g's weight."""
+    wp = g.w_points[:, None]
+    return HtTensor(size * rng.standard_normal((NX[0] * NX[1], r)),
+                    rng.standard_normal((r, r)), rng.standard_normal((r, r, r)),
+                    wp * rng.standard_normal((g.n, r)), wp * rng.standard_normal((g.n, r)), NX)
+
+
 def _projected_sums(rng, g):
     """2D block lists on the velocity grid g: narrow sums, whose stacked
-    leaves are fewer than g's points (QR leaf coordinates), saturated ones
-    (the grid's own), each also cancelling (a block and its negative beside
-    a small one), and a two-beam profile with a transport-sized kick."""
-    wp, v = g.w_points, g.v
+    leaves are fewer than g's points, saturated ones, each also cancelling
+    (a block and its negative beside a small one), and a two-beam profile
+    with a transport-sized kick."""
+    v = g.v
 
     def shaped(r, size=1.0):
-        return HtTensor(size * rng.standard_normal((NX[0] * NX[1], r)),
-                        rng.standard_normal((r, r)), rng.standard_normal((r, r, r)),
-                        wp[:, None] * rng.standard_normal((g.n, r)),
-                        wp[:, None] * rng.standard_normal((g.n, r)), NX)
+        return _shaped(rng, g, r, size)
 
     x = np.linspace(0.0, 2.0 * np.pi, NX[0], endpoint=False)
     beams = (np.exp(-((v - 2.4) ** 2) / 2.0) + np.exp(-((v + 2.4) ** 2) / 2.0))[:, None]
@@ -327,15 +333,22 @@ def test_projected_cut_and_pin_against_dense_sums(rel_eps, v_max):
     # which the Gram route resolves down to about 1e-7.  Unlike the 1D cut,
     # the leaf cuts leak moments at the truncation level (Pi is not a
     # product of leaf projectors), and the pin lifts that leak; at eps = 0
-    # the leak is round-off.
-    base = setup(from_preset("weak_landau_2d2v", nx=NX[0], nv=NV, v_max=v_max))
-    g = base.vgrid
-    metric = np.sqrt(np.outer(g.w_points, g.w_points))[None, None]
-    root = np.sqrt(g.w_points)[:, None]
-    weights = [np.abs(w) for w in dense_functionals(g, 2)["moments"]]
-    rng = np.random.default_rng(24)
+    # the leak is round-off.  Beside _projected_sums' on NV points, rank-1
+    # blocks on 40 points, whose stacked leaves are far narrower than the grid
+    bases = {nv: setup(from_preset("weak_landau_2d2v", nx=NX[0], nv=nv, v_max=v_max))
+             for nv in (NV, 40)}
+    rng, rng40 = np.random.default_rng(24), np.random.default_rng(40)
     for _ in range(3):
-        for name, blocks in _projected_sums(rng, g).items():
+        cases = [(NV, name, blocks)
+                 for name, blocks in _projected_sums(rng, bases[NV].vgrid).items()]
+        cases.append((40, "narrow_rank_one", [_shaped(rng40, bases[40].vgrid, 1, size)
+                                              for size in (1.0, 0.5, 1e-3)]))
+        for nv, name, blocks in cases:
+            base = bases[nv]
+            g = base.vgrid
+            metric = np.sqrt(np.outer(g.w_points, g.w_points))[None, None]
+            root = np.sqrt(g.w_points)[:, None]
+            weights = [np.abs(w) for w in dense_functionals(g, 2)["moments"]]
             width = sum(b.Uv1.shape[1] for b in blocks)
             assert (width >= g.n) == name.startswith("saturated"), name
             dense = sum(b.dense() for b in blocks)
@@ -513,8 +526,8 @@ def test_pair_gram_matches_formed_unfold(rng):
     # round-off of |mat|^T |mat|; with a frame, mat is projected off the
     # moment span and its Gram is gram() - c c^T.  Step-like sums: two Bvv
     # runs, leaves shared by several blocks, and a zero-rank block, dropped as
-    # ht_truncate_sum drops it; leaves in the grid's coordinates (nv 7) and in
-    # their QR (nv 40), weighted or not
+    # ht_truncate_sum drops it; stacked leaves wider than the grid (nv 7) and
+    # narrower (nv 40), weighted or not
     for seed in range(4):
         for nv, projected, weighted in (((7, 6), False, False), ((7, 7), True, True),
                                         ((40, 40), False, True), ((40, 40), True, False)):
@@ -526,7 +539,7 @@ def test_pair_gram_matches_formed_unfold(rng):
             pair = _PairUnfold([b for b in blocks if min(b.ranks) > 0], frame, sqrt_w)
             assert len(pair.runs) > 2
             n1, n2 = pair.r1.shape[0], pair.r2.shape[0]
-            assert (n1 < nv[0]) == (nv[0] == 40)
+            assert n1 == nv[0]
             cols = pair.ov[-1]
             mat = pair.matmul(np.eye(cols)).reshape(n1 * n2, cols).copy()
             gram = pair.gram().copy()
