@@ -24,12 +24,12 @@ and the two velocity leaves) by their singular spectra; Grasedyck's
 hierarchical SVD bound keeps the total error within eps in the Frobenius norm
 when the squared tails add up to at most eps^2.  Each leaf is cut at
 eps/sqrt(3), and the root at what the two leaves leave of eps^2, which is at
-least eps^2/3.  For eps > 0 the root's directions come from the 1D truncation's loop,
-``lowrank._range_finder``, applied to the sum's (space | velocity pair)
-matrix through the blocks' own factors, so the sum is never formed; one
-subspace iteration then sharpens the frame.  Its fixed test matrix makes the
-result a function of the input alone, so a resumed run repeats an
-uninterrupted one bit for bit.  eps = 0 goes through the same stacked leaves
+least eps^2/3.  For eps > 0 the root's directions come from the 1D
+truncation's loop, ``lowrank._range_finder``, applied to the sum's (space |
+velocity pair) matrix through the blocks' own factors, so the sum is never
+formed; one subspace iteration then sharpens the frame.  Its fixed test
+matrix makes the result a function of the input alone, so a resumed run
+repeats an uninterrupted one bit for bit.  eps = 0 goes through the same stacked leaves
 and pair unfold, forms the root matricization and counts it exactly with
 the 1D truncation itself, ``lowrank.truncate_sum`` at eps = 0; only there
 does a floor of 1e-14 times a magnitude bound drop numerically zero

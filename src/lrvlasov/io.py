@@ -31,7 +31,6 @@ from .lowrank import LowRankMatrix
 
 _MAGIC = b"LRVSNAP\x01"
 SNAPSHOT_VERSION = 3
-_CRC_BYTES = 4  # the CRC-32 that ends the file
 
 
 @dataclass
@@ -316,7 +315,7 @@ def snapshot_write(hist, problem, path) -> None:
         _write_text(buf, preset)
         for f, u in zip(hist.fs, hist.us):
             _write_level(buf, f, u)
-        _write_crc(buf)
+        buf.write(zlib.crc32(buf.getbuffer()).to_bytes(4, "little"))
         with tmp.open("wb") as fh:
             fh.write(buf.getbuffer())
         os.replace(tmp, path)
@@ -325,19 +324,11 @@ def snapshot_write(hist, problem, path) -> None:
         raise
 
 
-def _write_crc(buf: BytesIO) -> None:
-    buf.write(zlib.crc32(buf.getbuffer()).to_bytes(_CRC_BYTES, "little"))
-
-
-def _check_crc(fh, path) -> None:
-    """Refuse the file unless its last bytes are the CRC-32 of all before
-    them; the read position is kept."""
-    at = fh.tell()
-    fh.seek(0)
-    raw = memoryview(fh.read())
-    if zlib.crc32(raw[:-_CRC_BYTES]).to_bytes(_CRC_BYTES, "little") != raw[-_CRC_BYTES:]:
+def _check_crc(path: Path) -> None:
+    """Refuse the file unless its last 4 bytes are the CRC-32 of all before them."""
+    raw = memoryview(path.read_bytes())
+    if zlib.crc32(raw[:-4]).to_bytes(4, "little") != raw[-4:]:
         raise SnapshotError(f"{path}: checksum mismatch; the file is damaged or truncated")
-    fh.seek(at)
 
 
 def snapshot_parse(path):
@@ -358,7 +349,7 @@ def snapshot_parse(path):
         if version != SNAPSHOT_VERSION:
             raise SnapshotError(
                 f"{path}: snapshot version {version}, expected {SNAPSHOT_VERSION}")
-        _check_crc(fh, path)
+        _check_crc(path)
         if dim not in _KINETIC:
             raise SnapshotError(f"{path}: unknown snapshot dimensionality {dim}")
         _check_counts(str(path), step, n_levels, n_dts)
