@@ -296,26 +296,27 @@ def snapshot_write(hist, problem, path) -> None:
     """Write the history to ``path`` atomically.
 
     A history whose words ``snapshot_parse`` would refuse is not written.
-    The bytes go to ``<path>.tmp``, which replaces ``path`` only once it is
-    complete; a failed write removes it, so no partial snapshot is left.
+    The bytes, ending in the CRC-32 of all before it, are built in memory and
+    go to ``<path>.tmp``, which replaces ``path`` only once it is complete; a
+    failed write removes it, so no partial snapshot is left.
     """
     path = Path(path)
     *words, method, preset = _signature(problem)
     _check_counts(str(path), hist.step, len(hist.fs), len(hist.dts))
     _check_words(str(path), len(problem.vgrids), hist, words)
+    buf = BytesIO()
+    buf.write(_MAGIC)
+    _write_words(buf, "q", SNAPSHOT_VERSION, len(problem.vgrids), hist.step,
+                 len(hist.fs), len(hist.dts))
+    _write_words(buf, "d", hist.t, hist.dt_work, *hist.dts, *words)
+    _write_text(buf, method)
+    _write_text(buf, preset)
+    for f, u in zip(hist.fs, hist.us):
+        _write_level(buf, f, u)
+    buf.write(zlib.crc32(buf.getbuffer()).to_bytes(4, "little"))
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        buf = BytesIO()
-        buf.write(_MAGIC)
-        _write_words(buf, "q", SNAPSHOT_VERSION, len(problem.vgrids), hist.step,
-                     len(hist.fs), len(hist.dts))
-        _write_words(buf, "d", hist.t, hist.dt_work, *hist.dts, *words)
-        _write_text(buf, method)
-        _write_text(buf, preset)
-        for f, u in zip(hist.fs, hist.us):
-            _write_level(buf, f, u)
-        buf.write(zlib.crc32(buf.getbuffer()).to_bytes(4, "little"))
         with tmp.open("wb") as fh:
             fh.write(buf.getbuffer())
         os.replace(tmp, path)
