@@ -1387,8 +1387,8 @@ def test_corrupted_snapshot_resumes_or_fails_typed(step3_snapshots, preset, data
 @given(st.sampled_from(sorted(STEP3_RUNS)), st.data())
 def test_damaged_snapshot_is_refused(step3_snapshots, preset, data):
     # the checksum covers every byte, so each damage of the kinds above that
-    # changes the file is refused; past the magic and version words it is
-    # the checksum that refuses it, naming the file
+    # changes the file is refused; where the magic, the version and the rest
+    # of the header words still read, the checksum refuses it, naming the file
     raw = step3_snapshots[preset]
     bad = bytes(_corrupt(bytearray(raw), data))
     nx, nv, _ = STEP3_RUNS[preset]
